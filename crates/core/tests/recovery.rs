@@ -182,7 +182,7 @@ fn one_shot_nan_injection_heals_on_sequential() {
     let _serial = serial();
     let mut config = cfg();
     config.watchdog = Some(WatchdogConfig { check_every: 1 });
-    let baseline = fault_free("seq", config.clone(), 1, 20);
+    let baseline = fault_free("seq", config, 1, 20);
     let _armed = arm(FaultPlan {
         nan_at_step: Some(7),
         ..Default::default()
@@ -204,7 +204,7 @@ fn one_shot_halo_drop_heals_distributed() {
     let _serial = serial();
     let mut config = cfg();
     config.halo_timeout = Some(Duration::from_millis(250));
-    let baseline = fault_free("dist", config.clone(), 2, 10);
+    let baseline = fault_free("dist", config, 2, 10);
     // Drop from rank 0: its victim then deadlocks into a clean timeout
     // (dropping from a non-zero rank desequences the reduction protocol
     // and surfaces as a rank panic instead — also healed, but a
