@@ -10,18 +10,34 @@
 //! ```text
 //! loop 1  fibers:  kernels 1–4 (spread *produces* per-(producer, owner)
 //!                  contribution buffers — no grid writes, no locks)
-//! loop 2  cubes:   kernel 5 (collision) + kernel 6 (push streaming;
-//!                  cross-cube writes hit unique (node, direction) slots,
-//!                  so they are per-location exclusive without locks)
+//! loop 2  cubes:   kernel 5 (collision) + kernel 6 (push streaming
+//!                  `cur` → `nxt`; cross-cube writes hit unique (node,
+//!                  direction) slots, so they are per-location exclusive
+//!                  without locks)
 //! ───────────────── barrier 1 (streamed populations in place)
 //! loop 3  cubes:   spread *apply* (each owner drains the buffers aimed at
-//!                  it, in producer-tid order) + kernel 7 (velocity update)
+//!                  it, in producer-tid order) + kernel 7 (velocity update
+//!                  from `nxt`)
 //! ───────────────── barrier 2 (velocities in place)
 //! loop 4  fibers:  kernel 8 (move fibers; reads velocities anywhere,
 //!                  writes only its own fibers)
-//! loop 5  cubes:   kernel 9 (buffer copy) + force reset for next step
+//! loop 5  cubes:   force reseed for the next step; buffers swap roles
 //! ───────────────── barrier 3 (end of time step)
 //! ```
+//!
+//! # Streaming
+//!
+//! `grid.f` and `grid.f_new` trade roles every step: step `s` of a call
+//! reads `cur` and pushes into `nxt`, where `(cur, nxt)` is `(f, f_new)`
+//! for even `s` and `(f_new, f)` for odd `s`. Nothing is copied back (the
+//! paper's kernel 9); [`CubeSolver::try_run`] swaps the two `Vec`s after
+//! an odd-length call, so `grid.f` always holds the current populations.
+//!
+//! A node off the domain faces has all 18 neighbours inside the grid, and
+//! in the cube layout each lies at a fixed flat-index offset that depends
+//! only on the node's position within its cube ([`CubeStreamer`]). Those
+//! nodes push with one add per direction; only face nodes go through the
+//! routing tables (periodic wrap, moving-wall bounce-back).
 //!
 //! # Determinism
 //!
@@ -51,12 +67,12 @@ use ib::forces::{bending_at, stretching_at, SheetTopology};
 use ib::interp::VelocityField;
 use ib::sheet::FiberSheet;
 use ib::tether::{Tether, TetherSet};
-use lbm::boundary::{moving_wall_correction, CoordRoute, StreamRouter};
+use lbm::boundary::{moving_wall_correction, BoundaryConfig, CoordRoute, StreamRouter};
 use lbm::collision::bgk_collide_node;
 use lbm::cube_grid::{CubeDims, CubeFluidGrid};
 use lbm::distribution::{CubeDistribution, FiberDistribution, Policy, ThreadMesh};
 use lbm::grid::Dims;
-use lbm::lattice::Q;
+use lbm::lattice::{E, Q};
 use lbm::macroscopic::node_moments_shifted;
 
 use crate::barrier::{BarrierKind, BarrierPoisoned, PhaseBarrier};
@@ -69,6 +85,8 @@ use crate::telemetry::{MetricsRegistry, ThreadSlot};
 
 /// Worker phase names, in loop order, used for panic attribution
 /// ([`SolverError::WorkerPanicked`]) and fault-injection targeting.
+/// Phase 4 is named `copy-reseed` although loop 5 only reseeds the force
+/// field, because fault plans address phases by name.
 pub const WORKER_PHASES: [&str; 5] = [
     "fiber-forces",
     "collide-stream",
@@ -140,6 +158,156 @@ impl CubeIndexer {
         let local =
             (self.local_of[0][x] * self.k + self.local_of[1][y]) * self.k + self.local_of[2][z];
         cube * self.npc + local
+    }
+}
+
+/// Push streaming in the cube layout: one helper for both kernel plans.
+///
+/// `off[local][i]` is the signed flat-index offset from a node with local
+/// index `local` to its neighbour along direction `i`. It is the same in
+/// every cube, provided the neighbour lies inside the grid — true for every
+/// node off the domain faces, which is the only place the table is used.
+struct CubeStreamer {
+    cdims: CubeDims,
+    router: StreamRouter,
+    indexer: CubeIndexer,
+    off: Vec<[isize; Q]>,
+    /// `n - 2` per axis (saturating): `v` is off the faces of an axis iff
+    /// `v.wrapping_sub(1) < inner[a]`.
+    inner: [usize; 3],
+}
+
+impl CubeStreamer {
+    fn new(cdims: CubeDims, bc: &BoundaryConfig) -> Self {
+        let dims = cdims.dims;
+        Self {
+            cdims,
+            router: StreamRouter::new(dims, bc),
+            indexer: CubeIndexer::new(cdims),
+            off: Self::offsets(cdims),
+            inner: [
+                dims.nx.saturating_sub(2),
+                dims.ny.saturating_sub(2),
+                dims.nz.saturating_sub(2),
+            ],
+        }
+    }
+
+    /// The offset table, derived from the layout arithmetic alone. Along
+    /// each axis a step leaves the cube iff the local coordinate wraps past
+    /// `0` or `k - 1`; the neighbour then sits in the adjacent cube (cube
+    /// strides `cy·cz`, `cz`, `1`) at the opposite local face.
+    fn offsets(cdims: CubeDims) -> Vec<[isize; Q]> {
+        let k = cdims.k as isize;
+        let npc = cdims.nodes_per_cube() as isize;
+        let cube_stride = [(cdims.cy * cdims.cz) as isize, cdims.cz as isize, 1];
+        let local_of = |l: [isize; 3]| (l[0] * k + l[1]) * k + l[2];
+        let mut off = vec![[0isize; Q]; cdims.nodes_per_cube()];
+        for (local, row) in off.iter_mut().enumerate() {
+            let li = local as isize;
+            let l = [li / (k * k), (li / k) % k, li % k];
+            for (i, slot) in row.iter_mut().enumerate() {
+                let mut dcube = 0;
+                let mut dst = l;
+                for a in 0..3 {
+                    let t = l[a] + E[i][a] as isize;
+                    let step = t.div_euclid(k);
+                    dcube += step * cube_stride[a];
+                    dst[a] = t.rem_euclid(k);
+                }
+                *slot = dcube * npc + local_of(dst) - local_of(l);
+            }
+        }
+        off
+    }
+
+    /// True if `(x, y, z)` touches no domain face.
+    #[inline]
+    fn off_faces(&self, [x, y, z]: [usize; 3]) -> bool {
+        x.wrapping_sub(1) < self.inner[0]
+            && y.wrapping_sub(1) < self.inner[1]
+            && z.wrapping_sub(1) < self.inner[2]
+    }
+
+    /// Calls `visit(flat, local, [x, y, z])` for every node of `cube`, in
+    /// storage order.
+    #[inline]
+    fn for_each_node(&self, cube: usize, mut visit: impl FnMut(usize, usize, [usize; 3])) {
+        let k = self.cdims.k;
+        let (ci, cj, ck) = self.cdims.cube_coords(cube);
+        let origin = [ci * k, cj * k, ck * k];
+        let mut flat = self.cdims.flat(cube, 0);
+        let mut local = 0;
+        for lx in 0..k {
+            for ly in 0..k {
+                for lz in 0..k {
+                    visit(
+                        flat,
+                        local,
+                        [origin[0] + lx, origin[1] + ly, origin[2] + lz],
+                    );
+                    flat += 1;
+                    local += 1;
+                }
+            }
+        }
+    }
+
+    /// Pushes one node's post-collision populations, `value(i)` for
+    /// direction `i`, into `nxt`: one add per direction off the domain
+    /// faces, the routing tables (wrap, bounce-back) on them.
+    ///
+    /// # Safety
+    /// The caller must be the only writer of every slot this node routes
+    /// to, and no thread may read those slots, for the duration of the
+    /// phase. Push injectivity gives the first when every node is pushed
+    /// by exactly one thread: for a fixed direction the source →
+    /// destination map is injective, and a bounce-back targets the origin
+    /// node's `(node, opposite)` slot, which no neighbour route reaches.
+    #[inline(always)]
+    unsafe fn push(
+        &self,
+        nxt: &SharedSlice<f64>,
+        flat: usize,
+        local: usize,
+        pos: [usize; 3],
+        value: impl Fn(usize) -> f64,
+    ) {
+        let base = flat * Q;
+        // SAFETY: the caller owns the destination slots for the phase (see
+        // `# Safety`); every index is in bounds because it names a grid
+        // node and a direction. The blocks below rest on the same argument.
+        unsafe { nxt.set(base, value(0)) };
+        if self.off_faces(pos) {
+            let off = &self.off[local];
+            for i in 1..Q {
+                // SAFETY: as above.
+                unsafe { nxt.set(flat.wrapping_add_signed(off[i]) * Q + i, value(i)) };
+            }
+            return;
+        }
+        let [x, y, z] = pos;
+        for i in 1..Q {
+            match self.router.route(x, y, z, i) {
+                CoordRoute::Neighbor(d) => {
+                    let dflat = self.indexer.flat(d[0], d[1], d[2]);
+                    // SAFETY: as above.
+                    unsafe { nxt.set(dflat * Q + i, value(i)) };
+                }
+                CoordRoute::BounceBack {
+                    opposite,
+                    wall_velocity,
+                } => {
+                    // SAFETY: as above.
+                    unsafe {
+                        nxt.set(
+                            base + opposite,
+                            value(i) - moving_wall_correction(i, wall_velocity),
+                        )
+                    };
+                }
+            }
+        }
     }
 }
 
@@ -229,15 +397,14 @@ impl CubeSolver {
 
     /// Converts the current cube-blocked state back to a flat [`SimState`]
     /// (for verification against the other solvers and for output).
+    ///
+    /// `fluid.f_new` equals `fluid.f`, as the flat solvers' kernel-9 copy
+    /// leaves it. The force fields are "pre-seeded for the next step" rather
+    /// than the flat solvers' "last spread"; verification ignores forces.
     pub fn to_state(&self) -> SimState {
-        let mut fluid = self.grid.to_flat();
-        // The flat solvers keep the force buffer as "last spread" rather
-        // than "pre-seeded for next step"; zero the difference out of the
-        // comparison by leaving forces as-is (verify ignores forces).
-        let _ = &mut fluid;
         SimState {
             config: self.config,
-            fluid,
+            fluid: self.grid.to_flat(),
             sheet: self.sheet.clone(),
             tethers: self.tethers.clone(),
             step: self.step,
@@ -319,6 +486,9 @@ impl CubeSolver {
             .map(|_| PhaseCell::new(Vec::new()))
             .collect();
 
+        // Streaming tables (offsets, routing), built once and shared
+        // read-only by the workers.
+        let streamer = CubeStreamer::new(cdims, &config.bc);
         let barrier = PhaseBarrier::new(self.barrier_kind, n_threads);
         // Panic bookkeeping: each worker publishes its current phase index;
         // a panicking worker's wrapper records (tid, phase) here (first one
@@ -351,6 +521,7 @@ impl CubeSolver {
                 let sheet_stretch = &sheet_stretch;
                 let sheet_elastic = &sheet_elastic;
                 let spread_bufs = &spread_bufs[..];
+                let streamer = &streamer;
                 let barrier = &barrier;
                 let owner = &owner;
                 let phase_flag = &phase_flags[tid];
@@ -372,6 +543,7 @@ impl CubeSolver {
                             sheet_stretch,
                             sheet_elastic,
                             spread_bufs,
+                            streamer,
                             n_threads,
                             barrier,
                             owner,
@@ -423,6 +595,10 @@ impl CubeSolver {
             });
         }
         self.step += n_steps;
+        // An odd-length call ended with the current populations in `f_new`.
+        if n_steps % 2 == 1 {
+            std::mem::swap(&mut self.grid.f, &mut self.grid.f_new);
+        }
 
         // Account profiling: per kernel, the critical path is the max busy
         // time across threads; imbalance comes from the spread of busy
@@ -482,6 +658,7 @@ fn worker(
     sheet_stretch: &SharedSlice<[f64; 3]>,
     sheet_elastic: &SharedSlice<[f64; 3]>,
     spread_bufs: &[PhaseCell<Vec<SpreadEntry>>],
+    streamer: &CubeStreamer,
     n_threads: usize,
     barrier: &PhaseBarrier,
     owner: &[usize],
@@ -500,8 +677,6 @@ fn worker(
     crate::racecheck::set_phase(rc_phase);
     let nn = topo.nodes_per_fiber;
     let npc = cdims.nodes_per_cube();
-    let router = StreamRouter::new(dims, &config.bc);
-    let indexer = CubeIndexer::new(cdims);
     let bc = config.bc;
     let tau = config.tau;
     let delta = config.delta;
@@ -510,6 +685,18 @@ fn worker(
 
     for local_step in 0..n_steps {
         let abs_step = step0 + local_step;
+        // Buffer roles alternate each step instead of copying `nxt` back.
+        // This step's `nxt` was the previous step's `cur`, which each owner
+        // read (and, split, rewrote) for its own cubes in the previous loop
+        // 2; barriers 1–3 of that step separate those accesses from this
+        // step's cross-cube pushes. This step's `cur` was pushed in the
+        // previous loop 2 and read in the previous loop 3, both behind the
+        // previous barrier 3.
+        let (cur, nxt) = if local_step % 2 == 0 {
+            (&grid.f, &grid.f_new)
+        } else {
+            (&grid.f_new, &grid.f)
+        };
         // ─── Loop 1: fiber kernels 1–4 on my fibers ───
         phase_flag.store(0, Ordering::Relaxed);
         crate::faultinject::maybe_panic(plan.tid, abs_step, WORKER_PHASES[0]);
@@ -614,23 +801,21 @@ fn worker(
         crate::faultinject::maybe_panic(plan.tid, abs_step, WORKER_PHASES[1]);
         if config.plan == KernelPlan::Fused {
             // Fused kernels 5+6: collide each of my nodes in registers and
-            // push the result straight into f_new, one pass per cube.
+            // push the result straight into `nxt`, one pass per cube.
             let t0 = Instant::now();
             for &cube in &plan.my_cubes {
-                for local in 0..npc {
-                    let flat = cdims.flat(cube, local);
-                    let (x, y, z) = cdims.join(cube, local);
-                    // SAFETY: reads my own pre-collision f / rho / ueq
-                    // (sole toucher this phase); writes exactly the f_new
-                    // slots the split streaming pass would (per-location
-                    // exclusive — see the kernel 6 argument below), and no
-                    // thread reads f_new before barrier 1. Skipping the f
-                    // write-back is invisible: loop 3 reads f_new and loop
-                    // 5 overwrites f wholesale.
+                streamer.for_each_node(cube, |flat, local, pos| {
+                    let mut fvals = [0.0f64; Q];
+                    // SAFETY: reads my own pre-collision `cur` / rho / ueq
+                    // (sole toucher this phase); `push` writes exactly the
+                    // `nxt` slots the split streaming pass would (unique to
+                    // me — see `CubeStreamer::push`), and no thread reads
+                    // `nxt` before barrier 1. Skipping the `cur` write-back
+                    // is invisible: loop 3 reads `nxt`, and the next step
+                    // overwrites `cur` wholesale as its `nxt`.
                     unsafe {
-                        let mut fvals = [0.0f64; Q];
-                        for i in 0..Q {
-                            fvals[i] = grid.f.get(flat * Q + i);
+                        for (i, v) in fvals.iter_mut().enumerate() {
+                            *v = cur.get(flat * Q + i);
                         }
                         let rho = grid.rho.get(flat);
                         let ueq = [
@@ -639,26 +824,9 @@ fn worker(
                             grid.ueqz.get(flat),
                         ];
                         bgk_collide_node(&mut fvals, rho, ueq, [0.0; 3], tau);
-                        grid.f_new.set(flat * Q, fvals[0]);
-                        for i in 1..Q {
-                            match router.route(x, y, z, i) {
-                                CoordRoute::Neighbor(d) => {
-                                    let dflat = indexer.flat(d[0], d[1], d[2]);
-                                    grid.f_new.set(dflat * Q + i, fvals[i]);
-                                }
-                                CoordRoute::BounceBack {
-                                    opposite,
-                                    wall_velocity,
-                                } => {
-                                    grid.f_new.set(
-                                        flat * Q + opposite,
-                                        fvals[i] - moving_wall_correction(i, wall_velocity),
-                                    );
-                                }
-                            }
-                        }
+                        streamer.push(nxt, flat, local, pos, |i| fvals[i]);
                     }
-                }
+                });
             }
             busy[9] += t0.elapsed().as_secs_f64();
         } else {
@@ -667,11 +835,12 @@ fn worker(
                 let t0 = Instant::now();
                 for local in 0..npc {
                     let flat = cdims.flat(cube, local);
-                    // SAFETY: my cube's f / rho / ueq; sole toucher this phase.
+                    // SAFETY: my cube's `cur` / rho / ueq; sole toucher this
+                    // phase.
                     unsafe {
                         let mut fvals = [0.0f64; Q];
                         for i in 0..Q {
-                            fvals[i] = grid.f.get(flat * Q + i);
+                            fvals[i] = cur.get(flat * Q + i);
                         }
                         let rho = grid.rho.get(flat);
                         let ueq = [
@@ -681,45 +850,21 @@ fn worker(
                         ];
                         bgk_collide_node(&mut fvals, rho, ueq, [0.0; 3], tau);
                         for i in 0..Q {
-                            grid.f.set(flat * Q + i, fvals[i]);
+                            cur.set(flat * Q + i, fvals[i]);
                         }
                     }
                 }
                 busy[4] += t0.elapsed().as_secs_f64();
 
-                // Kernel 6: push streaming out of the cube. Cross-cube writes
-                // are per-location exclusive: for a fixed direction the
-                // source→destination map is injective, and bounce-back targets
-                // (node, opposite) slots nothing else writes.
+                // Kernel 6: push streaming out of the cube, `cur` → `nxt`.
                 let t0 = Instant::now();
-                for local in 0..npc {
-                    let flat = cdims.flat(cube, local);
-                    let (x, y, z) = cdims.join(cube, local);
-                    // SAFETY: reads of my own post-collision f; writes to
-                    // unique f_new slots (argument above); no f_new reads until
-                    // after barrier 1.
-                    unsafe {
-                        grid.f_new.set(flat * Q, grid.f.get(flat * Q));
-                        for i in 1..Q {
-                            let v = grid.f.get(flat * Q + i);
-                            match router.route(x, y, z, i) {
-                                CoordRoute::Neighbor(d) => {
-                                    let dflat = indexer.flat(d[0], d[1], d[2]);
-                                    grid.f_new.set(dflat * Q + i, v);
-                                }
-                                CoordRoute::BounceBack {
-                                    opposite,
-                                    wall_velocity,
-                                } => {
-                                    grid.f_new.set(
-                                        flat * Q + opposite,
-                                        v - moving_wall_correction(i, wall_velocity),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
+                streamer.for_each_node(cube, |flat, local, pos| {
+                    // SAFETY: reads of my own post-collision `cur`; `push`
+                    // writes `nxt` slots unique to me (see
+                    // `CubeStreamer::push`); no `nxt` reads until after
+                    // barrier 1.
+                    unsafe { streamer.push(nxt, flat, local, pos, |i| cur.get(flat * Q + i)) };
+                });
                 busy[5] += t0.elapsed().as_secs_f64();
             }
         }
@@ -767,13 +912,13 @@ fn worker(
         for &cube in &plan.my_cubes {
             for local in 0..npc {
                 let flat = cdims.flat(cube, local);
-                // SAFETY: my cube; f_new complete (barrier 1); force
+                // SAFETY: my cube; `nxt` complete (barrier 1); force
                 // complete (applied above by me, the owner); sole writer of
                 // my macroscopic fields.
                 unsafe {
                     let mut fvals = [0.0f64; Q];
                     for i in 0..Q {
-                        fvals[i] = grid.f_new.get(flat * Q + i);
+                        fvals[i] = nxt.get(flat * Q + i);
                     }
                     let force = [grid.fx.get(flat), grid.fy.get(flat), grid.fz.get(flat)];
                     let (rho, u, ueq) = node_moments_shifted(&fvals, force, tau);
@@ -826,18 +971,18 @@ fn worker(
         }
         busy[7] += t0.elapsed().as_secs_f64();
 
-        // ─── Loop 5: buffer copy (kernel 9) + force reseed on my cubes ───
+        // ─── Loop 5: force reseed on my cubes; buffers swap roles ───
+        // No kernel-9 copy: the next step reads this step's `nxt` as its
+        // `cur`. The kernel-9 slot times the reseed.
         phase_flag.store(4, Ordering::Relaxed);
         crate::faultinject::maybe_panic(plan.tid, abs_step, WORKER_PHASES[4]);
         let t0 = Instant::now();
         for &cube in &plan.my_cubes {
-            let a = cube * npc * Q;
-            // SAFETY: my cube's blocks; nobody else touches f or f_new of
-            // my cubes in this phase, and force writes (loop 3 of the next
-            // step) are separated by barriers 3 and 1.
+            let base = cube * npc;
+            // SAFETY: my cube's force slots; loop 4 does not touch them,
+            // and the next step's loop-1 spread only stages into buffers —
+            // the owner's loop-3 apply is separated by barriers 3 and 1.
             unsafe {
-                grid.f.copy_from(&grid.f_new, a, npc * Q);
-                let base = cube * npc;
                 for l in 0..npc {
                     grid.fx.set(base + l, body[0]);
                     grid.fy.set(base + l, body[1]);
@@ -869,6 +1014,7 @@ fn worker(
 mod tests {
     use super::*;
     use crate::sequential::SequentialSolver;
+    use lbm::boundary::AxisBoundary;
 
     fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         a.iter()
@@ -1028,6 +1174,132 @@ mod tests {
         let after = cube.to_state();
         assert_eq!(before.fluid.f, after.fluid.f);
         assert_eq!(before.step, after.step);
+    }
+
+    /// Every non-face node and direction of a grid: the offset table must
+    /// land exactly where the routing tables send the population.
+    fn assert_offsets_match_routing(dims: Dims, k: usize, bc: BoundaryConfig) {
+        let cdims = CubeDims::new(dims, k);
+        let streamer = CubeStreamer::new(cdims, &bc);
+        let mut checked = 0;
+        for cube in 0..cdims.num_cubes() {
+            streamer.for_each_node(cube, |flat, local, pos| {
+                assert_eq!(cdims.flat_of_global(pos[0], pos[1], pos[2]), flat);
+                let [x, y, z] = pos;
+                let on_face = [(x, dims.nx), (y, dims.ny), (z, dims.nz)]
+                    .iter()
+                    .any(|&(v, n)| v == 0 || v == n - 1);
+                assert_eq!(streamer.off_faces(pos), !on_face, "{pos:?} in {dims:?}");
+                if on_face {
+                    return;
+                }
+                for i in 1..Q {
+                    let CoordRoute::Neighbor(d) = streamer.router.route(x, y, z, i) else {
+                        panic!("non-face node {pos:?} bounced back along {i}");
+                    };
+                    let want = streamer.indexer.flat(d[0], d[1], d[2]);
+                    let got = flat.wrapping_add_signed(streamer.off[local][i]);
+                    assert_eq!(got, want, "{pos:?} dir {i}, k = {k}, {dims:?}");
+                    checked += 1;
+                }
+            });
+        }
+        let inner = (dims.nx - 2) * (dims.ny - 2) * (dims.nz - 2);
+        assert_eq!(checked, inner * (Q - 1));
+    }
+
+    #[test]
+    fn offset_table_matches_routing_on_every_non_face_node() {
+        let moving = BoundaryConfig {
+            x: AxisBoundary::Periodic,
+            y: AxisBoundary::Walls {
+                lo: [0.0; 3],
+                hi: [0.05, 0.0, 0.0],
+            },
+            z: AxisBoundary::Walls {
+                lo: [0.0, -0.02, 0.0],
+                hi: [0.0; 3],
+            },
+        };
+        let bcs = [BoundaryConfig::periodic(), BoundaryConfig::tunnel(), moving];
+        for bc in bcs {
+            for k in [2, 4, 8] {
+                assert_offsets_match_routing(Dims::new(2 * k, 3 * k, 2 * k), k, bc);
+            }
+            // A single cube along x (4 = k), and along x and z at k = 8.
+            assert_offsets_match_routing(Dims::new(4, 8, 12), 4, bc);
+            assert_offsets_match_routing(Dims::new(8, 16, 8), 8, bc);
+        }
+    }
+
+    fn fused(cfg: SimulationConfig) -> SimulationConfig {
+        SimulationConfig {
+            plan: KernelPlan::Fused,
+            ..cfg
+        }
+    }
+
+    fn run_in_chunks(cfg: SimulationConfig, threads: usize, chunks: &[u64]) -> CubeSolver {
+        let mut cube = CubeSolver::new(cfg, threads);
+        for &n in chunks {
+            cube.run(n);
+        }
+        cube
+    }
+
+    #[test]
+    fn chunk_parity_does_not_change_results() {
+        let cfg = SimulationConfig::quick_test();
+        for cfg in [cfg, fused(cfg)] {
+            for threads in [1, 3] {
+                let whole = run_in_chunks(cfg, threads, &[5]).to_state();
+                for chunks in [&[2, 3][..], &[1; 5][..]] {
+                    let parts = run_in_chunks(cfg, threads, chunks).to_state();
+                    let tag = format!("{:?}, {threads} threads, chunks {chunks:?}", cfg.plan);
+                    assert_eq!(whole.step, parts.step, "{tag}");
+                    assert_eq!(whole.fluid.f, parts.fluid.f, "{tag}");
+                    assert_eq!(whole.fluid.f_new, parts.fluid.f_new, "{tag}");
+                    assert_eq!(whole.fluid.ux, parts.fluid.ux, "{tag}");
+                    assert_eq!(whole.sheet.pos, parts.sheet.pos, "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn to_state_reports_f_new_equal_to_f_after_any_step_count() {
+        let cfg = SimulationConfig::quick_test();
+        for cfg in [cfg, fused(cfg)] {
+            let mut cube = CubeSolver::new(cfg, 2);
+            for steps in [1, 2, 3] {
+                cube.run(steps);
+                let state = cube.to_state();
+                assert_eq!(
+                    state.fluid.f_new, state.fluid.f,
+                    "after {} steps",
+                    cube.step
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoint_bytes_do_not_depend_on_chunking() {
+        let dir = std::env::temp_dir().join(format!("lbmib_cube_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = SimulationConfig::quick_test();
+        for (tag, cfg) in [("split", cfg), ("fused", fused(cfg))] {
+            let one = dir.join(format!("{tag}_one.ckpt"));
+            let two = dir.join(format!("{tag}_two.ckpt"));
+            crate::checkpoint::save(&run_in_chunks(cfg, 2, &[5]).to_state(), &one).unwrap();
+            crate::checkpoint::save(&run_in_chunks(cfg, 2, &[2, 3]).to_state(), &two).unwrap();
+            assert_eq!(
+                std::fs::read(&one).unwrap(),
+                std::fs::read(&two).unwrap(),
+                "{tag}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -17,6 +17,8 @@ pub enum KernelId {
     Stream,
     UpdateVelocity,
     MoveFibers,
+    /// Kernel 9. The cube solver swaps its buffers instead of copying, so
+    /// there this slot times loop 5's force reseed.
     CopyDistributions,
     FusedCollideStream,
 }

@@ -222,47 +222,6 @@ impl SharedSlice<f64> {
         // valid for the closure's duration.
         self.cells[i].with_mut(|p| unsafe { *p += v })
     }
-
-    /// Copies `len` elements from `src[offset..offset+len]` into the same
-    /// range of `self` (kernel 9 restricted to one cube's block).
-    ///
-    /// # Safety
-    /// No thread may concurrently access either range.
-    #[inline]
-    pub unsafe fn copy_from(&self, src: &SharedSlice<f64>, offset: usize, len: usize) {
-        debug_assert!(offset + len <= self.cells.len());
-        debug_assert!(offset + len <= src.cells.len());
-        #[cfg(feature = "racecheck")]
-        {
-            crate::racecheck::record_range(
-                src.track,
-                offset..offset + len,
-                crate::racecheck::AccessKind::Read,
-            );
-            crate::racecheck::record_range(
-                self.track,
-                offset..offset + len,
-                crate::racecheck::AccessKind::Write,
-            );
-        }
-        #[cfg(not(loom))]
-        // SAFETY: both ranges are in bounds (debug-checked against both
-        // lengths), the cells are contiguous (`UnsafeCell<f64>` has `f64`'s
-        // layout), the two slices never alias (distinct allocations from
-        // `from_vec`), and the caller guarantees no concurrent access.
-        unsafe {
-            let dst = self.cells[offset].get();
-            let s = src.cells[offset].get() as *const f64;
-            std::ptr::copy_nonoverlapping(s, dst, len);
-        }
-        #[cfg(loom)]
-        for k in offset..offset + len {
-            // SAFETY: loom validates the no-concurrent-access claim per
-            // element; the raw pointers are valid inside the closures.
-            let v = src.cells[k].with(|p| unsafe { *p });
-            self.cells[k].with_mut(|p| unsafe { *p = v });
-        }
-    }
 }
 
 /// A `Sync` cell whose exclusivity is enforced by the solver's phase

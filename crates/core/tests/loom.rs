@@ -247,6 +247,60 @@ fn fused_push_across_cube_face_is_race_free() {
     });
 }
 
+/// The cube solver's buffer swap: two workers, two cubes, two steps, and
+/// no kernel-9 copy. Step `s` reads `cur` and pushes into `nxt`, where
+/// `(cur, nxt)` is `(a, b)` in step 1 and `(b, a)` in step 2. Each worker
+/// collides its own cube in place in `cur` (the split plan's write-back),
+/// pushes across the face into the other cube's `nxt` slot, and after
+/// barrier 1 reads its own `nxt` slot (kernel 7).
+///
+/// In step 2 each worker pushes into the slot of `a` that the other
+/// worker read and rewrote in step 1. Only barriers 1 and 3 stand between
+/// those accesses — the model leaves barrier 2 out — and loom checks that
+/// they order every pair.
+#[test]
+fn buffer_swap_without_copy_is_race_free() {
+    loom::model(|| {
+        let a = Arc::new(SharedSlice::from_vec(vec![1.0f64, 2.0]));
+        let b = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
+        let barrier = Arc::new(SpinBarrier::new(2));
+
+        let worker =
+            |t: usize, a: &SharedSlice<f64>, b: &SharedSlice<f64>, barrier: &SpinBarrier| {
+                // What kernel 7 sees per step: half the *other* cube's value.
+                let expect = [[1.0, 0.5], [0.25, 0.5]];
+                for (step, seen) in expect.iter().enumerate() {
+                    let (cur, nxt) = if step % 2 == 0 { (a, b) } else { (b, a) };
+                    // Loop 2: collide my cube in place, push across the face.
+                    // SAFETY: cur[t] is my cube's slot; nxt[1 - t] has me as
+                    // its unique writer this step (push injectivity). The
+                    // other worker last touched nxt[1 - t] (as its `cur`) one
+                    // step earlier, before that step's barriers 1 and 3.
+                    let v = unsafe {
+                        let v = cur.get(t) * 0.5;
+                        cur.set(t, v);
+                        nxt.set(1 - t, v);
+                        v
+                    };
+                    assert!(v > 0.0);
+                    // Barrier 1.
+                    barrier.wait();
+                    // Loop 3: kernel 7 reads my own cube's streamed slot.
+                    // SAFETY: written by the other worker before barrier 1.
+                    let got = unsafe { nxt.get(t) };
+                    assert_eq!(got, seen[t], "step {}: cube {t} missed its push", step + 1);
+                    // Barrier 3.
+                    barrier.wait();
+                }
+            };
+
+        let (a2, b2, bar2) = (Arc::clone(&a), Arc::clone(&b), Arc::clone(&barrier));
+        let h = thread::spawn(move || worker(1, &a2, &b2, &bar2));
+        worker(0, &a, &b, &barrier);
+        h.join().unwrap();
+    });
+}
+
 /// Falsifiability check for the harness itself: the same slot written by
 /// two threads with *no* synchronisation must be reported as a race.
 #[test]

@@ -184,6 +184,10 @@ impl CubeFluidGrid {
 
     /// Reorders back to a node-major [`FluidGrid`] (used by the verification
     /// machinery to compare cube and flat solvers).
+    ///
+    /// `f_new` is reported as a copy of `f` — the state a kernel-9 copy
+    /// leaves — because the cube solver swaps buffer roles instead of
+    /// copying, so its stored `f_new` may hold an older step.
     pub fn to_flat(&self) -> FluidGrid {
         let dims = self.cdims.dims;
         let mut out = FluidGrid::new(dims);
@@ -191,7 +195,6 @@ impl CubeFluidGrid {
             let src = self.cdims.flat_of_global(x, y, z);
             let dst = dims.idx(x, y, z);
             out.f[dst * Q..dst * Q + Q].copy_from_slice(&self.f[src * Q..src * Q + Q]);
-            out.f_new[dst * Q..dst * Q + Q].copy_from_slice(&self.f_new[src * Q..src * Q + Q]);
             out.rho[dst] = self.rho[src];
             out.ux[dst] = self.ux[src];
             out.uy[dst] = self.uy[src];
@@ -203,6 +206,7 @@ impl CubeFluidGrid {
             out.fy[dst] = self.fy[src];
             out.fz[dst] = self.fz[src];
         }
+        out.f_new.copy_from_slice(&out.f);
         out
     }
 
@@ -211,16 +215,6 @@ impl CubeFluidGrid {
         self.fx.fill(0.0);
         self.fy.fill(0.0);
         self.fz.fill(0.0);
-    }
-
-    /// Kernel 9 restricted to one cube: copy its `f_new` block into `f`.
-    #[inline]
-    pub fn copy_distributions_cube(&mut self, cube: usize) {
-        let npc = self.cdims.nodes_per_cube();
-        let a = cube * npc * Q;
-        let b = a + npc * Q;
-        let (f, f_new) = (&mut self.f, &self.f_new);
-        f[a..b].copy_from_slice(&f_new[a..b]);
     }
 
     /// Total fluid mass.
@@ -312,27 +306,9 @@ mod tests {
         let cube = CubeFluidGrid::from_flat(&g, 2);
         let back = cube.to_flat();
         assert_eq!(back.f, g.f);
+        assert_eq!(back.f_new, g.f);
         assert_eq!(back.rho, g.rho);
         assert_eq!(back.fy, g.fy);
-    }
-
-    #[test]
-    fn copy_distributions_cube_is_local() {
-        let c = CubeDims::new(Dims::new(4, 4, 4), 2);
-        let mut g = CubeFluidGrid::new(c);
-        for (i, v) in g.f_new.iter_mut().enumerate() {
-            *v = i as f64;
-        }
-        g.copy_distributions_cube(3);
-        let npc = c.nodes_per_cube();
-        for slot in 0..g.f.len() {
-            let in_cube3 = (3 * npc * Q..4 * npc * Q).contains(&slot);
-            if in_cube3 {
-                assert_eq!(g.f[slot], slot as f64);
-            } else {
-                assert_eq!(g.f[slot], 0.0, "slot {slot} outside cube 3 was touched");
-            }
-        }
     }
 
     proptest! {
