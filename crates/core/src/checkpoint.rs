@@ -92,8 +92,15 @@ impl From<io::Error> for CheckpointError {
 // CRC-32 (IEEE 802.3 polynomial, table-driven, no external crates).
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes folded per step of the sliced loop in [`crc32_update`].
+const CRC_SLICE: usize = 16;
+
+/// Slicing-by-16 tables. `table[0]` is the classic bytewise table;
+/// `table[j][b]` is the CRC contribution of byte `b` followed by `j` zero
+/// bytes, so one step can look up 16 input bytes independently and XOR
+/// the results.
+const fn crc32_tables() -> [[u32; 256]; CRC_SLICE] {
+    let mut table = [[0u32; 256]; CRC_SLICE];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -106,17 +113,44 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        table[0][i] = c;
         i += 1;
+    }
+    let mut j = 1;
+    while j < CRC_SLICE {
+        let mut i = 0;
+        while i < 256 {
+            let prev = table[j - 1][i];
+            table[j][i] = (prev >> 8) ^ table[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        j += 1;
     }
     table
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; CRC_SLICE] = crc32_tables();
 
+/// Folds `bytes` into the running (pre-inversion) CRC-32 `state`. The
+/// digest is the same as a byte-at-a-time loop over the same polynomial;
+/// only the tail of fewer than 16 bytes takes that loop.
 fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = CRC_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+    let t = &CRC_TABLES;
+    let mut blocks = bytes.chunks_exact(CRC_SLICE);
+    for block in &mut blocks {
+        let b: &[u8; CRC_SLICE] = block.try_into().expect("chunks_exact yields full blocks");
+        // The state lines up with the block's first four bytes; each byte
+        // then goes through the table for its distance to the block end.
+        let s = state.to_le_bytes();
+        let mut next = 0;
+        for j in 0..CRC_SLICE {
+            let v = if j < 4 { b[j] ^ s[j] } else { b[j] };
+            next ^= t[CRC_SLICE - 1 - j][v as usize];
+        }
+        state = next;
+    }
+    for &b in blocks.remainder() {
+        state = t[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
     state
 }
@@ -186,6 +220,9 @@ impl<R: Read> Read for CrcReader<R> {
     }
 }
 
+/// Values per block write/read of a float array.
+const F64_BLOCK: usize = 1024;
+
 struct Enc<W: Write>(W);
 
 impl<W: Write> Enc<W> {
@@ -197,22 +234,21 @@ impl<W: Write> Enc<W> {
     }
     fn f64s(&mut self, v: &[f64]) -> io::Result<()> {
         self.u64(v.len() as u64)?;
-        let mut buf = Vec::with_capacity(8192);
-        for chunk in v.chunks(1024) {
-            buf.clear();
-            for x in chunk {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-            self.0.write_all(&buf)?;
-        }
-        Ok(())
+        self.f64_blocks(v)
     }
     fn vec3s(&mut self, v: &[[f64; 3]]) -> io::Result<()> {
         self.u64(v.len() as u64)?;
-        for p in v {
-            for c in p {
-                self.f64(*c)?;
+        self.f64_blocks(v.as_flattened())
+    }
+    /// Writes `v` with no length prefix, [`F64_BLOCK`] values per write, so
+    /// the CRC folds large blocks rather than single values.
+    fn f64_blocks(&mut self, v: &[f64]) -> io::Result<()> {
+        let mut buf = [0u8; 8 * F64_BLOCK];
+        for chunk in v.chunks(F64_BLOCK) {
+            for (dst, x) in buf.chunks_exact_mut(8).zip(chunk) {
+                dst.copy_from_slice(&x.to_le_bytes());
             }
+            self.0.write_all(&buf[..8 * chunk.len()])?;
         }
         Ok(())
     }
@@ -251,17 +287,7 @@ impl<R: Read> Dec<R> {
             )));
         }
         let mut out = vec![0.0; n];
-        let mut buf = vec![0u8; 8 * 1024.min(n.max(1))];
-        let mut i = 0;
-        while i < n {
-            let take = (n - i).min(1024);
-            let bytes = &mut buf[..take * 8];
-            self.0.read_exact(bytes)?;
-            for (j, chunk) in bytes.chunks_exact(8).enumerate() {
-                out[i + j] = f64::from_le_bytes(chunk.try_into().unwrap());
-            }
-            i += take;
-        }
+        self.f64_blocks(&mut out)?;
         Ok(out)
     }
     fn vec3s(&mut self, expect: usize) -> Result<Vec<[f64; 3]>, CheckpointError> {
@@ -272,12 +298,21 @@ impl<R: Read> Dec<R> {
             )));
         }
         let mut out = vec![[0.0; 3]; n];
-        for p in out.iter_mut() {
-            for c in p.iter_mut() {
-                *c = self.f64()?;
+        self.f64_blocks(out.as_flattened_mut())?;
+        Ok(out)
+    }
+    /// Fills `out` from [`F64_BLOCK`]-value reads (the inverse of
+    /// [`Enc::f64_blocks`]).
+    fn f64_blocks(&mut self, out: &mut [f64]) -> Result<(), CheckpointError> {
+        let mut buf = [0u8; 8 * F64_BLOCK];
+        for chunk in out.chunks_mut(F64_BLOCK) {
+            let bytes = &mut buf[..8 * chunk.len()];
+            self.0.read_exact(bytes)?;
+            for (x, b) in chunk.iter_mut().zip(bytes.chunks_exact(8)) {
+                *x = f64::from_le_bytes(b.try_into().unwrap());
             }
         }
-        Ok(out)
+        Ok(())
     }
     fn axis(&mut self) -> Result<AxisBoundary, CheckpointError> {
         match self.u64()? {
@@ -683,6 +718,7 @@ mod tests {
     use super::*;
     use crate::sequential::SequentialSolver;
     use crate::verify::compare_states;
+    use proptest::prelude::*;
 
     fn evolved_state() -> SimState {
         let mut cfg = SimulationConfig::quick_test();
@@ -700,6 +736,73 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lbmib_ckpt_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Bit-at-a-time CRC-32 over the same polynomial, with no tables: the
+    /// reference the sliced [`crc32_update`] must reproduce.
+    fn reference_crc32(bytes: &[u8]) -> u32 {
+        let mut state = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            state ^= b as u32;
+            for _ in 0..8 {
+                state = if state & 1 != 0 {
+                    0xEDB8_8320 ^ (state >> 1)
+                } else {
+                    state >> 1
+                };
+            }
+        }
+        !state
+    }
+
+    fn crc32(bytes: &[u8]) -> u32 {
+        !crc32_update(0xFFFF_FFFF, bytes)
+    }
+
+    #[test]
+    fn crc32_known_answers() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(reference_crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest! {
+        /// Whole or split at 1–3 points (as `CrcWriter`/`CrcReader` see a
+        /// stream), the sliced CRC matches the reference.
+        #[test]
+        fn sliced_crc32_matches_reference(
+            len in 0usize..=300,
+            seed in 0u64..u64::MAX,
+            n_cuts in 1usize..=3,
+        ) {
+            let mut rng = proptest::TestRng::new(seed);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let want = reference_crc32(&bytes);
+            prop_assert_eq!(crc32(&bytes), want);
+
+            let mut cuts: Vec<usize> =
+                (0..n_cuts).map(|_| rng.below(len as u64 + 1) as usize).collect();
+            cuts.sort_unstable();
+            let mut state = 0xFFFF_FFFF;
+            let mut start = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                state = crc32_update(state, &bytes[start..cut]);
+                start = cut;
+            }
+            prop_assert_eq!(!state, want);
+        }
+    }
+
+    #[test]
+    fn trailer_is_the_reference_crc_of_the_payload() {
+        let mut buf = Vec::new();
+        write_checkpoint(&evolved_state(), &mut buf).unwrap();
+        let (payload, trailer) = buf.split_at(buf.len() - 8);
+        assert_eq!(
+            read_u64(trailer, 0),
+            reference_crc32(payload) as u64,
+            "trailer must be the IEEE CRC-32 of everything before it"
+        );
     }
 
     #[test]

@@ -39,6 +39,15 @@
 //! nodes push with one add per direction; only face nodes go through the
 //! routing tables (periodic wrap, moving-wall bounce-back).
 //!
+//! # Call boundary
+//!
+//! A call moves the grid and sheet arrays out of the solver into shared
+//! form with `std::mem::take`, so nothing is allocated or filled in their
+//! place, and lends the team the solver's own spread buffers. When the
+//! team has joined, everything moves back, on the failure path too. The
+//! buffers therefore keep their capacity from call to call; loop 1 clears
+//! each one before filling it, so no contents cross a call.
+//!
 //! # Determinism
 //!
 //! Spreading used to scatter under per-owner mutexes, so the per-node
@@ -337,6 +346,9 @@ pub struct CubeSolver {
     /// When true, [`CubeSolver::run`] collects per-worker telemetry (kernel
     /// busy time, per-barrier wait, cube/fiber ownership) into its report.
     pub telemetry_enabled: bool,
+    /// Per-(producer, owner) spread buffers, `[producer * T + owner]`, kept
+    /// between calls (see "Call boundary" in the module docs).
+    spread_bufs: Vec<Vec<SpreadEntry>>,
 }
 
 impl CubeSolver {
@@ -372,6 +384,7 @@ impl CubeSolver {
             profile: KernelProfile::new(),
             imbalance: ImbalanceTracker::new(n_threads),
             telemetry_enabled: false,
+            spread_bufs: vec![Vec::new(); n_threads * n_threads],
         }
     }
 
@@ -471,19 +484,20 @@ impl CubeSolver {
                 .push(*t);
         }
 
-        // Move the state into shared form for the worker team.
-        let grid =
-            SharedCubeGrid::new(std::mem::replace(&mut self.grid, CubeFluidGrid::new(cdims)));
+        // Move the state into shared form for the worker team, leaving
+        // empty `Vec`s behind until the teardown below puts it back.
+        let grid = SharedCubeGrid::new(take_grid(&mut self.grid));
         let sheet_pos = SharedSlice::from_vec(std::mem::take(&mut self.sheet.pos));
         let sheet_bend = SharedSlice::from_vec(std::mem::take(&mut self.sheet.bending));
         let sheet_stretch = SharedSlice::from_vec(std::mem::take(&mut self.sheet.stretching));
         let sheet_elastic = SharedSlice::from_vec(std::mem::take(&mut self.sheet.elastic));
 
-        // Per-(producer, owner) spread buffers: `bufs[producer * T + owner]`.
+        // The solver's spread buffers, lent to the team for the call.
         // Written by the producer in loop 1, drained by the owner in loop 3,
         // with barriers separating the phases (see the module docs).
-        let spread_bufs: Vec<PhaseCell<Vec<SpreadEntry>>> = (0..n_threads * n_threads)
-            .map(|_| PhaseCell::new(Vec::new()))
+        let spread_bufs: Vec<PhaseCell<Vec<SpreadEntry>>> = std::mem::take(&mut self.spread_bufs)
+            .into_iter()
+            .map(PhaseCell::new)
             .collect();
 
         // Streaming tables (offsets, routing), built once and shared
@@ -579,14 +593,16 @@ impl CubeSolver {
         });
         let wall = t0.elapsed();
 
-        // Tear the shared state back down — also on the failure path, so
-        // the solver keeps structurally valid (if physically mid-step)
-        // buffers instead of the empty placeholders.
+        // Move everything back — also on the failure path, so the solver
+        // again holds full-size (if physically mid-step) arrays rather than
+        // the empty `Vec`s left behind above, and the spread buffers keep
+        // their capacity for the next call.
         self.grid = grid.into_inner();
         self.sheet.pos = sheet_pos.into_vec();
         self.sheet.bending = sheet_bend.into_vec();
         self.sheet.stretching = sheet_stretch.into_vec();
         self.sheet.elastic = sheet_elastic.into_vec();
+        self.spread_bufs = spread_bufs.into_iter().map(PhaseCell::into_inner).collect();
 
         if let Some((thread, phase)) = panic_note.into_inner().unwrap_or_else(|e| e.into_inner()) {
             return Err(SolverError::WorkerPanicked {
@@ -617,6 +633,26 @@ impl CubeSolver {
             telemetry: registry.map(|r| r.snapshot("cube", n_steps, wall.as_secs_f64())),
             recovery: None,
         })
+    }
+}
+
+/// Moves every array out of `grid`, leaving empty `Vec`s (no allocation)
+/// with the same geometry in its place.
+fn take_grid(grid: &mut CubeFluidGrid) -> CubeFluidGrid {
+    CubeFluidGrid {
+        cdims: grid.cdims,
+        f: std::mem::take(&mut grid.f),
+        f_new: std::mem::take(&mut grid.f_new),
+        rho: std::mem::take(&mut grid.rho),
+        ux: std::mem::take(&mut grid.ux),
+        uy: std::mem::take(&mut grid.uy),
+        uz: std::mem::take(&mut grid.uz),
+        ueqx: std::mem::take(&mut grid.ueqx),
+        ueqy: std::mem::take(&mut grid.ueqy),
+        ueqz: std::mem::take(&mut grid.ueqz),
+        fx: std::mem::take(&mut grid.fx),
+        fy: std::mem::take(&mut grid.fy),
+        fz: std::mem::take(&mut grid.fz),
     }
 }
 

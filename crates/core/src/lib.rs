@@ -10,7 +10,8 @@
 //!   standing in for OpenMP, static x-slab schedule).
 //! * [`cube::CubeSolver`] — Section V's cube-centric data-centric design:
 //!   long-lived worker threads, cube-blocked storage, `cube2thread`
-//!   distribution, owner locks and three barriers per step (Algorithm 4).
+//!   distribution, buffered (lock-free) spreading and three barriers per
+//!   step (Algorithm 4).
 //!
 //! Supporting machinery: per-kernel profiling (the gprof/OmpP replacement
 //! behind Tables I–II), cross-solver verification, diagnostics, and

@@ -5,16 +5,19 @@
 //! # Safety model
 //!
 //! Rust's borrow checker cannot express Algorithm 4's ownership discipline
-//! ("each cube is written only by its owner thread, except spreading which
-//! takes the owner's lock, with phases separated by barriers"), so this
-//! module provides `unsafe` indexed access and the *solver* upholds the
-//! discipline:
+//! ("each cube is written only by its owner thread, with phases separated
+//! by barriers"), so this module provides `unsafe` indexed access and the
+//! *solver* upholds the discipline:
 //!
-//! * a location is written by at most one thread per phase, or all writes
-//!   to it are protected by its owner's mutex;
+//! * a location is written by at most one thread per phase;
 //! * no location is read and written concurrently within a phase;
-//! * phases are separated by barriers (or mutex acquire/release), which
-//!   provide the happens-before edges.
+//! * phases are separated by barriers, which provide the happens-before
+//!   edges.
+//!
+//! Spreading (kernel 4) fits the same rule without locks: a producer
+//! writes its contributions only into its own per-owner buffer
+//! ([`PhaseCell`]), and after the next barrier each owner adds the
+//! buffers aimed at it into its own cubes' force slots.
 //!
 //! Each accessor documents which rule makes it sound at its call site.
 //! With the `racecheck` feature enabled, every accessor additionally
@@ -203,16 +206,16 @@ impl SharedSlice<f64> {
     /// Adds `v` to element `i` (non-atomic read-modify-write).
     ///
     /// # Safety
-    /// The caller must hold the lock that protects element `i` (or be the
-    /// only thread able to touch it in this phase).
+    /// The caller must be the only thread able to touch element `i` in
+    /// this phase.
     #[inline]
     pub unsafe fn add(&self, i: usize, v: f64) {
         debug_assert!(i < self.cells.len());
         #[cfg(feature = "racecheck")]
         crate::racecheck::record(self.track, i, crate::racecheck::AccessKind::Write);
         #[cfg(not(loom))]
-        // SAFETY: `i` is in bounds; the caller holds the protecting lock
-        // (or is the sole accessor), so the read-modify-write is exclusive.
+        // SAFETY: `i` is in bounds; the caller is the sole accessor this
+        // phase, so the read-modify-write is exclusive.
         unsafe {
             let p = self.cells.get_unchecked(i).get();
             *p += v;

@@ -66,11 +66,34 @@ fn cube_worker_panic_surfaces_typed_error_not_hang() {
             },
             "{kind:?}"
         );
+        let state = solver.to_state();
         assert_eq!(
-            solver.to_state().step,
-            0,
+            state.step, 0,
             "{kind:?}: a failed run must not claim progress"
         );
+        // The arrays `try_run` moved out to the team came back on the
+        // failure path: every fluid and sheet array is full-size again.
+        let n = cfg().dims().n();
+        let fluid = &state.fluid;
+        assert_eq!(fluid.f.len(), n * lbm::Q, "{kind:?}: f");
+        assert_eq!(fluid.f_new.len(), n * lbm::Q, "{kind:?}: f_new");
+        for (name, a) in [
+            ("rho", &fluid.rho),
+            ("ux", &fluid.ux),
+            ("uy", &fluid.uy),
+            ("uz", &fluid.uz),
+            ("ueqx", &fluid.ueqx),
+            ("ueqy", &fluid.ueqy),
+            ("ueqz", &fluid.ueqz),
+            ("fx", &fluid.fx),
+            ("fy", &fluid.fy),
+            ("fz", &fluid.fz),
+        ] {
+            assert_eq!(a.len(), n, "{kind:?}: {name}");
+        }
+        let nodes = state.sheet.num_fibers * state.sheet.nodes_per_fiber;
+        assert_eq!(state.sheet.pos.len(), nodes, "{kind:?}: sheet pos");
+        assert_eq!(state.sheet.elastic.len(), nodes, "{kind:?}: sheet forces");
 
         // Disarmed, the same solver recovers: try_run builds fresh
         // barriers, and the state was restored on the failure path.

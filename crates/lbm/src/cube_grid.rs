@@ -108,6 +108,23 @@ impl CubeDims {
         let (c, l) = self.split(x, y, z);
         self.flat(c, l)
     }
+
+    /// Calls `visit(node, flat)` with the start of every run of `k` nodes
+    /// along z, in node-major order ([`Dims::idx`]) and cube-blocked order
+    /// ([`CubeDims::flat`]). Both layouts put z fastest, so each run is
+    /// contiguous in both; along a row of fixed `(x, y)` the cube index
+    /// grows by one per run.
+    fn for_each_z_run(&self, mut visit: impl FnMut(usize, usize)) {
+        let (d, k, npc) = (self.dims, self.k, self.nodes_per_cube());
+        for x in 0..d.nx {
+            for y in 0..d.ny {
+                let (node, flat) = (d.idx(x, y, 0), self.flat_of_global(x, y, 0));
+                for ck in 0..self.cz {
+                    visit(node + ck * k, flat + ck * npc);
+                }
+            }
+        }
+    }
 }
 
 /// Fluid state stored cube-blocked. Field meanings match [`FluidGrid`]; only
@@ -163,21 +180,25 @@ impl CubeFluidGrid {
     pub fn from_flat(grid: &FluidGrid, k: usize) -> Self {
         let cdims = CubeDims::new(grid.dims, k);
         let mut out = Self::new(cdims);
-        for (x, y, z) in grid.dims.iter_coords() {
-            let src = grid.dims.idx(x, y, z);
-            let dst = cdims.flat_of_global(x, y, z);
-            out.f[dst * Q..dst * Q + Q].copy_from_slice(&grid.f[src * Q..src * Q + Q]);
-            out.f_new[dst * Q..dst * Q + Q].copy_from_slice(&grid.f_new[src * Q..src * Q + Q]);
-            out.rho[dst] = grid.rho[src];
-            out.ux[dst] = grid.ux[src];
-            out.uy[dst] = grid.uy[src];
-            out.uz[dst] = grid.uz[src];
-            out.ueqx[dst] = grid.ueqx[src];
-            out.ueqy[dst] = grid.ueqy[src];
-            out.ueqz[dst] = grid.ueqz[src];
-            out.fx[dst] = grid.fx[src];
-            out.fy[dst] = grid.fy[src];
-            out.fz[dst] = grid.fz[src];
+        let n = k * Q;
+        for (dst, src) in [(&mut out.f, &grid.f), (&mut out.f_new, &grid.f_new)] {
+            cdims.for_each_z_run(|node, flat| {
+                dst[flat * Q..][..n].copy_from_slice(&src[node * Q..][..n]);
+            });
+        }
+        for (dst, src) in [
+            (&mut out.rho, &grid.rho),
+            (&mut out.ux, &grid.ux),
+            (&mut out.uy, &grid.uy),
+            (&mut out.uz, &grid.uz),
+            (&mut out.ueqx, &grid.ueqx),
+            (&mut out.ueqy, &grid.ueqy),
+            (&mut out.ueqz, &grid.ueqz),
+            (&mut out.fx, &grid.fx),
+            (&mut out.fy, &grid.fy),
+            (&mut out.fz, &grid.fz),
+        ] {
+            cdims.for_each_z_run(|node, flat| dst[flat..][..k].copy_from_slice(&src[node..][..k]));
         }
         out
     }
@@ -189,22 +210,26 @@ impl CubeFluidGrid {
     /// leaves — because the cube solver swaps buffer roles instead of
     /// copying, so its stored `f_new` may hold an older step.
     pub fn to_flat(&self) -> FluidGrid {
-        let dims = self.cdims.dims;
-        let mut out = FluidGrid::new(dims);
-        for (x, y, z) in dims.iter_coords() {
-            let src = self.cdims.flat_of_global(x, y, z);
-            let dst = dims.idx(x, y, z);
-            out.f[dst * Q..dst * Q + Q].copy_from_slice(&self.f[src * Q..src * Q + Q]);
-            out.rho[dst] = self.rho[src];
-            out.ux[dst] = self.ux[src];
-            out.uy[dst] = self.uy[src];
-            out.uz[dst] = self.uz[src];
-            out.ueqx[dst] = self.ueqx[src];
-            out.ueqy[dst] = self.ueqy[src];
-            out.ueqz[dst] = self.ueqz[src];
-            out.fx[dst] = self.fx[src];
-            out.fy[dst] = self.fy[src];
-            out.fz[dst] = self.fz[src];
+        let cdims = self.cdims;
+        let k = cdims.k;
+        let n = k * Q;
+        let mut out = FluidGrid::new(cdims.dims);
+        cdims.for_each_z_run(|node, flat| {
+            out.f[node * Q..][..n].copy_from_slice(&self.f[flat * Q..][..n]);
+        });
+        for (dst, src) in [
+            (&mut out.rho, &self.rho),
+            (&mut out.ux, &self.ux),
+            (&mut out.uy, &self.uy),
+            (&mut out.uz, &self.uz),
+            (&mut out.ueqx, &self.ueqx),
+            (&mut out.ueqy, &self.ueqy),
+            (&mut out.ueqz, &self.ueqz),
+            (&mut out.fx, &self.fx),
+            (&mut out.fy, &self.fy),
+            (&mut out.fz, &self.fz),
+        ] {
+            cdims.for_each_z_run(|node, flat| dst[node..][..k].copy_from_slice(&src[flat..][..k]));
         }
         out.f_new.copy_from_slice(&out.f);
         out
@@ -309,6 +334,28 @@ mod tests {
         assert_eq!(back.f_new, g.f);
         assert_eq!(back.rho, g.rho);
         assert_eq!(back.fy, g.fy);
+    }
+
+    #[test]
+    fn from_flat_places_every_node_at_its_cube_slot() {
+        let dims = Dims::new(6, 4, 8);
+        let mut g = FluidGrid::new(dims);
+        for (i, v) in g.f.iter_mut().enumerate() {
+            *v = i as f64;
+        }
+        for (i, v) in g.ux.iter_mut().enumerate() {
+            *v = i as f64;
+        }
+        let cube = CubeFluidGrid::from_flat(&g, 2);
+        for (x, y, z) in dims.iter_coords() {
+            let (node, flat) = (dims.idx(x, y, z), cube.cdims.flat_of_global(x, y, z));
+            assert_eq!(cube.ux[flat], node as f64, "({x},{y},{z})");
+            assert_eq!(
+                cube.f[flat * Q..][..Q],
+                g.f[node * Q..][..Q],
+                "({x},{y},{z})"
+            );
+        }
     }
 
     proptest! {
