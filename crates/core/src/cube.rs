@@ -8,19 +8,19 @@
 //! with exactly three barriers:
 //!
 //! ```text
-//! loop 1  fibers:  kernels 1–4 (spread *produces* per-(producer, owner)
-//!                  contribution buffers — no grid writes, no locks)
+//! loop 1  fibers:  kernels 1–3, and each fiber node's delta stencil
+//!                  (kernel 4's only kernel evaluation; no grid writes)
 //! loop 2  cubes:   kernel 5 (collision) + kernel 6 (push streaming
 //!                  `cur` → `nxt`; cross-cube writes hit unique (node,
 //!                  direction) slots, so they are per-location exclusive
 //!                  without locks)
 //! ───────────────── barrier 1 (streamed populations in place)
-//! loop 3  cubes:   spread *apply* (each owner drains the buffers aimed at
-//!                  it, in producer-tid order) + kernel 7 (velocity update
-//!                  from `nxt`)
+//! loop 3  cubes:   kernel 4 (each owner walks every fiber node's stencil
+//!                  in global order and adds the force into its own cubes)
+//!                  + kernel 7 (velocity update from `nxt`)
 //! ───────────────── barrier 2 (velocities in place)
-//! loop 4  fibers:  kernel 8 (move fibers; reads velocities anywhere,
-//!                  writes only its own fibers)
+//! loop 4  fibers:  kernel 8 (move fibers through their stored stencils;
+//!                  reads velocities anywhere, writes only its own fibers)
 //! loop 5  cubes:   force reseed for the next step; buffers swap roles
 //! ───────────────── barrier 3 (end of time step)
 //! ```
@@ -41,20 +41,24 @@
 //!
 //! # Call boundary
 //!
-//! A call moves the grid and sheet arrays out of the solver into shared
-//! form with `std::mem::take`, so nothing is allocated or filled in their
-//! place, and lends the team the solver's own spread buffers. When the
-//! team has joined, everything moves back, on the failure path too. The
-//! buffers therefore keep their capacity from call to call; loop 1 clears
-//! each one before filling it, so no contents cross a call.
+//! A call moves the grid, the sheet arrays and the solver's stencil array
+//! out of the solver into shared form with `std::mem::take`, so nothing is
+//! allocated or filled in their place. When the team has joined,
+//! everything moves back, on the failure path too. The stencil array is
+//! sized by the first call and keeps its storage from then on; loop 1
+//! rewrites every entry before any thread reads it, so no contents cross a
+//! call.
 //!
 //! # Determinism
 //!
-//! Spreading used to scatter under per-owner mutexes, so the per-node
-//! addition order depended on lock-acquisition timing and reruns differed
-//! in the last ulp. The buffered scheme applies contributions in producer
-//! tid order, which (fibers are block-distributed) is global fiber order —
-//! a fixed order for a fixed thread count. Runs are therefore bit-exactly
+//! No phase writes a location that another thread also writes. Spreading
+//! is the phase where that could happen (a stencil can reach into several
+//! threads' cubes), so it is split: the fiber owner computes each node's
+//! stencil in loop 1, and in loop 3 every cube owner walks all fiber nodes
+//! in global order and applies only the contributions that land in its own
+//! cubes. Each force slot therefore receives the same products in the same
+//! order as in the sequential solver's kernel 4, whatever the thread
+//! count, distribution policy or cube edge. Runs are bit-exactly
 //! reproducible, which the checkpoint/resume equivalence guarantee relies
 //! on.
 //!
@@ -63,7 +67,7 @@
 //! A panicking worker poisons the shared [`PhaseBarrier`] before
 //! unwinding; siblings blocked at (or arriving at) a barrier bail out
 //! instead of spinning forever. [`CubeSolver::try_run`] then restores the
-//! solver's buffers — without advancing the step counter — and returns
+//! solver's arrays — without advancing the step counter — and returns
 //! [`SolverError::WorkerPanicked`] naming the thread and phase.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -71,9 +75,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use ib::delta::for_each_influence;
+use ib::delta::Stencil;
 use ib::forces::{bending_at, stretching_at, SheetTopology};
-use ib::interp::VelocityField;
 use ib::sheet::FiberSheet;
 use ib::tether::{Tether, TetherSet};
 use lbm::boundary::{moving_wall_correction, BoundaryConfig, CoordRoute, StreamRouter};
@@ -87,7 +90,7 @@ use lbm::macroscopic::node_moments_shifted;
 use crate::barrier::{BarrierKind, BarrierPoisoned, PhaseBarrier};
 use crate::config::{KernelPlan, SimulationConfig};
 use crate::profiling::{ImbalanceTracker, KernelId, KernelProfile};
-use crate::sharedgrid::{PhaseCell, SharedCubeGrid, SharedSlice};
+use crate::sharedgrid::{SharedCubeGrid, SharedSlice};
 use crate::solver::{RunReport, SolverError};
 use crate::state::SimState;
 use crate::telemetry::{MetricsRegistry, ThreadSlot};
@@ -104,69 +107,94 @@ pub const WORKER_PHASES: [&str; 5] = [
     "copy-reseed",
 ];
 
-/// One fiber node's force contribution to one fluid node, staged in a
-/// per-(producer, owner) buffer during loop 1 and applied by the owner at
-/// the start of loop 3.
-type SpreadEntry = (u32, [f64; 3]);
-
-/// Read-only fluid-velocity view for the interpolation of loop 4.
+/// Precomputed coordinate→index tables for the cube layout, avoiding the
+/// div/mod of [`CubeDims::flat_of_global`] in the streaming and spreading
+/// hot loops.
 ///
-/// Reads are sound during loop 4 because the velocity arrays are written
-/// only in loop 3, separated from loop 4 by barrier 2 (and from the next
-/// step's loop 3 by barriers 3 and 1).
-struct CubeVelocityView<'a> {
-    cdims: CubeDims,
-    ux: &'a SharedSlice<f64>,
-    uy: &'a SharedSlice<f64>,
-    uz: &'a SharedSlice<f64>,
-}
-
-impl VelocityField for CubeVelocityView<'_> {
-    #[inline]
-    fn velocity_at(&self, x: usize, y: usize, z: usize) -> [f64; 3] {
-        let i = self.cdims.flat_of_global(x, y, z);
-        // SAFETY: phase invariant documented on the type.
-        unsafe { [self.ux.get(i), self.uy.get(i), self.uz.get(i)] }
-    }
-}
-
-/// Precomputed coordinate→flat-index tables for the cube layout, avoiding
-/// the div/mod of [`CubeDims::flat_of_global`] in the streaming hot loop.
+/// Both the cube index and the flat index of a node are sums of one term
+/// per axis: `cube_part[0][x] + cube_part[1][y] + cube_part[2][z]` is the
+/// cube holding `(x, y, z)`, and likewise `flat_part` gives its flat index.
 struct CubeIndexer {
-    cy: usize,
-    cz: usize,
-    k: usize,
-    npc: usize,
-    cube_of: [Vec<usize>; 3],
-    local_of: [Vec<usize>; 3],
+    cube_part: [Vec<usize>; 3],
+    flat_part: [Vec<usize>; 3],
 }
 
 impl CubeIndexer {
     fn new(cdims: CubeDims) -> Self {
         let ext = [cdims.dims.nx, cdims.dims.ny, cdims.dims.nz];
-        let mut cube_of: [Vec<usize>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        let mut local_of: [Vec<usize>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+        let (k, npc) = (cdims.k, cdims.nodes_per_cube());
+        let cube_stride = [cdims.cy * cdims.cz, cdims.cz, 1];
+        let local_stride = [k * k, k, 1];
+        let part = |a: usize, v: usize| {
+            let cube = v / k * cube_stride[a];
+            (cube, cube * npc + v % k * local_stride[a])
+        };
+        let mut cube_part: [Vec<usize>; 3] = Default::default();
+        let mut flat_part: [Vec<usize>; 3] = Default::default();
         for a in 0..3 {
-            cube_of[a] = (0..ext[a]).map(|v| v / cdims.k).collect();
-            local_of[a] = (0..ext[a]).map(|v| v % cdims.k).collect();
+            (cube_part[a], flat_part[a]) = (0..ext[a]).map(|v| part(a, v)).unzip();
         }
         Self {
-            cy: cdims.cy,
-            cz: cdims.cz,
-            k: cdims.k,
-            npc: cdims.nodes_per_cube(),
-            cube_of,
-            local_of,
+            cube_part,
+            flat_part,
         }
     }
 
     #[inline]
     fn flat(&self, x: usize, y: usize, z: usize) -> usize {
-        let cube =
-            (self.cube_of[0][x] * self.cy + self.cube_of[1][y]) * self.cz + self.cube_of[2][z];
-        let local =
-            (self.local_of[0][x] * self.k + self.local_of[1][y]) * self.k + self.local_of[2][z];
-        cube * self.npc + local
+        self.flat_part[0][x] + self.flat_part[1][y] + self.flat_part[2][z]
+    }
+
+    /// Maps a delta stencil to the cube layout.
+    fn stencil(&self, s: &Stencil) -> CubeStencil {
+        let mut out = CubeStencil::default();
+        for a in 0..3 {
+            let (coords, weights) = s.axis(a);
+            out.len[a] = coords.len();
+            for (j, (&v, &w)) in coords.iter().zip(weights).enumerate() {
+                out.cube[a][j] = self.cube_part[a][v];
+                out.flat[a][j] = self.flat_part[a][v];
+                out.weight[a][j] = w;
+            }
+        }
+        out
+    }
+}
+
+/// One fiber node's delta stencil in the cube layout, built by the fiber
+/// owner in loop 1 and read by the spread (loop 3) and the interpolation
+/// (loop 4). Per axis and entry it holds the entry's term of the cube
+/// index, its term of the flat index (see [`CubeIndexer`]) and its 1D
+/// weight.
+#[derive(Clone, Copy, Default)]
+struct CubeStencil {
+    cube: [[usize; Stencil::MAX_WIDTH]; 3],
+    flat: [[usize; Stencil::MAX_WIDTH]; 3],
+    weight: [[f64; Stencil::MAX_WIDTH]; 3],
+    len: [usize; 3],
+}
+
+impl CubeStencil {
+    /// Calls `f(cube, flat, weight)` for every node of the tensor-product
+    /// domain, in [`Stencil::for_each`]'s order and with its weight
+    /// association, `(wx * wy) * wz`.
+    #[inline(always)]
+    fn for_each(&self, mut f: impl FnMut(usize, usize, f64)) {
+        for ix in 0..self.len[0] {
+            let (cx, fx, wx) = (self.cube[0][ix], self.flat[0][ix], self.weight[0][ix]);
+            for iy in 0..self.len[1] {
+                let cxy = cx + self.cube[1][iy];
+                let fxy = fx + self.flat[1][iy];
+                let wxy = wx * self.weight[1][iy];
+                for iz in 0..self.len[2] {
+                    f(
+                        cxy + self.cube[2][iz],
+                        fxy + self.flat[2][iz],
+                        wxy * self.weight[2][iz],
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -346,9 +374,9 @@ pub struct CubeSolver {
     /// When true, [`CubeSolver::run`] collects per-worker telemetry (kernel
     /// busy time, per-barrier wait, cube/fiber ownership) into its report.
     pub telemetry_enabled: bool,
-    /// Per-(producer, owner) spread buffers, `[producer * T + owner]`, kept
-    /// between calls (see "Call boundary" in the module docs).
-    spread_bufs: Vec<Vec<SpreadEntry>>,
+    /// One delta stencil per fiber node, kept between calls (see "Call
+    /// boundary" in the module docs).
+    stencils: Vec<CubeStencil>,
 }
 
 impl CubeSolver {
@@ -384,7 +412,7 @@ impl CubeSolver {
             profile: KernelProfile::new(),
             imbalance: ImbalanceTracker::new(n_threads),
             telemetry_enabled: false,
-            spread_bufs: vec![Vec::new(); n_threads * n_threads],
+            stencils: Vec::new(),
         }
     }
 
@@ -491,14 +519,13 @@ impl CubeSolver {
         let sheet_bend = SharedSlice::from_vec(std::mem::take(&mut self.sheet.bending));
         let sheet_stretch = SharedSlice::from_vec(std::mem::take(&mut self.sheet.stretching));
         let sheet_elastic = SharedSlice::from_vec(std::mem::take(&mut self.sheet.elastic));
-
-        // The solver's spread buffers, lent to the team for the call.
-        // Written by the producer in loop 1, drained by the owner in loop 3,
-        // with barriers separating the phases (see the module docs).
-        let spread_bufs: Vec<PhaseCell<Vec<SpreadEntry>>> = std::mem::take(&mut self.spread_bufs)
-            .into_iter()
-            .map(PhaseCell::new)
-            .collect();
+        // Written by the fiber owner in loop 1, read by every cube owner in
+        // loop 3 and by the fiber owner in loop 4.
+        self.stencils
+            .resize(sheet_pos.len(), CubeStencil::default());
+        let stencils = SharedSlice::from_vec(std::mem::take(&mut self.stencils));
+        #[cfg(feature = "racecheck")]
+        stencils.name_for_racecheck("stencils");
 
         // Streaming tables (offsets, routing), built once and shared
         // read-only by the workers.
@@ -534,7 +561,7 @@ impl CubeSolver {
                 let sheet_bend = &sheet_bend;
                 let sheet_stretch = &sheet_stretch;
                 let sheet_elastic = &sheet_elastic;
-                let spread_bufs = &spread_bufs[..];
+                let stencils = &stencils;
                 let streamer = &streamer;
                 let barrier = &barrier;
                 let owner = &owner;
@@ -556,9 +583,8 @@ impl CubeSolver {
                             sheet_bend,
                             sheet_stretch,
                             sheet_elastic,
-                            spread_bufs,
+                            stencils,
                             streamer,
-                            n_threads,
                             barrier,
                             owner,
                             slot,
@@ -595,14 +621,14 @@ impl CubeSolver {
 
         // Move everything back — also on the failure path, so the solver
         // again holds full-size (if physically mid-step) arrays rather than
-        // the empty `Vec`s left behind above, and the spread buffers keep
-        // their capacity for the next call.
+        // the empty `Vec`s left behind above, and the stencil array keeps
+        // its storage for the next call.
         self.grid = grid.into_inner();
         self.sheet.pos = sheet_pos.into_vec();
         self.sheet.bending = sheet_bend.into_vec();
         self.sheet.stretching = sheet_stretch.into_vec();
         self.sheet.elastic = sheet_elastic.into_vec();
-        self.spread_bufs = spread_bufs.into_iter().map(PhaseCell::into_inner).collect();
+        self.stencils = stencils.into_vec();
 
         if let Some((thread, phase)) = panic_note.into_inner().unwrap_or_else(|e| e.into_inner()) {
             return Err(SolverError::WorkerPanicked {
@@ -693,9 +719,8 @@ fn worker(
     sheet_bend: &SharedSlice<[f64; 3]>,
     sheet_stretch: &SharedSlice<[f64; 3]>,
     sheet_elastic: &SharedSlice<[f64; 3]>,
-    spread_bufs: &[PhaseCell<Vec<SpreadEntry>>],
+    stencils: &SharedSlice<CubeStencil>,
     streamer: &CubeStreamer,
-    n_threads: usize,
     barrier: &PhaseBarrier,
     owner: &[usize],
     slot: Option<&ThreadSlot>,
@@ -791,42 +816,19 @@ fn worker(
             }
             busy[2] += t0.elapsed().as_secs_f64();
 
-            // Kernel 4 (produce): stage my fibers' elastic-force
-            // contributions into per-owner buffers instead of scattering
-            // into the grid under locks. The owner applies them at the
-            // start of loop 3, in producer-tid order, which makes the
-            // per-node addition order deterministic (see module docs).
+            // Kernel 4 (stencils): evaluate the delta kernel once per node
+            // of my fibers and store the stencil in cube-layout form. The
+            // cube owners apply the spread from it in loop 3, and loop 4
+            // interpolates through it.
             let t0 = Instant::now();
-            let row = plan.tid * n_threads;
-            for o in 0..n_threads {
-                // SAFETY: buffer (me → o) is written only by me in loop 1;
-                // the owner's loop-3 reads of the previous step are
-                // separated from this clear by barriers 2 and 3.
-                unsafe { spread_bufs[row + o].get_mut().clear() };
-            }
             for &fiber in &plan.my_fibers {
                 for node in 0..nn {
                     let i = fiber * nn + node;
-                    // SAFETY: my fiber's slots; no concurrent writers.
-                    let p = unsafe { sheet_pos.get(i) };
-                    // SAFETY: same — only this worker touches its fibers.
-                    let e = unsafe { sheet_elastic.get(i) };
-                    let f_l = [e[0] * area, e[1] * area, e[2] * area];
-                    if f_l == [0.0, 0.0, 0.0] {
-                        continue;
-                    }
-                    for_each_influence(p, delta, dims, &bc, |inf| {
-                        let (cube, local) = cdims.split(inf.x, inf.y, inf.z);
-                        let flat = cdims.flat(cube, local) as u32;
-                        let w = inf.weight;
-                        // SAFETY: buffer (me → owner) is mine to write
-                        // during loop 1; the borrow ends with the push.
-                        unsafe {
-                            spread_bufs[row + owner[cube]]
-                                .get_mut()
-                                .push((flat, [f_l[0] * w, f_l[1] * w, f_l[2] * w]));
-                        }
-                    });
+                    let stencil = Stencil::new(pos[i], delta, dims, &bc);
+                    // SAFETY: node i belongs to my fiber; sole writer. The
+                    // previous step's readers (loops 3 and 4) are separated
+                    // from this write by barrier 3.
+                    unsafe { stencils.set(i, streamer.indexer.stencil(&stencil)) };
                 }
             }
             busy[3] += t0.elapsed().as_secs_f64();
@@ -917,28 +919,38 @@ fn worker(
         phase_flag.store(2, Ordering::Relaxed);
         crate::faultinject::maybe_panic(plan.tid, abs_step, WORKER_PHASES[2]);
 
-        // Kernel 4 (apply): drain every producer's buffer aimed at me, in
-        // tid order. With block fiber distribution, producer-tid order is
-        // global fiber order, so the per-node addition order is the
-        // sequential solver's — deterministic and thread-count-stable for
-        // the force values themselves.
+        // Kernel 4 (apply): walk every fiber node in global order and add
+        // the contributions that land in my cubes. The force slots of my
+        // cubes thus receive the sequential solver's products in its order
+        // (see "Determinism" in the module docs).
         let t0 = Instant::now();
-        for producer in 0..n_threads {
-            // SAFETY: buffer (producer → me) was finalized in loop 1,
-            // separated from this read by barrier 1; the producer will not
-            // touch it again until the next step's loop 1, separated by
-            // barriers 2 and 3.
-            let entries = unsafe { spread_bufs[producer * n_threads + plan.tid].get_ref() };
-            for &(flat, df) in entries.iter() {
-                let flat = flat as usize;
-                // SAFETY: every staged node lies in a cube I own (the
-                // buffer was keyed by `owner[cube]`), so I am the only
-                // thread touching these force slots in this phase.
-                unsafe {
-                    grid.fx.add(flat, df[0]);
-                    grid.fy.add(flat, df[1]);
-                    grid.fz.add(flat, df[2]);
+        {
+            // SAFETY: stencils and elastic forces were written in loop 1,
+            // before barrier 1; nobody writes them again before the next
+            // step's loop 1, behind barriers 2 and 3.
+            let (stencils, elastic) = unsafe {
+                (
+                    stencils.as_slice_unchecked(),
+                    sheet_elastic.as_slice_unchecked(),
+                )
+            };
+            for (stencil, e) in stencils.iter().zip(elastic) {
+                let f_l = [e[0] * area, e[1] * area, e[2] * area];
+                if f_l == [0.0, 0.0, 0.0] {
+                    continue;
                 }
+                stencil.for_each(|cube, flat, w| {
+                    if owner[cube] == plan.tid {
+                        // SAFETY: the node lies in a cube I own, so I am the
+                        // only thread touching its force slots in this
+                        // phase.
+                        unsafe {
+                            grid.fx.add(flat, f_l[0] * w);
+                            grid.fy.add(flat, f_l[1] * w);
+                            grid.fz.add(flat, f_l[2] * w);
+                        }
+                    }
+                });
             }
         }
         busy[3] += t0.elapsed().as_secs_f64();
@@ -983,20 +995,28 @@ fn worker(
         crate::faultinject::maybe_panic(plan.tid, abs_step, WORKER_PHASES[3]);
         let t0 = Instant::now();
         {
-            let view = CubeVelocityView {
-                cdims,
-                ux: &grid.ux,
-                uy: &grid.uy,
-                uz: &grid.uz,
-            };
+            // SAFETY: the stencils are read-only from barrier 1 until the
+            // next step's loop 1, behind barrier 3.
+            let stencils = unsafe { stencils.as_slice_unchecked() };
             for &fiber in &plan.my_fibers {
                 for node in 0..nn {
                     let i = fiber * nn + node;
-                    // SAFETY: my fiber's position; velocities read-only in
-                    // this phase (barrier 2 / barrier 3 + 1 separation).
+                    // Interpolation in `ib::interp::interpolate_velocity`'s
+                    // order: `U(X) = Σ u(x) δ³(x − X)`.
+                    let mut u = [0.0; 3];
+                    stencils[i].for_each(|_, flat, w| {
+                        // SAFETY: velocities are read-only in this phase
+                        // (written in loop 3, before barrier 2).
+                        let v =
+                            unsafe { [grid.ux.get(flat), grid.uy.get(flat), grid.uz.get(flat)] };
+                        u[0] += v[0] * w;
+                        u[1] += v[1] * w;
+                        u[2] += v[2] * w;
+                    });
+                    // SAFETY: my fiber's position; sole reader and writer
+                    // in this phase.
                     unsafe {
                         let mut p = sheet_pos.get(i);
-                        let u = ib::interp::interpolate_velocity(p, delta, dims, &bc, &view);
                         p[0] += u[0];
                         p[1] += u[1];
                         p[2] += u[2];
@@ -1016,8 +1036,8 @@ fn worker(
         for &cube in &plan.my_cubes {
             let base = cube * npc;
             // SAFETY: my cube's force slots; loop 4 does not touch them,
-            // and the next step's loop-1 spread only stages into buffers —
-            // the owner's loop-3 apply is separated by barriers 3 and 1.
+            // and the next write is my own loop-3 apply, behind barriers 3
+            // and 1.
             unsafe {
                 for l in 0..npc {
                     grid.fx.set(base + l, body[0]);
@@ -1118,7 +1138,7 @@ mod tests {
         assert_eq!(a.step, b.step);
         let sa = a.to_state();
         let sb = b.to_state();
-        // The buffered spread applies contributions in a fixed order, so
+        // The spread applies contributions in a fixed order, so
         // restarting the worker team must be *bit-exact* — the property
         // checkpoint/resume equivalence rests on.
         assert_eq!(
@@ -1336,6 +1356,84 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Runs three steps from a sheet whose nodes are displaced off its
+    /// plane, so every node carries an elastic force from the first step,
+    /// and serialises the gathered state. The cube edge and plan are reset
+    /// in the copy, so runs that differ only in those compare byte for
+    /// byte.
+    fn gathered_bytes(cfg: SimulationConfig, threads: usize) -> Vec<u8> {
+        let mut state = SimState::new(cfg);
+        for (i, p) in state.sheet.pos.iter_mut().enumerate() {
+            p[0] += 0.01 * ((i * 7 % 11) as f64 - 5.0);
+        }
+        let mut cube = CubeSolver::from_state(state, threads);
+        cube.run(3);
+        let mut gathered = cube.to_state();
+        gathered.config.cube_k = 4;
+        gathered.config.plan = KernelPlan::Split;
+        let mut bytes = Vec::new();
+        crate::checkpoint::write_checkpoint(&gathered, &mut bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn results_are_bitwise_independent_of_threads_plan_and_cube_edge() {
+        use crate::config::SheetConfig;
+        let base = SimulationConfig {
+            nx: 16,
+            ny: 16,
+            nz: 16,
+            body_force: [1e-5, 0.0, 0.0],
+            ..SimulationConfig::quick_test()
+        };
+        // Two threads split x at 8; four threads split x and y at 8. At
+        // `cube_k` 2 one stencil spans three cubes per axis.
+        let sheets = [
+            (
+                "inside one thread's cubes",
+                BoundaryConfig::tunnel(),
+                SheetConfig::square(6, 3.0, [3.3, 4.2, 8.0]),
+            ),
+            (
+                "straddling a thread boundary",
+                BoundaryConfig::tunnel(),
+                SheetConfig::square(6, 6.0, [7.6, 8.1, 8.0]),
+            ),
+            (
+                "straddling the periodic wrap",
+                BoundaryConfig::periodic(),
+                SheetConfig::square(6, 6.0, [0.4, 15.6, 8.0]),
+            ),
+        ];
+        for (tag, bc, sheet) in sheets {
+            let cfg = SimulationConfig {
+                bc,
+                sheet: SheetConfig {
+                    k_bend: 1e-4,
+                    k_stretch: 1e-2,
+                    ..sheet
+                },
+                ..base
+            };
+            let reference = gathered_bytes(cfg, 1);
+            for cube_k in [2, 4, 8] {
+                for plan in [KernelPlan::Split, KernelPlan::Fused] {
+                    for threads in 1..=4 {
+                        let cfg = SimulationConfig {
+                            cube_k,
+                            plan,
+                            ..cfg
+                        };
+                        assert!(
+                            gathered_bytes(cfg, threads) == reference,
+                            "sheet {tag}: cube_k {cube_k}, {plan:?}, {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

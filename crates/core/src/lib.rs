@@ -10,8 +10,9 @@
 //!   standing in for OpenMP, static x-slab schedule).
 //! * [`cube::CubeSolver`] — Section V's cube-centric data-centric design:
 //!   long-lived worker threads, cube-blocked storage, `cube2thread`
-//!   distribution, buffered (lock-free) spreading and three barriers per
-//!   step (Algorithm 4).
+//!   distribution, lock-free spreading (each cube owner applies every
+//!   fiber node's stencil to its own cubes) and three barriers per step
+//!   (Algorithm 4).
 //!
 //! Supporting machinery: per-kernel profiling (the gprof/OmpP replacement
 //! behind Tables I–II), cross-solver verification, diagnostics, and

@@ -14,10 +14,10 @@
 //! * phases are separated by barriers, which provide the happens-before
 //!   edges.
 //!
-//! Spreading (kernel 4) fits the same rule without locks: a producer
-//! writes its contributions only into its own per-owner buffer
-//! ([`PhaseCell`]), and after the next barrier each owner adds the
-//! buffers aimed at it into its own cubes' force slots.
+//! Spreading (kernel 4) fits the same rule without locks: each fiber
+//! owner writes its nodes' delta stencils, and after the next barrier each
+//! cube owner reads every stencil and adds only the contributions that land
+//! in its own cubes' force slots.
 //!
 //! Each accessor documents which rule makes it sound at its call site.
 //! With the `racecheck` feature enabled, every accessor additionally
@@ -227,63 +227,6 @@ impl SharedSlice<f64> {
     }
 }
 
-/// A `Sync` cell whose exclusivity is enforced by the solver's phase
-/// discipline rather than the borrow checker: during a given phase exactly
-/// one thread may hold the `&mut` from [`PhaseCell::get_mut`] (or many may
-/// hold [`PhaseCell::get_ref`], but never both), with barriers providing
-/// the happens-before edges between phases.
-///
-/// The cube solver uses one cell per (producer, owner) thread pair for its
-/// deterministic spread buffers: the producer fills the cell in loop 1,
-/// the owner drains it in loop 3 (after barrier 1), and the producer
-/// clears it again at the start of the *next* step's loop 1 (after
-/// barriers 2 and 3).
-pub struct PhaseCell<T> {
-    cell: std::cell::UnsafeCell<T>,
-}
-
-// SAFETY: access is raw and the solver's phase discipline guarantees
-// exclusion; the type itself adds no thread affinity.
-unsafe impl<T: Send> Sync for PhaseCell<T> {}
-
-impl<T> PhaseCell<T> {
-    /// Wraps a value.
-    pub fn new(v: T) -> Self {
-        Self {
-            cell: std::cell::UnsafeCell::new(v),
-        }
-    }
-
-    /// Exclusive access for the current phase.
-    ///
-    /// # Safety
-    /// No other thread may access this cell (read or write) until the
-    /// returned borrow ends, and a barrier must separate this phase from
-    /// any other thread's accesses.
-    #[allow(clippy::mut_from_ref)]
-    #[inline]
-    pub unsafe fn get_mut(&self) -> &mut T {
-        // SAFETY: the caller guarantees phase-exclusive access.
-        unsafe { &mut *self.cell.get() }
-    }
-
-    /// Shared read access for the current phase.
-    ///
-    /// # Safety
-    /// No thread may mutate this cell until the returned borrow ends, and
-    /// a barrier must separate this phase from the writer's phase.
-    #[inline]
-    pub unsafe fn get_ref(&self) -> &T {
-        // SAFETY: the caller guarantees no concurrent mutation.
-        unsafe { &*self.cell.get() }
-    }
-
-    /// Unwraps the value.
-    pub fn into_inner(self) -> T {
-        self.cell.into_inner()
-    }
-}
-
 /// The cube-blocked fluid state as shared slices, plus the cube geometry.
 /// Built from (and torn back down into) a [`lbm::cube_grid::CubeFluidGrid`].
 pub struct SharedCubeGrid {
@@ -416,16 +359,6 @@ mod tests {
         assert_eq!(back.rho[7], 3.25);
         assert_eq!(back.ux[0], -1.0);
         assert_eq!(back.f[10], 10.0);
-    }
-
-    #[test]
-    fn phase_cell_round_trip() {
-        let c = PhaseCell::new(Vec::<u32>::new());
-        // SAFETY: single-threaded test, no concurrent access.
-        unsafe { c.get_mut().push(7) };
-        // SAFETY: no writer while the shared borrow lives.
-        unsafe { assert_eq!(c.get_ref().as_slice(), &[7]) };
-        assert_eq!(c.into_inner(), vec![7]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use lbm_ib::atomicf64::AtomicF64;
 use lbm_ib::barrier::SpinBarrier;
 use lbm_ib::sharedgrid::SharedSlice;
 use loom::sync::atomic::{AtomicUsize, Ordering};
-use loom::sync::{Arc, Mutex};
+use loom::sync::Arc;
 use loom::thread;
 
 /// The barrier must publish every pre-barrier write to every post-barrier
@@ -137,44 +137,52 @@ fn atomicf64_fetch_add_loses_no_updates() {
     });
 }
 
-/// Miniature Algorithm 4: two worker threads, two cubes, the three-phase
-/// structure of the cube solver's time step.
+/// Miniature Algorithm 4: two worker threads, each owning one fiber and
+/// one cube, through the phase structure of the cube solver's time step.
 ///
-/// Phase A (spread): every thread contributes to *both* cubes' force
-/// accumulators, taking the destination cube owner's lock — the only
-/// write-shared phase of the algorithm.
-/// Phase B (update): each thread reads its own cube's force and writes its
-/// own cube's velocity — per-cube ownership, no locks.
+/// Phase A (spread): each thread writes its own fiber's stencil slot
+/// (loop 1); after a barrier, each thread reads *both* slots and adds them
+/// into its own cube's force only (loop 3). No location has two writers,
+/// so no locks.
+/// Phase B (update), in the same phase as A's apply: each thread reads its
+/// own cube's force and writes its own cube's velocity — per-cube
+/// ownership.
 /// Phase C (stream): each thread reads *both* cubes' velocities — the
 /// neighbour reads that make the preceding barrier load-bearing.
 ///
-/// Loom verifies that the owner locks serialise phase A's shared writes
-/// and that the barriers publish each phase to the next; weaken either and
-/// this test reports a race.
+/// Loom verifies that the barriers publish the stencils to every cube
+/// owner and the velocities to every reader; drop either barrier and this
+/// test reports a race.
 #[test]
 fn algorithm4_phase_sequence_two_cubes() {
     loom::model(|| {
+        let stencil = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
         let force = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
         let vel = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
-        let locks = Arc::new([Mutex::new(()), Mutex::new(())]);
         let barrier = Arc::new(SpinBarrier::new(2));
 
         let worker = |t: usize,
+                      stencil: &SharedSlice<f64>,
                       force: &SharedSlice<f64>,
                       vel: &SharedSlice<f64>,
-                      locks: &[Mutex<()>; 2],
                       barrier: &SpinBarrier| {
-            // Phase A: spread under the destination owner's lock.
-            for c in 0..2 {
-                let _guard = locks[c].lock().unwrap();
-                // SAFETY: all writers of force[c] hold lock c (the
-                // spreading rule of Algorithm 4).
-                unsafe { force.add(c, (t + 1) as f64) };
-            }
+            // Phase A, loop 1: my fiber's stencil slot.
+            // SAFETY: slot t is written only by fiber t's owner (this
+            // thread); nobody reads it until after the barrier.
+            unsafe { stencil.set(t, (t + 1) as f64) };
             barrier.wait();
+            // Phase A, loop 3: every fiber's contribution, in fiber order,
+            // into my own cube's force.
+            for fiber in 0..2 {
+                // SAFETY: the stencil writes happened before the barrier;
+                // this phase only reads them.
+                let s = unsafe { stencil.get(fiber) };
+                // SAFETY: force[t] belongs to my cube; sole writer.
+                unsafe { force.add(t, s) };
+            }
             // Phase B: exclusive per-cube update.
-            // SAFETY: after the barrier, only cube t's owner (this thread)
-            // touches force[t] and vel[t] in this phase.
+            // SAFETY: only cube t's owner (this thread) touches force[t]
+            // and vel[t] in this phase.
             let f = unsafe { force.get(t) };
             assert_eq!(f, 3.0, "cube {t} lost a spread contribution");
             // SAFETY: as above — exclusive owner write.
@@ -189,14 +197,14 @@ fn algorithm4_phase_sequence_two_cubes() {
             }
         };
 
-        let (f2, v2, l2, b2) = (
+        let (s2, f2, v2, b2) = (
+            Arc::clone(&stencil),
             Arc::clone(&force),
             Arc::clone(&vel),
-            Arc::clone(&locks),
             Arc::clone(&barrier),
         );
-        let h = thread::spawn(move || worker(1, &f2, &v2, &l2, &b2));
-        worker(0, &force, &vel, &locks, &barrier);
+        let h = thread::spawn(move || worker(1, &s2, &f2, &v2, &b2));
+        worker(0, &stencil, &force, &vel, &barrier);
         h.join().unwrap();
     });
 }

@@ -23,8 +23,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 /// The real solver, multi-threaded, must satisfy its own discipline: every
 /// access of a full Algorithm-4 time step is recorded and audited. This is
 /// the load-bearing positive test — it checks the streaming injectivity
-/// argument, the spread locking, and the per-cube ownership of every kernel
-/// at once.
+/// argument, the split spread (fiber owners write stencils, cube owners
+/// apply them), and the per-cube ownership of every kernel at once.
 #[test]
 fn cube_solver_run_is_discipline_clean() {
     let _g = serial();
@@ -104,8 +104,9 @@ fn seeded_unlocked_double_write_is_reported() {
     );
 }
 
-/// The same double write under the owner lock is the spreading pattern of
-/// Algorithm 4 and must be accepted.
+/// The same double write with both writers holding the owner lock is
+/// serialised by the lock and must be accepted (the auditor's lock rule;
+/// the cube solver itself takes no locks).
 #[test]
 fn locked_double_write_is_clean() {
     let _g = serial();
@@ -120,7 +121,7 @@ fn locked_double_write_is_clean() {
                 racecheck::set_phase(0);
                 let _guard = lock.lock().unwrap();
                 let _rc = racecheck::lock_scope();
-                // SAFETY: serialised by the lock (the spreading rule).
+                // SAFETY: serialised by the lock.
                 unsafe { s.add(2, 1.0) };
             });
         }

@@ -103,75 +103,113 @@ pub struct Influence {
     pub weight: f64,
 }
 
+/// The influential domain of a Lagrangian point, factored per axis: the
+/// lattice coordinates inside the kernel support and their 1D weights.
+///
+/// Building a stencil is the only place the kernel is evaluated; walking
+/// it ([`Stencil::for_each`]) only multiplies weights, so a solver can
+/// build it once per step and reuse it for spreading and interpolation.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Stencil {
+    coord: [[usize; Stencil::MAX_WIDTH]; 3],
+    weight: [[f64; Stencil::MAX_WIDTH]; 3],
+    len: [usize; 3],
+}
+
+impl Stencil {
+    /// Upper bound of [`DeltaKind::stencil_width`] over all kernels: the
+    /// most nodes with non-zero weight along one axis.
+    pub const MAX_WIDTH: usize = 4;
+
+    /// Builds the stencil of `pos`.
+    ///
+    /// Axes marked periodic in `bc` wrap; on wall axes, nodes beyond the
+    /// grid are skipped (the structure is expected to stay at least the
+    /// kernel half-support away from walls, as in the paper's tunnel
+    /// setup). Nodes where the kernel vanishes are left out.
+    pub fn new(pos: [f64; 3], kind: DeltaKind, dims: Dims, bc: &BoundaryConfig) -> Self {
+        let hs = kind.half_support();
+        let ext = [dims.nx, dims.ny, dims.nz];
+        let periodic = [
+            matches!(bc.x, AxisBoundary::Periodic),
+            matches!(bc.y, AxisBoundary::Periodic),
+            matches!(bc.z, AxisBoundary::Periodic),
+        ];
+
+        // Candidate integer coordinates per axis: ceil(p - hs) ..= floor(p + hs),
+        // trimmed to open support.
+        let mut s = Self::default();
+        for a in 0..3 {
+            let p = pos[a];
+            let lo = (p - hs).ceil() as i64;
+            let hi = (p + hs).floor() as i64;
+            for j in lo..=hi {
+                let w = kind.eval(p - j as f64);
+                if w == 0.0 {
+                    continue;
+                }
+                let idx = if periodic[a] {
+                    (j.rem_euclid(ext[a] as i64)) as usize
+                } else if j < 0 || j >= ext[a] as i64 {
+                    continue;
+                } else {
+                    j as usize
+                };
+                let n = s.len[a];
+                debug_assert!(n < Self::MAX_WIDTH, "kernel support wider than expected");
+                s.coord[a][n] = idx;
+                s.weight[a][n] = w;
+                s.len[a] = n + 1;
+            }
+        }
+        s
+    }
+
+    /// The lattice coordinates and 1D weights along axis `a`.
+    #[inline]
+    pub fn axis(&self, a: usize) -> (&[usize], &[f64]) {
+        let n = self.len[a];
+        (&self.coord[a][..n], &self.weight[a][..n])
+    }
+
+    /// Calls `f` for every node of the tensor-product domain, x slowest and
+    /// z fastest, with weight `(wx * wy) * wz`.
+    #[inline]
+    pub fn for_each<F>(&self, mut f: F)
+    where
+        F: FnMut(Influence),
+    {
+        let (xs, wxs) = self.axis(0);
+        let (ys, wys) = self.axis(1);
+        let (zs, wzs) = self.axis(2);
+        for (&x, &wx) in xs.iter().zip(wxs) {
+            for (&y, &wy) in ys.iter().zip(wys) {
+                let wxy = wx * wy;
+                for (&z, &wz) in zs.iter().zip(wzs) {
+                    f(Influence {
+                        x,
+                        y,
+                        z,
+                        weight: wxy * wz,
+                    });
+                }
+            }
+        }
+    }
+}
+
 /// Enumerates the influential domain of a Lagrangian point `pos`: every
-/// lattice node within the kernel support, with the tensor-product weight.
+/// lattice node within the kernel support, with the tensor-product weight
+/// (see [`Stencil`] for the boundary rules).
 ///
-/// Axes marked periodic in `bc` wrap; on wall axes, nodes beyond the grid
-/// are skipped (the structure is expected to stay at least the kernel
-/// half-support away from walls, as in the paper's tunnel setup).
-///
-/// Weights over a full (unclipped) domain sum to exactly 1 for all three
-/// kernels — the discrete partition-of-unity property that makes force
+/// Weights over a full (unclipped) domain sum to exactly 1 for every
+/// kernel — the discrete partition-of-unity property that makes force
 /// spreading conservative.
-pub fn for_each_influence<F>(
-    pos: [f64; 3],
-    kind: DeltaKind,
-    dims: Dims,
-    bc: &BoundaryConfig,
-    mut f: F,
-) where
+pub fn for_each_influence<F>(pos: [f64; 3], kind: DeltaKind, dims: Dims, bc: &BoundaryConfig, f: F)
+where
     F: FnMut(Influence),
 {
-    let hs = kind.half_support();
-    let ext = [dims.nx, dims.ny, dims.nz];
-    let periodic = [
-        matches!(bc.x, AxisBoundary::Periodic),
-        matches!(bc.y, AxisBoundary::Periodic),
-        matches!(bc.z, AxisBoundary::Periodic),
-    ];
-
-    // Candidate integer coordinates per axis: ceil(p - hs) ..= floor(p + hs),
-    // trimmed to open support.
-    let mut coords: [[Option<(usize, f64)>; 5]; 3] = [[None; 5]; 3];
-    let mut counts = [0usize; 3];
-    for a in 0..3 {
-        let p = pos[a];
-        let lo = (p - hs).ceil() as i64;
-        let hi = (p + hs).floor() as i64;
-        for j in lo..=hi {
-            let w = kind.eval(p - j as f64);
-            if w == 0.0 {
-                continue;
-            }
-            let idx = if periodic[a] {
-                (j.rem_euclid(ext[a] as i64)) as usize
-            } else if j < 0 || j >= ext[a] as i64 {
-                continue;
-            } else {
-                j as usize
-            };
-            debug_assert!(counts[a] < 5, "kernel support wider than expected");
-            coords[a][counts[a]] = Some((idx, w));
-            counts[a] += 1;
-        }
-    }
-
-    for ix in 0..counts[0] {
-        let (x, wx) = coords[0][ix].unwrap();
-        for iy in 0..counts[1] {
-            let (y, wy) = coords[1][iy].unwrap();
-            let wxy = wx * wy;
-            for iz in 0..counts[2] {
-                let (z, wz) = coords[2][iz].unwrap();
-                f(Influence {
-                    x,
-                    y,
-                    z,
-                    weight: wxy * wz,
-                });
-            }
-        }
-    }
+    Stencil::new(pos, kind, dims, bc).for_each(f);
 }
 
 #[cfg(test)]
@@ -320,7 +358,144 @@ mod tests {
         assert!((hits[0].1 - 1.0).abs() < 1e-15);
     }
 
+    /// `for_each_influence` as it was before [`Stencil`] existed: the
+    /// reference the stencil must reproduce bit for bit.
+    fn reference_influences(
+        pos: [f64; 3],
+        kind: DeltaKind,
+        dims: Dims,
+        bc: &BoundaryConfig,
+    ) -> Vec<(usize, usize, usize, u64)> {
+        let hs = kind.half_support();
+        let ext = [dims.nx, dims.ny, dims.nz];
+        let periodic = [
+            matches!(bc.x, AxisBoundary::Periodic),
+            matches!(bc.y, AxisBoundary::Periodic),
+            matches!(bc.z, AxisBoundary::Periodic),
+        ];
+        let mut coords: [[Option<(usize, f64)>; 5]; 3] = [[None; 5]; 3];
+        let mut counts = [0usize; 3];
+        for a in 0..3 {
+            let p = pos[a];
+            let lo = (p - hs).ceil() as i64;
+            let hi = (p + hs).floor() as i64;
+            for j in lo..=hi {
+                let w = kind.eval(p - j as f64);
+                if w == 0.0 {
+                    continue;
+                }
+                let idx = if periodic[a] {
+                    (j.rem_euclid(ext[a] as i64)) as usize
+                } else if j < 0 || j >= ext[a] as i64 {
+                    continue;
+                } else {
+                    j as usize
+                };
+                coords[a][counts[a]] = Some((idx, w));
+                counts[a] += 1;
+            }
+        }
+        let mut out = Vec::new();
+        for ix in 0..counts[0] {
+            let (x, wx) = coords[0][ix].unwrap();
+            for iy in 0..counts[1] {
+                let (y, wy) = coords[1][iy].unwrap();
+                let wxy = wx * wy;
+                for iz in 0..counts[2] {
+                    let (z, wz) = coords[2][iz].unwrap();
+                    out.push((x, y, z, (wxy * wz).to_bits()));
+                }
+            }
+        }
+        out
+    }
+
+    /// Requires `Stencil::new(..).for_each` to yield exactly the reference
+    /// sequence for every kernel, under a periodic and a walled (tunnel)
+    /// boundary configuration.
+    fn check_stencil_against_reference(pos: [f64; 3]) -> Result<(), String> {
+        let dims = Dims::new(12, 10, 14);
+        for (bc, periodic) in [
+            (BoundaryConfig::periodic(), true),
+            (BoundaryConfig::tunnel(), false),
+        ] {
+            for kind in KINDS {
+                let mut got = Vec::new();
+                Stencil::new(pos, kind, dims, &bc).for_each(|inf| {
+                    got.push((inf.x, inf.y, inf.z, inf.weight.to_bits()));
+                });
+                let want = reference_influences(pos, kind, dims, &bc);
+                // Only walls can clip a domain away entirely.
+                prop_assert!(
+                    !periodic || !want.is_empty(),
+                    "{:?} at {:?}: empty domain",
+                    kind,
+                    pos
+                );
+                prop_assert_eq!(got, want, "{:?} at {:?} under {:?}", kind, pos, bc);
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn stencil_exposes_axis_coordinates_and_weights() {
+        let dims = Dims::new(8, 8, 8);
+        let s = Stencil::new(
+            [0.5, 4.0, 7.25],
+            DeltaKind::Hat2,
+            dims,
+            &BoundaryConfig::periodic(),
+        );
+        assert_eq!(s.axis(0), (&[0, 1][..], &[0.5, 0.5][..]));
+        assert_eq!(s.axis(1), (&[4][..], &[1.0][..]));
+        assert_eq!(s.axis(2), (&[7, 0][..], &[0.75, 0.25][..]));
+    }
+
     proptest! {
+        /// The stencil reproduces the reference at interior positions.
+        #[test]
+        fn prop_stencil_matches_reference_in_interior(
+            px in 3.0f64..9.0,
+            py in 3.0f64..7.0,
+            pz in 3.0f64..11.0,
+        ) {
+            check_stencil_against_reference([px, py, pz])?;
+        }
+
+        /// ... on lattice points, where the support end points carry zero
+        /// weight and drop out.
+        #[test]
+        fn prop_stencil_matches_reference_on_lattice_points(
+            x in 0i64..12,
+            y in 0i64..10,
+            z in 0i64..14,
+        ) {
+            check_stencil_against_reference([x as f64, y as f64, z as f64])?;
+        }
+
+        /// ... within one support of the low and high faces, where a
+        /// periodic axis wraps.
+        #[test]
+        fn prop_stencil_matches_reference_across_periodic_wrap(
+            px in -2.0f64..2.0,
+            py in 8.0f64..12.0,
+            pz in -2.0f64..2.0,
+        ) {
+            check_stencil_against_reference([px, py, pz])?;
+        }
+
+        /// ... next to the walls of the tunnel's y and z axes, where the
+        /// domain is clipped.
+        #[test]
+        fn prop_stencil_matches_reference_next_to_walls(
+            px in 0.0f64..12.0,
+            py in 0.0f64..2.0,
+            pz in 12.0f64..14.0,
+        ) {
+            check_stencil_against_reference([px, py, pz])?;
+        }
+
         /// Partition of unity at arbitrary offsets, all kernels.
         #[test]
         fn prop_partition_of_unity(frac in 0.0f64..1.0) {

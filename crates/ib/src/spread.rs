@@ -9,8 +9,9 @@ use crate::delta::{for_each_influence, DeltaKind};
 use crate::sheet::FiberSheet;
 
 /// Destination of spread forces. The sequential solver implements it on
-/// [`FluidGrid`] directly; the parallel solvers implement it with atomic
-/// adds (OpenMP-style) or owner-locked cube writes (cube-centric).
+/// [`FluidGrid`] directly; the OpenMP-style solver stages contributions in
+/// per-slab buckets. The cube solver does not use it: each cube owner
+/// applies stored [`crate::delta::Stencil`]s to its own cubes.
 pub trait ForceSink {
     /// Adds `df` to the Eulerian force at node `(x, y, z)`.
     fn add_force(&mut self, x: usize, y: usize, z: usize, df: [f64; 3]);
