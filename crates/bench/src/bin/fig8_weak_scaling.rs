@@ -36,6 +36,11 @@ fn main() {
         "per-core grid: {}^3 / shrink {shrink}; {steps} steps; hardware cores: {hw}",
         128
     );
+    println!(
+        "plans: omp {:?} (from the config), cube {:?} (always)",
+        SimulationConfig::fig8_scaled(1, shrink).plan,
+        CubeSolver::PLAN
+    );
     println!();
     println!(
         "{:>6} {:>16} | {:>10} {:>10} {:>8} | {:>10} {:>10} {:>8} | {:>7}",

@@ -179,7 +179,9 @@ impl Default for RecoveryPolicy {
 /// streaming as two full-grid passes (the paper's Algorithm 1); `Fused`
 /// collides in registers and pushes straight into `f_new` in one sweep
 /// (see `lbm::fused`). Both produce bit-identical physics; `Fused` halves
-/// the distribution-array traffic.
+/// the distribution-array traffic. The sequential, OpenMP and distributed
+/// solvers follow the plan; [`crate::cube::CubeSolver`] ignores it and
+/// always runs its fused pass ([`crate::cube::CubeSolver::PLAN`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelPlan {
     /// Separate collision and streaming passes (kernels 5 then 6).

@@ -10,20 +10,26 @@
 //! ```text
 //! loop 1  fibers:  kernels 1–3, and each fiber node's delta stencil
 //!                  (kernel 4's only kernel evaluation; no grid writes)
-//! loop 2  cubes:   kernel 5 (collision) + kernel 6 (push streaming
-//!                  `cur` → `nxt`; cross-cube writes hit unique (node,
-//!                  direction) slots, so they are per-location exclusive
-//!                  without locks)
+//! loop 2  cubes:   kernels 5+6 fused: collide each node into a register
+//!                  block and push it `cur` → `nxt` (cross-cube writes hit
+//!                  unique (node, direction) slots, so they are
+//!                  per-location exclusive without locks)
 //! ───────────────── barrier 1 (streamed populations in place)
 //! loop 3  cubes:   kernel 4 (each owner walks every fiber node's stencil
 //!                  in global order and adds the force into its own cubes)
-//!                  + kernel 7 (velocity update from `nxt`)
+//!                  + kernel 7 (velocity update from `nxt`; reseeds each
+//!                  node's force with the body force right after reading it)
 //! ───────────────── barrier 2 (velocities in place)
 //! loop 4  fibers:  kernel 8 (move fibers through their stored stencils;
 //!                  reads velocities anywhere, writes only its own fibers)
-//! loop 5  cubes:   force reseed for the next step; buffers swap roles
+//! loop 5  —        no work: buffers swap roles
 //! ───────────────── barrier 3 (end of time step)
 //! ```
+//!
+//! Loop 2 is the only fluid sweep, whatever `config.plan` says: the
+//! split schedule (kernel 5 writing the collided populations back, then
+//! kernel 6 re-reading them) survives only in the flat solvers. Both give
+//! the same bits, so the plan cannot change this solver's results.
 //!
 //! # Streaming
 //!
@@ -33,11 +39,13 @@
 //! paper's kernel 9); [`CubeSolver::try_run`] swaps the two `Vec`s after
 //! an odd-length call, so `grid.f` always holds the current populations.
 //!
-//! A node off the domain faces has all 18 neighbours inside the grid, and
-//! in the cube layout each lies at a fixed flat-index offset that depends
-//! only on the node's position within its cube ([`CubeStreamer`]). Those
-//! nodes push with one add per direction; only face nodes go through the
-//! routing tables (periodic wrap, moving-wall bounce-back).
+//! A neighbour inside the grid lies, in the cube layout, at a fixed
+//! flat-index offset that depends only on the node's position within its
+//! cube and the direction ([`CubeStreamer`]). Every push whose neighbour
+//! is inside the grid takes that offset: all 18 of a node off the domain
+//! faces, and on a face node every direction that does not step across
+//! the face. Only the remaining pushes go through the routing tables
+//! (periodic wrap, moving-wall bounce-back).
 //!
 //! # Call boundary
 //!
@@ -80,9 +88,9 @@ use ib::forces::{bending_at, stretching_at, SheetTopology};
 use ib::sheet::FiberSheet;
 use ib::tether::{Tether, TetherSet};
 use lbm::boundary::{moving_wall_correction, BoundaryConfig, CoordRoute, StreamRouter};
-use lbm::collision::bgk_collide_node;
 use lbm::cube_grid::{CubeDims, CubeFluidGrid};
 use lbm::distribution::{CubeDistribution, FiberDistribution, Policy, ThreadMesh};
+use lbm::fused::collide_to_registers;
 use lbm::grid::Dims;
 use lbm::lattice::{E, Q};
 use lbm::macroscopic::node_moments_shifted;
@@ -97,8 +105,9 @@ use crate::telemetry::{MetricsRegistry, ThreadSlot};
 
 /// Worker phase names, in loop order, used for panic attribution
 /// ([`SolverError::WorkerPanicked`]) and fault-injection targeting.
-/// Phase 4 is named `copy-reseed` although loop 5 only reseeds the force
-/// field, because fault plans address phases by name.
+/// Fault plans address phases by name, so phase 4 (loop 5) keeps the name
+/// `copy-reseed` although loop 5 has no work; a fault there fires just
+/// before barrier 3.
 pub const WORKER_PHASES: [&str; 5] = [
     "fiber-forces",
     "collide-stream",
@@ -198,35 +207,49 @@ impl CubeStencil {
     }
 }
 
-/// Push streaming in the cube layout: one helper for both kernel plans.
+/// Per direction, the domain faces it steps toward, as bits of a node's
+/// face mask (see [`CubeStreamer::for_each_node`]): bit `2a` for the low
+/// face of axis `a`, bit `2a + 1` for the high one. A push from a node
+/// whose face mask shares no bit with its direction's entry stays inside
+/// the grid.
+const DIR_FACES: [u8; Q] = {
+    let mut m = [0u8; Q];
+    let mut i = 0;
+    while i < Q {
+        let mut a = 0;
+        while a < 3 {
+            if E[i][a] < 0 {
+                m[i] |= 1 << (2 * a);
+            } else if E[i][a] > 0 {
+                m[i] |= 1 << (2 * a + 1);
+            }
+            a += 1;
+        }
+        i += 1;
+    }
+    m
+};
+
+/// Push streaming in the cube layout.
 ///
 /// `off[local][i]` is the signed flat-index offset from a node with local
 /// index `local` to its neighbour along direction `i`. It is the same in
-/// every cube, provided the neighbour lies inside the grid — true for every
-/// node off the domain faces, which is the only place the table is used.
+/// every cube, provided the neighbour lies inside the grid; pushes that
+/// cross a domain face go through the routing tables instead.
 struct CubeStreamer {
     cdims: CubeDims,
     router: StreamRouter,
     indexer: CubeIndexer,
     off: Vec<[isize; Q]>,
-    /// `n - 2` per axis (saturating): `v` is off the faces of an axis iff
-    /// `v.wrapping_sub(1) < inner[a]`.
-    inner: [usize; 3],
 }
 
 impl CubeStreamer {
     fn new(cdims: CubeDims, bc: &BoundaryConfig) -> Self {
-        let dims = cdims.dims;
         Self {
             cdims,
-            router: StreamRouter::new(dims, bc),
+            router: StreamRouter::new(cdims.dims, bc),
             indexer: CubeIndexer::new(cdims),
             off: Self::offsets(cdims),
-            inner: [
-                dims.nx.saturating_sub(2),
-                dims.ny.saturating_sub(2),
-                dims.nz.saturating_sub(2),
-            ],
         }
     }
 
@@ -258,31 +281,26 @@ impl CubeStreamer {
         off
     }
 
-    /// True if `(x, y, z)` touches no domain face.
+    /// Calls `visit(flat, local, [x, y, z], face)` for every node of
+    /// `cube`, in storage order. `face` has bit `2a` set if the node lies
+    /// on the low domain face of axis `a` and bit `2a + 1` if on the high
+    /// one; it is `0` exactly for nodes off the domain faces.
     #[inline]
-    fn off_faces(&self, [x, y, z]: [usize; 3]) -> bool {
-        x.wrapping_sub(1) < self.inner[0]
-            && y.wrapping_sub(1) < self.inner[1]
-            && z.wrapping_sub(1) < self.inner[2]
-    }
-
-    /// Calls `visit(flat, local, [x, y, z])` for every node of `cube`, in
-    /// storage order.
-    #[inline]
-    fn for_each_node(&self, cube: usize, mut visit: impl FnMut(usize, usize, [usize; 3])) {
+    fn for_each_node(&self, cube: usize, mut visit: impl FnMut(usize, usize, [usize; 3], u8)) {
         let k = self.cdims.k;
+        let dims = self.cdims.dims;
+        let face = |v: usize, n: usize, a: usize| {
+            u8::from(v == 0) << (2 * a) | u8::from(v + 1 == n) << (2 * a + 1)
+        };
         let (ci, cj, ck) = self.cdims.cube_coords(cube);
-        let origin = [ci * k, cj * k, ck * k];
         let mut flat = self.cdims.flat(cube, 0);
         let mut local = 0;
-        for lx in 0..k {
-            for ly in 0..k {
-                for lz in 0..k {
-                    visit(
-                        flat,
-                        local,
-                        [origin[0] + lx, origin[1] + ly, origin[2] + lz],
-                    );
+        for x in ci * k..(ci + 1) * k {
+            let fx = face(x, dims.nx, 0);
+            for y in cj * k..(cj + 1) * k {
+                let fxy = fx | face(y, dims.ny, 1);
+                for z in ck * k..(ck + 1) * k {
+                    visit(flat, local, [x, y, z], fxy | face(z, dims.nz, 2));
                     flat += 1;
                     local += 1;
                 }
@@ -290,9 +308,10 @@ impl CubeStreamer {
         }
     }
 
-    /// Pushes one node's post-collision populations, `value(i)` for
-    /// direction `i`, into `nxt`: one add per direction off the domain
-    /// faces, the routing tables (wrap, bounce-back) on them.
+    /// Pushes one node's post-collision populations `post` into `nxt`:
+    /// one add per direction whose neighbour is inside the grid, the
+    /// routing tables (wrap, bounce-back) for the directions that cross a
+    /// face in `face` (the node's mask from [`Self::for_each_node`]).
     ///
     /// # Safety
     /// The caller must be the only writer of every slot this node routes
@@ -307,43 +326,46 @@ impl CubeStreamer {
         nxt: &SharedSlice<f64>,
         flat: usize,
         local: usize,
-        pos: [usize; 3],
-        value: impl Fn(usize) -> f64,
+        [x, y, z]: [usize; 3],
+        face: u8,
+        post: &[f64; Q],
     ) {
-        let base = flat * Q;
+        let off = &self.off[local];
         // SAFETY: the caller owns the destination slots for the phase (see
         // `# Safety`); every index is in bounds because it names a grid
         // node and a direction. The blocks below rest on the same argument.
-        unsafe { nxt.set(base, value(0)) };
-        if self.off_faces(pos) {
-            let off = &self.off[local];
+        unsafe { nxt.set(flat * Q, post[0]) };
+        // Most nodes lie off the faces; they skip the per-direction test.
+        if face == 0 {
             for i in 1..Q {
                 // SAFETY: as above.
-                unsafe { nxt.set(flat.wrapping_add_signed(off[i]) * Q + i, value(i)) };
+                unsafe { nxt.set(flat.wrapping_add_signed(off[i]) * Q + i, post[i]) };
             }
             return;
         }
-        let [x, y, z] = pos;
         for i in 1..Q {
-            match self.router.route(x, y, z, i) {
-                CoordRoute::Neighbor(d) => {
-                    let dflat = self.indexer.flat(d[0], d[1], d[2]);
-                    // SAFETY: as above.
-                    unsafe { nxt.set(dflat * Q + i, value(i)) };
+            let dst = if DIR_FACES[i] & face == 0 {
+                flat.wrapping_add_signed(off[i]) * Q + i
+            } else {
+                match self.router.route(x, y, z, i) {
+                    CoordRoute::Neighbor(d) => self.indexer.flat(d[0], d[1], d[2]) * Q + i,
+                    CoordRoute::BounceBack {
+                        opposite,
+                        wall_velocity,
+                    } => {
+                        // SAFETY: as above.
+                        unsafe {
+                            nxt.set(
+                                flat * Q + opposite,
+                                post[i] - moving_wall_correction(i, wall_velocity),
+                            )
+                        };
+                        continue;
+                    }
                 }
-                CoordRoute::BounceBack {
-                    opposite,
-                    wall_velocity,
-                } => {
-                    // SAFETY: as above.
-                    unsafe {
-                        nxt.set(
-                            base + opposite,
-                            value(i) - moving_wall_correction(i, wall_velocity),
-                        )
-                    };
-                }
-            }
+            };
+            // SAFETY: as above.
+            unsafe { nxt.set(dst, post[i]) };
         }
     }
 }
@@ -380,6 +402,9 @@ pub struct CubeSolver {
 }
 
 impl CubeSolver {
+    /// The kernel plan this solver runs, whatever `config.plan` says.
+    pub const PLAN: KernelPlan = KernelPlan::Fused;
+
     /// Builds the solver with `n_threads` workers laid out on a near-cubic
     /// thread mesh.
     pub fn new(config: SimulationConfig, n_threads: usize) -> Self {
@@ -393,8 +418,8 @@ impl CubeSolver {
         let config = state.config;
         let cdims = CubeDims::new(config.dims(), config.cube_k);
         let mut grid = CubeFluidGrid::from_flat(&state.fluid, config.cube_k);
-        // Loop 1 spreads *into* the force field, so it must start each step
-        // pre-filled with the body force; loop 5 re-fills it for the next
+        // Loop 3 spreads *into* the force field, so it must start each step
+        // pre-filled with the body force; kernel 7 re-fills it for the next
         // step, and this seeds step 0.
         grid.fx.fill(config.body_force[0]);
         grid.fy.fill(config.body_force[1]);
@@ -748,11 +773,10 @@ fn worker(
         let abs_step = step0 + local_step;
         // Buffer roles alternate each step instead of copying `nxt` back.
         // This step's `nxt` was the previous step's `cur`, which each owner
-        // read (and, split, rewrote) for its own cubes in the previous loop
-        // 2; barriers 1–3 of that step separate those accesses from this
-        // step's cross-cube pushes. This step's `cur` was pushed in the
-        // previous loop 2 and read in the previous loop 3, both behind the
-        // previous barrier 3.
+        // read for its own cubes in the previous loop 2; barriers 1–3 of
+        // that step separate those reads from this step's cross-cube
+        // pushes. This step's `cur` was pushed in the previous loop 2 and
+        // read in the previous loop 3, both behind the previous barrier 3.
         let (cur, nxt) = if local_step % 2 == 0 {
             (&grid.f, &grid.f_new)
         } else {
@@ -834,78 +858,33 @@ fn worker(
             busy[3] += t0.elapsed().as_secs_f64();
         }
 
-        // ─── Loop 2: collision + streaming on my cubes ───
+        // ─── Loop 2: fused kernels 5+6 on my cubes ───
+        // Collide each node into a register block and push the block
+        // straight into `nxt`; the collided values never land in `cur`.
         phase_flag.store(1, Ordering::Relaxed);
         crate::faultinject::maybe_panic(plan.tid, abs_step, WORKER_PHASES[1]);
-        if config.plan == KernelPlan::Fused {
-            // Fused kernels 5+6: collide each of my nodes in registers and
-            // push the result straight into `nxt`, one pass per cube.
-            let t0 = Instant::now();
-            for &cube in &plan.my_cubes {
-                streamer.for_each_node(cube, |flat, local, pos| {
-                    let mut fvals = [0.0f64; Q];
-                    // SAFETY: reads my own pre-collision `cur` / rho / ueq
-                    // (sole toucher this phase); `push` writes exactly the
-                    // `nxt` slots the split streaming pass would (unique to
-                    // me — see `CubeStreamer::push`), and no thread reads
-                    // `nxt` before barrier 1. Skipping the `cur` write-back
-                    // is invisible: loop 3 reads `nxt`, and the next step
-                    // overwrites `cur` wholesale as its `nxt`.
-                    unsafe {
-                        for (i, v) in fvals.iter_mut().enumerate() {
-                            *v = cur.get(flat * Q + i);
-                        }
-                        let rho = grid.rho.get(flat);
-                        let ueq = [
-                            grid.ueqx.get(flat),
-                            grid.ueqy.get(flat),
-                            grid.ueqz.get(flat),
-                        ];
-                        bgk_collide_node(&mut fvals, rho, ueq, [0.0; 3], tau);
-                        streamer.push(nxt, flat, local, pos, |i| fvals[i]);
-                    }
-                });
-            }
-            busy[9] += t0.elapsed().as_secs_f64();
-        } else {
-            for &cube in &plan.my_cubes {
-                // Kernel 5: collision within the cube.
-                let t0 = Instant::now();
-                for local in 0..npc {
-                    let flat = cdims.flat(cube, local);
-                    // SAFETY: my cube's `cur` / rho / ueq; sole toucher this
-                    // phase.
-                    unsafe {
-                        let mut fvals = [0.0f64; Q];
-                        for i in 0..Q {
-                            fvals[i] = cur.get(flat * Q + i);
-                        }
-                        let rho = grid.rho.get(flat);
-                        let ueq = [
-                            grid.ueqx.get(flat),
-                            grid.ueqy.get(flat),
-                            grid.ueqz.get(flat),
-                        ];
-                        bgk_collide_node(&mut fvals, rho, ueq, [0.0; 3], tau);
-                        for i in 0..Q {
-                            cur.set(flat * Q + i, fvals[i]);
-                        }
-                    }
+        let t0 = Instant::now();
+        for &cube in &plan.my_cubes {
+            streamer.for_each_node(cube, |flat, local, pos, face| {
+                // SAFETY: reads my own cube's `cur` / rho / ueq, which no
+                // thread writes this phase; `push` writes `nxt` slots unique
+                // to me (see `CubeStreamer::push`), and no thread reads
+                // `nxt` before barrier 1. Leaving `cur` pre-collision is
+                // invisible: loop 3 reads `nxt`, and the next step
+                // overwrites `cur` wholesale as its `nxt`.
+                unsafe {
+                    let pre: [f64; Q] = std::array::from_fn(|i| cur.get(flat * Q + i));
+                    let ueq = [
+                        grid.ueqx.get(flat),
+                        grid.ueqy.get(flat),
+                        grid.ueqz.get(flat),
+                    ];
+                    let post = collide_to_registers(&pre, grid.rho.get(flat), ueq, tau);
+                    streamer.push(nxt, flat, local, pos, face, &post);
                 }
-                busy[4] += t0.elapsed().as_secs_f64();
-
-                // Kernel 6: push streaming out of the cube, `cur` → `nxt`.
-                let t0 = Instant::now();
-                streamer.for_each_node(cube, |flat, local, pos| {
-                    // SAFETY: reads of my own post-collision `cur`; `push`
-                    // writes `nxt` slots unique to me (see
-                    // `CubeStreamer::push`); no `nxt` reads until after
-                    // barrier 1.
-                    unsafe { streamer.push(nxt, flat, local, pos, |i| cur.get(flat * Q + i)) };
-                });
-                busy[5] += t0.elapsed().as_secs_f64();
-            }
+            });
         }
+        busy[9] += t0.elapsed().as_secs_f64();
 
         // Barrier 1: all streamed populations in place.
         sync_barrier(barrier, timed, &mut barrier_wait_s, &mut barrier_waits)?;
@@ -955,20 +934,24 @@ fn worker(
         }
         busy[3] += t0.elapsed().as_secs_f64();
 
-        // Kernel 7: velocity update.
+        // Kernel 7: velocity update, and the force reseed for the next
+        // step: each force slot is set back to the body force right after
+        // it is read. Loop 4 never reads the force field, and its next
+        // write is my own loop-3 apply of the next step, behind barriers 3
+        // and 1, so the gathered state still sees the reseeded field.
         let t0 = Instant::now();
         for &cube in &plan.my_cubes {
             for local in 0..npc {
                 let flat = cdims.flat(cube, local);
                 // SAFETY: my cube; `nxt` complete (barrier 1); force
-                // complete (applied above by me, the owner); sole writer of
-                // my macroscopic fields.
+                // complete (applied above by me, the owner); sole reader
+                // and writer of my force slots and macroscopic fields.
                 unsafe {
-                    let mut fvals = [0.0f64; Q];
-                    for i in 0..Q {
-                        fvals[i] = nxt.get(flat * Q + i);
-                    }
+                    let fvals: [f64; Q] = std::array::from_fn(|i| nxt.get(flat * Q + i));
                     let force = [grid.fx.get(flat), grid.fy.get(flat), grid.fz.get(flat)];
+                    grid.fx.set(flat, body[0]);
+                    grid.fy.set(flat, body[1]);
+                    grid.fz.set(flat, body[2]);
                     let (rho, u, ueq) = node_moments_shifted(&fvals, force, tau);
                     grid.rho.set(flat, rho);
                     grid.ux.set(flat, u[0]);
@@ -1027,26 +1010,11 @@ fn worker(
         }
         busy[7] += t0.elapsed().as_secs_f64();
 
-        // ─── Loop 5: force reseed on my cubes; buffers swap roles ───
+        // ─── Loop 5: no work; buffers swap roles ───
         // No kernel-9 copy: the next step reads this step's `nxt` as its
-        // `cur`. The kernel-9 slot times the reseed.
+        // `cur`, and kernel 7 has already reseeded the force field.
         phase_flag.store(4, Ordering::Relaxed);
         crate::faultinject::maybe_panic(plan.tid, abs_step, WORKER_PHASES[4]);
-        let t0 = Instant::now();
-        for &cube in &plan.my_cubes {
-            let base = cube * npc;
-            // SAFETY: my cube's force slots; loop 4 does not touch them,
-            // and the next write is my own loop-3 apply, behind barriers 3
-            // and 1.
-            unsafe {
-                for l in 0..npc {
-                    grid.fx.set(base + l, body[0]);
-                    grid.fy.set(base + l, body[1]);
-                    grid.fz.set(base + l, body[2]);
-                }
-            }
-        }
-        busy[8] += t0.elapsed().as_secs_f64();
 
         // Barrier 3: end of time step.
         sync_barrier(barrier, timed, &mut barrier_wait_s, &mut barrier_waits)?;
@@ -1194,17 +1162,22 @@ mod tests {
     fn profiling_is_populated() {
         let mut cube = CubeSolver::new(SimulationConfig::quick_test(), 2);
         let report = cube.run(3);
-        assert!(cube.profile.total(KernelId::Collision).as_nanos() > 0);
+        // One fused pass per step: the split kernel slots stay empty.
+        assert!(cube.profile.total(KernelId::FusedCollideStream).as_nanos() > 0);
+        assert!(cube.profile.total(KernelId::Collision).is_zero());
+        assert!(cube.profile.total(KernelId::Stream).is_zero());
         assert_eq!(report.steps, 3);
         assert!(report.wall.as_nanos() > 0);
         assert!(cube.imbalance.total_critical() > 0.0);
     }
 
     #[test]
-    fn fused_plan_is_bit_identical_to_split() {
+    fn configured_plan_does_not_change_results() {
         let split_cfg = SimulationConfig::quick_test();
-        let mut fused_cfg = split_cfg;
-        fused_cfg.plan = KernelPlan::Fused;
+        let fused_cfg = SimulationConfig {
+            plan: KernelPlan::Fused,
+            ..split_cfg
+        };
         for threads in [1, 4] {
             let mut split = CubeSolver::new(split_cfg, threads);
             let mut fused = CubeSolver::new(fused_cfg, threads);
@@ -1212,13 +1185,9 @@ mod tests {
             fused.run(6);
             let ss = split.to_state();
             let fs = fused.to_state();
-            // Same arithmetic, same slots: exact agreement per thread count.
+            // The cube solver always runs the fused pass.
             assert_eq!(ss.fluid.f, fs.fluid.f, "{threads} threads");
             assert_eq!(ss.sheet.pos, fs.sheet.pos, "{threads} threads");
-            assert_eq!(fused.profile.calls(KernelId::FusedCollideStream), 1);
-            assert_eq!(fused.profile.calls(KernelId::Stream), 1); // zero-duration slot
-            assert!(fused.profile.total(KernelId::Stream).is_zero());
-            assert!(fused.profile.total(KernelId::FusedCollideStream).as_nanos() > 0);
         }
     }
 
@@ -1232,40 +1201,58 @@ mod tests {
         assert_eq!(before.step, after.step);
     }
 
-    /// Every non-face node and direction of a grid: the offset table must
-    /// land exactly where the routing tables send the population.
+    /// Every node and direction of a grid: the face masks must say a push
+    /// stays inside the grid exactly when the route is `Neighbor(pos +
+    /// e_i)` with no wrap, and the offset table must then land where the
+    /// routing tables send the population.
     fn assert_offsets_match_routing(dims: Dims, k: usize, bc: BoundaryConfig) {
         let cdims = CubeDims::new(dims, k);
         let streamer = CubeStreamer::new(cdims, &bc);
-        let mut checked = 0;
+        let ext = [dims.nx, dims.ny, dims.nz];
+        let (mut nodes, mut via_table) = (0, 0);
         for cube in 0..cdims.num_cubes() {
-            streamer.for_each_node(cube, |flat, local, pos| {
-                assert_eq!(cdims.flat_of_global(pos[0], pos[1], pos[2]), flat);
+            streamer.for_each_node(cube, |flat, local, pos, face| {
                 let [x, y, z] = pos;
-                let on_face = [(x, dims.nx), (y, dims.ny), (z, dims.nz)]
-                    .iter()
-                    .any(|&(v, n)| v == 0 || v == n - 1);
-                assert_eq!(streamer.off_faces(pos), !on_face, "{pos:?} in {dims:?}");
-                if on_face {
-                    return;
-                }
+                assert_eq!(cdims.flat_of_global(x, y, z), flat);
+                let want_face = (0..3).fold(0u8, |m, a| {
+                    m | u8::from(pos[a] == 0) << (2 * a)
+                        | u8::from(pos[a] == ext[a] - 1) << (2 * a + 1)
+                });
+                assert_eq!(face, want_face, "{pos:?} in {dims:?}");
+                nodes += 1;
                 for i in 1..Q {
-                    let CoordRoute::Neighbor(d) = streamer.router.route(x, y, z, i) else {
-                        panic!("non-face node {pos:?} bounced back along {i}");
-                    };
-                    let want = streamer.indexer.flat(d[0], d[1], d[2]);
-                    let got = flat.wrapping_add_signed(streamer.off[local][i]);
-                    assert_eq!(got, want, "{pos:?} dir {i}, k = {k}, {dims:?}");
-                    checked += 1;
+                    let tag = format!("{pos:?} dir {i}, k = {k}, {dims:?}");
+                    let route = streamer.router.route(x, y, z, i);
+                    let stepped: [isize; 3] =
+                        std::array::from_fn(|a| pos[a] as isize + E[i][a] as isize);
+                    let unwrapped = matches!(route, CoordRoute::Neighbor(d)
+                        if (0..3).all(|a| d[a] as isize == stepped[a]));
+                    let in_grid = DIR_FACES[i] & face == 0;
+                    assert_eq!(in_grid, unwrapped, "{tag}: {route:?}");
+                    if let (true, CoordRoute::Neighbor(d)) = (in_grid, route) {
+                        let want = streamer.indexer.flat(d[0], d[1], d[2]);
+                        let got = flat.wrapping_add_signed(streamer.off[local][i]);
+                        assert_eq!(got, want, "{tag}");
+                        via_table += 1;
+                    }
                 }
             });
         }
-        let inner = (dims.nx - 2) * (dims.ny - 2) * (dims.nz - 2);
-        assert_eq!(checked, inner * (Q - 1));
+        assert_eq!(nodes, dims.n());
+        // Direction `i` has an in-grid neighbour from `n - |e_i|` positions
+        // per axis.
+        let in_grid: usize = (1..Q)
+            .map(|i| {
+                (0..3)
+                    .map(|a| ext[a] - E[i][a].unsigned_abs() as usize)
+                    .product::<usize>()
+            })
+            .sum();
+        assert_eq!(via_table, in_grid);
     }
 
     #[test]
-    fn offset_table_matches_routing_on_every_non_face_node() {
+    fn offset_table_matches_routing_on_every_node() {
         let moving = BoundaryConfig {
             x: AxisBoundary::Periodic,
             y: AxisBoundary::Walls {
@@ -1288,13 +1275,6 @@ mod tests {
         }
     }
 
-    fn fused(cfg: SimulationConfig) -> SimulationConfig {
-        SimulationConfig {
-            plan: KernelPlan::Fused,
-            ..cfg
-        }
-    }
-
     fn run_in_chunks(cfg: SimulationConfig, threads: usize, chunks: &[u64]) -> CubeSolver {
         let mut cube = CubeSolver::new(cfg, threads);
         for &n in chunks {
@@ -1306,36 +1286,31 @@ mod tests {
     #[test]
     fn chunk_parity_does_not_change_results() {
         let cfg = SimulationConfig::quick_test();
-        for cfg in [cfg, fused(cfg)] {
-            for threads in [1, 3] {
-                let whole = run_in_chunks(cfg, threads, &[5]).to_state();
-                for chunks in [&[2, 3][..], &[1; 5][..]] {
-                    let parts = run_in_chunks(cfg, threads, chunks).to_state();
-                    let tag = format!("{:?}, {threads} threads, chunks {chunks:?}", cfg.plan);
-                    assert_eq!(whole.step, parts.step, "{tag}");
-                    assert_eq!(whole.fluid.f, parts.fluid.f, "{tag}");
-                    assert_eq!(whole.fluid.f_new, parts.fluid.f_new, "{tag}");
-                    assert_eq!(whole.fluid.ux, parts.fluid.ux, "{tag}");
-                    assert_eq!(whole.sheet.pos, parts.sheet.pos, "{tag}");
-                }
+        for threads in [1, 3] {
+            let whole = run_in_chunks(cfg, threads, &[5]).to_state();
+            for chunks in [&[2, 3][..], &[1; 5][..]] {
+                let parts = run_in_chunks(cfg, threads, chunks).to_state();
+                let tag = format!("{threads} threads, chunks {chunks:?}");
+                assert_eq!(whole.step, parts.step, "{tag}");
+                assert_eq!(whole.fluid.f, parts.fluid.f, "{tag}");
+                assert_eq!(whole.fluid.f_new, parts.fluid.f_new, "{tag}");
+                assert_eq!(whole.fluid.ux, parts.fluid.ux, "{tag}");
+                assert_eq!(whole.sheet.pos, parts.sheet.pos, "{tag}");
             }
         }
     }
 
     #[test]
     fn to_state_reports_f_new_equal_to_f_after_any_step_count() {
-        let cfg = SimulationConfig::quick_test();
-        for cfg in [cfg, fused(cfg)] {
-            let mut cube = CubeSolver::new(cfg, 2);
-            for steps in [1, 2, 3] {
-                cube.run(steps);
-                let state = cube.to_state();
-                assert_eq!(
-                    state.fluid.f_new, state.fluid.f,
-                    "after {} steps",
-                    cube.step
-                );
-            }
+        let mut cube = CubeSolver::new(SimulationConfig::quick_test(), 2);
+        for steps in [1, 2, 3] {
+            cube.run(steps);
+            let state = cube.to_state();
+            assert_eq!(
+                state.fluid.f_new, state.fluid.f,
+                "after {} steps",
+                cube.step
+            );
         }
     }
 
@@ -1344,17 +1319,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lbmib_cube_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let cfg = SimulationConfig::quick_test();
-        for (tag, cfg) in [("split", cfg), ("fused", fused(cfg))] {
-            let one = dir.join(format!("{tag}_one.ckpt"));
-            let two = dir.join(format!("{tag}_two.ckpt"));
-            crate::checkpoint::save(&run_in_chunks(cfg, 2, &[5]).to_state(), &one).unwrap();
-            crate::checkpoint::save(&run_in_chunks(cfg, 2, &[2, 3]).to_state(), &two).unwrap();
-            assert_eq!(
-                std::fs::read(&one).unwrap(),
-                std::fs::read(&two).unwrap(),
-                "{tag}"
-            );
-        }
+        let one = dir.join("one.ckpt");
+        let two = dir.join("two.ckpt");
+        crate::checkpoint::save(&run_in_chunks(cfg, 2, &[5]).to_state(), &one).unwrap();
+        crate::checkpoint::save(&run_in_chunks(cfg, 2, &[2, 3]).to_state(), &two).unwrap();
+        assert_eq!(std::fs::read(&one).unwrap(), std::fs::read(&two).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,7 +18,8 @@ pub enum KernelId {
     UpdateVelocity,
     MoveFibers,
     /// Kernel 9. The cube solver swaps its buffers instead of copying, so
-    /// there this slot times loop 5's force reseed.
+    /// there this slot stays at 0 s (as do kernels 5 and 6, which it runs
+    /// only as the fused sweep).
     CopyDistributions,
     FusedCollideStream,
 }

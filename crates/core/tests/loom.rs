@@ -138,73 +138,102 @@ fn atomicf64_fetch_add_loses_no_updates() {
 }
 
 /// Miniature Algorithm 4: two worker threads, each owning one fiber and
-/// one cube, through the phase structure of the cube solver's time step.
+/// one cube, through two time steps of the cube solver's phase structure.
 ///
-/// Phase A (spread): each thread writes its own fiber's stencil slot
-/// (loop 1); after a barrier, each thread reads *both* slots and adds them
-/// into its own cube's force only (loop 3). No location has two writers,
-/// so no locks.
-/// Phase B (update), in the same phase as A's apply: each thread reads its
-/// own cube's force and writes its own cube's velocity — per-cube
-/// ownership.
-/// Phase C (stream): each thread reads *both* cubes' velocities — the
-/// neighbour reads that make the preceding barrier load-bearing.
+/// Loop 1: each thread reads *both* fibers' positions (bending needs the
+/// neighbours) and writes its own fiber's stencil slot.
+/// Loop 3 (after barrier 1): each thread reads *both* stencil slots and
+/// adds them, in fiber order, into its own cube's force only — no location
+/// has two writers, so no locks. Kernel 7 then reads its own cube's force,
+/// writes the body force back into it (the reseed for the next step) and
+/// writes its own cube's velocity.
+/// Loop 4 (after barrier 2): each thread reads *both* cubes' velocities —
+/// the neighbour reads that make barrier 2 load-bearing — and moves its
+/// own fiber.
+/// Barrier 3 ends the step; it orders the fiber moves before the next
+/// step's position reads.
 ///
-/// Loom verifies that the barriers publish the stencils to every cube
-/// owner and the velocities to every reader; drop either barrier and this
-/// test reports a race.
+/// In step 2 the spread must land on the reseeded body force, and each
+/// stencil slot is rewritten after the other thread read it in step 1.
+/// Loom verifies that the barriers order all of it; drop any barrier and
+/// this test reports a race.
 #[test]
 fn algorithm4_phase_sequence_two_cubes() {
+    const BODY: f64 = 10.0;
     loom::model(|| {
         let stencil = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
-        let force = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
+        let force = Arc::new(SharedSlice::from_vec(vec![BODY; 2]));
         let vel = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
+        let pos = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
         let barrier = Arc::new(SpinBarrier::new(2));
 
         let worker = |t: usize,
                       stencil: &SharedSlice<f64>,
                       force: &SharedSlice<f64>,
                       vel: &SharedSlice<f64>,
+                      pos: &SharedSlice<f64>,
                       barrier: &SpinBarrier| {
-            // Phase A, loop 1: my fiber's stencil slot.
-            // SAFETY: slot t is written only by fiber t's owner (this
-            // thread); nobody reads it until after the barrier.
-            unsafe { stencil.set(t, (t + 1) as f64) };
-            barrier.wait();
-            // Phase A, loop 3: every fiber's contribution, in fiber order,
-            // into my own cube's force.
-            for fiber in 0..2 {
-                // SAFETY: the stencil writes happened before the barrier;
-                // this phase only reads them.
-                let s = unsafe { stencil.get(fiber) };
-                // SAFETY: force[t] belongs to my cube; sole writer.
-                unsafe { force.add(t, s) };
-            }
-            // Phase B: exclusive per-cube update.
-            // SAFETY: only cube t's owner (this thread) touches force[t]
-            // and vel[t] in this phase.
-            let f = unsafe { force.get(t) };
-            assert_eq!(f, 3.0, "cube {t} lost a spread contribution");
-            // SAFETY: as above — exclusive owner write.
-            unsafe { vel.set(t, 0.5 * f) };
-            barrier.wait();
-            // Phase C: read both cubes' velocities (neighbour access).
-            for c in 0..2 {
-                // SAFETY: all vel writes happened before the barrier; this
-                // phase only reads.
-                let v = unsafe { vel.get(c) };
-                assert_eq!(v, 1.5, "cube {c} velocity not published");
+            // Where each fiber sits at the start of the step.
+            let mut moved = 0.0;
+            for step in 1..=2 {
+                let s = step as f64;
+                // Loop 1: read both positions, write my stencil slot.
+                for fiber in 0..2 {
+                    // SAFETY: positions were last written in the previous
+                    // loop 4, before barrier 3; this phase only reads them.
+                    let p = unsafe { pos.get(fiber) };
+                    assert_eq!(p, moved, "step {step}: fiber {fiber} position");
+                }
+                // SAFETY: slot t is written only by fiber t's owner (this
+                // thread); the other thread's step-1 read of it happened
+                // before barrier 2.
+                unsafe { stencil.set(t, s * (t + 1) as f64) };
+                barrier.wait();
+                // Loop 3: every fiber's contribution, in fiber order, into
+                // my own cube's force.
+                for fiber in 0..2 {
+                    // SAFETY: the stencil writes happened before barrier 1;
+                    // this phase only reads them.
+                    let c = unsafe { stencil.get(fiber) };
+                    // SAFETY: force[t] belongs to my cube; sole writer.
+                    unsafe { force.add(t, c) };
+                }
+                // Kernel 7: read the force, reseed it, update the velocity.
+                // SAFETY: only cube t's owner (this thread) touches force[t]
+                // and vel[t] in this phase.
+                let f = unsafe { force.get(t) };
+                assert_eq!(f, BODY + 3.0 * s, "step {step}: cube {t} force");
+                // SAFETY: as above — exclusive owner write.
+                unsafe {
+                    force.set(t, BODY);
+                    vel.set(t, 0.5 * f);
+                }
+                barrier.wait();
+                // Loop 4: read both cubes' velocities (neighbour access),
+                // move my fiber.
+                for c in 0..2 {
+                    // SAFETY: all vel writes happened before barrier 2;
+                    // this phase only reads.
+                    let v = unsafe { vel.get(c) };
+                    assert_eq!(v, 0.5 * (BODY + 3.0 * s), "cube {c} velocity");
+                }
+                moved += 0.5 * (BODY + 3.0 * s);
+                // SAFETY: pos[t] is my fiber's; nobody reads positions in
+                // this phase.
+                unsafe { pos.set(t, moved) };
+                barrier.wait();
             }
         };
 
-        let (s2, f2, v2, b2) = (
+        let (s2, f2, v2, p2, b2) = (
             Arc::clone(&stencil),
             Arc::clone(&force),
             Arc::clone(&vel),
+            Arc::clone(&pos),
             Arc::clone(&barrier),
         );
-        let h = thread::spawn(move || worker(1, &s2, &f2, &v2, &b2));
-        worker(0, &stencil, &force, &vel, &barrier);
+        let h = thread::spawn(move || worker(1, &s2, &f2, &v2, &p2, &b2));
+        worker(0, &stencil, &force, &vel, &pos, &barrier);
         h.join().unwrap();
     });
 }
@@ -258,12 +287,12 @@ fn fused_push_across_cube_face_is_race_free() {
 /// The cube solver's buffer swap: two workers, two cubes, two steps, and
 /// no kernel-9 copy. Step `s` reads `cur` and pushes into `nxt`, where
 /// `(cur, nxt)` is `(a, b)` in step 1 and `(b, a)` in step 2. Each worker
-/// collides its own cube in place in `cur` (the split plan's write-back),
-/// pushes across the face into the other cube's `nxt` slot, and after
-/// barrier 1 reads its own `nxt` slot (kernel 7).
+/// collides its own cube's `cur` slot in registers, pushes the result
+/// across the face into the other cube's `nxt` slot, and after barrier 1
+/// reads its own `nxt` slot (kernel 7).
 ///
 /// In step 2 each worker pushes into the slot of `a` that the other
-/// worker read and rewrote in step 1. Only barriers 1 and 3 stand between
+/// worker read in step 1. Only barriers 1 and 3 stand between
 /// those accesses — the model leaves barrier 2 out — and loom checks that
 /// they order every pair.
 #[test]
@@ -279,14 +308,15 @@ fn buffer_swap_without_copy_is_race_free() {
                 let expect = [[1.0, 0.5], [0.25, 0.5]];
                 for (step, seen) in expect.iter().enumerate() {
                     let (cur, nxt) = if step % 2 == 0 { (a, b) } else { (b, a) };
-                    // Loop 2: collide my cube in place, push across the face.
-                    // SAFETY: cur[t] is my cube's slot; nxt[1 - t] has me as
-                    // its unique writer this step (push injectivity). The
-                    // other worker last touched nxt[1 - t] (as its `cur`) one
-                    // step earlier, before that step's barriers 1 and 3.
+                    // Loop 2: collide my cube in registers, push across the
+                    // face.
+                    // SAFETY: cur[t] is my cube's slot, read-only this
+                    // phase; nxt[1 - t] has me as its unique writer this
+                    // step (push injectivity). The other worker last read
+                    // nxt[1 - t] (as its `cur`) one step earlier, before
+                    // that step's barriers 1 and 3.
                     let v = unsafe {
                         let v = cur.get(t) * 0.5;
-                        cur.set(t, v);
                         nxt.set(1 - t, v);
                         v
                     };

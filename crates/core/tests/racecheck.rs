@@ -7,6 +7,7 @@
 //! ```
 #![cfg(feature = "racecheck")]
 
+use lbm::boundary::{AxisBoundary, BoundaryConfig};
 use lbm_ib::config::SimulationConfig;
 use lbm_ib::cube::CubeSolver;
 use lbm_ib::racecheck;
@@ -24,11 +25,27 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 /// access of a full Algorithm-4 time step is recorded and audited. This is
 /// the load-bearing positive test — it checks the streaming injectivity
 /// argument, the split spread (fiber owners write stencils, cube owners
-/// apply them), and the per-cube ownership of every kernel at once.
+/// apply them), and the per-cube ownership of every kernel at once. Moving
+/// walls on two axes send the face nodes through all three push paths:
+/// the offset table, the periodic wrap and the bounce-back correction.
 #[test]
 fn cube_solver_run_is_discipline_clean() {
     let _g = serial();
-    let mut solver = CubeSolver::new(SimulationConfig::quick_test(), 3);
+    let cfg = SimulationConfig {
+        bc: BoundaryConfig {
+            x: AxisBoundary::Periodic,
+            y: AxisBoundary::Walls {
+                lo: [0.0; 3],
+                hi: [0.02, 0.0, 0.0],
+            },
+            z: AxisBoundary::Walls {
+                lo: [0.0, -0.01, 0.0],
+                hi: [0.0; 3],
+            },
+        },
+        ..SimulationConfig::quick_test()
+    };
+    let mut solver = CubeSolver::new(cfg, 3);
     racecheck::begin();
     solver.run(2);
     let report = racecheck::audit();
@@ -45,11 +62,12 @@ fn cube_solver_run_is_discipline_clean() {
     report.assert_clean();
 }
 
-/// The fused kernel plan merges collision and streaming into one lock-free
-/// per-cube pass whose cross-face pushes rely on push-streaming
-/// injectivity — each `(destination node, direction)` slot of `f_new` has
-/// exactly one writer. The auditor must find that discipline intact over a
-/// full multi-threaded run.
+/// The cube solver's collide–push pass is one lock-free per-cube sweep
+/// whose cross-face pushes rely on push-streaming injectivity — each
+/// `(destination node, direction)` slot of `f_new` has exactly one writer.
+/// The auditor must find that discipline intact over a full
+/// multi-threaded run with the fused plan configured (the solver runs the
+/// same pass whatever the plan).
 #[test]
 fn fused_cube_solver_run_is_discipline_clean() {
     let _g = serial();

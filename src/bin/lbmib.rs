@@ -64,7 +64,9 @@ use std::path::PathBuf;
 use lbm_ib::config::KernelPlan;
 use lbm_ib::diagnostics::diagnostics;
 use lbm_ib::output::{append_trajectory_row, dump_sheet_snapshot, trajectory_header};
-use lbm_ib::{build_solver, SheetConfig, SimState, SimulationConfig, Solver, TetherConfig};
+use lbm_ib::{
+    build_solver, CubeSolver, SheetConfig, SimState, SimulationConfig, Solver, TetherConfig,
+};
 use lbm_ib_bench::Args;
 
 /// Prints `error: <msg>` to stderr and exits with status 1.
@@ -224,7 +226,12 @@ fn main() {
         config.sheet.nodes_per_fiber,
         config.tau,
         solver_name,
-        config.plan,
+        // The cube solver always runs its fused pass.
+        if solver_name == "cube" {
+            CubeSolver::PLAN
+        } else {
+            config.plan
+        },
         if solver_name == "seq" { 1 } else { threads },
         steps
     );
