@@ -30,8 +30,8 @@ fn cube_edge_ablation(c: &mut Criterion) {
     for k in [4usize, 8, 16] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             let mut solver = CubeSolver::new(config_with_k(k), 2);
-            solver.run(1);
-            b.iter(|| solver.run(2));
+            solver.try_run(1).unwrap();
+            b.iter(|| solver.try_run(2).unwrap());
         });
     }
     group.finish();
@@ -48,8 +48,8 @@ fn distribution_policy_ablation(c: &mut Criterion) {
         group.bench_function(name, |b| {
             let mut solver = CubeSolver::new(config_with_k(4), 4);
             solver.policy = policy;
-            solver.run(1);
-            b.iter(|| solver.run(2));
+            solver.try_run(1).unwrap();
+            b.iter(|| solver.try_run(2).unwrap());
         });
     }
     group.finish();
@@ -62,8 +62,8 @@ fn barrier_ablation(c: &mut Criterion) {
         group.bench_function(name, |b| {
             let mut solver = CubeSolver::new(config_with_k(4), 4);
             solver.barrier_kind = kind;
-            solver.run(1);
-            b.iter(|| solver.run(2));
+            solver.try_run(1).unwrap();
+            b.iter(|| solver.try_run(2).unwrap());
         });
     }
     group.finish();

@@ -44,10 +44,10 @@ fn cube_step(c: &mut Criterion) {
     for threads in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &n| {
             let mut solver = CubeSolver::new(config(), n);
-            solver.run(2);
+            solver.try_run(2).unwrap();
             // One run() call per iteration batch: the cube solver's unit of
             // work is a worker-team launch, so measure runs of 4 steps.
-            b.iter(|| solver.run(4));
+            b.iter(|| solver.try_run(4).unwrap());
         });
     }
     group.finish();

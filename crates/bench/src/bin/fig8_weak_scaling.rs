@@ -75,7 +75,7 @@ fn main() {
         if args.flag("std-barrier") {
             cube.barrier_kind = BarrierKind::Std;
         }
-        let (_, cube_wall) = timed(|| cube.run(steps));
+        let (_, cube_wall) = timed(|| cube.try_run(steps).unwrap());
         let cube_busy = cube.imbalance.total_critical();
         let cube_im = cube.imbalance.imbalance_percent();
 

@@ -393,7 +393,7 @@ pub struct CubeSolver {
     pub step: u64,
     pub profile: KernelProfile,
     pub imbalance: ImbalanceTracker,
-    /// When true, [`CubeSolver::run`] collects per-worker telemetry (kernel
+    /// When true, [`CubeSolver::try_run`] collects per-worker telemetry (kernel
     /// busy time, per-barrier wait, cube/fiber ownership) into its report.
     pub telemetry_enabled: bool,
     /// One delta stencil per fiber node, kept between calls (see "Call
@@ -478,14 +478,7 @@ impl CubeSolver {
     }
 
     /// Runs `n_steps` time steps with the full worker team (Algorithm 4),
-    /// reporting steps and wall time. Panics if a worker panics; use
-    /// [`CubeSolver::try_run`] to get the typed error instead.
-    pub fn run(&mut self, n_steps: u64) -> RunReport {
-        self.try_run(n_steps)
-            .expect("cube worker failed (try_run surfaces this as a value)")
-    }
-
-    /// Runs `n_steps` time steps, surfacing a panicking worker as
+    /// reporting steps and wall time, and surfacing a panicking worker as
     /// [`SolverError::WorkerPanicked`] instead of a panic or a hang: the
     /// panicking thread poisons the phase barrier, the remaining workers
     /// unwind at their next barrier wait, the fluid/sheet buffers are
@@ -1053,7 +1046,7 @@ mod tests {
         let mut seq = SequentialSolver::new(cfg);
         let mut cube = CubeSolver::new(cfg, 1);
         seq.run(6);
-        cube.run(6);
+        cube.try_run(6).unwrap();
         let cube_state = cube.to_state();
         assert_eq!(cube_state.step, 6);
         let err = max_abs_diff(&seq.state.fluid.f, &cube_state.fluid.f);
@@ -1076,7 +1069,7 @@ mod tests {
         seq.run(6);
         for threads in [2, 4, 8] {
             let mut cube = CubeSolver::new(cfg, threads);
-            cube.run(6);
+            cube.try_run(6).unwrap();
             let cs = cube.to_state();
             let err = max_abs_diff(&seq.state.fluid.ux, &cs.fluid.ux);
             assert!(err < 1e-12, "{threads} threads: velocity mismatch {err}");
@@ -1100,9 +1093,9 @@ mod tests {
         let cfg = SimulationConfig::quick_test();
         let mut a = CubeSolver::new(cfg, 2);
         let mut b = CubeSolver::new(cfg, 2);
-        a.run(6);
-        b.run(3);
-        b.run(3);
+        a.try_run(6).unwrap();
+        b.try_run(3).unwrap();
+        b.try_run(3).unwrap();
         assert_eq!(a.step, b.step);
         let sa = a.to_state();
         let sb = b.to_state();
@@ -1123,8 +1116,8 @@ mod tests {
         let cfg = SimulationConfig::quick_test();
         let mut a = CubeSolver::new(cfg, 4);
         let mut b = CubeSolver::new(cfg, 4);
-        a.run(6);
-        b.run(6);
+        a.try_run(6).unwrap();
+        b.try_run(6).unwrap();
         let sa = a.to_state();
         let sb = b.to_state();
         assert_eq!(sa.fluid.f, sb.fluid.f);
@@ -1138,8 +1131,8 @@ mod tests {
         let mut a = CubeSolver::new(cfg, 3);
         let mut b = CubeSolver::new(cfg, 3);
         b.barrier_kind = BarrierKind::Std;
-        a.run(4);
-        b.run(4);
+        a.try_run(4).unwrap();
+        b.try_run(4).unwrap();
         let err = max_abs_diff(&a.to_state().fluid.f, &b.to_state().fluid.f);
         assert!(err < 1e-13, "barrier flavour changed results: {err}");
     }
@@ -1150,8 +1143,8 @@ mod tests {
         let mut a = CubeSolver::new(cfg, 4);
         let mut b = CubeSolver::new(cfg, 4);
         b.policy = Policy::Cyclic;
-        a.run(5);
-        b.run(5);
+        a.try_run(5).unwrap();
+        b.try_run(5).unwrap();
         let sa = a.to_state();
         let sb = b.to_state();
         let err = max_abs_diff(&sa.fluid.ux, &sb.fluid.ux);
@@ -1161,7 +1154,7 @@ mod tests {
     #[test]
     fn profiling_is_populated() {
         let mut cube = CubeSolver::new(SimulationConfig::quick_test(), 2);
-        let report = cube.run(3);
+        let report = cube.try_run(3).unwrap();
         // One fused pass per step: the split kernel slots stay empty.
         assert!(cube.profile.total(KernelId::FusedCollideStream).as_nanos() > 0);
         assert!(cube.profile.total(KernelId::Collision).is_zero());
@@ -1181,8 +1174,8 @@ mod tests {
         for threads in [1, 4] {
             let mut split = CubeSolver::new(split_cfg, threads);
             let mut fused = CubeSolver::new(fused_cfg, threads);
-            split.run(6);
-            fused.run(6);
+            split.try_run(6).unwrap();
+            fused.try_run(6).unwrap();
             let ss = split.to_state();
             let fs = fused.to_state();
             // The cube solver always runs the fused pass.
@@ -1195,7 +1188,7 @@ mod tests {
     fn zero_steps_is_a_noop() {
         let mut cube = CubeSolver::new(SimulationConfig::quick_test(), 2);
         let before = cube.to_state();
-        cube.run(0);
+        cube.try_run(0).unwrap();
         let after = cube.to_state();
         assert_eq!(before.fluid.f, after.fluid.f);
         assert_eq!(before.step, after.step);
@@ -1278,7 +1271,7 @@ mod tests {
     fn run_in_chunks(cfg: SimulationConfig, threads: usize, chunks: &[u64]) -> CubeSolver {
         let mut cube = CubeSolver::new(cfg, threads);
         for &n in chunks {
-            cube.run(n);
+            cube.try_run(n).unwrap();
         }
         cube
     }
@@ -1304,7 +1297,7 @@ mod tests {
     fn to_state_reports_f_new_equal_to_f_after_any_step_count() {
         let mut cube = CubeSolver::new(SimulationConfig::quick_test(), 2);
         for steps in [1, 2, 3] {
-            cube.run(steps);
+            cube.try_run(steps).unwrap();
             let state = cube.to_state();
             assert_eq!(
                 state.fluid.f_new, state.fluid.f,
@@ -1338,7 +1331,7 @@ mod tests {
             p[0] += 0.01 * ((i * 7 % 11) as f64 - 5.0);
         }
         let mut cube = CubeSolver::from_state(state, threads);
-        cube.run(3);
+        cube.try_run(3).unwrap();
         let mut gathered = cube.to_state();
         gathered.config.cube_k = 4;
         gathered.config.plan = KernelPlan::Split;

@@ -35,6 +35,14 @@
 //! println!("{}", solver.profile().unwrap().table()); // the Table I layout
 //! # Ok::<(), lbm_ib::solver::SolverError>(())
 //! ```
+//!
+//! [`solver::Backend`] is the typed `seq|omp|cube|dist` name
+//! (`"cube".parse::<Backend>()?.build(state, threads)` is what
+//! `build_solver` does). [`solver::run_chunks`] is the one chunk driver:
+//! it advances a solver to every absolute multiple of its cadences and
+//! to the end of the call, running a hook at each stop. The in-solver
+//! watchdog, the CLI's progress lines and periodic checkpoints all run
+//! through it.
 
 pub mod atomicf64;
 pub mod barrier;
@@ -71,9 +79,7 @@ pub use distributed::DistributedSolver;
 pub use openmp::OpenMpSolver;
 pub use output::OutputError;
 pub use sequential::SequentialSolver;
-pub use solver::{
-    build_solver, run_with_checkpoints, CheckpointPolicy, RunReport, Solver, SolverError,
-};
+pub use solver::{build_solver, run_chunks, Backend, RunReport, Solver, SolverError};
 pub use state::SimState;
 pub use supervisor::{metrics_document, RecoveryAction, RecoveryEvent, RecoveryReport, Supervisor};
 pub use telemetry::{MetricsRegistry, RunTelemetry, ThreadTelemetry, Watchdog};

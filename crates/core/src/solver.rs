@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use crate::config::{ConfigError, WatchdogConfig};
 use crate::cube::CubeSolver;
+use crate::diagnostics::Diagnostics;
 use crate::distributed::DistributedSolver;
 use crate::openmp::OpenMpSolver;
 use crate::profiling::KernelProfile;
@@ -152,19 +153,73 @@ impl From<ConfigError> for SolverError {
     }
 }
 
+/// The four backends, as named by the `--solver` flag. Parsed once at
+/// the edge ([`build_solver`], [`crate::supervisor::Supervisor::new`], the
+/// CLI) and carried typed from there on. Declared in `seq|omp|cube|dist`
+/// order, which [`Backend::ALL`], the name table and the ladder follow.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// [`SequentialSolver`] (Algorithm 1).
+    Seq,
+    /// [`OpenMpSolver`] (slab-parallel kernels).
+    Omp,
+    /// [`CubeSolver`] (Algorithm 4).
+    Cube,
+    /// [`DistributedSolver`] (rank slabs with halo exchange).
+    Dist,
+}
+
+impl Backend {
+    /// Every backend, in `seq|omp|cube|dist` order.
+    pub const ALL: [Backend; 4] = [Backend::Seq, Backend::Omp, Backend::Cube, Backend::Dist];
+
+    /// The `--solver` name (also what JSON output prints).
+    pub fn name(self) -> &'static str {
+        ["seq", "omp", "cube", "dist"][self as usize]
+    }
+
+    /// The next rung of the supervisor's degradation ladder (the previous
+    /// entry of [`Backend::ALL`]): `dist → cube → omp → seq`, then `None`.
+    pub fn fallback(self) -> Option<Backend> {
+        (self as usize).checked_sub(1).map(|i| Backend::ALL[i])
+    }
+
+    /// Builds this backend over `state`, with `threads` workers/ranks for
+    /// the parallel drivers. A bad thread count or a decomposition the
+    /// state cannot support comes back as [`SolverError`], not a panic.
+    pub fn build(self, state: SimState, threads: usize) -> Result<Box<dyn Solver>, SolverError> {
+        Ok(match self {
+            Backend::Seq => Box::new(SequentialSolver::from_state(state)),
+            Backend::Omp => Box::new(OpenMpSolver::try_from_state(state, threads)?),
+            Backend::Cube => Box::new(CubeSolver::try_from_state(state, threads)?),
+            Backend::Dist => Box::new(DistributedSolver::try_from_state(state, threads)?),
+        })
+    }
+}
+
+impl std::str::FromStr for Backend {
+    type Err = SolverError;
+
+    fn from_str(name: &str) -> Result<Self, SolverError> {
+        Backend::ALL
+            .into_iter()
+            .find(|b| b.name() == name)
+            .ok_or_else(|| SolverError::UnknownSolver(name.to_string()))
+    }
+}
+
 /// A coupled LBM-IB time-stepping driver. All four implementations advance
 /// identical physics (`verify::cross_check` holds them to ≤1e-12 of each
 /// other under both kernel plans); they differ only in how the work is
 /// scheduled over threads.
 pub trait Solver {
-    /// Short name matching the `--solver` flag (`seq`, `omp`, `cube`,
-    /// `dist`).
-    fn name(&self) -> &'static str;
+    /// The absolute time step the solver stands at (no gather).
+    fn current_step(&self) -> u64;
 
-    /// Advances one time step.
-    fn step(&mut self);
-
-    /// Advances `n` time steps, reporting steps and wall time.
+    /// Advances `n` time steps, reporting steps and wall time. With
+    /// `config.watchdog` set, the state is checked at every multiple of
+    /// its cadence and at the last step, so an `Ok` run ends on a state
+    /// that passed the watchdog.
     fn run(&mut self, n: u64) -> Result<RunReport, SolverError>;
 
     /// A flat-layout snapshot of the current state (cheap clone for the
@@ -180,42 +235,62 @@ pub trait Solver {
     fn set_telemetry(&mut self, enabled: bool);
 }
 
-/// Shared watchdog harness for the trait-level `run` implementations:
-/// without a watchdog the whole run is one `chunk` call; with one, the run
-/// is split into `check_every`-step chunks with a stability check between
-/// them (chunked runs are bit-exact re-entries for every solver, so the
-/// physics is unchanged). The starting state arms the reference mass.
-fn run_watched<S>(
+/// The one chunk driver: advances `solver` by `n` steps, stopping at every
+/// absolute step that is a multiple of a non-zero entry of `cadences` and
+/// at the end of the call. Each stop calls `advance` for the steps up to
+/// it, merges its report, then runs `at_boundary`. Chunked re-entry is
+/// bit-exact for every solver, so where the stops fall never changes the
+/// physics. `n = 0` neither advances nor calls `at_boundary`.
+pub fn run_chunks<S: Solver + ?Sized>(
     solver: &mut S,
     n: u64,
-    watchdog: Option<WatchdogConfig>,
-    mut chunk: impl FnMut(&mut S, u64) -> Result<RunReport, SolverError>,
-    check: impl Fn(&S, &mut Watchdog) -> Result<(), SolverError>,
+    cadences: &[u64],
+    mut advance: impl FnMut(&mut S, u64) -> Result<RunReport, SolverError>,
+    mut at_boundary: impl FnMut(&mut S) -> Result<(), SolverError>,
 ) -> Result<RunReport, SolverError> {
-    let Some(cfg) = watchdog.filter(|c| c.check_every > 0) else {
-        return chunk(solver, n);
-    };
-    let mut dog = Watchdog::new();
-    check(solver, &mut dog)?;
+    let mut at = solver.current_step();
+    let end = at + n;
     let mut report = RunReport::default();
-    while report.steps < n {
-        let len = cfg.check_every.min(n - report.steps);
-        report.merge(chunk(solver, len)?);
-        check(solver, &mut dog)?;
+    while at < end {
+        let next = cadences
+            .iter()
+            .filter(|&&c| c > 0)
+            .map(|&c| (at / c + 1) * c)
+            .fold(end, u64::min);
+        report.merge(advance(solver, next - at)?);
+        at = next;
+        at_boundary(solver)?;
     }
     Ok(report)
 }
 
+/// `Solver::run` for the four backends: one `advance` call without a
+/// watchdog; with one, [`run_chunks`] at its cadence, observing the start
+/// state (which arms the reference mass) and every stop.
+fn run_guarded<S: Solver>(
+    solver: &mut S,
+    n: u64,
+    watchdog: Option<WatchdogConfig>,
+    mut advance: impl FnMut(&mut S, u64) -> Result<RunReport, SolverError>,
+    observe: impl Fn(&S, &mut Watchdog) -> Result<Diagnostics, SolverError>,
+) -> Result<RunReport, SolverError> {
+    let Some(cfg) = watchdog.filter(|c| c.check_every > 0) else {
+        return advance(solver, n);
+    };
+    let mut dog = Watchdog::new();
+    observe(solver, &mut dog)?;
+    run_chunks(solver, n, &[cfg.check_every], advance, |s| {
+        observe(s, &mut dog).map(drop)
+    })
+}
+
 impl Solver for SequentialSolver {
-    fn name(&self) -> &'static str {
-        "seq"
-    }
-    fn step(&mut self) {
-        SequentialSolver::step(self);
+    fn current_step(&self) -> u64 {
+        self.state.step
     }
     fn run(&mut self, n: u64) -> Result<RunReport, SolverError> {
         let watchdog = self.state.config.watchdog;
-        run_watched(
+        run_guarded(
             self,
             n,
             watchdog,
@@ -235,15 +310,12 @@ impl Solver for SequentialSolver {
 }
 
 impl Solver for OpenMpSolver {
-    fn name(&self) -> &'static str {
-        "omp"
-    }
-    fn step(&mut self) {
-        OpenMpSolver::step(self);
+    fn current_step(&self) -> u64 {
+        self.state.step
     }
     fn run(&mut self, n: u64) -> Result<RunReport, SolverError> {
         let watchdog = self.state.config.watchdog;
-        run_watched(
+        run_guarded(
             self,
             n,
             watchdog,
@@ -263,17 +335,14 @@ impl Solver for OpenMpSolver {
 }
 
 impl Solver for CubeSolver {
-    fn name(&self) -> &'static str {
-        "cube"
-    }
-    fn step(&mut self) {
-        CubeSolver::run(self, 1);
+    fn current_step(&self) -> u64 {
+        self.step
     }
     fn run(&mut self, n: u64) -> Result<RunReport, SolverError> {
         let watchdog = self.config.watchdog;
-        run_watched(self, n, watchdog, CubeSolver::try_run, |s, dog| {
+        run_guarded(self, n, watchdog, CubeSolver::try_run, |s, dog| {
             // Gathering the blocked layout costs one flat copy, paid only
-            // every `check_every` steps.
+            // at the watchdog's stops.
             dog.observe(&s.to_state())
         })
     }
@@ -289,16 +358,12 @@ impl Solver for CubeSolver {
 }
 
 impl Solver for DistributedSolver {
-    fn name(&self) -> &'static str {
-        "dist"
-    }
-    fn step(&mut self) {
-        DistributedSolver::try_run(self, 1)
-            .expect("distributed rank failed (use try_run for the typed error)");
+    fn current_step(&self) -> u64 {
+        self.step
     }
     fn run(&mut self, n: u64) -> Result<RunReport, SolverError> {
         let watchdog = self.config.watchdog;
-        run_watched(self, n, watchdog, DistributedSolver::try_run, |s, dog| {
+        run_guarded(self, n, watchdog, DistributedSolver::try_run, |s, dog| {
             dog.observe(&s.to_state())
         })
     }
@@ -314,59 +379,16 @@ impl Solver for DistributedSolver {
     }
 }
 
-/// Builds the solver named by `kind` (`seq|omp|cube|dist`) over `state`,
-/// with `threads` workers/ranks for the parallel drivers. All failure
-/// modes — bad name, bad thread count, a decomposition the state cannot
-/// support — come back as [`SolverError`] instead of a panic.
+/// Builds the solver named by `kind` (`seq|omp|cube|dist`) over `state`:
+/// [`Backend`]'s parse, then [`Backend::build`]. All failure modes — bad
+/// name, bad thread count, a decomposition the state cannot support —
+/// come back as [`SolverError`] instead of a panic.
 pub fn build_solver(
     kind: &str,
     state: SimState,
     threads: usize,
 ) -> Result<Box<dyn Solver>, SolverError> {
-    match kind {
-        "seq" => Ok(Box::new(SequentialSolver::from_state(state))),
-        "omp" => Ok(Box::new(OpenMpSolver::try_from_state(state, threads)?)),
-        "cube" => Ok(Box::new(CubeSolver::try_from_state(state, threads)?)),
-        "dist" => Ok(Box::new(DistributedSolver::try_from_state(state, threads)?)),
-        other => Err(SolverError::UnknownSolver(other.to_string())),
-    }
-}
-
-/// Periodic auto-checkpointing policy for [`run_with_checkpoints`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Save cadence in time steps (0 = a single save at the end of the
-    /// run).
-    pub every: u64,
-    /// Destination file. Saves are crash-consistent: written to a temp
-    /// file, fsynced and atomically renamed over `path`, with the previous
-    /// good checkpoint rotated to `<path>.prev`
-    /// (see [`crate::checkpoint::save`]).
-    pub path: std::path::PathBuf,
-}
-
-/// Runs `n` steps in `policy.every`-step chunks, saving a crash-consistent
-/// checkpoint after each chunk. Chunked re-entry is bit-exact for every
-/// solver, so a run resumed from any of these checkpoints reproduces the
-/// uninterrupted run bit for bit. A failed save stops the run with
-/// [`SolverError::Checkpoint`] instead of silently computing on.
-pub fn run_with_checkpoints<S: Solver + ?Sized>(
-    solver: &mut S,
-    n: u64,
-    policy: &CheckpointPolicy,
-) -> Result<RunReport, SolverError> {
-    let every = if policy.every == 0 { n } else { policy.every };
-    let mut report = RunReport::default();
-    while report.steps < n {
-        let len = every.min(n - report.steps);
-        report.merge(solver.run(len)?);
-        crate::checkpoint::save(&solver.to_state(), &policy.path).map_err(|e| {
-            SolverError::Checkpoint {
-                detail: e.to_string(),
-            }
-        })?;
-    }
-    Ok(report)
+    kind.parse::<Backend>()?.build(state, threads)
 }
 
 /// Times `n` steps of any closure-driven stepper — shared by the inherent
@@ -395,7 +417,6 @@ mod tests {
         for kind in ["seq", "omp", "cube", "dist"] {
             let state = SimState::new(config);
             let mut s = build_solver(kind, state, 2).unwrap();
-            assert_eq!(s.name(), kind);
             let report = s.run(2).unwrap();
             assert_eq!(report.steps, 2);
             assert_eq!(s.to_state().step, 2);
@@ -452,18 +473,97 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_steps_match_inherent_run() {
-        let config = SimulationConfig::quick_test();
-        let mut by_steps = build_solver("seq", SimState::new(config), 1).unwrap();
-        for _ in 0..4 {
-            by_steps.step();
+    fn backend_names_round_trip_and_ladder_ends_on_seq() {
+        for b in Backend::ALL {
+            assert_eq!(b.name().parse::<Backend>(), Ok(b));
         }
-        let mut by_run = SequentialSolver::new(config);
-        by_run.run(4);
         assert_eq!(
-            compare_states(&by_steps.to_state(), &by_run.state).worst(),
-            0.0
+            "mpi".parse::<Backend>(),
+            Err(SolverError::UnknownSolver("mpi".into()))
         );
+        let mut ladder = vec![Backend::Dist];
+        while let Some(next) = ladder.last().unwrap().fallback() {
+            ladder.push(next);
+        }
+        assert_eq!(
+            ladder,
+            [Backend::Dist, Backend::Cube, Backend::Omp, Backend::Seq]
+        );
+    }
+
+    #[test]
+    fn run_chunks_stops_on_absolute_multiples() {
+        let config = SimulationConfig::quick_test();
+        let mut s = SequentialSolver::new(config);
+        s.run(4);
+        let mut stops = Vec::new();
+        let report = run_chunks(
+            &mut s,
+            50,
+            &[10, 25],
+            |s, len| Ok(SequentialSolver::run(s, len)),
+            |s| {
+                stops.push(s.current_step());
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(stops, [10, 20, 25, 30, 40, 50, 54]);
+        assert_eq!(report.steps, 50);
+        // Where the stops fall never changes the physics.
+        let mut once = SequentialSolver::new(config);
+        once.run(54);
+        assert_eq!(compare_states(&s.state, &once.state).worst(), 0.0);
+    }
+
+    #[test]
+    fn run_chunks_of_zero_steps_does_nothing() {
+        let mut s = SequentialSolver::new(SimulationConfig::quick_test());
+        let report = run_chunks(
+            &mut s,
+            0,
+            &[1],
+            |_, _| panic!("advanced on n = 0"),
+            |_| panic!("stopped on n = 0"),
+        )
+        .unwrap();
+        assert_eq!(report, RunReport::default());
+        assert_eq!(s.current_step(), 0);
+    }
+
+    /// An `Ok` from `Solver::run` means the last step passed the watchdog
+    /// even when it is no multiple of the cadence, so the supervisor never
+    /// commits an unchecked state.
+    #[test]
+    fn ok_run_has_passed_the_watchdog_at_its_final_step() {
+        use crate::config::{SheetConfig, TetherConfig};
+        // Absurd stiffness blows the sheet up within a few dozen steps.
+        let mut config = SimulationConfig::quick_test();
+        config.body_force = [1e-5, 0.0, 0.0];
+        config.sheet = SheetConfig {
+            k_bend: 50.0,
+            k_stretch: 500.0,
+            tether: TetherConfig::None,
+            ..SheetConfig::square(8, 4.0, [8.0, 8.0, 8.0])
+        };
+        let mut probe = SequentialSolver::new(config);
+        let mut dog = Watchdog::new();
+        dog.observe(&probe.state).unwrap();
+        let blowup = (1..=200)
+            .find(|_| {
+                probe.run(1);
+                dog.observe(&probe.state).is_err()
+            })
+            .expect("the stiff sheet blows up");
+
+        config.watchdog = Some(WatchdogConfig { check_every: 1000 });
+        let mut healthy = build_solver("seq", SimState::new(config), 1).unwrap();
+        assert_eq!(healthy.run(blowup - 1).unwrap().steps, blowup - 1);
+        let mut s = build_solver("seq", SimState::new(config), 1).unwrap();
+        match s.run(blowup) {
+            Err(SolverError::Unstable { step, .. }) => assert_eq!(step, blowup),
+            other => panic!("expected Unstable at step {blowup}, got {other:?}"),
+        }
     }
 
     #[test]
@@ -524,7 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn run_with_checkpoints_saves_and_matches_plain_run() {
+    fn chunked_checkpoints_save_and_match_plain_run() {
         let dir = std::env::temp_dir().join(format!("lbmib_rwc_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.ckpt");
@@ -534,11 +634,18 @@ mod tests {
         plain.run(9).unwrap();
 
         let mut ckpt = build_solver("seq", SimState::new(config), 1).unwrap();
-        let policy = CheckpointPolicy {
-            every: 4,
-            path: path.clone(),
-        };
-        let report = run_with_checkpoints(ckpt.as_mut(), 9, &policy).unwrap();
+        let report = run_chunks(
+            ckpt.as_mut(),
+            9,
+            &[4],
+            |s, len| s.run(len),
+            |s| {
+                crate::checkpoint::save(&s.to_state(), &path).map_err(|e| SolverError::Checkpoint {
+                    detail: e.to_string(),
+                })
+            },
+        )
+        .unwrap();
         assert_eq!(report.steps, 9);
 
         // The final checkpoint holds step 9 and bit-identical state; the

@@ -37,7 +37,7 @@
 use std::time::Duration;
 
 use crate::config::RecoveryPolicy;
-use crate::solver::{build_solver, RunReport, Solver, SolverError};
+use crate::solver::{Backend, RunReport, Solver, SolverError};
 use crate::state::SimState;
 use crate::telemetry::RunTelemetry;
 
@@ -50,7 +50,7 @@ pub enum RecoveryAction {
     /// `cube2thread`/`fiber2thread` onto a shrunk thread mesh.
     RemapMesh { from: usize, to: usize },
     /// Fell back to the next backend down the ladder.
-    SwitchBackend { from: String, to: String },
+    SwitchBackend { from: Backend, to: Backend },
     /// Retry budget and ladder exhausted; the error was returned to the
     /// caller.
     GiveUp,
@@ -79,7 +79,7 @@ pub struct RecoveryEvent {
 
 /// Everything the supervisor did across a run: attempts, the full event
 /// log, the backoff total, and where the ladder ended up.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryReport {
     /// Failed attempts observed (equals `events.len()`).
     pub attempts: u32,
@@ -87,7 +87,7 @@ pub struct RecoveryReport {
     /// error was returned to the caller.
     pub gave_up: bool,
     /// Backend the run finished (or gave up) on.
-    pub final_backend: String,
+    pub final_backend: Backend,
     /// Thread/rank count the run finished (or gave up) on.
     pub final_threads: usize,
     /// Sum of all backoff delays served.
@@ -97,6 +97,18 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
+    /// An empty report for a run on `backend` with `threads` workers.
+    pub fn new(backend: Backend, threads: usize) -> Self {
+        Self {
+            attempts: 0,
+            gave_up: false,
+            final_backend: backend,
+            final_threads: threads,
+            total_backoff: Duration::ZERO,
+            events: Vec::new(),
+        }
+    }
+
     /// Merges a subsequent run's report into this one (events appended;
     /// the final backend/mesh is the later run's).
     pub fn merge(&mut self, other: RecoveryReport) {
@@ -118,7 +130,7 @@ impl RecoveryReport {
         out.push_str(&format!("    \"gave_up\": {},\n", self.gave_up));
         out.push_str(&format!(
             "    \"final_backend\": \"{}\",\n",
-            json_escape(&self.final_backend)
+            self.final_backend.name()
         ));
         out.push_str(&format!("    \"final_threads\": {},\n", self.final_threads));
         out.push_str(&format!(
@@ -134,8 +146,8 @@ impl RecoveryReport {
                 ),
                 RecoveryAction::SwitchBackend { from, to } => format!(
                     "\"action\": \"switch-backend\", \"from_backend\": \"{}\", \"to_backend\": \"{}\"",
-                    json_escape(from),
-                    json_escape(to)
+                    from.name(),
+                    to.name()
                 ),
                 RecoveryAction::GiveUp => "\"action\": \"give-up\"".to_string(),
             };
@@ -156,7 +168,7 @@ impl RecoveryReport {
     }
 }
 
-/// Minimal JSON string escaping for error messages and backend names.
+/// Minimal JSON string escaping for error messages.
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -212,8 +224,8 @@ pub fn metrics_document(
 /// like the solver it supervises.
 pub struct Supervisor {
     policy: RecoveryPolicy,
-    /// Current rung: backend name (`seq|omp|cube|dist`) …
-    backend: String,
+    /// Current rung: backend …
+    backend: Backend,
     /// … and thread/rank count.
     threads: usize,
     solver: Box<dyn Solver>,
@@ -228,17 +240,29 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// Builds a supervisor over the backend named by `kind` (same names
-    /// as [`build_solver`]). When the policy carries a checkpoint path,
-    /// the initial state is saved immediately so a failure in the very
-    /// first chunk can roll back through the on-disk machinery.
+    /// as [`crate::solver::build_solver`]); see
+    /// [`Supervisor::with_backend`].
     pub fn new(
         kind: &str,
         state: SimState,
         threads: usize,
         policy: RecoveryPolicy,
     ) -> Result<Self, SolverError> {
+        Self::with_backend(kind.parse()?, state, threads, policy)
+    }
+
+    /// Builds a supervisor over `backend`. When the policy carries a
+    /// checkpoint path, the initial state is saved immediately so a
+    /// failure in the very first chunk can roll back through the on-disk
+    /// machinery.
+    pub fn with_backend(
+        backend: Backend,
+        state: SimState,
+        threads: usize,
+        policy: RecoveryPolicy,
+    ) -> Result<Self, SolverError> {
         let last_good = state.clone();
-        let solver = build_solver(kind, state, threads)?;
+        let solver = backend.build(state, threads)?;
         if let Some(path) = &policy.checkpoint {
             crate::checkpoint::save(&last_good, path).map_err(|e| SolverError::Checkpoint {
                 detail: e.to_string(),
@@ -246,16 +270,12 @@ impl Supervisor {
         }
         Ok(Self {
             policy,
-            backend: kind.to_string(),
+            backend,
             threads,
             solver,
             last_good,
             telemetry: false,
-            total: RecoveryReport {
-                final_backend: kind.to_string(),
-                final_threads: threads,
-                ..Default::default()
-            },
+            total: RecoveryReport::new(backend, threads),
         })
     }
 
@@ -264,16 +284,6 @@ impl Supervisor {
     /// [`RunReport::recovery`] was lost with the error.
     pub fn recovery_report(&self) -> &RecoveryReport {
         &self.total
-    }
-
-    /// Current backend rung (`seq|omp|cube|dist`).
-    pub fn backend(&self) -> &str {
-        &self.backend
-    }
-
-    /// Current thread/rank count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Commits the current solver state as the rollback anchor.
@@ -307,7 +317,7 @@ impl Supervisor {
 
     /// Rebuilds the solver for the current rung over `state`.
     fn rebuild(&mut self, state: SimState) -> Result<(), SolverError> {
-        self.solver = build_solver(&self.backend, state, self.threads)?;
+        self.solver = self.backend.build(state, self.threads)?;
         self.solver.set_telemetry(self.telemetry);
         Ok(())
     }
@@ -322,7 +332,7 @@ impl Supervisor {
         state: &SimState,
     ) -> Option<RecoveryAction> {
         if matches!(err, SolverError::WorkerPanicked { .. })
-            && self.backend == "cube"
+            && self.backend == Backend::Cube
             && self.threads > 1
         {
             let from = self.threads;
@@ -334,22 +344,14 @@ impl Supervisor {
                 });
             }
         }
-        let from = self.backend.clone();
-        loop {
-            let next = match self.backend.as_str() {
-                "dist" => "cube",
-                "cube" => "omp",
-                "omp" => "seq",
-                _ => return None,
-            };
-            self.backend = next.to_string();
+        let from = self.backend;
+        while let Some(next) = self.backend.fallback() {
+            self.backend = next;
             if self.rebuild(state.clone()).is_ok() {
-                return Some(RecoveryAction::SwitchBackend {
-                    from,
-                    to: next.to_string(),
-                });
+                return Some(RecoveryAction::SwitchBackend { from, to: next });
             }
         }
+        None
     }
 
     /// Advances `n` steps under supervision. On success the report's
@@ -357,106 +359,85 @@ impl Supervisor {
     /// none). On give-up the last error is returned and the interventions
     /// remain readable through [`Supervisor::recovery_report`].
     pub fn run_supervised(&mut self, n: u64) -> Result<RunReport, SolverError> {
+        let mut delta = RecoveryReport::new(self.backend, self.threads);
+        let result = self.attempts(n, &mut delta);
+        delta.final_backend = self.backend;
+        delta.final_threads = self.threads;
+        self.total.merge(delta.clone());
+        let mut report = result?;
+        report.recovery = Some(delta);
+        Ok(report)
+    }
+
+    /// The retry/degrade loop of [`Supervisor::run_supervised`]: runs the
+    /// remaining steps, commits on success, and on a typed error rolls
+    /// back, backs off and walks the ladder, logging into `delta`.
+    fn attempts(&mut self, n: u64, delta: &mut RecoveryReport) -> Result<RunReport, SolverError> {
         let start = self.last_good.step;
         let mut report = RunReport::default();
-        let mut delta = RecoveryReport {
-            final_backend: self.backend.clone(),
-            final_threads: self.threads,
-            ..Default::default()
-        };
         // Failures since the last committed progress (drives backoff) and
         // since the last rung change (drives the ladder).
         let mut consecutive = 0u32;
         let mut rung_fails = 0u32;
         while self.last_good.step - start < n {
             let remaining = n - (self.last_good.step - start);
-            match self.solver.run(remaining) {
+            let e = match self.solver.run(remaining) {
                 Ok(chunk) => {
-                    // A failed disk commit stops the run (the same
-                    // contract as `run_with_checkpoints`: never compute
-                    // steps that could not be recovered).
-                    let committed = self.commit();
-                    self.finish_or(committed, &mut delta)?;
+                    // A failed disk commit stops the run: never compute
+                    // steps that could not be recovered.
+                    self.commit()?;
                     report.merge(chunk);
                     consecutive = 0;
                     rung_fails = 0;
+                    continue;
                 }
-                Err(e) => {
-                    consecutive += 1;
-                    rung_fails += 1;
-                    delta.attempts += 1;
-                    let backoff = backoff_delay(&self.policy, consecutive);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
+                Err(e) => e,
+            };
+            consecutive += 1;
+            rung_fails += 1;
+            delta.attempts += 1;
+            let backoff = backoff_delay(&self.policy, consecutive);
+            if !backoff.is_zero() {
+                std::thread::sleep(backoff);
+            }
+            delta.total_backoff += backoff;
+            let (state, rollback_source) = self.rollback();
+            let rollback_step = state.step;
+            let action =
+                if rung_fails <= self.policy.retry_limit && self.rebuild(state.clone()).is_ok() {
+                    Some(RecoveryAction::Retry)
+                } else if self.policy.degrade {
+                    let a = self.degrade_and_rebuild(&e, &state);
+                    if a.is_some() {
+                        rung_fails = 0;
                     }
-                    delta.total_backoff += backoff;
-                    let (state, rollback_source) = self.rollback();
-                    let rollback_step = state.step;
-                    let action = if rung_fails <= self.policy.retry_limit
-                        && self.rebuild(state.clone()).is_ok()
-                    {
-                        Some(RecoveryAction::Retry)
-                    } else if self.policy.degrade {
-                        let a = self.degrade_and_rebuild(&e, &state);
-                        if a.is_some() {
-                            rung_fails = 0;
-                        }
-                        a
-                    } else {
-                        None
-                    };
-                    let action = action.unwrap_or(RecoveryAction::GiveUp);
-                    let gave_up = action == RecoveryAction::GiveUp;
-                    delta.events.push(RecoveryEvent {
-                        attempt: delta.attempts,
-                        error_kind: error_kind(&e),
-                        error: e.to_string(),
-                        rollback_step,
-                        rollback_source,
-                        backoff,
-                        action,
-                    });
-                    if gave_up {
-                        delta.gave_up = true;
-                        self.finish_or(Err(e), &mut delta)?;
-                        unreachable!("finish_or returns the error");
-                    }
-                }
+                    a
+                } else {
+                    None
+                };
+            let action = action.unwrap_or(RecoveryAction::GiveUp);
+            let gave_up = action == RecoveryAction::GiveUp;
+            delta.events.push(RecoveryEvent {
+                attempt: delta.attempts,
+                error_kind: error_kind(&e),
+                error: e.to_string(),
+                rollback_step,
+                rollback_source,
+                backoff,
+                action,
+            });
+            if gave_up {
+                delta.gave_up = true;
+                return Err(e);
             }
         }
-        delta.final_backend = self.backend.clone();
-        delta.final_threads = self.threads;
-        self.total.merge(delta.clone());
-        report.recovery = Some(delta);
         Ok(report)
-    }
-
-    /// On `Err`, folds the per-call delta into the cumulative report
-    /// (so [`Supervisor::recovery_report`] still tells the story the
-    /// returned error loses) and propagates.
-    fn finish_or(
-        &mut self,
-        result: Result<(), SolverError>,
-        delta: &mut RecoveryReport,
-    ) -> Result<(), SolverError> {
-        if let Err(e) = result {
-            delta.final_backend = self.backend.clone();
-            delta.final_threads = self.threads;
-            self.total.merge(std::mem::take(delta));
-            return Err(e);
-        }
-        Ok(())
     }
 }
 
 impl Solver for Supervisor {
-    fn name(&self) -> &'static str {
-        self.solver.name()
-    }
-    /// Single steps bypass supervision (there is no chunk boundary to
-    /// roll back to); use [`Solver::run`] for healed execution.
-    fn step(&mut self) {
-        self.solver.step();
+    fn current_step(&self) -> u64 {
+        self.solver.current_step()
     }
     fn run(&mut self, n: u64) -> Result<RunReport, SolverError> {
         self.run_supervised(n)
@@ -477,6 +458,7 @@ impl Solver for Supervisor {
 mod tests {
     use super::*;
     use crate::config::{SimulationConfig, WatchdogConfig};
+    use crate::solver::build_solver;
     use crate::verify::compare_states;
 
     fn cfg() -> SimulationConfig {
@@ -512,7 +494,7 @@ mod tests {
             let rec = report.recovery.expect("supervised reports carry recovery");
             assert_eq!(rec.attempts, 0, "{kind}");
             assert!(rec.events.is_empty(), "{kind}");
-            assert_eq!(rec.final_backend, kind);
+            assert_eq!(rec.final_backend.name(), kind);
             assert_eq!(
                 compare_states(&plain.to_state(), &sup.to_state()).worst(),
                 0.0,
@@ -597,12 +579,12 @@ mod tests {
         assert!(matches!(err, SolverError::Unstable { .. }), "{err}");
         let rec = sup.recovery_report();
         assert!(rec.gave_up);
-        assert_eq!(rec.final_backend, "seq", "ladder must end on seq");
+        assert_eq!(rec.final_backend, Backend::Seq, "ladder must end on seq");
         assert!(
             rec.events.iter().any(|e| e.action
                 == RecoveryAction::SwitchBackend {
-                    from: "omp".into(),
-                    to: "seq".into(),
+                    from: Backend::Omp,
+                    to: Backend::Seq,
                 }),
             "expected an omp → seq fallback, got {:?}",
             rec.events
@@ -646,21 +628,16 @@ mod tests {
     fn recovery_report_merge_accumulates() {
         let mut a = RecoveryReport {
             attempts: 1,
-            final_backend: "cube".into(),
-            final_threads: 4,
             total_backoff: Duration::from_millis(5),
-            ..Default::default()
+            ..RecoveryReport::new(Backend::Cube, 4)
         };
         a.merge(RecoveryReport {
             attempts: 2,
-            gave_up: false,
-            final_backend: "omp".into(),
-            final_threads: 3,
             total_backoff: Duration::from_millis(7),
-            events: Vec::new(),
+            ..RecoveryReport::new(Backend::Omp, 3)
         });
         assert_eq!(a.attempts, 3);
-        assert_eq!(a.final_backend, "omp");
+        assert_eq!(a.final_backend, Backend::Omp);
         assert_eq!(a.final_threads, 3);
         assert_eq!(a.total_backoff, Duration::from_millis(12));
     }
@@ -670,8 +647,6 @@ mod tests {
     fn metrics_document_composes_all_shapes() {
         let rec = RecoveryReport {
             attempts: 1,
-            final_backend: "cube".into(),
-            final_threads: 4,
             events: vec![RecoveryEvent {
                 attempt: 1,
                 error_kind: "worker_panicked",
@@ -681,7 +656,7 @@ mod tests {
                 backoff: Duration::from_millis(1),
                 action: RecoveryAction::RemapMesh { from: 4, to: 3 },
             }],
-            ..Default::default()
+            ..RecoveryReport::new(Backend::Cube, 4)
         };
         let doc = metrics_document(None, Some(&rec));
         assert!(doc.starts_with("{\n  \"recovery\": {"));

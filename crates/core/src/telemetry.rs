@@ -26,7 +26,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::diagnostics::diagnostics;
+use crate::diagnostics::{diagnostics, Diagnostics};
 use crate::profiling::KernelId;
 use crate::solver::SolverError;
 use crate::state::SimState;
@@ -389,7 +389,7 @@ fn jf(x: f64) -> String {
 /// arms the reference mass; every later call re-checks the stability
 /// invariants and converts the first violation into
 /// [`SolverError::Unstable`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Watchdog {
     initial_mass: Option<f64>,
 }
@@ -401,22 +401,18 @@ impl Watchdog {
     }
 
     /// Checks `state` against the stability invariants (NaN, max
-    /// velocity, mass drift — the shared limits in [`crate::diagnostics`]).
-    /// The first call records the reference mass.
-    pub fn observe(&mut self, state: &SimState) -> Result<(), SolverError> {
+    /// velocity, mass drift — the shared limits in [`crate::diagnostics`])
+    /// and returns the [`Diagnostics`] it computed for them. The first call
+    /// records the reference mass.
+    pub fn observe(&mut self, state: &SimState) -> Result<Diagnostics, SolverError> {
         let d = diagnostics(state);
         let initial = *self.initial_mass.get_or_insert(d.mass);
         d.check_stability(initial)
             .map_err(|reason| SolverError::Unstable {
                 step: d.step,
                 reason,
-            })
-    }
-}
-
-impl Default for Watchdog {
-    fn default() -> Self {
-        Self::new()
+            })?;
+        Ok(d)
     }
 }
 

@@ -7,6 +7,7 @@ use std::time::Instant;
 
 use crate::config::SimulationConfig;
 use crate::cube::CubeSolver;
+use crate::solver::SolverError;
 
 /// Result of one probe in the tuning sweep.
 #[derive(Clone, Copy, Debug)]
@@ -22,11 +23,13 @@ pub struct TuneReport {
 }
 
 /// Why an auto-tuning sweep could not produce a result.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TuneError {
     /// No cube edge ≥ 2 divides every grid extent (or none of the caller's
     /// candidates does), so there is nothing to probe.
     NoLegalCubeEdge { nx: usize, ny: usize, nz: usize },
+    /// A probe run failed (e.g. a worker panicked).
+    Probe { cube_k: usize, error: SolverError },
 }
 
 impl std::fmt::Display for TuneError {
@@ -34,6 +37,9 @@ impl std::fmt::Display for TuneError {
         match self {
             TuneError::NoLegalCubeEdge { nx, ny, nz } => {
                 write!(f, "no legal cube edge for grid {nx}x{ny}x{nz}")
+            }
+            TuneError::Probe { cube_k, error } => {
+                write!(f, "probe at cube_k = {cube_k} failed: {error}")
             }
         }
     }
@@ -72,8 +78,8 @@ pub fn legal_cube_edges(config: &SimulationConfig) -> Vec<usize> {
 /// given candidates) and returns the sweep sorted by speed. The probes run
 /// the real solver on the real input, so the choice reflects the machine
 /// it runs on — the point of auto-tuning. An empty candidate set (a prime
-/// grid, or caller candidates that all fail to divide it) is a
-/// [`TuneError`], not a panic.
+/// grid, or caller candidates that all fail to divide it) and a failed
+/// probe run are a [`TuneError`], not a panic.
 pub fn autotune_cube_k(
     config: SimulationConfig,
     n_threads: usize,
@@ -97,9 +103,11 @@ pub fn autotune_cube_k(
         let mut cfg = config;
         cfg.cube_k = k;
         let mut solver = CubeSolver::new(cfg, n_threads);
-        solver.run(1); // warm the worker paths and page in the grid
+        let probe = |error| TuneError::Probe { cube_k: k, error };
+        // Warm the worker paths and page in the grid.
+        solver.try_run(1).map_err(probe)?;
         let t0 = Instant::now();
-        solver.run(probe_steps);
+        solver.try_run(probe_steps).map_err(probe)?;
         probes.push(ProbeResult {
             cube_k: k,
             seconds_per_step: t0.elapsed().as_secs_f64() / probe_steps as f64,

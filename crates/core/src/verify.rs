@@ -73,22 +73,22 @@ pub fn compare_states(a: &SimState, b: &SimState) -> StateDiff {
 
 /// Runs all three solvers for `steps` on `config` with `threads` workers
 /// and returns (seq-vs-omp, seq-vs-cube) diffs — the library's end-to-end
-/// self-check.
+/// self-check. A failed cube run is the typed error, not a panic.
 pub fn verify_all_solvers(
     config: crate::config::SimulationConfig,
     steps: u64,
     threads: usize,
-) -> (StateDiff, StateDiff) {
+) -> Result<(StateDiff, StateDiff), crate::solver::SolverError> {
     let mut seq = crate::sequential::SequentialSolver::new(config);
     seq.run(steps);
     let mut omp = crate::openmp::OpenMpSolver::new(config, threads);
     omp.run(steps);
     let mut cube = crate::cube::CubeSolver::new(config, threads);
-    cube.run(steps);
-    (
+    cube.try_run(steps)?;
+    Ok((
         compare_states(&seq.state, &omp.state),
         compare_states(&seq.state, &cube.to_state()),
-    )
+    ))
 }
 
 /// Runs every solver under the split *and* the fused kernel plan and
@@ -102,19 +102,18 @@ pub fn cross_check(
     threads: usize,
 ) -> Vec<(&'static str, StateDiff)> {
     use crate::config::KernelPlan;
-    use crate::solver::build_solver;
     let mut out = Vec::new();
-    for kind in ["seq", "omp", "cube", "dist"] {
+    for backend in crate::solver::Backend::ALL {
         let mut states = [KernelPlan::Split, KernelPlan::Fused].map(|plan| {
             let mut cfg = config;
             cfg.plan = plan;
             let state = SimState::new(cfg);
-            let mut solver = build_solver(kind, state, threads).expect("buildable solver");
+            let mut solver = backend.build(state, threads).expect("buildable solver");
             solver.run(steps).expect("run succeeds");
             solver.to_state()
         });
         let [split, fused] = &mut states;
-        out.push((kind, compare_states(split, fused)));
+        out.push((backend.name(), compare_states(split, fused)));
     }
     out
 }
@@ -157,7 +156,8 @@ mod tests {
 
     #[test]
     fn end_to_end_three_solver_verification() {
-        let (omp_diff, cube_diff) = verify_all_solvers(SimulationConfig::quick_test(), 5, 3);
+        let (omp_diff, cube_diff) =
+            verify_all_solvers(SimulationConfig::quick_test(), 5, 3).unwrap();
         assert!(omp_diff.within(1e-12), "openmp diverged: {omp_diff:?}");
         assert!(cube_diff.within(1e-12), "cube diverged: {cube_diff:?}");
     }

@@ -47,7 +47,7 @@ fn cube_solver_run_is_discipline_clean() {
     };
     let mut solver = CubeSolver::new(cfg, 3);
     racecheck::begin();
-    solver.run(2);
+    solver.try_run(2).unwrap();
     let report = racecheck::audit();
     assert!(
         report.dropped == 0,
@@ -75,7 +75,7 @@ fn fused_cube_solver_run_is_discipline_clean() {
     cfg.plan = lbm_ib::config::KernelPlan::Fused;
     let mut solver = CubeSolver::new(cfg, 3);
     racecheck::begin();
-    solver.run(2);
+    solver.try_run(2).unwrap();
     let report = racecheck::audit();
     assert!(
         report.dropped == 0,

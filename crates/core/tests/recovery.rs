@@ -22,8 +22,8 @@ use lbm_ib::faultinject::{arm, FaultPlan, HaloFault, PanicAt};
 use lbm_ib::supervisor::RecoveryAction;
 use lbm_ib::verify::compare_states;
 use lbm_ib::{
-    build_solver, RecoveryPolicy, SimState, SimulationConfig, Solver, SolverError, Supervisor,
-    WatchdogConfig,
+    build_solver, Backend, RecoveryPolicy, SimState, SimulationConfig, Solver, SolverError,
+    Supervisor, WatchdogConfig,
 };
 
 /// Serializes the whole test body, not just the armed section: the
@@ -79,7 +79,7 @@ fn one_shot_worker_panic_heals_bitwise_on_cube() {
     assert_eq!(rec.attempts, 1);
     assert_eq!(rec.events[0].action, RecoveryAction::Retry);
     assert_eq!(rec.events[0].error_kind, "worker_panicked");
-    assert_eq!(rec.final_backend, "cube");
+    assert_eq!(rec.final_backend, Backend::Cube);
     assert_eq!(rec.final_threads, 4);
     assert_eq!(
         compare_states(&baseline, &sup.to_state()).worst(),
@@ -126,7 +126,7 @@ fn sticky_panic_quarantines_worker_via_mesh_remap() {
         "expected a 4 → 3 quarantine remap, got {:?}",
         rec.events
     );
-    assert_eq!(rec.final_backend, "cube");
+    assert_eq!(rec.final_backend, Backend::Cube);
     assert_eq!(rec.final_threads, 3);
     // Thread 3 never spawns on the shrunk mesh, so the replay from the
     // step-0 anchor is exactly a fault-free 3-thread run.
@@ -168,10 +168,10 @@ fn sticky_panic_on_thread_zero_falls_back_to_openmp() {
         .any(|e| e.action == RecoveryAction::RemapMesh { from: 2, to: 1 }));
     assert!(rec.events.iter().any(|e| e.action
         == RecoveryAction::SwitchBackend {
-            from: "cube".into(),
-            to: "omp".into(),
+            from: Backend::Cube,
+            to: Backend::Omp,
         }));
-    assert_eq!(rec.final_backend, "omp");
+    assert_eq!(rec.final_backend, Backend::Omp);
     assert_eq!(compare_states(&baseline, &sup.to_state()).worst(), 0.0);
 }
 
@@ -225,7 +225,7 @@ fn one_shot_halo_drop_heals_distributed() {
         "{:?}",
         rec.events[0]
     );
-    assert_eq!(rec.final_backend, "dist");
+    assert_eq!(rec.final_backend, Backend::Dist);
     assert_eq!(compare_states(&baseline, &sup.to_state()).worst(), 0.0);
 }
 
@@ -257,10 +257,10 @@ fn sticky_halo_drop_declares_peer_dead_and_degrades() {
     let rec = report.recovery.unwrap();
     assert!(rec.events.iter().any(|e| e.action
         == RecoveryAction::SwitchBackend {
-            from: "dist".into(),
-            to: "cube".into(),
+            from: Backend::Dist,
+            to: Backend::Cube,
         }));
-    assert_eq!(rec.final_backend, "cube");
+    assert_eq!(rec.final_backend, Backend::Cube);
     // The cube replay runs with the dist config (halo_timeout is inert
     // there); physics must match the plain cube run bit for bit.
     assert_eq!(compare_states(&baseline, &sup.to_state()).worst(), 0.0);

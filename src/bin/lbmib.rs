@@ -58,14 +58,14 @@
 //! supervisor heals a mid-run fault.
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 
 use lbm_ib::config::KernelPlan;
-use lbm_ib::diagnostics::diagnostics;
 use lbm_ib::output::{append_trajectory_row, dump_sheet_snapshot, trajectory_header};
 use lbm_ib::{
-    build_solver, CubeSolver, SheetConfig, SimState, SimulationConfig, Solver, TetherConfig,
+    run_chunks, Backend, CubeSolver, SheetConfig, SimState, SimulationConfig, Solver, SolverError,
+    TetherConfig, Watchdog,
 };
 use lbm_ib_bench::Args;
 
@@ -73,6 +73,16 @@ use lbm_ib_bench::Args;
 fn die(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+/// Exits with status 2 and `UNSTABLE: <error>` on stderr for a blown-up
+/// run, and through [`die`] for any other solver error.
+fn fail(e: SolverError) -> ! {
+    if matches!(e, SolverError::Unstable { .. }) {
+        eprintln!("UNSTABLE: {e}");
+        std::process::exit(2);
+    }
+    die(e)
 }
 
 /// Arms the fault-injection failpoints requested on the command line and
@@ -136,9 +146,6 @@ fn build_config(args: &Args) -> SimulationConfig {
     if let Some(gx) = args.get("gx") {
         config.body_force = [gx, 0.0, 0.0];
     }
-    if let Some(k) = args.get("cube-k") {
-        config.cube_k = k;
-    }
     if args.get::<usize>("nx").is_some() || args.get::<usize>("sheet").is_some() {
         // Re-centre the sheet for the chosen grid.
         let n = args.get_or("sheet", config.sheet.num_fibers);
@@ -153,14 +160,6 @@ fn build_config(args: &Args) -> SimulationConfig {
             ],
         );
     }
-    config.plan = match args.get::<String>("plan").as_deref() {
-        Some("fused") => KernelPlan::Fused,
-        Some("split") | None => KernelPlan::Split,
-        Some(other) => {
-            eprintln!("error: unknown plan '{other}' (expected split|fused)");
-            std::process::exit(1);
-        }
-    };
     config.sheet.tether = match args.get::<String>("tether").as_deref() {
         Some("center") => TetherConfig::CenterRegion {
             radius: args.get_or("tether-radius", 3.0),
@@ -175,12 +174,42 @@ fn build_config(args: &Args) -> SimulationConfig {
     config
 }
 
+/// Applies the runtime choices a checkpoint does not carry (kernel plan,
+/// watchdog cadence, halo timeout) and `--cube-k`, to fresh and resumed
+/// configurations alike.
+fn apply_runtime_choices(args: &Args, config: &mut SimulationConfig) {
+    config.plan = match args.get::<String>("plan").as_deref() {
+        Some("fused") => KernelPlan::Fused,
+        Some("split") | None => KernelPlan::Split,
+        Some(other) => die(format!("unknown plan '{other}' (expected split|fused)")),
+    };
+    if let Some(k) = args.get("cube-k") {
+        config.cube_k = k;
+    }
+    if let Some(every) = args.get::<u64>("watchdog-every") {
+        config.watchdog = Some(lbm_ib::WatchdogConfig { check_every: every });
+    }
+    if let Some(ms) = args.get::<u64>("halo-timeout-ms") {
+        config.halo_timeout = Some(std::time::Duration::from_millis(ms));
+    }
+}
+
 fn main() {
     let args = Args::parse();
     if args.flag("help") {
         println!("see the module docs at the top of src/bin/lbmib.rs for usage");
         return;
     }
+
+    let backend: Backend = args
+        .get_or("solver", "cube".to_string())
+        .parse()
+        .unwrap_or_else(|e| die(e));
+    let steps: u64 = args.get_or("steps", 100);
+    let threads: usize = args.get_or(
+        "threads",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    );
 
     // Resume from a checkpoint (falling back to the rotated `.prev` save
     // if the primary is torn or corrupt), or build a fresh configuration.
@@ -192,30 +221,22 @@ fn main() {
         }
         state
     });
-    let mut config = match &resumed_state {
-        Some(s) => s.config,
-        None => build_config(&args),
-    };
-    if let Err(e) = config.validate() {
-        die(e);
-    }
-
-    let steps: u64 = args.get_or("steps", 100);
-    let threads: usize = args.get_or(
-        "threads",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    );
-    let solver_name = args.get_or("solver", "cube".to_string());
-
-    if args.flag("autotune") && solver_name == "cube" {
+    let mut config = resumed_state
+        .as_ref()
+        .map_or_else(|| build_config(&args), |s| s.config);
+    apply_runtime_choices(&args, &mut config);
+    config.validate().unwrap_or_else(|e| die(e));
+    if args.flag("autotune") && backend == Backend::Cube {
         let report =
             lbm_ib::tuning::autotune_cube_k(config, threads, None, 3).unwrap_or_else(|e| die(e));
         println!("auto-tuning cube edge:\n{}", report.table());
         config.cube_k = report.best_k().unwrap_or(config.cube_k);
         println!("selected cube_k = {}", config.cube_k);
     }
+    let state = match resumed_state {
+        Some(s) => SimState { config, ..s },
+        None => SimState::try_new(config).unwrap_or_else(|e| die(e)),
+    };
 
     println!(
         "lbmib: {}x{}x{} fluid, {}x{} sheet, tau {}, solver {}, plan {:?}, {} threads, {} steps",
@@ -225,31 +246,18 @@ fn main() {
         config.sheet.num_fibers,
         config.sheet.nodes_per_fiber,
         config.tau,
-        solver_name,
+        backend.name(),
         // The cube solver always runs its fused pass.
-        if solver_name == "cube" {
+        if backend == Backend::Cube {
             CubeSolver::PLAN
         } else {
             config.plan
         },
-        if solver_name == "seq" { 1 } else { threads },
+        if backend == Backend::Seq { 1 } else { threads },
         steps
     );
-
-    let metrics_path: Option<PathBuf> = args.get::<String>("metrics").map(PathBuf::from);
-    let mut initial_state = match resumed_state {
-        Some(s) => s,
-        None => SimState::try_new(config).unwrap_or_else(|e| die(e)),
-    };
-    initial_state.config.plan = config.plan; // resumed checkpoints default to Split
-    if let Some(every) = args.get::<u64>("watchdog-every") {
-        initial_state.config.watchdog = Some(lbm_ib::WatchdogConfig { check_every: every });
-    }
-    if let Some(ms) = args.get::<u64>("halo-timeout-ms") {
-        initial_state.config.halo_timeout = Some(std::time::Duration::from_millis(ms));
-    }
-    if initial_state.step > 0 {
-        println!("resumed at step {}", initial_state.step);
+    if state.step > 0 {
+        println!("resumed at step {}", state.step);
     }
 
     #[cfg(feature = "faultinject")]
@@ -258,16 +266,11 @@ fn main() {
     // Periodic crash-consistent checkpointing. `--checkpoint-every` alone
     // saves to `lbmib.ckpt`; `--checkpoint-path` alone saves once, at the
     // end of the run.
-    let ckpt_every: Option<u64> = args.get("checkpoint-every");
-    let ckpt_path: Option<String> = args.get("checkpoint-path");
-    let ckpt = match (ckpt_every, ckpt_path) {
-        (Some(e), p) => Some((
-            e.max(1),
-            PathBuf::from(p.unwrap_or_else(|| "lbmib.ckpt".to_string())),
-        )),
-        (None, Some(p)) => Some((steps.max(1), PathBuf::from(p))),
-        (None, None) => None,
-    };
+    let ckpt_every: Option<u64> = args.get::<u64>("checkpoint-every").map(|e| e.max(1));
+    let ckpt_path: Option<PathBuf> = args
+        .get::<String>("checkpoint-path")
+        .map(PathBuf::from)
+        .or_else(|| ckpt_every.map(|_| PathBuf::from("lbmib.ckpt")));
 
     let supervise = args.flag("supervise");
     let mut solver: Box<dyn Solver> = if supervise {
@@ -282,79 +285,67 @@ fn main() {
             },
             // The supervisor owns the checkpoint file: it commits a save
             // after every successful chunk and rolls back through it.
-            checkpoint: ckpt.as_ref().map(|(_, path)| path.clone()),
+            checkpoint: ckpt_path.clone(),
         };
         Box::new(
-            lbm_ib::Supervisor::new(&solver_name, initial_state, threads, policy)
+            lbm_ib::Supervisor::with_backend(backend, state, threads, policy)
                 .unwrap_or_else(|e| die(e)),
         )
     } else {
-        build_solver(&solver_name, initial_state, threads).unwrap_or_else(|e| die(e))
+        backend.build(state, threads).unwrap_or_else(|e| die(e))
     };
-    if metrics_path.is_some() {
-        solver.set_telemetry(true);
-    }
+    let metrics_path: Option<PathBuf> = args.get::<String>("metrics").map(PathBuf::from);
+    solver.set_telemetry(metrics_path.is_some());
 
-    let out_dir: Option<PathBuf> = args.get::<String>("out").map(PathBuf::from);
-    let mut traj = out_dir.as_ref().map(|dir| {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("create output dir: {e}")));
+    let mut traj = args.get::<String>("out").map(|dir| {
+        let dir = PathBuf::from(dir);
+        std::fs::create_dir_all(&dir).unwrap_or_else(|e| die(format!("create output dir: {e}")));
         let mut w = BufWriter::new(
             File::create(dir.join("trajectory.csv"))
                 .unwrap_or_else(|e| die(format!("create trajectory.csv: {e}"))),
         );
         trajectory_header(&mut w).unwrap_or_else(|e| die(format!("write trajectory.csv: {e}")));
-        w
+        (dir, w, 0usize)
     });
 
+    // Stop at every progress report and every checkpoint (absolute step
+    // multiples) and at the end; each stop gathers the state once for the
+    // health check, the save, the progress line and the trajectory. The
+    // health check is armed on the start state, so mass drift is measured
+    // from the start of this run.
     let report_every: u64 = args.get_or("report-every", (steps / 10).max(1));
-    let mut report = lbm_ib::RunReport::default();
-    let mut snapshot = 0usize;
-    let start_step = solver.to_state().step;
-    let initial_mass = diagnostics(&solver.to_state()).mass;
-    while report.steps < steps {
-        // Advance to whichever boundary comes first: the next progress
-        // report, the next checkpoint, or the end of the run.
-        let mut n = report_every.min(steps - report.steps);
-        if let Some((every, _)) = &ckpt {
-            let abs = start_step + report.steps;
-            let to_ckpt = every - abs % every;
-            n = n.min(to_ckpt);
-        }
-        let chunk = solver.run(n).unwrap_or_else(|e| {
-            if matches!(e, lbm_ib::SolverError::Unstable { .. }) {
-                eprintln!("UNSTABLE: {e}");
-                std::process::exit(2);
-            }
-            die(e);
-        });
-        report.merge(chunk);
-        let state = solver.to_state();
-        if let Some((every, path)) = &ckpt {
+    let end = solver.current_step() + steps;
+    let mut dog = Watchdog::new();
+    dog.observe(&solver.to_state()).unwrap_or_else(|e| fail(e));
+    let cadences = [report_every, ckpt_every.unwrap_or(0)];
+    let report = run_chunks(
+        solver.as_mut(),
+        steps,
+        &cadences,
+        |s, n| s.run(n),
+        |s| {
+            let state = s.to_state();
+            let d = dog.observe(&state)?;
             // Under --supervise the supervisor already committed a save at
-            // this chunk boundary; a second save here would only rotate
-            // the identical snapshot into `.prev`.
-            if !supervise && (state.step % every == 0 || report.steps == steps) {
+            // this boundary; a second save here would only rotate the
+            // identical snapshot into `.prev`.
+            let due = state.step == end || ckpt_every.is_some_and(|e| state.step % e == 0);
+            if let Some(path) = ckpt_path.as_ref().filter(|_| due && !supervise) {
                 lbm_ib::checkpoint::save(&state, path)
                     .unwrap_or_else(|e| die(format!("checkpoint save: {e}")));
             }
-        }
-        let d = diagnostics(&state);
-        println!("{}", d.summary());
-        if let Err(e) = d.check_stability(initial_mass) {
-            eprintln!("UNSTABLE: {e}");
-            std::process::exit(2);
-        }
-        if let Some(dir) = &out_dir {
-            let w = traj
-                .as_mut()
-                .expect("trajectory writer exists when --out is set");
-            append_trajectory_row(&state, w)
-                .unwrap_or_else(|e| die(format!("write trajectory.csv: {e}")));
-            dump_sheet_snapshot(&state, dir, snapshot)
-                .unwrap_or_else(|e| die(format!("write sheet snapshot: {e}")));
-            snapshot += 1;
-        }
-    }
+            println!("{}", d.summary());
+            if let Some((dir, w, snapshot)) = &mut traj {
+                append_trajectory_row(&state, w)
+                    .unwrap_or_else(|e| die(format!("write trajectory.csv: {e}")));
+                dump_sheet_snapshot(&state, dir, *snapshot)
+                    .unwrap_or_else(|e| die(format!("write sheet snapshot: {e}")));
+                *snapshot += 1;
+            }
+            Ok(())
+        },
+    )
+    .unwrap_or_else(|e| fail(e));
     let wall = report.wall.as_secs_f64();
     let state = solver.to_state();
     println!(
@@ -370,7 +361,7 @@ fn main() {
                 "supervisor: {} intervention(s), {} ms backoff, finished on {} with {} thread(s)",
                 rec.events.len(),
                 rec.total_backoff.as_millis(),
-                rec.final_backend,
+                rec.final_backend.name(),
                 rec.final_threads
             );
         }
@@ -403,7 +394,9 @@ fn main() {
             None => println!("(no per-kernel profile for the distributed prototype)"),
         }
     }
-    if let Some(dir) = out_dir {
+    if let Some((dir, w, _)) = &mut traj {
+        w.flush()
+            .unwrap_or_else(|e| die(format!("write trajectory.csv: {e}")));
         println!("output written to {}", dir.display());
     }
 }

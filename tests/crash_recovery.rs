@@ -9,8 +9,7 @@
 
 use lbm_ib::checkpoint::{self, read_checkpoint, write_checkpoint};
 use lbm_ib::{
-    build_solver, run_with_checkpoints, CheckpointPolicy, ResumeSource, SheetConfig, SimState,
-    SimulationConfig,
+    build_solver, run_chunks, ResumeSource, SheetConfig, SimState, SimulationConfig, SolverError,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -77,18 +76,27 @@ fn torn_primary_falls_back_to_rotated_snapshot() {
 }
 
 #[test]
-fn run_with_checkpoints_is_bit_exact_for_cube() {
+fn chunked_checkpoints_are_bit_exact_for_cube() {
     let dir = scratch_dir("rwc_cube");
     let path = dir.join("cube.ckpt");
     let mut plain = build_solver("cube", SimState::new(cfg()), 3).unwrap();
     plain.run(10).unwrap();
 
+    // Save after every 3-step chunk and at the end, as `lbmib
+    // --checkpoint-every 3` does.
     let mut chunked = build_solver("cube", SimState::new(cfg()), 3).unwrap();
-    let policy = CheckpointPolicy {
-        every: 3,
-        path: path.clone(),
-    };
-    let report = run_with_checkpoints(chunked.as_mut(), 10, &policy).unwrap();
+    let report = run_chunks(
+        chunked.as_mut(),
+        10,
+        &[3],
+        |s, n| s.run(n),
+        |s| {
+            checkpoint::save(&s.to_state(), &path).map_err(|e| SolverError::Checkpoint {
+                detail: e.to_string(),
+            })
+        },
+    )
+    .unwrap();
     assert_eq!(report.steps, 10);
 
     let (saved, source) = checkpoint::resume(&path).unwrap();

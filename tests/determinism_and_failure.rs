@@ -40,8 +40,8 @@ fn openmp_solver_reproducible_to_rounding() {
 fn cube_solver_reproducible_to_rounding() {
     let mut a = CubeSolver::new(cfg(), 4);
     let mut b = CubeSolver::new(cfg(), 4);
-    a.run(20);
-    b.run(20);
+    a.try_run(20).unwrap();
+    b.try_run(20).unwrap();
     let d = compare_states(&a.to_state(), &b.to_state());
     assert!(d.within(1e-11), "{d:?}");
 }
@@ -51,10 +51,10 @@ fn solver_state_survives_team_relaunch() {
     // run(n) spawns and joins the worker team; calling it repeatedly must
     // continue the same trajectory.
     let mut once = CubeSolver::new(cfg(), 3);
-    once.run(12);
+    once.try_run(12).unwrap();
     let mut resumed = CubeSolver::new(cfg(), 3);
     for _ in 0..4 {
-        resumed.run(3);
+        resumed.try_run(3).unwrap();
     }
     let d = compare_states(&once.to_state(), &resumed.to_state());
     assert!(d.within(1e-11), "{d:?}");

@@ -29,7 +29,7 @@ fn couette_config(u_lid: f64) -> SimulationConfig {
 
 #[test]
 fn solvers_agree_under_moving_lid() {
-    let (omp, cube) = verify_all_solvers(couette_config(0.02), 10, 4);
+    let (omp, cube) = verify_all_solvers(couette_config(0.02), 10, 4).unwrap();
     assert!(omp.within(1e-11), "OpenMP: {omp:?}");
     assert!(cube.within(1e-11), "cube: {cube:?}");
 }

@@ -17,7 +17,7 @@ fn base_config() -> SimulationConfig {
 
 #[test]
 fn all_solvers_agree_on_quick_config() {
-    let (omp, cube) = verify_all_solvers(base_config(), 10, 4);
+    let (omp, cube) = verify_all_solvers(base_config(), 10, 4).unwrap();
     assert!(omp.within(1e-11), "OpenMP: {omp:?}");
     assert!(cube.within(1e-11), "cube: {cube:?}");
 }
@@ -34,7 +34,7 @@ fn agreement_across_thread_counts() {
         assert!(d.within(1e-11), "OpenMP {threads} threads: {d:?}");
 
         let mut cube = CubeSolver::new(cfg, threads);
-        cube.run(8);
+        cube.try_run(8).unwrap();
         let d = compare_states(&seq.state, &cube.to_state());
         assert!(d.within(1e-11), "cube {threads} threads: {d:?}");
     }
@@ -48,7 +48,7 @@ fn agreement_across_cube_edges() {
     for k in [2, 4, 8] {
         cfg.cube_k = k;
         let mut cube = CubeSolver::new(cfg, 4);
-        cube.run(8);
+        cube.try_run(8).unwrap();
         let d = compare_states(&seq.state, &cube.to_state());
         assert!(d.within(1e-11), "cube edge {k}: {d:?}");
     }
@@ -61,7 +61,7 @@ fn agreement_with_tethered_sheet() {
         radius: 2.5,
         stiffness: 0.1,
     };
-    let (omp, cube) = verify_all_solvers(cfg, 12, 3);
+    let (omp, cube) = verify_all_solvers(cfg, 12, 3).unwrap();
     assert!(omp.within(1e-11), "OpenMP: {omp:?}");
     assert!(cube.within(1e-11), "cube: {cube:?}");
 }
@@ -70,7 +70,7 @@ fn agreement_with_tethered_sheet() {
 fn agreement_with_leading_edge_tether() {
     let mut cfg = base_config();
     cfg.sheet.tether = TetherConfig::LeadingEdge { stiffness: 0.2 };
-    let (omp, cube) = verify_all_solvers(cfg, 10, 2);
+    let (omp, cube) = verify_all_solvers(cfg, 10, 2).unwrap();
     assert!(omp.within(1e-11), "OpenMP: {omp:?}");
     assert!(cube.within(1e-11), "cube: {cube:?}");
 }
@@ -85,7 +85,7 @@ fn agreement_across_delta_kernels() {
     ] {
         let mut cfg = base_config();
         cfg.delta = delta;
-        let (omp, cube) = verify_all_solvers(cfg, 6, 3);
+        let (omp, cube) = verify_all_solvers(cfg, 6, 3).unwrap();
         assert!(omp.within(1e-11), "{delta:?} OpenMP: {omp:?}");
         assert!(cube.within(1e-11), "{delta:?} cube: {cube:?}");
     }
@@ -107,7 +107,7 @@ fn agreement_on_rectangular_grid_and_sheet() {
         k_stretch: 1e-2,
         tether: TetherConfig::None,
     };
-    let (omp, cube) = verify_all_solvers(cfg, 8, 4);
+    let (omp, cube) = verify_all_solvers(cfg, 8, 4).unwrap();
     assert!(omp.within(1e-11), "OpenMP: {omp:?}");
     assert!(cube.within(1e-11), "cube: {cube:?}");
 }
@@ -116,7 +116,7 @@ fn agreement_on_rectangular_grid_and_sheet() {
 fn agreement_over_longer_horizon() {
     // Longer runs accumulate rounding differences from the parallel
     // scatter; they must stay at rounding level, not grow systematically.
-    let (omp, cube) = verify_all_solvers(base_config(), 60, 4);
+    let (omp, cube) = verify_all_solvers(base_config(), 60, 4).unwrap();
     assert!(omp.within(1e-9), "OpenMP after 60 steps: {omp:?}");
     assert!(cube.within(1e-9), "cube after 60 steps: {cube:?}");
 }
@@ -133,7 +133,7 @@ fn cube_policy_variants_agree() {
     ] {
         let mut cube = CubeSolver::new(cfg, 4);
         cube.policy = policy;
-        cube.run(8);
+        cube.try_run(8).unwrap();
         let d = compare_states(&seq.state, &cube.to_state());
         assert!(d.within(1e-11), "{policy:?}: {d:?}");
     }
@@ -178,7 +178,7 @@ fn more_threads_than_cubes_still_correct() {
     let mut seq = SequentialSolver::new(cfg);
     seq.run(5);
     let mut cube = CubeSolver::new(cfg, 16); // idle threads exist
-    cube.run(5);
+    cube.try_run(5).unwrap();
     let d = compare_states(&seq.state, &cube.to_state());
     assert!(d.within(1e-11), "{d:?}");
 }

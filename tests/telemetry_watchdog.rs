@@ -51,10 +51,10 @@ fn telemetry_does_not_perturb_physics() {
     // Cube: the atomic scatter reorders float sums between runs, so the
     // cross-run guarantee is rounding-level with or without telemetry.
     let mut off = CubeSolver::new(cfg(), 4);
-    off.run(15);
+    off.try_run(15).unwrap();
     let mut on = CubeSolver::new(cfg(), 4);
     on.telemetry_enabled = true;
-    on.run(15);
+    on.try_run(15).unwrap();
     let d = compare_states(&off.to_state(), &on.to_state());
     assert!(d.within(1e-11), "{d:?}");
 }
@@ -65,7 +65,11 @@ fn cube_telemetry_counts_three_barriers_per_step() {
     let steps = 12;
     let mut s = CubeSolver::new(cfg(), threads);
     s.telemetry_enabled = true;
-    let t = s.run(steps).telemetry.expect("telemetry enabled");
+    let t = s
+        .try_run(steps)
+        .unwrap()
+        .telemetry
+        .expect("telemetry enabled");
     assert_eq!(t.n_threads(), threads);
     // Algorithm 4: exactly three barrier crossings per thread per step.
     for (tid, th) in t.per_thread.iter().enumerate() {
@@ -81,7 +85,7 @@ fn cube_ownership_covers_the_whole_problem() {
     let c = cfg();
     let mut s = CubeSolver::new(c, 3);
     s.telemetry_enabled = true;
-    let t = s.run(2).telemetry.expect("telemetry enabled");
+    let t = s.try_run(2).unwrap().telemetry.expect("telemetry enabled");
     let k = c.cube_k;
     let total_cubes = (c.nx / k) * (c.ny / k) * (c.nz / k);
     let owned: u64 = t.per_thread.iter().map(|th| th.cubes_owned).sum();
@@ -130,7 +134,7 @@ fn telemetry_merges_across_cli_style_chunks() {
 fn telemetry_json_is_complete_and_balanced() {
     let mut s = CubeSolver::new(cfg(), 2);
     s.telemetry_enabled = true;
-    let t = s.run(3).telemetry.expect("telemetry enabled");
+    let t = s.try_run(3).unwrap().telemetry.expect("telemetry enabled");
     let json = t.to_json();
     assert_eq!(json.matches("\"kernel\":").count(), KernelId::COUNT);
     for key in [
