@@ -10,8 +10,10 @@
 //!
 //! Usage: `fig5_openmp_scaling [--steps N] [--shrink S] [--threads 1,2,4,...] [--full]`
 
-use lbm_ib::{OpenMpSolver, SheetConfig, SimulationConfig};
-use lbm_ib_bench::{efficiency, timed, Args, PAPER_FIG5_EFFICIENCY};
+use lbm_ib::OpenMpSolver;
+use lbm_ib_bench::{
+    efficiency, span_and_imbalance, table1_input, timed, Args, PAPER_FIG5_EFFICIENCY,
+};
 
 fn main() {
     let args = Args::parse();
@@ -20,23 +22,7 @@ fn main() {
     let steps: u64 = if full { 200 } else { args.get_or("steps", 10) };
     let threads = args.get_list("threads", &[1, 2, 4, 8, 16, 32]);
 
-    let mut config = SimulationConfig::table1();
-    if shrink > 1 {
-        config.nx = (config.nx / shrink / 4).max(2) * 4;
-        config.ny = (config.ny / shrink / 4).max(2) * 4;
-        config.nz = (config.nz / shrink / 4).max(2) * 4;
-        let n = (52 / shrink).max(4);
-        config.sheet = SheetConfig::square(
-            n,
-            (20.0 / shrink as f64).max(2.0),
-            [
-                config.nx as f64 / 4.0,
-                config.ny as f64 / 2.0,
-                config.nz as f64 / 2.0,
-            ],
-        );
-    }
-    config.validate().expect("config");
+    let config = table1_input(shrink);
 
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -54,21 +40,18 @@ fn main() {
     println!("{}", lbm_ib_bench::rule(74));
 
     let mut t1_wall = None;
-    let mut t1_span = None;
     for &n in &threads {
         let mut solver = OpenMpSolver::new(config, n);
-        let (_, wall) = timed(|| solver.run(steps));
-        let span = solver.imbalance.total_critical();
-        let imbal = solver.imbalance.imbalance_percent();
+        solver.telemetry_enabled = true;
+        let (report, wall) = timed(|| solver.run(steps));
+        let (span, imbal) = span_and_imbalance(&report.telemetry.unwrap());
         if n == 1 {
             t1_wall = Some(wall);
-            t1_span = Some(span);
         }
         let (speed, eff) = match t1_wall {
             Some(t1) => efficiency(t1, wall, n),
             None => (f64::NAN, f64::NAN),
         };
-        let _ = t1_span;
         let paper = PAPER_FIG5_EFFICIENCY
             .iter()
             .find(|(c, _)| *c == n)
@@ -77,9 +60,6 @@ fn main() {
         println!(
             "{n:>7} {wall:>10.3} {speed:>9.2} {eff:>8.1} {span:>11.3} {imbal:>10.2} {paper:>12}"
         );
-        if n > hw {
-            // Oversubscribed data point: noted in the legend below.
-        }
     }
     println!();
     println!("paper narrative: efficiency ~75% at 8 cores, 56% at 16, 38% at 32.");

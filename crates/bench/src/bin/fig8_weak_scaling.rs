@@ -19,7 +19,7 @@ use lbm::cube_grid::CubeDims;
 use lbm::distribution::CubeDistribution;
 use lbm_ib::barrier::BarrierKind;
 use lbm_ib::{CubeSolver, OpenMpSolver, SimulationConfig};
-use lbm_ib_bench::{timed, Args, PAPER_FIG8_FINAL_GAP_PERCENT};
+use lbm_ib_bench::{span_and_imbalance, timed, Args, PAPER_FIG8_FINAL_GAP_PERCENT};
 
 fn main() {
     let args = Args::parse();
@@ -67,17 +67,17 @@ fn main() {
         let label = format!("{}x{}x{}", config.nx, config.ny, config.nz);
 
         let mut omp = OpenMpSolver::new(config, n);
-        let (_, omp_wall) = timed(|| omp.run(steps));
-        let omp_busy = omp.imbalance.total_critical();
-        let omp_im = omp.imbalance.imbalance_percent();
+        omp.telemetry_enabled = true;
+        let (report, omp_wall) = timed(|| omp.run(steps));
+        let (omp_busy, omp_im) = span_and_imbalance(&report.telemetry.unwrap());
 
         let mut cube = CubeSolver::new(config, n);
+        cube.telemetry_enabled = true;
         if args.flag("std-barrier") {
             cube.barrier_kind = BarrierKind::Std;
         }
-        let (_, cube_wall) = timed(|| cube.try_run(steps).unwrap());
-        let cube_busy = cube.imbalance.total_critical();
-        let cube_im = cube.imbalance.imbalance_percent();
+        let (report, cube_wall) = timed(|| cube.try_run(steps).unwrap());
+        let (cube_busy, cube_im) = span_and_imbalance(&report.telemetry.unwrap());
 
         // The paper's metric: how much slower OpenMP is than cube-based.
         let gap = 100.0 * (omp_wall - cube_wall) / cube_wall;

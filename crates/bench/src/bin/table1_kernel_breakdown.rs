@@ -8,8 +8,8 @@
 //! Usage: `table1_kernel_breakdown [--steps N] [--shrink S] [--full]`
 
 use lbm_ib::profiling::KernelId;
-use lbm_ib::{SequentialSolver, SimulationConfig};
-use lbm_ib_bench::{timed, Args, PAPER_TABLE1};
+use lbm_ib::SequentialSolver;
+use lbm_ib_bench::{table1_input, timed, Args, PAPER_TABLE1};
 
 fn main() {
     let args = Args::parse();
@@ -17,23 +17,7 @@ fn main() {
     let shrink: usize = args.get_or("shrink", 1);
     let steps: u64 = if full { 500 } else { args.get_or("steps", 10) };
 
-    let mut config = SimulationConfig::table1();
-    if shrink > 1 {
-        config.nx = (config.nx / shrink / 4).max(2) * 4;
-        config.ny = (config.ny / shrink / 4).max(2) * 4;
-        config.nz = (config.nz / shrink / 4).max(2) * 4;
-        let n = (52 / shrink).max(4);
-        config.sheet = lbm_ib::SheetConfig::square(
-            n,
-            (20.0 / shrink as f64).max(2.0),
-            [
-                config.nx as f64 / 4.0,
-                config.ny as f64 / 2.0,
-                config.nz as f64 / 2.0,
-            ],
-        );
-    }
-    config.validate().expect("config");
+    let config = table1_input(shrink);
 
     println!("Table I reproduction: sequential LBM-IB kernel breakdown");
     println!(
@@ -48,16 +32,17 @@ fn main() {
     );
 
     let mut solver = SequentialSolver::new(config);
-    let (_, secs) = timed(|| solver.run(steps));
+    solver.telemetry_enabled = true;
+    let (report, secs) = timed(|| solver.run(steps));
     println!("total execution time = {secs:.2} s\n");
 
-    let measured = solver.profile.ranked();
+    let measured = report.telemetry.expect("telemetry on").ranked();
     println!(
         "{:<6} {:<36} {:>10} {:>10}",
         "Kernel", "Kernel Name", "measured%", "paper%"
     );
     println!("{}", lbm_ib_bench::rule(66));
-    for (k, _, pct) in &measured {
+    for (k, pct) in &measured {
         let paper = PAPER_TABLE1
             .iter()
             .find(|r| r.0 == k.paper_number())
@@ -74,7 +59,7 @@ fn main() {
 
     // Shape checks the paper's narrative rests on: the kernels that visit
     // every fluid node dominate, the fiber kernels are negligible.
-    let pct = |k: KernelId| measured.iter().find(|r| r.0 == k).map(|r| r.2).unwrap();
+    let pct = |k: KernelId| measured.iter().find(|r| r.0 == k).map(|r| r.1).unwrap();
     let fluid4 = pct(KernelId::Collision)
         + pct(KernelId::UpdateVelocity)
         + pct(KernelId::CopyDistributions)

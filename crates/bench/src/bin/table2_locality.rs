@@ -9,13 +9,13 @@
 //! multiplier (PAPI counts every load/store the compiled code issues; the
 //! trace counts each scalar once — see `MissReport::with_access_multiplier`).
 //! Load imbalance is *measured directly* from the real OpenMP solver's
-//! per-thread busy times.
+//! telemetry: the share of thread time spent waiting at region joins.
 //!
 //! Usage: `table2_locality [--steps N] [--shrink S] [--cores 1,2,...] [--multiplier R]`
 
 use cachesim::trace::simulate_flat;
-use lbm_ib::{OpenMpSolver, SheetConfig, SimulationConfig};
-use lbm_ib_bench::{Args, PAPER_TABLE2};
+use lbm_ib::OpenMpSolver;
+use lbm_ib_bench::{span_and_imbalance, table1_input, Args, PAPER_TABLE2};
 
 fn main() {
     let args = Args::parse();
@@ -24,23 +24,7 @@ fn main() {
     let cores = args.get_list("cores", &[1, 2, 4, 8, 16, 32]);
     let multiplier: f64 = args.get_or("multiplier", 14.0);
 
-    let mut config = SimulationConfig::table1();
-    if shrink > 1 {
-        config.nx = (config.nx / shrink / 4).max(2) * 4;
-        config.ny = (config.ny / shrink / 4).max(2) * 4;
-        config.nz = (config.nz / shrink / 4).max(2) * 4;
-        let n = (52 / shrink).max(4);
-        config.sheet = SheetConfig::square(
-            n,
-            (20.0 / shrink as f64).max(2.0),
-            [
-                config.nx as f64 / 4.0,
-                config.ny as f64 / 2.0,
-                config.nz as f64 / 2.0,
-            ],
-        );
-    }
-    config.validate().expect("config");
+    let config = table1_input(shrink);
     let dims = config.dims();
 
     println!("Table II reproduction: OpenMP locality and load balance");
@@ -64,8 +48,8 @@ fn main() {
 
         // Load imbalance: measured from the real solver.
         let mut solver = OpenMpSolver::new(config, n);
-        solver.run(steps);
-        let imbal = solver.imbalance.imbalance_percent();
+        solver.telemetry_enabled = true;
+        let (_, imbal) = span_and_imbalance(&solver.run(steps).telemetry.unwrap());
 
         let paper = PAPER_TABLE2.iter().find(|r| r.0 == n);
         let (p1, p2, pi) = paper

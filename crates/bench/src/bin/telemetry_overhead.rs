@@ -5,8 +5,7 @@
 //!
 //! The acceptance bar is <= 3% overhead on the cube solver: the only hot
 //! paths the instrumentation touches are one `Instant::now()` pair per
-//! kernel section and per barrier, and one relaxed atomic flush per
-//! thread per step.
+//! kernel section and per barrier.
 //!
 //! Usage: `telemetry_overhead [--steps N] [--reps N] [--threads N] [--out PATH]`
 

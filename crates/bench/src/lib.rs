@@ -4,6 +4,8 @@
 
 use std::time::Instant;
 
+use lbm_ib::{RunTelemetry, SheetConfig, SimulationConfig};
+
 /// Minimal `--flag value` parser over `std::env::args`.
 ///
 /// Every harness accepts `--steps N` (time steps per measurement),
@@ -77,6 +79,34 @@ pub fn rule(width: usize) -> String {
 pub fn efficiency(t1: f64, tn: f64, n: usize) -> (f64, f64) {
     let speedup = t1 / tn;
     (speedup, 100.0 * speedup / n as f64)
+}
+
+/// The Table I input (124×64×64 fluid, 52×52 fiber nodes) with each axis
+/// divided by `shrink`, validated.
+pub fn table1_input(shrink: usize) -> SimulationConfig {
+    let mut config = SimulationConfig::table1();
+    if shrink > 1 {
+        config.nx = (config.nx / shrink / 4).max(2) * 4;
+        config.ny = (config.ny / shrink / 4).max(2) * 4;
+        config.nz = (config.nz / shrink / 4).max(2) * 4;
+        let n = (52 / shrink).max(4);
+        let center = [
+            config.nx as f64 / 4.0,
+            config.ny as f64 / 2.0,
+            config.nz as f64 / 2.0,
+        ];
+        config.sheet = SheetConfig::square(n, (20.0 / shrink as f64).max(2.0), center);
+    }
+    config.validate().expect("config");
+    config
+}
+
+/// The OpenMP harnesses' views of a run's telemetry: the critical-path
+/// seconds `(busy + wait) / threads` and the Table II load imbalance,
+/// `100 × barrier_wait_share` (percent).
+pub fn span_and_imbalance(t: &RunTelemetry) -> (f64, f64) {
+    let span = (t.busy_seconds() + t.barrier_wait_seconds()) / t.n_threads() as f64;
+    (span, 100.0 * t.barrier_wait_share())
 }
 
 /// The paper's Table I percentages, for side-by-side printing.

@@ -97,11 +97,11 @@ use lbm::macroscopic::node_moments_shifted;
 
 use crate::barrier::{BarrierKind, BarrierPoisoned, PhaseBarrier};
 use crate::config::{KernelPlan, SimulationConfig};
-use crate::profiling::{ImbalanceTracker, KernelId, KernelProfile};
+use crate::profiling::KernelId;
 use crate::sharedgrid::{SharedCubeGrid, SharedSlice};
-use crate::solver::{RunReport, SolverError};
+use crate::solver::{Backend, RunReport, SolverError};
 use crate::state::SimState;
-use crate::telemetry::{MetricsRegistry, ThreadSlot};
+use crate::telemetry::{RunTelemetry, ThreadTelemetry};
 
 /// Worker phase names, in loop order, used for panic attribution
 /// ([`SolverError::WorkerPanicked`]) and fault-injection targeting.
@@ -391,8 +391,6 @@ pub struct CubeSolver {
     pub sheet: FiberSheet,
     tethers: TetherSet,
     pub step: u64,
-    pub profile: KernelProfile,
-    pub imbalance: ImbalanceTracker,
     /// When true, [`CubeSolver::try_run`] collects per-worker telemetry (kernel
     /// busy time, per-barrier wait, cube/fiber ownership) into its report.
     pub telemetry_enabled: bool,
@@ -434,8 +432,6 @@ impl CubeSolver {
             sheet: state.sheet,
             tethers: state.tethers,
             step: state.step,
-            profile: KernelProfile::new(),
-            imbalance: ImbalanceTracker::new(n_threads),
             telemetry_enabled: false,
             stencils: Vec::new(),
         }
@@ -555,22 +551,15 @@ impl CubeSolver {
         let phase_flags: Vec<AtomicUsize> = (0..n_threads).map(|_| AtomicUsize::new(0)).collect();
         let panic_note: Mutex<Option<(usize, usize)>> = Mutex::new(None);
 
-        // Per-worker telemetry slots: the static data assignment is known
-        // before spawn; the workers flush busy/wait running totals into
-        // their own slot every step (single writer, lock-free).
-        let registry = self
-            .telemetry_enabled
-            .then(|| MetricsRegistry::new(n_threads));
-        if let Some(registry) = &registry {
-            for plan in &plans {
-                registry
-                    .slot(plan.tid)
-                    .set_ownership(plan.my_cubes.len() as u64, plan.my_fibers.len() as u64);
-            }
-        }
+        // The static data assignment, for the telemetry.
+        let owned: Vec<(u64, u64)> = plans
+            .iter()
+            .map(|p| (p.my_cubes.len() as u64, p.my_fibers.len() as u64))
+            .collect();
+        let timed = self.telemetry_enabled;
 
         let t0 = Instant::now();
-        let busy_times: Vec<[f64; KernelId::COUNT]> = std::thread::scope(|scope| {
+        let mut per_thread: Vec<ThreadTelemetry> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n_threads);
             for plan in plans {
                 let tid = plan.tid;
@@ -585,7 +574,6 @@ impl CubeSolver {
                 let owner = &owner;
                 let phase_flag = &phase_flags[tid];
                 let panic_note = &panic_note;
-                let slot = registry.as_ref().map(|r| r.slot(tid));
                 handles.push(scope.spawn(move || {
                     let result = catch_unwind(AssertUnwindSafe(|| {
                         worker(
@@ -605,7 +593,7 @@ impl CubeSolver {
                             streamer,
                             barrier,
                             owner,
-                            slot,
+                            timed,
                             phase_flag,
                         )
                     }));
@@ -628,9 +616,9 @@ impl CubeSolver {
             handles
                 .into_iter()
                 .filter_map(|h| match h.join() {
-                    Ok(Ok(busy)) => Some(busy),
+                    Ok(Ok(telemetry)) => Some(telemetry),
                     // Worker bailed (own panic was caught above, or a
-                    // sibling poisoned the barrier): no busy record.
+                    // sibling poisoned the barrier): no record.
                     Ok(Err(BarrierPoisoned)) | Err(_) => None,
                 })
                 .collect()
@@ -660,21 +648,19 @@ impl CubeSolver {
             std::mem::swap(&mut self.grid.f, &mut self.grid.f_new);
         }
 
-        // Account profiling: per kernel, the critical path is the max busy
-        // time across threads; imbalance comes from the spread of busy
-        // times (one aggregated region per kernel for this run).
-        for k in KernelId::ALL {
-            let i = k.index();
-            let busy: Vec<f64> = busy_times.iter().map(|b| b[i]).collect();
-            let max = busy.iter().copied().fold(0.0, f64::max);
-            self.profile
-                .record(k, std::time::Duration::from_secs_f64(max));
-            self.imbalance.record_region(k, &busy);
+        for (t, (cubes, fibers)) in per_thread.iter_mut().zip(owned) {
+            t.cubes_owned = cubes;
+            t.fibers_owned = fibers;
         }
         Ok(RunReport {
             steps: n_steps,
             wall,
-            telemetry: registry.map(|r| r.snapshot("cube", n_steps, wall.as_secs_f64())),
+            telemetry: self.telemetry_enabled.then_some(RunTelemetry {
+                solver: Backend::Cube,
+                steps: n_steps,
+                wall_seconds: wall.as_secs_f64(),
+                per_thread,
+            }),
             recovery: None,
         })
     }
@@ -721,8 +707,9 @@ fn sync_barrier(
     Ok(())
 }
 
-/// One worker's execution of Algorithm 4. Returns accumulated busy seconds
-/// per kernel, or bails with [`BarrierPoisoned`] when a sibling panicked.
+/// One worker's execution of Algorithm 4. Returns its busy seconds per
+/// kernel and, when `timed`, its barrier waits; or bails with
+/// [`BarrierPoisoned`] when a sibling panicked.
 #[allow(clippy::too_many_arguments)]
 fn worker(
     plan: WorkerPlan,
@@ -741,11 +728,10 @@ fn worker(
     streamer: &CubeStreamer,
     barrier: &PhaseBarrier,
     owner: &[usize],
-    slot: Option<&ThreadSlot>,
+    timed: bool,
     phase_flag: &AtomicUsize,
-) -> Result<[f64; KernelId::COUNT], BarrierPoisoned> {
+) -> Result<ThreadTelemetry, BarrierPoisoned> {
     let mut busy = [0.0f64; KernelId::COUNT];
-    let timed = slot.is_some();
     let mut barrier_wait_s = 0.0f64;
     let mut barrier_waits = 0u64;
     #[cfg(feature = "racecheck")]
@@ -1016,15 +1002,14 @@ fn worker(
             rc_phase += 1;
             crate::racecheck::set_phase(rc_phase);
         }
-
-        // Flush running totals into my registry slot (single writer).
-        if let Some(slot) = slot {
-            slot.store_kernel_seconds(&busy);
-            slot.store_barrier_wait(barrier_wait_s, barrier_waits);
-        }
     }
 
-    Ok(busy)
+    Ok(ThreadTelemetry {
+        kernel_seconds: busy,
+        barrier_wait_seconds: barrier_wait_s,
+        barrier_waits,
+        ..Default::default()
+    })
 }
 
 #[cfg(test)]
@@ -1154,14 +1139,27 @@ mod tests {
     #[test]
     fn profiling_is_populated() {
         let mut cube = CubeSolver::new(SimulationConfig::quick_test(), 2);
+        cube.telemetry_enabled = true;
         let report = cube.try_run(3).unwrap();
-        // One fused pass per step: the split kernel slots stay empty.
-        assert!(cube.profile.total(KernelId::FusedCollideStream).as_nanos() > 0);
-        assert!(cube.profile.total(KernelId::Collision).is_zero());
-        assert!(cube.profile.total(KernelId::Stream).is_zero());
         assert_eq!(report.steps, 3);
         assert!(report.wall.as_nanos() > 0);
-        assert!(cube.imbalance.total_critical() > 0.0);
+        let t = report.telemetry.expect("telemetry on");
+        assert_eq!(t.solver, Backend::Cube);
+        // One fused pass per step: the split kernel slots stay empty, and
+        // the buffer swap leaves kernel 9 empty too.
+        assert!(t.kernel_seconds(KernelId::FusedCollideStream) > 0.0);
+        for k in [
+            KernelId::Collision,
+            KernelId::Stream,
+            KernelId::CopyDistributions,
+        ] {
+            assert_eq!(t.kernel_seconds(k), 0.0, "{k:?}");
+        }
+        assert!(t.busy_seconds() > 0.0);
+        assert_eq!(t.barrier_waits(), 3 * 3 * 2);
+        // Telemetry off: no report, and no barrier timing.
+        cube.telemetry_enabled = false;
+        assert!(cube.try_run(1).unwrap().telemetry.is_none());
     }
 
     #[test]

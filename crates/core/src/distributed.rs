@@ -35,9 +35,9 @@ use std::time::Duration;
 use crate::config::{KernelPlan, SimulationConfig};
 use crate::openmp::balanced_ranges;
 use crate::profiling::KernelId;
-use crate::solver::{RunReport, SolverError};
+use crate::solver::{Backend, RunReport, SolverError};
 use crate::state::SimState;
-use crate::telemetry::{MetricsRegistry, ThreadSlot};
+use crate::telemetry::{RunTelemetry, ThreadTelemetry};
 
 /// A communication failure observed by one rank mid-step. Converted to a
 /// [`SolverError`] (with the observing rank attached) by
@@ -338,30 +338,19 @@ impl DistributedSolver {
         // can be rebuilt as a structurally valid (zeroed) slab below.
         let layouts: Vec<(usize, usize)> = ranks.iter().map(|r| (r.x0, r.w)).collect();
         let plane = config.dims().ny * config.dims().nz;
-        let registry = self.telemetry_enabled.then(|| MetricsRegistry::new(n));
-        if let Some(registry) = &registry {
-            // "cubes" for a rank are its owned x-planes; the sheet is
-            // replicated, so every rank owns every fiber.
-            for (id, rank) in ranks.iter().enumerate() {
-                registry
-                    .slot(id)
-                    .set_ownership(rank.w as u64, sheet_template.num_fibers as u64);
-            }
-        }
         let Fabric {
             tx: tx_mesh,
             rx: rx_mesh,
         } = fabric;
-        let results: Vec<(RankData, FiberSheet, Result<(), RankFault>)> =
+        let results: Vec<(RankData, FiberSheet, Result<ThreadTelemetry, RankFault>)> =
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(n);
                 for ((id, rank), rx) in ranks.into_iter().enumerate().zip(rx_mesh) {
                     let tx: Vec<Sender<Msg>> = tx_mesh[id].clone();
                     let sheet = sheet_template.clone();
                     let tethers = tethers.clone();
-                    let slot = registry.as_ref().map(|r| r.slot(id));
                     handles.push(scope.spawn(move || {
-                        rank_main(id, n, rank, sheet, tethers, config, n_steps, tx, &rx, slot)
+                        rank_main(id, n, rank, sheet, tethers, config, n_steps, tx, &rx)
                     }));
                 }
                 // Drop the original sender mesh so a rank that returns
@@ -393,23 +382,33 @@ impl DistributedSolver {
         // buffers.
         let mut fault: Option<(usize, RankFault)> = None;
         let mut new_ranks = Vec::with_capacity(n);
+        let mut per_thread = Vec::with_capacity(n);
         let mut sheet_out = None;
         for (id, (rank, sheet, res)) in results.into_iter().enumerate() {
+            match res {
+                // "Cubes" for a rank are its owned x-planes; the sheet is
+                // replicated, so every rank owns every fiber.
+                Ok(t) => per_thread.push(ThreadTelemetry {
+                    cubes_owned: rank.w as u64,
+                    fibers_owned: sheet.num_fibers as u64,
+                    ..t
+                }),
+                // Keep the most root-cause fault: a panic over the timeout
+                // it causes, a timeout over the disconnects it cascades
+                // into (see [`RankFault::severity`]).
+                Err(f) => {
+                    if fault
+                        .as_ref()
+                        .is_none_or(|(_, held)| f.severity() > held.severity())
+                    {
+                        fault = Some((id, f));
+                    }
+                }
+            }
             new_ranks.push(rank);
             // All ranks hold identical replicated sheets; keep rank 0's.
             if sheet_out.is_none() {
                 sheet_out = Some(sheet);
-            }
-            if let Err(f) = res {
-                // Keep the most root-cause fault: a panic over the timeout
-                // it causes, a timeout over the disconnects it cascades
-                // into (see [`RankFault::severity`]).
-                if fault
-                    .as_ref()
-                    .is_none_or(|(_, held)| f.severity() > held.severity())
-                {
-                    fault = Some((id, f));
-                }
             }
         }
         self.ranks = new_ranks;
@@ -432,7 +431,12 @@ impl DistributedSolver {
         Ok(RunReport {
             steps: n_steps,
             wall,
-            telemetry: registry.map(|r| r.snapshot("dist", n_steps, wall.as_secs_f64())),
+            telemetry: self.telemetry_enabled.then_some(RunTelemetry {
+                solver: Backend::Dist,
+                steps: n_steps,
+                wall_seconds: wall.as_secs_f64(),
+                per_thread,
+            }),
             recovery: None,
         })
     }
@@ -477,8 +481,7 @@ fn rank_main(
     n_steps: u64,
     tx: Vec<Sender<Msg>>,
     rx: &[Receiver<Msg>],
-    slot: Option<&ThreadSlot>,
-) -> (RankData, FiberSheet, Result<(), RankFault>) {
+) -> (RankData, FiberSheet, Result<ThreadTelemetry, RankFault>) {
     // Catch a panicking step loop inside the rank thread: the slab and
     // sheet come back (contents unspecified mid-step, same contract as a
     // communication fault), the panic surfaces as a typed fault, and
@@ -486,15 +489,16 @@ fn rank_main(
     // instead of waiting out their full timeout.
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         rank_steps(
-            id, n_ranks, &mut rank, &mut sheet, &tethers, config, n_steps, &tx, rx, slot,
+            id, n_ranks, &mut rank, &mut sheet, &tethers, config, n_steps, &tx, rx,
         )
     }))
     .unwrap_or(Err(RankFault::Panicked));
     (rank, sheet, res)
 }
 
-/// The rank step loop; `Err` means a receive timed out or a peer vanished
-/// and this rank stopped mid-step.
+/// The rank step loop. Returns the rank's kernel times and blocking-receive
+/// waits; `Err` means a receive timed out or a peer vanished and this rank
+/// stopped mid-step.
 #[allow(clippy::too_many_arguments)]
 fn rank_steps(
     id: usize,
@@ -506,8 +510,7 @@ fn rank_steps(
     n_steps: u64,
     tx: &[Sender<Msg>],
     rx: &[Receiver<Msg>],
-    slot: Option<&ThreadSlot>,
-) -> Result<(), RankFault> {
+) -> Result<ThreadTelemetry, RankFault> {
     let dims = config.dims();
     let plane = dims.ny * dims.nz;
     let topo = sheet.topology();
@@ -538,8 +541,7 @@ fn rank_steps(
         }
     };
 
-    // Per-rank telemetry: kernel section times plus blocking-receive wait,
-    // flushed to the registry slot once after the step loop.
+    // Per-rank telemetry: kernel section times plus blocking-receive wait.
     let mut busy = [0.0f64; KernelId::COUNT];
     let mut comm_wait_s = 0.0f64;
     let mut comm_waits = 0u64;
@@ -860,12 +862,12 @@ fn rank_steps(
         busy[KernelId::CopyDistributions.index()] += mark.elapsed().as_secs_f64();
     }
 
-    if let Some(slot) = slot {
-        slot.store_kernel_seconds(&busy);
-        slot.store_barrier_wait(comm_wait_s, comm_waits);
-    }
-
-    Ok(())
+    Ok(ThreadTelemetry {
+        kernel_seconds: busy,
+        barrier_wait_seconds: comm_wait_s,
+        barrier_waits: comm_waits,
+        ..Default::default()
+    })
 }
 
 #[cfg(test)]

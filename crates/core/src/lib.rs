@@ -14,7 +14,7 @@
 //!   fiber node's stencil to its own cubes) and three barriers per step
 //!   (Algorithm 4).
 //!
-//! Supporting machinery: per-kernel profiling (the gprof/OmpP replacement
+//! Supporting machinery: per-thread telemetry (the gprof/OmpP replacement
 //! behind Tables I–II), cross-solver verification, diagnostics, and
 //! CSV/VTK output.
 //!
@@ -29,10 +29,12 @@
 //!
 //! let config = SimulationConfig::quick_test();
 //! let mut solver = build_solver("seq", SimState::new(config), 1)?;
+//! solver.set_telemetry(true);
 //! let report = solver.run(5)?;
 //! assert_eq!(report.steps, 5);
 //! assert!(!solver.to_state().has_nan());
-//! println!("{}", solver.profile().unwrap().table()); // the Table I layout
+//! let telemetry = report.telemetry.expect("telemetry is on");
+//! println!("{}", telemetry.table()); // the Table I layout
 //! # Ok::<(), lbm_ib::solver::SolverError>(())
 //! ```
 //!
@@ -82,4 +84,4 @@ pub use sequential::SequentialSolver;
 pub use solver::{build_solver, run_chunks, Backend, RunReport, Solver, SolverError};
 pub use state::SimState;
 pub use supervisor::{metrics_document, RecoveryAction, RecoveryEvent, RecoveryReport, Supervisor};
-pub use telemetry::{MetricsRegistry, RunTelemetry, ThreadTelemetry, Watchdog};
+pub use telemetry::{RunTelemetry, ThreadTelemetry, Watchdog};

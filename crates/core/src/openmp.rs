@@ -11,8 +11,10 @@
 //! reruns, and independent of thread count and schedule), unlike an
 //! atomic-add scatter whose per-node addition order depends on timing.
 //!
-//! Every region records per-thread busy time, feeding the
-//! [`ImbalanceTracker`] that reproduces Table II's load-imbalance column.
+//! Every region records per-thread busy time and the time each thread then
+//! waits at the region's closing join (`max − busy_t`) into the run's
+//! [`ThreadTelemetry`]; Table II's load imbalance is the resulting
+//! [`RunTelemetry::barrier_wait_share`].
 
 use std::ops::Range;
 use std::time::Instant;
@@ -29,10 +31,10 @@ use lbm::macroscopic::node_moments_shifted;
 
 use crate::atomicf64::{as_atomic_f64, AtomicF64};
 use crate::config::KernelPlan;
-use crate::profiling::{ImbalanceTracker, KernelId, KernelProfile};
-use crate::solver::{RunReport, SolverError};
+use crate::profiling::KernelId;
+use crate::solver::{timed_steps, Backend, RunReport, SolverError};
 use crate::state::SimState;
-use crate::telemetry::MetricsRegistry;
+use crate::telemetry::{RunTelemetry, ThreadTelemetry};
 use crate::threadpool::{current_thread_index, ThreadPool};
 
 /// Splits `0..n` into `chunks` balanced contiguous ranges (static schedule).
@@ -113,6 +115,19 @@ impl ForceSink for BucketSink<'_> {
     }
 }
 
+/// Charges one parallel region to the per-thread telemetry: worker `t`'s
+/// busy seconds `busy[t]` go to `kernel`, and the time it then waits at
+/// the region's closing join, `max − busy[t]`, to its barrier wait.
+fn record_region(telemetry: &mut [ThreadTelemetry], kernel: KernelId, busy: &[AtomicF64]) {
+    let busy: Vec<f64> = busy.iter().map(AtomicF64::load).collect();
+    let max = busy.iter().copied().fold(0.0, f64::max);
+    for (t, b) in telemetry.iter_mut().zip(busy) {
+        t.kernel_seconds[kernel.index()] += b;
+        t.barrier_wait_seconds += max - b;
+        t.barrier_waits += 1;
+    }
+}
+
 /// Loop scheduling policy, mirroring OpenMP's `schedule` clause. The paper
 /// used static scheduling and notes that dynamic scheduling "obtained the
 /// same performance"; both are provided.
@@ -129,15 +144,16 @@ pub enum Schedule {
 /// The OpenMP-style solver: state + a dedicated thread pool.
 pub struct OpenMpSolver {
     pub state: SimState,
-    pub profile: KernelProfile,
-    pub imbalance: ImbalanceTracker,
     /// Loop scheduling policy (static by default, as in the paper).
     pub schedule: Schedule,
-    /// When true, [`OpenMpSolver::run`] attaches per-thread telemetry
-    /// (derived from the imbalance tracker) to its report.
+    /// When true, [`OpenMpSolver::run`] attaches per-thread telemetry to
+    /// its report.
     pub telemetry_enabled: bool,
     pool: ThreadPool,
     n_threads: usize,
+    /// Per-worker busy and region-wait seconds since the start of the
+    /// current `run` call.
+    telemetry: Vec<ThreadTelemetry>,
 }
 
 impl OpenMpSolver {
@@ -152,12 +168,11 @@ impl OpenMpSolver {
         let pool = ThreadPool::new(n_threads, "lbmib-omp");
         Self {
             state,
-            profile: KernelProfile::new(),
-            imbalance: ImbalanceTracker::new(n_threads),
             schedule: Schedule::default(),
             telemetry_enabled: false,
             pool,
             n_threads,
+            telemetry: vec![ThreadTelemetry::default(); n_threads],
         }
     }
 
@@ -205,28 +220,21 @@ impl OpenMpSolver {
 
     /// Runs `n` time steps and reports the wall time spent.
     pub fn run(&mut self, n: u64) -> RunReport {
-        if !self.telemetry_enabled {
-            return crate::solver::timed_steps(n, || self.step());
-        }
-        // Per-thread telemetry is the imbalance tracker's delta over this
-        // call: busy seconds per kernel, and the wait each thread would
-        // spend at the region-closing (implicit OpenMP) barriers.
-        let busy0 = self.imbalance.busy_by_thread().to_vec();
-        let wait0 = self.imbalance.wait_by_thread().to_vec();
-        let regions0 = self.imbalance.regions();
-        let mut report = crate::solver::timed_steps(n, || self.step());
-        let registry = MetricsRegistry::new(self.n_threads);
-        let region_waits = self.imbalance.regions() - regions0;
-        let fiber_ranges = balanced_ranges(self.state.sheet.num_fibers, self.n_threads);
-        for t in 0..self.n_threads {
-            let slot = registry.slot(t);
-            let delta: [f64; KernelId::COUNT] =
-                std::array::from_fn(|k| self.imbalance.busy_by_thread()[t][k] - busy0[t][k]);
-            slot.store_kernel_seconds(&delta);
-            slot.store_barrier_wait(self.imbalance.wait_by_thread()[t] - wait0[t], region_waits);
-            slot.set_ownership(0, fiber_ranges[t].len() as u64);
-        }
-        report.telemetry = Some(registry.snapshot("omp", n, report.wall.as_secs_f64()));
+        let fibers = balanced_ranges(self.state.sheet.num_fibers, self.n_threads);
+        self.telemetry = fibers
+            .iter()
+            .map(|r| ThreadTelemetry {
+                fibers_owned: r.len() as u64,
+                ..Default::default()
+            })
+            .collect();
+        let mut report = timed_steps(n, || self.step());
+        report.telemetry = self.telemetry_enabled.then(|| RunTelemetry {
+            solver: Backend::Omp,
+            steps: n,
+            wall_seconds: report.wall.as_secs_f64(),
+            per_thread: self.telemetry.clone(),
+        });
         report
     }
 
@@ -256,9 +264,7 @@ impl OpenMpSolver {
             let pos = &pos_snapshot;
             Self::region_static(
                 &self.pool,
-                &mut self.profile,
-                &mut self.imbalance,
-                n_threads,
+                &mut self.telemetry,
                 KernelId::BendingForce,
                 items,
                 |_t, (out, fibers)| {
@@ -283,9 +289,7 @@ impl OpenMpSolver {
             let pos = &pos_snapshot;
             Self::region_static(
                 &self.pool,
-                &mut self.profile,
-                &mut self.imbalance,
-                n_threads,
+                &mut self.telemetry,
                 KernelId::StretchingForce,
                 items,
                 |_t, (out, fibers)| {
@@ -301,7 +305,6 @@ impl OpenMpSolver {
         // Kernel 3: elastic = bending + stretching, then tethers (cheap,
         // applied inside the same timed kernel, sequentially).
         {
-            let t0 = Instant::now();
             let sheet = &mut self.state.sheet;
             let bending = &sheet.bending;
             let stretching = &sheet.stretching;
@@ -328,20 +331,16 @@ impl OpenMpSolver {
             });
             let tethers = self.state.tethers.clone();
             tethers.apply(&mut self.state.sheet);
-            self.profile.record(KernelId::ElasticForce, t0.elapsed());
-            let busy_vals: Vec<f64> = busy.iter().map(|b| b.load()).collect();
-            self.imbalance
-                .record_region(KernelId::ElasticForce, &busy_vals);
+            record_region(&mut self.telemetry, KernelId::ElasticForce, &busy);
         }
     }
 
-    /// Helper mirroring [`OpenMpSolver::region`] usable while `self.state`
-    /// is partially borrowed.
+    /// Runs `work` over `items` as one parallel region charged to `kernel`
+    /// (an associated function, so it can run while `self.state` is
+    /// partially borrowed).
     fn region_static<I, F>(
         pool: &ThreadPool,
-        profile: &mut KernelProfile,
-        imbalance: &mut ImbalanceTracker,
-        n_threads: usize,
+        telemetry: &mut [ThreadTelemetry],
         kernel: KernelId,
         items: Vec<I>,
         work: F,
@@ -352,8 +351,7 @@ impl OpenMpSolver {
         // Busy time is attributed to the *worker thread* that ran each
         // chunk, so the accounting works for both static (1 chunk/thread)
         // and dynamic (many stolen chunks) schedules.
-        let busy: Vec<AtomicF64> = (0..n_threads).map(|_| AtomicF64::new(0.0)).collect();
-        let t0 = Instant::now();
+        let busy: Vec<AtomicF64> = telemetry.iter().map(|_| AtomicF64::new(0.0)).collect();
         pool.scope(|scope| {
             for (t, item) in items.into_iter().enumerate() {
                 let busy = &busy;
@@ -366,9 +364,7 @@ impl OpenMpSolver {
                 });
             }
         });
-        profile.record(kernel, t0.elapsed());
-        let busy_vals: Vec<f64> = busy.iter().map(|b| b.load()).collect();
-        imbalance.record_region(kernel, &busy_vals);
+        record_region(telemetry, kernel, &busy);
     }
 
     /// Kernel 4: clear to body force in parallel slabs, then spread the
@@ -380,7 +376,6 @@ impl OpenMpSolver {
     fn spread_kernel(&mut self) {
         let n_threads = self.n_threads;
         let n_chunks = self.n_chunks();
-        let t0 = Instant::now();
         let dims = self.state.config.dims();
         let bc = self.state.config.bc;
         let delta = self.state.config.delta;
@@ -480,15 +475,11 @@ impl OpenMpSolver {
                 }
             });
         }
-        self.profile.record(KernelId::SpreadForce, t0.elapsed());
-        let busy_vals: Vec<f64> = busy.iter().map(|b| b.load()).collect();
-        self.imbalance
-            .record_region(KernelId::SpreadForce, &busy_vals);
+        record_region(&mut self.telemetry, KernelId::SpreadForce, &busy);
     }
 
     /// Kernel 5: collision, parallel over x-slabs (Algorithm 2).
     fn collision_kernel(&mut self) {
-        let n_threads = self.n_threads;
         let n_chunks = self.n_chunks();
         let tau = self.state.config.tau;
         let dims = self.state.config.dims();
@@ -513,9 +504,7 @@ impl OpenMpSolver {
             .collect();
         Self::region_static(
             &self.pool,
-            &mut self.profile,
-            &mut self.imbalance,
-            n_threads,
+            &mut self.telemetry,
             KernelId::Collision,
             items,
             |_t, (f_chunk, nodes)| {
@@ -548,7 +537,6 @@ impl OpenMpSolver {
     /// memory model, and the pool's implicit join publishes them before
     /// kernel 7 reads `f_new`.
     fn fused_kernel(&mut self) {
-        let n_threads = self.n_threads;
         let n_chunks = self.n_chunks();
         let tau = self.state.config.tau;
         let dims = self.state.config.dims();
@@ -571,9 +559,7 @@ impl OpenMpSolver {
         let f_new = as_atomic_f64(&mut fluid.f_new);
         Self::region_static(
             &self.pool,
-            &mut self.profile,
-            &mut self.imbalance,
-            n_threads,
+            &mut self.telemetry,
             KernelId::FusedCollideStream,
             node_ranges,
             |_t, nodes| {
@@ -606,7 +592,6 @@ impl OpenMpSolver {
     /// Kernel 6: streaming, pull formulation (every write owned by the
     /// slab's thread), parallel over x-slabs.
     fn stream_kernel(&mut self) {
-        let n_threads = self.n_threads;
         let n_chunks = self.n_chunks();
         let dims = self.state.config.dims();
         let bc = self.state.config.bc;
@@ -630,9 +615,7 @@ impl OpenMpSolver {
             .collect();
         Self::region_static(
             &self.pool,
-            &mut self.profile,
-            &mut self.imbalance,
-            n_threads,
+            &mut self.telemetry,
             KernelId::Stream,
             items,
             |_t, (out, nodes)| {
@@ -646,7 +629,6 @@ impl OpenMpSolver {
 
     /// Kernel 7: macroscopic update, parallel over x-slabs.
     fn update_velocity_kernel(&mut self) {
-        let n_threads = self.n_threads;
         let n_chunks = self.n_chunks();
         let tau = self.state.config.tau;
         let dims = self.state.config.dims();
@@ -681,7 +663,7 @@ impl OpenMpSolver {
         let ueqy = split_by_ranges(&mut fluid.ueqy, &node_ranges);
         let ueqz = split_by_ranges(&mut fluid.ueqz, &node_ranges);
 
-        let mut items = Vec::with_capacity(n_threads);
+        let mut items = Vec::with_capacity(node_ranges.len());
         for (((((((nodes, rho), ux), uy), uz), ueqx), ueqy), ueqz) in node_ranges
             .iter()
             .cloned()
@@ -707,9 +689,7 @@ impl OpenMpSolver {
 
         Self::region_static(
             &self.pool,
-            &mut self.profile,
-            &mut self.imbalance,
-            n_threads,
+            &mut self.telemetry,
             KernelId::UpdateVelocity,
             items,
             |_t, c| {
@@ -731,7 +711,6 @@ impl OpenMpSolver {
 
     /// Kernel 8: move fibers, parallel over fibers.
     fn move_fibers_kernel(&mut self) {
-        let n_threads = self.n_threads;
         let n_chunks = self.n_chunks();
         let dims = self.state.config.dims();
         let bc = self.state.config.bc;
@@ -754,9 +733,7 @@ impl OpenMpSolver {
         let view_ref = &view;
         Self::region_static(
             &self.pool,
-            &mut self.profile,
-            &mut self.imbalance,
-            n_threads,
+            &mut self.telemetry,
             KernelId::MoveFibers,
             chunks,
             |_t, chunk| {
@@ -772,7 +749,6 @@ impl OpenMpSolver {
 
     /// Kernel 9: buffer copy, parallel over slabs (memory bound).
     fn copy_kernel(&mut self) {
-        let n_threads = self.n_threads;
         let n_chunks = self.n_chunks();
         let n = self.state.fluid.f.len();
         let ranges = balanced_ranges(n, n_chunks);
@@ -782,9 +758,7 @@ impl OpenMpSolver {
         let items: Vec<_> = chunks.into_iter().zip(ranges.iter().cloned()).collect();
         Self::region_static(
             &self.pool,
-            &mut self.profile,
-            &mut self.imbalance,
-            n_threads,
+            &mut self.telemetry,
             KernelId::CopyDistributions,
             items,
             |_t, (dst, range)| {
@@ -872,19 +846,122 @@ mod tests {
     #[test]
     fn profiler_and_imbalance_populated() {
         let mut omp = OpenMpSolver::new(SimulationConfig::quick_test(), 2);
+        omp.telemetry_enabled = true;
         let report = omp.run(3);
         assert_eq!(report.steps, 3);
+        let t = report.telemetry.expect("telemetry on");
+        assert_eq!(t.n_threads(), 2);
         for k in KernelId::ALL {
-            let expect = if k == KernelId::FusedCollideStream {
-                0
+            let secs = t.kernel_seconds(k);
+            if k == KernelId::FusedCollideStream {
+                assert_eq!(secs, 0.0);
             } else {
-                3
-            };
-            assert_eq!(omp.profile.calls(k), expect, "{k:?}");
+                assert!(secs > 0.0, "{k:?}");
+            }
         }
-        assert!(omp.imbalance.total_critical() > 0.0);
-        assert!(omp.imbalance.imbalance_percent() >= 0.0);
-        assert_eq!(omp.n_threads(), 2);
+        // Nine regions per split step, one closing join each per thread.
+        for th in &t.per_thread {
+            assert_eq!(th.barrier_waits, 9 * 3);
+        }
+        let share = t.barrier_wait_share();
+        assert!((0.0..1.0).contains(&share), "{share}");
+        let fibers: u64 = t.per_thread.iter().map(|th| th.fibers_owned).sum();
+        assert_eq!(fibers as usize, omp.state.sheet.num_fibers);
+    }
+
+    /// Charges `busy` (seconds per thread) to `per_thread` as one region.
+    fn charge(per_thread: &mut [ThreadTelemetry], kernel: KernelId, busy: &[f64]) {
+        let busy: Vec<AtomicF64> = busy.iter().map(|&b| AtomicF64::new(b)).collect();
+        record_region(per_thread, kernel, &busy);
+    }
+
+    /// The telemetry of a run made of the given regions.
+    fn regions(n_threads: usize, rows: &[(KernelId, &[f64])]) -> RunTelemetry {
+        let mut per_thread = vec![ThreadTelemetry::default(); n_threads];
+        for (k, busy) in rows {
+            charge(&mut per_thread, *k, busy);
+        }
+        RunTelemetry {
+            solver: Backend::Omp,
+            steps: 1,
+            wall_seconds: 1.0,
+            per_thread,
+        }
+    }
+
+    #[test]
+    fn skewed_region_measures_wait_share() {
+        // Thread 0 busy 2 s, thread 1 busy 1 s: waits are (0, 1), average
+        // 0.5 s against a 2 s critical path → 25%.
+        let t = regions(2, &[(KernelId::Collision, &[2.0, 1.0])]);
+        assert!((t.barrier_wait_share() - 0.25).abs() < 1e-12);
+        // Per-thread view: thread 0 never waited, thread 1 waited 1 s.
+        assert_eq!(t.per_thread[0].barrier_wait_seconds, 0.0);
+        assert_eq!(t.per_thread[1].barrier_wait_seconds, 1.0);
+        assert_eq!(
+            t.per_thread[0].kernel_seconds[KernelId::Collision.index()],
+            2.0
+        );
+        assert_eq!(t.barrier_waits(), 2);
+        // A balanced region adds no wait.
+        let even = regions(2, &[(KernelId::Stream, &[3.0, 3.0])]);
+        assert_eq!(even.barrier_wait_share(), 0.0);
+    }
+
+    #[test]
+    fn imbalance_relative_to_whole_program() {
+        // 0.5 s average wait against a 2 + 3 s critical path: 10%.
+        let t = regions(
+            2,
+            &[
+                (KernelId::Collision, &[2.0, 1.0]),
+                (KernelId::Stream, &[3.0, 3.0]),
+            ],
+        );
+        assert!((t.barrier_wait_share() - 0.1).abs() < 1e-12);
+        // Critical-path time: (busy + wait) / threads = (9 + 1) / 2.
+        let critical = (t.busy_seconds() + t.barrier_wait_seconds()) / t.n_threads() as f64;
+        assert!((critical - 5.0).abs() < 1e-12);
+    }
+
+    /// The Table II and Fig. 5 harnesses read the imbalance as
+    /// `100 × barrier_wait_share` and the critical path as
+    /// `(busy + wait) / threads`. Both must equal the per-region
+    /// definition — imbalance `Σ_r Σ_t (max_r − busy_rt) / n` over critical
+    /// path `Σ_r max_r` — on the same regions.
+    #[test]
+    fn telemetry_views_match_the_per_region_imbalance_definition() {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for n in 1..=4 {
+            let mut t = regions(n, &[]);
+            let (mut imbalance, mut critical) = (0.0, 0.0);
+            for r in 0..200 {
+                let busy: Vec<f64> = (0..n).map(|_| 1e-4 * next()).collect();
+                let max = busy.iter().copied().fold(0.0, f64::max);
+                imbalance += busy.iter().map(|b| max - b).sum::<f64>() / n as f64;
+                critical += max;
+                charge(&mut t.per_thread, KernelId::ALL[r % KernelId::COUNT], &busy);
+            }
+            let pct = 100.0 * imbalance / critical;
+            let got = 100.0 * t.barrier_wait_share();
+            let span = (t.busy_seconds() + t.barrier_wait_seconds()) / n as f64;
+            let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
+            if n == 1 {
+                assert_eq!(got, 0.0);
+            } else {
+                assert!(rel(got, pct) <= 1e-12, "{n} threads: {got} vs {pct}");
+            }
+            assert!(
+                rel(span, critical) <= 1e-12,
+                "{n} threads: {span} vs {critical}"
+            );
+        }
     }
 
     #[test]
@@ -897,13 +974,14 @@ mod tests {
         fused_cfg.plan = crate::config::KernelPlan::Fused;
         let mut split = OpenMpSolver::new(split_cfg, 3);
         let mut fused = OpenMpSolver::new(fused_cfg, 3);
+        fused.telemetry_enabled = true;
         split.run(8);
-        fused.run(8);
+        let t = fused.run(8).telemetry.expect("telemetry on");
         assert_eq!(split.state.fluid.f, fused.state.fluid.f);
         assert_eq!(split.state.fluid.ux, fused.state.fluid.ux);
         assert_eq!(split.state.sheet.pos, fused.state.sheet.pos);
-        assert_eq!(fused.profile.calls(KernelId::FusedCollideStream), 8);
-        assert_eq!(fused.profile.calls(KernelId::Collision), 0);
+        assert!(t.kernel_seconds(KernelId::FusedCollideStream) > 0.0);
+        assert_eq!(t.kernel_seconds(KernelId::Collision), 0.0);
     }
 
     #[test]

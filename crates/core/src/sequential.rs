@@ -1,20 +1,23 @@
-//! Algorithm 1: the sequential LBM-IB solver, with built-in per-kernel
-//! profiling (the paper's Table I is this profiler's output).
+//! Algorithm 1: the sequential LBM-IB solver, timing each kernel (the
+//! paper's Table I is this solver's [`RunTelemetry::table`]).
+
+use std::time::Instant;
 
 use crate::config::KernelPlan;
 use crate::kernels;
-use crate::profiling::{KernelId, KernelProfile};
-use crate::solver::RunReport;
+use crate::profiling::KernelId;
+use crate::solver::{timed_steps, Backend, RunReport};
 use crate::state::SimState;
-use crate::telemetry::MetricsRegistry;
+use crate::telemetry::{RunTelemetry, ThreadTelemetry};
 
 /// Sequential coupled solver.
 pub struct SequentialSolver {
     pub state: SimState,
-    pub profile: KernelProfile,
     /// When true, [`SequentialSolver::run`] attaches single-thread
-    /// telemetry (derived from the kernel profile) to its report.
+    /// telemetry to its report.
     pub telemetry_enabled: bool,
+    /// Busy seconds per kernel since the start of the current `run` call.
+    kernel_seconds: [f64; KernelId::COUNT],
 }
 
 impl SequentialSolver {
@@ -27,8 +30,8 @@ impl SequentialSolver {
     pub fn from_state(state: SimState) -> Self {
         Self {
             state,
-            profile: KernelProfile::new(),
             telemetry_enabled: false,
+            kernel_seconds: [0.0; KernelId::COUNT],
         }
     }
 
@@ -36,40 +39,30 @@ impl SequentialSolver {
     /// (with kernels 5+6 replaced by one fused sweep under
     /// [`KernelPlan::Fused`]).
     pub fn step(&mut self) {
+        use KernelId::*;
+        let plan = self.state.config.plan;
         let s = &mut self.state;
-        let p = &mut self.profile;
-        p.time(KernelId::BendingForce, || {
-            kernels::compute_bending_force_in_fibers(s)
-        });
-        p.time(KernelId::StretchingForce, || {
-            kernels::compute_stretching_force_in_fibers(s)
-        });
-        p.time(KernelId::ElasticForce, || {
-            kernels::compute_elastic_force_in_fibers(s)
-        });
-        p.time(KernelId::SpreadForce, || {
-            kernels::spread_force_from_fibers_to_fluid(s)
-        });
-        match s.config.plan {
+        let secs = &mut self.kernel_seconds;
+        let mut time = |k: KernelId, kernel: fn(&mut SimState)| {
+            let t0 = Instant::now();
+            kernel(s);
+            secs[k.index()] += t0.elapsed().as_secs_f64();
+        };
+        time(BendingForce, kernels::compute_bending_force_in_fibers);
+        time(StretchingForce, kernels::compute_stretching_force_in_fibers);
+        time(ElasticForce, kernels::compute_elastic_force_in_fibers);
+        time(SpreadForce, kernels::spread_force_from_fibers_to_fluid);
+        match plan {
             KernelPlan::Split => {
-                p.time(KernelId::Collision, || kernels::compute_fluid_collision(s));
-                p.time(KernelId::Stream, || {
-                    kernels::stream_fluid_velocity_distribution(s)
-                });
+                time(Collision, kernels::compute_fluid_collision);
+                time(Stream, kernels::stream_fluid_velocity_distribution);
             }
-            KernelPlan::Fused => {
-                p.time(KernelId::FusedCollideStream, || {
-                    kernels::fused_collide_stream(s)
-                });
-            }
+            KernelPlan::Fused => time(FusedCollideStream, kernels::fused_collide_stream),
         }
-        p.time(KernelId::UpdateVelocity, || {
-            kernels::update_fluid_velocity(s)
-        });
-        p.time(KernelId::MoveFibers, || kernels::move_fibers(s));
-        p.time(KernelId::CopyDistributions, || {
-            kernels::copy_fluid_velocity_distribution(s)
-        });
+        time(UpdateVelocity, kernels::update_fluid_velocity);
+        time(MoveFibers, kernels::move_fibers);
+        time(CopyDistributions, kernels::copy_fluid_velocity_distribution);
+        let s = &mut self.state;
         // Chaos-test failpoint (empty unless the `faultinject` feature is
         // on): poison the state so the watchdog path is exercised.
         if crate::faultinject::take_nan_at(s.step) {
@@ -80,32 +73,20 @@ impl SequentialSolver {
 
     /// Runs `n` time steps and reports the wall time spent.
     pub fn run(&mut self, n: u64) -> RunReport {
-        let before = self
-            .telemetry_enabled
-            .then(|| self.profile.totals_seconds());
-        let t0 = std::time::Instant::now();
-        for _ in 0..n {
-            self.step();
-        }
-        let wall = t0.elapsed();
-        // Single-thread telemetry is the profile delta of this call; the
-        // one "thread" owns every fiber and no cubes (flat layout).
-        let telemetry = before.map(|before| {
-            let after = self.profile.totals_seconds();
-            let delta: [f64; KernelId::COUNT] = std::array::from_fn(|i| after[i] - before[i]);
-            let registry = MetricsRegistry::new(1);
-            registry.slot(0).store_kernel_seconds(&delta);
-            registry
-                .slot(0)
-                .set_ownership(0, self.state.sheet.num_fibers as u64);
-            registry.snapshot("seq", n, wall.as_secs_f64())
-        });
-        RunReport {
+        self.kernel_seconds = [0.0; KernelId::COUNT];
+        let mut report = timed_steps(n, || self.step());
+        // The one "thread" owns every fiber and no cubes (flat layout).
+        report.telemetry = self.telemetry_enabled.then(|| RunTelemetry {
+            solver: Backend::Seq,
             steps: n,
-            wall,
-            telemetry,
-            recovery: None,
-        }
+            wall_seconds: report.wall.as_secs_f64(),
+            per_thread: vec![ThreadTelemetry {
+                kernel_seconds: self.kernel_seconds,
+                fibers_owned: self.state.sheet.num_fibers as u64,
+                ..Default::default()
+            }],
+        });
+        report
     }
 }
 
@@ -176,50 +157,71 @@ mod tests {
         );
     }
 
+    /// The telemetry of an `n`-step run of `config`.
+    fn telemetry(config: SimulationConfig, n: u64) -> RunTelemetry {
+        let mut s = SequentialSolver::new(config);
+        s.telemetry_enabled = true;
+        let report = s.run(n);
+        assert_eq!(report.steps, n);
+        assert!(!s.state.has_nan());
+        report.telemetry.expect("telemetry on")
+    }
+
     #[test]
     fn profiler_sees_every_kernel() {
-        let mut s = SequentialSolver::new(SimulationConfig::quick_test());
-        let report = s.run(3);
-        assert_eq!(report.steps, 3);
+        let t = telemetry(SimulationConfig::quick_test(), 3);
         for k in KernelId::ALL {
-            let expect = if k == KernelId::FusedCollideStream {
-                0
+            let secs = t.kernel_seconds(k);
+            if k == KernelId::FusedCollideStream {
+                assert_eq!(secs, 0.0);
             } else {
-                3
-            };
-            assert_eq!(s.profile.calls(k), expect, "{k:?}");
+                assert!(secs > 0.0, "{k:?}");
+            }
         }
-        assert!(s.profile.grand_total().as_nanos() > 0);
+        let fibers = SimulationConfig::quick_test().sheet.num_fibers;
+        assert_eq!(t.per_thread[0].fibers_owned as usize, fibers);
     }
 
     #[test]
     fn fused_plan_charges_the_fused_slot() {
         let mut c = SimulationConfig::quick_test();
         c.plan = crate::config::KernelPlan::Fused;
-        let mut s = SequentialSolver::new(c);
-        s.run(3);
-        assert_eq!(s.profile.calls(KernelId::FusedCollideStream), 3);
-        assert_eq!(s.profile.calls(KernelId::Collision), 0);
-        assert_eq!(s.profile.calls(KernelId::Stream), 0);
-        assert!(!s.state.has_nan());
+        let t = telemetry(c, 3);
+        assert!(t.kernel_seconds(KernelId::FusedCollideStream) > 0.0);
+        assert_eq!(t.kernel_seconds(KernelId::Collision), 0.0);
+        assert_eq!(t.kernel_seconds(KernelId::Stream), 0.0);
+    }
+
+    #[test]
+    fn each_run_reports_only_its_own_steps() {
+        let mut s = SequentialSolver::new(SimulationConfig::quick_test());
+        s.telemetry_enabled = true;
+        assert!(s.run(2).telemetry.unwrap().busy_seconds() > 0.0);
+        assert_eq!(s.run(0).telemetry.unwrap().busy_seconds(), 0.0);
+        s.telemetry_enabled = false;
+        assert!(s.run(1).telemetry.is_none());
     }
 
     #[test]
     fn fluid_dominant_kernels_dominate_profile() {
         // Even at test scale, the fluid kernels (5, 7, 9, 6) must outweigh
         // the fiber kernels (1, 2, 3) — the core observation of Table I.
-        let mut s = SequentialSolver::new(SimulationConfig::quick_test());
-        s.run(5);
-        let fluid_time = s.profile.total(KernelId::Collision)
-            + s.profile.total(KernelId::UpdateVelocity)
-            + s.profile.total(KernelId::Stream)
-            + s.profile.total(KernelId::CopyDistributions);
-        let fiber_time = s.profile.total(KernelId::BendingForce)
-            + s.profile.total(KernelId::StretchingForce)
-            + s.profile.total(KernelId::ElasticForce);
+        let t = telemetry(SimulationConfig::quick_test(), 5);
+        let sum = |ks: &[KernelId]| ks.iter().map(|&k| t.kernel_seconds(k)).sum::<f64>();
+        let fluid_time = sum(&[
+            KernelId::Collision,
+            KernelId::UpdateVelocity,
+            KernelId::Stream,
+            KernelId::CopyDistributions,
+        ]);
+        let fiber_time = sum(&[
+            KernelId::BendingForce,
+            KernelId::StretchingForce,
+            KernelId::ElasticForce,
+        ]);
         assert!(
             fluid_time > fiber_time,
-            "fluid kernels {fluid_time:?} vs fiber kernels {fiber_time:?}"
+            "fluid kernels {fluid_time}s vs fiber kernels {fiber_time}s"
         );
     }
 }

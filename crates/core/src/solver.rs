@@ -13,7 +13,6 @@ use crate::cube::CubeSolver;
 use crate::diagnostics::Diagnostics;
 use crate::distributed::DistributedSolver;
 use crate::openmp::OpenMpSolver;
-use crate::profiling::KernelProfile;
 use crate::sequential::SequentialSolver;
 use crate::state::SimState;
 use crate::telemetry::{RunTelemetry, Watchdog};
@@ -226,12 +225,10 @@ pub trait Solver {
     /// flat solvers, a gather for the cube/distributed layouts).
     fn to_state(&self) -> SimState;
 
-    /// The per-kernel profile, if this solver keeps one.
-    fn profile(&self) -> Option<&KernelProfile>;
-
-    /// Turns per-thread telemetry collection on or off. When on, every
-    /// subsequent [`Solver::run`] attaches a
-    /// [`crate::telemetry::RunTelemetry`] to its report.
+    /// Turns per-thread telemetry on or off. When on, every subsequent
+    /// [`Solver::run`] attaches a [`RunTelemetry`] to its report (Table I
+    /// is [`RunTelemetry::table`]), and the cube solver also times its
+    /// barrier waits.
     fn set_telemetry(&mut self, enabled: bool);
 }
 
@@ -301,9 +298,6 @@ impl Solver for SequentialSolver {
     fn to_state(&self) -> SimState {
         self.state.clone()
     }
-    fn profile(&self) -> Option<&KernelProfile> {
-        Some(&self.profile)
-    }
     fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry_enabled = enabled;
     }
@@ -326,9 +320,6 @@ impl Solver for OpenMpSolver {
     fn to_state(&self) -> SimState {
         self.state.clone()
     }
-    fn profile(&self) -> Option<&KernelProfile> {
-        Some(&self.profile)
-    }
     fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry_enabled = enabled;
     }
@@ -349,9 +340,6 @@ impl Solver for CubeSolver {
     fn to_state(&self) -> SimState {
         CubeSolver::to_state(self)
     }
-    fn profile(&self) -> Option<&KernelProfile> {
-        Some(&self.profile)
-    }
     fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry_enabled = enabled;
     }
@@ -369,10 +357,6 @@ impl Solver for DistributedSolver {
     }
     fn to_state(&self) -> SimState {
         DistributedSolver::to_state(self)
-    }
-    fn profile(&self) -> Option<&KernelProfile> {
-        // The distributed prototype keeps per-rank timings out of scope.
-        None
     }
     fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry_enabled = enabled;
@@ -414,14 +398,22 @@ mod tests {
     #[test]
     fn build_solver_covers_all_four() {
         let config = SimulationConfig::quick_test();
-        for kind in ["seq", "omp", "cube", "dist"] {
+        for backend in Backend::ALL {
             let state = SimState::new(config);
-            let mut s = build_solver(kind, state, 2).unwrap();
+            let mut s = build_solver(backend.name(), state, 2).unwrap();
+            s.set_telemetry(true);
             let report = s.run(2).unwrap();
             assert_eq!(report.steps, 2);
             assert_eq!(s.to_state().step, 2);
-            // Only the distributed prototype lacks a profile.
-            assert_eq!(s.profile().is_some(), kind != "dist");
+            // Every backend, the distributed one included, times its
+            // kernels.
+            let t = report.telemetry.expect("telemetry on");
+            assert_eq!(t.solver, backend);
+            assert!(
+                t.kernel_totals().iter().any(|&s| s > 0.0),
+                "{}: no kernel time",
+                backend.name()
+            );
         }
     }
 

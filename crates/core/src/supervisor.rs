@@ -445,9 +445,6 @@ impl Solver for Supervisor {
     fn to_state(&self) -> SimState {
         self.solver.to_state()
     }
-    fn profile(&self) -> Option<&crate::profiling::KernelProfile> {
-        self.solver.profile()
-    }
     fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry = enabled;
         self.solver.set_telemetry(enabled);

@@ -1,20 +1,20 @@
 //! Per-thread run telemetry and the in-solver run-health watchdog.
 //!
 //! The paper's whole evaluation (Table I, Figures 8–11) rests on
-//! per-kernel time breakdowns, barrier overhead and thread-load balance —
-//! numbers a `&mut self` profiler cannot collect from inside the cube
-//! solver's worker team. This module provides the missing plumbing:
+//! per-kernel time breakdowns, barrier overhead and thread-load balance.
+//! This module is the library's one record of them:
 //!
-//! * [`MetricsRegistry`] — a lock-free registry with one cache-line-padded
-//!   [`ThreadSlot`] per worker. Workers write only their own slot (plain
-//!   `Relaxed` atomics, single writer per slot, so there is never
-//!   contention or false sharing); readers merge all slots into a
-//!   [`RunTelemetry`] snapshot on demand.
+//! * [`ThreadTelemetry`] — one worker's busy seconds per kernel, its
+//!   barrier-wait time and count, and its `cube2thread`/`fiber2thread`
+//!   ownership. Each solver accumulates these as plain values on the
+//!   thread doing the work (the sequential loop, the OpenMP region helper,
+//!   each cube worker or distributed rank) and hands them back through the
+//!   join it already performs, so no cross-thread counters are needed.
 //! * [`RunTelemetry`] — the merged view attached to
 //!   [`crate::solver::RunReport`]: per-kernel totals over all nine
-//!   Algorithm-1 kernels (plus the fused sweep), per-thread busy/wait
-//!   breakdowns, barrier-wait share, cube/fiber ownership counts from
-//!   `cube2thread`/`fiber2thread`, and the load-imbalance ratio. It
+//!   Algorithm-1 kernels (plus the fused sweep), barrier-wait share and the
+//!   load-imbalance ratio. Table I is [`RunTelemetry::table`]; Table II's
+//!   imbalance is `100 ×` [`RunTelemetry::barrier_wait_share`]. It
 //!   serialises itself to JSON (hand-rolled; the workspace has no serde)
 //!   for `lbmib --metrics <path>` and the bench harness.
 //! * [`Watchdog`] — an in-solver health check driven by
@@ -24,131 +24,12 @@
 //!   CLI and in-run checks cannot diverge), turning silent garbage into a
 //!   typed [`SolverError::Unstable`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::diagnostics::{diagnostics, Diagnostics};
 use crate::profiling::KernelId;
-use crate::solver::SolverError;
+use crate::solver::{Backend, SolverError};
 use crate::state::SimState;
 
-/// One worker's private metrics slot. `#[repr(align(128))]` keeps slots on
-/// distinct cache lines (128 covers the common 64-byte line and the
-/// 128-byte prefetch pairs of recent x86), so per-step flushes from
-/// different workers never false-share.
-///
-/// Seconds are stored as `f64` bit patterns inside `AtomicU64`s; every
-/// slot has exactly one writer (its worker), so `Relaxed` read-modify
-/// sequences are race-free, and readers merging mid-run see a consistent
-/// monotone prefix of each counter.
-#[repr(align(128))]
-#[derive(Debug)]
-pub struct ThreadSlot {
-    /// Accumulated busy seconds per kernel (f64 bits).
-    kernel_seconds: [AtomicU64; KernelId::COUNT],
-    /// Accumulated seconds spent inside barrier/communication waits (f64
-    /// bits).
-    barrier_wait_seconds: AtomicU64,
-    /// Number of barrier waits (or blocking receives) performed.
-    barrier_waits: AtomicU64,
-    /// Cubes assigned to this worker by `cube2thread` (x-planes for the
-    /// distributed solver; 0 for the slab/sequential decompositions).
-    cubes_owned: AtomicU64,
-    /// Fibers assigned by `fiber2thread`.
-    fibers_owned: AtomicU64,
-}
-
-impl ThreadSlot {
-    fn new() -> Self {
-        Self {
-            kernel_seconds: std::array::from_fn(|_| AtomicU64::new(0f64.to_bits())),
-            barrier_wait_seconds: AtomicU64::new(0f64.to_bits()),
-            barrier_waits: AtomicU64::new(0),
-            cubes_owned: AtomicU64::new(0),
-            fibers_owned: AtomicU64::new(0),
-        }
-    }
-
-    /// Overwrites the per-kernel busy totals (the worker's running sums).
-    pub fn store_kernel_seconds(&self, totals: &[f64; KernelId::COUNT]) {
-        for (slot, &v) in self.kernel_seconds.iter().zip(totals) {
-            slot.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Adds busy seconds to one kernel (single-writer accumulate).
-    pub fn add_kernel_seconds(&self, kernel: KernelId, seconds: f64) {
-        let slot = &self.kernel_seconds[kernel.index()];
-        let cur = f64::from_bits(slot.load(Ordering::Relaxed));
-        slot.store((cur + seconds).to_bits(), Ordering::Relaxed);
-    }
-
-    /// Overwrites the barrier-wait running totals.
-    pub fn store_barrier_wait(&self, seconds: f64, waits: u64) {
-        self.barrier_wait_seconds
-            .store(seconds.to_bits(), Ordering::Relaxed);
-        self.barrier_waits.store(waits, Ordering::Relaxed);
-    }
-
-    /// Records this worker's static data assignment.
-    pub fn set_ownership(&self, cubes: u64, fibers: u64) {
-        self.cubes_owned.store(cubes, Ordering::Relaxed);
-        self.fibers_owned.store(fibers, Ordering::Relaxed);
-    }
-
-    /// Reads the slot into a plain value (merge-on-read).
-    pub fn read(&self) -> ThreadTelemetry {
-        let mut kernel_seconds = [0.0; KernelId::COUNT];
-        for (out, slot) in kernel_seconds.iter_mut().zip(&self.kernel_seconds) {
-            *out = f64::from_bits(slot.load(Ordering::Relaxed));
-        }
-        ThreadTelemetry {
-            kernel_seconds,
-            barrier_wait_seconds: f64::from_bits(self.barrier_wait_seconds.load(Ordering::Relaxed)),
-            barrier_waits: self.barrier_waits.load(Ordering::Relaxed),
-            cubes_owned: self.cubes_owned.load(Ordering::Relaxed),
-            fibers_owned: self.fibers_owned.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Lock-free per-thread metrics registry: one padded slot per worker,
-/// merged on read by [`MetricsRegistry::snapshot`].
-#[derive(Debug)]
-pub struct MetricsRegistry {
-    slots: Box<[ThreadSlot]>,
-}
-
-impl MetricsRegistry {
-    /// Registry for `n_threads` workers.
-    pub fn new(n_threads: usize) -> Self {
-        assert!(n_threads > 0, "registry needs at least one thread");
-        Self {
-            slots: (0..n_threads).map(|_| ThreadSlot::new()).collect(),
-        }
-    }
-
-    /// Number of slots.
-    pub fn n_threads(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Thread `tid`'s private slot.
-    pub fn slot(&self, tid: usize) -> &ThreadSlot {
-        &self.slots[tid]
-    }
-
-    /// Merges every slot into a [`RunTelemetry`] snapshot.
-    pub fn snapshot(&self, solver: &'static str, steps: u64, wall_seconds: f64) -> RunTelemetry {
-        RunTelemetry {
-            solver,
-            steps,
-            wall_seconds,
-            per_thread: self.slots.iter().map(ThreadSlot::read).collect(),
-        }
-    }
-}
-
-/// One thread's merged telemetry.
+/// One thread's telemetry.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ThreadTelemetry {
     /// Busy seconds per kernel, [`KernelId::ALL`] order.
@@ -187,8 +68,8 @@ impl ThreadTelemetry {
 /// [`crate::solver::RunReport::telemetry`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunTelemetry {
-    /// Solver short name (`seq|omp|cube|dist`).
-    pub solver: &'static str,
+    /// The backend that ran.
+    pub solver: Backend,
     /// Steps covered by this snapshot.
     pub steps: u64,
     /// Wall-clock seconds of the covered run.
@@ -270,6 +151,39 @@ impl RunTelemetry {
         }
     }
 
+    /// Kernels by descending share of the busy time, with their
+    /// percentage — the rows of Table I.
+    pub fn ranked(&self) -> Vec<(KernelId, f64)> {
+        let totals = self.kernel_totals();
+        let total = totals.iter().sum::<f64>().max(1e-12);
+        let mut rows: Vec<_> = KernelId::ALL
+            .iter()
+            .map(|&k| (k, 100.0 * totals[k.index()] / total))
+            .collect();
+        rows.sort_by(|a, b| b.1.total_cmp(&a.1));
+        rows
+    }
+
+    /// Renders the Table I layout: [`RunTelemetry::ranked`], then the
+    /// run's wall-clock time.
+    pub fn table(&self) -> String {
+        let mut out = String::from("Kernel | Kernel Name                          | % of Total\n");
+        out.push_str("-------+--------------------------------------+-----------\n");
+        for (k, pct) in self.ranked() {
+            out.push_str(&format!(
+                "{:>5}) | {:<36} | {:>8.2}%\n",
+                k.paper_number(),
+                k.paper_name(),
+                pct
+            ));
+        }
+        out.push_str(&format!(
+            "total execution time = {:.3} s\n",
+            self.wall_seconds
+        ));
+        out
+    }
+
     /// Merges a subsequent run's telemetry into this one (per-thread sums;
     /// the thread lists are padded to the longer of the two).
     pub fn merge(&mut self, other: &RunTelemetry) {
@@ -314,7 +228,7 @@ impl RunTelemetry {
         let total_busy: f64 = totals.iter().sum();
         let mut out = String::with_capacity(2048);
         out.push_str("{\n");
-        out.push_str(&format!("  \"solver\": \"{}\",\n", self.solver));
+        out.push_str(&format!("  \"solver\": \"{}\",\n", self.solver.name()));
         out.push_str(&format!("  \"steps\": {},\n", self.steps));
         out.push_str(&format!("  \"wall_seconds\": {},\n", jf(self.wall_seconds)));
         out.push_str(&format!("  \"n_threads\": {},\n", self.n_threads()));
@@ -420,28 +334,29 @@ impl Watchdog {
 mod tests {
     use super::*;
 
-    fn filled_registry() -> MetricsRegistry {
-        let reg = MetricsRegistry::new(2);
-        reg.slot(0)
-            .store_kernel_seconds(&[1.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        reg.slot(0).store_barrier_wait(0.5, 30);
-        reg.slot(0).set_ownership(6, 4);
-        reg.slot(1)
-            .store_kernel_seconds(&[0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]);
-        reg.slot(1).store_barrier_wait(1.5, 30);
-        reg.slot(1).set_ownership(2, 4);
-        reg
+    /// Two cube threads over `steps` steps in `wall` seconds.
+    fn filled(steps: u64, wall: f64) -> RunTelemetry {
+        let thread = |kernel_seconds, barrier_wait_seconds, cubes_owned| ThreadTelemetry {
+            kernel_seconds,
+            barrier_wait_seconds,
+            barrier_waits: 30,
+            cubes_owned,
+            fibers_owned: 4,
+        };
+        RunTelemetry {
+            solver: Backend::Cube,
+            steps,
+            wall_seconds: wall,
+            per_thread: vec![
+                thread([1.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0.5, 6),
+                thread([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0], 1.5, 2),
+            ],
+        }
     }
 
     #[test]
-    fn slots_are_cache_line_padded() {
-        assert_eq!(std::mem::align_of::<ThreadSlot>(), 128);
-        assert_eq!(std::mem::size_of::<ThreadSlot>() % 128, 0);
-    }
-
-    #[test]
-    fn snapshot_merges_on_read() {
-        let t = filled_registry().snapshot("cube", 10, 4.5);
+    fn totals_and_ratios_sum_over_threads() {
+        let t = filled(10, 4.5);
         assert_eq!(t.n_threads(), 2);
         assert_eq!(t.steps, 10);
         assert_eq!(t.kernel_seconds(KernelId::Collision), 4.0);
@@ -458,19 +373,30 @@ mod tests {
     }
 
     #[test]
-    fn add_kernel_seconds_accumulates() {
-        let reg = MetricsRegistry::new(1);
-        reg.slot(0).add_kernel_seconds(KernelId::Stream, 0.25);
-        reg.slot(0).add_kernel_seconds(KernelId::Stream, 0.5);
-        let t = reg.snapshot("seq", 1, 1.0);
-        assert_eq!(t.kernel_seconds(KernelId::Stream), 0.75);
+    fn table_ranks_kernels_by_share() {
+        let mut t = filled(1, 1.5);
+        // Table I's top four kernels (ms): collision 730, update 126,
+        // copy 59, stream 54.
+        t.per_thread[0].kernel_seconds = [0.0; KernelId::COUNT];
+        t.per_thread[1].kernel_seconds = [0.0, 0.0, 0.0, 0.0, 0.73, 0.054, 0.126, 0.0, 0.059, 0.0];
+        let rows = t.ranked();
+        assert_eq!(rows.len(), KernelId::COUNT);
+        assert_eq!(rows[0].0, KernelId::Collision);
+        assert!(rows[0].1 > 70.0, "collision share {}", rows[0].1);
+        assert_eq!(rows[1].0, KernelId::UpdateVelocity);
+        assert_eq!(rows[2].0, KernelId::CopyDistributions);
+        assert!((rows.iter().map(|r| r.1).sum::<f64>() - 100.0).abs() < 1e-9);
+        let table = t.table();
+        assert!(table.starts_with("Kernel | Kernel Name"));
+        let first = table.lines().nth(2).unwrap();
+        assert!(first.contains("5) | compute_fluid_collision"), "{first}");
+        assert!(table.contains("total execution time = 1.500 s"), "{table}");
     }
 
     #[test]
     fn merge_accumulates_chunks() {
-        let mut a = filled_registry().snapshot("cube", 10, 4.5);
-        let b = filled_registry().snapshot("cube", 5, 1.5);
-        a.merge(&b);
+        let mut a = filled(10, 4.5);
+        a.merge(&filled(5, 1.5));
         assert_eq!(a.steps, 15);
         assert_eq!(a.wall_seconds, 6.0);
         assert_eq!(a.busy_seconds(), 12.0);
@@ -481,14 +407,17 @@ mod tests {
 
     #[test]
     fn degenerate_telemetry_has_safe_ratios() {
-        let t = MetricsRegistry::new(3).snapshot("cube", 0, 0.0);
+        let t = RunTelemetry {
+            per_thread: vec![ThreadTelemetry::default(); 3],
+            ..filled(0, 0.0)
+        };
         assert_eq!(t.barrier_wait_share(), 0.0);
         assert_eq!(t.imbalance_ratio(), 1.0);
     }
 
     #[test]
     fn json_has_all_kernels_and_threads() {
-        let json = filled_registry().snapshot("cube", 10, 4.5).to_json();
+        let json = filled(10, 4.5).to_json();
         assert!(json.contains("\"solver\": \"cube\""));
         assert!(json.contains("\"barrier_wait_share\""));
         assert!(json.contains("\"imbalance_ratio\""));

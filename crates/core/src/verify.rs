@@ -2,6 +2,8 @@
 //! been verified to be correct by comparing the new result to that of the
 //! sequential implementation".
 
+use crate::config::{KernelPlan, SimulationConfig};
+use crate::solver::{Backend, SolverError};
 use crate::state::SimState;
 
 /// Error norms between two simulation states.
@@ -75,10 +77,10 @@ pub fn compare_states(a: &SimState, b: &SimState) -> StateDiff {
 /// and returns (seq-vs-omp, seq-vs-cube) diffs — the library's end-to-end
 /// self-check. A failed cube run is the typed error, not a panic.
 pub fn verify_all_solvers(
-    config: crate::config::SimulationConfig,
+    config: SimulationConfig,
     steps: u64,
     threads: usize,
-) -> Result<(StateDiff, StateDiff), crate::solver::SolverError> {
+) -> Result<(StateDiff, StateDiff), SolverError> {
     let mut seq = crate::sequential::SequentialSolver::new(config);
     seq.run(steps);
     let mut omp = crate::openmp::OpenMpSolver::new(config, threads);
@@ -92,36 +94,33 @@ pub fn verify_all_solvers(
 }
 
 /// Runs every solver under the split *and* the fused kernel plan and
-/// returns `(solver name, split-vs-fused diff)` per solver. The fused
-/// sweep performs the same f64 arithmetic as split collision + streaming,
-/// so every diff should be identically zero; `verify` asserts ≤ 1e-12 to
-/// leave headroom for future reassociating optimisations.
+/// returns `(backend, split-vs-fused diff)` per backend. The fused sweep
+/// performs the same f64 arithmetic as split collision + streaming, so
+/// every diff should be identically zero; `verify` asserts ≤ 1e-12 to
+/// leave headroom for future reassociating optimisations. A backend that
+/// cannot be built or run is the typed error, not a panic.
 pub fn cross_check(
-    config: crate::config::SimulationConfig,
+    config: SimulationConfig,
     steps: u64,
     threads: usize,
-) -> Vec<(&'static str, StateDiff)> {
-    use crate::config::KernelPlan;
+) -> Result<Vec<(Backend, StateDiff)>, SolverError> {
     let mut out = Vec::new();
-    for backend in crate::solver::Backend::ALL {
-        let mut states = [KernelPlan::Split, KernelPlan::Fused].map(|plan| {
-            let mut cfg = config;
-            cfg.plan = plan;
-            let state = SimState::new(cfg);
-            let mut solver = backend.build(state, threads).expect("buildable solver");
-            solver.run(steps).expect("run succeeds");
-            solver.to_state()
-        });
-        let [split, fused] = &mut states;
-        out.push((backend.name(), compare_states(split, fused)));
+    for backend in Backend::ALL {
+        let mut states = Vec::with_capacity(2);
+        for plan in [KernelPlan::Split, KernelPlan::Fused] {
+            let mut solver =
+                backend.build(SimState::new(SimulationConfig { plan, ..config }), threads)?;
+            solver.run(steps)?;
+            states.push(solver.to_state());
+        }
+        out.push((backend, compare_states(&states[0], &states[1])));
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimulationConfig;
 
     #[test]
     fn identical_states_have_zero_diff() {
@@ -164,12 +163,23 @@ mod tests {
 
     #[test]
     fn fused_plan_matches_split_on_every_solver() {
-        for (kind, diff) in cross_check(SimulationConfig::quick_test(), 5, 3) {
+        let diffs = cross_check(SimulationConfig::quick_test(), 5, 3).unwrap();
+        assert_eq!(diffs.len(), Backend::ALL.len());
+        for (backend, diff) in diffs {
             assert!(
                 diff.within(1e-12),
-                "{kind}: fused diverged from split: {diff:?}"
+                "{}: fused diverged from split: {diff:?}",
+                backend.name()
             );
         }
+    }
+
+    #[test]
+    fn cross_check_returns_unbuildable_backends_as_errors() {
+        assert_eq!(
+            cross_check(SimulationConfig::quick_test(), 1, 0).err(),
+            Some(SolverError::ZeroThreads)
+        );
     }
 
     #[test]

@@ -36,9 +36,11 @@ fn main() {
     );
 
     // 2. Simulate with the sequential solver behind the trait, printing
-    //    diagnostics. `run` reports steps and wall time.
+    //    diagnostics. `run` reports steps and wall time, and with
+    //    telemetry on, the time spent in each kernel.
     let mut seq: Box<dyn Solver> =
         build_solver("seq", SimState::new(config), 1).expect("sequential solver");
+    seq.set_telemetry(true);
     let steps = 60;
     let mut report = lbm_ib::RunReport::default();
     for _ in 0..6 {
@@ -51,9 +53,9 @@ fn main() {
         report.wall.as_secs_f64() * 1e3
     );
 
-    // 3. The built-in profiler reproduces the paper's Table I layout.
+    // 3. The run's telemetry reproduces the paper's Table I layout.
     println!("\nper-kernel profile (Table I layout):");
-    print!("{}", seq.profile().expect("seq profiles").table());
+    print!("{}", report.telemetry.expect("telemetry is on").table());
 
     // 4. Run the parallel solvers on the same configuration — same trait,
     //    different name — and verify they produce the same physics.
@@ -69,8 +71,12 @@ fn main() {
 
     // 5. The fused collide–stream plan must match the split plan on every
     //    solver — it performs the same arithmetic in one sweep.
-    for (kind, diff) in cross_check(config, 10, 4) {
-        assert!(diff.within(1e-12), "{kind}: fused plan diverged");
+    for (backend, diff) in cross_check(config, 10, 4).expect("cross-check") {
+        assert!(
+            diff.within(1e-12),
+            "{}: fused plan diverged",
+            backend.name()
+        );
     }
     println!("all solvers agree, split and fused ✓");
 }

@@ -295,7 +295,8 @@ fn main() {
         backend.build(state, threads).unwrap_or_else(|e| die(e))
     };
     let metrics_path: Option<PathBuf> = args.get::<String>("metrics").map(PathBuf::from);
-    solver.set_telemetry(metrics_path.is_some());
+    let profile = args.flag("profile");
+    solver.set_telemetry(metrics_path.is_some() || profile);
 
     let mut traj = args.get::<String>("out").map(|dir| {
         let dir = PathBuf::from(dir);
@@ -387,12 +388,9 @@ fn main() {
             .unwrap_or_else(|e| die(format!("save checkpoint: {e}")));
         println!("checkpoint written to {path}");
     }
-    if args.flag("profile") {
+    if let Some(t) = report.telemetry.as_ref().filter(|_| profile) {
         println!("\nper-kernel profile:");
-        match solver.profile() {
-            Some(p) => print!("{}", p.table()),
-            None => println!("(no per-kernel profile for the distributed prototype)"),
-        }
+        print!("{}", t.table());
     }
     if let Some((dir, w, _)) = &mut traj {
         w.flush()
