@@ -457,20 +457,19 @@ impl CubeSolver {
         ThreadMesh::for_threads(self.n_threads)
     }
 
-    /// Converts the current cube-blocked state back to a flat [`SimState`]
-    /// (for verification against the other solvers and for output).
+    /// Converts the current cube-blocked state back into a flat
+    /// [`SimState`], reusing `out`'s buffers (the gather behind
+    /// [`crate::solver::Solver::to_state_into`]).
     ///
     /// `fluid.f_new` equals `fluid.f`, as the flat solvers' kernel-9 copy
     /// leaves it. The force fields are "pre-seeded for the next step" rather
     /// than the flat solvers' "last spread"; verification ignores forces.
-    pub fn to_state(&self) -> SimState {
-        SimState {
-            config: self.config,
-            fluid: self.grid.to_flat(),
-            sheet: self.sheet.clone(),
-            tethers: self.tethers.clone(),
-            step: self.step,
-        }
+    pub fn to_state_into(&self, out: &mut SimState) {
+        self.grid.to_flat_into(&mut out.fluid);
+        out.config = self.config;
+        out.sheet.clone_from(&self.sheet);
+        out.tethers.clone_from(&self.tethers);
+        out.step = self.step;
     }
 
     /// Runs `n_steps` time steps with the full worker team (Algorithm 4),
@@ -1016,6 +1015,7 @@ fn worker(
 mod tests {
     use super::*;
     use crate::sequential::SequentialSolver;
+    use crate::solver::Solver;
     use lbm::boundary::AxisBoundary;
 
     fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {

@@ -26,7 +26,7 @@ use ib::sheet::FiberSheet;
 use ib::tether::TetherSet;
 use lbm::boundary::{moving_wall_correction, CoordRoute, StreamRouter};
 use lbm::collision::bgk_collide_node;
-use lbm::grid::{wrap_axis, FluidGrid};
+use lbm::grid::wrap_axis;
 use lbm::lattice::{OPPOSITE, Q};
 use lbm::macroscopic::node_moments_shifted;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender as Sender};
@@ -274,42 +274,38 @@ impl DistributedSolver {
         self.n_ranks
     }
 
-    /// Reassembles the global flat state (gather) for verification/output.
-    pub fn to_state(&self) -> SimState {
-        let dims = self.config.dims();
-        let plane = dims.ny * dims.nz;
-        let mut fluid = FluidGrid::new(dims);
-        for rank in &self.ranks {
-            for lx in 0..rank.w {
-                let gx = rank.x0 + lx;
-                for yz in 0..plane {
-                    let gnode = gx * plane + yz;
-                    let lnode = lx * plane + yz;
-                    fluid.f[gnode * Q..gnode * Q + Q].copy_from_slice(
-                        &rank.f[(lx + 1) * plane * Q + yz * Q..(lx + 1) * plane * Q + yz * Q + Q],
-                    );
-                    fluid.f_new[gnode * Q..gnode * Q + Q]
-                        .copy_from_slice(&rank.f_new[lnode * Q..lnode * Q + Q]);
-                    fluid.rho[gnode] = rank.rho[lnode];
-                    fluid.ux[gnode] = rank.ux[lnode];
-                    fluid.uy[gnode] = rank.uy[lnode];
-                    fluid.uz[gnode] = rank.uz[lnode];
-                    fluid.ueqx[gnode] = rank.ueqx[lnode];
-                    fluid.ueqy[gnode] = rank.ueqy[lnode];
-                    fluid.ueqz[gnode] = rank.ueqz[lnode];
-                    fluid.fx[gnode] = rank.fx[lnode];
-                    fluid.fy[gnode] = rank.fy[lnode];
-                    fluid.fz[gnode] = rank.fz[lnode];
-                }
+    /// Reassembles the global flat state into `out` (the gather behind
+    /// [`crate::solver::Solver::to_state_into`]), reusing its buffers. The
+    /// ranks own consecutive x-slabs and every field is node-major, so each
+    /// field is its ranks' owned planes appended in rank order.
+    pub fn to_state_into(&self, out: &mut SimState) {
+        fn append(dst: &mut Vec<f64>, ranks: &[RankData], part: impl Fn(&RankData) -> &[f64]) {
+            dst.clear();
+            dst.reserve(ranks.iter().map(|r| part(r).len()).sum());
+            for r in ranks {
+                dst.extend_from_slice(part(r));
             }
         }
-        SimState {
-            config: self.config,
-            fluid,
-            sheet: self.sheet.clone(),
-            tethers: self.tethers.clone(),
-            step: self.step,
-        }
+        let dims = self.config.dims();
+        let plane = dims.ny * dims.nz;
+        let (g, ranks) = (&mut out.fluid, &self.ranks[..]);
+        g.dims = dims;
+        append(&mut g.f, ranks, |r| &r.f[plane * Q..(r.w + 1) * plane * Q]);
+        append(&mut g.f_new, ranks, |r| &r.f_new);
+        append(&mut g.rho, ranks, |r| &r.rho);
+        append(&mut g.ux, ranks, |r| &r.ux);
+        append(&mut g.uy, ranks, |r| &r.uy);
+        append(&mut g.uz, ranks, |r| &r.uz);
+        append(&mut g.ueqx, ranks, |r| &r.ueqx);
+        append(&mut g.ueqy, ranks, |r| &r.ueqy);
+        append(&mut g.ueqz, ranks, |r| &r.ueqz);
+        append(&mut g.fx, ranks, |r| &r.fx);
+        append(&mut g.fy, ranks, |r| &r.fy);
+        append(&mut g.fz, ranks, |r| &r.fz);
+        out.config = self.config;
+        out.sheet.clone_from(&self.sheet);
+        out.tethers.clone_from(&self.tethers);
+        out.step = self.step;
     }
 
     /// Runs `n_steps`, surfacing communication faults as typed errors:
@@ -874,6 +870,7 @@ fn rank_steps(
 mod tests {
     use super::*;
     use crate::sequential::SequentialSolver;
+    use crate::solver::Solver;
     use crate::verify::compare_states;
 
     #[test]

@@ -35,6 +35,15 @@
 //! assert!(!solver.to_state().has_nan());
 //! let telemetry = report.telemetry.expect("telemetry is on");
 //! println!("{}", telemetry.table()); // the Table I layout
+//!
+//! // A loop that looks at the state at every chunk boundary gathers into
+//! // one caller-owned state, which keeps its buffers across calls.
+//! let mut state = SimState::empty();
+//! for _ in 0..3 {
+//!     solver.run(2)?;
+//!     solver.to_state_into(&mut state);
+//! }
+//! assert_eq!(state.step, 11);
 //! # Ok::<(), lbm_ib::solver::SolverError>(())
 //! ```
 //!
@@ -44,7 +53,11 @@
 //! it advances a solver to every absolute multiple of its cadences and
 //! to the end of the call, running a hook at each stop. The in-solver
 //! watchdog, the CLI's progress lines and periodic checkpoints all run
-//! through it.
+//! through it. A stop that needs the flat state gathers it with
+//! [`solver::Solver::to_state_into`] into a state the caller keeps (the
+//! watchdog keeps one per `run` call, the supervisor its rollback anchor,
+//! the CLI one per run), so a boundary costs a copy, not a fresh
+//! allocation.
 
 pub mod atomicf64;
 pub mod barrier;

@@ -10,7 +10,6 @@ use std::time::{Duration, Instant};
 
 use crate::config::{ConfigError, WatchdogConfig};
 use crate::cube::CubeSolver;
-use crate::diagnostics::Diagnostics;
 use crate::distributed::DistributedSolver;
 use crate::openmp::OpenMpSolver;
 use crate::sequential::SequentialSolver;
@@ -221,9 +220,20 @@ pub trait Solver {
     /// that passed the watchdog.
     fn run(&mut self, n: u64) -> Result<RunReport, SolverError>;
 
-    /// A flat-layout snapshot of the current state (cheap clone for the
-    /// flat solvers, a gather for the cube/distributed layouts).
-    fn to_state(&self) -> SimState;
+    /// Writes the current state into `out` in the flat layout (a copy for
+    /// the flat solvers, a gather for the cube/distributed layouts). It
+    /// reuses `out`'s buffers whatever `out` held before, so a caller that
+    /// gathers at every chunk boundary keeps one state and pays no page
+    /// faults after the first call.
+    fn to_state_into(&self, out: &mut SimState);
+
+    /// A fresh flat-layout snapshot: [`Solver::to_state_into`] into an
+    /// empty state, so it equals what `to_state_into` writes bit for bit.
+    fn to_state(&self) -> SimState {
+        let mut out = SimState::empty();
+        self.to_state_into(&mut out);
+        out
+    }
 
     /// Turns per-thread telemetry on or off. When on, every subsequent
     /// [`Solver::run`] attaches a [`RunTelemetry`] to its report (Table I
@@ -263,22 +273,31 @@ pub fn run_chunks<S: Solver + ?Sized>(
 
 /// `Solver::run` for the four backends: one `advance` call without a
 /// watchdog; with one, [`run_chunks`] at its cadence, observing the start
-/// state (which arms the reference mass) and every stop.
+/// state (which arms the reference mass) and every stop. `view` gives the
+/// flat state to observe: the solver's own for `seq`/`omp`, or a gather
+/// into the one scratch state this call keeps for every stop.
 fn run_guarded<S: Solver>(
     solver: &mut S,
     n: u64,
     watchdog: Option<WatchdogConfig>,
     mut advance: impl FnMut(&mut S, u64) -> Result<RunReport, SolverError>,
-    observe: impl Fn(&S, &mut Watchdog) -> Result<Diagnostics, SolverError>,
+    view: impl for<'a> Fn(&'a S, &'a mut SimState) -> &'a SimState,
 ) -> Result<RunReport, SolverError> {
     let Some(cfg) = watchdog.filter(|c| c.check_every > 0) else {
         return advance(solver, n);
     };
     let mut dog = Watchdog::new();
-    observe(solver, &mut dog)?;
+    let mut scratch = SimState::empty();
+    dog.observe(view(solver, &mut scratch))?;
     run_chunks(solver, n, &[cfg.check_every], advance, |s| {
-        observe(s, &mut dog).map(drop)
+        dog.observe(view(s, &mut scratch)).map(drop)
     })
+}
+
+/// The [`run_guarded`] view of a blocked layout: gathers into `out`.
+fn gathered<'a, S: Solver>(solver: &'a S, out: &'a mut SimState) -> &'a SimState {
+    solver.to_state_into(out);
+    out
 }
 
 impl Solver for SequentialSolver {
@@ -292,11 +311,11 @@ impl Solver for SequentialSolver {
             n,
             watchdog,
             |s, len| Ok(SequentialSolver::run(s, len)),
-            |s, dog| dog.observe(&s.state),
+            |s, _| &s.state,
         )
     }
-    fn to_state(&self) -> SimState {
-        self.state.clone()
+    fn to_state_into(&self, out: &mut SimState) {
+        out.clone_from(&self.state);
     }
     fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry_enabled = enabled;
@@ -314,11 +333,11 @@ impl Solver for OpenMpSolver {
             n,
             watchdog,
             |s, len| Ok(OpenMpSolver::run(s, len)),
-            |s, dog| dog.observe(&s.state),
+            |s, _| &s.state,
         )
     }
-    fn to_state(&self) -> SimState {
-        self.state.clone()
+    fn to_state_into(&self, out: &mut SimState) {
+        out.clone_from(&self.state);
     }
     fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry_enabled = enabled;
@@ -331,14 +350,10 @@ impl Solver for CubeSolver {
     }
     fn run(&mut self, n: u64) -> Result<RunReport, SolverError> {
         let watchdog = self.config.watchdog;
-        run_guarded(self, n, watchdog, CubeSolver::try_run, |s, dog| {
-            // Gathering the blocked layout costs one flat copy, paid only
-            // at the watchdog's stops.
-            dog.observe(&s.to_state())
-        })
+        run_guarded(self, n, watchdog, CubeSolver::try_run, gathered)
     }
-    fn to_state(&self) -> SimState {
-        CubeSolver::to_state(self)
+    fn to_state_into(&self, out: &mut SimState) {
+        CubeSolver::to_state_into(self, out)
     }
     fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry_enabled = enabled;
@@ -351,12 +366,10 @@ impl Solver for DistributedSolver {
     }
     fn run(&mut self, n: u64) -> Result<RunReport, SolverError> {
         let watchdog = self.config.watchdog;
-        run_guarded(self, n, watchdog, DistributedSolver::try_run, |s, dog| {
-            dog.observe(&s.to_state())
-        })
+        run_guarded(self, n, watchdog, DistributedSolver::try_run, gathered)
     }
-    fn to_state(&self) -> SimState {
-        DistributedSolver::to_state(self)
+    fn to_state_into(&self, out: &mut SimState) {
+        DistributedSolver::to_state_into(self, out)
     }
     fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry_enabled = enabled;
@@ -392,7 +405,7 @@ pub(crate) fn timed_steps(n: u64, mut step: impl FnMut()) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{KernelPlan, SimulationConfig};
+    use crate::config::{KernelPlan, SheetConfig, SimulationConfig};
     use crate::verify::compare_states;
 
     #[test]
@@ -414,6 +427,68 @@ mod tests {
                 "{}: no kernel time",
                 backend.name()
             );
+        }
+    }
+
+    /// `to_state_into` writes exactly what `to_state` returns into an
+    /// empty state, into a stale state of another config (other dims, a
+    /// larger tethered sheet), and into the same target again after more
+    /// steps, where it keeps the target's `f` buffer. A `seq` run in
+    /// lockstep checks the target independently of the gather: bitwise
+    /// for `seq`, within the cross-solver bound for the others.
+    #[test]
+    fn to_state_into_is_bitwise_to_state_into_any_target() {
+        use crate::config::TetherConfig;
+        let mut config = SimulationConfig::quick_test();
+        config.body_force = [2e-5, 1e-6, 0.0];
+        config.sheet.center[1] += 0.3;
+        config.sheet.tether = TetherConfig::LeadingEdge { stiffness: 0.1 };
+        let mut stale_config = SimulationConfig::quick_test();
+        (stale_config.nx, stale_config.ny) = (32, 20);
+        stale_config.sheet = SheetConfig {
+            tether: TetherConfig::CenterRegion {
+                radius: 3.0,
+                stiffness: 0.05,
+            },
+            ..SheetConfig::square(10, 5.0, [9.0, 9.0, 8.0])
+        };
+        let mut stale = SequentialSolver::new(stale_config);
+        stale.run(2);
+        for backend in Backend::ALL {
+            for threads in [1, 3] {
+                let what = format!("{} x{threads}", backend.name());
+                let check = |target: &SimState, s: &dyn Solver, reference: &SimState| {
+                    assert_eq!(target.fingerprint(), s.to_state().fingerprint(), "{what}");
+                    let statics = |s: &SimState| format!("{:?} {:?}", s.config, s.tethers);
+                    assert_eq!(statics(target), statics(reference), "{what}");
+                    if backend == Backend::Seq {
+                        assert_eq!(target.fingerprint(), reference.fingerprint(), "{what}");
+                    }
+                    let diff = compare_states(target, reference);
+                    assert!(diff.within(1e-10), "{what}: {diff:?}");
+                };
+                let mut reference = SequentialSolver::new(config);
+                let mut s = backend.build(SimState::new(config), threads).unwrap();
+                reference.run(3);
+                s.run(3).unwrap();
+                let mut empty = SimState::empty();
+                s.to_state_into(&mut empty);
+                check(&empty, s.as_ref(), &reference.state);
+
+                let mut target = stale.state.clone();
+                s.to_state_into(&mut target);
+                check(&target, s.as_ref(), &reference.state);
+                let buffer = (target.fluid.f.as_ptr(), target.fluid.f.capacity());
+                for _ in 0..2 {
+                    reference.run(2);
+                    s.run(2).unwrap();
+                    s.to_state_into(&mut target);
+                    check(&target, s.as_ref(), &reference.state);
+                    let now = (target.fluid.f.as_ptr(), target.fluid.f.capacity());
+                    assert_eq!(now, buffer, "{what}: f reallocated");
+                }
+                assert_eq!(target.step, 7, "{what}");
+            }
         }
     }
 

@@ -12,7 +12,10 @@ use crate::config::{ConfigError, SimulationConfig};
 /// Coupled simulation state in the flat (node-major) layout used by the
 /// sequential and OpenMP-style solvers. The cube solver converts to/from
 /// cube-blocked storage at its boundary.
-#[derive(Clone, Debug)]
+///
+/// `clone_from` copies into the target's existing buffers, which is how
+/// the flat solvers implement [`crate::solver::Solver::to_state_into`].
+#[derive(Debug)]
 pub struct SimState {
     pub config: SimulationConfig,
     pub fluid: FluidGrid,
@@ -22,7 +25,36 @@ pub struct SimState {
     pub step: u64,
 }
 
+impl Clone for SimState {
+    fn clone(&self) -> Self {
+        let mut out = Self::empty();
+        out.clone_from(self);
+        out
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.config = src.config;
+        self.fluid.clone_from(&src.fluid);
+        self.sheet.clone_from(&src.sheet);
+        self.tethers.clone_from(&src.tethers);
+        self.step = src.step;
+    }
+}
+
 impl SimState {
+    /// A state with no fluid nodes and no structure, allocating nothing:
+    /// the target a first [`crate::solver::Solver::to_state_into`] fills.
+    /// Its config is a placeholder (`quick_test`) until then.
+    pub fn empty() -> Self {
+        Self {
+            config: SimulationConfig::quick_test(),
+            fluid: FluidGrid::empty(),
+            sheet: FiberSheet::default(),
+            tethers: TetherSet::none(),
+            step: 0,
+        }
+    }
+
     /// Builds the initial state: fluid at rest at unit density, sheet flat
     /// at its configured position. Panics on an invalid configuration —
     /// use [`SimState::try_new`] to get the validation problem as a value.
@@ -54,6 +86,39 @@ impl SimState {
             || self.fluid.ux.iter().any(|v| !v.is_finite())
             || self.fluid.uy.iter().any(|v| !v.is_finite())
             || self.fluid.uz.iter().any(|v| !v.is_finite())
+    }
+}
+
+#[cfg(test)]
+impl SimState {
+    /// Every field of the state as exact bits (the small parts as their
+    /// `Debug` text, which round-trips `f64`), for bitwise comparisons.
+    pub(crate) fn fingerprint(&self) -> (String, Vec<Vec<u64>>) {
+        let (g, sh) = (&self.fluid, &self.sheet);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut arrays: Vec<Vec<u64>> = [
+            &g.f, &g.f_new, &g.rho, &g.ux, &g.uy, &g.uz, &g.ueqx, &g.ueqy, &g.ueqz, &g.fx, &g.fy,
+            &g.fz,
+        ]
+        .into_iter()
+        .map(|v| bits(v))
+        .collect();
+        arrays.extend(
+            [&sh.pos, &sh.bending, &sh.stretching, &sh.elastic]
+                .into_iter()
+                .map(|v| bits(v.as_flattened())),
+        );
+        let header = format!(
+            "{:?} {:?} step {} sheet {}x{} {:?} {:?}",
+            self.config,
+            g.dims,
+            self.step,
+            sh.num_fibers,
+            sh.nodes_per_fiber,
+            [sh.ds_node, sh.ds_fiber, sh.k_bend, sh.k_stretch],
+            self.tethers
+        );
+        (header, arrays)
     }
 }
 

@@ -286,9 +286,10 @@ impl Supervisor {
         &self.total
     }
 
-    /// Commits the current solver state as the rollback anchor.
+    /// Commits the current solver state as the rollback anchor, gathered
+    /// into the anchor's existing buffers.
     fn commit(&mut self) -> Result<(), SolverError> {
-        self.last_good = self.solver.to_state();
+        self.solver.to_state_into(&mut self.last_good);
         if let Some(path) = &self.policy.checkpoint {
             crate::checkpoint::save(&self.last_good, path).map_err(|e| {
                 SolverError::Checkpoint {
@@ -442,8 +443,8 @@ impl Solver for Supervisor {
     fn run(&mut self, n: u64) -> Result<RunReport, SolverError> {
         self.run_supervised(n)
     }
-    fn to_state(&self) -> SimState {
-        self.solver.to_state()
+    fn to_state_into(&self, out: &mut SimState) {
+        self.solver.to_state_into(out)
     }
     fn set_telemetry(&mut self, enabled: bool) {
         self.telemetry = enabled;
@@ -497,6 +498,27 @@ mod tests {
                 0.0,
                 "{kind}: supervision changed the physics"
             );
+        }
+    }
+
+    /// Each commit gathers the anchor in place: after every chunk it is
+    /// bitwise the solver's state, in the same `f` buffer.
+    #[test]
+    fn commit_gathers_into_the_same_anchor() {
+        for backend in Backend::ALL {
+            let mut sup =
+                Supervisor::with_backend(backend, SimState::new(cfg()), 2, policy()).unwrap();
+            let buffer = sup.last_good.fluid.f.as_ptr();
+            for _ in 0..3 {
+                sup.run(2).unwrap();
+                assert_eq!(
+                    sup.last_good.fingerprint(),
+                    sup.solver.to_state().fingerprint(),
+                    "{}",
+                    backend.name()
+                );
+                assert_eq!(sup.last_good.fluid.f.as_ptr(), buffer, "{}", backend.name());
+            }
         }
     }
 

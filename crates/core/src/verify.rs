@@ -3,7 +3,7 @@
 //! sequential implementation".
 
 use crate::config::{KernelPlan, SimulationConfig};
-use crate::solver::{Backend, SolverError};
+use crate::solver::{Backend, Solver, SolverError};
 use crate::state::SimState;
 
 /// Error norms between two simulation states.

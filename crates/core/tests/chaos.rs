@@ -15,7 +15,7 @@ use lbm_ib::checkpoint::{self, ResumeSource};
 use lbm_ib::faultinject::{arm, CheckpointFault, FaultPlan, HaloFault, PanicAt};
 use lbm_ib::{
     build_solver, CheckpointError, CubeSolver, DistributedSolver, SimState, SimulationConfig,
-    SolverError, WatchdogConfig,
+    Solver, SolverError, WatchdogConfig,
 };
 
 fn cfg() -> SimulationConfig {

@@ -9,7 +9,10 @@
 /// Positions are in lattice units (fluid grid spacing h = 1). The three
 /// force arrays mirror the paper's kernels 1–3, which compute bending and
 /// stretching separately before summing them into the elastic force.
-#[derive(Clone, Debug)]
+///
+/// The default sheet has no nodes. `clone_from` reuses the target's
+/// buffers.
+#[derive(Debug, Default)]
 pub struct FiberSheet {
     pub num_fibers: usize,
     pub nodes_per_fiber: usize,
@@ -29,6 +32,27 @@ pub struct FiberSheet {
     pub stretching: Vec<[f64; 3]>,
     /// Kernel 3 output: total elastic force per node (what gets spread).
     pub elastic: Vec<[f64; 3]>,
+}
+
+impl Clone for FiberSheet {
+    fn clone(&self) -> Self {
+        let mut out = Self::default();
+        out.clone_from(self);
+        out
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.num_fibers = src.num_fibers;
+        self.nodes_per_fiber = src.nodes_per_fiber;
+        self.ds_node = src.ds_node;
+        self.ds_fiber = src.ds_fiber;
+        self.k_bend = src.k_bend;
+        self.k_stretch = src.k_stretch;
+        self.pos.clone_from(&src.pos);
+        self.bending.clone_from(&src.bending);
+        self.stretching.clone_from(&src.stretching);
+        self.elastic.clone_from(&src.elastic);
+    }
 }
 
 impl FiberSheet {

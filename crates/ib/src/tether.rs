@@ -17,10 +17,23 @@ pub struct Tether {
     pub stiffness: f64,
 }
 
-/// A set of tethers applied to a sheet each time step.
-#[derive(Clone, Debug, Default)]
+/// A set of tethers applied to a sheet each time step. `clone_from`
+/// reuses the target's buffer.
+#[derive(Debug, Default)]
 pub struct TetherSet {
     pub tethers: Vec<Tether>,
+}
+
+impl Clone for TetherSet {
+    fn clone(&self) -> Self {
+        Self {
+            tethers: self.tethers.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.tethers.clone_from(&src.tethers);
+    }
 }
 
 impl TetherSet {

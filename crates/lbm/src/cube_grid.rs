@@ -203,19 +203,22 @@ impl CubeFluidGrid {
         out
     }
 
-    /// Reorders back to a node-major [`FluidGrid`] (used by the verification
-    /// machinery to compare cube and flat solvers).
+    /// Reorders back into a node-major [`FluidGrid`], reusing `out`'s
+    /// buffers whatever it held before: every field is cleared and refilled
+    /// by appending z-runs in node order, so nothing is zero-filled first.
     ///
     /// `f_new` is reported as a copy of `f` — the state a kernel-9 copy
     /// leaves — because the cube solver swaps buffer roles instead of
     /// copying, so its stored `f_new` may hold an older step.
-    pub fn to_flat(&self) -> FluidGrid {
+    pub fn to_flat_into(&self, out: &mut FluidGrid) {
         let cdims = self.cdims;
-        let k = cdims.k;
-        let n = k * Q;
-        let mut out = FluidGrid::new(cdims.dims);
+        let (k, n) = (cdims.k, cdims.dims.n());
+        out.dims = cdims.dims;
+        out.f.clear();
+        out.f.reserve(n * Q);
         cdims.for_each_z_run(|node, flat| {
-            out.f[node * Q..][..n].copy_from_slice(&self.f[flat * Q..][..n]);
+            debug_assert_eq!(out.f.len(), node * Q);
+            out.f.extend_from_slice(&self.f[flat * Q..][..k * Q]);
         });
         for (dst, src) in [
             (&mut out.rho, &self.rho),
@@ -229,10 +232,11 @@ impl CubeFluidGrid {
             (&mut out.fy, &self.fy),
             (&mut out.fz, &self.fz),
         ] {
-            cdims.for_each_z_run(|node, flat| dst[node..][..k].copy_from_slice(&src[flat..][..k]));
+            dst.clear();
+            dst.reserve(n);
+            cdims.for_each_z_run(|_, flat| dst.extend_from_slice(&src[flat..][..k]));
         }
-        out.f_new.copy_from_slice(&out.f);
-        out
+        out.f_new.clone_from(&out.f);
     }
 
     /// Clears the per-node body force.
@@ -329,7 +333,8 @@ mod tests {
             *v = -(i as f64);
         }
         let cube = CubeFluidGrid::from_flat(&g, 2);
-        let back = cube.to_flat();
+        let mut back = FluidGrid::empty();
+        cube.to_flat_into(&mut back);
         assert_eq!(back.f, g.f);
         assert_eq!(back.f_new, g.f);
         assert_eq!(back.rho, g.rho);

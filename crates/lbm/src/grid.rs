@@ -100,7 +100,10 @@ pub fn wrap_axis(v: usize, d: i32, n: usize) -> usize {
 /// into; kernel 9 of the paper (`copy_fluid_velocity_distribution`) copies
 /// `f_new` back into `f` at the end of every step. Both buffers interleave
 /// the 19 directions per node: entry `node * Q + dir`.
-#[derive(Clone, Debug)]
+///
+/// `clone_from` copies field by field into the existing buffers, so a
+/// grid that is refilled every chunk keeps its allocations.
+#[derive(Debug)]
 pub struct FluidGrid {
     pub dims: Dims,
     /// Present distribution functions, `n * Q` entries, node-major.
@@ -126,6 +129,30 @@ pub struct FluidGrid {
     pub fz: Vec<f64>,
 }
 
+impl Clone for FluidGrid {
+    fn clone(&self) -> Self {
+        let mut out = Self::empty();
+        out.clone_from(self);
+        out
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.dims = src.dims;
+        self.f.clone_from(&src.f);
+        self.f_new.clone_from(&src.f_new);
+        self.rho.clone_from(&src.rho);
+        self.ux.clone_from(&src.ux);
+        self.uy.clone_from(&src.uy);
+        self.uz.clone_from(&src.uz);
+        self.ueqx.clone_from(&src.ueqx);
+        self.ueqy.clone_from(&src.ueqy);
+        self.ueqz.clone_from(&src.ueqz);
+        self.fx.clone_from(&src.fx);
+        self.fy.clone_from(&src.fy);
+        self.fz.clone_from(&src.fz);
+    }
+}
+
 impl FluidGrid {
     /// Allocates a grid with all distributions zero and unit density.
     pub fn new(dims: Dims) -> Self {
@@ -144,6 +171,30 @@ impl FluidGrid {
             fx: vec![0.0; n],
             fy: vec![0.0; n],
             fz: vec![0.0; n],
+        }
+    }
+
+    /// A grid with no nodes: all extents zero and every field empty. It
+    /// holds no allocation until something is gathered or cloned into it.
+    pub fn empty() -> Self {
+        Self {
+            dims: Dims {
+                nx: 0,
+                ny: 0,
+                nz: 0,
+            },
+            f: Vec::new(),
+            f_new: Vec::new(),
+            rho: Vec::new(),
+            ux: Vec::new(),
+            uy: Vec::new(),
+            uz: Vec::new(),
+            ueqx: Vec::new(),
+            ueqy: Vec::new(),
+            ueqz: Vec::new(),
+            fx: Vec::new(),
+            fy: Vec::new(),
+            fz: Vec::new(),
         }
     }
 

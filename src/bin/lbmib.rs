@@ -233,6 +233,7 @@ fn main() {
         config.cube_k = report.best_k().unwrap_or(config.cube_k);
         println!("selected cube_k = {}", config.cube_k);
     }
+    let resumed = resumed_state.is_some();
     let state = match resumed_state {
         Some(s) => SimState { config, ..s },
         None => SimState::try_new(config).unwrap_or_else(|e| die(e)),
@@ -256,7 +257,9 @@ fn main() {
         if backend == Backend::Seq { 1 } else { threads },
         steps
     );
-    if state.step > 0 {
+    // Printed for a step-0 snapshot too (a supervised run saves its start
+    // state before the first chunk), so a resume always reports its step.
+    if resumed {
         println!("resumed at step {}", state.step);
     }
 
@@ -310,14 +313,17 @@ fn main() {
     });
 
     // Stop at every progress report and every checkpoint (absolute step
-    // multiples) and at the end; each stop gathers the state once for the
-    // health check, the save, the progress line and the trajectory. The
-    // health check is armed on the start state, so mass drift is measured
-    // from the start of this run.
+    // multiples) and at the end; each stop gathers the state once, into
+    // the one `state` kept for the whole run, for the health check, the
+    // save, the progress line and the trajectory. The health check is
+    // armed on the start state, so mass drift is measured from the start
+    // of this run. The last stop falls at `end`, so afterwards `state`
+    // holds the final state.
     let report_every: u64 = args.get_or("report-every", (steps / 10).max(1));
     let end = solver.current_step() + steps;
     let mut dog = Watchdog::new();
-    dog.observe(&solver.to_state()).unwrap_or_else(|e| fail(e));
+    let mut state = solver.to_state();
+    dog.observe(&state).unwrap_or_else(|e| fail(e));
     let cadences = [report_every, ckpt_every.unwrap_or(0)];
     let report = run_chunks(
         solver.as_mut(),
@@ -325,7 +331,7 @@ fn main() {
         &cadences,
         |s, n| s.run(n),
         |s| {
-            let state = s.to_state();
+            s.to_state_into(&mut state);
             let d = dog.observe(&state)?;
             // Under --supervise the supervisor already committed a save at
             // this boundary; a second save here would only rotate the
@@ -348,7 +354,6 @@ fn main() {
     )
     .unwrap_or_else(|e| fail(e));
     let wall = report.wall.as_secs_f64();
-    let state = solver.to_state();
     println!(
         "\ncompleted {} steps in {wall:.2} s ({:.1} Mnode-updates/s)",
         report.steps,

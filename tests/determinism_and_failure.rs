@@ -5,7 +5,7 @@
 use lbm_ib::diagnostics::diagnostics;
 use lbm_ib::verify::compare_states;
 use lbm_ib::{
-    CubeSolver, OpenMpSolver, SequentialSolver, SheetConfig, SimulationConfig, TetherConfig,
+    CubeSolver, OpenMpSolver, SequentialSolver, SheetConfig, SimulationConfig, Solver, TetherConfig,
 };
 
 fn cfg() -> SimulationConfig {

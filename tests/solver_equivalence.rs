@@ -6,7 +6,7 @@
 
 use lbm_ib::verify::{compare_states, verify_all_solvers};
 use lbm_ib::{
-    CubeSolver, OpenMpSolver, SequentialSolver, SheetConfig, SimulationConfig, TetherConfig,
+    CubeSolver, OpenMpSolver, SequentialSolver, SheetConfig, SimulationConfig, Solver, TetherConfig,
 };
 
 fn base_config() -> SimulationConfig {

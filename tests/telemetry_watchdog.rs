@@ -8,7 +8,7 @@ use lbm_ib::solver::build_solver;
 use lbm_ib::verify::compare_states;
 use lbm_ib::{
     CubeSolver, DistributedSolver, SequentialSolver, SheetConfig, SimState, SimulationConfig,
-    SolverError, TetherConfig, WatchdogConfig,
+    Solver, SolverError, TetherConfig, WatchdogConfig,
 };
 
 fn cfg() -> SimulationConfig {
