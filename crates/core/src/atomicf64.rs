@@ -1,15 +1,13 @@
-//! Atomic `f64` accumulation for the OpenMP-style solver's force spreading.
+//! Atomic `f64` accumulation: the OpenMP-style solver's tasks add their
+//! busy seconds into one shared slot per worker thread.
 //!
-//! Adjacent fiber nodes on different threads can target the same fluid node
-//! in kernel 4, so the parallel scatter needs atomic adds. Rust (like C++)
-//! has no native atomic f64 add; the standard technique is a
-//! compare-exchange loop over the bit pattern in an `AtomicU64`
+//! Rust (like C++) has no native atomic f64 add; the standard technique is
+//! a compare-exchange loop over the bit pattern in an `AtomicU64`
 //! (see *Rust Atomics and Locks*, ch. 2–3).
 
 use crate::sync_shim::{AtomicU64, Ordering};
 
 /// An `f64` supporting lock-free atomic addition.
-#[cfg_attr(not(loom), repr(transparent))]
 pub struct AtomicF64(AtomicU64);
 
 impl AtomicF64 {
@@ -31,8 +29,8 @@ impl AtomicF64 {
     }
 
     /// Atomically adds `v` via a CAS loop. Relaxed ordering is sufficient:
-    /// the spreading phase only needs atomicity per slot; cross-phase
-    /// visibility is established by the join/barrier that ends the phase.
+    /// a region only needs atomicity per slot; cross-region visibility is
+    /// established by the join that ends the region.
     #[inline]
     pub fn fetch_add(&self, v: f64) -> f64 {
         let mut cur = self.0.load(Ordering::Relaxed);
@@ -47,33 +45,6 @@ impl AtomicF64 {
             }
         }
     }
-}
-
-/// Reinterprets an exclusive `f64` slice as a shared slice of [`AtomicF64`].
-///
-/// Sound because: (1) `AtomicF64` is `repr(transparent)` over `AtomicU64`,
-/// which has the same size and alignment as `u64`/`f64`; (2) the `&mut`
-/// input guarantees no other live references alias the data for the
-/// returned lifetime; (3) all access through the result is atomic.
-/// This is the zero-copy bridge that lets the parallel spread write into
-/// the grid's ordinary `Vec<f64>` force arrays.
-#[cfg(not(loom))]
-pub fn as_atomic_f64(slice: &mut [f64]) -> &[AtomicF64] {
-    const _: () = assert!(std::mem::size_of::<AtomicF64>() == std::mem::size_of::<f64>());
-    const _: () = assert!(std::mem::align_of::<AtomicF64>() == std::mem::align_of::<f64>());
-    let len = slice.len();
-    let ptr = slice.as_mut_ptr() as *const AtomicF64;
-    // SAFETY: size/align match (checked above), exclusivity from &mut,
-    // atomics permit shared mutation.
-    unsafe { std::slice::from_raw_parts(ptr, len) }
-}
-
-/// Under loom the model-checked `AtomicU64` is not layout-compatible with
-/// `f64`, so the zero-copy view cannot exist; the loom tests exercise
-/// [`AtomicF64`] directly and the solvers never run under the model.
-#[cfg(loom)]
-pub fn as_atomic_f64(_slice: &mut [f64]) -> &[AtomicF64] {
-    unimplemented!("as_atomic_f64 has no loom model; test AtomicF64 directly")
 }
 
 #[cfg(test)]
@@ -120,34 +91,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(a.load(), (threads * adds_per_thread) as f64);
-    }
-
-    #[test]
-    fn atomic_view_of_plain_slice() {
-        let mut data = vec![1.0, 2.0, 3.0];
-        {
-            let view = as_atomic_f64(&mut data);
-            view[0].fetch_add(10.0);
-            view[2].store(0.5);
-        }
-        assert_eq!(data, vec![11.0, 2.0, 0.5]);
-    }
-
-    #[test]
-    fn concurrent_adds_through_view() {
-        let mut data = vec![0.0f64; 4];
-        let view = as_atomic_f64(&mut data);
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let view = &view;
-                scope.spawn(move || {
-                    for i in 0..1000 {
-                        view[(t + i) % 4].fetch_add(1.0);
-                    }
-                });
-            }
-        });
-        let total: f64 = data.iter().sum();
-        assert_eq!(total, 4000.0);
     }
 }

@@ -519,7 +519,7 @@ pub fn read_checkpoint<R: Read>(r: R) -> Result<SimState, CheckpointError> {
         // The kernel plan, watchdog cadence and halo timeout are runtime
         // execution choices, not physics: a resumed run uses whatever the
         // caller configures.
-        plan: crate::config::KernelPlan::Split,
+        plan: crate::config::KernelPlan::default(),
         watchdog: None,
         halo_timeout: None,
     };

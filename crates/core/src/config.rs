@@ -176,18 +176,20 @@ impl Default for RecoveryPolicy {
 }
 
 /// Execution schedule for kernels 5 and 6. `Split` runs collision and
-/// streaming as two full-grid passes (the paper's Algorithm 1); `Fused`
-/// collides in registers and pushes straight into `f_new` in one sweep
-/// (see `lbm::fused`). Both produce bit-identical physics; `Fused` halves
-/// the distribution-array traffic. The sequential, OpenMP and distributed
-/// solvers follow the plan; [`crate::cube::CubeSolver`] ignores it and
-/// always runs its fused pass ([`crate::cube::CubeSolver::PLAN`]).
+/// streaming as two full-grid passes (the paper's Algorithm 1, kept for
+/// the Table I/II reproduction); `Fused`, the default, collides in
+/// registers and pushes straight into `f_new` in one sweep (see
+/// `lbm::fused`). Both produce bit-identical physics; `Fused` halves the
+/// distribution-array traffic. The sequential and OpenMP solvers follow
+/// the plan; [`crate::cube::CubeSolver`] and
+/// [`crate::distributed::DistributedSolver`] ignore it and always run
+/// fused (their `PLAN` constants).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelPlan {
     /// Separate collision and streaming passes (kernels 5 then 6).
-    #[default]
     Split,
     /// Single fused collide–stream sweep.
+    #[default]
     Fused,
 }
 
@@ -400,7 +402,7 @@ impl SimulationConfig {
                 ..SheetConfig::square(8, 4.0, [8.0, 8.0, 8.0])
             },
             cube_k: 4,
-            plan: KernelPlan::Split,
+            plan: KernelPlan::default(),
             watchdog: None,
             halo_timeout: None,
         }
@@ -466,7 +468,7 @@ impl SimulationConfig {
                 ],
             ),
             cube_k: 4,
-            plan: KernelPlan::Split,
+            plan: KernelPlan::default(),
             watchdog: None,
             halo_timeout: None,
         }
@@ -703,9 +705,11 @@ mod tests {
     }
 
     #[test]
-    fn plan_defaults_to_split() {
-        assert_eq!(KernelPlan::default(), KernelPlan::Split);
-        assert_eq!(SimulationConfig::quick_test().plan, KernelPlan::Split);
+    fn plan_defaults_to_fused_except_for_table1() {
+        assert_eq!(KernelPlan::default(), KernelPlan::Fused);
+        assert_eq!(SimulationConfig::quick_test().plan, KernelPlan::Fused);
+        assert_eq!(SimulationConfig::fig8(1).plan, KernelPlan::Fused);
+        assert_eq!(SimulationConfig::table1().plan, KernelPlan::Split);
     }
 
     #[test]

@@ -45,7 +45,10 @@
 //! is inside the grid takes that offset: all 18 of a node off the domain
 //! faces, and on a face node every direction that does not step across
 //! the face. Only the remaining pushes go through the routing tables
-//! (periodic wrap, moving-wall bounce-back).
+//! (periodic wrap, moving-wall bounce-back). The rule itself is
+//! [`lbm::fused::push`], the same push the flat solvers' fused sweeps use;
+//! only the offset table and the slot of a routed neighbour are the
+//! cube layout's own.
 //!
 //! # Call boundary
 //!
@@ -87,10 +90,10 @@ use ib::delta::Stencil;
 use ib::forces::{bending_at, stretching_at, SheetTopology};
 use ib::sheet::FiberSheet;
 use ib::tether::{Tether, TetherSet};
-use lbm::boundary::{moving_wall_correction, BoundaryConfig, CoordRoute, StreamRouter};
+use lbm::boundary::{BoundaryConfig, StreamRouter};
 use lbm::cube_grid::{CubeDims, CubeFluidGrid};
 use lbm::distribution::{CubeDistribution, FiberDistribution, Policy, ThreadMesh};
-use lbm::fused::collide_to_registers;
+use lbm::fused::{self, collide_to_registers, face_bits};
 use lbm::grid::Dims;
 use lbm::lattice::{E, Q};
 use lbm::macroscopic::node_moments_shifted;
@@ -207,29 +210,6 @@ impl CubeStencil {
     }
 }
 
-/// Per direction, the domain faces it steps toward, as bits of a node's
-/// face mask (see [`CubeStreamer::for_each_node`]): bit `2a` for the low
-/// face of axis `a`, bit `2a + 1` for the high one. A push from a node
-/// whose face mask shares no bit with its direction's entry stays inside
-/// the grid.
-const DIR_FACES: [u8; Q] = {
-    let mut m = [0u8; Q];
-    let mut i = 0;
-    while i < Q {
-        let mut a = 0;
-        while a < 3 {
-            if E[i][a] < 0 {
-                m[i] |= 1 << (2 * a);
-            } else if E[i][a] > 0 {
-                m[i] |= 1 << (2 * a + 1);
-            }
-            a += 1;
-        }
-        i += 1;
-    }
-    m
-};
-
 /// Push streaming in the cube layout.
 ///
 /// `off[local][i]` is the signed flat-index offset from a node with local
@@ -289,18 +269,15 @@ impl CubeStreamer {
     fn for_each_node(&self, cube: usize, mut visit: impl FnMut(usize, usize, [usize; 3], u8)) {
         let k = self.cdims.k;
         let dims = self.cdims.dims;
-        let face = |v: usize, n: usize, a: usize| {
-            u8::from(v == 0) << (2 * a) | u8::from(v + 1 == n) << (2 * a + 1)
-        };
         let (ci, cj, ck) = self.cdims.cube_coords(cube);
         let mut flat = self.cdims.flat(cube, 0);
         let mut local = 0;
         for x in ci * k..(ci + 1) * k {
-            let fx = face(x, dims.nx, 0);
+            let fx = face_bits(x, dims.nx, 0);
             for y in cj * k..(cj + 1) * k {
-                let fxy = fx | face(y, dims.ny, 1);
+                let fxy = fx | face_bits(y, dims.ny, 1);
                 for z in ck * k..(ck + 1) * k {
-                    visit(flat, local, [x, y, z], fxy | face(z, dims.nz, 2));
+                    visit(flat, local, [x, y, z], fxy | face_bits(z, dims.nz, 2));
                     flat += 1;
                     local += 1;
                 }
@@ -308,9 +285,9 @@ impl CubeStreamer {
         }
     }
 
-    /// Pushes one node's post-collision populations `post` into `nxt`:
-    /// one add per direction whose neighbour is inside the grid, the
-    /// routing tables (wrap, bounce-back) for the directions that cross a
+    /// Pushes one node's post-collision populations `post` into `nxt`
+    /// with the shared push rule ([`fused::push`]): this layout's offset
+    /// row for `local`, the routing tables for the directions that cross a
     /// face in `face` (the node's mask from [`Self::for_each_node`]).
     ///
     /// # Safety
@@ -326,47 +303,25 @@ impl CubeStreamer {
         nxt: &SharedSlice<f64>,
         flat: usize,
         local: usize,
-        [x, y, z]: [usize; 3],
+        pos: [usize; 3],
         face: u8,
         post: &[f64; Q],
     ) {
-        let off = &self.off[local];
+        let slot_of = |d: [usize; 3]| self.indexer.flat(d[0], d[1], d[2]);
         // SAFETY: the caller owns the destination slots for the phase (see
         // `# Safety`); every index is in bounds because it names a grid
-        // node and a direction. The blocks below rest on the same argument.
-        unsafe { nxt.set(flat * Q, post[0]) };
-        // Most nodes lie off the faces; they skip the per-direction test.
-        if face == 0 {
-            for i in 1..Q {
-                // SAFETY: as above.
-                unsafe { nxt.set(flat.wrapping_add_signed(off[i]) * Q + i, post[i]) };
-            }
-            return;
-        }
-        for i in 1..Q {
-            let dst = if DIR_FACES[i] & face == 0 {
-                flat.wrapping_add_signed(off[i]) * Q + i
-            } else {
-                match self.router.route(x, y, z, i) {
-                    CoordRoute::Neighbor(d) => self.indexer.flat(d[0], d[1], d[2]) * Q + i,
-                    CoordRoute::BounceBack {
-                        opposite,
-                        wall_velocity,
-                    } => {
-                        // SAFETY: as above.
-                        unsafe {
-                            nxt.set(
-                                flat * Q + opposite,
-                                post[i] - moving_wall_correction(i, wall_velocity),
-                            )
-                        };
-                        continue;
-                    }
-                }
-            };
-            // SAFETY: as above.
-            unsafe { nxt.set(dst, post[i]) };
-        }
+        // node and a direction.
+        let write = |i: usize, v: f64| unsafe { nxt.set(i, v) };
+        fused::push(
+            post,
+            flat,
+            face,
+            pos,
+            &self.off[local],
+            &self.router,
+            slot_of,
+            write,
+        );
     }
 }
 
@@ -1016,7 +971,7 @@ mod tests {
     use super::*;
     use crate::sequential::SequentialSolver;
     use crate::solver::Solver;
-    use lbm::boundary::AxisBoundary;
+    use lbm::boundary::{stream_push_routed_node, AxisBoundary, CoordRoute};
 
     fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         a.iter()
@@ -1192,15 +1147,29 @@ mod tests {
         assert_eq!(before.step, after.step);
     }
 
-    /// Every node and direction of a grid: the face masks must say a push
-    /// stays inside the grid exactly when the route is `Neighbor(pos +
-    /// e_i)` with no wrap, and the offset table must then land where the
-    /// routing tables send the population.
-    fn assert_offsets_match_routing(dims: Dims, k: usize, bc: BoundaryConfig) {
+    /// Every node and direction of a grid, in both layouts. The face masks
+    /// must say a push stays inside the grid exactly when the route is
+    /// `Neighbor(pos + e_i)` with no wrap, and the shared push — with the
+    /// flat offset row, and through the cube streamer with its offset
+    /// table — must write exactly the slots and values that the split
+    /// reference `stream_push_routed_node` writes, bounce-back corrections
+    /// included.
+    fn assert_push_matches_routing(dims: Dims, k: usize, bc: BoundaryConfig) {
         let cdims = CubeDims::new(dims, k);
         let streamer = CubeStreamer::new(cdims, &bc);
+        let router = &streamer.router;
         let ext = [dims.nx, dims.ny, dims.nz];
-        let (mut nodes, mut via_table) = (0, 0);
+        let n = dims.n() * Q;
+        // Distinct values, so a population written to a wrong slot shows.
+        let f: Vec<f64> = (0..n).map(|s| 1.0 + s as f64 / 64.0).collect();
+        let mut want = vec![f64::NAN; n];
+        for (x, y, z) in dims.iter_coords() {
+            stream_push_routed_node(dims, router, &f, &mut want, dims.idx(x, y, z), x, y, z);
+        }
+        let flat_off = fused::flat_offsets(dims);
+        let mut flat_got = vec![f64::NAN; n];
+        let cube_got = SharedSlice::from_vec(vec![f64::NAN; n]);
+        let mut nodes = 0;
         for cube in 0..cdims.num_cubes() {
             streamer.for_each_node(cube, |flat, local, pos, face| {
                 let [x, y, z] = pos;
@@ -1210,59 +1179,75 @@ mod tests {
                         | u8::from(pos[a] == ext[a] - 1) << (2 * a + 1)
                 });
                 assert_eq!(face, want_face, "{pos:?} in {dims:?}");
-                nodes += 1;
                 for i in 1..Q {
-                    let tag = format!("{pos:?} dir {i}, k = {k}, {dims:?}");
-                    let route = streamer.router.route(x, y, z, i);
+                    let route = router.route(x, y, z, i);
                     let stepped: [isize; 3] =
                         std::array::from_fn(|a| pos[a] as isize + E[i][a] as isize);
                     let unwrapped = matches!(route, CoordRoute::Neighbor(d)
                         if (0..3).all(|a| d[a] as isize == stepped[a]));
-                    let in_grid = DIR_FACES[i] & face == 0;
-                    assert_eq!(in_grid, unwrapped, "{tag}: {route:?}");
-                    if let (true, CoordRoute::Neighbor(d)) = (in_grid, route) {
-                        let want = streamer.indexer.flat(d[0], d[1], d[2]);
-                        let got = flat.wrapping_add_signed(streamer.off[local][i]);
-                        assert_eq!(got, want, "{tag}");
-                        via_table += 1;
-                    }
+                    assert_eq!(
+                        fused::DIR_FACES[i] & face == 0,
+                        unwrapped,
+                        "{pos:?} dir {i}, k = {k}, {dims:?}: {route:?}"
+                    );
                 }
+                let node = dims.idx(x, y, z);
+                let post: [f64; Q] = std::array::from_fn(|i| f[node * Q + i]);
+                let slot_of = |d: [usize; 3]| dims.idx(d[0], d[1], d[2]);
+                let write = |s: usize, v: f64| flat_got[s] = v;
+                fused::push(&post, node, face, pos, &flat_off, router, slot_of, write);
+                // SAFETY: single-threaded; nothing else touches `cube_got`.
+                unsafe { streamer.push(&cube_got, flat, local, pos, face, &post) };
+                nodes += 1;
             });
         }
         assert_eq!(nodes, dims.n());
-        // Direction `i` has an in-grid neighbour from `n - |e_i|` positions
-        // per axis.
-        let in_grid: usize = (1..Q)
-            .map(|i| {
-                (0..3)
-                    .map(|a| ext[a] - E[i][a].unsigned_abs() as usize)
-                    .product::<usize>()
-            })
-            .sum();
-        assert_eq!(via_table, in_grid);
+        let cube_got = cube_got.into_vec();
+        // Q writes per node into Q slots per node: with no slot left NaN,
+        // every slot was written exactly once.
+        for (x, y, z) in dims.iter_coords() {
+            let (node, flat) = (dims.idx(x, y, z), cdims.flat_of_global(x, y, z));
+            for i in 0..Q {
+                let w = want[node * Q + i];
+                let tag = || format!("({x},{y},{z}) slot {i}, k = {k}, {dims:?}, {bc:?}");
+                assert!(!w.is_nan(), "{}: the reference left it unwritten", tag());
+                assert_eq!(flat_got[node * Q + i].to_bits(), w.to_bits(), "{}", tag());
+                assert_eq!(cube_got[flat * Q + i].to_bits(), w.to_bits(), "{}", tag());
+            }
+        }
     }
 
     #[test]
     fn offset_table_matches_routing_on_every_node() {
-        let moving = BoundaryConfig {
-            x: AxisBoundary::Periodic,
-            y: AxisBoundary::Walls {
-                lo: [0.0; 3],
-                hi: [0.05, 0.0, 0.0],
-            },
-            z: AxisBoundary::Walls {
-                lo: [0.0, -0.02, 0.0],
-                hi: [0.0; 3],
-            },
+        // Per axis: periodic, no-slip walls, or walls moving with their
+        // own velocity on each side; all 27 combinations.
+        let kinds = |a: usize| {
+            let v = |s: f64| std::array::from_fn(|b| if b == a { 0.0 } else { s * (b + 1) as f64 });
+            [
+                AxisBoundary::Periodic,
+                AxisBoundary::no_slip(),
+                AxisBoundary::Walls {
+                    lo: v(-0.01),
+                    hi: v(0.02),
+                },
+            ]
         };
-        let bcs = [BoundaryConfig::periodic(), BoundaryConfig::tunnel(), moving];
-        for bc in bcs {
+        for (x, y, z) in Dims::new(3, 3, 3).iter_coords() {
+            let bc = BoundaryConfig {
+                x: kinds(0)[x],
+                y: kinds(1)[y],
+                z: kinds(2)[z],
+            };
             for k in [2, 4, 8] {
-                assert_offsets_match_routing(Dims::new(2 * k, 3 * k, 2 * k), k, bc);
+                assert_push_matches_routing(Dims::new(2 * k, 3 * k, 2 * k), k, bc);
             }
             // A single cube along x (4 = k), and along x and z at k = 8.
-            assert_offsets_match_routing(Dims::new(4, 8, 12), 4, bc);
-            assert_offsets_match_routing(Dims::new(8, 16, 8), 8, bc);
+            assert_push_matches_routing(Dims::new(4, 8, 12), 4, bc);
+            assert_push_matches_routing(Dims::new(8, 16, 8), 8, bc);
+            // Axes of length 1 (whose nodes carry both face bits) and 2.
+            for dims in [(1, 2, 3), (2, 1, 2), (3, 2, 1), (1, 1, 1), (2, 2, 2)] {
+                assert_push_matches_routing(Dims::new(dims.0, dims.1, dims.2), 1, bc);
+            }
         }
     }
 

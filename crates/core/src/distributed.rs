@@ -8,8 +8,9 @@
 //! `std::sync::mpsc` messages — the in-process stand-in for MPI:
 //!
 //! * **halo exchange** — after collision each rank sends its first and
-//!   last owned planes to its ring neighbours, so pull streaming can read
-//!   upwind populations across rank boundaries;
+//!   last owned (post-collision) planes to its ring neighbours, so each
+//!   rank can pull the populations that stream into it across a rank
+//!   boundary;
 //! * **structure replication + all-reduce** — every rank holds the whole
 //!   (small) fiber sheet and computes its forces redundantly (Table I
 //!   shows fiber kernels are ~0.05% of the work); spreading writes only
@@ -18,7 +19,11 @@
 //!   back, exactly the scheme distributed IB codes use over MPI.
 //!
 //! The x axis must be periodic (the paper's tunnel is); y/z walls are
-//! handled locally by each rank.
+//! handled locally by each rank. Kernels 5+6 always run fused
+//! ([`DistributedSolver::PLAN`]), whatever `config.plan` says: a
+//! rank-local collide–push sweep, then a ghost fix-up after the halo
+//! exchange. The split schedule survives only in the sequential and
+//! OpenMP solvers.
 
 use ib::delta::for_each_influence;
 use ib::forces::{bending_at, stretching_at};
@@ -174,6 +179,9 @@ pub struct DistributedSolver {
 }
 
 impl DistributedSolver {
+    /// The kernel plan this solver runs, whatever `config.plan` says.
+    pub const PLAN: KernelPlan = KernelPlan::Fused;
+
     /// Builds the solver, slicing the initial state into rank slabs.
     /// Panics unless the x axis is periodic and every rank gets at least
     /// one plane.
@@ -591,77 +599,55 @@ fn rank_steps(
         }
         busy[KernelId::SpreadForce.index()] += mark.elapsed().as_secs_f64();
 
+        // Fused kernels 5+6, slab-local part: collide every owned node in
+        // registers and push the results straight into the owned slots of
+        // f_new. Only the two boundary planes write their post-collision
+        // values back into rank.f — the halo exchange ships exactly those
+        // planes to the neighbours. Populations whose destination plane
+        // belongs to another rank are dropped here; the owning rank
+        // reconstructs them from its ghost planes after the exchange (see
+        // the fix-up pass below).
         mark = std::time::Instant::now();
-        match config.plan {
-            KernelPlan::Split => {
-                // Kernel 5: collision on owned planes.
-                for lx in 0..w {
-                    for yz in 0..plane {
-                        let lnode = lx * plane + yz;
-                        let fi = (lx + 1) * plane * Q + yz * Q;
-                        let ueq = [rank.ueqx[lnode], rank.ueqy[lnode], rank.ueqz[lnode]];
-                        let rho = rank.rho[lnode];
-                        bgk_collide_node(&mut rank.f[fi..fi + Q], rho, ueq, [0.0; 3], tau);
+        for lx in 0..w {
+            let gx = rank.x0 + lx;
+            let boundary = lx == 0 || lx == w - 1;
+            for y in 0..dims.ny {
+                for z in 0..dims.nz {
+                    let yz = y * dims.nz + z;
+                    let fi = ((lx + 1) * plane + yz) * Q;
+                    let lnode = lx * plane + yz;
+                    let mut regs = [0.0f64; Q];
+                    regs.copy_from_slice(&rank.f[fi..fi + Q]);
+                    let ueq = [rank.ueqx[lnode], rank.ueqy[lnode], rank.ueqz[lnode]];
+                    bgk_collide_node(&mut regs, rank.rho[lnode], ueq, [0.0; 3], tau);
+                    if boundary {
+                        rank.f[fi..fi + Q].copy_from_slice(&regs);
                     }
-                }
-            }
-            KernelPlan::Fused => {
-                // Fused kernels 5+6, slab-local part: collide every owned
-                // node in registers and push the results straight into the
-                // owned slots of f_new. Only the two boundary planes write
-                // their post-collision values back into rank.f — the halo
-                // exchange ships exactly those planes to the neighbours.
-                // Populations whose destination plane belongs to another
-                // rank are dropped here; the owning rank reconstructs them
-                // from its ghost planes after the exchange (see the fix-up
-                // pass below).
-                for lx in 0..w {
-                    let gx = rank.x0 + lx;
-                    let boundary = lx == 0 || lx == w - 1;
-                    for y in 0..dims.ny {
-                        for z in 0..dims.nz {
-                            let yz = y * dims.nz + z;
-                            let fi = ((lx + 1) * plane + yz) * Q;
-                            let lnode = lx * plane + yz;
-                            let mut regs = [0.0f64; Q];
-                            regs.copy_from_slice(&rank.f[fi..fi + Q]);
-                            let ueq = [rank.ueqx[lnode], rank.ueqy[lnode], rank.ueqz[lnode]];
-                            bgk_collide_node(&mut regs, rank.rho[lnode], ueq, [0.0; 3], tau);
-                            if boundary {
-                                rank.f[fi..fi + Q].copy_from_slice(&regs);
-                            }
-                            rank.f_new[lnode * Q] = regs[0];
-                            for i in 1..Q {
-                                match router.route(gx, y, z, i) {
-                                    CoordRoute::Neighbor(d) => {
-                                        if d[0] >= rank.x0 && d[0] < x1 {
-                                            let dnode =
-                                                (d[0] - rank.x0) * plane + d[1] * dims.nz + d[2];
-                                            rank.f_new[dnode * Q + i] = regs[i];
-                                        }
-                                    }
-                                    CoordRoute::BounceBack {
-                                        opposite,
-                                        wall_velocity,
-                                    } => {
-                                        // x is periodic here, so walls are
-                                        // y/z only: the reflected slot is
-                                        // the origin node's own — owned.
-                                        rank.f_new[lnode * Q + opposite] =
-                                            regs[i] - moving_wall_correction(i, wall_velocity);
-                                    }
+                    rank.f_new[lnode * Q] = regs[0];
+                    for i in 1..Q {
+                        match router.route(gx, y, z, i) {
+                            CoordRoute::Neighbor(d) => {
+                                if d[0] >= rank.x0 && d[0] < x1 {
+                                    let dnode = (d[0] - rank.x0) * plane + d[1] * dims.nz + d[2];
+                                    rank.f_new[dnode * Q + i] = regs[i];
                                 }
+                            }
+                            CoordRoute::BounceBack {
+                                opposite,
+                                wall_velocity,
+                            } => {
+                                // x is periodic here, so walls are y/z
+                                // only: the reflected slot is the origin
+                                // node's own — owned.
+                                rank.f_new[lnode * Q + opposite] =
+                                    regs[i] - moving_wall_correction(i, wall_velocity);
                             }
                         }
                     }
                 }
             }
         }
-        let collide_slot = match config.plan {
-            KernelPlan::Split => KernelId::Collision,
-            KernelPlan::Fused => KernelId::FusedCollideStream,
-        };
-        busy[collide_slot.index()] += mark.elapsed().as_secs_f64();
+        busy[KernelId::FusedCollideStream.index()] += mark.elapsed().as_secs_f64();
 
         // Halo exchange: my first owned plane → left neighbour's right
         // ghost; my last owned plane → right neighbour's left ghost.
@@ -704,71 +690,33 @@ fn rank_steps(
             }
         }
 
+        // Fused kernels 5+6, ghost fix-up: populations pushed toward my
+        // boundary planes by neighbouring ranks never arrived (the push
+        // above is rank-local), but their post-collision sources now sit in
+        // my ghost planes. Pull exactly those entries — every other slot of
+        // f_new was already written by the push. With one rank the push
+        // covered the wrap too, and this pass matches nothing.
         mark = std::time::Instant::now();
-        match config.plan {
-            KernelPlan::Split => {
-                // Kernel 6: pull streaming into owned f_new, reading ghosts.
-                for lx in 0..w {
-                    let gx = rank.x0 + lx;
-                    for y in 0..dims.ny {
-                        for z in 0..dims.nz {
-                            let lnode = lx * plane + y * dims.nz + z;
-                            let out = &mut rank.f_new[lnode * Q..lnode * Q + Q];
-                            // Rest population.
-                            out[0] = rank.f[((lx + 1) * plane + y * dims.nz + z) * Q];
-                            for i in 1..Q {
-                                let o = OPPOSITE[i];
-                                match router.route(gx, y, z, o) {
-                                    CoordRoute::Neighbor(d) => {
-                                        let lp = local_plane(d[0]).expect("upwind plane visible");
-                                        let src = (lp * plane + d[1] * dims.nz + d[2]) * Q + i;
-                                        out[i] = rank.f[src];
-                                    }
-                                    CoordRoute::BounceBack { wall_velocity, .. } => {
-                                        let own = ((lx + 1) * plane + y * dims.nz + z) * Q + o;
-                                        out[i] =
-                                            rank.f[own] - moving_wall_correction(o, wall_velocity);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            KernelPlan::Fused => {
-                // Fused kernels 5+6, ghost fix-up: populations pushed
-                // toward my boundary planes by neighbouring ranks never
-                // arrived (the push above is rank-local), but their
-                // post-collision sources now sit in my ghost planes. Pull
-                // exactly those entries — every other slot of f_new was
-                // already written by the push. With one rank the push
-                // covered the wrap too, and this pass matches nothing.
-                let boundary_planes: &[usize] = if w == 1 { &[0] } else { &[0, w - 1] };
-                for &lx in boundary_planes {
-                    let gx = rank.x0 + lx;
-                    for y in 0..dims.ny {
-                        for z in 0..dims.nz {
-                            let lnode = lx * plane + y * dims.nz + z;
-                            for i in 1..Q {
-                                let o = OPPOSITE[i];
-                                if let CoordRoute::Neighbor(d) = router.route(gx, y, z, o) {
-                                    if d[0] < rank.x0 || d[0] >= x1 {
-                                        let lp = local_plane(d[0]).expect("upwind plane visible");
-                                        let src = (lp * plane + d[1] * dims.nz + d[2]) * Q + i;
-                                        rank.f_new[lnode * Q + i] = rank.f[src];
-                                    }
-                                }
+        let boundary_planes: &[usize] = if w == 1 { &[0] } else { &[0, w - 1] };
+        for &lx in boundary_planes {
+            let gx = rank.x0 + lx;
+            for y in 0..dims.ny {
+                for z in 0..dims.nz {
+                    let lnode = lx * plane + y * dims.nz + z;
+                    for i in 1..Q {
+                        let o = OPPOSITE[i];
+                        if let CoordRoute::Neighbor(d) = router.route(gx, y, z, o) {
+                            if d[0] < rank.x0 || d[0] >= x1 {
+                                let lp = local_plane(d[0]).expect("upwind plane visible");
+                                let src = (lp * plane + d[1] * dims.nz + d[2]) * Q + i;
+                                rank.f_new[lnode * Q + i] = rank.f[src];
                             }
                         }
                     }
                 }
             }
         }
-        let stream_slot = match config.plan {
-            KernelPlan::Split => KernelId::Stream,
-            KernelPlan::Fused => KernelId::FusedCollideStream,
-        };
-        busy[stream_slot.index()] += mark.elapsed().as_secs_f64();
+        busy[KernelId::FusedCollideStream.index()] += mark.elapsed().as_secs_f64();
 
         // Kernel 7: macroscopic update on owned planes.
         mark = std::time::Instant::now();
@@ -900,10 +848,15 @@ mod tests {
     }
 
     #[test]
-    fn fused_plan_is_bit_identical_to_split() {
-        let cfg = SimulationConfig::quick_test();
-        let mut fused_cfg = cfg;
-        fused_cfg.plan = KernelPlan::Fused;
+    fn configured_plan_does_not_change_results() {
+        let cfg = SimulationConfig {
+            plan: KernelPlan::Split,
+            ..SimulationConfig::quick_test()
+        };
+        let fused_cfg = SimulationConfig {
+            plan: KernelPlan::Fused,
+            ..cfg
+        };
         for ranks in [1, 2, 3, 4] {
             let mut split = DistributedSolver::new(cfg, ranks);
             let split_report = split.try_run(8).unwrap();

@@ -22,16 +22,17 @@ use std::time::Instant;
 use ib::forces::{bending_at, stretching_at};
 use ib::interp::{interpolate_velocity, VelocityField};
 use ib::spread::{spread_node, ForceSink};
-use lbm::boundary::{moving_wall_correction, stream_pull_routed_node, CoordRoute, StreamRouter};
+use lbm::boundary::{stream_pull_routed_node, StreamRouter};
 use lbm::collision::bgk_collide_node;
-use lbm::fused::collide_to_registers;
+use lbm::fused::sweep_planes;
 use lbm::grid::Dims;
 use lbm::lattice::Q;
 use lbm::macroscopic::node_moments_shifted;
 
-use crate::atomicf64::{as_atomic_f64, AtomicF64};
+use crate::atomicf64::AtomicF64;
 use crate::config::KernelPlan;
 use crate::profiling::KernelId;
+use crate::sharedgrid::SharedSlice;
 use crate::solver::{timed_steps, Backend, RunReport, SolverError};
 use crate::state::SimState;
 use crate::telemetry::{RunTelemetry, ThreadTelemetry};
@@ -522,71 +523,50 @@ impl OpenMpSolver {
         );
     }
 
-    /// Fused kernels 5+6: each slab collides its own nodes in registers
-    /// and pushes the results straight into `f_new`, skipping both the
-    /// post-collision write-back of `f` and its re-read by streaming.
+    /// Fused kernels 5+6: each slab runs [`sweep_planes`] over its own
+    /// x-planes, colliding its nodes in registers and pushing the results
+    /// straight into `f_new`, skipping both the post-collision write-back
+    /// of `f` and its re-read by streaming.
     ///
-    /// Push streaming writes each `(destination node, direction)` slot of
+    /// `f_new` moves out of the grid into a [`SharedSlice`] for the region
+    /// and back afterwards. The slabs write it without locks: push
+    /// streaming writes each `(destination node, direction)` slot of
     /// `f_new` exactly once across the whole grid — interior/periodic
     /// routes keep their direction and map origin nodes injectively, and a
     /// bounce-back writes the origin's own `(node, opposite)` slot, whose
     /// upwind route crossed a wall and therefore never produces a neighbour
-    /// write. Slots owned by no wall-adjacent node are still unique per
-    /// direction, so threads never store to the same location; the relaxed
-    /// atomic stores only make the cross-slab writes race-free in the
-    /// memory model, and the pool's implicit join publishes them before
-    /// kernel 7 reads `f_new`.
+    /// write. No thread reads `f_new` during the region, and the pool's
+    /// implicit join publishes the writes before kernel 7 reads them.
     fn fused_kernel(&mut self) {
         let n_chunks = self.n_chunks();
         let tau = self.state.config.tau;
         let dims = self.state.config.dims();
-        let bc = self.state.config.bc;
-        let plane = dims.ny * dims.nz;
-        let plane_ranges = balanced_ranges(dims.nx, n_chunks);
-        let node_ranges: Vec<Range<usize>> = plane_ranges
-            .iter()
-            .map(|r| r.start * plane..r.end * plane)
-            .collect();
-
-        let router = StreamRouter::new(dims, &bc);
-        let router = &router;
+        let router = StreamRouter::new(dims, &self.state.config.bc);
+        #[cfg(feature = "racecheck")]
+        let phase = self.state.step;
         let fluid = &mut self.state.fluid;
-        let rho = &fluid.rho;
-        let ueqx = &fluid.ueqx;
-        let ueqy = &fluid.ueqy;
-        let ueqz = &fluid.ueqz;
-        let f = &fluid.f;
-        let f_new = as_atomic_f64(&mut fluid.f_new);
+        let f_new = SharedSlice::from_vec(std::mem::take(&mut fluid.f_new));
+        #[cfg(feature = "racecheck")]
+        f_new.name_for_racecheck("omp f_new");
+        let (grid, router, shared) = (&*fluid, &router, &f_new);
         Self::region_static(
             &self.pool,
             &mut self.telemetry,
             KernelId::FusedCollideStream,
-            node_ranges,
-            |_t, nodes| {
-                for node in nodes {
-                    let ueq = [ueqx[node], ueqy[node], ueqz[node]];
-                    let regs =
-                        collide_to_registers(&f[node * Q..node * Q + Q], rho[node], ueq, tau);
-                    let (x, y, z) = dims.coords(node);
-                    f_new[node * Q].store(regs[0]);
-                    for i in 1..Q {
-                        match router.route(x, y, z, i) {
-                            CoordRoute::Neighbor(d) => {
-                                let dst = (d[0] * dims.ny + d[1]) * dims.nz + d[2];
-                                f_new[dst * Q + i].store(regs[i]);
-                            }
-                            CoordRoute::BounceBack {
-                                opposite,
-                                wall_velocity,
-                            } => {
-                                f_new[node * Q + opposite]
-                                    .store(regs[i] - moving_wall_correction(i, wall_velocity));
-                            }
-                        }
-                    }
+            balanced_ranges(dims.nx, n_chunks),
+            |_t, xs| {
+                #[cfg(feature = "racecheck")]
+                {
+                    crate::racecheck::set_thread(current_thread_index().unwrap_or(0));
+                    crate::racecheck::set_phase(phase);
                 }
+                // SAFETY: every slot this slab writes is written by no
+                // other slab (push injectivity, above), and no thread
+                // reads `f_new` before the region joins.
+                sweep_planes(xs, grid, router, tau, |i, v| unsafe { shared.set(i, v) });
             },
         );
+        self.state.fluid.f_new = f_new.into_vec();
     }
 
     /// Kernel 6: streaming, pull formulation (every write owned by the
@@ -817,35 +797,52 @@ mod tests {
         assert!(max_pos_err < 1e-12, "sheet mismatch {max_pos_err}");
     }
 
+    /// `quick_test` under each kernel plan.
+    fn both_plans() -> [SimulationConfig; 2] {
+        [KernelPlan::Split, KernelPlan::Fused].map(|plan| SimulationConfig {
+            plan,
+            ..SimulationConfig::quick_test()
+        })
+    }
+
     #[test]
     fn thread_count_does_not_change_results() {
-        let cfg = SimulationConfig::quick_test();
-        let mut a = OpenMpSolver::new(cfg, 1);
-        let mut b = OpenMpSolver::new(cfg, 4);
-        a.run(6);
-        b.run(6);
-        // The bucketed spread applies contributions in global fiber order
-        // regardless of the chunk decomposition, so the agreement across
-        // thread counts is exact, not approximate.
-        assert_eq!(a.state.fluid.f, b.state.fluid.f);
-        assert_eq!(a.state.fluid.ux, b.state.fluid.ux);
-        assert_eq!(a.state.sheet.pos, b.state.sheet.pos);
+        for cfg in both_plans() {
+            let mut a = OpenMpSolver::new(cfg, 1);
+            let mut b = OpenMpSolver::new(cfg, 4);
+            a.run(6);
+            b.run(6);
+            // The bucketed spread applies contributions in global fiber
+            // order regardless of the chunk decomposition, and every
+            // streamed slot has one writer, so the agreement across thread
+            // counts is exact, not approximate.
+            let plan = cfg.plan;
+            assert_eq!(a.state.fluid.f, b.state.fluid.f, "{plan:?}");
+            assert_eq!(a.state.fluid.ux, b.state.fluid.ux, "{plan:?}");
+            assert_eq!(a.state.sheet.pos, b.state.sheet.pos, "{plan:?}");
+        }
     }
 
     #[test]
     fn reruns_are_bit_identical() {
-        let cfg = SimulationConfig::quick_test();
-        let mut a = OpenMpSolver::new(cfg, 4);
-        let mut b = OpenMpSolver::new(cfg, 4);
-        a.run(6);
-        b.run(6);
-        assert_eq!(a.state.fluid.f, b.state.fluid.f);
-        assert_eq!(a.state.sheet.pos, b.state.sheet.pos);
+        for cfg in both_plans() {
+            let mut a = OpenMpSolver::new(cfg, 4);
+            let mut b = OpenMpSolver::new(cfg, 4);
+            a.run(6);
+            b.run(6);
+            let plan = cfg.plan;
+            assert_eq!(a.state.fluid.f, b.state.fluid.f, "{plan:?}");
+            assert_eq!(a.state.sheet.pos, b.state.sheet.pos, "{plan:?}");
+        }
     }
 
     #[test]
     fn profiler_and_imbalance_populated() {
-        let mut omp = OpenMpSolver::new(SimulationConfig::quick_test(), 2);
+        let cfg = SimulationConfig {
+            plan: KernelPlan::Split,
+            ..SimulationConfig::quick_test()
+        };
+        let mut omp = OpenMpSolver::new(cfg, 2);
         omp.telemetry_enabled = true;
         let report = omp.run(3);
         assert_eq!(report.steps, 3);
@@ -969,9 +966,14 @@ mod tests {
         // The fused sweep performs the same f64 arithmetic and stores the
         // same values at the same slots, so the agreement is exact, not
         // approximate.
-        let split_cfg = SimulationConfig::quick_test();
-        let mut fused_cfg = split_cfg;
-        fused_cfg.plan = crate::config::KernelPlan::Fused;
+        let split_cfg = SimulationConfig {
+            plan: KernelPlan::Split,
+            ..SimulationConfig::quick_test()
+        };
+        let fused_cfg = SimulationConfig {
+            plan: KernelPlan::Fused,
+            ..split_cfg
+        };
         let mut split = OpenMpSolver::new(split_cfg, 3);
         let mut fused = OpenMpSolver::new(fused_cfg, 3);
         fused.telemetry_enabled = true;

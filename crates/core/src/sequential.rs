@@ -167,9 +167,18 @@ mod tests {
         report.telemetry.expect("telemetry on")
     }
 
+    /// `quick_test` under the split plan, whose profile has a row for
+    /// each of Algorithm 1's kernels 5 and 6.
+    fn split_config() -> SimulationConfig {
+        SimulationConfig {
+            plan: KernelPlan::Split,
+            ..SimulationConfig::quick_test()
+        }
+    }
+
     #[test]
     fn profiler_sees_every_kernel() {
-        let t = telemetry(SimulationConfig::quick_test(), 3);
+        let t = telemetry(split_config(), 3);
         for k in KernelId::ALL {
             let secs = t.kernel_seconds(k);
             if k == KernelId::FusedCollideStream {
@@ -206,7 +215,7 @@ mod tests {
     fn fluid_dominant_kernels_dominate_profile() {
         // Even at test scale, the fluid kernels (5, 7, 9, 6) must outweigh
         // the fiber kernels (1, 2, 3) — the core observation of Table I.
-        let t = telemetry(SimulationConfig::quick_test(), 5);
+        let t = telemetry(split_config(), 5);
         let sum = |ks: &[KernelId]| ks.iter().map(|&k| t.kernel_seconds(k)).sum::<f64>();
         let fluid_time = sum(&[
             KernelId::Collision,

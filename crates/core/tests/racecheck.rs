@@ -8,8 +8,9 @@
 #![cfg(feature = "racecheck")]
 
 use lbm::boundary::{AxisBoundary, BoundaryConfig};
-use lbm_ib::config::SimulationConfig;
+use lbm_ib::config::{KernelPlan, SimulationConfig};
 use lbm_ib::cube::CubeSolver;
+use lbm_ib::openmp::OpenMpSolver;
 use lbm_ib::racecheck;
 use lbm_ib::sharedgrid::SharedSlice;
 use std::sync::Mutex;
@@ -72,10 +73,51 @@ fn cube_solver_run_is_discipline_clean() {
 fn fused_cube_solver_run_is_discipline_clean() {
     let _g = serial();
     let mut cfg = SimulationConfig::quick_test();
-    cfg.plan = lbm_ib::config::KernelPlan::Fused;
+    cfg.plan = KernelPlan::Fused;
     let mut solver = CubeSolver::new(cfg, 3);
     racecheck::begin();
     solver.try_run(2).unwrap();
+    let report = racecheck::audit();
+    assert!(
+        report.dropped == 0,
+        "log overflow: {} dropped",
+        report.dropped
+    );
+    assert!(
+        report.records > 100_000,
+        "suspiciously few records: {}",
+        report.records
+    );
+    report.assert_clean();
+}
+
+/// The OpenMP solver's fused sweep: each slab runs the shared collide–push
+/// over its own x-planes and writes `f_new` through a `SharedSlice`
+/// without locks, relying on the same push injectivity as the cube
+/// solver. Moving walls on two axes send the slab faces through the
+/// offset pushes, the periodic wrap across slabs and the bounce-back
+/// correction.
+#[test]
+fn omp_fused_run_is_discipline_clean() {
+    let _g = serial();
+    let cfg = SimulationConfig {
+        bc: BoundaryConfig {
+            x: AxisBoundary::Periodic,
+            y: AxisBoundary::Walls {
+                lo: [0.0; 3],
+                hi: [0.02, 0.0, 0.0],
+            },
+            z: AxisBoundary::Walls {
+                lo: [0.0, -0.01, 0.0],
+                hi: [0.0; 3],
+            },
+        },
+        plan: KernelPlan::Fused,
+        ..SimulationConfig::quick_test()
+    };
+    let mut solver = OpenMpSolver::new(cfg, 3);
+    racecheck::begin();
+    solver.run(2);
     let report = racecheck::audit();
     assert!(
         report.dropped == 0,

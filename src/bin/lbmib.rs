@@ -36,6 +36,10 @@
 //!       --metrics run.json                   # disk rollback + recovery JSON
 //! ```
 //!
+//! `--plan` picks the kernel-5+6 schedule of `seq` and `omp` (default
+//! `fused`; `split` is the paper's Algorithm 1). `cube` and `dist` always
+//! run fused and ignore it.
+//!
 //! Periodic checkpoints are crash-consistent: each save goes to a temp
 //! file, is fsynced, then atomically renamed over `--checkpoint-path`,
 //! with the previous good save rotated to `<path>.prev`. `--resume` falls
@@ -64,8 +68,8 @@ use std::path::PathBuf;
 use lbm_ib::config::KernelPlan;
 use lbm_ib::output::{append_trajectory_row, dump_sheet_snapshot, trajectory_header};
 use lbm_ib::{
-    run_chunks, Backend, CubeSolver, SheetConfig, SimState, SimulationConfig, Solver, SolverError,
-    TetherConfig, Watchdog,
+    run_chunks, Backend, CubeSolver, DistributedSolver, SheetConfig, SimState, SimulationConfig,
+    Solver, SolverError, TetherConfig, Watchdog,
 };
 use lbm_ib_bench::Args;
 
@@ -180,7 +184,8 @@ fn build_config(args: &Args) -> SimulationConfig {
 fn apply_runtime_choices(args: &Args, config: &mut SimulationConfig) {
     config.plan = match args.get::<String>("plan").as_deref() {
         Some("fused") => KernelPlan::Fused,
-        Some("split") | None => KernelPlan::Split,
+        Some("split") => KernelPlan::Split,
+        None => KernelPlan::default(),
         Some(other) => die(format!("unknown plan '{other}' (expected split|fused)")),
     };
     if let Some(k) = args.get("cube-k") {
@@ -248,11 +253,11 @@ fn main() {
         config.sheet.nodes_per_fiber,
         config.tau,
         backend.name(),
-        // The cube solver always runs its fused pass.
-        if backend == Backend::Cube {
-            CubeSolver::PLAN
-        } else {
-            config.plan
+        // The cube and distributed solvers always run fused.
+        match backend {
+            Backend::Cube => CubeSolver::PLAN,
+            Backend::Dist => DistributedSolver::PLAN,
+            Backend::Seq | Backend::Omp => config.plan,
         },
         if backend == Backend::Seq { 1 } else { threads },
         steps

@@ -3,6 +3,7 @@
 //! and the watchdog must turn silent numerical blow-ups into typed
 //! errors through the `Solver` trait.
 
+use lbm_ib::config::KernelPlan;
 use lbm_ib::profiling::KernelId;
 use lbm_ib::solver::build_solver;
 use lbm_ib::verify::compare_states;
@@ -19,7 +20,10 @@ fn cfg() -> SimulationConfig {
 
 #[test]
 fn seq_kernel_totals_account_for_the_wall_time() {
-    let mut s = SequentialSolver::new(cfg());
+    let mut s = SequentialSolver::new(SimulationConfig {
+        plan: KernelPlan::Split,
+        ..cfg()
+    });
     s.telemetry_enabled = true;
     let report = s.run(20);
     let t = report.telemetry.expect("telemetry enabled");
