@@ -14,11 +14,12 @@
 //!
 //! Usage: `fig8_weak_scaling [--steps N] [--shrink S] [--cores 1,2,...] [--full]`
 
-use cachesim::trace::{simulate_cube, simulate_flat};
+use cachesim::trace::{simulate_cube_marked, simulate_flat_fused};
+use ib::delta::Stencil;
 use lbm::cube_grid::CubeDims;
 use lbm::distribution::CubeDistribution;
 use lbm_ib::barrier::BarrierKind;
-use lbm_ib::{CubeSolver, OpenMpSolver, SimulationConfig};
+use lbm_ib::{CubeSolver, OpenMpSolver, SimState, SimulationConfig};
 use lbm_ib_bench::{span_and_imbalance, timed, Args, PAPER_FIG8_FINAL_GAP_PERCENT};
 
 fn main() {
@@ -113,6 +114,9 @@ fn main() {
         // smaller working set easing the memory-bandwidth bottleneck.
         // Replay one thread's per-step access trace of each layout through
         // the simulated thog cache hierarchy at each weak-scaling point.
+        // Both traces are the fused schedules the solvers run: the flat
+        // sweep plus kernels 7 and 9 over the slab, and the cube pass plus
+        // kernel 7 on the cubes the start sheet's stencils reach.
         println!();
         println!(
             "locality mechanism (cache simulator, one thread's work, L2 shared when cores > 1):"
@@ -139,12 +143,13 @@ fn main() {
             let dims = config.dims();
             let sharers = if n > 1 { 2 } else { 1 };
             let slab = lbm_ib::openmp::balanced_ranges(dims.nx, n)[0].clone();
-            let flat = simulate_flat(dims, slab, sharers, 1);
+            let flat = simulate_flat_fused(dims, slab, sharers, 1);
             let cdims = CubeDims::new(dims, config.cube_k);
             let dist = CubeDistribution::block(n);
             let owner = dist.ownership_table(&cdims);
             let my_cubes: Vec<usize> = (0..cdims.num_cubes()).filter(|&c| owner[c] == 0).collect();
-            let cube = simulate_cube(cdims, &my_cubes, sharers, 1);
+            let marked = stencil_cubes(config, cdims);
+            let cube = simulate_cube_marked(cdims, &my_cubes, &marked, sharers, 1);
             let flat_nodes = (dims.n() / n).max(1) as f64;
             let cube_nodes = (my_cubes.len() * cdims.nodes_per_cube()).max(1) as f64;
             println!(
@@ -159,4 +164,16 @@ fn main() {
             );
         }
     }
+}
+
+/// Per cube, whether a delta stencil of `config`'s start sheet reaches it:
+/// the cubes where the cube solver runs kernel 7 and loop 2 reads the
+/// force.
+fn stencil_cubes(config: SimulationConfig, cdims: CubeDims) -> Vec<bool> {
+    let mut marked = vec![false; cdims.num_cubes()];
+    for &p in &SimState::new(config).sheet.pos {
+        Stencil::new(p, config.delta, cdims.dims, &config.bc)
+            .for_each(|i| marked[cdims.split(i.x, i.y, i.z).0] = true);
+    }
+    marked
 }

@@ -28,4 +28,6 @@ pub mod trace;
 
 pub use cache::{Cache, CacheConfig};
 pub use hierarchy::Hierarchy;
-pub use trace::{simulate_cube, simulate_flat, simulate_flat_fused, MissReport};
+pub use trace::{
+    simulate_cube, simulate_cube_marked, simulate_flat, simulate_flat_fused, MissReport,
+};

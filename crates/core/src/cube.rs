@@ -10,15 +10,19 @@
 //! ```text
 //! loop 1  fibers:  kernels 1–3, and each fiber node's delta stencil
 //!                  (kernel 4's only kernel evaluation; no grid writes)
-//! loop 2  cubes:   kernels 5+6 fused: collide each node into a register
-//!                  block and push it `cur` → `nxt` (cross-cube writes hit
-//!                  unique (node, direction) slots, so they are
-//!                  per-location exclusive without locks)
+//! loop 2  cubes:   kernels 5+6 fused: derive ρ and u_eq from `cur` and the
+//!                  moment force, a cube at a time (the force is read and
+//!                  reseeded with the body force on marked cubes), collide
+//!                  each node into a register block and push it
+//!                  `cur` → `nxt` (cross-cube writes hit unique (node,
+//!                  direction) slots, so they are per-location exclusive
+//!                  without locks)
 //! ───────────────── barrier 1 (streamed populations in place)
 //! loop 3  cubes:   kernel 4 (each owner walks every fiber node's stencil
-//!                  in global order and adds the force into its own cubes)
-//!                  + kernel 7 (velocity update from `nxt`; reseeds each
-//!                  node's force with the body force right after reading it)
+//!                  in global order, marks its own cubes the stencil
+//!                  reaches and adds the force into them)
+//!                  + kernel 7 on marked cubes only (u from `nxt` and the
+//!                  force, for kernel 8)
 //! ───────────────── barrier 2 (velocities in place)
 //! loop 4  fibers:  kernel 8 (move fibers through their stored stencils;
 //!                  reads velocities anywhere, writes only its own fibers)
@@ -50,15 +54,43 @@
 //! only the offset table and the slot of a routed neighbour are the
 //! cube layout's own.
 //!
+//! # Moment force
+//!
+//! The collision of step s needs ρ and u_eq of the populations step s − 1
+//! streamed, which depend on the force step s − 1 spread: its "moment
+//! force". The force field holds exactly that between steps, so loop 2
+//! derives ρ and u_eq from `cur` and the force ([`node_moments_shifted`])
+//! into a per-cube buffer instead of reading stored arrays, and kernel
+//! 7 is no full-grid sweep. Loop 3 spreads into a field that must hold the
+//! body force, so loop 2 reseeds each force slot right after reading it.
+//!
+//! Only cubes some stencil reached in the last loop 3 can hold anything
+//! but the body force. Loop 3's owner marks them, once per distinct cube
+//! along each axis of each stencil, before the zero-force skip, because
+//! kernel 8 reads u through every stencil. Loop 2 reads the force only on
+//! a marked cube and takes the body force as a constant elsewhere. Kernel
+//! 7 runs only on the marked cubes and writes only u, the one field kernel
+//! 8 reads. ρ, u and u_eq are derived again, in the same arithmetic, when
+//! the state is gathered.
+//!
+//! The first step after [`CubeSolver::from_state`] is the exception: it
+//! collides at the state's stored ρ and u_eq, and every cube starts
+//! marked, so loop 2 reseeds the whole force field. A state whose force
+//! field is not the moment force (a checkpoint that stored the reseeded
+//! body force) therefore still continues bit-exactly.
+//!
 //! # Call boundary
 //!
-//! A call moves the grid, the sheet arrays and the solver's stencil array
-//! out of the solver into shared form with `std::mem::take`, so nothing is
-//! allocated or filled in their place. When the team has joined,
-//! everything moves back, on the failure path too. The stencil array is
-//! sized by the first call and keeps its storage from then on; loop 1
-//! rewrites every entry before any thread reads it, so no contents cross a
-//! call.
+//! A call moves the grid, the sheet arrays, the solver's stencil array and
+//! its cube marks out of the solver into shared form with
+//! `std::mem::take`, so nothing is allocated or filled in their place.
+//! When the team has joined, everything moves back, on the failure path
+//! too. The stencil array is sized by the first call and keeps its storage
+//! from then on; loop 1 rewrites every entry before any thread reads it, so
+//! no contents cross a call. The marks do cross calls: the first loop 2 of
+//! a call reads the marks the last loop 3 of the previous call set. So does
+//! the stored-moments flag, which only the first step after `from_state`
+//! sees set.
 //!
 //! # Determinism
 //!
@@ -67,9 +99,12 @@
 //! threads' cubes), so it is split: the fiber owner computes each node's
 //! stencil in loop 1, and in loop 3 every cube owner walks all fiber nodes
 //! in global order and applies only the contributions that land in its own
-//! cubes. Each force slot therefore receives the same products in the same
-//! order as in the sequential solver's kernel 4, whatever the thread
-//! count, distribution policy or cube edge. Runs are bit-exactly
+//! cubes, one block of the stencil per cube. Each force slot therefore
+//! receives the same products in the same order as in the sequential
+//! solver's kernel 4, whatever the thread count, distribution policy or
+//! cube edge: a stencil adds at most one product per slot, or, where it
+//! wraps twice onto a periodic axis shorter than itself, adds them in the
+//! sequential order (see `CubeStencil::for_each_block`). Runs are bit-exactly
 //! reproducible, which the checkpoint/resume equivalence guarantee relies
 //! on.
 //!
@@ -81,6 +116,7 @@
 //! solver's arrays — without advancing the step counter — and returns
 //! [`SolverError::WorkerPanicked`] naming the thread and phase.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -167,6 +203,9 @@ impl CubeIndexer {
                 out.cube[a][j] = self.cube_part[a][v];
                 out.flat[a][j] = self.flat_part[a][v];
                 out.weight[a][j] = w;
+                if j == 0 || out.cube[a][j] != out.cube[a][j - 1] {
+                    out.runs[a] |= 1 << j;
+                }
             }
         }
         out
@@ -177,33 +216,78 @@ impl CubeIndexer {
 /// owner in loop 1 and read by the spread (loop 3) and the interpolation
 /// (loop 4). Per axis and entry it holds the entry's term of the cube
 /// index, its term of the flat index (see [`CubeIndexer`]) and its 1D
-/// weight.
+/// weight. Per axis, bit `j` of `runs` is set if entry `j` starts a run,
+/// a stretch of consecutive entries with one cube term. One run per axis
+/// makes a block, which lies in a single cube.
 #[derive(Clone, Copy, Default)]
 struct CubeStencil {
     cube: [[usize; Stencil::MAX_WIDTH]; 3],
     flat: [[usize; Stencil::MAX_WIDTH]; 3],
     weight: [[f64; Stencil::MAX_WIDTH]; 3],
     len: [usize; 3],
+    runs: [u8; 3],
 }
 
 impl CubeStencil {
-    /// Calls `f(cube, flat, weight)` for every node of the tensor-product
+    /// Calls `f(flat, weight)` for every node of the tensor-product
     /// domain, in [`Stencil::for_each`]'s order and with its weight
     /// association, `(wx * wy) * wz`.
     #[inline(always)]
-    fn for_each(&self, mut f: impl FnMut(usize, usize, f64)) {
-        for ix in 0..self.len[0] {
-            let (cx, fx, wx) = (self.cube[0][ix], self.flat[0][ix], self.weight[0][ix]);
-            for iy in 0..self.len[1] {
-                let cxy = cx + self.cube[1][iy];
+    fn for_each(&self, f: impl FnMut(usize, f64)) {
+        self.for_each_in(&[0..self.len[0], 0..self.len[1], 0..self.len[2]], f);
+    }
+
+    /// Calls `f(flat, weight)` for the nodes of `block` (a range of
+    /// entries per axis), in [`Self::for_each`]'s order and weight
+    /// association.
+    #[inline(always)]
+    fn for_each_in(&self, block: &[Range<usize>; 3], mut f: impl FnMut(usize, f64)) {
+        for ix in block[0].clone() {
+            let (fx, wx) = (self.flat[0][ix], self.weight[0][ix]);
+            for iy in block[1].clone() {
                 let fxy = fx + self.flat[1][iy];
                 let wxy = wx * self.weight[1][iy];
-                for iz in 0..self.len[2] {
-                    f(
-                        cxy + self.cube[2][iz],
-                        fxy + self.flat[2][iz],
-                        wxy * self.weight[2][iz],
-                    );
+                for iz in block[2].clone() {
+                    f(fxy + self.flat[2][iz], wxy * self.weight[2][iz]);
+                }
+            }
+        }
+    }
+
+    /// Calls `f(cube, block)` for every block of the stencil, x runs
+    /// outermost: once per cube the stencil reaches, not once per point (a
+    /// cube comes up twice only where a periodic axis wraps the stencil
+    /// back into it).
+    ///
+    /// The blocks visit the points in another order than
+    /// [`Self::for_each`], which changes no force sum: only two points on
+    /// one node could tell, and those differ in their entries only along
+    /// periodic axes shorter than the stencil. The cube edge divides such
+    /// an axis's length (at most 3), so it is 1, and every block is a
+    /// single point in `for_each`'s order, or it is that length, and the
+    /// axis is one run, so both points lie in one block.
+    #[inline(always)]
+    fn for_each_block(&self, mut f: impl FnMut(usize, &[Range<usize>; 3])) {
+        let runs = |a: usize| {
+            let mut bits = u32::from(self.runs[a]);
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let start = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let end = if bits == 0 {
+                    self.len[a]
+                } else {
+                    bits.trailing_zeros() as usize
+                };
+                Some((self.cube[a][start], start..end))
+            })
+        };
+        for (cx, rx) in runs(0) {
+            for (cy, ry) in runs(1) {
+                for (cz, rz) in runs(2) {
+                    f(cx + cy + cz, &[rx.clone(), ry.clone(), rz]);
                 }
             }
         }
@@ -323,6 +407,47 @@ impl CubeStreamer {
             write,
         );
     }
+
+    /// Loop 2 on one cube: collides each node's `cur` populations in
+    /// registers at the ρ and u_eq that `moments(flat, &pre)` returns and
+    /// pushes the result into `nxt`.
+    ///
+    /// The moments of all the cube's nodes go into `moments_of_cube` (one
+    /// entry per node) before any node collides. Each node's sums are a
+    /// long chain of dependent adds in a fixed order; computed node after
+    /// node in a tight loop, the chains of neighbouring nodes overlap,
+    /// where interleaved with the collision and the push they would stall
+    /// them. The second read of `cur` hits the cache: a cube is a few KB.
+    ///
+    /// # Safety
+    /// As for [`Self::push`], for every node of `cube`; and no thread may
+    /// write the cube's `cur` slots for the duration of the phase.
+    #[inline(always)]
+    unsafe fn collide_push(
+        &self,
+        cur: &SharedSlice<f64>,
+        nxt: &SharedSlice<f64>,
+        cube: usize,
+        tau: f64,
+        moments_of_cube: &mut [(f64, [f64; 3])],
+        mut moments: impl FnMut(usize, &[f64; Q]) -> (f64, [f64; 3]),
+    ) {
+        let first = self.cdims.flat(cube, 0);
+        for (local, m) in moments_of_cube.iter_mut().enumerate() {
+            let flat = first + local;
+            // SAFETY: `cur` is read-only this phase (see `# Safety`).
+            let pre: [f64; Q] = std::array::from_fn(|i| unsafe { cur.get(flat * Q + i) });
+            *m = moments(flat, &pre);
+        }
+        self.for_each_node(cube, |flat, local, pos, face| {
+            // SAFETY: `cur` is read-only this phase (see `# Safety`).
+            let pre: [f64; Q] = std::array::from_fn(|i| unsafe { cur.get(flat * Q + i) });
+            let (rho, ueq) = moments_of_cube[local];
+            let post = collide_to_registers(&pre, rho, ueq, tau);
+            // SAFETY: forwarded from this function's contract.
+            unsafe { self.push(nxt, flat, local, pos, face, &post) };
+        });
+    }
 }
 
 /// Per-step work description for one worker thread.
@@ -352,6 +477,14 @@ pub struct CubeSolver {
     /// One delta stencil per fiber node, kept between calls (see "Call
     /// boundary" in the module docs).
     stencils: Vec<CubeStencil>,
+    /// Per cube: some stencil reached it in the last loop 3, so its force
+    /// slots may differ from the body force (see "Moment force" in the
+    /// module docs). Kept between calls.
+    marks: Vec<bool>,
+    /// True from [`CubeSolver::from_state`] until the first step: that
+    /// step collides at the state's stored ρ and u_eq, not at moments
+    /// derived from `f` and the force field.
+    stored_moments: bool,
 }
 
 impl CubeSolver {
@@ -370,13 +503,11 @@ impl CubeSolver {
         assert!(n_threads > 0, "need at least one thread");
         let config = state.config;
         let cdims = CubeDims::new(config.dims(), config.cube_k);
-        let mut grid = CubeFluidGrid::from_flat(&state.fluid, config.cube_k);
-        // Loop 3 spreads *into* the force field, so it must start each step
-        // pre-filled with the body force; kernel 7 re-fills it for the next
-        // step, and this seeds step 0.
-        grid.fx.fill(config.body_force[0]);
-        grid.fy.fill(config.body_force[1]);
-        grid.fz.fill(config.body_force[2]);
+        // The state's ρ, u, u_eq and force field stay as they are until the
+        // first step: it collides at the stored ρ and u_eq, and with every
+        // cube marked its loop 2 reseeds the whole force field with the
+        // body force before loop 3 spreads into it.
+        let grid = CubeFluidGrid::from_flat(&state.fluid, config.cube_k);
         Self {
             config,
             n_threads,
@@ -389,6 +520,8 @@ impl CubeSolver {
             step: state.step,
             telemetry_enabled: false,
             stencils: Vec::new(),
+            marks: vec![true; cdims.num_cubes()],
+            stored_moments: true,
         }
     }
 
@@ -417,10 +550,19 @@ impl CubeSolver {
     /// [`crate::solver::Solver::to_state_into`]).
     ///
     /// `fluid.f_new` equals `fluid.f`, as the flat solvers' kernel-9 copy
-    /// leaves it. The force fields are "pre-seeded for the next step" rather
-    /// than the flat solvers' "last spread"; verification ignores forces.
+    /// leaves it. The force field is the moment force, the force the last
+    /// step's moments used: the body force plus the last spread, as the
+    /// flat solvers store it. ρ, u and u_eq are derived from `f` and that
+    /// force in the same pass that copies `f`, so the gathered state equals
+    /// the sequential solver's bit for bit. Before the first step the
+    /// state passed to [`CubeSolver::from_state`] comes back unchanged.
     pub fn to_state_into(&self, out: &mut SimState) {
-        self.grid.to_flat_into(&mut out.fluid);
+        if self.stored_moments {
+            self.grid.to_flat_into(&mut out.fluid);
+        } else {
+            self.grid
+                .to_flat_with_moments_into(&mut out.fluid, self.config.tau);
+        }
         out.config = self.config;
         out.sheet.clone_from(&self.sheet);
         out.tethers.clone_from(&self.tethers);
@@ -494,6 +636,11 @@ impl CubeSolver {
         let stencils = SharedSlice::from_vec(std::mem::take(&mut self.stencils));
         #[cfg(feature = "racecheck")]
         stencils.name_for_racecheck("stencils");
+        // Read and rewritten by each cube's owner only, in loops 2 and 3.
+        let marks = SharedSlice::from_vec(std::mem::take(&mut self.marks));
+        #[cfg(feature = "racecheck")]
+        marks.name_for_racecheck("marks");
+        let stored_moments = self.stored_moments;
 
         // Streaming tables (offsets, routing), built once and shared
         // read-only by the workers.
@@ -523,6 +670,7 @@ impl CubeSolver {
                 let sheet_stretch = &sheet_stretch;
                 let sheet_elastic = &sheet_elastic;
                 let stencils = &stencils;
+                let marks = &marks;
                 let streamer = &streamer;
                 let barrier = &barrier;
                 let owner = &owner;
@@ -544,6 +692,8 @@ impl CubeSolver {
                             sheet_stretch,
                             sheet_elastic,
                             stencils,
+                            marks,
+                            stored_moments,
                             streamer,
                             barrier,
                             owner,
@@ -589,6 +739,7 @@ impl CubeSolver {
         self.sheet.stretching = sheet_stretch.into_vec();
         self.sheet.elastic = sheet_elastic.into_vec();
         self.stencils = stencils.into_vec();
+        self.marks = marks.into_vec();
 
         if let Some((thread, phase)) = panic_note.into_inner().unwrap_or_else(|e| e.into_inner()) {
             return Err(SolverError::WorkerPanicked {
@@ -597,6 +748,7 @@ impl CubeSolver {
             });
         }
         self.step += n_steps;
+        self.stored_moments = false;
         // An odd-length call ended with the current populations in `f_new`.
         if n_steps % 2 == 1 {
             std::mem::swap(&mut self.grid.f, &mut self.grid.f_new);
@@ -679,6 +831,8 @@ fn worker(
     sheet_stretch: &SharedSlice<[f64; 3]>,
     sheet_elastic: &SharedSlice<[f64; 3]>,
     stencils: &SharedSlice<CubeStencil>,
+    marks: &SharedSlice<bool>,
+    stored_moments: bool,
     streamer: &CubeStreamer,
     barrier: &PhaseBarrier,
     owner: &[usize],
@@ -701,6 +855,8 @@ fn worker(
     let delta = config.delta;
     let area = topo.ds_node * topo.ds_fiber;
     let body = config.body_force;
+    // Loop 2's per-cube moments (see `CubeStreamer::collide_push`).
+    let mut moments_of_cube = vec![(0.0, [0.0; 3]); npc];
 
     for local_step in 0..n_steps {
         let abs_step = step0 + local_step;
@@ -794,28 +950,63 @@ fn worker(
         // ─── Loop 2: fused kernels 5+6 on my cubes ───
         // Collide each node into a register block and push the block
         // straight into `nxt`; the collided values never land in `cur`.
+        // ρ and u_eq come from `cur` and the moment force, a cube at a time;
+        // on a marked cube the force is read and reseeded with the body
+        // force, on any other it is the body force already.
         phase_flag.store(1, Ordering::Relaxed);
         crate::faultinject::maybe_panic(plan.tid, abs_step, WORKER_PHASES[1]);
         let t0 = Instant::now();
+        let from_stored = stored_moments && local_step == 0;
+        let shifted = |pre: &[f64; Q], force: [f64; 3]| {
+            let (rho, _, ueq) = node_moments_shifted(pre, force, tau);
+            (rho, ueq)
+        };
         for &cube in &plan.my_cubes {
-            streamer.for_each_node(cube, |flat, local, pos, face| {
-                // SAFETY: reads my own cube's `cur` / rho / ueq, which no
-                // thread writes this phase; `push` writes `nxt` slots unique
-                // to me (see `CubeStreamer::push`), and no thread reads
-                // `nxt` before barrier 1. Leaving `cur` pre-collision is
-                // invisible: loop 3 reads `nxt`, and the next step
-                // overwrites `cur` wholesale as its `nxt`.
-                unsafe {
-                    let pre: [f64; Q] = std::array::from_fn(|i| cur.get(flat * Q + i));
-                    let ueq = [
-                        grid.ueqx.get(flat),
-                        grid.ueqy.get(flat),
-                        grid.ueqz.get(flat),
-                    ];
-                    let post = collide_to_registers(&pre, grid.rho.get(flat), ueq, tau);
-                    streamer.push(nxt, flat, local, pos, face, &post);
+            // SAFETY: each branch reads my own cube's `cur`, marks, force
+            // and (on the first step) stored moments, and writes my own
+            // force slots. Their other accesses are my own loop 3, behind
+            // barrier 1 of this step and barrier 3 of the previous one.
+            // `push` writes `nxt` slots unique to me (see
+            // `CubeStreamer::push`), and no thread reads `nxt` before
+            // barrier 1. Leaving `cur` pre-collision is invisible: loop 3
+            // reads `nxt`, and the next step overwrites `cur` wholesale as
+            // its `nxt`.
+            unsafe {
+                let take_force = |flat: usize| {
+                    let force = [grid.fx.get(flat), grid.fy.get(flat), grid.fz.get(flat)];
+                    grid.fx.set(flat, body[0]);
+                    grid.fy.set(flat, body[1]);
+                    grid.fz.set(flat, body[2]);
+                    force
+                };
+                if from_stored {
+                    // The first step after `from_state`: the state's ρ and
+                    // u_eq, and every cube is marked, because the state's
+                    // force field may hold anything.
+                    streamer.collide_push(cur, nxt, cube, tau, &mut moments_of_cube, |flat, _| {
+                        take_force(flat);
+                        let ueq = [
+                            grid.ueqx.get(flat),
+                            grid.ueqy.get(flat),
+                            grid.ueqz.get(flat),
+                        ];
+                        (grid.rho.get(flat), ueq)
+                    });
+                } else if marks.get(cube) {
+                    streamer.collide_push(
+                        cur,
+                        nxt,
+                        cube,
+                        tau,
+                        &mut moments_of_cube,
+                        |flat, pre| shifted(pre, take_force(flat)),
+                    );
+                } else {
+                    streamer.collide_push(cur, nxt, cube, tau, &mut moments_of_cube, |_, pre| {
+                        shifted(pre, body)
+                    });
                 }
-            });
+            }
         }
         busy[9] += t0.elapsed().as_secs_f64();
 
@@ -831,10 +1022,11 @@ fn worker(
         phase_flag.store(2, Ordering::Relaxed);
         crate::faultinject::maybe_panic(plan.tid, abs_step, WORKER_PHASES[2]);
 
-        // Kernel 4 (apply): walk every fiber node in global order and add
-        // the contributions that land in my cubes. The force slots of my
-        // cubes thus receive the sequential solver's products in its order
-        // (see "Determinism" in the module docs).
+        // Kernel 4 (apply): walk every fiber node in global order, mark my
+        // cubes its stencil reaches, and add the contributions that land
+        // in them. The force slots of my cubes thus receive the sequential
+        // solver's products in its order (see "Determinism" in the module
+        // docs).
         let t0 = Instant::now();
         {
             // SAFETY: stencils and elastic forces were written in loop 1,
@@ -846,53 +1038,59 @@ fn worker(
                     sheet_elastic.as_slice_unchecked(),
                 )
             };
+            for &cube in &plan.my_cubes {
+                // SAFETY: my cube's mark; loop 2 read it before barrier 1.
+                unsafe { marks.set(cube, false) };
+            }
             for (stencil, e) in stencils.iter().zip(elastic) {
                 let f_l = [e[0] * area, e[1] * area, e[2] * area];
-                if f_l == [0.0, 0.0, 0.0] {
-                    continue;
-                }
-                stencil.for_each(|cube, flat, w| {
-                    if owner[cube] == plan.tid {
-                        // SAFETY: the node lies in a cube I own, so I am the
-                        // only thread touching its force slots in this
-                        // phase.
-                        unsafe {
-                            grid.fx.add(flat, f_l[0] * w);
-                            grid.fy.add(flat, f_l[1] * w);
-                            grid.fz.add(flat, f_l[2] * w);
-                        }
+                let spread = f_l != [0.0, 0.0, 0.0];
+                // One ownership test per block. The mark comes before the
+                // zero-force skip: kernel 8 reads u through every stencil.
+                stencil.for_each_block(|cube, block| {
+                    if owner[cube] != plan.tid {
+                        return;
+                    }
+                    // SAFETY: a cube I own, so I am the only thread
+                    // touching its mark and force slots in this phase.
+                    unsafe { marks.set(cube, true) };
+                    if spread {
+                        stencil.for_each_in(block, |flat, w| {
+                            // SAFETY: the block lies in that cube.
+                            unsafe {
+                                grid.fx.add(flat, f_l[0] * w);
+                                grid.fy.add(flat, f_l[1] * w);
+                                grid.fz.add(flat, f_l[2] * w);
+                            }
+                        });
                     }
                 });
             }
         }
         busy[3] += t0.elapsed().as_secs_f64();
 
-        // Kernel 7: velocity update, and the force reseed for the next
-        // step: each force slot is set back to the body force right after
-        // it is read. Loop 4 never reads the force field, and its next
-        // write is my own loop-3 apply of the next step, behind barriers 3
-        // and 1, so the gathered state still sees the reseeded field.
+        // Kernel 7: the velocity loop 4 interpolates, on my marked cubes
+        // only; no stencil reads u anywhere else. The force stays as
+        // spread: it is the next step's moment force, which my next loop 2
+        // reads and reseeds.
         let t0 = Instant::now();
         for &cube in &plan.my_cubes {
+            // SAFETY: my cube's mark, set above by me.
+            if !unsafe { marks.get(cube) } {
+                continue;
+            }
             for local in 0..npc {
                 let flat = cdims.flat(cube, local);
                 // SAFETY: my cube; `nxt` complete (barrier 1); force
                 // complete (applied above by me, the owner); sole reader
-                // and writer of my force slots and macroscopic fields.
+                // of my force slots and sole writer of my velocities.
                 unsafe {
                     let fvals: [f64; Q] = std::array::from_fn(|i| nxt.get(flat * Q + i));
                     let force = [grid.fx.get(flat), grid.fy.get(flat), grid.fz.get(flat)];
-                    grid.fx.set(flat, body[0]);
-                    grid.fy.set(flat, body[1]);
-                    grid.fz.set(flat, body[2]);
-                    let (rho, u, ueq) = node_moments_shifted(&fvals, force, tau);
-                    grid.rho.set(flat, rho);
+                    let (_, u, _) = node_moments_shifted(&fvals, force, tau);
                     grid.ux.set(flat, u[0]);
                     grid.uy.set(flat, u[1]);
                     grid.uz.set(flat, u[2]);
-                    grid.ueqx.set(flat, ueq[0]);
-                    grid.ueqy.set(flat, ueq[1]);
-                    grid.ueqz.set(flat, ueq[2]);
                 }
             }
         }
@@ -920,7 +1118,7 @@ fn worker(
                     // Interpolation in `ib::interp::interpolate_velocity`'s
                     // order: `U(X) = Σ u(x) δ³(x − X)`.
                     let mut u = [0.0; 3];
-                    stencils[i].for_each(|_, flat, w| {
+                    stencils[i].for_each(|flat, w| {
                         // SAFETY: velocities are read-only in this phase
                         // (written in loop 3, before barrier 2).
                         let v =
@@ -945,7 +1143,7 @@ fn worker(
 
         // ─── Loop 5: no work; buffers swap roles ───
         // No kernel-9 copy: the next step reads this step's `nxt` as its
-        // `cur`, and kernel 7 has already reseeded the force field.
+        // `cur`, and the next loop 2 reseeds the force field.
         phase_flag.store(4, Ordering::Relaxed);
         crate::faultinject::maybe_panic(plan.tid, abs_step, WORKER_PHASES[4]);
 
@@ -969,6 +1167,7 @@ fn worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SheetConfig;
     use crate::sequential::SequentialSolver;
     use crate::solver::Solver;
     use lbm::boundary::{stream_push_routed_node, AxisBoundary, CoordRoute};
@@ -1303,17 +1502,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Runs three steps from a sheet whose nodes are displaced off its
-    /// plane, so every node carries an elastic force from the first step,
-    /// and serialises the gathered state. The cube edge and plan are reset
-    /// in the copy, so runs that differ only in those compare byte for
-    /// byte.
-    fn gathered_bytes(cfg: SimulationConfig, threads: usize) -> Vec<u8> {
+    /// The start state of `cfg` with the sheet's nodes displaced off its
+    /// plane, so every node carries an elastic force from the first step.
+    fn displaced_state(cfg: SimulationConfig) -> SimState {
         let mut state = SimState::new(cfg);
         for (i, p) in state.sheet.pos.iter_mut().enumerate() {
             p[0] += 0.01 * ((i * 7 % 11) as f64 - 5.0);
         }
-        let mut cube = CubeSolver::from_state(state, threads);
+        state
+    }
+
+    /// Runs three steps from [`displaced_state`] and serialises the
+    /// gathered state. The cube edge and plan are reset in the copy, so
+    /// runs that differ only in those compare byte for byte.
+    fn gathered_bytes(cfg: SimulationConfig, threads: usize) -> Vec<u8> {
+        let mut cube = CubeSolver::from_state(displaced_state(cfg), threads);
         cube.try_run(3).unwrap();
         let mut gathered = cube.to_state();
         gathered.config.cube_k = 4;
@@ -1323,9 +1526,186 @@ mod tests {
         bytes
     }
 
+    /// Asserts that two states hold the same bits in every fluid field,
+    /// every sheet array and the step counter.
+    fn assert_bitwise_equal(got: &SimState, want: &SimState, tag: &str) {
+        let (g, w) = (&got.fluid, &want.fluid);
+        let fields: [(&str, &[f64], &[f64]); 12] = [
+            ("f", &g.f, &w.f),
+            ("f_new", &g.f_new, &w.f_new),
+            ("rho", &g.rho, &w.rho),
+            ("ux", &g.ux, &w.ux),
+            ("uy", &g.uy, &w.uy),
+            ("uz", &g.uz, &w.uz),
+            ("ueqx", &g.ueqx, &w.ueqx),
+            ("ueqy", &g.ueqy, &w.ueqy),
+            ("ueqz", &g.ueqz, &w.ueqz),
+            ("fx", &g.fx, &w.fx),
+            ("fy", &g.fy, &w.fy),
+            ("fz", &g.fz, &w.fz),
+        ];
+        let (gs, ws) = (&got.sheet, &want.sheet);
+        let flat = |v: &[[f64; 3]]| v.iter().flatten().copied().collect::<Vec<f64>>();
+        let sheet = [
+            ("pos", flat(&gs.pos), flat(&ws.pos)),
+            ("bending", flat(&gs.bending), flat(&ws.bending)),
+            ("stretching", flat(&gs.stretching), flat(&ws.stretching)),
+            ("elastic", flat(&gs.elastic), flat(&ws.elastic)),
+        ];
+        let all = fields
+            .into_iter()
+            .chain(sheet.iter().map(|(n, a, b)| (*n, &a[..], &b[..])));
+        for (name, a, b) in all {
+            assert_eq!(a.len(), b.len(), "{tag}: {name} length");
+            if let Some(i) = (0..a.len()).find(|&i| a[i].to_bits() != b[i].to_bits()) {
+                panic!("{tag}: {name}[{i}] is {:e}, want {:e}", a[i], b[i]);
+            }
+        }
+        assert_eq!(got.step, want.step, "{tag}: step");
+    }
+
+    /// An 8×8×12 box, periodic along x and y with a moving lid on the high
+    /// z wall, and a sheet whose stencils wrap both periodic faces.
+    fn wrapping_config() -> SimulationConfig {
+        use lbm::boundary::AxisBoundary;
+        SimulationConfig {
+            nx: 8,
+            ny: 8,
+            nz: 12,
+            body_force: [1e-5, 0.0, 2e-6],
+            bc: BoundaryConfig {
+                x: AxisBoundary::Periodic,
+                y: AxisBoundary::Periodic,
+                z: AxisBoundary::Walls {
+                    lo: [0.0; 3],
+                    hi: [0.02, -0.01, 0.0],
+                },
+            },
+            sheet: SheetConfig {
+                k_bend: 1e-4,
+                k_stretch: 1e-2,
+                ..SheetConfig::square(5, 4.0, [0.3, 7.6, 6.0])
+            },
+            ..SimulationConfig::quick_test()
+        }
+    }
+
+    fn run_cube_in_chunks(
+        state: SimState,
+        cube_k: usize,
+        threads: usize,
+        chunks: &[u64],
+    ) -> SimState {
+        let mut cube = CubeSolver::from_state(
+            SimState {
+                config: SimulationConfig {
+                    cube_k,
+                    ..state.config
+                },
+                ..state
+            },
+            threads,
+        );
+        for &n in chunks {
+            cube.try_run(n).unwrap();
+        }
+        let mut gathered = cube.to_state();
+        gathered.config.cube_k = 4;
+        gathered
+    }
+
+    #[test]
+    fn gathered_state_equals_sequential_on_every_field() {
+        // Every field, the force and u_eq included: a cube a stencil
+        // reaches but the owner did not mark keeps a stale velocity and an
+        // unreseeded force, and the sheet or the force field shows it.
+        let start = displaced_state(wrapping_config());
+        let mut seq = SequentialSolver::from_state(start.clone());
+        seq.run(4);
+        for cube_k in [1, 2, 4] {
+            for threads in 1..=3 {
+                for chunks in [&[4][..], &[1, 3]] {
+                    let got = run_cube_in_chunks(start.clone(), cube_k, threads, chunks);
+                    let tag = format!("cube_k {cube_k}, {threads} threads, chunks {chunks:?}");
+                    assert_bitwise_equal(&got, &seq.state, &tag);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stencils_wrapping_onto_short_periodic_axes_spread_in_sequential_order() {
+        // Along a periodic axis of length 2 or 3 a 4-wide stencil reaches
+        // some nodes twice, so the order of its products matters there.
+        for (n, edges) in [(2, [1, 2]), (3, [1, 3])] {
+            let cfg = SimulationConfig {
+                nx: n,
+                ny: n,
+                cube_k: 1,
+                sheet: SheetConfig {
+                    center: [0.3, 1.2, 6.0],
+                    ..wrapping_config().sheet
+                },
+                ..wrapping_config()
+            };
+            let start = displaced_state(cfg);
+            let mut seq = SequentialSolver::from_state(start.clone());
+            seq.run(3);
+            for cube_k in edges {
+                for threads in 1..=2 {
+                    let got = run_cube_in_chunks(start.clone(), cube_k, threads, &[3]);
+                    let tag = format!("{n}x{n}x12, cube_k {cube_k}, {threads} threads");
+                    assert_bitwise_equal(&got, &seq.state, &tag);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resumes_a_state_that_stores_the_body_force() {
+        // A cube checkpoint written before loop 2 derived the moments
+        // stores the body force in F, not the force its ρ, u and u_eq
+        // belong to. The first step collides at the stored moments, so the
+        // run continues exactly as the sequential solver's.
+        let mut seq = SequentialSolver::from_state(displaced_state(wrapping_config()));
+        seq.run(3);
+        let mut body_force_file = seq.state.clone();
+        let g = &mut body_force_file.fluid;
+        for (field, b) in [&mut g.fx, &mut g.fy, &mut g.fz]
+            .into_iter()
+            .zip(seq.state.config.body_force)
+        {
+            field.fill(b);
+        }
+        assert_ne!(body_force_file.fluid.fx, seq.state.fluid.fx);
+        seq.run(4);
+        for threads in 1..=3 {
+            for chunks in [&[4][..], &[1, 3]] {
+                let got = run_cube_in_chunks(body_force_file.clone(), 2, threads, chunks);
+                assert_bitwise_equal(&got, &seq.state, &format!("{threads} threads, {chunks:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn gather_before_any_step_returns_the_loaded_state() {
+        let mut seq = SequentialSolver::from_state(displaced_state(wrapping_config()));
+        let fresh = seq.state.clone();
+        seq.run(3);
+        for state in [fresh, seq.state.clone()] {
+            for cube_k in [1, 2, 4] {
+                let got = run_cube_in_chunks(state.clone(), cube_k, 2, &[]);
+                assert_bitwise_equal(
+                    &got,
+                    &state,
+                    &format!("step {}, cube_k {cube_k}", state.step),
+                );
+            }
+        }
+    }
+
     #[test]
     fn results_are_bitwise_independent_of_threads_plan_and_cube_edge() {
-        use crate::config::SheetConfig;
         let base = SimulationConfig {
             nx: 16,
             ny: 16,

@@ -30,7 +30,7 @@ use ib::forces::{bending_at, stretching_at};
 use ib::sheet::FiberSheet;
 use ib::tether::TetherSet;
 use lbm::boundary::{moving_wall_correction, CoordRoute, StreamRouter};
-use lbm::collision::bgk_collide_node;
+use lbm::collision::bgk_collide_shifted;
 use lbm::grid::wrap_axis;
 use lbm::lattice::{OPPOSITE, Q};
 use lbm::macroscopic::node_moments_shifted;
@@ -619,7 +619,7 @@ fn rank_steps(
                     let mut regs = [0.0f64; Q];
                     regs.copy_from_slice(&rank.f[fi..fi + Q]);
                     let ueq = [rank.ueqx[lnode], rank.ueqy[lnode], rank.ueqz[lnode]];
-                    bgk_collide_node(&mut regs, rank.rho[lnode], ueq, [0.0; 3], tau);
+                    bgk_collide_shifted(&mut regs, rank.rho[lnode], ueq, tau);
                     if boundary {
                         rank.f[fi..fi + Q].copy_from_slice(&regs);
                     }

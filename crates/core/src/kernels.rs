@@ -12,7 +12,7 @@ use ib::forces;
 use ib::interp;
 use ib::spread;
 use lbm::boundary::{add_uniform_body_force, stream_push_bounded};
-use lbm::collision::bgk_collide_node;
+use lbm::collision::bgk_collide_shifted;
 use lbm::lattice::Q;
 use lbm::macroscopic::update_velocity_shifted;
 
@@ -61,7 +61,7 @@ pub fn compute_fluid_collision(state: &mut SimState) {
     for node in 0..g.dims.n() {
         let rho = g.rho[node];
         let ueq = [g.ueqx[node], g.ueqy[node], g.ueqz[node]];
-        bgk_collide_node(&mut g.f[node * Q..node * Q + Q], rho, ueq, [0.0; 3], tau);
+        bgk_collide_shifted(&mut g.f[node * Q..node * Q + Q], rho, ueq, tau);
     }
 }
 

@@ -23,7 +23,7 @@ use ib::forces::{bending_at, stretching_at};
 use ib::interp::{interpolate_velocity, VelocityField};
 use ib::spread::{spread_node, ForceSink};
 use lbm::boundary::{stream_pull_routed_node, StreamRouter};
-use lbm::collision::bgk_collide_node;
+use lbm::collision::bgk_collide_shifted;
 use lbm::fused::sweep_planes;
 use lbm::grid::Dims;
 use lbm::lattice::Q;
@@ -511,13 +511,7 @@ impl OpenMpSolver {
             |_t, (f_chunk, nodes)| {
                 for (i, node) in nodes.enumerate() {
                     let ueq = [ueqx[node], ueqy[node], ueqz[node]];
-                    bgk_collide_node(
-                        &mut f_chunk[i * Q..i * Q + Q],
-                        rho[node],
-                        ueq,
-                        [0.0; 3],
-                        tau,
-                    );
+                    bgk_collide_shifted(&mut f_chunk[i * Q..i * Q + Q], rho[node], ueq, tau);
                 }
             },
         );

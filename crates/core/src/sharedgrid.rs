@@ -31,8 +31,9 @@ use std::cell::UnsafeCell;
 
 /// A `Sync` slice of `T` with unchecked interior mutability.
 ///
-/// `T` is constrained to `Copy` values (we store `f64` and `[f64; 3]`);
-/// per-location data-race freedom is the caller's obligation.
+/// `T` is constrained to `Copy` values (the solver stores `f64`, `[f64; 3]`,
+/// delta stencils and per-cube marks); per-location data-race freedom is
+/// the caller's obligation.
 pub struct SharedSlice<T> {
     cells: Box<[UnsafeCell<T>]>,
     #[cfg(feature = "racecheck")]

@@ -17,6 +17,11 @@ pub struct StateDiff {
     pub u_l2: f64,
     /// Max absolute difference over the densities.
     pub rho_linf: f64,
+    /// Max absolute difference over the force fields (the force the last
+    /// step's moments used).
+    pub force_linf: f64,
+    /// Max absolute difference over the equilibrium-shift velocities.
+    pub ueq_linf: f64,
     /// Max absolute difference over the fiber node positions.
     pub pos_linf: f64,
 }
@@ -27,6 +32,8 @@ impl StateDiff {
         self.f_linf
             .max(self.u_linf)
             .max(self.rho_linf)
+            .max(self.force_linf)
+            .max(self.ueq_linf)
             .max(self.pos_linf)
     }
 
@@ -47,6 +54,10 @@ pub fn compare_states(a: &SimState, b: &SimState) -> StateDiff {
             .map(|(p, q)| (p - q).abs())
             .fold(0.0, f64::max)
     };
+    let linf3 = |x: [&[f64]; 3], y: [&[f64]; 3]| -> f64 {
+        (0..3).map(|a| linf(x[a], y[a])).fold(0.0, f64::max)
+    };
+    let (fa, fb) = (&a.fluid, &b.fluid);
     let mut u_l2 = 0.0;
     let n = a.fluid.n();
     for i in 0..n {
@@ -64,11 +75,14 @@ pub fn compare_states(a: &SimState, b: &SimState) -> StateDiff {
         .fold(0.0f64, f64::max);
     StateDiff {
         f_linf: linf(&a.fluid.f, &b.fluid.f),
-        u_linf: linf(&a.fluid.ux, &b.fluid.ux)
-            .max(linf(&a.fluid.uy, &b.fluid.uy))
-            .max(linf(&a.fluid.uz, &b.fluid.uz)),
+        u_linf: linf3([&fa.ux, &fa.uy, &fa.uz], [&fb.ux, &fb.uy, &fb.uz]),
         u_l2: (u_l2 / n as f64).sqrt(),
-        rho_linf: linf(&a.fluid.rho, &b.fluid.rho),
+        rho_linf: linf(&fa.rho, &fb.rho),
+        force_linf: linf3([&fa.fx, &fa.fy, &fa.fz], [&fb.fx, &fb.fy, &fb.fz]),
+        ueq_linf: linf3(
+            [&fa.ueqx, &fa.ueqy, &fa.ueqz],
+            [&fb.ueqx, &fb.ueqy, &fb.ueqz],
+        ),
         pos_linf,
     }
 }
@@ -146,6 +160,26 @@ mod tests {
         let mut s = base.clone();
         s.fluid.rho[3] += 1e-6;
         assert!(compare_states(&base, &s).rho_linf > 0.0);
+
+        for (i, field) in ["fx", "fy", "fz", "ueqx", "ueqy", "ueqz"]
+            .iter()
+            .enumerate()
+        {
+            let mut s = base.clone();
+            let g = &mut s.fluid;
+            [
+                &mut g.fx,
+                &mut g.fy,
+                &mut g.fz,
+                &mut g.ueqx,
+                &mut g.ueqy,
+                &mut g.ueqz,
+            ][i][3] += 1e-6;
+            let d = compare_states(&base, &s);
+            let got = if i < 3 { d.force_linf } else { d.ueq_linf };
+            assert!((got - 1e-6).abs() < 1e-12, "{field}: {got}");
+            assert_eq!(d.worst(), got, "{field} must feed worst()");
+        }
 
         let mut s = base.clone();
         s.sheet.pos[3][1] += 1e-6;

@@ -138,43 +138,58 @@ fn atomicf64_fetch_add_loses_no_updates() {
 }
 
 /// Miniature Algorithm 4: two worker threads, each owning one fiber and
-/// one cube, through two time steps of the cube solver's phase structure.
+/// one cube, through two time steps of the cube solver's phase structure
+/// and its moment-force protocol.
 ///
 /// Loop 1: each thread reads *both* fibers' positions (bending needs the
 /// neighbours) and writes its own fiber's stencil slot.
-/// Loop 3 (after barrier 1): each thread reads *both* stencil slots and
-/// adds them, in fiber order, into its own cube's force only — no location
-/// has two writers, so no locks. Kernel 7 then reads its own cube's force,
-/// writes the body force back into it (the reseed for the next step) and
-/// writes its own cube's velocity.
-/// Loop 4 (after barrier 2): each thread reads *both* cubes' velocities —
-/// the neighbour reads that make barrier 2 load-bearing — and moves its
-/// own fiber.
+/// Loop 2: a thread whose cube is marked reads the cube's force, the
+/// moment force its collision uses, and reseeds it with the body force;
+/// an unmarked cube's force is the body force already. Both cubes start
+/// marked and holding a loaded state's force, as after `from_state`.
+/// Loop 3 (after barrier 1): each thread clears its own cube's mark, reads
+/// *both* stencil slots and, for each stencil that reaches its cube, marks
+/// the cube and adds the contribution, in fiber order, into its own
+/// cube's force only — no location has two writers, so no locks. Kernel 7
+/// then runs on a marked cube only: it reads the force without reseeding
+/// it and writes the cube's velocity.
+/// Loop 4 (after barrier 2): each thread reads the velocities of the
+/// cubes the stencils reach — the neighbour reads that make barrier 2
+/// load-bearing — and moves its own fiber.
 /// Barrier 3 ends the step; it orders the fiber moves before the next
 /// step's position reads.
 ///
-/// In step 2 the spread must land on the reseeded body force, and each
-/// stencil slot is rewritten after the other thread read it in step 1.
-/// Loom verifies that the barriers order all of it; drop any barrier and
-/// this test reports a race.
+/// Step 1's stencils reach both cubes, step 2's only cube 0. So in step 2
+/// loop 2 reads step 1's spread force on both cubes; cube 1 then stays
+/// unmarked, its kernel 7 is skipped and nobody reads its velocity. After
+/// the join the force field holds what the last moments used, which is
+/// what the gather stores. Each stencil slot is rewritten after the other
+/// thread read it in step 1. Loom verifies that the barriers order all of
+/// it; drop any barrier and this test reports a race.
 #[test]
 fn algorithm4_phase_sequence_two_cubes() {
     const BODY: f64 = 10.0;
-    loom::model(|| {
+    const LOADED: f64 = 7.0;
+    let reaches = |step: usize, cube: usize| step == 1 || cube == 0;
+    loom::model(move || {
         let stencil = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
-        let force = Arc::new(SharedSlice::from_vec(vec![BODY; 2]));
+        let force = Arc::new(SharedSlice::from_vec(vec![LOADED; 2]));
+        let marks = Arc::new(SharedSlice::from_vec(vec![true; 2]));
         let vel = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
         let pos = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
         let barrier = Arc::new(SpinBarrier::new(2));
 
-        let worker = |t: usize,
-                      stencil: &SharedSlice<f64>,
-                      force: &SharedSlice<f64>,
-                      vel: &SharedSlice<f64>,
-                      pos: &SharedSlice<f64>,
-                      barrier: &SpinBarrier| {
-            // Where each fiber sits at the start of the step.
+        let worker = move |t: usize,
+                           stencil: &SharedSlice<f64>,
+                           force: &SharedSlice<f64>,
+                           marks: &SharedSlice<bool>,
+                           vel: &SharedSlice<f64>,
+                           pos: &SharedSlice<f64>,
+                           barrier: &SpinBarrier| {
+            // Where each fiber sits at the start of the step, and the
+            // force the previous step's loop 3 left in my cube.
             let mut moved = 0.0;
+            let mut moment_force = LOADED;
             for step in 1..=2 {
                 let s = step as f64;
                 // Loop 1: read both positions, write my stencil slot.
@@ -188,30 +203,51 @@ fn algorithm4_phase_sequence_two_cubes() {
                 // thread); the other thread's step-1 read of it happened
                 // before barrier 2.
                 unsafe { stencil.set(t, s * (t + 1) as f64) };
+                // Loop 2: on a marked cube, read the moment force and
+                // reseed it.
+                // SAFETY: only cube t's owner (this thread) touches
+                // marks[t] and force[t], in loops 2 and 3.
+                unsafe {
+                    if marks.get(t) {
+                        assert_eq!(force.get(t), moment_force, "step {step}: cube {t}");
+                        force.set(t, BODY);
+                    } else {
+                        assert_eq!(force.get(t), BODY, "step {step}: unmarked cube {t}");
+                    }
+                }
                 barrier.wait();
-                // Loop 3: every fiber's contribution, in fiber order, into
-                // my own cube's force.
+                // Loop 3: mark and spread every reaching fiber's
+                // contribution, in fiber order, into my own cube.
+                // SAFETY: as above — exclusive owner access.
+                unsafe { marks.set(t, false) };
                 for fiber in 0..2 {
                     // SAFETY: the stencil writes happened before barrier 1;
                     // this phase only reads them.
                     let c = unsafe { stencil.get(fiber) };
-                    // SAFETY: force[t] belongs to my cube; sole writer.
-                    unsafe { force.add(t, c) };
+                    if reaches(step, t) {
+                        // SAFETY: cube t's mark and force; sole writer.
+                        unsafe {
+                            marks.set(t, true);
+                            force.add(t, c);
+                        }
+                    }
                 }
-                // Kernel 7: read the force, reseed it, update the velocity.
-                // SAFETY: only cube t's owner (this thread) touches force[t]
-                // and vel[t] in this phase.
-                let f = unsafe { force.get(t) };
-                assert_eq!(f, BODY + 3.0 * s, "step {step}: cube {t} force");
-                // SAFETY: as above — exclusive owner write.
+                // Kernel 7 on a marked cube: read the force, keep it, update
+                // the velocity.
+                // SAFETY: exclusive owner access, as above.
                 unsafe {
-                    force.set(t, BODY);
-                    vel.set(t, 0.5 * f);
+                    if marks.get(t) {
+                        moment_force = force.get(t);
+                        assert_eq!(moment_force, BODY + 3.0 * s, "step {step}: cube {t}");
+                        vel.set(t, 0.5 * moment_force);
+                    } else {
+                        moment_force = BODY;
+                    }
                 }
                 barrier.wait();
-                // Loop 4: read both cubes' velocities (neighbour access),
-                // move my fiber.
-                for c in 0..2 {
+                // Loop 4: read the velocities of the cubes the stencils
+                // reach (neighbour access), move my fiber.
+                for c in (0..2).filter(|&c| reaches(step, c)) {
                     // SAFETY: all vel writes happened before barrier 2;
                     // this phase only reads.
                     let v = unsafe { vel.get(c) };
@@ -225,16 +261,24 @@ fn algorithm4_phase_sequence_two_cubes() {
             }
         };
 
-        let (s2, f2, v2, p2, b2) = (
+        let (s2, f2, m2, v2, p2, b2) = (
             Arc::clone(&stencil),
             Arc::clone(&force),
+            Arc::clone(&marks),
             Arc::clone(&vel),
             Arc::clone(&pos),
             Arc::clone(&barrier),
         );
-        let h = thread::spawn(move || worker(1, &s2, &f2, &v2, &p2, &b2));
-        worker(0, &stencil, &force, &vel, &pos, &barrier);
+        let h = thread::spawn(move || worker(1, &s2, &f2, &m2, &v2, &p2, &b2));
+        worker(0, &stencil, &force, &marks, &vel, &pos, &barrier);
         h.join().unwrap();
+        // The gather after the join: step 2's spread on the marked cube,
+        // the reseeded body force on the other.
+        // SAFETY: the team has joined; this thread is the only accessor.
+        unsafe {
+            assert_eq!([force.get(0), force.get(1)], [BODY + 6.0, BODY]);
+            assert_eq!([marks.get(0), marks.get(1)], [true, false]);
+        }
     });
 }
 

@@ -6,6 +6,7 @@
 
 use crate::grid::{Dims, FluidGrid};
 use crate::lattice::Q;
+use crate::macroscopic::node_moments_shifted;
 
 /// Geometry of a cube-blocked grid: global dimensions plus the cube edge `k`.
 ///
@@ -239,6 +240,55 @@ impl CubeFluidGrid {
         out.f_new.clone_from(&out.f);
     }
 
+    /// Like [`CubeFluidGrid::to_flat_into`], but derives ρ, u and u_eq
+    /// instead of copying them: each node's moments are computed with
+    /// [`node_moments_shifted`] from its populations and its force (the
+    /// force the moments belong to) while its z-run of `f` is copied, so
+    /// the gather stays one pass over the grid. Only `f` and the force
+    /// field are read.
+    pub fn to_flat_with_moments_into(&self, out: &mut FluidGrid, tau: f64) {
+        let cdims = self.cdims;
+        let (k, n) = (cdims.k, cdims.dims.n());
+        out.dims = cdims.dims;
+        out.f.clear();
+        out.f.reserve(n * Q);
+        for dst in [
+            &mut out.rho,
+            &mut out.ux,
+            &mut out.uy,
+            &mut out.uz,
+            &mut out.ueqx,
+            &mut out.ueqy,
+            &mut out.ueqz,
+            &mut out.fx,
+            &mut out.fy,
+            &mut out.fz,
+        ] {
+            dst.clear();
+            dst.reserve(n);
+        }
+        cdims.for_each_z_run(|node, flat| {
+            debug_assert_eq!(out.f.len(), node * Q);
+            let run = &self.f[flat * Q..][..k * Q];
+            out.f.extend_from_slice(run);
+            for (j, f_node) in run.chunks_exact(Q).enumerate() {
+                let force = [self.fx[flat + j], self.fy[flat + j], self.fz[flat + j]];
+                let (rho, u, ueq) = node_moments_shifted(f_node, force, tau);
+                out.rho.push(rho);
+                out.ux.push(u[0]);
+                out.uy.push(u[1]);
+                out.uz.push(u[2]);
+                out.ueqx.push(ueq[0]);
+                out.ueqy.push(ueq[1]);
+                out.ueqz.push(ueq[2]);
+                out.fx.push(force[0]);
+                out.fy.push(force[1]);
+                out.fz.push(force[2]);
+            }
+        });
+        out.f_new.clone_from(&out.f);
+    }
+
     /// Clears the per-node body force.
     pub fn clear_force(&mut self) {
         self.fx.fill(0.0);
@@ -339,6 +389,52 @@ mod tests {
         assert_eq!(back.f_new, g.f);
         assert_eq!(back.rho, g.rho);
         assert_eq!(back.fy, g.fy);
+    }
+
+    #[test]
+    fn gather_with_moments_derives_what_kernel_7_stores() {
+        use crate::equilibrium::feq;
+        use crate::macroscopic::update_velocity_shifted;
+        let dims = Dims::new(4, 6, 2);
+        let tau = 0.8;
+        let mut g = FluidGrid::new(dims);
+        for node in 0..g.n() {
+            let u = [0.01 * (node % 3) as f64, -0.02, 0.005 * node as f64];
+            for i in 0..Q {
+                g.f_new[node * Q + i] = feq(i, 1.0 + 1e-3 * node as f64, u);
+            }
+            g.fx[node] = 1e-5 * node as f64;
+            g.fz[node] = -3e-6;
+        }
+        update_velocity_shifted(&mut g, tau);
+        g.copy_distributions();
+        let cube = CubeFluidGrid {
+            rho: vec![f64::NAN; g.n()],
+            ux: vec![f64::NAN; g.n()],
+            ueqz: vec![f64::NAN; g.n()],
+            ..CubeFluidGrid::from_flat(&g, 2)
+        };
+        // A reused target with other contents and sizes.
+        let mut back = FluidGrid::new(Dims::new(2, 2, 2));
+        cube.to_flat_with_moments_into(&mut back, tau);
+        assert_eq!(back.dims, g.dims);
+        for (got, want) in [
+            (&back.f, &g.f),
+            (&back.f_new, &g.f),
+            (&back.rho, &g.rho),
+            (&back.ux, &g.ux),
+            (&back.uy, &g.uy),
+            (&back.uz, &g.uz),
+            (&back.ueqx, &g.ueqx),
+            (&back.ueqy, &g.ueqy),
+            (&back.ueqz, &g.ueqz),
+            (&back.fx, &g.fx),
+            (&back.fy, &g.fy),
+            (&back.fz, &g.fz),
+        ] {
+            let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want));
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! cube with its own offset table.
 //!
 //! Because the register pipeline performs *exactly* the same f64
-//! arithmetic as [`crate::collision::bgk_collide_node`] followed by
+//! arithmetic as [`crate::collision::bgk_collide_shifted`] followed by
 //! [`crate::boundary::stream_push_routed_node`], the fused plan is
 //! bit-identical to the split plan, not merely close. The only observable
 //! difference is that `f` is left holding pre-collision values — which no
@@ -27,20 +27,19 @@
 use std::ops::Range;
 
 use crate::boundary::{moving_wall_correction, BoundaryConfig, CoordRoute, StreamRouter};
-use crate::collision::bgk_collide_node;
+use crate::collision::bgk_collide_shifted;
 use crate::grid::{Dims, FluidGrid};
 use crate::lattice::{E, Q};
 
 /// Collides one node's populations into a register block without writing
-/// them back: copies the node's Q-slice of `f` and applies the same BGK
-/// relaxation as [`bgk_collide_node`] (velocity-shift forcing — `ueq`
-/// already carries the force, so the Guo source term is zero).
-#[inline]
+/// them back: copies the node's Q-slice of `f` and applies the
+/// velocity-shift collision ([`bgk_collide_shifted`]; `ueq` already
+/// carries the force).
+#[inline(always)]
 pub fn collide_to_registers(f_node: &[f64], rho: f64, ueq: [f64; 3], tau: f64) -> [f64; Q] {
-    debug_assert_eq!(f_node.len(), Q);
     let mut regs = [0.0; Q];
-    regs.copy_from_slice(f_node);
-    bgk_collide_node(&mut regs, rho, ueq, [0.0; 3], tau);
+    regs.copy_from_slice(&f_node[..Q]);
+    bgk_collide_shifted(&mut regs, rho, ueq, tau);
     regs
 }
 
@@ -191,6 +190,7 @@ pub fn fused_collide_stream_grid(grid: &mut FluidGrid, bc: &BoundaryConfig, tau:
 mod tests {
     use super::*;
     use crate::boundary::{stream_push_bounded, AxisBoundary};
+    use crate::collision::bgk_collide_node;
     use crate::equilibrium::feq;
     use crate::macroscopic::update_velocity_shifted;
     use proptest::prelude::*;

@@ -53,18 +53,22 @@ pub fn update_velocity(grid: &mut FluidGrid) {
 /// collision itself never reads the force — the property Algorithm 4's
 /// three-barrier schedule depends on). Relaxing toward `feq(ρ, u_eq)` adds
 /// exactly `F` of momentum per step.
+///
+/// Each momentum component sums only the ten directions with a nonzero
+/// component along its axis, adding or subtracting `f_i` in lattice order.
+/// That is bitwise the generic `Σ f_i e_ia` loop whenever no population is
+/// −0.0: the dropped `f_i · 0` terms add ±0.0, which changes no running
+/// sum that is not itself ±0.0, and a sum that starts at +0.0 or at a
+/// population other than −0.0 never becomes −0.0.
 #[inline]
 pub fn node_moments_shifted(f: &[f64], force: [f64; 3], tau: f64) -> (f64, [f64; 3], [f64; 3]) {
-    debug_assert_eq!(f.len(), Q);
-    let mut rho = 0.0;
-    let mut m = [0.0; 3];
-    for i in 0..Q {
-        let fi = f[i];
-        rho += fi;
-        m[0] += fi * EF[i][0];
-        m[1] += fi * EF[i][1];
-        m[2] += fi * EF[i][2];
-    }
+    let f = &f[..Q];
+    let rho = f[1..].iter().fold(f[0], |s, &v| s + v);
+    let m = [
+        f[1] - f[2] + f[7] - f[8] + f[9] - f[10] + f[11] - f[12] + f[13] - f[14],
+        f[3] - f[4] + f[7] - f[8] - f[9] + f[10] + f[15] - f[16] + f[17] - f[18],
+        f[5] - f[6] + f[11] - f[12] - f[13] + f[14] + f[15] - f[16] - f[17] + f[18],
+    ];
     let inv = 1.0 / rho;
     let u_phys = [
         (m[0] + 0.5 * force[0]) * inv,
@@ -125,10 +129,56 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::equilibrium::feq;
     use crate::grid::Dims;
+    use proptest::prelude::*;
+
+    /// The generic moment loop `node_moments_shifted` replaced: every
+    /// direction times every component of `e_i`, zeros included.
+    fn node_moments_shifted_reference(
+        f: &[f64],
+        force: [f64; 3],
+        tau: f64,
+    ) -> (f64, [f64; 3], [f64; 3]) {
+        let mut rho = 0.0;
+        let mut m = [0.0; 3];
+        for i in 0..Q {
+            let fi = f[i];
+            rho += fi;
+            m[0] += fi * EF[i][0];
+            m[1] += fi * EF[i][1];
+            m[2] += fi * EF[i][2];
+        }
+        let inv = 1.0 / rho;
+        let u_phys: [f64; 3] = std::array::from_fn(|a| (m[a] + 0.5 * force[a]) * inv);
+        let u_eq: [f64; 3] = std::array::from_fn(|a| (m[a] + tau * force[a]) * inv);
+        (rho, u_phys, u_eq)
+    }
+
+    /// Random finite populations from `seed`: mostly O(1) values of either
+    /// sign, about one in eight exactly +0.0. −0.0 is never drawn: summing
+    /// from +0.0, as the generic loop does, turns a leading −0.0 into +0.0,
+    /// and no solver arithmetic produces −0.0 populations.
+    pub(crate) fn random_populations(seed: u64) -> [f64; Q] {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        std::array::from_fn(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            if s % 8 == 0 {
+                0.0
+            } else {
+                ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.3) * 2.0
+            }
+        })
+    }
+
+    fn bits(v: (f64, [f64; 3], [f64; 3])) -> [u64; 7] {
+        let (rho, u, ueq) = v;
+        [rho, u[0], u[1], u[2], ueq[0], ueq[1], ueq[2]].map(f64::to_bits)
+    }
 
     #[test]
     fn moments_of_equilibrium_recover_inputs() {
@@ -268,6 +318,27 @@ mod tests {
             assert!((rho - g.rho[node]).abs() < 1e-13);
             assert!((u[0] - g.ux[node]).abs() < 1e-13);
             let _ = z;
+        }
+    }
+
+    proptest! {
+        /// The zero-dropping moment sums equal the generic loop bit for
+        /// bit, forces of either sign and zero included.
+        #[test]
+        fn prop_shifted_moments_equal_the_generic_loop(
+            seed in 0u64..4000,
+            fx in -1e-3f64..1e-3,
+            fz in -1e-3f64..1e-3,
+            tau in 0.55f64..2.0,
+        ) {
+            let f = random_populations(seed);
+            for force in [[fx, 0.0, fz], [0.0; 3], [fz, fx, 1e-6]] {
+                prop_assert_eq!(
+                    bits(node_moments_shifted(&f, force, tau)),
+                    bits(node_moments_shifted_reference(&f, force, tau)),
+                    "seed {} force {:?}", seed, force
+                );
+            }
         }
     }
 }
