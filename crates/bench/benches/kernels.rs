@@ -7,12 +7,11 @@ use std::hint::black_box;
 use ib::delta::DeltaKind;
 use ib::forces;
 use ib::sheet::FiberSheet;
-use lbm::boundary::BoundaryConfig;
+use lbm::boundary::{stream_push_bounded, BoundaryConfig};
 use lbm::collision::{bgk_collide_node, collide_grid, trt_collide_node, Relaxation};
 use lbm::grid::{Dims, FluidGrid};
 use lbm::lattice::Q;
 use lbm::macroscopic::{initialize_equilibrium, update_velocity_shifted};
-use lbm::streaming::{stream_pull, stream_push};
 use lbm_ib::kernels;
 use lbm_ib::{SimState, SimulationConfig};
 
@@ -99,21 +98,11 @@ fn fluid_kernels(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    group.bench_function("k6_stream_push", |b| {
+    group.bench_function("k6_stream", |b| {
         b.iter_batched(
             grid_32,
             |mut g| {
-                stream_push(&mut g);
-                g
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("k6_stream_pull", |b| {
-        b.iter_batched(
-            grid_32,
-            |mut g| {
-                stream_pull(&mut g);
+                stream_push_bounded(&mut g, &BoundaryConfig::tunnel());
                 g
             },
             BatchSize::LargeInput,

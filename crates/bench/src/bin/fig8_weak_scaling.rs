@@ -157,10 +157,10 @@ fn main() {
                 format!("{}x{}x{}", dims.nx, dims.ny, dims.nz),
                 flat.l1_miss_percent,
                 flat.l2_miss_percent,
-                flat.l2_misses as f64 * 64.0 / flat_nodes,
+                flat.dram_bytes as f64 / flat_nodes,
                 cube.l1_miss_percent,
                 cube.l2_miss_percent,
-                cube.l2_misses as f64 * 64.0 / cube_nodes,
+                cube.dram_bytes as f64 / cube_nodes,
             );
         }
     }

@@ -148,7 +148,9 @@ impl Cache {
 
     /// Installs a line without counting it as a demand access (prefetch).
     /// No-op if the line is already resident (its LRU stamp is refreshed).
-    pub fn install(&mut self, addr: u64) {
+    /// Returns `true` when the line was absent, i.e. when installing it
+    /// fetched a line from the next level.
+    pub fn install(&mut self, addr: u64) -> bool {
         let line = addr >> self.set_shift;
         let set = (line & self.set_mask) as usize;
         let tag = line >> self.set_mask.count_ones();
@@ -157,7 +159,7 @@ impl Cache {
         for w in 0..self.cfg.ways {
             if self.tags[base + w] == tag {
                 self.stamps[base + w] = self.clock;
-                return;
+                return false;
             }
         }
         let mut victim = 0;
@@ -174,6 +176,7 @@ impl Cache {
         }
         self.tags[base + victim] = tag;
         self.stamps[base + victim] = self.clock;
+        true
     }
 
     /// Total accesses so far.

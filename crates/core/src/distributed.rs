@@ -3,14 +3,17 @@
 //! distributed memory manycore systems".
 //!
 //! This solver runs `n_ranks` workers that share **no** fluid state: each
-//! rank owns a contiguous slab of x-planes plus two ghost planes of the
-//! distribution buffer, and all communication flows through bounded
-//! `std::sync::mpsc` messages — the in-process stand-in for MPI:
+//! rank owns a contiguous slab of x-planes, and all communication flows
+//! through bounded `std::sync::mpsc` messages — the in-process stand-in for
+//! MPI:
 //!
-//! * **halo exchange** — after collision each rank sends its first and
-//!   last owned (post-collision) planes to its ring neighbours, so each
-//!   rank can pull the populations that stream into it across a rank
-//!   boundary;
+//! * **halo push** — each rank runs the flat plane loop
+//!   ([`lbm::fused::push_planes`]) over its owned planes in global
+//!   coordinates. A push that lands in the slab goes to the rank's `f_new`;
+//!   one that lands on a neighbour's plane goes to that neighbour's outbox
+//!   as a `(slot, value)` pair. One message per distinct neighbour and step
+//!   carries exactly the populations that cross the face — at most 5 of
+//!   the 19 per face node — and the receiver stores them before kernel 7;
 //! * **structure replication + all-reduce** — every rank holds the whole
 //!   (small) fiber sheet and computes its forces redundantly (Table I
 //!   shows fiber kernels are ~0.05% of the work); spreading writes only
@@ -20,19 +23,18 @@
 //!
 //! The x axis must be periodic (the paper's tunnel is); y/z walls are
 //! handled locally by each rank. Kernels 5+6 always run fused
-//! ([`DistributedSolver::PLAN`]), whatever `config.plan` says: a
-//! rank-local collide–push sweep, then a ghost fix-up after the halo
-//! exchange. The split schedule survives only in the sequential and
-//! OpenMP solvers.
+//! ([`DistributedSolver::PLAN`]), whatever `config.plan` says, and kernel 9
+//! swaps `f` and `f_new`, as the cube solver does. The split schedule
+//! survives only in the sequential and OpenMP solvers.
 
 use ib::delta::for_each_influence;
 use ib::forces::{bending_at, stretching_at};
 use ib::sheet::FiberSheet;
 use ib::tether::TetherSet;
-use lbm::boundary::{moving_wall_correction, CoordRoute, StreamRouter};
-use lbm::collision::bgk_collide_shifted;
-use lbm::grid::wrap_axis;
-use lbm::lattice::{OPPOSITE, Q};
+use lbm::boundary::StreamRouter;
+use lbm::fused::{collide_to_registers, push_planes};
+use lbm::grid::Dims;
+use lbm::lattice::Q;
 use lbm::macroscopic::node_moments_shifted;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender as Sender};
 use std::time::Duration;
@@ -73,16 +75,15 @@ impl RankFault {
     }
 }
 
-/// Everything one rank owns. `f` carries two ghost planes (local plane 0 =
-/// global `x0 − 1`, local plane `w + 1` = global `x1`); all other fields
-/// cover only the `w` owned planes.
+/// Everything one rank owns: every field covers its `w` x-planes from
+/// global plane `x0`, node-major as in the flat grid.
 struct RankData {
-    /// Owned global x-planes `x0..x1`.
+    /// Owned global x-planes `x0..x0 + w`.
     x0: usize,
     w: usize,
-    /// Distributions with ghosts: `(w + 2) * ny * nz * Q`.
+    /// Distributions, `w * ny * nz * Q`.
     f: Vec<f64>,
-    /// Streamed distributions, owned planes only: `w * ny * nz * Q`.
+    /// Streamed distributions, the same shape (kernel 9 swaps the two).
     f_new: Vec<f64>,
     rho: Vec<f64>,
     ux: Vec<f64>,
@@ -105,7 +106,7 @@ impl RankData {
         Self {
             x0,
             w,
-            f: vec![0.0; (w + 2) * plane * Q],
+            f: vec![0.0; w * plane * Q],
             f_new: vec![0.0; w * plane * Q],
             rho: vec![0.0; w * plane],
             ux: vec![0.0; w * plane],
@@ -121,10 +122,14 @@ impl RankData {
     }
 }
 
+/// One pushed population: its slot in the global distribution array and
+/// its value.
+type HaloEntry = (usize, f64);
+
 /// Messages exchanged between ranks.
 enum Msg {
-    /// One plane of distributions (`ny * nz * Q` values).
-    Halo(Vec<f64>),
+    /// The populations a rank pushed onto the receiver's planes.
+    Halo(Vec<HaloEntry>),
     /// Partial interpolated velocities for every fiber node.
     Partial(Vec<[f64; 3]>),
     /// Reduced velocities broadcast back from rank 0.
@@ -209,42 +214,25 @@ impl DistributedSolver {
         let ranks = ranges
             .iter()
             .map(|r| {
-                let w = r.len();
-                let mut rank = RankData {
+                let slab =
+                    |v: &[f64], per: usize| v[r.start * plane * per..r.end * plane * per].to_vec();
+                RankData {
                     x0: r.start,
-                    w,
-                    f: vec![0.0; (w + 2) * plane * Q],
-                    f_new: vec![0.0; w * plane * Q],
-                    rho: vec![0.0; w * plane],
-                    ux: vec![0.0; w * plane],
-                    uy: vec![0.0; w * plane],
-                    uz: vec![0.0; w * plane],
-                    ueqx: vec![0.0; w * plane],
-                    ueqy: vec![0.0; w * plane],
-                    ueqz: vec![0.0; w * plane],
-                    fx: vec![0.0; w * plane],
-                    fy: vec![0.0; w * plane],
-                    fz: vec![0.0; w * plane],
-                };
-                for lx in 0..w {
-                    let gx = r.start + lx;
-                    for yz in 0..plane {
-                        let gnode = gx * plane + yz;
-                        let lnode = lx * plane + yz;
-                        rank.f[(lx + 1) * plane * Q + yz * Q..(lx + 1) * plane * Q + yz * Q + Q]
-                            .copy_from_slice(&g.f[gnode * Q..gnode * Q + Q]);
-                        rank.f_new[lnode * Q..lnode * Q + Q]
-                            .copy_from_slice(&g.f_new[gnode * Q..gnode * Q + Q]);
-                        rank.rho[lnode] = g.rho[gnode];
-                        rank.ux[lnode] = g.ux[gnode];
-                        rank.uy[lnode] = g.uy[gnode];
-                        rank.uz[lnode] = g.uz[gnode];
-                        rank.ueqx[lnode] = g.ueqx[gnode];
-                        rank.ueqy[lnode] = g.ueqy[gnode];
-                        rank.ueqz[lnode] = g.ueqz[gnode];
-                    }
+                    w: r.len(),
+                    f: slab(&g.f, Q),
+                    // Every slot is pushed before it is read.
+                    f_new: vec![0.0; r.len() * plane * Q],
+                    rho: slab(&g.rho, 1),
+                    ux: slab(&g.ux, 1),
+                    uy: slab(&g.uy, 1),
+                    uz: slab(&g.uz, 1),
+                    ueqx: slab(&g.ueqx, 1),
+                    ueqy: slab(&g.ueqy, 1),
+                    ueqz: slab(&g.ueqz, 1),
+                    fx: slab(&g.fx, 1),
+                    fy: slab(&g.fy, 1),
+                    fz: slab(&g.fz, 1),
                 }
-                rank
             })
             .collect();
 
@@ -294,12 +282,12 @@ impl DistributedSolver {
                 dst.extend_from_slice(part(r));
             }
         }
-        let dims = self.config.dims();
-        let plane = dims.ny * dims.nz;
         let (g, ranks) = (&mut out.fluid, &self.ranks[..]);
-        g.dims = dims;
-        append(&mut g.f, ranks, |r| &r.f[plane * Q..(r.w + 1) * plane * Q]);
-        append(&mut g.f_new, ranks, |r| &r.f_new);
+        g.dims = self.config.dims();
+        append(&mut g.f, ranks, |r| &r.f);
+        // At a step boundary `f_new` is what the swap left behind; the
+        // state's `f_new` is a copy of `f`, as after a kernel-9 copy.
+        g.f_new.clone_from(&g.f);
         append(&mut g.rho, ranks, |r| &r.rho);
         append(&mut g.ux, ranks, |r| &r.ux);
         append(&mut g.uy, ranks, |r| &r.uy);
@@ -318,7 +306,7 @@ impl DistributedSolver {
 
     /// Runs `n_steps`, surfacing communication faults as typed errors:
     /// with [`SimulationConfig::halo_timeout`] set, a rank that waits
-    /// longer than the timeout on a halo plane or on the velocity
+    /// longer than the timeout on a halo message or on the velocity
     /// reduction returns [`SolverError::HaloTimeout`]; a disconnected peer
     /// returns [`SolverError::RankDisconnected`]; a rank whose step loop
     /// panics returns [`SolverError::WorkerPanicked`]. On a fault every
@@ -525,25 +513,9 @@ fn rank_steps(
     let timeout = config.halo_timeout;
     let area = sheet.area_element();
     let router = StreamRouter::new(dims, &bc);
-    let left = (id + n_ranks - 1) % n_ranks;
-    let right = (id + 1) % n_ranks;
+    let halo = Halo::new(id, n_ranks, rank, dims);
     let x0 = rank.x0;
-    let w = rank.w;
-    let x1 = x0 + w; // exclusive
-
-    // Local plane index of a global x that this rank can see (owned or
-    // ghost), or None.
-    let local_plane = |gx: usize| -> Option<usize> {
-        if gx >= x0 && gx < x1 {
-            Some(gx - x0 + 1)
-        } else if gx == wrap_axis(x0, -1, dims.nx) {
-            Some(0)
-        } else if gx == wrap_axis(x1 - 1, 1, dims.nx) {
-            Some(w + 1)
-        } else {
-            None
-        }
-    };
+    let x1 = x0 + rank.w; // exclusive
 
     // Per-rank telemetry: kernel section times plus blocking-receive wait.
     let mut busy = [0.0f64; KernelId::COUNT];
@@ -599,128 +571,44 @@ fn rank_steps(
         }
         busy[KernelId::SpreadForce.index()] += mark.elapsed().as_secs_f64();
 
-        // Fused kernels 5+6, slab-local part: collide every owned node in
-        // registers and push the results straight into the owned slots of
-        // f_new. Only the two boundary planes write their post-collision
-        // values back into rank.f — the halo exchange ships exactly those
-        // planes to the neighbours. Populations whose destination plane
-        // belongs to another rank are dropped here; the owning rank
-        // reconstructs them from its ghost planes after the exchange (see
-        // the fix-up pass below).
+        // Fused kernels 5+6: collide every owned node in registers and push
+        // it; pushes that leave the slab fill one outbox per neighbour.
         mark = std::time::Instant::now();
-        for lx in 0..w {
-            let gx = rank.x0 + lx;
-            let boundary = lx == 0 || lx == w - 1;
-            for y in 0..dims.ny {
-                for z in 0..dims.nz {
-                    let yz = y * dims.nz + z;
-                    let fi = ((lx + 1) * plane + yz) * Q;
-                    let lnode = lx * plane + yz;
-                    let mut regs = [0.0f64; Q];
-                    regs.copy_from_slice(&rank.f[fi..fi + Q]);
-                    let ueq = [rank.ueqx[lnode], rank.ueqy[lnode], rank.ueqz[lnode]];
-                    bgk_collide_shifted(&mut regs, rank.rho[lnode], ueq, tau);
-                    if boundary {
-                        rank.f[fi..fi + Q].copy_from_slice(&regs);
-                    }
-                    rank.f_new[lnode * Q] = regs[0];
-                    for i in 1..Q {
-                        match router.route(gx, y, z, i) {
-                            CoordRoute::Neighbor(d) => {
-                                if d[0] >= rank.x0 && d[0] < x1 {
-                                    let dnode = (d[0] - rank.x0) * plane + d[1] * dims.nz + d[2];
-                                    rank.f_new[dnode * Q + i] = regs[i];
-                                }
-                            }
-                            CoordRoute::BounceBack {
-                                opposite,
-                                wall_velocity,
-                            } => {
-                                // x is periodic here, so walls are y/z
-                                // only: the reflected slot is the origin
-                                // node's own — owned.
-                                rank.f_new[lnode * Q + opposite] =
-                                    regs[i] - moving_wall_correction(i, wall_velocity);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let outboxes = collide_push_slab(rank, dims, &router, tau, &halo);
         busy[KernelId::FusedCollideStream.index()] += mark.elapsed().as_secs_f64();
 
-        // Halo exchange: my first owned plane → left neighbour's right
-        // ghost; my last owned plane → right neighbour's left ghost.
-        let first_plane = rank.f[plane * Q..2 * plane * Q].to_vec();
-        let last_plane = rank.f[w * plane * Q..(w + 1) * plane * Q].to_vec();
-        if n_ranks == 1 {
-            rank.f[(w + 1) * plane * Q..(w + 2) * plane * Q].copy_from_slice(&first_plane);
-            rank.f[0..plane * Q].copy_from_slice(&last_plane);
-        } else {
+        // Halo exchange: each outbox to its neighbour, then the entries the
+        // neighbours pushed onto this slab into f_new.
+        if !halo.peers.is_empty() {
             // Chaos-test failpoints (empty unless the `faultinject`
             // feature is on): a delayed or silently dropped halo send.
             if let Some(d) = crate::faultinject::halo_send_delay(id) {
                 std::thread::sleep(d);
             }
             if !crate::faultinject::drop_halo_send(id) {
-                tx[left]
-                    .send(Msg::Halo(first_plane))
-                    .map_err(|_| RankFault::PeerGone { peer: left })?;
-                tx[right]
-                    .send(Msg::Halo(last_plane))
-                    .map_err(|_| RankFault::PeerGone { peer: right })?;
-            }
-            // Receive: from right neighbour their first plane (my right
-            // ghost), from left neighbour their last plane (my left ghost).
-            match recv_counted(
-                &rx[right],
-                right,
-                timeout,
-                &mut comm_wait_s,
-                &mut comm_waits,
-            )? {
-                Msg::Halo(p) => {
-                    rank.f[(w + 1) * plane * Q..(w + 2) * plane * Q].copy_from_slice(&p)
+                for (&peer, entries) in halo.peers.iter().zip(outboxes) {
+                    tx[peer]
+                        .send(Msg::Halo(entries))
+                        .map_err(|_| RankFault::PeerGone { peer })?;
                 }
-                _ => panic!("protocol error: expected halo"),
-            }
-            match recv_counted(&rx[left], left, timeout, &mut comm_wait_s, &mut comm_waits)? {
-                Msg::Halo(p) => rank.f[0..plane * Q].copy_from_slice(&p),
-                _ => panic!("protocol error: expected halo"),
             }
         }
-
-        // Fused kernels 5+6, ghost fix-up: populations pushed toward my
-        // boundary planes by neighbouring ranks never arrived (the push
-        // above is rank-local), but their post-collision sources now sit in
-        // my ghost planes. Pull exactly those entries — every other slot of
-        // f_new was already written by the push. With one rank the push
-        // covered the wrap too, and this pass matches nothing.
-        mark = std::time::Instant::now();
-        let boundary_planes: &[usize] = if w == 1 { &[0] } else { &[0, w - 1] };
-        for &lx in boundary_planes {
-            let gx = rank.x0 + lx;
-            for y in 0..dims.ny {
-                for z in 0..dims.nz {
-                    let lnode = lx * plane + y * dims.nz + z;
-                    for i in 1..Q {
-                        let o = OPPOSITE[i];
-                        if let CoordRoute::Neighbor(d) = router.route(gx, y, z, o) {
-                            if d[0] < rank.x0 || d[0] >= x1 {
-                                let lp = local_plane(d[0]).expect("upwind plane visible");
-                                let src = (lp * plane + d[1] * dims.nz + d[2]) * Q + i;
-                                rank.f_new[lnode * Q + i] = rank.f[src];
-                            }
-                        }
+        for &peer in &halo.peers {
+            match recv_counted(&rx[peer], peer, timeout, &mut comm_wait_s, &mut comm_waits)? {
+                Msg::Halo(entries) => {
+                    mark = std::time::Instant::now();
+                    for (slot, v) in entries {
+                        rank.f_new[slot - halo.lo] = v;
                     }
+                    busy[KernelId::FusedCollideStream.index()] += mark.elapsed().as_secs_f64();
                 }
+                _ => panic!("protocol error: expected halo"),
             }
         }
-        busy[KernelId::FusedCollideStream.index()] += mark.elapsed().as_secs_f64();
 
         // Kernel 7: macroscopic update on owned planes.
         mark = std::time::Instant::now();
-        for lnode in 0..w * plane {
+        for lnode in 0..rank.w * plane {
             let force = [rank.fx[lnode], rank.fy[lnode], rank.fz[lnode]];
             let (rho, u, ueq) =
                 node_moments_shifted(&rank.f_new[lnode * Q..lnode * Q + Q], force, tau);
@@ -796,14 +684,9 @@ fn rank_steps(
         }
         busy[KernelId::MoveFibers.index()] += mark.elapsed().as_secs_f64();
 
-        // Kernel 9: copy owned f_new back into the (ghosted) f buffer.
-        mark = std::time::Instant::now();
-        for lx in 0..w {
-            let dst = (lx + 1) * plane * Q;
-            let src = lx * plane * Q;
-            rank.f[dst..dst + plane * Q].copy_from_slice(&rank.f_new[src..src + plane * Q]);
-        }
-        busy[KernelId::CopyDistributions.index()] += mark.elapsed().as_secs_f64();
+        // Kernel 9: every slot of f_new was written this step, so the two
+        // buffers swap roles.
+        std::mem::swap(&mut rank.f, &mut rank.f_new);
     }
 
     Ok(ThreadTelemetry {
@@ -814,23 +697,212 @@ fn rank_steps(
     })
 }
 
+/// A rank's halo layout: where its slab sits in the global distribution
+/// array, and which neighbour owns each plane next to it.
+struct Halo {
+    /// Global slot range of the slab: `x0 * ny * nz * Q..x1 * ny * nz * Q`.
+    lo: usize,
+    hi: usize,
+    /// Global slot range of the plane below the slab (`x0 − 1`, wrapped).
+    left_plane: std::ops::Range<usize>,
+    /// The distinct neighbour ranks, one outbox and one message each:
+    /// none with one rank, one with two (left and right coincide), else
+    /// `[left, right]`.
+    peers: Vec<usize>,
+}
+
+impl Halo {
+    fn new(id: usize, n_ranks: usize, rank: &RankData, dims: Dims) -> Self {
+        let plane_q = dims.ny * dims.nz * Q;
+        let left_x = (rank.x0 + dims.nx - 1) % dims.nx;
+        let left = (id + n_ranks - 1) % n_ranks;
+        let right = (id + 1) % n_ranks;
+        let peers = match n_ranks {
+            1 => vec![],
+            2 => vec![left],
+            _ => vec![left, right],
+        };
+        Self {
+            lo: rank.x0 * plane_q,
+            hi: (rank.x0 + rank.w) * plane_q,
+            left_plane: left_x * plane_q..(left_x + 1) * plane_q,
+            peers,
+        }
+    }
+}
+
+/// Fused kernels 5+6 of one rank: the flat plane loop over the owned
+/// planes in global coordinates, colliding each node in registers from the
+/// rank's arrays. A push that lands in the slab is stored in `rank.f_new`;
+/// one that lands on a neighbour's plane goes to that neighbour's outbox,
+/// returned in the order of `halo.peers`.
+fn collide_push_slab(
+    rank: &mut RankData,
+    dims: Dims,
+    router: &StreamRouter,
+    tau: f64,
+    halo: &Halo,
+) -> Vec<Vec<HaloEntry>> {
+    let RankData {
+        x0,
+        w,
+        f,
+        f_new,
+        rho,
+        ueqx,
+        ueqy,
+        ueqz,
+        ..
+    } = rank;
+    let base = *x0 * dims.ny * dims.nz;
+    let post = |node: usize| {
+        let l = node - base;
+        let ueq = [ueqx[l], ueqy[l], ueqz[l]];
+        collide_to_registers(&f[l * Q..l * Q + Q], rho[l], ueq, tau)
+    };
+    // A push moves at most one plane, so a slot outside the slab lies on
+    // the plane below it (the left neighbour's) or above it (the right's).
+    let mut outboxes: Vec<Vec<HaloEntry>> = halo
+        .peers
+        .iter()
+        .map(|_| Vec::with_capacity(5 * dims.ny * dims.nz))
+        .collect();
+    let right = outboxes.len().saturating_sub(1);
+    let write = |slot: usize, v: f64| {
+        if (halo.lo..halo.hi).contains(&slot) {
+            f_new[slot - halo.lo] = v;
+        } else if halo.left_plane.contains(&slot) {
+            outboxes[0].push((slot, v));
+        } else {
+            outboxes[right].push((slot, v));
+        }
+    };
+    push_planes(*x0..*x0 + *w, dims, router, post, write);
+    outboxes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{SheetConfig, TetherConfig};
     use crate::sequential::SequentialSolver;
     use crate::solver::Solver;
     use crate::verify::compare_states;
+    use lbm::boundary::{AxisBoundary, BoundaryConfig, CoordRoute};
+
+    /// Every field of the two states, tethers and step included, bit for
+    /// bit: their checkpoint encodings must be the same bytes.
+    fn assert_bitwise(want: &SimState, got: &SimState, what: &str) {
+        let bytes = |s: &SimState| {
+            let mut out = Vec::new();
+            crate::checkpoint::write_checkpoint(s, &mut out).unwrap();
+            out
+        };
+        assert!(
+            bytes(want) == bytes(got),
+            "{what}: {:?}",
+            compare_states(want, got)
+        );
+    }
 
     #[test]
-    fn distributed_matches_sequential() {
+    fn distributed_is_bitwise_equal_to_sequential() {
+        let quick = SimulationConfig::quick_test();
+        let tethered = SimulationConfig {
+            sheet: SheetConfig {
+                tether: TetherConfig::CenterRegion {
+                    radius: 2.0,
+                    stiffness: 0.1,
+                },
+                ..quick.sheet
+            },
+            ..quick
+        };
+        // Four planes: at 4 ranks every slab is one plane wide, so each
+        // node pushes across both of its slab's faces. The lid on the high
+        // y wall moves along x, so bounced diagonals carry the moving-wall
+        // correction across rank faces too.
+        let narrow = SimulationConfig {
+            nx: 4,
+            bc: BoundaryConfig {
+                y: AxisBoundary::Walls {
+                    lo: [0.0; 3],
+                    hi: [0.01, 0.0, 0.0],
+                },
+                ..quick.bc
+            },
+            sheet: SheetConfig {
+                center: [2.0, 8.0, 8.0],
+                ..quick.sheet
+            },
+            ..quick
+        };
+        for (name, cfg) in [("tethered", tethered), ("narrow", narrow)] {
+            let mut seq = SequentialSolver::new(cfg);
+            seq.run(8);
+            for ranks in [1, 2, 3, 4] {
+                let mut dist = DistributedSolver::new(cfg, ranks);
+                dist.try_run(8).unwrap();
+                assert_bitwise(
+                    &seq.state,
+                    &dist.to_state(),
+                    &format!("{name}, {ranks} ranks"),
+                );
+            }
+        }
+    }
+
+    /// Each halo message holds exactly the populations whose push leaves
+    /// the sending slab (the routing reference decides which): at most 5
+    /// per face node, fewer where a diagonal bounces off a y or z wall,
+    /// and never a whole plane.
+    #[test]
+    fn halo_messages_carry_only_the_crossing_populations() {
         let cfg = SimulationConfig::quick_test();
-        let mut seq = SequentialSolver::new(cfg);
-        seq.run(8);
-        for ranks in [1, 2, 3, 4] {
-            let mut dist = DistributedSolver::new(cfg, ranks);
-            dist.try_run(8).unwrap();
-            let d = compare_states(&seq.state, &dist.to_state());
-            assert!(d.within(1e-11), "{ranks} ranks: {d:?}");
+        let dims = cfg.dims();
+        let router = StreamRouter::new(dims, &cfg.bc);
+        let plane = dims.ny * dims.nz;
+        for n_ranks in [2, 3] {
+            let mut dist = DistributedSolver::new(cfg, n_ranks);
+            for (id, rank) in dist.ranks.iter_mut().enumerate() {
+                let halo = Halo::new(id, n_ranks, rank, dims);
+                assert_eq!(
+                    halo.peers.len(),
+                    n_ranks.min(3) - 1,
+                    "one message per neighbour"
+                );
+                let (x0, x1) = (rank.x0, rank.x0 + rank.w);
+                let left_x = (x0 + dims.nx - 1) % dims.nx;
+                let mut want = vec![Vec::new(); halo.peers.len()];
+                let mut leaving_per_node = Vec::new();
+                for (x, y, z) in dims.iter_coords().filter(|c| (x0..x1).contains(&c.0)) {
+                    let mut leaving = 0;
+                    for i in 1..Q {
+                        if let CoordRoute::Neighbor(d) = cfg.bc.route_coords(dims, x, y, z, i) {
+                            if !(x0..x1).contains(&d[0]) {
+                                let side = if d[0] == left_x { 0 } else { want.len() - 1 };
+                                want[side].push(dims.idx(d[0], d[1], d[2]) * Q + i);
+                                leaving += 1;
+                            }
+                        }
+                    }
+                    if x == x0 || x + 1 == x1 {
+                        leaving_per_node.push(leaving);
+                    } else {
+                        assert_eq!(leaving, 0);
+                    }
+                }
+                assert_eq!(leaving_per_node.iter().max(), Some(&5));
+                assert!(leaving_per_node.iter().min() < Some(&5), "wall rows bounce");
+                let outboxes = collide_push_slab(rank, dims, &router, cfg.tau, &halo);
+                for (got, mut want) in outboxes.into_iter().zip(want) {
+                    let mut got: Vec<usize> = got.iter().map(|e| e.0).collect();
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "{n_ranks} ranks, rank {id}");
+                    assert!(got.len() < plane * Q, "a whole plane");
+                }
+            }
         }
     }
 

@@ -39,7 +39,7 @@ pub enum CheckpointFault {
 /// Misbehaviour on the distributed prototype's message fabric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HaloFault {
-    /// Rank `from` silently drops its outgoing halo planes. Neighbours
+    /// Rank `from` silently drops its outgoing halo messages. Neighbours
     /// configured with a `halo_timeout` surface `SolverError::HaloTimeout`
     /// instead of hanging.
     DropSend { from: usize },
@@ -174,7 +174,7 @@ mod imp {
         Ok(())
     }
 
-    /// True when rank `from` should drop its outgoing halo planes this
+    /// True when rank `from` should drop its outgoing halo messages this
     /// step; consumes the trigger unless the plan is sticky.
     pub fn drop_halo_send(from: usize) -> bool {
         let mut guard = lock(&PLAN);

@@ -22,10 +22,10 @@ use std::time::Instant;
 use ib::forces::{bending_at, stretching_at};
 use ib::interp::{interpolate_velocity, VelocityField};
 use ib::spread::{spread_node, ForceSink};
-use lbm::boundary::{stream_pull_routed_node, StreamRouter};
+use lbm::boundary::StreamRouter;
 use lbm::collision::bgk_collide_shifted;
-use lbm::fused::sweep_planes;
-use lbm::grid::Dims;
+use lbm::fused::{collided_block, push_planes, stored_block};
+use lbm::grid::{Dims, FluidGrid};
 use lbm::lattice::Q;
 use lbm::macroscopic::node_moments_shifted;
 
@@ -517,10 +517,25 @@ impl OpenMpSolver {
         );
     }
 
-    /// Fused kernels 5+6: each slab runs [`sweep_planes`] over its own
-    /// x-planes, colliding its nodes in registers and pushing the results
-    /// straight into `f_new`, skipping both the post-collision write-back
-    /// of `f` and its re-read by streaming.
+    /// Fused kernels 5+6: each slab collides its nodes in registers
+    /// ([`collided_block`]) and pushes the results straight into `f_new`,
+    /// skipping both the post-collision write-back of `f` and its re-read
+    /// by streaming.
+    fn fused_kernel(&mut self) {
+        let tau = self.state.config.tau;
+        self.push_region(KernelId::FusedCollideStream, |grid, node| {
+            collided_block(grid, node, tau)
+        });
+    }
+
+    /// Kernel 6: each slab pushes the post-collision blocks that kernel 5
+    /// left in `f` ([`stored_block`]).
+    fn stream_kernel(&mut self) {
+        self.push_region(KernelId::Stream, |grid, node| stored_block(&grid.f, node));
+    }
+
+    /// Runs [`push_planes`] over x-slabs as one parallel region charged to
+    /// `kernel`, with `post(grid, node)` supplying each node's block.
     ///
     /// `f_new` moves out of the grid into a [`SharedSlice`] for the region
     /// and back afterwards. The slabs write it without locks: push
@@ -531,9 +546,11 @@ impl OpenMpSolver {
     /// upwind route crossed a wall and therefore never produces a neighbour
     /// write. No thread reads `f_new` during the region, and the pool's
     /// implicit join publishes the writes before kernel 7 reads them.
-    fn fused_kernel(&mut self) {
+    fn push_region<P>(&mut self, kernel: KernelId, post: P)
+    where
+        P: Fn(&FluidGrid, usize) -> [f64; Q] + Sync,
+    {
         let n_chunks = self.n_chunks();
-        let tau = self.state.config.tau;
         let dims = self.state.config.dims();
         let router = StreamRouter::new(dims, &self.state.config.bc);
         #[cfg(feature = "racecheck")]
@@ -546,7 +563,7 @@ impl OpenMpSolver {
         Self::region_static(
             &self.pool,
             &mut self.telemetry,
-            KernelId::FusedCollideStream,
+            kernel,
             balanced_ranges(dims.nx, n_chunks),
             |_t, xs| {
                 #[cfg(feature = "racecheck")]
@@ -557,48 +574,11 @@ impl OpenMpSolver {
                 // SAFETY: every slot this slab writes is written by no
                 // other slab (push injectivity, above), and no thread
                 // reads `f_new` before the region joins.
-                sweep_planes(xs, grid, router, tau, |i, v| unsafe { shared.set(i, v) });
+                let write = |i, v| unsafe { shared.set(i, v) };
+                push_planes(xs, dims, router, |node| post(grid, node), write);
             },
         );
         self.state.fluid.f_new = f_new.into_vec();
-    }
-
-    /// Kernel 6: streaming, pull formulation (every write owned by the
-    /// slab's thread), parallel over x-slabs.
-    fn stream_kernel(&mut self) {
-        let n_chunks = self.n_chunks();
-        let dims = self.state.config.dims();
-        let bc = self.state.config.bc;
-        let plane = dims.ny * dims.nz;
-        let plane_ranges = balanced_ranges(dims.nx, n_chunks);
-        let node_ranges: Vec<Range<usize>> = plane_ranges
-            .iter()
-            .map(|r| r.start * plane..r.end * plane)
-            .collect();
-        let f_ranges: Vec<Range<usize>> =
-            node_ranges.iter().map(|r| r.start * Q..r.end * Q).collect();
-
-        let router = StreamRouter::new(dims, &bc);
-        let router = &router;
-        let fluid = &mut self.state.fluid;
-        let f = &fluid.f;
-        let chunks = split_by_ranges(&mut fluid.f_new, &f_ranges);
-        let items: Vec<_> = chunks
-            .into_iter()
-            .zip(node_ranges.iter().cloned())
-            .collect();
-        Self::region_static(
-            &self.pool,
-            &mut self.telemetry,
-            KernelId::Stream,
-            items,
-            |_t, (out, nodes)| {
-                for (i, node) in nodes.enumerate() {
-                    let (x, y, z) = dims.coords(node);
-                    stream_pull_routed_node(dims, router, f, &mut out[i * Q..i * Q + Q], x, y, z);
-                }
-            },
-        );
     }
 
     /// Kernel 7: macroscopic update, parallel over x-slabs.

@@ -91,45 +91,47 @@ fn fused_cube_solver_run_is_discipline_clean() {
     report.assert_clean();
 }
 
-/// The OpenMP solver's fused sweep: each slab runs the shared collide–push
-/// over its own x-planes and writes `f_new` through a `SharedSlice`
-/// without locks, relying on the same push injectivity as the cube
-/// solver. Moving walls on two axes send the slab faces through the
-/// offset pushes, the periodic wrap across slabs and the bounce-back
-/// correction.
+/// The OpenMP solver's kernel 6 under both plans: each slab runs the
+/// shared push over its own x-planes (after collision, or fused with it)
+/// and writes `f_new` through a `SharedSlice` without locks, relying on
+/// the same push injectivity as the cube solver. Moving walls on two axes
+/// send the slab faces through the offset pushes, the periodic wrap
+/// across slabs and the bounce-back correction.
 #[test]
 fn omp_fused_run_is_discipline_clean() {
     let _g = serial();
-    let cfg = SimulationConfig {
-        bc: BoundaryConfig {
-            x: AxisBoundary::Periodic,
-            y: AxisBoundary::Walls {
-                lo: [0.0; 3],
-                hi: [0.02, 0.0, 0.0],
+    for plan in [KernelPlan::Split, KernelPlan::Fused] {
+        let cfg = SimulationConfig {
+            bc: BoundaryConfig {
+                x: AxisBoundary::Periodic,
+                y: AxisBoundary::Walls {
+                    lo: [0.0; 3],
+                    hi: [0.02, 0.0, 0.0],
+                },
+                z: AxisBoundary::Walls {
+                    lo: [0.0, -0.01, 0.0],
+                    hi: [0.0; 3],
+                },
             },
-            z: AxisBoundary::Walls {
-                lo: [0.0, -0.01, 0.0],
-                hi: [0.0; 3],
-            },
-        },
-        plan: KernelPlan::Fused,
-        ..SimulationConfig::quick_test()
-    };
-    let mut solver = OpenMpSolver::new(cfg, 3);
-    racecheck::begin();
-    solver.run(2);
-    let report = racecheck::audit();
-    assert!(
-        report.dropped == 0,
-        "log overflow: {} dropped",
-        report.dropped
-    );
-    assert!(
-        report.records > 100_000,
-        "suspiciously few records: {}",
-        report.records
-    );
-    report.assert_clean();
+            plan,
+            ..SimulationConfig::quick_test()
+        };
+        let mut solver = OpenMpSolver::new(cfg, 3);
+        racecheck::begin();
+        solver.run(2);
+        let report = racecheck::audit();
+        assert!(
+            report.dropped == 0,
+            "{plan:?}: log overflow: {} dropped",
+            report.dropped
+        );
+        assert!(
+            report.records > 100_000,
+            "{plan:?}: suspiciously few records: {}",
+            report.records
+        );
+        report.assert_clean();
+    }
 }
 
 /// Deliberately-seeded violation: two tracked threads write the same slot

@@ -6,7 +6,15 @@
 //! is reflected back into its origin node with the opposite direction, which
 //! places the no-slip plane half a lattice spacing beyond the last fluid
 //! node (second-order accurate).
+//!
+//! [`StreamRouter`] holds the routing tables that [`crate::fused::push`]
+//! consults for the directions that cross a domain face; every solver
+//! streams through that push rule, split kernel 6 included
+//! ([`stream_push_bounded`]). [`stream_push_routed_node`], which routes
+//! every direction, and [`BoundaryConfig::route_coords`], the generic
+//! routine, stay as the references the push rule is tested against.
 
+use crate::fused::{push_planes, stored_block};
 use crate::grid::{Dims, FluidGrid};
 use crate::lattice::{E, EF, OPPOSITE, Q, W};
 
@@ -73,25 +81,9 @@ impl BoundaryConfig {
     }
 
     /// Decides where a population leaving `(x, y, z)` along direction `i`
-    /// lands: either a (possibly wrapped) neighbour node, or reflected back
-    /// off a wall with momentum exchange for a moving wall.
-    #[inline]
-    pub fn route(&self, dims: Dims, x: usize, y: usize, z: usize, i: usize) -> Route {
-        match self.route_coords(dims, x, y, z, i) {
-            CoordRoute::Neighbor(dst) => Route::Neighbor(dims.idx(dst[0], dst[1], dst[2])),
-            CoordRoute::BounceBack {
-                opposite,
-                wall_velocity,
-            } => Route::BounceBack {
-                opposite,
-                wall_velocity,
-            },
-        }
-    }
-
-    /// Like [`BoundaryConfig::route`] but returns the destination
-    /// *coordinates*, so layouts with a different flat index (the cube grid)
-    /// can share the routing logic.
+    /// lands: either a (possibly wrapped) neighbour node, given by its
+    /// coordinates, or reflected back off a wall with momentum exchange for
+    /// a moving wall. The generic routine; [`StreamRouter`] tabulates it.
     #[inline]
     pub fn route_coords(&self, dims: Dims, x: usize, y: usize, z: usize, i: usize) -> CoordRoute {
         let e = E[i];
@@ -119,7 +111,7 @@ impl BoundaryConfig {
     }
 }
 
-/// Coordinate-space routing result (layout-independent form of [`Route`]).
+/// Where a streamed population lands, in coordinates (layout-independent).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum CoordRoute {
     /// Lands in the node at these coordinates, same direction index.
@@ -219,18 +211,6 @@ impl StreamRouter {
     }
 }
 
-/// Destination of one streamed population.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Route {
-    /// Lands in the given node, same direction index.
-    Neighbor(usize),
-    /// Reflected off a wall back into the origin node.
-    BounceBack {
-        opposite: usize,
-        wall_velocity: [f64; 3],
-    },
-}
-
 /// Momentum-exchange correction for a population of weight index `i`
 /// bouncing off a wall moving with `u_w`:
 /// `f'_{opp(i)} = f_i − 6 w_i ρ_w (e_i · u_w)` with `ρ_w ≈ 1`.
@@ -241,23 +221,25 @@ pub fn moving_wall_correction(i: usize, wall_velocity: [f64; 3]) -> f64 {
     6.0 * W[i] * eu
 }
 
-/// Push streaming over the whole grid honouring the boundary configuration.
-/// With an all-periodic config this equals [`crate::streaming::stream_push`].
+/// Kernel 6 over the whole grid honouring the boundary configuration: the
+/// flat plane loop ([`push_planes`]) pushing the post-collision blocks of
+/// `f` into `f_new`.
 pub fn stream_push_bounded(grid: &mut FluidGrid, bc: &BoundaryConfig) {
     let dims = grid.dims;
     let router = StreamRouter::new(dims, bc);
-    for x in 0..dims.nx {
-        for y in 0..dims.ny {
-            for z in 0..dims.nz {
-                let node = dims.idx(x, y, z);
-                stream_push_routed_node(dims, &router, &grid.f, &mut grid.f_new, node, x, y, z);
-            }
-        }
-    }
+    let (f, f_new) = (&grid.f, &mut grid.f_new);
+    push_planes(
+        0..dims.nx,
+        dims,
+        &router,
+        |node| stored_block(f, node),
+        |i, v| f_new[i] = v,
+    );
 }
 
-/// Pushes one node's populations using precomputed routing tables. Exactly
-/// equivalent to [`stream_push_bounded_node`], several times faster.
+/// Pushes one node's populations by routing every direction through the
+/// tables: the reference that the push rule ([`crate::fused::push`]),
+/// which routes only the directions that cross a face, is tested against.
 #[inline]
 pub fn stream_push_routed_node(
     dims: Dims,
@@ -287,118 +269,6 @@ pub fn stream_push_routed_node(
     }
 }
 
-/// Pushes one node's populations with boundary routing. Reused per-cube by
-/// the cube-centric solver.
-#[inline]
-pub fn stream_push_bounded_node(
-    dims: Dims,
-    bc: &BoundaryConfig,
-    f: &[f64],
-    f_new: &mut [f64],
-    node: usize,
-    x: usize,
-    y: usize,
-    z: usize,
-) {
-    f_new[node * Q] = f[node * Q];
-    for i in 1..Q {
-        let v = f[node * Q + i];
-        match bc.route(dims, x, y, z, i) {
-            Route::Neighbor(dst) => f_new[dst * Q + i] = v,
-            Route::BounceBack {
-                opposite,
-                wall_velocity,
-            } => {
-                f_new[node * Q + opposite] = v - moving_wall_correction(i, wall_velocity);
-            }
-        }
-    }
-}
-
-/// Pull streaming honouring the boundary configuration: node `(x,y,z)`
-/// receives along `i` either the upwind neighbour's population or its own
-/// reflected population when the upwind node lies beyond a wall.
-#[inline]
-pub fn stream_pull_bounded_node(
-    dims: Dims,
-    bc: &BoundaryConfig,
-    f: &[f64],
-    out: &mut [f64],
-    x: usize,
-    y: usize,
-    z: usize,
-) {
-    debug_assert_eq!(out.len(), Q);
-    let node = dims.idx(x, y, z);
-    out[0] = f[node * Q];
-    for i in 1..Q {
-        // The population arriving along i left the upwind node along i; the
-        // upwind node sits at -e_i. Routing the *outgoing* opposite
-        // population from this node tells us whether the upwind node exists.
-        let o = OPPOSITE[i];
-        match bc.route(dims, x, y, z, o) {
-            Route::Neighbor(src) => out[i] = f[src * Q + i],
-            Route::BounceBack { wall_velocity, .. } => {
-                // Own population toward the wall comes back reversed.
-                out[i] = f[node * Q + o] - moving_wall_correction(o, wall_velocity);
-            }
-        }
-    }
-}
-
-/// Pulls one node's `f_new` values using precomputed routing tables.
-/// Exactly equivalent to [`stream_pull_bounded_node`].
-#[inline]
-pub fn stream_pull_routed_node(
-    dims: Dims,
-    router: &StreamRouter,
-    f: &[f64],
-    out: &mut [f64],
-    x: usize,
-    y: usize,
-    z: usize,
-) {
-    debug_assert_eq!(out.len(), Q);
-    let node = dims.idx(x, y, z);
-    out[0] = f[node * Q];
-    for i in 1..Q {
-        let o = OPPOSITE[i];
-        match router.route(x, y, z, o) {
-            CoordRoute::Neighbor(d) => {
-                let src = (d[0] * dims.ny + d[1]) * dims.nz + d[2];
-                out[i] = f[src * Q + i];
-            }
-            CoordRoute::BounceBack { wall_velocity, .. } => {
-                out[i] = f[node * Q + o] - moving_wall_correction(o, wall_velocity);
-            }
-        }
-    }
-}
-
-/// Pull streaming over the whole grid honouring the boundary configuration.
-pub fn stream_pull_bounded(grid: &mut FluidGrid, bc: &BoundaryConfig) {
-    let dims = grid.dims;
-    let router = StreamRouter::new(dims, bc);
-    let f = &grid.f;
-    let f_new = &mut grid.f_new;
-    for x in 0..dims.nx {
-        for y in 0..dims.ny {
-            for z in 0..dims.nz {
-                let node = dims.idx(x, y, z);
-                stream_pull_routed_node(
-                    dims,
-                    &router,
-                    f,
-                    &mut f_new[node * Q..node * Q + Q],
-                    x,
-                    y,
-                    z,
-                );
-            }
-        }
-    }
-}
-
 /// Adds a uniform body force (e.g. the pressure-gradient surrogate that
 /// drives the tunnel flow) to the grid's force field.
 pub fn add_uniform_body_force(grid: &mut FluidGrid, g: [f64; 3]) {
@@ -416,19 +286,98 @@ pub fn add_uniform_body_force(grid: &mut FluidGrid, g: [f64; 3]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::stream_push;
+
+    fn tagged_grid(dims: Dims) -> FluidGrid {
+        // Give every (node, direction) slot a unique value so streaming is a
+        // verifiable permutation.
+        let mut g = FluidGrid::new(dims);
+        for (k, v) in g.f.iter_mut().enumerate() {
+            *v = k as f64 + 1.0;
+        }
+        g
+    }
+
+    fn stream_periodic(g: &mut FluidGrid) {
+        stream_push_bounded(g, &BoundaryConfig::periodic());
+    }
 
     #[test]
-    fn periodic_config_matches_plain_streaming() {
-        let dims = Dims::new(3, 4, 5);
-        let mut a = FluidGrid::new(dims);
-        for (k, v) in a.f.iter_mut().enumerate() {
-            *v = (k % 97) as f64;
+    fn push_moves_single_population_to_neighbor() {
+        let dims = Dims::new(4, 4, 4);
+        let mut g = FluidGrid::new(dims);
+        let src = dims.idx(1, 2, 3);
+        g.f[src * Q + 1] = 7.0; // direction +x
+        stream_periodic(&mut g);
+        let dst = dims.idx(2, 2, 3);
+        assert_eq!(g.f_new[dst * Q + 1], 7.0);
+        // Nothing else received that population.
+        let total: f64 = g.f_new.iter().sum();
+        assert_eq!(total, 7.0);
+    }
+
+    #[test]
+    fn push_wraps_periodically() {
+        let dims = Dims::new(3, 3, 3);
+        let mut g = FluidGrid::new(dims);
+        let src = dims.idx(2, 0, 0);
+        g.f[src * Q + 1] = 5.0; // +x from the last plane wraps to x=0
+        stream_periodic(&mut g);
+        assert_eq!(g.f_new[dims.idx(0, 0, 0) * Q + 1], 5.0);
+    }
+
+    #[test]
+    fn streaming_is_a_permutation() {
+        let dims = Dims::new(4, 3, 2);
+        let mut g = tagged_grid(dims);
+        stream_periodic(&mut g);
+        let mut before: Vec<u64> = g.f.iter().map(|v| v.to_bits()).collect();
+        let mut after: Vec<u64> = g.f_new.iter().map(|v| v.to_bits()).collect();
+        before.sort_unstable();
+        after.sort_unstable();
+        assert_eq!(before, after, "streaming must permute values bit-exactly");
+    }
+
+    #[test]
+    fn rest_population_never_moves() {
+        let dims = Dims::new(3, 3, 3);
+        let mut g = FluidGrid::new(dims);
+        for node in 0..g.n() {
+            g.f[node * Q] = node as f64 + 1.0;
         }
-        let mut b = a.clone();
-        stream_push(&mut a);
-        stream_push_bounded(&mut b, &BoundaryConfig::periodic());
-        assert_eq!(a.f_new, b.f_new);
+        stream_periodic(&mut g);
+        for node in 0..g.n() {
+            assert_eq!(g.f_new[node * Q], node as f64 + 1.0);
+        }
+    }
+
+    #[test]
+    fn streaming_preserves_per_direction_mass() {
+        let dims = Dims::new(4, 4, 4);
+        let mut g = tagged_grid(dims);
+        stream_periodic(&mut g);
+        for i in 0..Q {
+            let before: f64 = (0..g.n()).map(|n| g.f[n * Q + i]).sum();
+            let after: f64 = (0..g.n()).map(|n| g.f_new[n * Q + i]).sum();
+            assert!((before - after).abs() < 1e-9, "direction {i}");
+        }
+    }
+
+    #[test]
+    fn opposite_streams_cancel() {
+        // Streaming +x then -x returns a population to its origin.
+        let dims = Dims::new(5, 2, 2);
+        let mut g = FluidGrid::new(dims);
+        let start = dims.idx(2, 1, 1);
+        g.f[start * Q + 1] = 1.0;
+        stream_periodic(&mut g);
+        g.copy_distributions();
+        // Move the value into the opposite direction slot to send it back.
+        let here = dims.idx(3, 1, 1);
+        g.f[here * Q + 2] = g.f[here * Q + 1];
+        g.f[here * Q + 1] = 0.0;
+        g.f_new.fill(0.0);
+        stream_periodic(&mut g);
+        assert_eq!(g.f_new[start * Q + 2], 1.0);
     }
 
     #[test]
@@ -494,43 +443,20 @@ mod tests {
     }
 
     #[test]
-    fn pull_bounded_matches_push_bounded() {
-        let dims = Dims::new(4, 3, 5);
-        let bc = BoundaryConfig {
-            x: AxisBoundary::Periodic,
-            y: AxisBoundary::no_slip(),
-            z: AxisBoundary::Walls {
-                lo: [0.0; 3],
-                hi: [0.02, 0.0, 0.0],
-            },
-        };
-        let mut a = FluidGrid::new(dims);
-        for (k, v) in a.f.iter_mut().enumerate() {
-            *v = 0.5 + ((k * 31) % 101) as f64 * 0.01;
-        }
-        let mut b = a.clone();
-        stream_push_bounded(&mut a, &bc);
-        stream_pull_bounded(&mut b, &bc);
-        for (k, (x, y)) in a.f_new.iter().zip(&b.f_new).enumerate() {
-            assert!((x - y).abs() < 1e-15, "slot {k}: {x} vs {y}");
-        }
-    }
-
-    #[test]
     fn route_classifies_interior_and_boundary() {
         let dims = Dims::new(4, 4, 4);
         let bc = BoundaryConfig::tunnel();
         // Interior node: all routes are neighbours.
         for i in 1..Q {
             assert!(
-                matches!(bc.route(dims, 1, 1, 1, i), Route::Neighbor(_)),
+                matches!(bc.route_coords(dims, 1, 1, 1, i), CoordRoute::Neighbor(_)),
                 "dir {i}"
             );
         }
         // Node on the y = 0 face: -y populations bounce.
         assert!(matches!(
-            bc.route(dims, 1, 0, 1, 4),
-            Route::BounceBack { opposite: 3, .. }
+            bc.route_coords(dims, 1, 0, 1, 4),
+            CoordRoute::BounceBack { opposite: 3, .. }
         ));
     }
 
@@ -559,41 +485,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn routed_streaming_functions_match_reference() {
-        // The routed push/pull node functions must equal the generic ones
-        // over a full wall-ful grid.
-        let dims = Dims::new(4, 4, 4);
-        let bc = BoundaryConfig {
-            x: AxisBoundary::Walls {
-                lo: [0.0; 3],
-                hi: [0.01, 0.0, 0.0],
-            },
-            y: AxisBoundary::no_slip(),
-            z: AxisBoundary::Periodic,
-        };
-        let router = StreamRouter::new(dims, &bc);
-        let mut f = vec![0.0; dims.n() * Q];
-        for (k, v) in f.iter_mut().enumerate() {
-            *v = ((k * 17) % 23) as f64 * 0.01 + 0.4;
-        }
-        let mut a = vec![0.0; dims.n() * Q];
-        let mut b = vec![0.0; dims.n() * Q];
-        for (x, y, z) in dims.iter_coords() {
-            let node = dims.idx(x, y, z);
-            stream_push_bounded_node(dims, &bc, &f, &mut a, node, x, y, z);
-            stream_push_routed_node(dims, &router, &f, &mut b, node, x, y, z);
-        }
-        assert_eq!(a, b, "routed push differs from generic push");
-        let mut pa = vec![0.0; Q];
-        let mut pb = vec![0.0; Q];
-        for (x, y, z) in dims.iter_coords() {
-            stream_pull_bounded_node(dims, &bc, &f, &mut pa, x, y, z);
-            stream_pull_routed_node(dims, &router, &f, &mut pb, x, y, z);
-            assert_eq!(pa, pb, "routed pull differs at ({x},{y},{z})");
         }
     }
 

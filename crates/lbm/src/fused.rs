@@ -12,9 +12,11 @@
 //! either layout: a direction that steps toward none of the node's domain
 //! faces lands at a fixed offset from the node's slot; only the directions
 //! that cross a face (periodic wrap, bounce-back) go through the routing
-//! tables. [`sweep_planes`] drives it over x-planes of the flat layout
-//! (the sequential and OpenMP solvers); the cube solver drives it cube by
-//! cube with its own offset table.
+//! tables. [`push_planes`] is the one loop that drives it over x-planes of
+//! the flat layout: the fused sweep, split kernel 6 and the distributed
+//! ranks' halo push differ only in where each node's post-collision block
+//! comes from. The cube solver
+//! drives [`push`] cube by cube with its own offset table.
 //!
 //! Because the register pipeline performs *exactly* the same f64
 //! arithmetic as [`crate::collision::bgk_collide_shifted`] followed by
@@ -135,20 +137,22 @@ pub fn flat_offsets(dims: Dims) -> [isize; Q] {
     std::array::from_fn(|i| (E[i][0] as isize * ny + E[i][1] as isize) * nz + E[i][2] as isize)
 }
 
-/// Fused collide–push over the x-planes `xs` of a flat grid, from the
-/// stored macroscopic fields (`rho`, `ueqx..z`) exactly as the split
-/// kernels 5+6 would. `grid.f` is only read; every post-collision value
-/// goes to `write(index into f_new, value)`. Sweeps over disjoint plane
-/// ranges write disjoint slots (see [`push`]), so slabs can run in
-/// parallel on one `f_new`.
-pub fn sweep_planes(
+/// The one flat plane loop: pushes every node of the x-planes `xs` of a
+/// `dims` grid with [`push`], taking each node's post-collision block from
+/// `post(node)`. `node` is the node's index in the whole grid, and so is
+/// every index `write` receives. The callers differ only in `post`: the
+/// fused plan collides in registers ([`collided_block`]), split kernel 6
+/// copies the block kernel 5 stored ([`stored_block`]), and a distributed
+/// rank reads its own slab. Loops over disjoint plane ranges write
+/// disjoint slots (see [`push`]), so slabs can run in parallel on one
+/// `f_new`.
+pub fn push_planes(
     xs: Range<usize>,
-    grid: &FluidGrid,
+    dims: Dims,
     router: &StreamRouter,
-    tau: f64,
+    mut post: impl FnMut(usize) -> [f64; Q],
     mut write: impl FnMut(usize, f64),
 ) {
-    let dims = grid.dims;
     let off = flat_offsets(dims);
     let slot_of = |d: [usize; 3]| (d[0] * dims.ny + d[1]) * dims.nz + d[2];
     for x in xs {
@@ -157,12 +161,9 @@ pub fn sweep_planes(
             let fxy = fx | face_bits(y, dims.ny, 1);
             for z in 0..dims.nz {
                 let node = (x * dims.ny + y) * dims.nz + z;
-                let ueq = [grid.ueqx[node], grid.ueqy[node], grid.ueqz[node]];
-                let post =
-                    collide_to_registers(&grid.f[node * Q..node * Q + Q], grid.rho[node], ueq, tau);
                 let face = fxy | face_bits(z, dims.nz, 2);
                 push(
-                    &post,
+                    &post(node),
                     node,
                     face,
                     [x, y, z],
@@ -176,20 +177,41 @@ pub fn sweep_planes(
     }
 }
 
-/// Whole-grid fused sweep ([`sweep_planes`] over every plane). After this
-/// call `f_new` equals what `collide`-then-`stream_push_bounded` would
-/// have produced, while `f` still holds the pre-collision populations.
+/// The fused plan's block for [`push_planes`]: node `node` collided in
+/// registers from the grid's stored fields (`rho`, `ueqx..z`), exactly as
+/// kernel 5 would collide it in place. `grid.f` is only read.
+#[inline(always)]
+pub fn collided_block(grid: &FluidGrid, node: usize, tau: f64) -> [f64; Q] {
+    let ueq = [grid.ueqx[node], grid.ueqy[node], grid.ueqz[node]];
+    collide_to_registers(&grid.f[node * Q..node * Q + Q], grid.rho[node], ueq, tau)
+}
+
+/// Split kernel 6's block for [`push_planes`]: node `node`'s populations
+/// as kernel 5 left them in the distribution array `f`.
+#[inline(always)]
+pub fn stored_block(f: &[f64], node: usize) -> [f64; Q] {
+    let mut block = [0.0; Q];
+    block.copy_from_slice(&f[node * Q..node * Q + Q]);
+    block
+}
+
+/// Whole-grid fused sweep ([`push_planes`] over every plane with
+/// [`collided_block`]). After this call `f_new` equals what
+/// `collide`-then-`stream_push_bounded` would have produced, while `f`
+/// still holds the pre-collision populations.
 pub fn fused_collide_stream_grid(grid: &mut FluidGrid, bc: &BoundaryConfig, tau: f64) {
-    let router = StreamRouter::new(grid.dims, bc);
+    let dims = grid.dims;
+    let router = StreamRouter::new(dims, bc);
     let mut f_new = std::mem::take(&mut grid.f_new);
-    sweep_planes(0..grid.dims.nx, grid, &router, tau, |i, v| f_new[i] = v);
+    let post = |node| collided_block(grid, node, tau);
+    push_planes(0..dims.nx, dims, &router, post, |i, v| f_new[i] = v);
     grid.f_new = f_new;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boundary::{stream_push_bounded, AxisBoundary};
+    use crate::boundary::{stream_push_bounded, stream_push_routed_node, AxisBoundary};
     use crate::collision::bgk_collide_node;
     use crate::equilibrium::feq;
     use crate::macroscopic::update_velocity_shifted;
@@ -221,7 +243,19 @@ mod tests {
         g
     }
 
-    /// Split reference: kernel 5 (BGK toward feq(rho, ueq)) then kernel 6.
+    /// Kernel 6 as the reference routes it: every direction of every node
+    /// through the routing tables, no offset row and no face masks.
+    fn routed_reference(grid: &mut FluidGrid, bc: &BoundaryConfig) {
+        let dims = grid.dims;
+        let router = StreamRouter::new(dims, bc);
+        for (x, y, z) in dims.iter_coords() {
+            let node = dims.idx(x, y, z);
+            stream_push_routed_node(dims, &router, &grid.f, &mut grid.f_new, node, x, y, z);
+        }
+    }
+
+    /// Split reference: kernel 5 (BGK toward feq(rho, ueq)) then the routed
+    /// kernel 6, so the fused sweep is not compared with its own push rule.
     fn split_reference(grid: &mut FluidGrid, bc: &BoundaryConfig, tau: f64) {
         for node in 0..grid.n() {
             let rho = grid.rho[node];
@@ -229,7 +263,7 @@ mod tests {
             let f = &mut grid.f[node * Q..node * Q + Q];
             bgk_collide_node(f, rho, ueq, [0.0; 3], tau);
         }
-        stream_push_bounded(grid, bc);
+        routed_reference(grid, bc);
     }
 
     fn boundary_cases() -> Vec<BoundaryConfig> {
@@ -299,6 +333,29 @@ mod tests {
     }
 
     proptest! {
+        /// The plane loop in split mode ([`stream_push_bounded`]) moves
+        /// every population exactly where the routed reference does, bit
+        /// for bit: wraps, bounce-backs and moving-wall corrections, on
+        /// axes of length 1 (whose nodes lie on both faces) to 6.
+        #[test]
+        fn prop_plane_loop_split_equals_routed_reference(
+            nx in 1usize..7,
+            ny in 1usize..7,
+            nz in 1usize..7,
+            case in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            let bc = boundary_cases()[case];
+            let mut plane = perturbed_grid(Dims::new(nx, ny, nz), 0.75, seed);
+            plane.f_new.fill(f64::NAN);
+            let mut routed = plane.clone();
+            stream_push_bounded(&mut plane, &bc);
+            routed_reference(&mut routed, &bc);
+            let bits = |g: &FluidGrid| g.f_new.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert!(routed.f_new.iter().all(|v| !v.is_nan()));
+            prop_assert_eq!(bits(&plane), bits(&routed));
+        }
+
         /// Bit-identical to split over random shapes (axes of length 1,
         /// whose nodes lie on both faces, and 2 included), boundary mixes
         /// and repeated sweeps (with the kernel-7 + kernel-9 glue between

@@ -71,13 +71,6 @@ impl Dims {
         )
     }
 
-    /// Flat index of the periodic neighbour of `(x, y, z)` displaced by `e`.
-    #[inline]
-    pub fn neighbor_idx(&self, x: usize, y: usize, z: usize, e: [i32; 3]) -> usize {
-        let (xn, yn, zn) = self.wrap(x, y, z, e[0], e[1], e[2]);
-        self.idx(xn, yn, zn)
-    }
-
     /// Iterates all coordinates in index order (x outermost, z innermost).
     pub fn iter_coords(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
@@ -307,21 +300,6 @@ mod tests {
         assert_eq!(wrap_axis(7, 1, 8), 0);
         assert_eq!(wrap_axis(3, 0, 8), 3);
         assert_eq!(wrap_axis(0, -8, 8), 0);
-    }
-
-    #[test]
-    fn neighbor_idx_wraps_all_directions() {
-        use crate::lattice::E;
-        let d = Dims::new(4, 3, 5);
-        // From the corner every direction must land on a valid node.
-        for e in E {
-            let i = d.neighbor_idx(0, 0, 0, e);
-            assert!(i < d.n());
-            let (x, y, z) = d.coords(i);
-            assert_eq!(x, wrap_axis(0, e[0], 4));
-            assert_eq!(y, wrap_axis(0, e[1], 3));
-            assert_eq!(z, wrap_axis(0, e[2], 5));
-        }
     }
 
     #[test]

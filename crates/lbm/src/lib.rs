@@ -40,7 +40,6 @@ pub mod lattice;
 pub mod macroscopic;
 pub mod observables;
 pub mod stepper;
-pub mod streaming;
 pub mod units;
 
 pub use boundary::BoundaryConfig;
