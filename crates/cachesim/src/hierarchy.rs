@@ -6,12 +6,15 @@ use crate::cache::{Cache, CacheConfig};
 /// L1 + L2 hierarchy for one core's access stream. L2 is looked up only on
 /// L1 misses, matching how PAPI's `L2_DCM / L2_DCA` ratio is defined.
 ///
-/// The L2 carries an optional sequential stream prefetcher (`prefetch_depth`
-/// lines ahead on each demand miss): real AMD L2s prefetch streaming access
-/// patterns, which is why the paper's streaming-dominated workload still
-/// shows only ~26% L2 misses. Prefetch installs do not count as demand
-/// accesses; [`Hierarchy::prefetches`] counts the ones that fetched a line
-/// from memory.
+/// The L2 carries an optional sequential stream prefetcher: real AMD L2s
+/// prefetch streaming access patterns, which is why the paper's
+/// streaming-dominated workload still shows only ~26% L2 misses. It keeps
+/// a FIFO of 16 stream heads (each demand-missed line and the last line of
+/// each prefetch burst); a demand miss on line `L` fetches
+/// `L+1..=L+prefetch_depth` only when `L−1` is a head, so a stream trains
+/// on its first miss and scattered misses fetch nothing. Prefetch installs
+/// do not count as demand accesses; [`Hierarchy::prefetches`] counts the
+/// ones that fetched a line from memory.
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
     pub l1: Cache,
@@ -21,7 +24,15 @@ pub struct Hierarchy {
     /// Lines the prefetcher fetched from memory: installs of lines that
     /// were not already resident in L2.
     pub prefetches: u64,
+    /// Stream-head line numbers, replaced oldest first (`u64::MAX` is
+    /// empty: no line `L` has `L−1` equal to it).
+    heads: [u64; STREAM_HEADS],
+    /// Slot the next head replaces.
+    next_head: usize,
 }
+
+/// Stream heads the prefetcher tracks.
+const STREAM_HEADS: usize = 16;
 
 impl Hierarchy {
     /// Builds a hierarchy from the two level configs (no prefetching).
@@ -31,6 +42,8 @@ impl Hierarchy {
             l2: Cache::new(l2),
             prefetch_depth: 0,
             prefetches: 0,
+            heads: [u64::MAX; STREAM_HEADS],
+            next_head: 0,
         }
     }
 
@@ -58,13 +71,24 @@ impl Hierarchy {
     #[inline]
     pub fn access(&mut self, addr: u64) {
         if !self.l1.access(addr) && !self.l2.access(addr) && self.prefetch_depth > 0 {
-            let line = self.l2.config().line_bytes as u64;
-            for d in 1..=self.prefetch_depth as u64 {
-                if self.l2.install(addr + d * line) {
-                    self.prefetches += 1;
+            let line_bytes = self.l2.config().line_bytes as u64;
+            let line = addr / line_bytes;
+            if line > 0 && self.heads.contains(&(line - 1)) {
+                let depth = self.prefetch_depth as u64;
+                for l in line + 1..=line + depth {
+                    if self.l2.install(l * line_bytes) {
+                        self.prefetches += 1;
+                    }
                 }
+                self.push_head(line + depth);
             }
+            self.push_head(line);
         }
+    }
+
+    fn push_head(&mut self, line: u64) {
+        self.heads[self.next_head] = line;
+        self.next_head = (self.next_head + 1) % STREAM_HEADS;
     }
 
     /// L1 data miss rate (misses / accesses), as a percentage.
@@ -88,6 +112,8 @@ impl Hierarchy {
         self.l1.reset();
         self.l2.reset();
         self.prefetches = 0;
+        self.heads = [u64::MAX; STREAM_HEADS];
+        self.next_head = 0;
     }
 }
 
@@ -196,23 +222,37 @@ mod tests {
     }
 
     /// A cold sequential pass over `n` lines fetches each line from memory
-    /// exactly once, whether by a demand miss or by the prefetcher (with
-    /// `n` a multiple of depth + 1, no prefetch runs past the end). Demand
-    /// misses alone would show a fifth of them.
+    /// exactly once, whether by a demand miss or by the prefetcher. Line 0
+    /// trains the stream; from line 1 on, every demand miss fetches the
+    /// next four lines (with `n − 1` a multiple of depth + 1, no prefetch
+    /// runs past the end). Demand misses alone would show a fifth of them.
     #[test]
     fn sequential_pass_fetches_every_line_once() {
-        let n = 10_000u64;
+        let n = 10_001u64;
         let mut h = Hierarchy::thog(1);
         for addr in (0..n * 64).step_by(8) {
             h.access(addr);
         }
         assert_eq!(h.dram_lines(), n);
-        assert_eq!(h.l2.misses, n / 5);
+        assert_eq!(h.l2.misses, 1 + (n - 1) / 5);
         // A second pass finds every line in L2: nothing more is fetched.
         for addr in (0..n * 64).step_by(8) {
             h.access(addr);
         }
         assert_eq!(h.dram_lines(), n);
+    }
+
+    /// Touching one line per 4 KiB never presents a line whose predecessor
+    /// is a stream head, so nothing is prefetched.
+    #[test]
+    fn strided_pass_prefetches_nothing() {
+        let mut h = Hierarchy::thog(1);
+        for addr in (0..1024 * 4096).step_by(4096) {
+            h.access(addr);
+        }
+        assert_eq!(h.l2.misses, 1024);
+        assert_eq!(h.prefetches, 0);
+        assert_eq!(h.dram_lines(), 1024);
     }
 
     #[test]

@@ -4,10 +4,21 @@
 //!
 //! The format is a versioned little-endian binary layout written by this
 //! module (no external serialization crate): magic, version, config,
-//! fluid arrays, structure arrays, step counter, a trailing length
-//! guard, and a CRC-32 over everything before it. Loading validates
-//! magic, version, sizes and the checksum and fails loudly on corruption
-//! or truncation.
+//! a fluid-encoding tag, fluid arrays, structure arrays, step counter, a
+//! trailing length guard, and a CRC-32 over everything before it. Loading
+//! validates magic, version, sizes and the checksum and fails loudly on
+//! corruption or truncation.
+//!
+//! # Compact fluid section
+//!
+//! At a step boundary every backend's state has `f_new == f`, and ρ, u
+//! and u_eq equal [`node_moments_shifted`] of `f`, the stored force and τ
+//! bit for bit. When that holds at every node, the file stores only `f`
+//! and the force (22 doubles per node instead of 48) and the reader
+//! derives the rest. Any other state (a fresh one stores ρ = 1.0 where
+//! the weights sum to 1.0000000000000002) is written in full, so a
+//! round trip is bit-exact either way. Version 2 files, which carry no
+//! tag and always the full section, still load.
 //!
 //! # Crash consistency
 //!
@@ -26,12 +37,26 @@ use ib::sheet::FiberSheet;
 use ib::tether::{Tether, TetherSet};
 use lbm::boundary::{AxisBoundary, BoundaryConfig};
 use lbm::grid::FluidGrid;
+use lbm::macroscopic::{node_moments_shifted, update_velocity_shifted};
+use lbm::Q;
 
 use crate::config::{SheetConfig, SimulationConfig, TetherConfig};
 use crate::state::SimState;
 
 const MAGIC: &[u8; 8] = b"LBMIB\0\0\x01";
-const VERSION: u64 = 2;
+const VERSION: u64 = 3;
+/// The previous format: the v3 layout without the fluid-encoding tag,
+/// always with the full fluid section. Still read.
+const VERSION_V2: u64 = 2;
+
+/// Fluid-encoding tag of a v3 file: `f`, `fx`, `fy`, `fz` only.
+const FLUID_COMPACT: u64 = 0;
+/// Fluid-encoding tag of a v3 file: all twelve arrays, in v2's order.
+const FLUID_FULL: u64 = 1;
+
+/// Buffer size of the checkpoint writer and reader. At 8 KiB a 32³ save
+/// took about 1,500 `write` calls.
+const IO_BUF: usize = 1 << 20;
 
 /// Sanity bounds on header dimensions, checked **before** any allocation
 /// sized from them. A corrupt or hostile header used to drive
@@ -136,9 +161,8 @@ static CRC_TABLES: [[u32; 256]; CRC_SLICE] = crc32_tables();
 /// only the tail of fewer than 16 bytes takes that loop.
 fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut blocks = bytes.chunks_exact(CRC_SLICE);
-    for block in &mut blocks {
-        let b: &[u8; CRC_SLICE] = block.try_into().expect("chunks_exact yields full blocks");
+    let (blocks, rest) = bytes.as_chunks::<CRC_SLICE>();
+    for b in blocks {
         // The state lines up with the block's first four bytes; each byte
         // then goes through the table for its distance to the block end.
         let s = state.to_le_bytes();
@@ -149,7 +173,7 @@ fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
         }
         state = next;
     }
-    for &b in blocks.remainder() {
+    for &b in rest {
         state = t[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
     state
@@ -279,16 +303,16 @@ impl<R: Read> Dec<R> {
         self.0.read_exact(&mut b)?;
         Ok(f64::from_le_bytes(b))
     }
-    fn f64s(&mut self, expect: usize) -> Result<Vec<f64>, CheckpointError> {
-        let n = self.u64()? as usize;
-        if n != expect {
+    /// Fills `out` from a length-prefixed array of exactly its length.
+    fn f64s(&mut self, out: &mut [f64]) -> Result<(), CheckpointError> {
+        let n = self.u64()?;
+        if n != out.len() as u64 {
             return Err(CheckpointError::Format(format!(
-                "array length {n}, expected {expect}"
+                "array length {n}, expected {}",
+                out.len()
             )));
         }
-        let mut out = vec![0.0; n];
-        self.f64_blocks(&mut out)?;
-        Ok(out)
+        self.f64_blocks(out)
     }
     fn vec3s(&mut self, expect: usize) -> Result<Vec<[f64; 3]>, CheckpointError> {
         let n = self.u64()? as usize;
@@ -308,8 +332,8 @@ impl<R: Read> Dec<R> {
         for chunk in out.chunks_mut(F64_BLOCK) {
             let bytes = &mut buf[..8 * chunk.len()];
             self.0.read_exact(bytes)?;
-            for (x, b) in chunk.iter_mut().zip(bytes.chunks_exact(8)) {
-                *x = f64::from_le_bytes(b.try_into().unwrap());
+            for (x, b) in chunk.iter_mut().zip(bytes.as_chunks::<8>().0) {
+                *x = f64::from_le_bytes(*b);
             }
         }
         Ok(())
@@ -351,9 +375,31 @@ fn delta_from(code: u64) -> Result<DeltaKind, CheckpointError> {
     })
 }
 
+/// Whether the compact section loses nothing: `f_new == f`, and at every
+/// node ρ, u and u_eq are [`node_moments_shifted`] of `f`, the force and
+/// τ, all compared bit for bit.
+fn moments_derivable(g: &FluidGrid, tau: f64) -> bool {
+    let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+    g.f.chunks_exact(Q)
+        .zip(g.f_new.chunks_exact(Q))
+        .enumerate()
+        .all(|(node, (f, f_new))| {
+            let force = [g.fx[node], g.fy[node], g.fz[node]];
+            let (rho, u, ueq) = node_moments_shifted(f, force, tau);
+            f.iter().zip(f_new).all(|(&a, &b)| same(a, b))
+                && same(rho, g.rho[node])
+                && same(u[0], g.ux[node])
+                && same(u[1], g.uy[node])
+                && same(u[2], g.uz[node])
+                && same(ueq[0], g.ueqx[node])
+                && same(ueq[1], g.ueqy[node])
+                && same(ueq[2], g.ueqz[node])
+        })
+}
+
 /// Writes a checkpoint of `state` to `w`.
 pub fn write_checkpoint<W: Write>(state: &SimState, w: W) -> io::Result<()> {
-    let mut e = Enc(CrcWriter::new(io::BufWriter::new(w)));
+    let mut e = Enc(CrcWriter::new(io::BufWriter::with_capacity(IO_BUF, w)));
     e.0.write_all(MAGIC)?;
     e.u64(VERSION)?;
 
@@ -395,20 +441,22 @@ pub fn write_checkpoint<W: Write>(state: &SimState, w: W) -> io::Result<()> {
         }
     }
 
-    // Fluid arrays.
+    // Fluid arrays: the compact section when it is lossless.
     let g = &state.fluid;
-    e.f64s(&g.f)?;
-    e.f64s(&g.f_new)?;
-    e.f64s(&g.rho)?;
-    e.f64s(&g.ux)?;
-    e.f64s(&g.uy)?;
-    e.f64s(&g.uz)?;
-    e.f64s(&g.ueqx)?;
-    e.f64s(&g.ueqy)?;
-    e.f64s(&g.ueqz)?;
-    e.f64s(&g.fx)?;
-    e.f64s(&g.fy)?;
-    e.f64s(&g.fz)?;
+    if moments_derivable(g, c.tau) {
+        e.u64(FLUID_COMPACT)?;
+        for a in [&g.f, &g.fx, &g.fy, &g.fz] {
+            e.f64s(a)?;
+        }
+    } else {
+        e.u64(FLUID_FULL)?;
+        for a in [
+            &g.f, &g.f_new, &g.rho, &g.ux, &g.uy, &g.uz, &g.ueqx, &g.ueqy, &g.ueqz, &g.fx, &g.fy,
+            &g.fz,
+        ] {
+            e.f64s(a)?;
+        }
+    }
 
     // Structure.
     let sh = &state.sheet;
@@ -442,16 +490,16 @@ pub fn write_checkpoint<W: Write>(state: &SimState, w: W) -> io::Result<()> {
 
 /// Reads a checkpoint from `r`.
 pub fn read_checkpoint<R: Read>(r: R) -> Result<SimState, CheckpointError> {
-    let mut d = Dec(CrcReader::new(io::BufReader::new(r)));
+    let mut d = Dec(CrcReader::new(io::BufReader::with_capacity(IO_BUF, r)));
     let mut magic = [0u8; 8];
     d.0.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(CheckpointError::Format("bad magic".into()));
     }
     let version = d.u64()?;
-    if version != VERSION {
+    if version != VERSION && version != VERSION_V2 {
         return Err(CheckpointError::Format(format!(
-            "unsupported version {version} (expected {VERSION})"
+            "unsupported version {version} (expected {VERSION_V2} or {VERSION})"
         )));
     }
 
@@ -527,20 +575,44 @@ pub fn read_checkpoint<R: Read>(r: R) -> Result<SimState, CheckpointError> {
         .validate()
         .map_err(|e| CheckpointError::Format(e.to_string()))?;
 
-    let n = nx * ny * nz;
+    let compact = match version {
+        VERSION_V2 => false,
+        _ => match d.u64()? {
+            FLUID_COMPACT => true,
+            FLUID_FULL => false,
+            k => {
+                return Err(CheckpointError::Format(format!(
+                    "unknown fluid encoding {k}"
+                )))
+            }
+        },
+    };
     let mut fluid = FluidGrid::new(lbm::grid::Dims::new(nx, ny, nz));
-    fluid.f = d.f64s(n * lbm::Q)?;
-    fluid.f_new = d.f64s(n * lbm::Q)?;
-    fluid.rho = d.f64s(n)?;
-    fluid.ux = d.f64s(n)?;
-    fluid.uy = d.f64s(n)?;
-    fluid.uz = d.f64s(n)?;
-    fluid.ueqx = d.f64s(n)?;
-    fluid.ueqy = d.f64s(n)?;
-    fluid.ueqz = d.f64s(n)?;
-    fluid.fx = d.f64s(n)?;
-    fluid.fy = d.f64s(n)?;
-    fluid.fz = d.f64s(n)?;
+    let g = &mut fluid;
+    if compact {
+        for a in [&mut g.f, &mut g.fx, &mut g.fy, &mut g.fz] {
+            d.f64s(a)?;
+        }
+        g.f_new.copy_from_slice(&g.f);
+        update_velocity_shifted(g, tau);
+    } else {
+        for a in [
+            &mut g.f,
+            &mut g.f_new,
+            &mut g.rho,
+            &mut g.ux,
+            &mut g.uy,
+            &mut g.uz,
+            &mut g.ueqx,
+            &mut g.ueqy,
+            &mut g.ueqz,
+            &mut g.fx,
+            &mut g.fy,
+            &mut g.fz,
+        ] {
+            d.f64s(a)?;
+        }
+    }
 
     let n_nodes = num_fibers * nodes_per_fiber;
     let ds_node = d.f64()?;
@@ -595,7 +667,12 @@ pub fn read_checkpoint<R: Read>(r: R) -> Result<SimState, CheckpointError> {
     let expected = d.0.digest();
     let mut trailer = [0u8; 8];
     d.0.raw().read_exact(&mut trailer)?;
-    let found = u64::from_le_bytes(trailer) as u32;
+    let [crc @ .., 0, 0, 0, 0] = trailer else {
+        return Err(CheckpointError::Format(
+            "CRC trailer has nonzero high bytes".into(),
+        ));
+    };
+    let found = u32::from_le_bytes(crc);
     if found != expected {
         return Err(CheckpointError::Crc { expected, found });
     }
@@ -1004,6 +1081,169 @@ mod tests {
         match read_checkpoint(&buf[..]) {
             Err(CheckpointError::Format(m)) => assert!(m.contains("tether node"), "{m}"),
             other => panic!("expected format error, got {other:?}"),
+        }
+    }
+
+    /// After a step every backend's gathered state takes the compact
+    /// section and round-trips equal on every field; a fresh state (ρ = 1.0
+    /// where the weights sum to 1.0000000000000002) takes the full one.
+    #[test]
+    fn stepped_states_encode_compact_and_fresh_states_full() {
+        use crate::config::KernelPlan;
+        let fresh = SimState::new(SimulationConfig::quick_test());
+        let mut buf = Vec::new();
+        write_checkpoint(&fresh, &mut buf).unwrap();
+        // The compact section drops `f_new` and the seven moment arrays,
+        // each with its 8-byte length prefix.
+        let n = fresh.fluid.n();
+        let compact_len = buf.len() - 8 * (n * Q + 1) - 7 * 8 * (n + 1);
+        assert!(read_checkpoint(&buf[..]).unwrap().fingerprint() == fresh.fingerprint());
+
+        let mut runs = vec![("seq", KernelPlan::Split, 1), ("seq", KernelPlan::Fused, 1)];
+        for threads in 1..=3 {
+            for plan in [KernelPlan::Split, KernelPlan::Fused] {
+                runs.push(("omp", plan, threads));
+            }
+            runs.push(("cube", KernelPlan::Fused, threads));
+            runs.push(("dist", KernelPlan::Fused, threads));
+        }
+        for (backend, plan, threads) in runs {
+            let what = format!("{backend} {plan:?} {threads} thread(s)");
+            let mut cfg = SimulationConfig::quick_test();
+            cfg.plan = plan;
+            let mut s = crate::build_solver(backend, SimState::new(cfg), threads).unwrap();
+            s.run(2).unwrap();
+            let state = s.to_state();
+            buf.clear();
+            write_checkpoint(&state, &mut buf).unwrap();
+            assert_eq!(buf.len(), compact_len, "{what}");
+            let mut loaded = read_checkpoint(&buf[..]).unwrap();
+            // The plan is a runtime choice the file does not carry.
+            loaded.config.plan = plan;
+            assert!(loaded.fingerprint() == state.fingerprint(), "{what}");
+        }
+    }
+
+    /// A 2×4×4 grid with a tethered 2×2 sheet and a 2-node stencil, after
+    /// `steps` steps: small enough to parse every truncation of its file.
+    fn tiny_state(steps: u64) -> SimState {
+        let mut c = SimulationConfig::quick_test();
+        (c.nx, c.ny, c.nz, c.cube_k) = (2, 4, 4, 2);
+        c.delta = DeltaKind::Hat2;
+        c.sheet = SheetConfig {
+            tether: TetherConfig::LeadingEdge { stiffness: 0.05 },
+            ..SheetConfig::square(2, 1.0, [1.0, 1.5, 1.5])
+        };
+        let mut s = SequentialSolver::new(c);
+        s.run(steps);
+        s.state
+    }
+
+    /// The full-form (fresh) and compact (one step) encodings of
+    /// [`tiny_state`].
+    fn tiny_files() -> [Vec<u8>; 2] {
+        [0, 1].map(|steps| {
+            let mut buf = Vec::new();
+            write_checkpoint(&tiny_state(steps), &mut buf).unwrap();
+            buf
+        })
+    }
+
+    /// One ULP off in any derived array, at the last node, sends the
+    /// state to the full section, which keeps it.
+    #[test]
+    fn every_derived_field_is_checked_before_compacting() {
+        let [full, compact] = tiny_files().map(|f| f.len());
+        for field in 0..8 {
+            let mut state = tiny_state(1);
+            let g = &mut state.fluid;
+            let derived = [
+                &mut g.f_new,
+                &mut g.rho,
+                &mut g.ux,
+                &mut g.uy,
+                &mut g.uz,
+                &mut g.ueqx,
+                &mut g.ueqy,
+                &mut g.ueqz,
+            ];
+            let v = derived[field].last_mut().unwrap();
+            *v = f64::from_bits(v.to_bits() + 1);
+            let mut buf = Vec::new();
+            write_checkpoint(&state, &mut buf).unwrap();
+            assert_eq!(buf.len(), full, "field {field}");
+            assert_ne!(buf.len(), compact);
+            let loaded = read_checkpoint(&buf[..]).unwrap();
+            assert!(loaded.fingerprint() == state.fingerprint(), "field {field}");
+        }
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        for file in tiny_files() {
+            read_checkpoint(&file[..]).unwrap();
+            for len in 0..file.len() {
+                assert!(
+                    read_checkpoint(&file[..len]).is_err(),
+                    "{len} of {} bytes loaded",
+                    file.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_fluid_encoding_is_a_format_error() {
+        let [full, compact] = tiny_files();
+        // The two files share their header; the first byte they differ in
+        // is the fluid-encoding tag.
+        let tag = full.iter().zip(&compact).position(|(a, b)| a != b).unwrap();
+        assert_eq!(read_u64(&full, tag), FLUID_FULL);
+        assert_eq!(read_u64(&compact, tag), FLUID_COMPACT);
+        for mut file in [full, compact] {
+            patch_u64(&mut file, tag, 2);
+            match read_checkpoint(&file[..]) {
+                Err(CheckpointError::Format(m)) => assert!(m.contains("encoding"), "{m}"),
+                other => panic!("expected format error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_bit_of_the_trailer_is_checked() {
+        for file in tiny_files() {
+            for bit in 8 * (file.len() - 24)..8 * file.len() {
+                let mut bad = file.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(read_checkpoint(&bad[..]).is_err(), "bit {bit} flipped");
+            }
+        }
+    }
+
+    proptest! {
+        /// A single flipped bit anywhere in either encoding is an error.
+        #[test]
+        fn single_bit_flips_are_errors(pos_frac in 0.0f64..1.0, bit in 0u32..8, compact in 0usize..2) {
+            let mut file = tiny_files()[compact].clone();
+            let pos = (file.len() as f64 * pos_frac) as usize;
+            file[pos] ^= 1 << bit;
+            prop_assert!(read_checkpoint(&file[..]).is_err(), "bit {bit} of byte {pos} flipped");
+        }
+
+        /// Arbitrary bytes, alone or after a valid file's prefix, give an
+        /// error, never a panic.
+        #[test]
+        fn arbitrary_bytes_are_errors(
+            prefix_frac in 0.0f64..1.0,
+            tail in 0usize..4096,
+            seed in 0u64..u64::MAX,
+            compact in 0usize..2,
+        ) {
+            let file = &tiny_files()[compact];
+            let mut rng = proptest::TestRng::new(seed);
+            let mut bytes = file[..(file.len() as f64 * prefix_frac) as usize].to_vec();
+            bytes.extend((0..tail).map(|_| rng.next_u64() as u8));
+            prop_assert!(read_checkpoint(&bytes[..]).is_err());
         }
     }
 

@@ -7,9 +7,12 @@
 //! checkpoint ever loads silently — corruption is a typed
 //! [`lbm_ib::CheckpointError`], never garbage physics.
 
+use ib::delta::DeltaKind;
+use lbm::boundary::{AxisBoundary, BoundaryConfig};
 use lbm_ib::checkpoint::{self, read_checkpoint, write_checkpoint};
 use lbm_ib::{
     build_solver, run_chunks, ResumeSource, SheetConfig, SimState, SimulationConfig, SolverError,
+    TetherConfig,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -179,4 +182,107 @@ proptest! {
             "truncation to {keep} bytes must not load"
         );
     }
+}
+
+/// The config of the version-2 fixtures under `tests/fixtures/`: a 4³ grid
+/// (cube edge 2), periodic in x and z, a resting wall and a lid moving at
+/// 0.02 in x on y, the 2-node `Hat2` stencil, and a 2×2 sheet of extent 1
+/// whose four nodes are all tethered.
+fn fixture_config() -> SimulationConfig {
+    let mut c = SimulationConfig::quick_test();
+    (c.nx, c.ny, c.nz, c.cube_k) = (4, 4, 4, 2);
+    c.body_force = [1e-5, 0.0, 0.0];
+    c.delta = DeltaKind::Hat2;
+    c.bc = BoundaryConfig {
+        x: AxisBoundary::Periodic,
+        y: AxisBoundary::Walls {
+            lo: [0.0; 3],
+            hi: [0.02, 0.0, 0.0],
+        },
+        z: AxisBoundary::Periodic,
+    };
+    c.sheet = SheetConfig {
+        k_bend: 1e-4,
+        k_stretch: 5e-3,
+        tether: TetherConfig::CenterRegion {
+            radius: 1.0,
+            stiffness: 0.05,
+        },
+        ..SheetConfig::square(2, 1.0, [2.0, 1.5, 2.0])
+    };
+    c
+}
+
+/// Loads a fixture written by the version-2 writer (the format before the
+/// compact fluid section).
+fn load_fixture(name: &str) -> SimState {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(
+        u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
+        2,
+        "{name} is not v2"
+    );
+    read_checkpoint(&bytes[..]).unwrap()
+}
+
+/// Asserts `a` and `b` agree bit for bit on every field of the state.
+fn assert_same_state(a: &SimState, b: &SimState, what: &str) {
+    assert_eq!(
+        format!("{:?}", a.config),
+        format!("{:?}", b.config),
+        "{what}: config"
+    );
+    assert_eq!(a.step, b.step, "{what}: step");
+    assert_eq!(
+        format!("{:?}", a.tethers),
+        format!("{:?}", b.tethers),
+        "{what}: tethers"
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let fluid = |g: &lbm::grid::FluidGrid| {
+        [
+            &g.f, &g.f_new, &g.rho, &g.ux, &g.uy, &g.uz, &g.ueqx, &g.ueqy, &g.ueqz, &g.fx, &g.fy,
+            &g.fz,
+        ]
+        .map(|v| bits(v))
+    };
+    assert_eq!(fluid(&a.fluid), fluid(&b.fluid), "{what}: fluid arrays");
+    let sheet = |s: &ib::sheet::FiberSheet| {
+        let scalars = [s.ds_node, s.ds_fiber, s.k_bend, s.k_stretch];
+        let arrays =
+            [&s.pos, &s.bending, &s.stretching, &s.elastic].map(|v| bits(v.as_flattened()));
+        (s.num_fibers, s.nodes_per_fiber, bits(&scalars), arrays)
+    };
+    assert_eq!(sheet(&a.sheet), sheet(&b.sheet), "{what}: sheet");
+}
+
+#[test]
+fn version_2_files_load_and_resume_bit_exactly() {
+    let config = fixture_config();
+    let fresh = SimState::try_new(config).unwrap();
+    assert!(!fresh.tethers.tethers.is_empty());
+    assert_same_state(&load_fixture("v2_step0.ckpt"), &fresh, "step-0 fixture");
+
+    let run = |steps| {
+        let mut s = build_solver("seq", SimState::new(config), 1).unwrap();
+        s.run(steps).unwrap();
+        s.to_state()
+    };
+    let step3 = load_fixture("v2_step3.ckpt");
+    assert_same_state(&step3, &run(3), "step-3 fixture");
+
+    let mut resumed = build_solver("seq", step3, 1).unwrap();
+    resumed.run(5).unwrap();
+    let encode = |state: &SimState| {
+        let mut buf = Vec::new();
+        write_checkpoint(state, &mut buf).unwrap();
+        buf
+    };
+    assert!(
+        encode(&resumed.to_state()) == encode(&run(8)),
+        "a resumed v2 file must save the uninterrupted run's bytes"
+    );
 }
