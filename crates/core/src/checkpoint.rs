@@ -51,7 +51,8 @@ const VERSION_V2: u64 = 2;
 
 /// Fluid-encoding tag of a v3 file: `f`, `fx`, `fy`, `fz` only.
 const FLUID_COMPACT: u64 = 0;
-/// Fluid-encoding tag of a v3 file: all twelve arrays, in v2's order.
+/// Fluid-encoding tag of a v3 file: all twelve arrays, in v2's order,
+/// which is [`FluidGrid::fields`] order.
 const FLUID_FULL: u64 = 1;
 
 /// Buffer size of the checkpoint writer and reader. At 8 KiB a 32³ save
@@ -450,10 +451,7 @@ pub fn write_checkpoint<W: Write>(state: &SimState, w: W) -> io::Result<()> {
         }
     } else {
         e.u64(FLUID_FULL)?;
-        for a in [
-            &g.f, &g.f_new, &g.rho, &g.ux, &g.uy, &g.uz, &g.ueqx, &g.ueqy, &g.ueqz, &g.fx, &g.fy,
-            &g.fz,
-        ] {
+        for a in g.fields() {
             e.f64s(a)?;
         }
     }
@@ -596,20 +594,7 @@ pub fn read_checkpoint<R: Read>(r: R) -> Result<SimState, CheckpointError> {
         g.f_new.copy_from_slice(&g.f);
         update_velocity_shifted(g, tau);
     } else {
-        for a in [
-            &mut g.f,
-            &mut g.f_new,
-            &mut g.rho,
-            &mut g.ux,
-            &mut g.uy,
-            &mut g.uz,
-            &mut g.ueqx,
-            &mut g.ueqy,
-            &mut g.ueqz,
-            &mut g.fx,
-            &mut g.fy,
-            &mut g.fz,
-        ] {
+        for a in g.fields_mut() {
             d.f64s(a)?;
         }
     }

@@ -12,8 +12,7 @@ use ib::forces;
 use ib::interp;
 use ib::spread;
 use lbm::boundary::{add_uniform_body_force, stream_push_bounded};
-use lbm::collision::bgk_collide_shifted;
-use lbm::lattice::Q;
+use lbm::collision::collide_shifted_slab;
 use lbm::macroscopic::update_velocity_shifted;
 
 use crate::state::SimState;
@@ -31,8 +30,7 @@ pub fn compute_stretching_force_in_fibers(state: &mut SimState) {
 /// Kernel 3: elastic force = bending + stretching (+ tether anchors).
 pub fn compute_elastic_force_in_fibers(state: &mut SimState) {
     forces::compute_elastic_force(&mut state.sheet);
-    let tethers = state.tethers.clone();
-    tethers.apply(&mut state.sheet);
+    state.tethers.apply(&mut state.sheet);
 }
 
 /// Kernel 4: reset the Eulerian force to the driving body force, then
@@ -56,13 +54,7 @@ pub fn spread_force_from_fibers_to_fluid(state: &mut SimState) {
 /// Kernel 5: BGK collision at every fluid node in the 19 D3Q19 directions,
 /// relaxing toward the equilibrium at the stored shift velocity.
 pub fn compute_fluid_collision(state: &mut SimState) {
-    let tau = state.config.tau;
-    let g = &mut state.fluid;
-    for node in 0..g.dims.n() {
-        let rho = g.rho[node];
-        let ueq = [g.ueqx[node], g.ueqy[node], g.ueqz[node]];
-        bgk_collide_shifted(&mut g.f[node * Q..node * Q + Q], rho, ueq, tau);
-    }
+    collide_shifted_slab(&mut state.fluid.slab_mut(), state.config.tau);
 }
 
 /// Kernel 6: stream the post-collision populations to the 18 neighbours

@@ -1,15 +1,21 @@
 //! The OpenMP-style parallel solver of Section IV, built on the local
-//! scoped [`ThreadPool`] (the workspace's rayon stand-in).
+//! scoped [`ThreadPool`].
 //!
-//! Fluid kernels mirror Algorithm 2: the grid is cut into contiguous
-//! x-slabs (static schedule, one slab per thread), each slab handled by one
-//! task; the implicit join at the end of each parallel region is OpenMP's
-//! implicit barrier. Fiber kernels mirror Algorithm 3 (parallel over
-//! fibers). Force spreading is a two-phase produce/apply: fiber chunks
-//! stage (node, force) contributions into per-(chunk, slab) buckets, then
-//! slab owners apply them in chunk order — deterministic (bit-exact
-//! reruns, and independent of thread count and schedule), unlike an
-//! atomic-add scatter whose per-node addition order depends on timing.
+//! The kernels are the sequential solver's, cut into pieces the way the
+//! paper's OpenMP program cuts its loops. Fluid kernels mirror Algorithm
+//! 2: the grid is cut into contiguous x-slabs ([`FluidGrid::slabs_mut`];
+//! static schedule, one slab per thread), and each task runs the `lbm`
+//! slab kernel on its slab; the implicit join at the end of each parallel
+//! region is OpenMP's implicit barrier. Fiber kernels mirror Algorithm 3:
+//! each task runs the `ib` range kernel on a chunk of fibers. Two kernels
+//! have a parallel form of their own. Streaming (kernel 6, alone or fused
+//! with 5) pushes across slab faces, so the slabs write one shared `f_new`
+//! through [`SharedSlice`]. Force spreading is a two-phase produce/apply:
+//! fiber chunks stage (node, force) contributions into per-(chunk, slab)
+//! buckets, then slab owners apply them in chunk order — deterministic
+//! (bit-exact reruns, and independent of thread count and schedule),
+//! unlike an atomic-add scatter whose per-node addition order depends on
+//! timing.
 //!
 //! Every region records per-thread busy time and the time each thread then
 //! waits at the region's closing join (`max − busy_t`) into the run's
@@ -19,15 +25,16 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use ib::forces::{bending_at, stretching_at};
-use ib::interp::{interpolate_velocity, VelocityField};
+use ib::forces::{bending_forces, elastic_forces, stretching_forces};
+use ib::interp::move_nodes;
+use ib::sheet::FiberSheet;
 use ib::spread::{spread_node, ForceSink};
 use lbm::boundary::StreamRouter;
-use lbm::collision::bgk_collide_shifted;
+use lbm::collision::collide_shifted_slab;
 use lbm::fused::{collided_block, push_planes, stored_block};
 use lbm::grid::{Dims, FluidGrid};
 use lbm::lattice::Q;
-use lbm::macroscopic::node_moments_shifted;
+use lbm::macroscopic::update_velocity_shifted_slab;
 
 use crate::atomicf64::AtomicF64;
 use crate::config::KernelPlan;
@@ -70,32 +77,16 @@ fn split_by_ranges<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> Ve
     out
 }
 
-/// Read-only view of the fluid velocity for the interpolation kernel.
-struct GridView<'a> {
-    dims: Dims,
-    ux: &'a [f64],
-    uy: &'a [f64],
-    uz: &'a [f64],
-}
-
-impl VelocityField for GridView<'_> {
-    #[inline]
-    fn velocity_at(&self, x: usize, y: usize, z: usize) -> [f64; 3] {
-        let n = self.dims.idx(x, y, z);
-        [self.ux[n], self.uy[n], self.uz[n]]
-    }
-}
-
 /// One staged spread contribution: flat node index plus the force delta.
 type SpreadEntry = (u32, [f64; 3]);
 
 /// Force sink that stages contributions into per-destination-slab buckets
 /// instead of touching the grid, for the deterministic two-phase spread of
-/// kernel 4. The slab of a node index under [`balanced_ranges`]`(n, k)` is
+/// kernel 4. The slab of a plane under [`balanced_ranges`]`(nx, k)` is
 /// computed in closed form.
 struct BucketSink<'a> {
     dims: Dims,
-    /// `n / k` and `n % k` of the slab decomposition.
+    /// `nx / k` and `nx % k` of the slab decomposition.
     base: usize,
     rem: usize,
     buckets: &'a mut [Vec<SpreadEntry>],
@@ -104,15 +95,14 @@ struct BucketSink<'a> {
 impl ForceSink for BucketSink<'_> {
     #[inline]
     fn add_force(&mut self, x: usize, y: usize, z: usize, df: [f64; 3]) {
-        let idx = self.dims.idx(x, y, z);
-        // First `rem` slabs hold `base + 1` nodes, the rest `base` (when
-        // `base == 0`, every index falls in the first branch).
-        let slab = if idx < (self.base + 1) * self.rem {
-            idx / (self.base + 1)
+        // First `rem` slabs hold `base + 1` planes, the rest `base` (when
+        // `base == 0`, every plane falls in the first branch).
+        let slab = if x < (self.base + 1) * self.rem {
+            x / (self.base + 1)
         } else {
-            self.rem + (idx - (self.base + 1) * self.rem) / self.base
+            self.rem + (x - (self.base + 1) * self.rem) / self.base
         };
-        self.buckets[slab].push((idx as u32, df));
+        self.buckets[slab].push((self.dims.idx(x, y, z) as u32, df));
     }
 }
 
@@ -239,101 +229,91 @@ impl OpenMpSolver {
         report
     }
 
-    /// Kernels 1–3: parallel over fibers (first loop of Algorithm 3); the
-    /// cross-fiber pass is folded into the per-node gather, so a single
-    /// region per kernel suffices.
+    /// The x-plane ranges of the fluid slabs, one per chunk.
+    fn planes(&self) -> Vec<Range<usize>> {
+        balanced_ranges(self.state.config.nx, self.n_chunks())
+    }
+
+    /// The fiber ranges of the fiber chunks, and the node range of each.
+    fn fiber_chunks(&self) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
+        let nn = self.state.sheet.nodes_per_fiber;
+        let fibers = balanced_ranges(self.state.sheet.num_fibers, self.n_chunks());
+        let nodes = fibers.iter().map(|r| r.start * nn..r.end * nn).collect();
+        (fibers, nodes)
+    }
+
+    /// Kernels 1–3: one region per kernel, parallel over fiber chunks
+    /// (first loop of Algorithm 3); the cross-fiber pass is folded into the
+    /// per-node gather. Tethers are applied after kernel 3's region, on the
+    /// calling thread.
     fn fiber_force_kernels(&mut self) {
-        let n_threads = self.n_threads;
-        let n_chunks = self.n_chunks();
+        let (fibers, nodes) = self.fiber_chunks();
+        let (pool, telemetry) = (&self.pool, &mut self.telemetry);
         let topo = self.state.sheet.topology();
-        let nn = topo.nodes_per_fiber;
-        let fiber_ranges = balanced_ranges(topo.num_fibers, n_chunks);
-        let node_ranges: Vec<Range<usize>> = fiber_ranges
-            .iter()
-            .map(|r| r.start * nn..r.end * nn)
-            .collect();
+        let FiberSheet {
+            pos,
+            bending,
+            stretching,
+            elastic,
+            ..
+        } = &mut self.state.sheet;
+        let pos = &pos[..];
+        let chunks = split_by_ranges(bending, &nodes)
+            .into_iter()
+            .zip(fibers.clone());
+        Self::region_static(
+            pool,
+            telemetry,
+            KernelId::BendingForce,
+            chunks,
+            |(out, fs)| bending_forces(&topo, pos, fs, out),
+        );
+        let chunks = split_by_ranges(stretching, &nodes).into_iter().zip(fibers);
+        Self::region_static(
+            pool,
+            telemetry,
+            KernelId::StretchingForce,
+            chunks,
+            |(out, fs)| stretching_forces(&topo, pos, fs, out),
+        );
+        let (bending, stretching) = (&bending[..], &stretching[..]);
+        let chunks = split_by_ranges(elastic, &nodes)
+            .into_iter()
+            .zip(nodes.iter().cloned());
+        Self::region_static(
+            pool,
+            telemetry,
+            KernelId::ElasticForce,
+            chunks,
+            |(out, r)| elastic_forces(&bending[r.clone()], &stretching[r], out),
+        );
+        self.state.tethers.apply(&mut self.state.sheet);
+    }
 
-        // Kernel 1: bending.
-        {
-            let sheet = &mut self.state.sheet;
-            let pos_snapshot = sheet.pos.clone();
-            let chunks = split_by_ranges(&mut sheet.bending, &node_ranges);
-            let items: Vec<_> = chunks
-                .into_iter()
-                .zip(fiber_ranges.iter().cloned())
-                .collect();
-            let pos = &pos_snapshot;
-            Self::region_static(
-                &self.pool,
-                &mut self.telemetry,
-                KernelId::BendingForce,
-                items,
-                |_t, (out, fibers)| {
-                    for (i, fiber) in fibers.clone().enumerate() {
-                        for node in 0..nn {
-                            out[i * nn + node] = bending_at(&topo, pos, fiber, node);
-                        }
-                    }
-                },
-            );
-        }
-
-        // Kernel 2: stretching.
-        {
-            let sheet = &mut self.state.sheet;
-            let pos_snapshot = sheet.pos.clone();
-            let chunks = split_by_ranges(&mut sheet.stretching, &node_ranges);
-            let items: Vec<_> = chunks
-                .into_iter()
-                .zip(fiber_ranges.iter().cloned())
-                .collect();
-            let pos = &pos_snapshot;
-            Self::region_static(
-                &self.pool,
-                &mut self.telemetry,
-                KernelId::StretchingForce,
-                items,
-                |_t, (out, fibers)| {
-                    for (i, fiber) in fibers.clone().enumerate() {
-                        for node in 0..nn {
-                            out[i * nn + node] = stretching_at(&topo, pos, fiber, node);
-                        }
-                    }
-                },
-            );
-        }
-
-        // Kernel 3: elastic = bending + stretching, then tethers (cheap,
-        // applied inside the same timed kernel, sequentially).
-        {
-            let sheet = &mut self.state.sheet;
-            let bending = &sheet.bending;
-            let stretching = &sheet.stretching;
-            let chunks = split_by_ranges(&mut sheet.elastic, &node_ranges);
-            let items: Vec<_> = chunks
-                .into_iter()
-                .zip(node_ranges.iter().cloned())
-                .collect();
-            let busy: Vec<AtomicF64> = (0..n_threads).map(|_| AtomicF64::new(0.0)).collect();
-            self.pool.scope(|scope| {
-                for (out, nodes) in items {
-                    let busy = &busy;
-                    scope.spawn(move || {
-                        let b0 = Instant::now();
-                        for (i, node) in nodes.enumerate() {
-                            for a in 0..3 {
-                                out[i][a] = bending[node][a] + stretching[node][a];
-                            }
-                        }
-                        let w = current_thread_index().unwrap_or(0);
-                        busy[w].fetch_add(b0.elapsed().as_secs_f64());
-                    });
-                }
-            });
-            let tethers = self.state.tethers.clone();
-            tethers.apply(&mut self.state.sheet);
-            record_region(&mut self.telemetry, KernelId::ElasticForce, &busy);
-        }
+    /// Runs `work` over `items` on the pool, adding each task's busy
+    /// seconds to the worker thread that ran it — so the accounting works
+    /// for both static (1 chunk/thread) and dynamic (many stolen chunks)
+    /// schedules.
+    fn run_tasks<I, F>(
+        pool: &ThreadPool,
+        busy: &[AtomicF64],
+        items: impl IntoIterator<Item = I>,
+        work: F,
+    ) where
+        I: Send,
+        F: Fn(I) + Sync,
+    {
+        pool.scope(|scope| {
+            for item in items {
+                let work = &work;
+                scope.spawn(move || {
+                    let b0 = Instant::now();
+                    work(item);
+                    let w = current_thread_index().unwrap_or(0);
+                    busy[w].fetch_add(b0.elapsed().as_secs_f64());
+                });
+            }
+        });
     }
 
     /// Runs `work` over `items` as one parallel region charged to `kernel`
@@ -343,177 +323,94 @@ impl OpenMpSolver {
         pool: &ThreadPool,
         telemetry: &mut [ThreadTelemetry],
         kernel: KernelId,
-        items: Vec<I>,
+        items: impl IntoIterator<Item = I>,
         work: F,
     ) where
         I: Send,
-        F: Fn(usize, I) + Sync,
+        F: Fn(I) + Sync,
     {
-        // Busy time is attributed to the *worker thread* that ran each
-        // chunk, so the accounting works for both static (1 chunk/thread)
-        // and dynamic (many stolen chunks) schedules.
         let busy: Vec<AtomicF64> = telemetry.iter().map(|_| AtomicF64::new(0.0)).collect();
-        pool.scope(|scope| {
-            for (t, item) in items.into_iter().enumerate() {
-                let busy = &busy;
-                let work = &work;
-                scope.spawn(move || {
-                    let b0 = Instant::now();
-                    work(t, item);
-                    let w = current_thread_index().unwrap_or(0);
-                    busy[w].fetch_add(b0.elapsed().as_secs_f64());
-                });
-            }
-        });
+        Self::run_tasks(pool, &busy, items, work);
         record_region(telemetry, kernel, &busy);
     }
 
-    /// Kernel 4: clear to body force in parallel slabs, then spread the
-    /// fiber forces in two deterministic phases — fiber chunks *produce*
-    /// per-(chunk, slab) contribution buckets, slab owners *apply* them in
-    /// chunk order. Chunks are ascending contiguous fiber ranges, so the
-    /// per-node addition order is global fiber order: bit-identical to the
-    /// sequential spread, for every thread count and schedule.
+    /// Kernel 4 as one region: reset each slab's force to the body force,
+    /// then spread the fiber forces in two deterministic phases — fiber
+    /// chunks *produce* per-(chunk, slab) contribution buckets, slab owners
+    /// *apply* them in chunk order. Chunks are ascending contiguous fiber
+    /// ranges, so the per-node addition order is global fiber order:
+    /// bit-identical to the sequential spread, for every thread count and
+    /// schedule.
     fn spread_kernel(&mut self) {
-        let n_threads = self.n_threads;
         let n_chunks = self.n_chunks();
-        let dims = self.state.config.dims();
-        let bc = self.state.config.bc;
-        let delta = self.state.config.delta;
-        let body = self.state.config.body_force;
-        let n = dims.n();
-        let node_ranges = balanced_ranges(n, n_chunks);
+        let planes = self.planes();
+        let (fibers, _) = self.fiber_chunks();
+        let c = self.state.config;
+        let dims = c.dims();
+        let busy: Vec<AtomicF64> = self.telemetry.iter().map(|_| AtomicF64::new(0.0)).collect();
 
-        // Phase A: reset the force arrays to the body force (parallel fill).
-        {
-            let fluid = &mut self.state.fluid;
-            let fx = split_by_ranges(&mut fluid.fx, &node_ranges);
-            let fy = split_by_ranges(&mut fluid.fy, &node_ranges);
-            let fz = split_by_ranges(&mut fluid.fz, &node_ranges);
-            let items: Vec<_> = fx.into_iter().zip(fy).zip(fz).collect();
-            self.pool.scope(|scope| {
-                for ((cx, cy), cz) in items {
-                    scope.spawn(move || {
-                        cx.fill(body[0]);
-                        cy.fill(body[1]);
-                        cz.fill(body[2]);
-                    });
-                }
-            });
-        }
+        // Phase A: reset the force arrays to the body force.
+        let body = c.body_force;
+        Self::run_tasks(
+            &self.pool,
+            &busy,
+            self.state.fluid.slabs_mut(&planes),
+            |s| {
+                s.fx.fill(body[0]);
+                s.fy.fill(body[1]);
+                s.fz.fill(body[2]);
+            },
+        );
 
-        let busy: Vec<AtomicF64> = (0..n_threads).map(|_| AtomicF64::new(0.0)).collect();
         // Phase B1 (produce): parallel over fiber chunks; each chunk owns
         // one row of buckets, keyed by destination slab.
         let mut buckets: Vec<Vec<Vec<SpreadEntry>>> =
             (0..n_chunks).map(|_| vec![Vec::new(); n_chunks]).collect();
-        {
-            let sheet = &self.state.sheet;
-            let area = sheet.area_element();
-            let nn = sheet.nodes_per_fiber;
-            let fiber_ranges = balanced_ranges(sheet.num_fibers, n_chunks);
-            let pos = &sheet.pos;
-            let elastic = &sheet.elastic;
-            let base = n / n_chunks;
-            let rem = n % n_chunks;
-            self.pool.scope(|scope| {
-                for (row, fibers) in buckets.iter_mut().zip(fiber_ranges) {
-                    let busy = &busy;
-                    scope.spawn(move || {
-                        let b0 = Instant::now();
-                        let mut sink = BucketSink {
-                            dims,
-                            base,
-                            rem,
-                            buckets: row,
-                        };
-                        for fiber in fibers {
-                            for node in 0..nn {
-                                let i = fiber * nn + node;
-                                let f = elastic[i];
-                                let f_l = [f[0] * area, f[1] * area, f[2] * area];
-                                spread_node(pos[i], f_l, delta, dims, &bc, &mut sink);
-                            }
-                        }
-                        let w = current_thread_index().unwrap_or(0);
-                        busy[w].fetch_add(b0.elapsed().as_secs_f64());
-                    });
-                }
-            });
-        }
+        let sheet = &self.state.sheet;
+        let (area, nn) = (sheet.area_element(), sheet.nodes_per_fiber);
+        let (base, rem) = (dims.nx / n_chunks, dims.nx % n_chunks);
+        let rows = buckets.iter_mut().zip(fibers);
+        Self::run_tasks(&self.pool, &busy, rows, |(row, fibers)| {
+            let mut sink = BucketSink {
+                dims,
+                base,
+                rem,
+                buckets: row,
+            };
+            for i in fibers.start * nn..fibers.end * nn {
+                let f = sheet.elastic[i];
+                let f_l = [f[0] * area, f[1] * area, f[2] * area];
+                spread_node(sheet.pos[i], f_l, c.delta, dims, &c.bc, &mut sink);
+            }
+        });
 
-        // Phase B2 (apply): parallel over node slabs; each slab owner
-        // drains every chunk's bucket aimed at it, in chunk order.
-        {
-            let fluid = &mut self.state.fluid;
-            let fx = split_by_ranges(&mut fluid.fx, &node_ranges);
-            let fy = split_by_ranges(&mut fluid.fy, &node_ranges);
-            let fz = split_by_ranges(&mut fluid.fz, &node_ranges);
-            let items: Vec<_> = fx
-                .into_iter()
-                .zip(fy)
-                .zip(fz)
-                .zip(node_ranges.iter().map(|r| r.start))
-                .enumerate()
-                .collect();
-            let buckets = &buckets;
-            self.pool.scope(|scope| {
-                for (slab, (((cx, cy), cz), start)) in items {
-                    let busy = &busy;
-                    scope.spawn(move || {
-                        let b0 = Instant::now();
-                        for row in buckets {
-                            for &(idx, df) in &row[slab] {
-                                let i = idx as usize - start;
-                                cx[i] += df[0];
-                                cy[i] += df[1];
-                                cz[i] += df[2];
-                            }
-                        }
-                        let w = current_thread_index().unwrap_or(0);
-                        busy[w].fetch_add(b0.elapsed().as_secs_f64());
-                    });
+        // Phase B2 (apply): parallel over slabs; each slab owner drains
+        // every chunk's bucket aimed at it, in chunk order.
+        let buckets = &buckets;
+        let slabs = self.state.fluid.slabs_mut(&planes).into_iter().enumerate();
+        Self::run_tasks(&self.pool, &busy, slabs, |(slab, s)| {
+            for row in buckets {
+                for &(idx, df) in &row[slab] {
+                    let i = idx as usize - s.nodes.start;
+                    s.fx[i] += df[0];
+                    s.fy[i] += df[1];
+                    s.fz[i] += df[2];
                 }
-            });
-        }
+            }
+        });
         record_region(&mut self.telemetry, KernelId::SpreadForce, &busy);
     }
 
     /// Kernel 5: collision, parallel over x-slabs (Algorithm 2).
     fn collision_kernel(&mut self) {
-        let n_chunks = self.n_chunks();
-        let tau = self.state.config.tau;
-        let dims = self.state.config.dims();
-        let plane = dims.ny * dims.nz;
-        let plane_ranges = balanced_ranges(dims.nx, n_chunks);
-        let node_ranges: Vec<Range<usize>> = plane_ranges
-            .iter()
-            .map(|r| r.start * plane..r.end * plane)
-            .collect();
-        let f_ranges: Vec<Range<usize>> =
-            node_ranges.iter().map(|r| r.start * Q..r.end * Q).collect();
-
-        let fluid = &mut self.state.fluid;
-        let rho = &fluid.rho;
-        let ueqx = &fluid.ueqx;
-        let ueqy = &fluid.ueqy;
-        let ueqz = &fluid.ueqz;
-        let f_chunks = split_by_ranges(&mut fluid.f, &f_ranges);
-        let items: Vec<_> = f_chunks
-            .into_iter()
-            .zip(node_ranges.iter().cloned())
-            .collect();
+        let (planes, tau) = (self.planes(), self.state.config.tau);
+        let slabs = self.state.fluid.slabs_mut(&planes);
         Self::region_static(
             &self.pool,
             &mut self.telemetry,
             KernelId::Collision,
-            items,
-            |_t, (f_chunk, nodes)| {
-                for (i, node) in nodes.enumerate() {
-                    let ueq = [ueqx[node], ueqy[node], ueqz[node]];
-                    bgk_collide_shifted(&mut f_chunk[i * Q..i * Q + Q], rho[node], ueq, tau);
-                }
-            },
+            slabs,
+            |mut s| collide_shifted_slab(&mut s, tau),
         );
     }
 
@@ -550,7 +447,7 @@ impl OpenMpSolver {
     where
         P: Fn(&FluidGrid, usize) -> [f64; Q] + Sync,
     {
-        let n_chunks = self.n_chunks();
+        let planes = self.planes();
         let dims = self.state.config.dims();
         let router = StreamRouter::new(dims, &self.state.config.bc);
         #[cfg(feature = "racecheck")]
@@ -560,165 +457,56 @@ impl OpenMpSolver {
         #[cfg(feature = "racecheck")]
         f_new.name_for_racecheck("omp f_new");
         let (grid, router, shared) = (&*fluid, &router, &f_new);
-        Self::region_static(
-            &self.pool,
-            &mut self.telemetry,
-            kernel,
-            balanced_ranges(dims.nx, n_chunks),
-            |_t, xs| {
-                #[cfg(feature = "racecheck")]
-                {
-                    crate::racecheck::set_thread(current_thread_index().unwrap_or(0));
-                    crate::racecheck::set_phase(phase);
-                }
-                // SAFETY: every slot this slab writes is written by no
-                // other slab (push injectivity, above), and no thread
-                // reads `f_new` before the region joins.
-                let write = |i, v| unsafe { shared.set(i, v) };
-                push_planes(xs, dims, router, |node| post(grid, node), write);
-            },
-        );
+        Self::region_static(&self.pool, &mut self.telemetry, kernel, planes, |xs| {
+            #[cfg(feature = "racecheck")]
+            {
+                crate::racecheck::set_thread(current_thread_index().unwrap_or(0));
+                crate::racecheck::set_phase(phase);
+            }
+            // SAFETY: every slot this slab writes is written by no
+            // other slab (push injectivity, above), and no thread
+            // reads `f_new` before the region joins.
+            let write = |i, v| unsafe { shared.set(i, v) };
+            push_planes(xs, dims, router, |node| post(grid, node), write);
+        });
         self.state.fluid.f_new = f_new.into_vec();
     }
 
     /// Kernel 7: macroscopic update, parallel over x-slabs.
     fn update_velocity_kernel(&mut self) {
-        let n_chunks = self.n_chunks();
-        let tau = self.state.config.tau;
-        let dims = self.state.config.dims();
-        let plane = dims.ny * dims.nz;
-        let plane_ranges = balanced_ranges(dims.nx, n_chunks);
-        let node_ranges: Vec<Range<usize>> = plane_ranges
-            .iter()
-            .map(|r| r.start * plane..r.end * plane)
-            .collect();
-
-        struct UpdateChunk<'a> {
-            nodes: Range<usize>,
-            rho: &'a mut [f64],
-            ux: &'a mut [f64],
-            uy: &'a mut [f64],
-            uz: &'a mut [f64],
-            ueqx: &'a mut [f64],
-            ueqy: &'a mut [f64],
-            ueqz: &'a mut [f64],
-        }
-
-        let fluid = &mut self.state.fluid;
-        let f_new = &fluid.f_new;
-        let fx = &fluid.fx;
-        let fy = &fluid.fy;
-        let fz = &fluid.fz;
-        let rho = split_by_ranges(&mut fluid.rho, &node_ranges);
-        let ux = split_by_ranges(&mut fluid.ux, &node_ranges);
-        let uy = split_by_ranges(&mut fluid.uy, &node_ranges);
-        let uz = split_by_ranges(&mut fluid.uz, &node_ranges);
-        let ueqx = split_by_ranges(&mut fluid.ueqx, &node_ranges);
-        let ueqy = split_by_ranges(&mut fluid.ueqy, &node_ranges);
-        let ueqz = split_by_ranges(&mut fluid.ueqz, &node_ranges);
-
-        let mut items = Vec::with_capacity(node_ranges.len());
-        for (((((((nodes, rho), ux), uy), uz), ueqx), ueqy), ueqz) in node_ranges
-            .iter()
-            .cloned()
-            .zip(rho)
-            .zip(ux)
-            .zip(uy)
-            .zip(uz)
-            .zip(ueqx)
-            .zip(ueqy)
-            .zip(ueqz)
-        {
-            items.push(UpdateChunk {
-                nodes,
-                rho,
-                ux,
-                uy,
-                uz,
-                ueqx,
-                ueqy,
-                ueqz,
-            });
-        }
-
-        Self::region_static(
-            &self.pool,
-            &mut self.telemetry,
-            KernelId::UpdateVelocity,
-            items,
-            |_t, c| {
-                for (i, node) in c.nodes.clone().enumerate() {
-                    let force = [fx[node], fy[node], fz[node]];
-                    let (rho, u, ueq) =
-                        node_moments_shifted(&f_new[node * Q..node * Q + Q], force, tau);
-                    c.rho[i] = rho;
-                    c.ux[i] = u[0];
-                    c.uy[i] = u[1];
-                    c.uz[i] = u[2];
-                    c.ueqx[i] = ueq[0];
-                    c.ueqy[i] = ueq[1];
-                    c.ueqz[i] = ueq[2];
-                }
-            },
-        );
+        let (planes, tau) = (self.planes(), self.state.config.tau);
+        let slabs = self.state.fluid.slabs_mut(&planes);
+        let kernel = KernelId::UpdateVelocity;
+        Self::region_static(&self.pool, &mut self.telemetry, kernel, slabs, |mut s| {
+            update_velocity_shifted_slab(&mut s, tau)
+        });
     }
 
-    /// Kernel 8: move fibers, parallel over fibers.
+    /// Kernel 8: move fibers, parallel over fiber chunks.
     fn move_fibers_kernel(&mut self) {
-        let n_chunks = self.n_chunks();
-        let dims = self.state.config.dims();
-        let bc = self.state.config.bc;
-        let delta = self.state.config.delta;
-        let nn = self.state.sheet.nodes_per_fiber;
-        let fiber_ranges = balanced_ranges(self.state.sheet.num_fibers, n_chunks);
-        let node_ranges: Vec<Range<usize>> = fiber_ranges
-            .iter()
-            .map(|r| r.start * nn..r.end * nn)
-            .collect();
-
+        let (_, nodes) = self.fiber_chunks();
+        let c = self.state.config;
+        let dims = c.dims();
         let SimState { fluid, sheet, .. } = &mut self.state;
-        let view = GridView {
-            dims,
-            ux: &fluid.ux,
-            uy: &fluid.uy,
-            uz: &fluid.uz,
-        };
-        let chunks = split_by_ranges(&mut sheet.pos, &node_ranges);
-        let view_ref = &view;
+        let fluid = &*fluid;
+        let chunks = split_by_ranges(&mut sheet.pos, &nodes);
         Self::region_static(
             &self.pool,
             &mut self.telemetry,
             KernelId::MoveFibers,
             chunks,
-            |_t, chunk| {
-                for p in chunk.iter_mut() {
-                    let u = interpolate_velocity(*p, delta, dims, &bc, view_ref);
-                    p[0] += u[0];
-                    p[1] += u[1];
-                    p[2] += u[2];
-                }
-            },
+            |pos| move_nodes(pos, c.delta, dims, &c.bc, fluid, 1.0),
         );
     }
 
-    /// Kernel 9: buffer copy, parallel over slabs (memory bound).
+    /// Kernel 9: buffer copy, parallel over x-slabs (memory bound).
     fn copy_kernel(&mut self) {
-        let n_chunks = self.n_chunks();
-        let n = self.state.fluid.f.len();
-        let ranges = balanced_ranges(n, n_chunks);
-        let fluid = &mut self.state.fluid;
-        let src = &fluid.f_new;
-        let chunks = split_by_ranges(&mut fluid.f, &ranges);
-        let items: Vec<_> = chunks.into_iter().zip(ranges.iter().cloned()).collect();
-        Self::region_static(
-            &self.pool,
-            &mut self.telemetry,
-            KernelId::CopyDistributions,
-            items,
-            |_t, (dst, range)| {
-                dst.copy_from_slice(&src[range]);
-            },
-        );
+        let planes = self.planes();
+        let slabs = self.state.fluid.slabs_mut(&planes);
+        let kernel = KernelId::CopyDistributions;
+        Self::region_static(&self.pool, &mut self.telemetry, kernel, slabs, |s| {
+            s.f.copy_from_slice(s.f_new)
+        });
     }
 }
 
@@ -727,6 +515,7 @@ mod tests {
     use super::*;
     use crate::config::SimulationConfig;
     use crate::sequential::SequentialSolver;
+    use crate::verify::tests::{assert_bitwise, narrow_config};
 
     #[test]
     fn balanced_ranges_tile_exactly() {
@@ -744,31 +533,41 @@ mod tests {
         }
     }
 
+    /// Checkpoint bytes equal to the sequential solver's — what CI's `cmp`
+    /// of the two backends' `--save` files relies on — for both plans,
+    /// several thread counts and the dynamic schedule.
     #[test]
-    fn matches_sequential_solver() {
-        let cfg = SimulationConfig::quick_test();
-        let mut seq = SequentialSolver::new(cfg);
-        let mut omp = OpenMpSolver::new(cfg, 3);
-        seq.run(8);
-        omp.run(8);
-        let max_f_err = seq
-            .state
-            .fluid
-            .f
-            .iter()
-            .zip(&omp.state.fluid.f)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_f_err < 1e-12, "distribution mismatch {max_f_err}");
-        let max_pos_err = seq
-            .state
-            .sheet
-            .pos
-            .iter()
-            .zip(&omp.state.sheet.pos)
-            .flat_map(|(a, b)| (0..3).map(move |i| (a[i] - b[i]).abs()))
-            .fold(0.0f64, f64::max);
-        assert!(max_pos_err < 1e-12, "sheet mismatch {max_pos_err}");
+    fn bitwise_equal_to_sequential_solver() {
+        for cfg in both_plans() {
+            let mut seq = SequentialSolver::new(cfg);
+            seq.run(8);
+            for threads in [1, 2, 3, 5] {
+                for schedule in [Schedule::Static, Schedule::Dynamic { factor: 3 }] {
+                    let mut omp = OpenMpSolver::new(cfg, threads);
+                    omp.schedule = schedule;
+                    omp.run(8);
+                    let what = format!("{:?}, {threads} threads, {schedule:?}", cfg.plan);
+                    assert_bitwise(&seq.state, &omp.state, &what);
+                }
+            }
+        }
+    }
+
+    /// Six slabs over four planes: two slabs are empty, and the rest are
+    /// one plane wide.
+    #[test]
+    fn empty_slabs_keep_bitwise_equality() {
+        for plan in [KernelPlan::Split, KernelPlan::Fused] {
+            let cfg = SimulationConfig {
+                plan,
+                ..narrow_config()
+            };
+            let mut seq = SequentialSolver::new(cfg);
+            seq.run(8);
+            let mut omp = OpenMpSolver::new(cfg, 6);
+            omp.run(8);
+            assert_bitwise(&seq.state, &omp.state, &format!("{plan:?}"));
+        }
     }
 
     /// `quick_test` under each kernel plan.

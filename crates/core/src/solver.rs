@@ -94,6 +94,13 @@ pub enum SolverError {
     HaloTimeout { rank: usize, peer: usize },
     /// A distributed rank's channel to a peer disconnected (peer gone).
     RankDisconnected { rank: usize, peer: usize },
+    /// A distributed rank received a message from `peer` other than the
+    /// `expected` one: the peer skipped a step of the exchange protocol.
+    OutOfSequence {
+        rank: usize,
+        peer: usize,
+        expected: &'static str,
+    },
     /// A periodic checkpoint save failed (the run stops rather than keep
     /// computing steps that could never be recovered).
     Checkpoint { detail: String },
@@ -129,6 +136,14 @@ impl std::fmt::Display for SolverError {
             SolverError::RankDisconnected { rank, peer } => {
                 write!(f, "rank {rank} lost its channel to rank {peer}")
             }
+            SolverError::OutOfSequence {
+                rank,
+                peer,
+                expected,
+            } => write!(
+                f,
+                "rank {rank} expected a {expected} message from rank {peer} and got another"
+            ),
             SolverError::Checkpoint { detail } => {
                 write!(f, "checkpoint save failed: {detail}")
             }

@@ -96,13 +96,7 @@ impl SimState {
     pub(crate) fn fingerprint(&self) -> (String, Vec<Vec<u64>>) {
         let (g, sh) = (&self.fluid, &self.sheet);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut arrays: Vec<Vec<u64>> = [
-            &g.f, &g.f_new, &g.rho, &g.ux, &g.uy, &g.uz, &g.ueqx, &g.ueqy, &g.ueqz, &g.fx, &g.fy,
-            &g.fz,
-        ]
-        .into_iter()
-        .map(|v| bits(v))
-        .collect();
+        let mut arrays: Vec<Vec<u64>> = g.fields().into_iter().map(|v| bits(v)).collect();
         arrays.extend(
             [&sh.pos, &sh.bending, &sh.stretching, &sh.elastic]
                 .into_iter()

@@ -2,7 +2,8 @@
 //! and graceful degradation.
 //!
 //! PR 3's watchdog *detects* a blown-up run and PR 4's typed failures
-//! (`Unstable`, `WorkerPanicked`, `HaloTimeout`, `RankDisconnected`) stop
+//! (`Unstable`, `WorkerPanicked`, `HaloTimeout`, `RankDisconnected`,
+//! `OutOfSequence`) stop
 //! it cleanly — but every one of those errors still killed the run. The
 //! [`Supervisor`] composes the existing pieces into a runtime that heals
 //! instead of dying: it wraps any [`Solver`] and, on a typed error,
@@ -186,6 +187,7 @@ pub fn error_kind(e: &SolverError) -> &'static str {
         SolverError::WorkerPanicked { .. } => "worker_panicked",
         SolverError::HaloTimeout { .. } => "halo_timeout",
         SolverError::RankDisconnected { .. } => "rank_disconnected",
+        SolverError::OutOfSequence { .. } => "out_of_sequence",
         SolverError::Checkpoint { .. } => "checkpoint",
     }
 }

@@ -24,6 +24,14 @@ pub struct StateDiff {
     pub ueq_linf: f64,
     /// Max absolute difference over the fiber node positions.
     pub pos_linf: f64,
+    /// Max absolute difference over the sheet's bending, stretching and
+    /// elastic force arrays (kernels 1–3 and the tethers): a divergence
+    /// there shows here at once rather than as a position error one step
+    /// later.
+    pub fiber_force_linf: f64,
+    /// Max absolute difference over the tether anchors and stiffnesses;
+    /// infinite when the two states tether different nodes.
+    pub tether_linf: f64,
 }
 
 impl StateDiff {
@@ -35,6 +43,8 @@ impl StateDiff {
             .max(self.force_linf)
             .max(self.ueq_linf)
             .max(self.pos_linf)
+            .max(self.fiber_force_linf)
+            .max(self.tether_linf)
     }
 
     /// True if every norm is below `tol`.
@@ -66,13 +76,20 @@ pub fn compare_states(a: &SimState, b: &SimState) -> StateDiff {
         let dz = a.fluid.uz[i] - b.fluid.uz[i];
         u_l2 += dx * dx + dy * dy + dz * dz;
     }
-    let pos_linf = a
-        .sheet
-        .pos
-        .iter()
-        .zip(&b.sheet.pos)
-        .flat_map(|(p, q)| (0..3).map(move |i| (p[i] - q[i]).abs()))
-        .fold(0.0f64, f64::max);
+    let linf_vec3 = |x: &[[f64; 3]], y: &[[f64; 3]]| linf(x.as_flattened(), y.as_flattened());
+    let (sa, sb) = (&a.sheet, &b.sheet);
+    let fiber_force_linf = linf_vec3(&sa.bending, &sb.bending)
+        .max(linf_vec3(&sa.stretching, &sb.stretching))
+        .max(linf_vec3(&sa.elastic, &sb.elastic));
+    let (ta, tb) = (&a.tethers.tethers, &b.tethers.tethers);
+    let tether_linf = if ta.len() == tb.len() && ta.iter().zip(tb).all(|(p, q)| p.node == q.node) {
+        ta.iter()
+            .zip(tb)
+            .map(|(p, q)| linf(&p.anchor, &q.anchor).max((p.stiffness - q.stiffness).abs()))
+            .fold(0.0, f64::max)
+    } else {
+        f64::INFINITY
+    };
     StateDiff {
         f_linf: linf(&a.fluid.f, &b.fluid.f),
         u_linf: linf3([&fa.ux, &fa.uy, &fa.uz], [&fb.ux, &fb.uy, &fb.uz]),
@@ -83,7 +100,9 @@ pub fn compare_states(a: &SimState, b: &SimState) -> StateDiff {
             [&fa.ueqx, &fa.ueqy, &fa.ueqz],
             [&fb.ueqx, &fb.ueqy, &fb.ueqz],
         ),
-        pos_linf,
+        pos_linf: linf_vec3(&sa.pos, &sb.pos),
+        fiber_force_linf,
+        tether_linf,
     }
 }
 
@@ -133,8 +152,48 @@ pub fn cross_check(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Every field of the two states, tethers and step included, bit for
+    /// bit: their checkpoint encodings must be the same bytes.
+    pub(crate) fn assert_bitwise(want: &SimState, got: &SimState, what: &str) {
+        let bytes = |s: &SimState| {
+            let mut out = Vec::new();
+            crate::checkpoint::write_checkpoint(s, &mut out).unwrap();
+            out
+        };
+        assert!(
+            bytes(want) == bytes(got),
+            "{what}: {:?}",
+            compare_states(want, got)
+        );
+    }
+
+    /// `quick_test` cut to four x-planes, with the sheet in the middle and
+    /// a lid on the high y wall moving along x: split into more pieces than
+    /// planes, some slabs are empty or one plane wide, so every node pushes
+    /// across slab faces and bounced diagonals carry the moving-wall
+    /// correction across them.
+    pub(crate) fn narrow_config() -> SimulationConfig {
+        use lbm::boundary::{AxisBoundary, BoundaryConfig};
+        let quick = SimulationConfig::quick_test();
+        SimulationConfig {
+            nx: 4,
+            bc: BoundaryConfig {
+                y: AxisBoundary::Walls {
+                    lo: [0.0; 3],
+                    hi: [0.01, 0.0, 0.0],
+                },
+                ..quick.bc
+            },
+            sheet: crate::config::SheetConfig {
+                center: [2.0, 8.0, 8.0],
+                ..quick.sheet
+            },
+            ..quick
+        }
+    }
 
     #[test]
     fn identical_states_have_zero_diff() {
@@ -185,6 +244,41 @@ mod tests {
         s.sheet.pos[3][1] += 1e-6;
         let got = compare_states(&base, &s).pos_linf;
         assert!((got - 1e-6).abs() < 1e-12, "{got}");
+
+        for i in 0..3 {
+            let mut s = base.clone();
+            let sh = &mut s.sheet;
+            [&mut sh.bending, &mut sh.stretching, &mut sh.elastic][i][3][2] += 1e-6;
+            let d = compare_states(&base, &s);
+            assert!(
+                (d.fiber_force_linf - 1e-6).abs() < 1e-12,
+                "array {i}: {d:?}"
+            );
+            assert_eq!(d.worst(), d.fiber_force_linf, "array {i} must feed worst()");
+        }
+    }
+
+    #[test]
+    fn tether_differences_are_detected() {
+        let mut c = SimulationConfig::quick_test();
+        c.sheet.tether = crate::config::TetherConfig::LeadingEdge { stiffness: 0.5 };
+        let base = SimState::new(c);
+
+        let mut s = base.clone();
+        s.tethers.tethers[2].anchor[0] += 1e-6;
+        let d = compare_states(&base, &s);
+        assert!((d.tether_linf - 1e-6).abs() < 1e-12, "{d:?}");
+        assert_eq!(d.worst(), d.tether_linf);
+
+        let mut s = base.clone();
+        s.tethers.tethers[2].stiffness += 1e-3;
+        assert!((compare_states(&base, &s).tether_linf - 1e-3).abs() < 1e-12);
+
+        let mut s = base.clone();
+        s.tethers.tethers[2].node += 1;
+        assert_eq!(compare_states(&base, &s).worst(), f64::INFINITY);
+        s.tethers.tethers.pop();
+        assert_eq!(compare_states(&base, &s).tether_linf, f64::INFINITY);
     }
 
     #[test]

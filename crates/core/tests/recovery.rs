@@ -205,10 +205,10 @@ fn one_shot_halo_drop_heals_distributed() {
     let mut config = cfg();
     config.halo_timeout = Some(Duration::from_millis(250));
     let baseline = fault_free("dist", config, 2, 10);
-    // Drop from rank 0: its victim then deadlocks into a clean timeout
-    // (dropping from a non-zero rank desequences the reduction protocol
-    // and surfaces as a rank panic instead — also healed, but a
-    // different rung).
+    // Drop from rank 0: rank 0 then waits for rank 1's partial velocities
+    // while rank 1 waits for the dropped halo, and the exchange times out
+    // (a drop from rank 1 breaks the message order instead; see
+    // `halo_drop_from_a_nonzero_rank_is_an_out_of_sequence_fault`).
     let _armed = arm(FaultPlan {
         halo: Some(HaloFault::DropSend { from: 0 }),
         ..Default::default()
@@ -227,6 +227,45 @@ fn one_shot_halo_drop_heals_distributed() {
     );
     assert_eq!(rec.final_backend, Backend::Dist);
     assert_eq!(compare_states(&baseline, &sup.to_state()).worst(), 0.0);
+}
+
+/// A send dropped by rank 1 reaches rank 0 as rank 1's partial velocities
+/// where its halo was due: a typed out-of-sequence fault naming rank 1,
+/// rolled back and retried to the fault-free run's bytes.
+#[test]
+fn halo_drop_from_a_nonzero_rank_is_an_out_of_sequence_fault() {
+    let _serial = serial();
+    let mut config = cfg();
+    config.halo_timeout = Some(Duration::from_millis(250));
+    let baseline = fault_free("dist", config, 2, 10);
+    let _armed = arm(FaultPlan {
+        halo: Some(HaloFault::DropSend { from: 1 }),
+        ..Default::default()
+    });
+    let mut sup = Supervisor::new("dist", SimState::new(config), 2, policy()).unwrap();
+    let report = sup
+        .run_supervised(10)
+        .expect("retry heals the dropped send");
+    let rec = report.recovery.unwrap();
+    assert_eq!(rec.attempts, 1);
+    let event = &rec.events[0];
+    assert_eq!(event.error_kind, "out_of_sequence", "{event:?}");
+    assert!(
+        event.error.contains("from rank 1"),
+        "the error names the peer that skipped its send: {}",
+        event.error
+    );
+    assert_eq!(event.action, RecoveryAction::Retry);
+    assert_eq!(rec.final_backend, Backend::Dist);
+    let bytes = |s: &SimState| {
+        let mut out = Vec::new();
+        lbm_ib::checkpoint::write_checkpoint(s, &mut out).unwrap();
+        out
+    };
+    assert!(
+        bytes(&baseline) == bytes(&sup.to_state()),
+        "healed run differs"
+    );
 }
 
 /// A rank that *keeps* dropping its sends is eventually declared dead:

@@ -10,6 +10,8 @@
 //! the node's own force), which is what lets the parallel solvers run them
 //! without any synchronisation.
 
+use std::ops::Range;
+
 use crate::sheet::FiberSheet;
 
 /// The geometric/material parameters of a sheet, copyable into hot loops
@@ -166,37 +168,64 @@ pub fn stretching_at(
     f
 }
 
+/// Kernel 1 over the fibers `fibers`: fills `out`, which holds exactly
+/// those fibers' nodes (node `(fiber, node)` at
+/// `(fiber − fibers.start) · nodes_per_fiber + node`). Reads only `pos`,
+/// so disjoint fiber ranges can run in parallel.
+pub fn bending_forces(
+    topo: &SheetTopology,
+    pos: &[[f64; 3]],
+    fibers: Range<usize>,
+    out: &mut [[f64; 3]],
+) {
+    let nn = topo.nodes_per_fiber;
+    for (i, fiber) in fibers.enumerate() {
+        for node in 0..nn {
+            out[i * nn + node] = bending_at(topo, pos, fiber, node);
+        }
+    }
+}
+
+/// Kernel 2 over the fibers `fibers`, laid out as in [`bending_forces`].
+pub fn stretching_forces(
+    topo: &SheetTopology,
+    pos: &[[f64; 3]],
+    fibers: Range<usize>,
+    out: &mut [[f64; 3]],
+) {
+    let nn = topo.nodes_per_fiber;
+    for (i, fiber) in fibers.enumerate() {
+        for node in 0..nn {
+            out[i * nn + node] = stretching_at(topo, pos, fiber, node);
+        }
+    }
+}
+
+/// Kernel 3 over a node range: `out[i] = bending[i] + stretching[i]`, all
+/// three slices covering the same nodes.
+pub fn elastic_forces(bending: &[[f64; 3]], stretching: &[[f64; 3]], out: &mut [[f64; 3]]) {
+    for ((e, b), s) in out.iter_mut().zip(bending).zip(stretching) {
+        for a in 0..3 {
+            e[a] = b[a] + s[a];
+        }
+    }
+}
+
 /// Kernel 1, `compute_bending_force_in_fibers`: fills `sheet.bending`.
 pub fn compute_bending_force(sheet: &mut FiberSheet) {
     let topo = sheet.topology();
-    let pos = &sheet.pos;
-    for fiber in 0..topo.num_fibers {
-        for node in 0..topo.nodes_per_fiber {
-            sheet.bending[fiber * topo.nodes_per_fiber + node] =
-                bending_at(&topo, pos, fiber, node);
-        }
-    }
+    bending_forces(&topo, &sheet.pos, 0..topo.num_fibers, &mut sheet.bending);
 }
 
 /// Kernel 2, `compute_stretching_force_in_fibers`: fills `sheet.stretching`.
 pub fn compute_stretching_force(sheet: &mut FiberSheet) {
     let topo = sheet.topology();
-    let pos = &sheet.pos;
-    for fiber in 0..topo.num_fibers {
-        for node in 0..topo.nodes_per_fiber {
-            sheet.stretching[fiber * topo.nodes_per_fiber + node] =
-                stretching_at(&topo, pos, fiber, node);
-        }
-    }
+    stretching_forces(&topo, &sheet.pos, 0..topo.num_fibers, &mut sheet.stretching);
 }
 
 /// Kernel 3, `compute_elastic_force_in_fibers`: elastic = bending + stretching.
 pub fn compute_elastic_force(sheet: &mut FiberSheet) {
-    for i in 0..sheet.n() {
-        for a in 0..3 {
-            sheet.elastic[i][a] = sheet.bending[i][a] + sheet.stretching[i][a];
-        }
-    }
+    elastic_forces(&sheet.bending, &sheet.stretching, &mut sheet.elastic);
 }
 
 /// Total bending energy (for the finite-difference gradient tests).

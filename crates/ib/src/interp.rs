@@ -54,11 +54,25 @@ pub fn move_fibers<V: VelocityField>(
     field: &V,
     dt: f64,
 ) {
-    for pos in sheet.pos.iter_mut() {
-        let u = interpolate_velocity(*pos, kind, dims, bc, field);
-        pos[0] += u[0] * dt;
-        pos[1] += u[1] * dt;
-        pos[2] += u[2] * dt;
+    move_nodes(&mut sheet.pos, kind, dims, bc, field, dt);
+}
+
+/// Kernel 8 over a range of fiber nodes: each position in `pos` moves
+/// with the velocity interpolated at it. Reads only `field`, so disjoint
+/// node ranges can move in parallel.
+pub fn move_nodes<V: VelocityField>(
+    pos: &mut [[f64; 3]],
+    kind: DeltaKind,
+    dims: Dims,
+    bc: &BoundaryConfig,
+    field: &V,
+    dt: f64,
+) {
+    for p in pos {
+        let u = interpolate_velocity(*p, kind, dims, bc, field);
+        p[0] += u[0] * dt;
+        p[1] += u[1] * dt;
+        p[2] += u[2] * dt;
     }
 }
 

@@ -6,7 +6,7 @@
 //! Table I charges 73.2% of the sequential run time to.
 
 use crate::equilibrium::feq_all;
-use crate::grid::FluidGrid;
+use crate::grid::{FluidGrid, Slab};
 use crate::lattice::{EF, OPPOSITE, Q, W};
 
 /// Relaxation parameters of the collision operator.
@@ -116,6 +116,17 @@ pub fn bgk_collide_shifted(f: &mut [f64], rho: f64, u: [f64; 3], tau: f64) {
     for i in 0..Q {
         let eq = W[i] * rho * (base + 3.0 * eu[i] + 4.5 * eu[i] * eu[i]);
         f[i] += omega * (eq - f[i]);
+    }
+}
+
+/// Kernel 5 of the coupled solvers over one slab of the grid: relaxes
+/// every node's populations in `f` toward the equilibrium at the stored
+/// `rho` and shift velocity ([`bgk_collide_shifted`]). The whole grid is
+/// `grid.slab_mut()`; slabs of one grid can collide in parallel.
+pub fn collide_shifted_slab(s: &mut Slab, tau: f64) {
+    for i in 0..s.rho.len() {
+        let ueq = [s.ueqx[i], s.ueqy[i], s.ueqz[i]];
+        bgk_collide_shifted(&mut s.f[i * Q..i * Q + Q], s.rho[i], ueq, tau);
     }
 }
 

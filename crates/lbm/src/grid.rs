@@ -7,6 +7,8 @@
 //! 73% of the sequential run time in Table I — touches one small contiguous
 //! span per node.
 
+use std::ops::Range;
+
 use crate::lattice::Q;
 
 /// Dimensions of a 3D fluid grid and its index algebra.
@@ -131,63 +133,201 @@ impl Clone for FluidGrid {
 
     fn clone_from(&mut self, src: &Self) {
         self.dims = src.dims;
-        self.f.clone_from(&src.f);
-        self.f_new.clone_from(&src.f_new);
-        self.rho.clone_from(&src.rho);
-        self.ux.clone_from(&src.ux);
-        self.uy.clone_from(&src.uy);
-        self.uz.clone_from(&src.uz);
-        self.ueqx.clone_from(&src.ueqx);
-        self.ueqy.clone_from(&src.ueqy);
-        self.ueqz.clone_from(&src.ueqz);
-        self.fx.clone_from(&src.fx);
-        self.fy.clone_from(&src.fy);
-        self.fz.clone_from(&src.fz);
+        for (dst, src) in self.fields_mut().into_iter().zip(src.fields()) {
+            dst.clone_from(src);
+        }
     }
+}
+
+/// Number of per-node fields of a [`FluidGrid`].
+pub const FIELDS: usize = 12;
+
+/// Entries per node of each field, in [`FluidGrid::fields`] order: `Q`
+/// for the two distribution buffers, one for every moment and force.
+pub const FIELD_WIDTHS: [usize; FIELDS] = [Q, Q, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1];
+
+/// A mutable view of every per-node field over a contiguous range of
+/// x-planes of a [`FluidGrid`] (see [`FluidGrid::slabs_mut`]). The fields
+/// are indexed from the slab's first node: local node `i` is grid node
+/// `nodes.start + i`, and its populations are `f[i * Q..i * Q + Q]`.
+pub struct Slab<'a> {
+    /// The slab's nodes as indices into the whole grid.
+    pub nodes: Range<usize>,
+    pub f: &'a mut [f64],
+    pub f_new: &'a mut [f64],
+    pub rho: &'a mut [f64],
+    pub ux: &'a mut [f64],
+    pub uy: &'a mut [f64],
+    pub uz: &'a mut [f64],
+    pub ueqx: &'a mut [f64],
+    pub ueqy: &'a mut [f64],
+    pub ueqz: &'a mut [f64],
+    pub fx: &'a mut [f64],
+    pub fy: &'a mut [f64],
+    pub fz: &'a mut [f64],
 }
 
 impl FluidGrid {
     /// Allocates a grid with all distributions zero and unit density.
     pub fn new(dims: Dims) -> Self {
         let n = dims.n();
-        Self {
-            dims,
-            f: vec![0.0; n * Q],
-            f_new: vec![0.0; n * Q],
-            rho: vec![1.0; n],
-            ux: vec![0.0; n],
-            uy: vec![0.0; n],
-            uz: vec![0.0; n],
-            ueqx: vec![0.0; n],
-            ueqy: vec![0.0; n],
-            ueqz: vec![0.0; n],
-            fx: vec![0.0; n],
-            fy: vec![0.0; n],
-            fz: vec![0.0; n],
-        }
+        let mut grid = Self::from_fields(dims, FIELD_WIDTHS.map(|w| vec![0.0; n * w]));
+        grid.rho.fill(1.0);
+        grid
     }
 
     /// A grid with no nodes: all extents zero and every field empty. It
     /// holds no allocation until something is gathered or cloned into it.
     pub fn empty() -> Self {
+        let dims = Dims {
+            nx: 0,
+            ny: 0,
+            nz: 0,
+        };
+        Self::from_fields(dims, Default::default())
+    }
+
+    /// Assembles a grid from its fields in [`FluidGrid::fields`] order.
+    fn from_fields(dims: Dims, fields: [Vec<f64>; FIELDS]) -> Self {
+        let [f, f_new, rho, ux, uy, uz, ueqx, ueqy, ueqz, fx, fy, fz] = fields;
         Self {
-            dims: Dims {
-                nx: 0,
-                ny: 0,
-                nz: 0,
-            },
-            f: Vec::new(),
-            f_new: Vec::new(),
-            rho: Vec::new(),
-            ux: Vec::new(),
-            uy: Vec::new(),
-            uz: Vec::new(),
-            ueqx: Vec::new(),
-            ueqy: Vec::new(),
-            ueqz: Vec::new(),
-            fx: Vec::new(),
-            fy: Vec::new(),
-            fz: Vec::new(),
+            dims,
+            f,
+            f_new,
+            rho,
+            ux,
+            uy,
+            uz,
+            ueqx,
+            ueqy,
+            ueqz,
+            fx,
+            fy,
+            fz,
+        }
+    }
+
+    /// Every per-node field, in the one order all whole-grid copies use
+    /// (clone, checkpoint, plane slicing): `f`, `f_new`, `rho`, `ux..uz`,
+    /// `ueqx..ueqz`, `fx..fz`. [`FIELD_WIDTHS`] gives each one's entries
+    /// per node.
+    pub fn fields(&self) -> [&Vec<f64>; FIELDS] {
+        [
+            &self.f,
+            &self.f_new,
+            &self.rho,
+            &self.ux,
+            &self.uy,
+            &self.uz,
+            &self.ueqx,
+            &self.ueqy,
+            &self.ueqz,
+            &self.fx,
+            &self.fy,
+            &self.fz,
+        ]
+    }
+
+    /// Mutable [`FluidGrid::fields`], in the same order.
+    pub fn fields_mut(&mut self) -> [&mut Vec<f64>; FIELDS] {
+        [
+            &mut self.f,
+            &mut self.f_new,
+            &mut self.rho,
+            &mut self.ux,
+            &mut self.uy,
+            &mut self.uz,
+            &mut self.ueqx,
+            &mut self.ueqy,
+            &mut self.ueqz,
+            &mut self.fx,
+            &mut self.fy,
+            &mut self.fz,
+        ]
+    }
+
+    /// One [`Slab`] per x-plane range of `planes`, which must be ascending,
+    /// non-overlapping and within the grid; empty ranges give empty slabs.
+    /// The slabs borrow disjoint parts of every field, so they can be
+    /// handed to different threads.
+    pub fn slabs_mut(&mut self, planes: &[Range<usize>]) -> Vec<Slab<'_>> {
+        let (nx, plane) = (self.dims.nx, self.dims.ny * self.dims.nz);
+        let mut rest = self.fields_mut().map(|v| v.as_mut_slice());
+        let mut consumed = 0;
+        planes
+            .iter()
+            .map(|xs| {
+                assert!(
+                    consumed <= xs.start && xs.start <= xs.end && xs.end <= nx,
+                    "plane ranges must ascend within 0..{nx}: {planes:?}"
+                );
+                let parts: [&mut [f64]; FIELDS] = std::array::from_fn(|k| {
+                    let per_plane = plane * FIELD_WIDTHS[k];
+                    let (head, tail) =
+                        std::mem::take(&mut rest[k]).split_at_mut((xs.end - consumed) * per_plane);
+                    rest[k] = tail;
+                    &mut head[(xs.start - consumed) * per_plane..]
+                });
+                consumed = xs.end;
+                let [f, f_new, rho, ux, uy, uz, ueqx, ueqy, ueqz, fx, fy, fz] = parts;
+                Slab {
+                    nodes: xs.start * plane..xs.end * plane,
+                    f,
+                    f_new,
+                    rho,
+                    ux,
+                    uy,
+                    uz,
+                    ueqx,
+                    ueqy,
+                    ueqz,
+                    fx,
+                    fy,
+                    fz,
+                }
+            })
+            .collect()
+    }
+
+    /// The whole grid as one [`Slab`].
+    pub fn slab_mut(&mut self) -> Slab<'_> {
+        let all = 0..self.dims.nx;
+        self.slabs_mut(std::slice::from_ref(&all)).swap_remove(0)
+    }
+
+    /// A new grid holding copies of the x-planes `xs` of every field.
+    pub fn planes(&self, xs: Range<usize>) -> Self {
+        let plane = self.dims.ny * self.dims.nz;
+        let dims = Dims::new(xs.len(), self.dims.ny, self.dims.nz);
+        let fields = self.fields();
+        Self::from_fields(
+            dims,
+            std::array::from_fn(|k| {
+                let per_plane = plane * FIELD_WIDTHS[k];
+                fields[k][xs.start * per_plane..xs.end * per_plane].to_vec()
+            }),
+        )
+    }
+
+    /// Refills this grid with `parts` stacked along x in order (the inverse
+    /// of [`FluidGrid::planes`] over ranges that tile the grid), reusing its
+    /// buffers. Every part must have the same `ny` and `nz`.
+    pub fn concat_planes(&mut self, parts: &[FluidGrid]) {
+        let (ny, nz) = parts.first().map_or((0, 0), |p| (p.dims.ny, p.dims.nz));
+        assert!(
+            parts.iter().all(|p| (p.dims.ny, p.dims.nz) == (ny, nz)),
+            "parts must share ny and nz"
+        );
+        self.dims = Dims {
+            nx: parts.iter().map(|p| p.dims.nx).sum(),
+            ny,
+            nz,
+        };
+        for (k, dst) in self.fields_mut().into_iter().enumerate() {
+            dst.clear();
+            for p in parts {
+                dst.extend_from_slice(p.fields()[k]);
+            }
         }
     }
 
@@ -342,6 +482,81 @@ mod tests {
         g.fz.fill(3.0);
         g.clear_force();
         assert!(g.fx.iter().chain(&g.fy).chain(&g.fz).all(|&v| v == 0.0));
+    }
+
+    /// A 5×2×3 grid whose every entry is distinct: field `k`'s entry `i`
+    /// holds `1000 k + i`.
+    fn numbered_grid() -> FluidGrid {
+        let mut g = FluidGrid::new(Dims::new(5, 2, 3));
+        for (k, v) in g.fields_mut().into_iter().enumerate() {
+            for (i, x) in v.iter_mut().enumerate() {
+                *x = (1000 * k + i) as f64;
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn fields_follow_the_declared_order_and_widths() {
+        let mut g = numbered_grid();
+        assert_eq!(g.fields()[0], &g.f);
+        assert_eq!(g.fields()[1], &g.f_new);
+        assert_eq!(g.fields()[2], &g.rho);
+        assert_eq!(g.fields()[8], &g.ueqz);
+        assert_eq!(g.fields()[11], &g.fz);
+        for (v, w) in g.fields().into_iter().zip(FIELD_WIDTHS) {
+            assert_eq!(v.len(), g.n() * w);
+        }
+        g.fields_mut()[4][7] = -1.0;
+        assert_eq!(g.uy[7], -1.0);
+    }
+
+    #[test]
+    fn slabs_view_their_planes_of_every_field() {
+        let mut g = numbered_grid();
+        let want = g.clone();
+        let plane = 6;
+        let ranges = [0..2, 2..2, 2..3, 4..5];
+        let slabs = g.slabs_mut(&ranges);
+        assert_eq!(slabs.len(), ranges.len());
+        for (s, xs) in slabs.iter().zip(&ranges) {
+            assert_eq!(s.nodes, xs.start * plane..xs.end * plane);
+            let n = s.nodes.clone();
+            assert_eq!(s.f, &want.f[n.start * Q..n.end * Q]);
+            assert_eq!(s.f_new, &want.f_new[n.start * Q..n.end * Q]);
+            assert_eq!(s.rho, &want.rho[n.clone()]);
+            assert_eq!(s.ueqy, &want.ueqy[n.clone()]);
+            assert_eq!(s.fz, &want.fz[n]);
+        }
+        // Writes through a slab land in its planes only.
+        for s in g.slabs_mut(&ranges) {
+            s.ux.fill(-2.0);
+        }
+        let written = |i: usize| ranges.iter().any(|xs| xs.contains(&(i / plane)));
+        for (i, &u) in g.ux.iter().enumerate() {
+            assert_eq!(u == -2.0, written(i), "node {i}");
+        }
+        let whole = g.slab_mut();
+        assert_eq!(whole.nodes, 0..30);
+        assert_eq!(whole.f.len(), 30 * Q);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend")]
+    fn overlapping_slabs_rejected() {
+        numbered_grid().slabs_mut(&[0..3, 2..4]);
+    }
+
+    #[test]
+    fn planes_and_concat_round_trip() {
+        let g = numbered_grid();
+        let parts = [g.planes(0..2), g.planes(2..3), g.planes(3..5)];
+        assert_eq!(parts[1].dims, Dims::new(1, 2, 3));
+        assert_eq!(parts[1].rho, g.rho[12..18]);
+        let mut back = FluidGrid::empty();
+        back.concat_planes(&parts);
+        assert_eq!(back.dims, g.dims);
+        assert_eq!(back.fields(), g.fields());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! With Guo forcing the physically consistent velocity carries a half-force
 //! correction: `ρ = Σ_i f_i`, `ρ u = Σ_i f_i e_i + F/2`.
 
-use crate::grid::FluidGrid;
+use crate::grid::{FluidGrid, Slab};
 use crate::lattice::{EF, Q};
 
 /// Density and force-corrected velocity of a single node's distributions.
@@ -87,16 +87,23 @@ pub fn node_moments_shifted(f: &[f64], force: [f64; 3], tau: f64) -> (f64, [f64;
 /// from the new (post-streaming) buffer. Fills `rho`, the physical
 /// velocity (`ux..uz`) and the equilibrium-shift velocity (`ueqx..ueqz`).
 pub fn update_velocity_shifted(grid: &mut FluidGrid, tau: f64) {
-    for node in 0..grid.n() {
-        let force = [grid.fx[node], grid.fy[node], grid.fz[node]];
-        let (rho, u, ueq) = node_moments_shifted(&grid.f_new[node * Q..node * Q + Q], force, tau);
-        grid.rho[node] = rho;
-        grid.ux[node] = u[0];
-        grid.uy[node] = u[1];
-        grid.uz[node] = u[2];
-        grid.ueqx[node] = ueq[0];
-        grid.ueqy[node] = ueq[1];
-        grid.ueqz[node] = ueq[2];
+    update_velocity_shifted_slab(&mut grid.slab_mut(), tau);
+}
+
+/// [`update_velocity_shifted`] over one slab of the grid: reads only the
+/// slab's `f_new` and force, writes only its moments, so slabs of one
+/// grid can be updated in parallel.
+pub fn update_velocity_shifted_slab(s: &mut Slab, tau: f64) {
+    for i in 0..s.rho.len() {
+        let force = [s.fx[i], s.fy[i], s.fz[i]];
+        let (rho, u, ueq) = node_moments_shifted(&s.f_new[i * Q..i * Q + Q], force, tau);
+        s.rho[i] = rho;
+        s.ux[i] = u[0];
+        s.uy[i] = u[1];
+        s.uz[i] = u[2];
+        s.ueqx[i] = ueq[0];
+        s.ueqy[i] = ueq[1];
+        s.ueqz[i] = ueq[2];
     }
 }
 
