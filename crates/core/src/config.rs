@@ -193,14 +193,17 @@ pub enum KernelPlan {
     Fused,
 }
 
-/// A configuration problem found by [`SimulationConfig::validate`].
+/// A configuration problem found by [`SimulationConfig::validate`] (or,
+/// for the cube edge, by the cube solver's builder).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
     /// `tau` must exceed 0.5 for a positive viscosity.
     InvalidTau { tau: f64 },
     /// One of the grid extents is zero.
     ZeroExtent { nx: usize, ny: usize, nz: usize },
-    /// The cube edge is zero or does not divide every grid extent.
+    /// The cube edge is zero or does not divide every grid extent. Only
+    /// the cube solver needs cubes, so [`crate::cube::CubeSolver`]'s
+    /// builder reports it, not [`SimulationConfig::validate`].
     DimNotDivisibleByCube {
         cube_k: usize,
         nx: usize,
@@ -312,18 +315,6 @@ impl SimulationConfig {
         }
         if self.nx == 0 || self.ny == 0 || self.nz == 0 {
             problems.push(ConfigError::ZeroExtent {
-                nx: self.nx,
-                ny: self.ny,
-                nz: self.nz,
-            });
-        }
-        if self.cube_k == 0
-            || self.nx % self.cube_k != 0
-            || self.ny % self.cube_k != 0
-            || self.nz % self.cube_k != 0
-        {
-            problems.push(ConfigError::DimNotDivisibleByCube {
-                cube_k: self.cube_k,
                 nx: self.nx,
                 ny: self.ny,
                 nz: self.nz,
@@ -639,11 +630,23 @@ mod tests {
         assert!(err.to_string().contains("tau"), "{err}");
     }
 
+    /// The cube solver's builder on `c`, with the error it returns.
+    fn cube_build_error(c: SimulationConfig) -> crate::solver::SolverError {
+        let state = crate::state::SimState::new(c);
+        match crate::cube::CubeSolver::try_from_state(state, 2) {
+            Ok(_) => panic!("the cube builder accepted {c:?}"),
+            Err(e) => e,
+        }
+    }
+
+    /// Only the cube solver needs cubes: `validate` accepts a cube edge
+    /// that does not divide the grid, and the cube builder rejects it.
     #[test]
     fn indivisible_cube_rejected() {
         let mut c = SimulationConfig::quick_test();
         c.cube_k = 5;
-        assert!(c.validate().is_err());
+        c.validate().unwrap();
+        cube_build_error(c);
     }
 
     #[test]
@@ -667,26 +670,39 @@ mod tests {
 
     #[test]
     fn indivisible_cube_is_typed() {
-        let mut c = SimulationConfig::quick_test();
-        c.cube_k = 5;
-        assert!(matches!(
-            c.validate().unwrap_err(),
-            ConfigError::DimNotDivisibleByCube { cube_k: 5, .. }
-        ));
+        for k in [0, 5] {
+            let mut c = SimulationConfig::quick_test();
+            c.cube_k = k;
+            let err = cube_build_error(c);
+            assert!(
+                matches!(
+                    err,
+                    crate::solver::SolverError::Config(ConfigError::DimNotDivisibleByCube {
+                        cube_k,
+                        nx: 24,
+                        ny: 16,
+                        nz: 16,
+                    }) if cube_k == k
+                ),
+                "{err:?}"
+            );
+            let msg = format!("cube edge {k} must divide grid 24x16x16");
+            assert!(err.to_string().contains(&msg), "{err}");
+        }
     }
 
     #[test]
     fn multiple_problems_reported_together() {
         let mut c = SimulationConfig::quick_test();
         c.tau = 0.4;
-        c.cube_k = 7;
+        c.sheet.num_fibers = 1;
         let err = c.validate().unwrap_err();
         let ConfigError::Multiple(list) = &err else {
             panic!("expected Multiple, got {err:?}");
         };
         assert_eq!(list.len(), 2);
         let msg = err.to_string();
-        assert!(msg.contains("tau") && msg.contains("cube edge"), "{msg}");
+        assert!(msg.contains("tau") && msg.contains("sheet is 1x"), "{msg}");
     }
 
     #[test]

@@ -135,7 +135,7 @@ use lbm::lattice::{E, Q};
 use lbm::macroscopic::node_moments_shifted;
 
 use crate::barrier::{BarrierKind, BarrierPoisoned, PhaseBarrier};
-use crate::config::{KernelPlan, SimulationConfig};
+use crate::config::{ConfigError, KernelPlan, SimulationConfig};
 use crate::profiling::KernelId;
 use crate::sharedgrid::{SharedCubeGrid, SharedSlice};
 use crate::solver::{Backend, RunReport, SolverError};
@@ -526,12 +526,25 @@ impl CubeSolver {
     }
 
     /// Like [`CubeSolver::from_state`] but returns an error instead of
-    /// panicking on a zero thread count or an indivisible grid.
+    /// panicking on a zero thread count, an invalid configuration or a
+    /// cube edge that does not divide the grid
+    /// ([`ConfigError::DimNotDivisibleByCube`]; the flat solvers build on
+    /// any grid, so only this builder checks it).
     pub fn try_from_state(state: SimState, n_threads: usize) -> Result<Self, SolverError> {
         if n_threads == 0 {
             return Err(SolverError::ZeroThreads);
         }
-        state.config.validate()?;
+        let c = &state.config;
+        c.validate()?;
+        if c.cube_k == 0 || [c.nx, c.ny, c.nz].iter().any(|n| n % c.cube_k != 0) {
+            return Err(ConfigError::DimNotDivisibleByCube {
+                cube_k: c.cube_k,
+                nx: c.nx,
+                ny: c.ny,
+                nz: c.nz,
+            }
+            .into());
+        }
         Ok(Self::from_state(state, n_threads))
     }
 

@@ -21,8 +21,9 @@
 //!   the 19 per face node — and the receiver stores them before kernel 7;
 //! * **structure replication + all-reduce** — every rank holds the whole
 //!   (small) fiber sheet and computes its forces redundantly (Table I
-//!   shows fiber kernels are ~0.05% of the work); spreading keeps only the
-//!   contributions that land on the rank's own planes, and the velocity
+//!   shows fiber kernels are ~0.05% of the work); spreading
+//!   ([`ib::spread::spread_into_planes`]) evaluates only the stencils that
+//!   reach the rank's own planes and keeps what lands there, and the velocity
 //!   interpolation produces partial sums that are reduced in rank order
 //!   (deterministically) and broadcast back, exactly the scheme
 //!   distributed IB codes use over MPI.
@@ -41,7 +42,7 @@ use ib::delta::for_each_influence;
 use ib::forces::{compute_bending_force, compute_elastic_force, compute_stretching_force};
 use ib::interp::VelocityField;
 use ib::sheet::FiberSheet;
-use ib::spread::{spread_forces, ForceSink};
+use ib::spread::spread_into_planes;
 use ib::tether::TetherSet;
 use lbm::boundary::StreamRouter;
 use lbm::fused::{collided_block, push_planes};
@@ -381,23 +382,6 @@ fn timed<T>(busy: &mut [f64; KernelId::COUNT], kernel: KernelId, f: impl FnOnce(
     out
 }
 
-/// Kernel 4's sink on one rank: a contribution that lands on one of the
-/// rank's planes goes into its grid; the rest belong to other ranks,
-/// which spread them themselves.
-struct OwnPlanes<'a> {
-    rank: &'a Rank,
-    grid: &'a mut FluidGrid,
-}
-
-impl ForceSink for OwnPlanes<'_> {
-    #[inline]
-    fn add_force(&mut self, x: usize, y: usize, z: usize, df: [f64; 3]) {
-        if let Some(lx) = self.rank.local_x(x) {
-            self.grid.add_force(lx, y, z, df);
-        }
-    }
-}
-
 /// The rank step loop over the rank's grid and sheet replica. Returns the
 /// rank's kernel times and blocking-receive waits; `Err` means a receive
 /// timed out, a peer vanished or broke the protocol, and this rank
@@ -436,7 +420,7 @@ fn rank_steps(
             grid.fx.fill(body[0]);
             grid.fy.fill(body[1]);
             grid.fz.fill(body[2]);
-            spread_forces(sheet, delta, dims, &bc, &mut OwnPlanes { rank, grid });
+            spread_into_planes(sheet, delta, dims, &bc, rank.xs.clone(), grid);
         });
 
         // Fused kernels 5+6: collide every owned node in registers and push

@@ -59,7 +59,6 @@
 //! the CLI one per run), so a boundary costs a copy, not a fresh
 //! allocation.
 
-pub mod atomicf64;
 pub mod barrier;
 pub mod checkpoint;
 pub mod config;

@@ -10,12 +10,12 @@
 //! each task runs the `ib` range kernel on a chunk of fibers. Two kernels
 //! have a parallel form of their own. Streaming (kernel 6, alone or fused
 //! with 5) pushes across slab faces, so the slabs write one shared `f_new`
-//! through [`SharedSlice`]. Force spreading is a two-phase produce/apply:
-//! fiber chunks stage (node, force) contributions into per-(chunk, slab)
-//! buckets, then slab owners apply them in chunk order — deterministic
-//! (bit-exact reruns, and independent of thread count and schedule),
-//! unlike an atomic-add scatter whose per-node addition order depends on
-//! timing.
+//! through [`SharedSlice`]. Force spreading (kernel 4) runs over x-slabs:
+//! each slab owner walks every fiber node in global order and keeps only
+//! what lands on its own planes ([`spread_into_planes`]), so no force slot
+//! has two writers and each receives its contributions in the sequential
+//! order — bit-exact reruns, independent of thread count and schedule,
+//! with no lock, atomic or staging buffer.
 //!
 //! Every region records per-thread busy time and the time each thread then
 //! waits at the region's closing join (`max − busy_t`) into the run's
@@ -28,15 +28,14 @@ use std::time::Instant;
 use ib::forces::{bending_forces, elastic_forces, stretching_forces};
 use ib::interp::move_nodes;
 use ib::sheet::FiberSheet;
-use ib::spread::{spread_node, ForceSink};
+use ib::spread::spread_into_planes;
 use lbm::boundary::StreamRouter;
 use lbm::collision::collide_shifted_slab;
 use lbm::fused::{collided_block, push_planes, stored_block};
-use lbm::grid::{Dims, FluidGrid};
+use lbm::grid::FluidGrid;
 use lbm::lattice::Q;
 use lbm::macroscopic::update_velocity_shifted_slab;
 
-use crate::atomicf64::AtomicF64;
 use crate::config::KernelPlan;
 use crate::profiling::KernelId;
 use crate::sharedgrid::SharedSlice;
@@ -77,40 +76,15 @@ fn split_by_ranges<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> Ve
     out
 }
 
-/// One staged spread contribution: flat node index plus the force delta.
-type SpreadEntry = (u32, [f64; 3]);
-
-/// Force sink that stages contributions into per-destination-slab buckets
-/// instead of touching the grid, for the deterministic two-phase spread of
-/// kernel 4. The slab of a plane under [`balanced_ranges`]`(nx, k)` is
-/// computed in closed form.
-struct BucketSink<'a> {
-    dims: Dims,
-    /// `nx / k` and `nx % k` of the slab decomposition.
-    base: usize,
-    rem: usize,
-    buckets: &'a mut [Vec<SpreadEntry>],
-}
-
-impl ForceSink for BucketSink<'_> {
-    #[inline]
-    fn add_force(&mut self, x: usize, y: usize, z: usize, df: [f64; 3]) {
-        // First `rem` slabs hold `base + 1` planes, the rest `base` (when
-        // `base == 0`, every plane falls in the first branch).
-        let slab = if x < (self.base + 1) * self.rem {
-            x / (self.base + 1)
-        } else {
-            self.rem + (x - (self.base + 1) * self.rem) / self.base
-        };
-        self.buckets[slab].push((self.dims.idx(x, y, z) as u32, df));
+/// Charges one parallel region to the per-thread telemetry. Each task of
+/// the region left one `(worker, busy seconds)` slot; worker `t`'s summed
+/// busy time `busy[t]` goes to `kernel`, and the time it then waits at the
+/// region's closing join, `max − busy[t]`, to its barrier wait.
+fn record_region(telemetry: &mut [ThreadTelemetry], kernel: KernelId, slots: &[(usize, f64)]) {
+    let mut busy = vec![0.0; telemetry.len()];
+    for &(worker, seconds) in slots {
+        busy[worker] += seconds;
     }
-}
-
-/// Charges one parallel region to the per-thread telemetry: worker `t`'s
-/// busy seconds `busy[t]` go to `kernel`, and the time it then waits at
-/// the region's closing join, `max − busy[t]`, to its barrier wait.
-fn record_region(telemetry: &mut [ThreadTelemetry], kernel: KernelId, busy: &[AtomicF64]) {
-    let busy: Vec<f64> = busy.iter().map(AtomicF64::load).collect();
     let max = busy.iter().copied().fold(0.0, f64::max);
     for (t, b) in telemetry.iter_mut().zip(busy) {
         t.kernel_seconds[kernel.index()] += b;
@@ -290,115 +264,67 @@ impl OpenMpSolver {
         self.state.tethers.apply(&mut self.state.sheet);
     }
 
-    /// Runs `work` over `items` on the pool, adding each task's busy
-    /// seconds to the worker thread that ran it — so the accounting works
-    /// for both static (1 chunk/thread) and dynamic (many stolen chunks)
-    /// schedules.
-    fn run_tasks<I, F>(
-        pool: &ThreadPool,
-        busy: &[AtomicF64],
-        items: impl IntoIterator<Item = I>,
-        work: F,
-    ) where
-        I: Send,
-        F: Fn(I) + Sync,
-    {
-        pool.scope(|scope| {
-            for item in items {
-                let work = &work;
-                scope.spawn(move || {
-                    let b0 = Instant::now();
-                    work(item);
-                    let w = current_thread_index().unwrap_or(0);
-                    busy[w].fetch_add(b0.elapsed().as_secs_f64());
-                });
-            }
-        });
-    }
-
     /// Runs `work` over `items` as one parallel region charged to `kernel`
     /// (an associated function, so it can run while `self.state` is
-    /// partially borrowed).
+    /// partially borrowed). Each task records the worker that ran it and
+    /// its busy seconds in a slot of its own, so the accounting works for
+    /// both static (1 chunk/thread) and dynamic (many stolen chunks)
+    /// schedules.
     fn region_static<I, F>(
         pool: &ThreadPool,
         telemetry: &mut [ThreadTelemetry],
         kernel: KernelId,
-        items: impl IntoIterator<Item = I>,
+        items: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator>,
         work: F,
     ) where
         I: Send,
         F: Fn(I) + Sync,
     {
-        let busy: Vec<AtomicF64> = telemetry.iter().map(|_| AtomicF64::new(0.0)).collect();
-        Self::run_tasks(pool, &busy, items, work);
-        record_region(telemetry, kernel, &busy);
+        let items = items.into_iter();
+        let mut slots = vec![(0, 0.0); items.len()];
+        pool.scope(|scope| {
+            for (item, slot) in items.zip(&mut slots) {
+                let work = &work;
+                scope.spawn(move || {
+                    let b0 = Instant::now();
+                    work(item);
+                    let seconds = b0.elapsed().as_secs_f64();
+                    *slot = (current_thread_index().unwrap_or(0), seconds);
+                });
+            }
+        });
+        record_region(telemetry, kernel, &slots);
     }
 
-    /// Kernel 4 as one region: reset each slab's force to the body force,
-    /// then spread the fiber forces in two deterministic phases — fiber
-    /// chunks *produce* per-(chunk, slab) contribution buckets, slab owners
-    /// *apply* them in chunk order. Chunks are ascending contiguous fiber
-    /// ranges, so the per-node addition order is global fiber order:
-    /// bit-identical to the sequential spread, for every thread count and
+    /// Kernel 4 as one region over x-slabs: each slab resets its force to
+    /// the body force, then spreads the sheet into its own planes
+    /// ([`spread_into_planes`]). Every slab walks the fiber nodes in global
+    /// order, so each force slot receives the sequential spread's products
+    /// in the sequential order: bit-identical for every thread count and
     /// schedule.
     fn spread_kernel(&mut self) {
-        let n_chunks = self.n_chunks();
         let planes = self.planes();
-        let (fibers, _) = self.fiber_chunks();
         let c = self.state.config;
         let dims = c.dims();
-        let busy: Vec<AtomicF64> = self.telemetry.iter().map(|_| AtomicF64::new(0.0)).collect();
-
-        // Phase A: reset the force arrays to the body force.
-        let body = c.body_force;
-        Self::run_tasks(
+        let SimState { fluid, sheet, .. } = &mut self.state;
+        let sheet = &*sheet;
+        let slabs = fluid
+            .slabs_mut(&planes)
+            .into_iter()
+            .zip(planes.iter().cloned());
+        let kernel = KernelId::SpreadForce;
+        Self::region_static(
             &self.pool,
-            &busy,
-            self.state.fluid.slabs_mut(&planes),
-            |s| {
-                s.fx.fill(body[0]);
-                s.fy.fill(body[1]);
-                s.fz.fill(body[2]);
+            &mut self.telemetry,
+            kernel,
+            slabs,
+            |(mut s, xs)| {
+                s.fx.fill(c.body_force[0]);
+                s.fy.fill(c.body_force[1]);
+                s.fz.fill(c.body_force[2]);
+                spread_into_planes(sheet, c.delta, dims, &c.bc, xs, &mut s);
             },
         );
-
-        // Phase B1 (produce): parallel over fiber chunks; each chunk owns
-        // one row of buckets, keyed by destination slab.
-        let mut buckets: Vec<Vec<Vec<SpreadEntry>>> =
-            (0..n_chunks).map(|_| vec![Vec::new(); n_chunks]).collect();
-        let sheet = &self.state.sheet;
-        let (area, nn) = (sheet.area_element(), sheet.nodes_per_fiber);
-        let (base, rem) = (dims.nx / n_chunks, dims.nx % n_chunks);
-        let rows = buckets.iter_mut().zip(fibers);
-        Self::run_tasks(&self.pool, &busy, rows, |(row, fibers)| {
-            let mut sink = BucketSink {
-                dims,
-                base,
-                rem,
-                buckets: row,
-            };
-            for i in fibers.start * nn..fibers.end * nn {
-                let f = sheet.elastic[i];
-                let f_l = [f[0] * area, f[1] * area, f[2] * area];
-                spread_node(sheet.pos[i], f_l, c.delta, dims, &c.bc, &mut sink);
-            }
-        });
-
-        // Phase B2 (apply): parallel over slabs; each slab owner drains
-        // every chunk's bucket aimed at it, in chunk order.
-        let buckets = &buckets;
-        let slabs = self.state.fluid.slabs_mut(&planes).into_iter().enumerate();
-        Self::run_tasks(&self.pool, &busy, slabs, |(slab, s)| {
-            for row in buckets {
-                for &(idx, df) in &row[slab] {
-                    let i = idx as usize - s.nodes.start;
-                    s.fx[i] += df[0];
-                    s.fy[i] += df[1];
-                    s.fz[i] += df[2];
-                }
-            }
-        });
-        record_region(&mut self.telemetry, KernelId::SpreadForce, &busy);
     }
 
     /// Kernel 5: collision, parallel over x-slabs (Algorithm 2).
@@ -585,10 +511,10 @@ mod tests {
             let mut b = OpenMpSolver::new(cfg, 4);
             a.run(6);
             b.run(6);
-            // The bucketed spread applies contributions in global fiber
-            // order regardless of the chunk decomposition, and every
-            // streamed slot has one writer, so the agreement across thread
-            // counts is exact, not approximate.
+            // Every slab spreads in global fiber order whatever the slab
+            // decomposition, and every force and streamed slot has one
+            // writer, so the agreement across thread counts is exact, not
+            // approximate.
             let plan = cfg.plan;
             assert_eq!(a.state.fluid.f, b.state.fluid.f, "{plan:?}");
             assert_eq!(a.state.fluid.ux, b.state.fluid.ux, "{plan:?}");
@@ -641,8 +567,8 @@ mod tests {
 
     /// Charges `busy` (seconds per thread) to `per_thread` as one region.
     fn charge(per_thread: &mut [ThreadTelemetry], kernel: KernelId, busy: &[f64]) {
-        let busy: Vec<AtomicF64> = busy.iter().map(|&b| AtomicF64::new(b)).collect();
-        record_region(per_thread, kernel, &busy);
+        let slots: Vec<(usize, f64)> = busy.iter().copied().enumerate().collect();
+        record_region(per_thread, kernel, &slots);
     }
 
     /// The telemetry of a run made of the given regions.
@@ -767,8 +693,9 @@ mod tests {
         dynamic.schedule = Schedule::Dynamic { factor: 4 };
         stat.run(8);
         dynamic.run(8);
-        // Buckets are keyed by chunk index, not worker, so even the
-        // work-stolen dynamic schedule is bit-exact against static.
+        // Each slab spreads in global fiber order whichever worker runs
+        // it, so even the work-stolen dynamic schedule is bit-exact
+        // against static.
         assert_eq!(stat.state.fluid.f, dynamic.state.fluid.f);
         assert_eq!(stat.state.sheet.pos, dynamic.state.sheet.pos);
     }

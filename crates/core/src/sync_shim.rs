@@ -1,6 +1,6 @@
-//! Primitive selection for model checking: the concurrency building blocks
-//! ([`crate::barrier`], [`crate::atomicf64`], [`crate::sharedgrid`]) import
-//! their atomics and spin hints from here, so that compiling the crate with
+//! Primitive selection for model checking: [`crate::barrier`] imports its
+//! atomics and spin hints from here ([`crate::sharedgrid`] picks its cell
+//! type the same way), so that compiling the crate with
 //! `RUSTFLAGS="--cfg loom"` swaps in the loom model checker's doubles while
 //! ordinary builds get the real `std` types with zero indirection.
 //!
@@ -11,9 +11,9 @@
 //! ```
 
 #[cfg(loom)]
-pub use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+pub use loom::sync::atomic::{AtomicUsize, Ordering};
 #[cfg(not(loom))]
-pub use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+pub use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One spin-loop iteration (`std::hint::spin_loop`, or loom's modeled park
 /// that keeps busy-wait loops finite for the explorer).

@@ -1,11 +1,8 @@
-//! Std-thread stress tests for the concurrency primitives, plus the
-//! `AtomicF64` partition property. These complement the loom tests
+//! Std-thread stress tests for the concurrency primitives. These complement the loom tests
 //! (`tests/loom.rs`): loom proves small interleavings exhaustively, these
 //! hammer the real primitives at scale.
 
-use lbm_ib::atomicf64::AtomicF64;
 use lbm_ib::barrier::SpinBarrier;
-use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A one-thread barrier must be trivially reusable: its sole participant
@@ -54,47 +51,6 @@ fn spin_barrier_leader_unique_per_generation_stress() {
             counter.load(Ordering::Relaxed),
             1,
             "generation {generation} elected a wrong number of leaders"
-        );
-    }
-}
-
-proptest! {
-    /// `AtomicF64::fetch_add` from N threads over a random partition of
-    /// random values must equal the sequential sum to within accumulation
-    /// tolerance (addition order differs across schedules, so exact
-    /// equality is not demanded — but every update must land).
-    #[test]
-    fn atomicf64_partitioned_sum_matches_sequential(
-        n_threads in 1usize..=8,
-        len in 1usize..=512,
-        seed in 0u64..u64::MAX,
-    ) {
-        let mut rng = TestRng::new(seed);
-        let values: Vec<f64> = (0..len).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
-        let sequential: f64 = values.iter().sum();
-
-        // Random partition: each value is assigned to one of the threads.
-        let assignment: Vec<usize> = (0..len).map(|_| rng.below(n_threads as u64) as usize).collect();
-
-        let total = AtomicF64::new(0.0);
-        std::thread::scope(|scope| {
-            for t in 0..n_threads {
-                let (total, values, assignment) = (&total, &values, &assignment);
-                scope.spawn(move || {
-                    for (v, &owner) in values.iter().zip(assignment) {
-                        if owner == t {
-                            total.fetch_add(*v);
-                        }
-                    }
-                });
-            }
-        });
-
-        let got = total.load();
-        let tolerance = 1e-12 * (len as f64).max(1.0);
-        prop_assert!(
-            (got - sequential).abs() <= tolerance,
-            "partitioned sum {got} != sequential {sequential} (len {len}, {n_threads} threads)"
         );
     }
 }

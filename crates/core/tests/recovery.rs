@@ -305,6 +305,52 @@ fn sticky_halo_drop_declares_peer_dead_and_degrades() {
     assert_eq!(compare_states(&baseline, &sup.to_state()).worst(), 0.0);
 }
 
+/// On a grid the cube edge does not divide, the `cube` rung cannot be
+/// built: a sticky `dist` fault degrades past it to `omp`, and the healed
+/// run equals the plain `omp` run bit for bit.
+#[test]
+fn sticky_halo_drop_skips_an_unbuildable_cube_rung() {
+    let _serial = serial();
+    let mut config = cfg();
+    config.nx = 22;
+    assert!(lbm_ib::CubeSolver::try_from_state(SimState::new(config), 2).is_err());
+    let baseline = fault_free("omp", config, 2, 10);
+    let _armed = arm(FaultPlan {
+        halo: Some(HaloFault::DropSend { from: 0 }),
+        sticky: true,
+        ..Default::default()
+    });
+    config.halo_timeout = Some(Duration::from_millis(250));
+    let mut sup = Supervisor::new(
+        "dist",
+        SimState::new(config),
+        2,
+        RecoveryPolicy {
+            retry_limit: 0,
+            backoff: Duration::ZERO,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let report = sup.run_supervised(10).expect("backend fallback escapes");
+    let rec = report.recovery.unwrap();
+    let switches: Vec<_> = rec
+        .events
+        .iter()
+        .filter(|e| matches!(e.action, RecoveryAction::SwitchBackend { .. }))
+        .map(|e| e.action.clone())
+        .collect();
+    assert_eq!(
+        switches,
+        [RecoveryAction::SwitchBackend {
+            from: Backend::Dist,
+            to: Backend::Omp,
+        }]
+    );
+    assert_eq!(rec.final_backend, Backend::Omp);
+    assert_eq!(compare_states(&baseline, &sup.to_state()).worst(), 0.0);
+}
+
 /// With degradation off, a sticky fault exhausts the retry budget and the
 /// typed error reaches the caller; the give-up is on the record.
 #[test]

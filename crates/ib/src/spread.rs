@@ -1,26 +1,42 @@
 //! Kernel 4, `spread_force_from_fibers_to_fluid`: each fiber node exerts its
 //! elastic force onto the fluid nodes of its 4×4×4 influential domain,
 //! weighted by the smoothed delta function and the Lagrangian area element.
+//!
+//! [`spread_into_planes`] is the one flat spread: it keeps what lands on a
+//! range of x-planes. The sequential solver runs it over the whole grid,
+//! each OpenMP slab and each distributed rank over its own planes. The
+//! cube solver does not use it: each cube owner applies stored
+//! [`crate::delta::Stencil`]s to its own cubes.
+
+use std::ops::Range;
 
 use lbm::boundary::BoundaryConfig;
-use lbm::grid::{Dims, FluidGrid};
+use lbm::grid::{Dims, FluidGrid, Slab};
 
-use crate::delta::{for_each_influence, DeltaKind};
+use crate::delta::{DeltaKind, Stencil};
 use crate::sheet::FiberSheet;
 
-/// Destination of spread forces. The sequential solver implements it on
-/// [`FluidGrid`] directly; the OpenMP-style solver stages contributions in
-/// per-slab buckets. The cube solver does not use it: each cube owner
-/// applies stored [`crate::delta::Stencil`]s to its own cubes.
+/// Destination of spread forces: the force arrays of a run of whole
+/// x-planes. [`FluidGrid`] serves a whole grid or a grid holding some
+/// planes of a larger one; [`Slab`] serves a slab of a shared grid.
 pub trait ForceSink {
-    /// Adds `df` to the Eulerian force at node `(x, y, z)`.
-    fn add_force(&mut self, x: usize, y: usize, z: usize, df: [f64; 3]);
+    /// Adds `df` to the Eulerian force at `node`, the flat node index
+    /// counted from the sink's first node.
+    fn add_force(&mut self, node: usize, df: [f64; 3]);
 }
 
 impl ForceSink for FluidGrid {
     #[inline]
-    fn add_force(&mut self, x: usize, y: usize, z: usize, df: [f64; 3]) {
-        let node = self.dims.idx(x, y, z);
+    fn add_force(&mut self, node: usize, df: [f64; 3]) {
+        self.fx[node] += df[0];
+        self.fy[node] += df[1];
+        self.fz[node] += df[2];
+    }
+}
+
+impl ForceSink for Slab<'_> {
+    #[inline]
+    fn add_force(&mut self, node: usize, df: [f64; 3]) {
         self.fx[node] += df[0];
         self.fy[node] += df[1];
         self.fz[node] += df[2];
@@ -28,8 +44,30 @@ impl ForceSink for FluidGrid {
 }
 
 /// Spreads a single Lagrangian force `f_l` (already scaled by the area
-/// element) from position `pos` into the sink. Exposed for the parallel
-/// solvers, which iterate fiber nodes themselves.
+/// element) from position `pos` into the stencil nodes on the x-planes
+/// `xs`; `sink` holds those planes.
+#[inline]
+fn spread_point<S: ForceSink>(
+    pos: [f64; 3],
+    f_l: [f64; 3],
+    kind: DeltaKind,
+    dims: Dims,
+    bc: &BoundaryConfig,
+    xs: &Range<usize>,
+    sink: &mut S,
+) {
+    let first = xs.start * dims.ny * dims.nz;
+    Stencil::new(pos, kind, dims, bc).for_each(|inf| {
+        if xs.contains(&inf.x) {
+            let w = inf.weight;
+            let node = dims.idx(inf.x, inf.y, inf.z) - first;
+            sink.add_force(node, [f_l[0] * w, f_l[1] * w, f_l[2] * w]);
+        }
+    });
+}
+
+/// Spreads a single Lagrangian force `f_l` (already scaled by the area
+/// element) from position `pos` into a sink holding the whole grid.
 #[inline]
 pub fn spread_node<S: ForceSink>(
     pos: [f64; 3],
@@ -39,22 +77,50 @@ pub fn spread_node<S: ForceSink>(
     bc: &BoundaryConfig,
     sink: &mut S,
 ) {
-    for_each_influence(pos, kind, dims, bc, |inf| {
-        sink.add_force(
-            inf.x,
-            inf.y,
-            inf.z,
-            [
-                f_l[0] * inf.weight,
-                f_l[1] * inf.weight,
-                f_l[2] * inf.weight,
-            ],
-        );
-    });
+    spread_point(pos, f_l, kind, dims, bc, &(0..dims.nx), sink);
 }
 
-/// Kernel 4 over the whole structure: spreads every node's elastic force.
-/// `F(x) += Σ_l f_l δ³(x − X_l) Δs₁Δs₂`.
+/// Whether the support of a kernel centred at `px` reaches a plane of `xs`.
+/// It walks the candidate planes [`Stencil::new`] walks, so it never says
+/// no to a plane the stencil would hold.
+#[inline]
+fn reaches_planes(px: f64, kind: DeltaKind, nx: usize, periodic: bool, xs: &Range<usize>) -> bool {
+    let hs = kind.half_support();
+    let planes = xs.start as i64..xs.end as i64;
+    ((px - hs).ceil() as i64..=(px + hs).floor() as i64).any(|j| {
+        let x = if periodic { j.rem_euclid(nx as i64) } else { j };
+        planes.contains(&x)
+    })
+}
+
+/// Kernel 4 into the x-planes `xs` of the grid: adds every fiber node's
+/// force `f_l δ³(x − X_l) Δs₁Δs₂` at the stencil nodes on those planes.
+/// `sink` holds exactly the planes `xs`, node 0 being `(xs.start, 0, 0)`.
+///
+/// The fiber nodes are walked in global order, so each force slot receives
+/// the same products in the same order whatever range it is spread in. A
+/// node whose support misses `xs` is skipped before its weights are
+/// evaluated; stencil nodes outside `xs` are dropped.
+pub fn spread_into_planes<S: ForceSink>(
+    sheet: &FiberSheet,
+    kind: DeltaKind,
+    dims: Dims,
+    bc: &BoundaryConfig,
+    xs: Range<usize>,
+    sink: &mut S,
+) {
+    let area = sheet.area_element();
+    let periodic = bc.x.is_periodic();
+    for (pos, f) in sheet.pos.iter().zip(&sheet.elastic) {
+        if reaches_planes(pos[0], kind, dims.nx, periodic, &xs) {
+            let f_l = [f[0] * area, f[1] * area, f[2] * area];
+            spread_point(*pos, f_l, kind, dims, bc, &xs, sink);
+        }
+    }
+}
+
+/// Kernel 4 over the whole structure and the whole grid: spreads every
+/// node's elastic force. `F(x) += Σ_l f_l δ³(x − X_l) Δs₁Δs₂`.
 pub fn spread_forces<S: ForceSink>(
     sheet: &FiberSheet,
     kind: DeltaKind,
@@ -62,11 +128,7 @@ pub fn spread_forces<S: ForceSink>(
     bc: &BoundaryConfig,
     sink: &mut S,
 ) {
-    let area = sheet.area_element();
-    for (pos, f) in sheet.pos.iter().zip(&sheet.elastic) {
-        let f_l = [f[0] * area, f[1] * area, f[2] * area];
-        spread_node(*pos, f_l, kind, dims, bc, sink);
-    }
+    spread_into_planes(sheet, kind, dims, bc, 0..dims.nx, sink);
 }
 
 /// Total Eulerian force over the grid (diagnostic: spreading is
@@ -149,6 +211,49 @@ mod tests {
                 lag[a] * area
             );
         }
+    }
+
+    /// Spreading into x-plane ranges that tile the grid, one grid of
+    /// planes each, gives the whole-grid spread bit for bit: one-plane
+    /// ranges, uneven ranges, and ranges cut through the stencils of a
+    /// sheet that wraps across the periodic x boundary.
+    #[test]
+    fn plane_ranges_reassemble_the_whole_grid_spread() {
+        let (dims, bc) = domain();
+        let mut sheet = FiberSheet::paper_sheet(8, 4.0, [0.6, 12.0, 12.0], 1e-3, 0.5);
+        for (i, p) in sheet.pos.iter_mut().enumerate() {
+            p[0] += 0.4 * ((i * 37 % 11) as f64 - 5.0) * 0.1;
+        }
+        compute_bending_force(&mut sheet);
+        compute_stretching_force(&mut sheet);
+        compute_elastic_force(&mut sheet);
+        let mut whole = FluidGrid::new(dims);
+        spread_forces(&sheet, DeltaKind::Peskin4, dims, &bc, &mut whole);
+        let one_plane_each: Vec<_> = (0..dims.nx).map(|x| x..x + 1).collect();
+        let uneven = vec![0..1, 1..2, 2..9, 9..23, 23..24];
+        for tiling in [one_plane_each, uneven] {
+            let parts: Vec<FluidGrid> = tiling
+                .iter()
+                .map(|xs| {
+                    let mut part = FluidGrid::new(dims).planes(xs.clone());
+                    spread_into_planes(
+                        &sheet,
+                        DeltaKind::Peskin4,
+                        dims,
+                        &bc,
+                        xs.clone(),
+                        &mut part,
+                    );
+                    part
+                })
+                .collect();
+            let mut joined = FluidGrid::empty();
+            joined.concat_planes(&parts);
+            assert_eq!(joined.fx, whole.fx, "{tiling:?}");
+            assert_eq!(joined.fy, whole.fy, "{tiling:?}");
+            assert_eq!(joined.fz, whole.fz, "{tiling:?}");
+        }
+        assert!(whole.fx[dims.idx(dims.nx - 1, 12, 12)] != 0.0, "no wrap");
     }
 
     #[test]

@@ -38,9 +38,7 @@ pub mod fused;
 pub mod grid;
 pub mod lattice;
 pub mod macroscopic;
-pub mod observables;
 pub mod stepper;
-pub mod units;
 
 pub use boundary::BoundaryConfig;
 pub use collision::Relaxation;

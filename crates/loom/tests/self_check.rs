@@ -138,7 +138,7 @@ fn join_publishes_child_writes() {
 
 #[test]
 fn compare_exchange_loop_never_loses_updates() {
-    // The AtomicF64 pattern: CAS-retry increment from two threads.
+    // A CAS-retry increment from two threads.
     loom::model(|| {
         let a = Arc::new(AtomicUsize::new(0));
         let a2 = Arc::clone(&a);
