@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use ib::delta::DeltaKind;
+use ib::delta::{CubeIndexer, DeltaKind};
 use ib::forces;
 use ib::sheet::FiberSheet;
 use lbm::boundary::{stream_push_bounded, BoundaryConfig};
@@ -209,15 +209,12 @@ fn coupling_kernels(c: &mut Criterion) {
     });
     let bc = BoundaryConfig::periodic();
     let g = grid_32();
-    group.bench_function("interpolate_velocity_one_node", |b| {
+    let dims = Dims::new(32, 32, 32);
+    let indexer = CubeIndexer::planes(dims);
+    group.bench_function("interp_one_node", |b| {
         b.iter(|| {
-            ib::interp::interpolate_velocity(
-                black_box([12.3, 15.7, 16.1]),
-                DeltaKind::Peskin4,
-                Dims::new(32, 32, 32),
-                &bc,
-                &g,
-            )
+            let stencil = indexer.stencil(black_box([12.3, 15.7, 16.1]), DeltaKind::Peskin4, &bc);
+            ib::interp::interp(&stencil, |_| true, |node| g.velocity(node))
         })
     });
     group.finish();

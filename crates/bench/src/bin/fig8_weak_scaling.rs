@@ -15,7 +15,7 @@
 //! Usage: `fig8_weak_scaling [--steps N] [--shrink S] [--cores 1,2,...] [--full]`
 
 use cachesim::trace::{simulate_cube_marked, simulate_flat_fused};
-use ib::delta::Stencil;
+use ib::delta::CubeIndexer;
 use lbm::cube_grid::CubeDims;
 use lbm::distribution::CubeDistribution;
 use lbm_ib::barrier::BarrierKind;
@@ -171,9 +171,11 @@ fn main() {
 /// force.
 fn stencil_cubes(config: SimulationConfig, cdims: CubeDims) -> Vec<bool> {
     let mut marked = vec![false; cdims.num_cubes()];
+    let indexer = CubeIndexer::new(cdims.dims, [cdims.k; 3]);
     for &p in &SimState::new(config).sheet.pos {
-        Stencil::new(p, config.delta, cdims.dims, &config.bc)
-            .for_each(|i| marked[cdims.split(i.x, i.y, i.z).0] = true);
+        indexer
+            .stencil(p, config.delta, &config.bc)
+            .for_each_block(|cube, _| marked[cube] = true);
     }
     marked
 }

@@ -362,11 +362,10 @@ impl SimulationConfig {
                 problems.push(ConfigError::UnstableBodyForce { g, umax });
             }
         }
-        match problems.len() {
-            0 => Ok(()),
-            1 => Err(problems.pop().expect("len checked")),
-            _ => Err(ConfigError::Multiple(problems)),
+        if problems.len() > 1 {
+            return Err(ConfigError::Multiple(problems));
         }
+        problems.pop().map_or(Ok(()), Err)
     }
 
     /// Starts a [`ConfigBuilder`] seeded with the

@@ -8,8 +8,9 @@
 //! with exactly three barriers:
 //!
 //! ```text
-//! loop 1  fibers:  kernels 1–3, and each fiber node's delta stencil
-//!                  (kernel 4's only kernel evaluation; no grid writes)
+//! loop 1  fibers:  kernels 1–3, and each fiber node's delta stencil,
+//!                  stored in the cube layout (the step's only kernel
+//!                  evaluation; no grid writes)
 //! loop 2  cubes:   kernels 5+6 fused: derive ρ and u_eq from `cur` and the
 //!                  moment force, a cube at a time (the force is read and
 //!                  reseeded with the body force on marked cubes), collide
@@ -18,14 +19,15 @@
 //!                  direction) slots, so they are per-location exclusive
 //!                  without locks)
 //! ───────────────── barrier 1 (streamed populations in place)
-//! loop 3  cubes:   kernel 4 (each owner walks every fiber node's stencil
-//!                  in global order, marks its own cubes the stencil
-//!                  reaches and adds the force into them)
+//! loop 3  cubes:   kernel 4 (`ib::spread::spread`: each owner walks
+//!                  every stored stencil in global order, marks its own
+//!                  cubes the stencil reaches and adds the force into them)
 //!                  + kernel 7 on marked cubes only (u from `nxt` and the
 //!                  force, for kernel 8)
 //! ───────────────── barrier 2 (velocities in place)
-//! loop 4  fibers:  kernel 8 (move fibers through their stored stencils;
-//!                  reads velocities anywhere, writes only its own fibers)
+//! loop 4  fibers:  kernel 8 (`ib::interp::interp` through the stored
+//!                  stencils; reads velocities anywhere, writes only its
+//!                  own fibers)
 //! loop 5  —        no work: buffers swap roles
 //! ───────────────── barrier 3 (end of time step)
 //! ```
@@ -65,13 +67,13 @@
 //! body force, so loop 2 reseeds each force slot right after reading it.
 //!
 //! Only cubes some stencil reached in the last loop 3 can hold anything
-//! but the body force. Loop 3's owner marks them, once per distinct cube
-//! along each axis of each stencil, before the zero-force skip, because
-//! kernel 8 reads u through every stencil. Loop 2 reads the force only on
-//! a marked cube and takes the body force as a constant elsewhere. Kernel
-//! 7 runs only on the marked cubes and writes only u, the one field kernel
-//! 8 reads. ρ, u and u_eq are derived again, in the same arithmetic, when
-//! the state is gathered.
+//! but the body force. Loop 3's owner marks them, once per block of each
+//! stencil, also for a node whose force is zero, because kernel 8 reads u
+//! through every stencil. Loop 2 reads the force only on a marked cube and
+//! takes the body force as a constant elsewhere. Kernel 7 runs only on the
+//! marked cubes and writes only u, the one field kernel 8 reads. ρ, u and
+//! u_eq are derived again, in the same arithmetic, when the state is
+//! gathered.
 //!
 //! The first step after [`CubeSolver::from_state`] is the exception: it
 //! collides at the state's stored ρ and u_eq, and every cube starts
@@ -96,17 +98,18 @@
 //!
 //! No phase writes a location that another thread also writes. Spreading
 //! is the phase where that could happen (a stencil can reach into several
-//! threads' cubes), so it is split: the fiber owner computes each node's
-//! stencil in loop 1, and in loop 3 every cube owner walks all fiber nodes
-//! in global order and applies only the contributions that land in its own
-//! cubes, one block of the stencil per cube. Each force slot therefore
-//! receives the same products in the same order as in the sequential
-//! solver's kernel 4, whatever the thread count, distribution policy or
-//! cube edge: a stencil adds at most one product per slot, or, where it
-//! wraps twice onto a periodic axis shorter than itself, adds them in the
-//! sequential order (see `CubeStencil::for_each_block`). Runs are bit-exactly
-//! reproducible, which the checkpoint/resume equivalence guarantee relies
-//! on.
+//! threads' cubes), so it is split: the fiber owner builds each node's
+//! stencil in loop 1 ([`ib::delta::CubeIndexer`] with cube bricks), and in
+//! loop 3 every cube owner runs the one spread all solvers run
+//! ([`ib::spread::spread`]): it walks all fiber nodes in global order and
+//! applies only the blocks that land in its own cubes, one block of the
+//! stencil per cube. Each force slot therefore receives the same products
+//! in the same order as in the sequential solver's kernel 4, whatever the
+//! thread count, distribution policy or cube edge: a stencil adds at most
+//! one product per slot, or, where it wraps more than once onto a periodic
+//! axis shorter than itself, adds them in the sequential order (see
+//! `CubeStencil::for_each_block`). Runs are bit-exactly reproducible, which
+//! the checkpoint/resume equivalence guarantee relies on.
 //!
 //! # Panic safety
 //!
@@ -116,21 +119,21 @@
 //! solver's arrays — without advancing the step counter — and returns
 //! [`SolverError::WorkerPanicked`] naming the thread and phase.
 
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use ib::delta::Stencil;
+use ib::delta::{CubeIndexer, CubeStencil};
 use ib::forces::{bending_at, stretching_at, SheetTopology};
+use ib::interp::interp;
 use ib::sheet::FiberSheet;
+use ib::spread::spread;
 use ib::tether::{Tether, TetherSet};
 use lbm::boundary::{BoundaryConfig, StreamRouter};
 use lbm::cube_grid::{CubeDims, CubeFluidGrid};
 use lbm::distribution::{CubeDistribution, FiberDistribution, Policy, ThreadMesh};
 use lbm::fused::{self, collide_to_registers, face_bits};
-use lbm::grid::Dims;
 use lbm::lattice::{E, Q};
 use lbm::macroscopic::node_moments_shifted;
 
@@ -155,145 +158,6 @@ pub const WORKER_PHASES: [&str; 5] = [
     "copy-reseed",
 ];
 
-/// Precomputed coordinate→index tables for the cube layout, avoiding the
-/// div/mod of [`CubeDims::flat_of_global`] in the streaming and spreading
-/// hot loops.
-///
-/// Both the cube index and the flat index of a node are sums of one term
-/// per axis: `cube_part[0][x] + cube_part[1][y] + cube_part[2][z]` is the
-/// cube holding `(x, y, z)`, and likewise `flat_part` gives its flat index.
-struct CubeIndexer {
-    cube_part: [Vec<usize>; 3],
-    flat_part: [Vec<usize>; 3],
-}
-
-impl CubeIndexer {
-    fn new(cdims: CubeDims) -> Self {
-        let ext = [cdims.dims.nx, cdims.dims.ny, cdims.dims.nz];
-        let (k, npc) = (cdims.k, cdims.nodes_per_cube());
-        let cube_stride = [cdims.cy * cdims.cz, cdims.cz, 1];
-        let local_stride = [k * k, k, 1];
-        let part = |a: usize, v: usize| {
-            let cube = v / k * cube_stride[a];
-            (cube, cube * npc + v % k * local_stride[a])
-        };
-        let mut cube_part: [Vec<usize>; 3] = Default::default();
-        let mut flat_part: [Vec<usize>; 3] = Default::default();
-        for a in 0..3 {
-            (cube_part[a], flat_part[a]) = (0..ext[a]).map(|v| part(a, v)).unzip();
-        }
-        Self {
-            cube_part,
-            flat_part,
-        }
-    }
-
-    #[inline]
-    fn flat(&self, x: usize, y: usize, z: usize) -> usize {
-        self.flat_part[0][x] + self.flat_part[1][y] + self.flat_part[2][z]
-    }
-
-    /// Maps a delta stencil to the cube layout.
-    fn stencil(&self, s: &Stencil) -> CubeStencil {
-        let mut out = CubeStencil::default();
-        for a in 0..3 {
-            let (coords, weights) = s.axis(a);
-            out.len[a] = coords.len();
-            for (j, (&v, &w)) in coords.iter().zip(weights).enumerate() {
-                out.cube[a][j] = self.cube_part[a][v];
-                out.flat[a][j] = self.flat_part[a][v];
-                out.weight[a][j] = w;
-                if j == 0 || out.cube[a][j] != out.cube[a][j - 1] {
-                    out.runs[a] |= 1 << j;
-                }
-            }
-        }
-        out
-    }
-}
-
-/// One fiber node's delta stencil in the cube layout, built by the fiber
-/// owner in loop 1 and read by the spread (loop 3) and the interpolation
-/// (loop 4). Per axis and entry it holds the entry's term of the cube
-/// index, its term of the flat index (see [`CubeIndexer`]) and its 1D
-/// weight. Per axis, bit `j` of `runs` is set if entry `j` starts a run,
-/// a stretch of consecutive entries with one cube term. One run per axis
-/// makes a block, which lies in a single cube.
-#[derive(Clone, Copy, Default)]
-struct CubeStencil {
-    cube: [[usize; Stencil::MAX_WIDTH]; 3],
-    flat: [[usize; Stencil::MAX_WIDTH]; 3],
-    weight: [[f64; Stencil::MAX_WIDTH]; 3],
-    len: [usize; 3],
-    runs: [u8; 3],
-}
-
-impl CubeStencil {
-    /// Calls `f(flat, weight)` for every node of the tensor-product
-    /// domain, in [`Stencil::for_each`]'s order and with its weight
-    /// association, `(wx * wy) * wz`.
-    #[inline(always)]
-    fn for_each(&self, f: impl FnMut(usize, f64)) {
-        self.for_each_in(&[0..self.len[0], 0..self.len[1], 0..self.len[2]], f);
-    }
-
-    /// Calls `f(flat, weight)` for the nodes of `block` (a range of
-    /// entries per axis), in [`Self::for_each`]'s order and weight
-    /// association.
-    #[inline(always)]
-    fn for_each_in(&self, block: &[Range<usize>; 3], mut f: impl FnMut(usize, f64)) {
-        for ix in block[0].clone() {
-            let (fx, wx) = (self.flat[0][ix], self.weight[0][ix]);
-            for iy in block[1].clone() {
-                let fxy = fx + self.flat[1][iy];
-                let wxy = wx * self.weight[1][iy];
-                for iz in block[2].clone() {
-                    f(fxy + self.flat[2][iz], wxy * self.weight[2][iz]);
-                }
-            }
-        }
-    }
-
-    /// Calls `f(cube, block)` for every block of the stencil, x runs
-    /// outermost: once per cube the stencil reaches, not once per point (a
-    /// cube comes up twice only where a periodic axis wraps the stencil
-    /// back into it).
-    ///
-    /// The blocks visit the points in another order than
-    /// [`Self::for_each`], which changes no force sum: only two points on
-    /// one node could tell, and those differ in their entries only along
-    /// periodic axes shorter than the stencil. The cube edge divides such
-    /// an axis's length (at most 3), so it is 1, and every block is a
-    /// single point in `for_each`'s order, or it is that length, and the
-    /// axis is one run, so both points lie in one block.
-    #[inline(always)]
-    fn for_each_block(&self, mut f: impl FnMut(usize, &[Range<usize>; 3])) {
-        let runs = |a: usize| {
-            let mut bits = u32::from(self.runs[a]);
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let start = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let end = if bits == 0 {
-                    self.len[a]
-                } else {
-                    bits.trailing_zeros() as usize
-                };
-                Some((self.cube[a][start], start..end))
-            })
-        };
-        for (cx, rx) in runs(0) {
-            for (cy, ry) in runs(1) {
-                for (cz, rz) in runs(2) {
-                    f(cx + cy + cz, &[rx.clone(), ry.clone(), rz]);
-                }
-            }
-        }
-    }
-}
-
 /// Push streaming in the cube layout.
 ///
 /// `off[local][i]` is the signed flat-index offset from a node with local
@@ -312,7 +176,7 @@ impl CubeStreamer {
         Self {
             cdims,
             router: StreamRouter::new(cdims.dims, bc),
-            indexer: CubeIndexer::new(cdims),
+            indexer: CubeIndexer::new(cdims.dims, [cdims.k; 3]),
             off: Self::offsets(cdims),
         }
     }
@@ -595,7 +459,6 @@ impl CubeSolver {
         }
         let n_threads = self.n_threads;
         let cdims = self.cdims;
-        let dims = cdims.dims;
         let config = self.config;
         let topo = self.sheet.topology();
         let nn = topo.nodes_per_fiber;
@@ -697,7 +560,6 @@ impl CubeSolver {
                             step0,
                             config,
                             cdims,
-                            dims,
                             topo,
                             grid,
                             sheet_pos,
@@ -836,7 +698,6 @@ fn worker(
     step0: u64,
     config: SimulationConfig,
     cdims: CubeDims,
-    dims: Dims,
     topo: SheetTopology,
     grid: &SharedCubeGrid,
     sheet_pos: &SharedSlice<[f64; 3]>,
@@ -943,18 +804,18 @@ fn worker(
             busy[2] += t0.elapsed().as_secs_f64();
 
             // Kernel 4 (stencils): evaluate the delta kernel once per node
-            // of my fibers and store the stencil in cube-layout form. The
-            // cube owners apply the spread from it in loop 3, and loop 4
+            // of my fibers and store the stencil in the cube layout. The
+            // cube owners spread from it in loop 3, and loop 4
             // interpolates through it.
             let t0 = Instant::now();
             for &fiber in &plan.my_fibers {
                 for node in 0..nn {
                     let i = fiber * nn + node;
-                    let stencil = Stencil::new(pos[i], delta, dims, &bc);
+                    let stencil = streamer.indexer.stencil(pos[i], delta, &bc);
                     // SAFETY: node i belongs to my fiber; sole writer. The
                     // previous step's readers (loops 3 and 4) are separated
                     // from this write by barrier 3.
-                    unsafe { stencils.set(i, streamer.indexer.stencil(&stencil)) };
+                    unsafe { stencils.set(i, stencil) };
                 }
             }
             busy[3] += t0.elapsed().as_secs_f64();
@@ -1055,30 +916,28 @@ fn worker(
                 // SAFETY: my cube's mark; loop 2 read it before barrier 1.
                 unsafe { marks.set(cube, false) };
             }
-            for (stencil, e) in stencils.iter().zip(elastic) {
-                let f_l = [e[0] * area, e[1] * area, e[2] * area];
-                let spread = f_l != [0.0, 0.0, 0.0];
-                // One ownership test per block. The mark comes before the
-                // zero-force skip: kernel 8 reads u through every stencil.
-                stencil.for_each_block(|cube, block| {
-                    if owner[cube] != plan.tid {
-                        return;
-                    }
+            // One ownership test per block. The mark comes with the test,
+            // before `spread` skips a zero force: kernel 8 reads u through
+            // every stencil.
+            let owns = |cube: usize| {
+                let mine = owner[cube] == plan.tid;
+                if mine {
                     // SAFETY: a cube I own, so I am the only thread
-                    // touching its mark and force slots in this phase.
+                    // touching its mark in this phase.
                     unsafe { marks.set(cube, true) };
-                    if spread {
-                        stencil.for_each_in(block, |flat, w| {
-                            // SAFETY: the block lies in that cube.
-                            unsafe {
-                                grid.fx.add(flat, f_l[0] * w);
-                                grid.fy.add(flat, f_l[1] * w);
-                                grid.fz.add(flat, f_l[2] * w);
-                            }
-                        });
-                    }
-                });
-            }
+                }
+                mine
+            };
+            spread(stencils, elastic, area, owns, |flat, df| {
+                // SAFETY: `flat` lies in a cube I own (`owns` accepted its
+                // block), so I am the only thread touching its force slots
+                // in this phase.
+                unsafe {
+                    grid.fx.add(flat, df[0]);
+                    grid.fy.add(flat, df[1]);
+                    grid.fz.add(flat, df[2]);
+                }
+            });
         }
         busy[3] += t0.elapsed().as_secs_f64();
 
@@ -1125,21 +984,14 @@ fn worker(
             // SAFETY: the stencils are read-only from barrier 1 until the
             // next step's loop 1, behind barrier 3.
             let stencils = unsafe { stencils.as_slice_unchecked() };
+            // SAFETY: velocities are read-only in this phase (written in
+            // loop 3, before barrier 2).
+            let velocity =
+                |flat| unsafe { [grid.ux.get(flat), grid.uy.get(flat), grid.uz.get(flat)] };
             for &fiber in &plan.my_fibers {
                 for node in 0..nn {
                     let i = fiber * nn + node;
-                    // Interpolation in `ib::interp::interpolate_velocity`'s
-                    // order: `U(X) = Σ u(x) δ³(x − X)`.
-                    let mut u = [0.0; 3];
-                    stencils[i].for_each(|flat, w| {
-                        // SAFETY: velocities are read-only in this phase
-                        // (written in loop 3, before barrier 2).
-                        let v =
-                            unsafe { [grid.ux.get(flat), grid.uy.get(flat), grid.uz.get(flat)] };
-                        u[0] += v[0] * w;
-                        u[1] += v[1] * w;
-                        u[2] += v[2] * w;
-                    });
+                    let u = interp(&stencils[i], |_| true, velocity);
                     // SAFETY: my fiber's position; sole reader and writer
                     // in this phase.
                     unsafe {
@@ -1184,6 +1036,7 @@ mod tests {
     use crate::sequential::SequentialSolver;
     use crate::solver::Solver;
     use lbm::boundary::{stream_push_routed_node, AxisBoundary, CoordRoute};
+    use lbm::grid::Dims;
 
     fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         a.iter()
@@ -1648,11 +1501,18 @@ mod tests {
 
     #[test]
     fn stencils_wrapping_onto_short_periodic_axes_spread_in_sequential_order() {
-        // Along a periodic axis of length 2 or 3 a 4-wide stencil reaches
-        // some nodes twice, so the order of its products matters there.
-        for (n, edges) in [(2, [1, 2]), (3, [1, 3])] {
+        // Along a periodic axis of length 1, 2 or 3 a 4-wide stencil
+        // reaches some nodes more than once, so the order of its products
+        // matters there. With one axis of length 1 and another of 2 or 3,
+        // a cube edge of 1 puts a node's products in several blocks.
+        for (nx, n, edges) in [
+            (2, 2, &[1, 2][..]),
+            (3, 3, &[1, 3]),
+            (1, 2, &[1]),
+            (1, 3, &[1]),
+        ] {
             let cfg = SimulationConfig {
-                nx: n,
+                nx,
                 ny: n,
                 cube_k: 1,
                 sheet: SheetConfig {
@@ -1664,10 +1524,10 @@ mod tests {
             let start = displaced_state(cfg);
             let mut seq = SequentialSolver::from_state(start.clone());
             seq.run(3);
-            for cube_k in edges {
+            for &cube_k in edges {
                 for threads in 1..=2 {
                     let got = run_cube_in_chunks(start.clone(), cube_k, threads, &[3]);
-                    let tag = format!("{n}x{n}x12, cube_k {cube_k}, {threads} threads");
+                    let tag = format!("{nx}x{n}x12, cube_k {cube_k}, {threads} threads");
                     assert_bitwise_equal(&got, &seq.state, &tag);
                 }
             }

@@ -7,7 +7,8 @@
 //! and all communication flows through bounded `std::sync::mpsc` messages
 //! — the in-process stand-in for MPI. Each rank runs the sequential
 //! solver's kernels on its own sub-domain (kernels 1–3 from `ib::forces`,
-//! the spread from `ib::spread`, the collision from
+//! the spread from `ib::spread`, the interpolation from `ib::interp`, the
+//! collision from
 //! [`lbm::fused::collided_block`], kernel 7 from
 //! [`lbm::macroscopic::update_velocity_shifted`]) and exchanges only
 //! boundary data:
@@ -21,10 +22,11 @@
 //!   the 19 per face node — and the receiver stores them before kernel 7;
 //! * **structure replication + all-reduce** — every rank holds the whole
 //!   (small) fiber sheet and computes its forces redundantly (Table I
-//!   shows fiber kernels are ~0.05% of the work); spreading
-//!   ([`ib::spread::spread_into_planes`]) evaluates only the stencils that
-//!   reach the rank's own planes and keeps what lands there, and the velocity
-//!   interpolation produces partial sums that are reduced in rank order
+//!   shows fiber kernels are ~0.05% of the work). Each rank builds every
+//!   fiber node's stencil once per step; the spread
+//!   ([`ib::spread::spread`]) applies the blocks on the rank's own planes,
+//!   and the velocity interpolation ([`ib::interp::interp`]) sums over the
+//!   same planes. The partial sums are reduced in rank order
 //!   (deterministically) and broadcast back, exactly the scheme
 //!   distributed IB codes use over MPI.
 //!
@@ -38,11 +40,11 @@ use std::ops::Range;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender as Sender};
 use std::time::{Duration, Instant};
 
-use ib::delta::for_each_influence;
+use ib::delta::{CubeIndexer, CubeStencil};
 use ib::forces::{compute_bending_force, compute_elastic_force, compute_stretching_force};
-use ib::interp::VelocityField;
+use ib::interp::interp;
 use ib::sheet::FiberSheet;
-use ib::spread::spread_into_planes;
+use ib::spread::spread;
 use ib::tether::TetherSet;
 use lbm::boundary::StreamRouter;
 use lbm::fused::{collided_block, push_planes};
@@ -329,15 +331,6 @@ struct Rank {
     xs: Range<usize>,
 }
 
-impl Rank {
-    /// The plane of the rank's grid holding global plane `x`, if it owns it.
-    #[inline]
-    fn local_x(&self, x: usize) -> Option<usize> {
-        x.checked_sub(self.xs.start)
-            .filter(|&lx| lx < self.xs.len())
-    }
-}
-
 /// A rank's receiving end: one channel per peer (`rx[peer]`), the halo
 /// timeout, and the time spent blocked — the distributed analogue of
 /// barrier wait: the rank is stalled on a neighbour or on the reduction
@@ -403,6 +396,14 @@ fn rank_steps(
     let router = StreamRouter::new(dims, &bc);
     let halo = Halo::new(rank, dims);
     let mut busy = [0.0f64; KernelId::COUNT];
+    // The stencils of the rank's sheet replica, built in kernel 4 and read
+    // in kernel 8 of the same step.
+    let indexer = CubeIndexer::planes(dims);
+    let mut stencils = vec![CubeStencil::default(); sheet.n()];
+    // Flat index of the rank's first node; `owns` picks its planes.
+    let first = rank.xs.start * dims.ny * dims.nz;
+    let owns = |x: usize| rank.xs.contains(&x);
+    let area = sheet.area_element();
 
     for _step in 0..n_steps {
         // Kernels 1–3 (+ tethers): replicated on every rank.
@@ -415,12 +416,20 @@ fn rank_steps(
             tethers.apply(sheet);
         });
 
-        // Kernel 4: reset to body force, spread only into owned planes.
+        // Kernel 4: build every node's stencil, reset to body force, and
+        // spread the blocks on the owned planes.
         timed(&mut busy, SpreadForce, || {
-            grid.fx.fill(body[0]);
-            grid.fy.fill(body[1]);
-            grid.fz.fill(body[2]);
-            spread_into_planes(sheet, delta, dims, &bc, rank.xs.clone(), grid);
+            indexer.build(&sheet.pos, delta, &bc, &mut stencils);
+            let FluidGrid { fx, fy, fz, .. } = grid;
+            fx.fill(body[0]);
+            fy.fill(body[1]);
+            fz.fill(body[2]);
+            spread(&stencils, &sheet.elastic, area, owns, |node, df| {
+                let i = node - first;
+                fx[i] += df[0];
+                fy[i] += df[1];
+                fz[i] += df[2];
+            });
         });
 
         // Fused kernels 5+6: collide every owned node in registers and push
@@ -466,20 +475,10 @@ fn rank_steps(
         // deterministic all-reduce (rank order) through rank 0. The local
         // work is charged to MoveFibers; time blocked in the reduction is
         // communication wait.
-        let partial = timed(&mut busy, MoveFibers, || {
+        let partial: Vec<[f64; 3]> = timed(&mut busy, MoveFibers, || {
             let grid = &*grid;
-            let mut partial = vec![[0.0f64; 3]; sheet.n()];
-            for (p, u) in sheet.pos.iter().zip(&mut partial) {
-                for_each_influence(*p, delta, dims, &bc, |inf| {
-                    if let Some(lx) = rank.local_x(inf.x) {
-                        let v = grid.velocity_at(lx, inf.y, inf.z);
-                        u[0] += v[0] * inf.weight;
-                        u[1] += v[1] * inf.weight;
-                        u[2] += v[2] * inf.weight;
-                    }
-                });
-            }
-            partial
+            let velocity = |node: usize| grid.velocity(node - first);
+            stencils.iter().map(|s| interp(s, owns, velocity)).collect()
         });
         let reduced = if rank.n == 1 {
             partial

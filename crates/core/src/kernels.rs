@@ -8,6 +8,7 @@
 //! so the spread force is read only by kernel 7 — the dependency structure
 //! Algorithm 4's three barriers rely on.
 
+use ib::delta::{CubeIndexer, CubeStencil};
 use ib::forces;
 use ib::interp;
 use ib::spread;
@@ -35,20 +36,24 @@ pub fn compute_elastic_force_in_fibers(state: &mut SimState) {
 
 /// Kernel 4: reset the Eulerian force to the driving body force, then
 /// spread every fiber node's elastic force over its 4×4×4 influential
-/// domain.
+/// domain, through a stencil store built for this call.
 pub fn spread_force_from_fibers_to_fluid(state: &mut SimState) {
+    spread_force_through(state, &mut Vec::new());
+}
+
+/// Kernel 4 through a kept store: builds every fiber node's stencil into
+/// `stencils` (one per node, in the flat layout's plane bricks), resets the
+/// Eulerian force to the body force and spreads from the stencils.
+/// [`move_fibers_through`] reads the same stencils in kernel 8.
+pub fn spread_force_through(state: &mut SimState, stencils: &mut Vec<CubeStencil>) {
+    let c = &state.config;
+    stencils.resize(state.sheet.n(), CubeStencil::default());
+    CubeIndexer::planes(c.dims()).build(&state.sheet.pos, c.delta, &c.bc, stencils);
     state.fluid.clear_force();
-    if state.config.body_force != [0.0; 3] {
-        add_uniform_body_force(&mut state.fluid, state.config.body_force);
+    if c.body_force != [0.0; 3] {
+        add_uniform_body_force(&mut state.fluid, c.body_force);
     }
-    let dims = state.config.dims();
-    spread::spread_forces(
-        &state.sheet,
-        state.config.delta,
-        dims,
-        &state.config.bc,
-        &mut state.fluid,
-    );
+    spread::spread_into_grid(stencils, &state.sheet, &mut state.fluid);
 }
 
 /// Kernel 5: BGK collision at every fluid node in the 19 D3Q19 directions,
@@ -80,7 +85,8 @@ pub fn update_fluid_velocity(state: &mut SimState) {
     update_velocity_shifted(&mut state.fluid, state.config.tau);
 }
 
-/// Kernel 8: interpolate fluid velocity at every fiber node and move it.
+/// Kernel 8: interpolate fluid velocity at every fiber node and move it,
+/// through a stencil store built for this call.
 pub fn move_fibers(state: &mut SimState) {
     let dims = state.config.dims();
     // Split-borrow the state so the sheet can move while reading the fluid.
@@ -91,6 +97,12 @@ pub fn move_fibers(state: &mut SimState) {
         ..
     } = state;
     interp::move_fibers(sheet, config.delta, dims, &config.bc, fluid, 1.0);
+}
+
+/// Kernel 8 through the stencils [`spread_force_through`] stored this
+/// step: no kernel evaluation.
+pub fn move_fibers_through(state: &mut SimState, stencils: &[CubeStencil]) {
+    interp::move_through(&mut state.sheet.pos, stencils, &state.fluid, 1.0);
 }
 
 /// Kernel 9: copy the new-distribution buffer into the present buffer.

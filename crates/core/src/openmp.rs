@@ -10,12 +10,16 @@
 //! each task runs the `ib` range kernel on a chunk of fibers. Two kernels
 //! have a parallel form of their own. Streaming (kernel 6, alone or fused
 //! with 5) pushes across slab faces, so the slabs write one shared `f_new`
-//! through [`SharedSlice`]. Force spreading (kernel 4) runs over x-slabs:
-//! each slab owner walks every fiber node in global order and keeps only
-//! what lands on its own planes ([`spread_into_planes`]), so no force slot
-//! has two writers and each receives its contributions in the sequential
-//! order — bit-exact reruns, independent of thread count and schedule,
-//! with no lock, atomic or staging buffer.
+//! through [`SharedSlice`]. Force spreading (kernel 4) is two regions. A
+//! region over fiber chunks builds each fiber node's delta stencil into a
+//! buffer the solver keeps ([`CubeIndexer::planes`]), the step's only
+//! kernel evaluation. A region over x-slabs then runs the one spread all
+//! solvers run ([`spread`]): each slab owner walks every stored stencil in
+//! global order and applies only the blocks on its own planes, so no force
+//! slot has two writers and each receives its contributions in the
+//! sequential order — bit-exact reruns, independent of thread count and
+//! schedule, with no lock, atomic or staging buffer. Kernel 8 interpolates
+//! through the same stencils, over fiber chunks.
 //!
 //! Every region records per-thread busy time and the time each thread then
 //! waits at the region's closing join (`max − busy_t`) into the run's
@@ -25,14 +29,15 @@
 use std::ops::Range;
 use std::time::Instant;
 
+use ib::delta::{CubeIndexer, CubeStencil};
 use ib::forces::{bending_forces, elastic_forces, stretching_forces};
-use ib::interp::move_nodes;
+use ib::interp::move_through;
 use ib::sheet::FiberSheet;
-use ib::spread::spread_into_planes;
+use ib::spread::spread;
 use lbm::boundary::StreamRouter;
 use lbm::collision::collide_shifted_slab;
 use lbm::fused::{collided_block, push_planes, stored_block};
-use lbm::grid::FluidGrid;
+use lbm::grid::{FluidGrid, Slab};
 use lbm::lattice::Q;
 use lbm::macroscopic::update_velocity_shifted_slab;
 
@@ -119,6 +124,9 @@ pub struct OpenMpSolver {
     /// Per-worker busy and region-wait seconds since the start of the
     /// current `run` call.
     telemetry: Vec<ThreadTelemetry>,
+    /// One delta stencil per fiber node, built in kernel 4 and read in
+    /// kernel 8 of the same step; the buffer is kept between steps.
+    stencils: Vec<CubeStencil>,
 }
 
 impl OpenMpSolver {
@@ -138,6 +146,7 @@ impl OpenMpSolver {
             pool,
             n_threads,
             telemetry: vec![ThreadTelemetry::default(); n_threads],
+            stencils: Vec::new(),
         }
     }
 
@@ -296,35 +305,54 @@ impl OpenMpSolver {
         record_region(telemetry, kernel, &slots);
     }
 
-    /// Kernel 4 as one region over x-slabs: each slab resets its force to
-    /// the body force, then spreads the sheet into its own planes
-    /// ([`spread_into_planes`]). Every slab walks the fiber nodes in global
-    /// order, so each force slot receives the sequential spread's products
-    /// in the sequential order: bit-identical for every thread count and
-    /// schedule.
+    /// Kernel 4 as two regions. The first, over fiber chunks, builds each
+    /// fiber node's stencil into the kept buffer: the step's only delta
+    /// evaluation, which kernel 8 reuses. The second, over x-slabs, resets
+    /// each slab's force to the body force and applies the stencil blocks
+    /// on its own planes ([`spread`]). Every slab walks the fiber nodes in
+    /// global order, so each force slot receives the sequential spread's
+    /// products in the sequential order: bit-identical for every thread
+    /// count and schedule.
     fn spread_kernel(&mut self) {
+        let (_, nodes) = self.fiber_chunks();
         let planes = self.planes();
         let c = self.state.config;
-        let dims = c.dims();
+        let kernel = KernelId::SpreadForce;
+        let indexer = CubeIndexer::planes(c.dims());
         let SimState { fluid, sheet, .. } = &mut self.state;
         let sheet = &*sheet;
-        let slabs = fluid
-            .slabs_mut(&planes)
+        self.stencils.resize(sheet.n(), CubeStencil::default());
+        let chunks = split_by_ranges(&mut self.stencils, &nodes)
             .into_iter()
-            .zip(planes.iter().cloned());
-        let kernel = KernelId::SpreadForce;
+            .zip(nodes.iter().cloned());
         Self::region_static(
             &self.pool,
             &mut self.telemetry,
             kernel,
-            slabs,
-            |(mut s, xs)| {
-                s.fx.fill(c.body_force[0]);
-                s.fy.fill(c.body_force[1]);
-                s.fz.fill(c.body_force[2]);
-                spread_into_planes(sheet, c.delta, dims, &c.bc, xs, &mut s);
-            },
+            chunks,
+            |(out, r)| indexer.build(&sheet.pos[r], c.delta, &c.bc, out),
         );
+        let stencils = &self.stencils[..];
+        let area = sheet.area_element();
+        let slabs = fluid
+            .slabs_mut(&planes)
+            .into_iter()
+            .zip(planes.iter().cloned());
+        Self::region_static(&self.pool, &mut self.telemetry, kernel, slabs, |(s, xs)| {
+            let Slab {
+                nodes, fx, fy, fz, ..
+            } = s;
+            fx.fill(c.body_force[0]);
+            fy.fill(c.body_force[1]);
+            fz.fill(c.body_force[2]);
+            let owns = |x: usize| xs.contains(&x);
+            spread(stencils, &sheet.elastic, area, owns, |node, df| {
+                let i = node - nodes.start;
+                fx[i] += df[0];
+                fy[i] += df[1];
+                fz[i] += df[2];
+            });
+        });
     }
 
     /// Kernel 5: collision, parallel over x-slabs (Algorithm 2).
@@ -408,20 +436,21 @@ impl OpenMpSolver {
         });
     }
 
-    /// Kernel 8: move fibers, parallel over fiber chunks.
+    /// Kernel 8: move fibers, parallel over fiber chunks, through the
+    /// stencils kernel 4 stored.
     fn move_fibers_kernel(&mut self) {
         let (_, nodes) = self.fiber_chunks();
-        let c = self.state.config;
-        let dims = c.dims();
         let SimState { fluid, sheet, .. } = &mut self.state;
-        let fluid = &*fluid;
-        let chunks = split_by_ranges(&mut sheet.pos, &nodes);
+        let (fluid, stencils) = (&*fluid, &self.stencils);
+        let chunks = split_by_ranges(&mut sheet.pos, &nodes)
+            .into_iter()
+            .zip(nodes.iter().cloned());
         Self::region_static(
             &self.pool,
             &mut self.telemetry,
             KernelId::MoveFibers,
             chunks,
-            |pos| move_nodes(pos, c.delta, dims, &c.bc, fluid, 1.0),
+            |(pos, r)| move_through(pos, &stencils[r], fluid, 1.0),
         );
     }
 
@@ -555,9 +584,10 @@ mod tests {
                 assert!(secs > 0.0, "{k:?}");
             }
         }
-        // Nine regions per split step, one closing join each per thread.
+        // Ten regions per split step (kernel 4 has two: the stencil build
+        // and the spread), one closing join each per thread.
         for th in &t.per_thread {
-            assert_eq!(th.barrier_waits, 9 * 3);
+            assert_eq!(th.barrier_waits, 10 * 3);
         }
         let share = t.barrier_wait_share();
         assert!((0.0..1.0).contains(&share), "{share}");

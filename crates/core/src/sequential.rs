@@ -3,8 +3,9 @@
 
 use std::time::Instant;
 
+use ib::delta::CubeStencil;
+
 use crate::config::KernelPlan;
-use crate::kernels;
 use crate::profiling::KernelId;
 use crate::solver::{timed_steps, Backend, RunReport};
 use crate::state::SimState;
@@ -18,6 +19,9 @@ pub struct SequentialSolver {
     pub telemetry_enabled: bool,
     /// Busy seconds per kernel since the start of the current `run` call.
     kernel_seconds: [f64; KernelId::COUNT],
+    /// One delta stencil per fiber node, built by kernel 4 and read by
+    /// kernel 8 of the same step; the buffer is kept between steps.
+    stencils: Vec<CubeStencil>,
 }
 
 impl SequentialSolver {
@@ -32,36 +36,40 @@ impl SequentialSolver {
             state,
             telemetry_enabled: false,
             kernel_seconds: [0.0; KernelId::COUNT],
+            stencils: Vec::new(),
         }
     }
 
     /// Executes one full time step: the nine kernels in Algorithm 1 order
     /// (with kernels 5+6 replaced by one fused sweep under
-    /// [`KernelPlan::Fused`]).
+    /// [`KernelPlan::Fused`]). Kernel 4 evaluates each fiber node's delta
+    /// stencil once and stores it; kernel 8 reads it.
     pub fn step(&mut self) {
+        use crate::kernels::*;
         use KernelId::*;
         let plan = self.state.config.plan;
         let s = &mut self.state;
         let secs = &mut self.kernel_seconds;
-        let mut time = |k: KernelId, kernel: fn(&mut SimState)| {
+        let stencils = &mut self.stencils;
+        let mut time = |k: KernelId, kernel: &mut dyn FnMut(&mut SimState)| {
             let t0 = Instant::now();
             kernel(s);
             secs[k.index()] += t0.elapsed().as_secs_f64();
         };
-        time(BendingForce, kernels::compute_bending_force_in_fibers);
-        time(StretchingForce, kernels::compute_stretching_force_in_fibers);
-        time(ElasticForce, kernels::compute_elastic_force_in_fibers);
-        time(SpreadForce, kernels::spread_force_from_fibers_to_fluid);
+        time(BendingForce, &mut compute_bending_force_in_fibers);
+        time(StretchingForce, &mut compute_stretching_force_in_fibers);
+        time(ElasticForce, &mut compute_elastic_force_in_fibers);
+        time(SpreadForce, &mut |s| spread_force_through(s, stencils));
         match plan {
             KernelPlan::Split => {
-                time(Collision, kernels::compute_fluid_collision);
-                time(Stream, kernels::stream_fluid_velocity_distribution);
+                time(Collision, &mut compute_fluid_collision);
+                time(Stream, &mut stream_fluid_velocity_distribution);
             }
-            KernelPlan::Fused => time(FusedCollideStream, kernels::fused_collide_stream),
+            KernelPlan::Fused => time(FusedCollideStream, &mut fused_collide_stream),
         }
-        time(UpdateVelocity, kernels::update_fluid_velocity);
-        time(MoveFibers, kernels::move_fibers);
-        time(CopyDistributions, kernels::copy_fluid_velocity_distribution);
+        time(UpdateVelocity, &mut update_fluid_velocity);
+        time(MoveFibers, &mut |s| move_fibers_through(s, stencils));
+        time(CopyDistributions, &mut copy_fluid_velocity_distribution);
         let s = &mut self.state;
         // Chaos-test failpoint (empty unless the `faultinject` feature is
         // on): poison the state so the watchdog path is exercised.

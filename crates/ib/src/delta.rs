@@ -4,7 +4,9 @@
 //! exactly the 4×4×4 "influential domain" of Section III-B. A 2-point hat
 //! and the 3-point Roma kernel are provided for the support-width ablation.
 
-use lbm::boundary::{AxisBoundary, BoundaryConfig};
+use std::ops::Range;
+
+use lbm::boundary::BoundaryConfig;
 use lbm::grid::Dims;
 
 /// Choice of 1D delta kernel (the 3D kernel is the tensor product).
@@ -93,128 +95,240 @@ impl DeltaKind {
     }
 }
 
-/// One lattice node inside a fiber node's influential domain, with its
-/// kernel weight.
-#[derive(Clone, Copy, Debug)]
-pub struct Influence {
-    pub x: usize,
-    pub y: usize,
-    pub z: usize,
-    pub weight: f64,
-}
-
-/// The influential domain of a Lagrangian point, factored per axis: the
-/// lattice coordinates inside the kernel support and their 1D weights.
+/// Coordinate→index tables for a grid stored in bricks of `edge[a]` nodes
+/// along axis `a`, bricks and the nodes inside a brick both in x-major
+/// order (as [`Dims::idx`] orders nodes).
 ///
-/// Building a stencil is the only place the kernel is evaluated; walking
-/// it ([`Stencil::for_each`]) only multiplies weights, so a solver can
-/// build it once per step and reuse it for spreading and interpolation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Stencil {
-    coord: [[usize; Stencil::MAX_WIDTH]; 3],
-    weight: [[f64; Stencil::MAX_WIDTH]; 3],
-    len: [usize; 3],
+/// Both the brick index and the flat index of a node are sums of one term
+/// per axis: `brick_part[0][x] + brick_part[1][y] + brick_part[2][z]` is
+/// the brick holding `(x, y, z)`, and likewise `flat_part` gives its flat
+/// index, with no division in the hot loops. Two layouts use it:
+///
+/// * the cube solver's `k × k × k` cubes ([`lbm::cube_grid::CubeDims`]);
+/// * the flat [`lbm::grid::FluidGrid`] as plane bricks `(1, ny, nz)`
+///   ([`CubeIndexer::planes`]): brick `x` is plane `x`, and the flat index
+///   is [`Dims::idx`].
+#[derive(Clone, Debug)]
+pub struct CubeIndexer {
+    dims: Dims,
+    brick_part: [Vec<usize>; 3],
+    flat_part: [Vec<usize>; 3],
 }
 
-impl Stencil {
-    /// Upper bound of [`DeltaKind::stencil_width`] over all kernels: the
-    /// most nodes with non-zero weight along one axis.
-    pub const MAX_WIDTH: usize = 4;
-
-    /// Builds the stencil of `pos`.
-    ///
-    /// Axes marked periodic in `bc` wrap; on wall axes, nodes beyond the
-    /// grid are skipped (the structure is expected to stay at least the
-    /// kernel half-support away from walls, as in the paper's tunnel
-    /// setup). Nodes where the kernel vanishes are left out.
-    pub fn new(pos: [f64; 3], kind: DeltaKind, dims: Dims, bc: &BoundaryConfig) -> Self {
-        let hs = kind.half_support();
+impl CubeIndexer {
+    /// The tables for bricks of `edge` nodes per axis. Each edge must
+    /// divide its axis's length.
+    pub fn new(dims: Dims, edge: [usize; 3]) -> Self {
         let ext = [dims.nx, dims.ny, dims.nz];
-        let periodic = [
-            matches!(bc.x, AxisBoundary::Periodic),
-            matches!(bc.y, AxisBoundary::Periodic),
-            matches!(bc.z, AxisBoundary::Periodic),
-        ];
-
-        // Candidate integer coordinates per axis: ceil(p - hs) ..= floor(p + hs),
-        // trimmed to open support.
-        let mut s = Self::default();
+        debug_assert!((0..3).all(|a| edge[a] > 0 && ext[a] % edge[a] == 0));
+        let bricks = [0, 1, 2].map(|a| ext[a] / edge[a]);
+        let brick_stride = [bricks[1] * bricks[2], bricks[2], 1];
+        let local_stride = [edge[1] * edge[2], edge[2], 1];
+        let nodes_per_brick = edge[0] * edge[1] * edge[2];
+        let mut brick_part: [Vec<usize>; 3] = Default::default();
+        let mut flat_part: [Vec<usize>; 3] = Default::default();
         for a in 0..3 {
+            (brick_part[a], flat_part[a]) = (0..ext[a])
+                .map(|v| {
+                    let brick = v / edge[a] * brick_stride[a];
+                    (
+                        brick,
+                        brick * nodes_per_brick + v % edge[a] * local_stride[a],
+                    )
+                })
+                .unzip();
+        }
+        Self {
+            dims,
+            brick_part,
+            flat_part,
+        }
+    }
+
+    /// The flat layout's plane bricks: brick `x` is plane `x`.
+    pub fn planes(dims: Dims) -> Self {
+        Self::new(dims, [1, dims.ny, dims.nz])
+    }
+
+    /// The flat index of node `(x, y, z)`.
+    #[inline]
+    pub fn flat(&self, x: usize, y: usize, z: usize) -> usize {
+        self.flat_part[0][x] + self.flat_part[1][y] + self.flat_part[2][z]
+    }
+
+    /// The delta stencil of `pos` in this layout: the step's only
+    /// evaluation of the kernel for that point.
+    ///
+    /// Per axis, the candidates are the integer coordinates
+    /// `ceil(p - hs) ..= floor(p + hs)`; those where the kernel vanishes are
+    /// left out. Axes marked periodic in `bc` wrap; on wall axes, nodes
+    /// beyond the grid are skipped (the structure is expected to stay at
+    /// least the kernel half-support away from walls, as in the paper's
+    /// tunnel setup).
+    pub fn stencil(&self, pos: [f64; 3], kind: DeltaKind, bc: &BoundaryConfig) -> CubeStencil {
+        let hs = kind.half_support();
+        let ext = [self.dims.nx, self.dims.ny, self.dims.nz];
+        let periodic = [bc.x.is_periodic(), bc.y.is_periodic(), bc.z.is_periodic()];
+        let mut s = CubeStencil::default();
+        for a in 0..3 {
+            // The axis's coordinates and weights first, then their terms:
+            // two tight loops run faster than one.
             let p = pos[a];
-            let lo = (p - hs).ceil() as i64;
-            let hi = (p + hs).floor() as i64;
-            for j in lo..=hi {
+            let mut coord = [0; CubeStencil::MAX_WIDTH];
+            let mut n = 0;
+            for j in (p - hs).ceil() as i64..=(p + hs).floor() as i64 {
                 let w = kind.eval(p - j as f64);
                 if w == 0.0 {
                     continue;
                 }
-                let idx = if periodic[a] {
-                    (j.rem_euclid(ext[a] as i64)) as usize
+                coord[n] = if periodic[a] {
+                    j.rem_euclid(ext[a] as i64) as usize
                 } else if j < 0 || j >= ext[a] as i64 {
                     continue;
                 } else {
                     j as usize
                 };
-                let n = s.len[a];
-                debug_assert!(n < Self::MAX_WIDTH, "kernel support wider than expected");
-                s.coord[a][n] = idx;
                 s.weight[a][n] = w;
-                s.len[a] = n + 1;
+                n += 1;
+            }
+            s.len[a] = n;
+            let mut run = 0;
+            for (j, &v) in coord[..n].iter().enumerate() {
+                s.brick[a][j] = self.brick_part[a][v];
+                s.flat[a][j] = self.flat_part[a][v];
+                // A run ends where the brick changes, or before a node it
+                // already holds (a wrap onto a short periodic axis).
+                if j == 0 || s.brick[a][j] != s.brick[a][j - 1] || coord[run..j].contains(&v) {
+                    s.runs[a] |= 1 << j;
+                    run = j;
+                }
             }
         }
         s
     }
 
-    /// The lattice coordinates and 1D weights along axis `a`.
-    #[inline]
-    pub fn axis(&self, a: usize) -> (&[usize], &[f64]) {
-        let n = self.len[a];
-        (&self.coord[a][..n], &self.weight[a][..n])
+    /// Builds the stencil of every position in `pos` into the matching
+    /// entry of `out`.
+    pub fn build(
+        &self,
+        pos: &[[f64; 3]],
+        kind: DeltaKind,
+        bc: &BoundaryConfig,
+        out: &mut [CubeStencil],
+    ) {
+        debug_assert_eq!(pos.len(), out.len());
+        for (s, &p) in out.iter_mut().zip(pos) {
+            *s = self.stencil(p, kind, bc);
+        }
+    }
+}
+
+/// One fiber node's delta stencil in a brick layout ([`CubeIndexer`]), the
+/// form every solver stores: built once per node and step, then read by
+/// the spread (kernel 4, [`crate::spread::spread`]) and the interpolation
+/// (kernel 8, [`crate::interp::interp`]).
+///
+/// Per axis and entry it holds the entry's term of the brick index, its
+/// term of the flat index and its 1D weight. Per axis, bit `j` of `runs`
+/// is set if entry `j` starts a run, a stretch of consecutive entries with
+/// one brick term and no coordinate twice. One run per axis makes a block,
+/// which lies in a single brick and holds each of its nodes once.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CubeStencil {
+    brick: [[usize; CubeStencil::MAX_WIDTH]; 3],
+    flat: [[usize; CubeStencil::MAX_WIDTH]; 3],
+    weight: [[f64; CubeStencil::MAX_WIDTH]; 3],
+    len: [usize; 3],
+    runs: [u8; 3],
+}
+
+impl CubeStencil {
+    /// Upper bound of [`DeltaKind::stencil_width`] over all kernels: the
+    /// most nodes with non-zero weight along one axis.
+    pub(crate) const MAX_WIDTH: usize = 4;
+
+    /// Calls `f(brick, flat, weight)` for every node of the tensor-product
+    /// domain, x slowest and z fastest, with weight `(wx * wy) * wz`.
+    #[inline(always)]
+    pub fn for_each(&self, mut f: impl FnMut(usize, usize, f64)) {
+        for ix in 0..self.len[0] {
+            let (bx, fx, wx) = (self.brick[0][ix], self.flat[0][ix], self.weight[0][ix]);
+            for iy in 0..self.len[1] {
+                let (bxy, fxy) = (bx + self.brick[1][iy], fx + self.flat[1][iy]);
+                let wxy = wx * self.weight[1][iy];
+                for iz in 0..self.len[2] {
+                    f(
+                        bxy + self.brick[2][iz],
+                        fxy + self.flat[2][iz],
+                        wxy * self.weight[2][iz],
+                    );
+                }
+            }
+        }
     }
 
-    /// Calls `f` for every node of the tensor-product domain, x slowest and
-    /// z fastest, with weight `(wx * wy) * wz`.
-    #[inline]
-    pub fn for_each<F>(&self, mut f: F)
-    where
-        F: FnMut(Influence),
-    {
-        let (xs, wxs) = self.axis(0);
-        let (ys, wys) = self.axis(1);
-        let (zs, wzs) = self.axis(2);
-        for (&x, &wx) in xs.iter().zip(wxs) {
-            for (&y, &wy) in ys.iter().zip(wys) {
-                let wxy = wx * wy;
-                for (&z, &wz) in zs.iter().zip(wzs) {
-                    f(Influence {
-                        x,
-                        y,
-                        z,
-                        weight: wxy * wz,
-                    });
+    /// Calls `f(flat, weight)` for the nodes of `block` (a range of
+    /// entries per axis), in [`Self::for_each`]'s order and weight
+    /// association.
+    #[inline(always)]
+    pub(crate) fn for_each_in(&self, block: &[Range<usize>; 3], mut f: impl FnMut(usize, f64)) {
+        for ix in block[0].clone() {
+            let (fx, wx) = (self.flat[0][ix], self.weight[0][ix]);
+            for iy in block[1].clone() {
+                let fxy = fx + self.flat[1][iy];
+                let wxy = wx * self.weight[1][iy];
+                for iz in block[2].clone() {
+                    f(fxy + self.flat[2][iz], wxy * self.weight[2][iz]);
+                }
+            }
+        }
+    }
+
+    /// Calls `f(brick, block)` for every block of the stencil, x runs
+    /// outermost: once per brick the stencil reaches, not once per point
+    /// (a brick comes up twice only where a periodic axis wraps the
+    /// stencil back into it).
+    ///
+    /// Each node gets the same products as in [`Self::for_each`], in the
+    /// same order. A block holds a node at most once, and the blocks come
+    /// in the order of their runs, which are ascending ranges of entries;
+    /// so a node the stencil reaches more than once (it wraps a periodic
+    /// axis shorter than itself) receives its products in `for_each`'s
+    /// order. With plane bricks x has one run per entry, and y and z, if
+    /// no shorter than the stencil, one run each, so the blocks walk the
+    /// points in exactly `for_each`'s order.
+    #[inline(always)]
+    pub fn for_each_block(&self, mut f: impl FnMut(usize, &[Range<usize>; 3])) {
+        let runs = |a: usize| {
+            let mut bits = u32::from(self.runs[a]);
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let start = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let end = if bits == 0 {
+                    self.len[a]
+                } else {
+                    bits.trailing_zeros() as usize
+                };
+                Some((self.brick[a][start], start..end))
+            })
+        };
+        for (bx, rx) in runs(0) {
+            for (by, ry) in runs(1) {
+                for (bz, rz) in runs(2) {
+                    f(bx + by + bz, &[rx.clone(), ry.clone(), rz]);
                 }
             }
         }
     }
 }
 
-/// Enumerates the influential domain of a Lagrangian point `pos`: every
-/// lattice node within the kernel support, with the tensor-product weight
-/// (see [`Stencil`] for the boundary rules).
-///
-/// Weights over a full (unclipped) domain sum to exactly 1 for every
-/// kernel — the discrete partition-of-unity property that makes force
-/// spreading conservative.
-pub fn for_each_influence<F>(pos: [f64; 3], kind: DeltaKind, dims: Dims, bc: &BoundaryConfig, f: F)
-where
-    F: FnMut(Influence),
-{
-    Stencil::new(pos, kind, dims, bc).for_each(f);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbm::boundary::AxisBoundary;
     use proptest::prelude::*;
 
     const KINDS: [DeltaKind; 4] = [
@@ -223,6 +337,25 @@ mod tests {
         DeltaKind::Hat2,
         DeltaKind::Roma3,
     ];
+
+    /// The nodes of `pos`'s stored stencil in the flat layout, as
+    /// `(x, y, z, weight)` in [`CubeStencil::for_each`]'s order.
+    fn influences(
+        pos: [f64; 3],
+        kind: DeltaKind,
+        dims: Dims,
+        bc: &BoundaryConfig,
+    ) -> Vec<(usize, usize, usize, f64)> {
+        let mut out = Vec::new();
+        CubeIndexer::planes(dims)
+            .stencil(pos, kind, bc)
+            .for_each(|brick, flat, w| {
+                let (x, y, z) = dims.coords(flat);
+                assert_eq!(brick, x, "plane bricks");
+                out.push((x, y, z, w));
+            });
+        out
+    }
 
     #[test]
     fn kernels_are_even_and_supported() {
@@ -291,13 +424,9 @@ mod tests {
     fn influential_domain_is_4x4x4_for_peskin() {
         let dims = Dims::new(16, 16, 16);
         let bc = BoundaryConfig::periodic();
-        let mut count = 0;
-        let mut total = 0.0;
-        for_each_influence([8.3, 7.6, 9.1], DeltaKind::Peskin4, dims, &bc, |inf| {
-            count += 1;
-            total += inf.weight;
-        });
-        assert_eq!(count, 64, "paper's 4x4x4 influential domain");
+        let nodes = influences([8.3, 7.6, 9.1], DeltaKind::Peskin4, dims, &bc);
+        let total: f64 = nodes.iter().map(|n| n.3).sum();
+        assert_eq!(nodes.len(), 64, "paper's 4x4x4 influential domain");
         assert!(
             (total - 1.0).abs() < 1e-12,
             "3D partition of unity: {total}"
@@ -308,10 +437,11 @@ mod tests {
     fn influence_wraps_on_periodic_axes() {
         let dims = Dims::new(8, 8, 8);
         let bc = BoundaryConfig::periodic();
-        let mut xs = std::collections::BTreeSet::new();
-        for_each_influence([0.2, 4.0, 4.0], DeltaKind::Peskin4, dims, &bc, |inf| {
-            xs.insert(inf.x);
-        });
+        let xs: std::collections::BTreeSet<usize> =
+            influences([0.2, 4.0, 4.0], DeltaKind::Peskin4, dims, &bc)
+                .iter()
+                .map(|n| n.0)
+                .collect();
         // Support covers x in {-1, 0, 1, 2} → wraps to {7, 0, 1, 2}.
         assert!(xs.contains(&7), "x = -1 must wrap to 7: {xs:?}");
         assert!(xs.contains(&0) && xs.contains(&1) && xs.contains(&2));
@@ -321,13 +451,10 @@ mod tests {
     fn influence_clips_at_walls() {
         let dims = Dims::new(8, 8, 8);
         let bc = BoundaryConfig::tunnel(); // y and z walls
-        let mut count = 0;
-        for_each_influence([4.3, 0.2, 4.6], DeltaKind::Peskin4, dims, &bc, |inf| {
-            assert!(inf.y < 8);
-            count += 1;
-        });
+        let nodes = influences([4.3, 0.2, 4.6], DeltaKind::Peskin4, dims, &bc);
+        assert!(nodes.iter().all(|n| n.1 < 3));
         // y support {-1,0,1,2} clips to {0,1,2}: 4 * 3 * 4 nodes.
-        assert_eq!(count, 48);
+        assert_eq!(nodes.len(), 48);
     }
 
     #[test]
@@ -336,11 +463,8 @@ mod tests {
         // weight, so the axis stencil shrinks from 4 to 3 nodes.
         let dims = Dims::new(8, 8, 8);
         let bc = BoundaryConfig::periodic();
-        let mut count = 0;
-        for_each_influence([4.0, 4.0, 4.0], DeltaKind::Peskin4, dims, &bc, |_| {
-            count += 1
-        });
-        assert_eq!(count, 27);
+        let nodes = influences([4.0, 4.0, 4.0], DeltaKind::Peskin4, dims, &bc);
+        assert_eq!(nodes.len(), 27);
     }
 
     #[test]
@@ -349,17 +473,14 @@ mod tests {
         // degenerates to a single point with weight 1.
         let dims = Dims::new(8, 8, 8);
         let bc = BoundaryConfig::periodic();
-        let mut hits = Vec::new();
-        for_each_influence([3.0, 3.0, 3.0], DeltaKind::Hat2, dims, &bc, |inf| {
-            hits.push(((inf.x, inf.y, inf.z), inf.weight));
-        });
+        let hits = influences([3.0, 3.0, 3.0], DeltaKind::Hat2, dims, &bc);
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, (3, 3, 3));
-        assert!((hits[0].1 - 1.0).abs() < 1e-15);
+        assert_eq!((hits[0].0, hits[0].1, hits[0].2), (3, 3, 3));
+        assert!((hits[0].3 - 1.0).abs() < 1e-15);
     }
 
-    /// `for_each_influence` as it was before [`Stencil`] existed: the
-    /// reference the stencil must reproduce bit for bit.
+    /// An independent enumeration of the influential domain: the
+    /// reference the stored stencil must reproduce bit for bit.
     fn reference_influences(
         pos: [f64; 3],
         kind: DeltaKind,
@@ -410,7 +531,7 @@ mod tests {
         out
     }
 
-    /// Requires `Stencil::new(..).for_each` to yield exactly the reference
+    /// Requires the stored stencil's walk to yield exactly the reference
     /// sequence for every kernel, under a periodic and a walled (tunnel)
     /// boundary configuration.
     fn check_stencil_against_reference(pos: [f64; 3]) -> Result<(), String> {
@@ -420,10 +541,10 @@ mod tests {
             (BoundaryConfig::tunnel(), false),
         ] {
             for kind in KINDS {
-                let mut got = Vec::new();
-                Stencil::new(pos, kind, dims, &bc).for_each(|inf| {
-                    got.push((inf.x, inf.y, inf.z, inf.weight.to_bits()));
-                });
+                let got: Vec<_> = influences(pos, kind, dims, &bc)
+                    .into_iter()
+                    .map(|(x, y, z, w)| (x, y, z, w.to_bits()))
+                    .collect();
                 let want = reference_influences(pos, kind, dims, &bc);
                 // Only walls can clip a domain away entirely.
                 prop_assert!(
@@ -439,17 +560,146 @@ mod tests {
     }
 
     #[test]
-    fn stencil_exposes_axis_coordinates_and_weights() {
+    fn stencil_holds_the_axis_coordinates_and_weights() {
         let dims = Dims::new(8, 8, 8);
-        let s = Stencil::new(
-            [0.5, 4.0, 7.25],
-            DeltaKind::Hat2,
-            dims,
-            &BoundaryConfig::periodic(),
-        );
-        assert_eq!(s.axis(0), (&[0, 1][..], &[0.5, 0.5][..]));
-        assert_eq!(s.axis(1), (&[4][..], &[1.0][..]));
-        assert_eq!(s.axis(2), (&[7, 0][..], &[0.75, 0.25][..]));
+        let bc = BoundaryConfig::periodic();
+        // x: {0, 1} at ½ each; y: {4} at 1; z: {7, 0} at ¾ and ¼.
+        let got = influences([0.5, 4.0, 7.25], DeltaKind::Hat2, dims, &bc);
+        let want = [
+            (0, 4, 7, 0.375),
+            (0, 4, 0, 0.125),
+            (1, 4, 7, 0.375),
+            (1, 4, 0, 0.125),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn indexer_matches_the_cube_and_flat_layouts() {
+        use lbm::cube_grid::CubeDims;
+        let dims = Dims::new(8, 12, 4);
+        for k in [1, 2, 4] {
+            let cdims = CubeDims::new(dims, k);
+            let indexer = CubeIndexer::new(dims, [k; 3]);
+            for (x, y, z) in dims.iter_coords() {
+                assert_eq!(indexer.flat(x, y, z), cdims.flat_of_global(x, y, z));
+            }
+        }
+        let planes = CubeIndexer::planes(dims);
+        for (x, y, z) in dims.iter_coords() {
+            assert_eq!(planes.flat(x, y, z), dims.idx(x, y, z));
+        }
+    }
+
+    /// The points of `s`'s blocks, block by block, as `(brick, flat,
+    /// weight bits)`.
+    fn block_points(s: &CubeStencil) -> Vec<(usize, usize, u64)> {
+        let mut out = Vec::new();
+        s.for_each_block(|brick, block| {
+            s.for_each_in(block, |flat, w| out.push((brick, flat, w.to_bits())));
+        });
+        out
+    }
+
+    fn walk_points(s: &CubeStencil) -> Vec<(usize, usize, u64)> {
+        let mut out = Vec::new();
+        s.for_each(|brick, flat, w| out.push((brick, flat, w.to_bits())));
+        out
+    }
+
+    /// Cube blocks hold every point of the stencil once, each in the cube
+    /// the layout puts it in, also where the stencil wraps a periodic face.
+    #[test]
+    fn cube_blocks_cover_the_stencil_once_in_its_cubes() {
+        use lbm::cube_grid::CubeDims;
+        let dims = Dims::new(12, 12, 12);
+        let bc = BoundaryConfig::periodic();
+        for k in [1, 2, 3, 4] {
+            let cdims = CubeDims::new(dims, k);
+            let indexer = CubeIndexer::new(dims, [k; 3]);
+            for pos in [[5.3, 6.6, 7.1], [0.4, 11.7, 6.0], [4.0, 4.0, 4.0]] {
+                for kind in KINDS {
+                    let s = indexer.stencil(pos, kind, &bc);
+                    let mut blocks = block_points(&s);
+                    for &(brick, flat, _) in &blocks {
+                        let cube = flat / cdims.nodes_per_cube();
+                        assert_eq!(brick, cube, "k = {k}, {pos:?}, {kind:?}");
+                    }
+                    let mut walk = walk_points(&s);
+                    blocks.sort_unstable();
+                    walk.sort_unstable();
+                    assert_eq!(blocks, walk, "k = {k}, {pos:?}, {kind:?}");
+                }
+            }
+        }
+    }
+
+    /// On periodic axes shorter than the stencil, where it reaches a node
+    /// more than once, every node gets its products from the blocks in
+    /// [`CubeStencil::for_each`]'s order, for plane bricks and for cubes.
+    #[test]
+    fn blocks_keep_each_nodes_products_in_for_each_order() {
+        let bc = BoundaryConfig::periodic();
+        let per_node = |points: Vec<(usize, usize, u64)>| {
+            let mut by_node = std::collections::BTreeMap::new();
+            for (_, flat, w) in points {
+                by_node.entry(flat).or_insert_with(Vec::new).push(w);
+            }
+            by_node
+        };
+        for (nx, ny, nz) in [
+            (1, 2, 8),
+            (1, 3, 8),
+            (2, 1, 8),
+            (3, 2, 1),
+            (1, 1, 1),
+            (2, 3, 2),
+        ] {
+            let dims = Dims::new(nx, ny, nz);
+            let mut layouts = vec![CubeIndexer::planes(dims), CubeIndexer::new(dims, [1; 3])];
+            if nx == ny && ny == nz {
+                layouts.push(CubeIndexer::new(dims, [nx; 3]));
+            }
+            for indexer in &layouts {
+                for pos in [[0.3, 0.6, 0.2], [0.5, 1.5, 0.75]] {
+                    for kind in KINDS {
+                        let s = indexer.stencil(pos, kind, &bc);
+                        let tag = format!("{dims:?}, {pos:?}, {kind:?}");
+                        assert_eq!(
+                            per_node(block_points(&s)),
+                            per_node(walk_points(&s)),
+                            "{tag}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// With plane bricks the blocks walk the points in exactly
+    /// [`CubeStencil::for_each`]'s order, on x axes shorter than the
+    /// stencil too, where it wraps onto a plane more than once.
+    #[test]
+    fn plane_blocks_walk_in_for_each_order() {
+        let bc = BoundaryConfig::periodic();
+        for nx in [1, 2, 3, 5, 9] {
+            let dims = Dims::new(nx, 6, 7);
+            let indexer = CubeIndexer::planes(dims);
+            for pos in [
+                [0.3, 2.6, 3.1],
+                [nx as f64 - 0.2, 5.7, 0.5],
+                [1.0, 3.0, 3.0],
+            ] {
+                for kind in KINDS {
+                    let s = indexer.stencil(pos, kind, &bc);
+                    assert_eq!(
+                        block_points(&s),
+                        walk_points(&s),
+                        "nx {nx}, {pos:?}, {kind:?}"
+                    );
+                }
+            }
+        }
     }
 
     proptest! {
@@ -515,8 +765,10 @@ mod tests {
             let dims = Dims::new(16, 16, 16);
             let bc = BoundaryConfig::periodic();
             for kind in KINDS {
-                let mut total = 0.0;
-                for_each_influence([px, py, pz], kind, dims, &bc, |inf| total += inf.weight);
+                let total: f64 = influences([px, py, pz], kind, dims, &bc)
+                    .iter()
+                    .map(|n| n.3)
+                    .sum();
                 prop_assert!((total - 1.0).abs() < 1e-12, "{:?}: {}", kind, total);
             }
         }

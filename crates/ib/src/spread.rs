@@ -2,133 +2,81 @@
 //! elastic force onto the fluid nodes of its 4×4×4 influential domain,
 //! weighted by the smoothed delta function and the Lagrangian area element.
 //!
-//! [`spread_into_planes`] is the one flat spread: it keeps what lands on a
-//! range of x-planes. The sequential solver runs it over the whole grid,
-//! each OpenMP slab and each distributed rank over its own planes. The
-//! cube solver does not use it: each cube owner applies stored
-//! [`crate::delta::Stencil`]s to its own cubes.
-
-use std::ops::Range;
+//! [`spread`] is the one spread every solver runs. It reads stored
+//! stencils ([`CubeStencil`], built once per node and step) and applies
+//! only the blocks whose brick the caller owns: the sequential solver owns
+//! every plane, an OpenMP slab or a distributed rank its own planes, a
+//! cube worker its own cubes. Each owner walks the fiber nodes in global
+//! order, so each force slot receives the same products in the same order
+//! whoever owns it.
 
 use lbm::boundary::BoundaryConfig;
-use lbm::grid::{Dims, FluidGrid, Slab};
+use lbm::grid::{Dims, FluidGrid};
 
-use crate::delta::{DeltaKind, Stencil};
+use crate::delta::{CubeIndexer, CubeStencil, DeltaKind};
 use crate::sheet::FiberSheet;
 
-/// Destination of spread forces: the force arrays of a run of whole
-/// x-planes. [`FluidGrid`] serves a whole grid or a grid holding some
-/// planes of a larger one; [`Slab`] serves a slab of a shared grid.
-pub trait ForceSink {
-    /// Adds `df` to the Eulerian force at `node`, the flat node index
-    /// counted from the sink's first node.
-    fn add_force(&mut self, node: usize, df: [f64; 3]);
-}
-
-impl ForceSink for FluidGrid {
-    #[inline]
-    fn add_force(&mut self, node: usize, df: [f64; 3]) {
-        self.fx[node] += df[0];
-        self.fy[node] += df[1];
-        self.fz[node] += df[2];
-    }
-}
-
-impl ForceSink for Slab<'_> {
-    #[inline]
-    fn add_force(&mut self, node: usize, df: [f64; 3]) {
-        self.fx[node] += df[0];
-        self.fy[node] += df[1];
-        self.fz[node] += df[2];
-    }
-}
-
-/// Spreads a single Lagrangian force `f_l` (already scaled by the area
-/// element) from position `pos` into the stencil nodes on the x-planes
-/// `xs`; `sink` holds those planes.
-#[inline]
-fn spread_point<S: ForceSink>(
-    pos: [f64; 3],
-    f_l: [f64; 3],
-    kind: DeltaKind,
-    dims: Dims,
-    bc: &BoundaryConfig,
-    xs: &Range<usize>,
-    sink: &mut S,
-) {
-    let first = xs.start * dims.ny * dims.nz;
-    Stencil::new(pos, kind, dims, bc).for_each(|inf| {
-        if xs.contains(&inf.x) {
-            let w = inf.weight;
-            let node = dims.idx(inf.x, inf.y, inf.z) - first;
-            sink.add_force(node, [f_l[0] * w, f_l[1] * w, f_l[2] * w]);
-        }
-    });
-}
-
-/// Spreads a single Lagrangian force `f_l` (already scaled by the area
-/// element) from position `pos` into a sink holding the whole grid.
-#[inline]
-pub fn spread_node<S: ForceSink>(
-    pos: [f64; 3],
-    f_l: [f64; 3],
-    kind: DeltaKind,
-    dims: Dims,
-    bc: &BoundaryConfig,
-    sink: &mut S,
-) {
-    spread_point(pos, f_l, kind, dims, bc, &(0..dims.nx), sink);
-}
-
-/// Whether the support of a kernel centred at `px` reaches a plane of `xs`.
-/// It walks the candidate planes [`Stencil::new`] walks, so it never says
-/// no to a plane the stencil would hold.
-#[inline]
-fn reaches_planes(px: f64, kind: DeltaKind, nx: usize, periodic: bool, xs: &Range<usize>) -> bool {
-    let hs = kind.half_support();
-    let planes = xs.start as i64..xs.end as i64;
-    ((px - hs).ceil() as i64..=(px + hs).floor() as i64).any(|j| {
-        let x = if periodic { j.rem_euclid(nx as i64) } else { j };
-        planes.contains(&x)
-    })
-}
-
-/// Kernel 4 into the x-planes `xs` of the grid: adds every fiber node's
-/// force `f_l δ³(x − X_l) Δs₁Δs₂` at the stencil nodes on those planes.
-/// `sink` holds exactly the planes `xs`, node 0 being `(xs.start, 0, 0)`.
+/// Kernel 4 through stored stencils: `F(x) += Σ_l f_l δ³(x − X_l) Δs₁Δs₂`
+/// over the bricks the caller owns.
 ///
-/// The fiber nodes are walked in global order, so each force slot receives
-/// the same products in the same order whatever range it is spread in. A
-/// node whose support misses `xs` is skipped before its weights are
-/// evaluated; stencil nodes outside `xs` are dropped.
-pub fn spread_into_planes<S: ForceSink>(
-    sheet: &FiberSheet,
-    kind: DeltaKind,
-    dims: Dims,
-    bc: &BoundaryConfig,
-    xs: Range<usize>,
-    sink: &mut S,
+/// `stencils[l]` is fiber node `l`'s stencil and `forces[l]` its elastic
+/// force; `area` is the Lagrangian area element. For every block of every
+/// stencil, in global node order, `owns(brick)` says whether the caller
+/// owns the block's brick; for an owned block `add(flat, f_l · w)` is
+/// called at each of its nodes. `owns` sees every block, also those of a
+/// node whose force is zero, which adds nothing.
+#[inline]
+pub fn spread(
+    stencils: &[CubeStencil],
+    forces: &[[f64; 3]],
+    area: f64,
+    mut owns: impl FnMut(usize) -> bool,
+    mut add: impl FnMut(usize, [f64; 3]),
 ) {
-    let area = sheet.area_element();
-    let periodic = bc.x.is_periodic();
-    for (pos, f) in sheet.pos.iter().zip(&sheet.elastic) {
-        if reaches_planes(pos[0], kind, dims.nx, periodic, &xs) {
-            let f_l = [f[0] * area, f[1] * area, f[2] * area];
-            spread_point(*pos, f_l, kind, dims, bc, &xs, sink);
-        }
+    for (stencil, f) in stencils.iter().zip(forces) {
+        let f_l = [f[0] * area, f[1] * area, f[2] * area];
+        let zero = f_l == [0.0; 3];
+        stencil.for_each_block(|brick, block| {
+            if owns(brick) && !zero {
+                stencil.for_each_in(block, |flat, w| {
+                    add(flat, [f_l[0] * w, f_l[1] * w, f_l[2] * w]);
+                });
+            }
+        });
     }
 }
 
-/// Kernel 4 over the whole structure and the whole grid: spreads every
-/// node's elastic force. `F(x) += Σ_l f_l δ³(x − X_l) Δs₁Δs₂`.
-pub fn spread_forces<S: ForceSink>(
+/// Kernel 4 over the whole structure and the whole grid, through a store
+/// built for this call: spreads every node's elastic force into the force
+/// arrays of `grid`.
+pub fn spread_forces(
     sheet: &FiberSheet,
     kind: DeltaKind,
     dims: Dims,
     bc: &BoundaryConfig,
-    sink: &mut S,
+    grid: &mut FluidGrid,
 ) {
-    spread_into_planes(sheet, kind, dims, bc, 0..dims.nx, sink);
+    let mut stencils = vec![CubeStencil::default(); sheet.n()];
+    CubeIndexer::planes(dims).build(&sheet.pos, kind, bc, &mut stencils);
+    spread_into_grid(&stencils, sheet, grid);
+}
+
+/// [`spread`] into every plane of `grid`, whose flat index is the plane
+/// bricks' ([`CubeIndexer::planes`]).
+pub fn spread_into_grid(stencils: &[CubeStencil], sheet: &FiberSheet, grid: &mut FluidGrid) {
+    let FluidGrid { fx, fy, fz, .. } = grid;
+    let area = sheet.area_element();
+    spread(
+        stencils,
+        &sheet.elastic,
+        area,
+        |_| true,
+        |node, df| {
+            fx[node] += df[0];
+            fy[node] += df[1];
+            fz[node] += df[2];
+        },
+    );
 }
 
 /// Total Eulerian force over the grid (diagnostic: spreading is
@@ -150,15 +98,36 @@ mod tests {
         (Dims::new(24, 24, 24), BoundaryConfig::periodic())
     }
 
+    /// Spreads a single Lagrangian force `f_l` from `pos` into `grid`.
+    fn spread_one(
+        pos: [f64; 3],
+        f_l: [f64; 3],
+        kind: DeltaKind,
+        bc: &BoundaryConfig,
+        grid: &mut FluidGrid,
+    ) {
+        let stencil = CubeIndexer::planes(grid.dims).stencil(pos, kind, bc);
+        spread(
+            &[stencil],
+            &[f_l],
+            1.0,
+            |_| true,
+            |node, df| {
+                grid.fx[node] += df[0];
+                grid.fy[node] += df[1];
+                grid.fz[node] += df[2];
+            },
+        );
+    }
+
     #[test]
     fn single_node_force_is_conserved() {
         let (dims, bc) = domain();
         let mut grid = FluidGrid::new(dims);
-        spread_node(
+        spread_one(
             [10.3, 11.7, 12.1],
             [1.0, -2.0, 0.5],
             DeltaKind::Peskin4,
-            dims,
             &bc,
             &mut grid,
         );
@@ -173,7 +142,7 @@ mod tests {
         let (dims, bc) = domain();
         let mut grid = FluidGrid::new(dims);
         let p = [10.5, 10.5, 10.5];
-        spread_node(p, [1.0, 0.0, 0.0], DeltaKind::Peskin4, dims, &bc, &mut grid);
+        spread_one(p, [1.0, 0.0, 0.0], DeltaKind::Peskin4, &bc, &mut grid);
         for (x, y, z) in dims.iter_coords() {
             let node = dims.idx(x, y, z);
             if grid.fx[node] != 0.0 {
@@ -187,17 +156,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn whole_sheet_spread_conserves_total_force() {
-        let (dims, bc) = domain();
-        let mut sheet = FiberSheet::paper_sheet(8, 4.0, [12.0, 12.0, 12.0], 1e-3, 0.5);
-        // Deform so elastic forces are non-trivial.
+    /// A deformed 8×8 sheet centred at `center`, with its elastic forces.
+    fn deformed_sheet(center: [f64; 3], amplitude: f64) -> FiberSheet {
+        let mut sheet = FiberSheet::paper_sheet(8, 4.0, center, 1e-3, 0.5);
         for (i, p) in sheet.pos.iter_mut().enumerate() {
-            p[0] += 0.05 * ((i * 37 % 11) as f64 - 5.0) * 0.1;
+            p[0] += amplitude * ((i * 37 % 11) as f64 - 5.0) * 0.1;
         }
         compute_bending_force(&mut sheet);
         compute_stretching_force(&mut sheet);
         compute_elastic_force(&mut sheet);
+        sheet
+    }
+
+    #[test]
+    fn whole_sheet_spread_conserves_total_force() {
+        let (dims, bc) = domain();
+        let sheet = deformed_sheet([12.0, 12.0, 12.0], 0.05);
         let mut grid = FluidGrid::new(dims);
         spread_forces(&sheet, DeltaKind::Peskin4, dims, &bc, &mut grid);
         let lag = sheet.total_elastic_force();
@@ -213,22 +187,19 @@ mod tests {
         }
     }
 
-    /// Spreading into x-plane ranges that tile the grid, one grid of
-    /// planes each, gives the whole-grid spread bit for bit: one-plane
-    /// ranges, uneven ranges, and ranges cut through the stencils of a
-    /// sheet that wraps across the periodic x boundary.
+    /// Owners of x-plane ranges that tile the grid, each spreading the
+    /// blocks on its planes into a grid of those planes, give the
+    /// whole-grid spread bit for bit: one-plane ranges, uneven ranges, and
+    /// ranges cut through the stencils of a sheet that wraps across the
+    /// periodic x boundary.
     #[test]
-    fn plane_ranges_reassemble_the_whole_grid_spread() {
+    fn owned_plane_ranges_reassemble_the_whole_grid_spread() {
         let (dims, bc) = domain();
-        let mut sheet = FiberSheet::paper_sheet(8, 4.0, [0.6, 12.0, 12.0], 1e-3, 0.5);
-        for (i, p) in sheet.pos.iter_mut().enumerate() {
-            p[0] += 0.4 * ((i * 37 % 11) as f64 - 5.0) * 0.1;
-        }
-        compute_bending_force(&mut sheet);
-        compute_stretching_force(&mut sheet);
-        compute_elastic_force(&mut sheet);
+        let sheet = deformed_sheet([0.6, 12.0, 12.0], 0.4);
+        let mut stencils = vec![CubeStencil::default(); sheet.n()];
+        CubeIndexer::planes(dims).build(&sheet.pos, DeltaKind::Peskin4, &bc, &mut stencils);
         let mut whole = FluidGrid::new(dims);
-        spread_forces(&sheet, DeltaKind::Peskin4, dims, &bc, &mut whole);
+        spread_into_grid(&stencils, &sheet, &mut whole);
         let one_plane_each: Vec<_> = (0..dims.nx).map(|x| x..x + 1).collect();
         let uneven = vec![0..1, 1..2, 2..9, 9..23, 23..24];
         for tiling in [one_plane_each, uneven] {
@@ -236,14 +207,14 @@ mod tests {
                 .iter()
                 .map(|xs| {
                     let mut part = FluidGrid::new(dims).planes(xs.clone());
-                    spread_into_planes(
-                        &sheet,
-                        DeltaKind::Peskin4,
-                        dims,
-                        &bc,
-                        xs.clone(),
-                        &mut part,
-                    );
+                    let first = xs.start * dims.ny * dims.nz;
+                    let area = sheet.area_element();
+                    let owns = |x: usize| xs.contains(&x);
+                    spread(&stencils, &sheet.elastic, area, owns, |node, df| {
+                        part.fx[node - first] += df[0];
+                        part.fy[node - first] += df[1];
+                        part.fz[node - first] += df[2];
+                    });
                     part
                 })
                 .collect();
@@ -260,22 +231,15 @@ mod tests {
     fn spreading_accumulates_rather_than_overwrites() {
         let (dims, bc) = domain();
         let mut grid = FluidGrid::new(dims);
-        spread_node(
-            [10.0, 10.0, 10.0],
-            [1.0, 0.0, 0.0],
-            DeltaKind::Hat2,
-            dims,
-            &bc,
-            &mut grid,
-        );
-        spread_node(
-            [10.0, 10.0, 10.0],
-            [1.0, 0.0, 0.0],
-            DeltaKind::Hat2,
-            dims,
-            &bc,
-            &mut grid,
-        );
+        for _ in 0..2 {
+            spread_one(
+                [10.0, 10.0, 10.0],
+                [1.0, 0.0, 0.0],
+                DeltaKind::Hat2,
+                &bc,
+                &mut grid,
+            );
+        }
         let node = dims.idx(10, 10, 10);
         assert!((grid.fx[node] - 2.0).abs() < 1e-12);
     }
@@ -285,11 +249,10 @@ mod tests {
         let dims = Dims::new(8, 8, 8);
         let bc = BoundaryConfig::periodic();
         let mut grid = FluidGrid::new(dims);
-        spread_node(
+        spread_one(
             [0.1, 4.0, 4.0],
             [1.0, 0.0, 0.0],
             DeltaKind::Peskin4,
-            dims,
             &bc,
             &mut grid,
         );

@@ -1,0 +1,161 @@
+//! Integration tests: golden checkpoints.
+//!
+//! Each case below was run once by the sequential solver and its final
+//! state saved under `tests/fixtures/golden_*.ckpt`. The test runs every
+//! case fresh on `seq` (both kernel plans), `omp` at 3 threads and `cube`
+//! at 2 threads, and requires the saved bytes to equal the fixture's. The
+//! backends are bitwise equal to each other, so this pins their numerics
+//! from one commit to the next: a change that moves any bit of the fluid,
+//! the force field or the sheet fails here. A change that alters the
+//! numerics on purpose regenerates the fixtures and says so in CHANGES.md.
+
+use ib::delta::DeltaKind;
+use lbm::boundary::BoundaryConfig;
+use lbm_ib::checkpoint::write_checkpoint;
+use lbm_ib::{build_solver, KernelPlan, SheetConfig, SimState, SimulationConfig, TetherConfig};
+use std::path::PathBuf;
+
+/// One golden run: a configuration, whether the sheet starts displaced off
+/// its plane, and the number of steps before the save.
+struct Case {
+    fixture: &'static str,
+    config: SimulationConfig,
+    displaced: bool,
+    steps: u64,
+}
+
+/// A small sheet with the `quick_test` stiffnesses.
+fn sheet(center: [f64; 3]) -> SheetConfig {
+    SheetConfig {
+        k_bend: 1e-4,
+        k_stretch: 1e-2,
+        ..SheetConfig::square(4, 2.0, center)
+    }
+}
+
+fn cases() -> [Case; 3] {
+    let base = SimulationConfig {
+        cube_k: 2,
+        ..SimulationConfig::quick_test()
+    };
+    [
+        // Periodic on every axis, driven along x and y, with the sheet at
+        // x ≈ 0.4: its stencils wrap across the periodic x faces.
+        Case {
+            fixture: "golden_periodic_fused.ckpt",
+            config: SimulationConfig {
+                nx: 8,
+                ny: 6,
+                nz: 8,
+                body_force: [1e-4, 2e-5, 0.0],
+                bc: BoundaryConfig::periodic(),
+                plan: KernelPlan::Fused,
+                sheet: sheet([0.4, 3.0, 4.0]),
+                ..base
+            },
+            displaced: true,
+            steps: 30,
+        },
+        // The paper's tunnel (periodic x, walls in y and z) with the
+        // 2-point hat kernel, under the split plan.
+        Case {
+            fixture: "golden_tunnel_split_hat2.ckpt",
+            config: SimulationConfig {
+                nx: 8,
+                ny: 8,
+                nz: 6,
+                body_force: [1e-4, 0.0, 0.0],
+                bc: BoundaryConfig::tunnel(),
+                delta: DeltaKind::Hat2,
+                plan: KernelPlan::Split,
+                sheet: sheet([3.3, 4.0, 3.0]),
+                ..base
+            },
+            displaced: false,
+            steps: 30,
+        },
+        // A tunnel with the sheet's middle tethered to its start position.
+        Case {
+            fixture: "golden_tethered.ckpt",
+            config: SimulationConfig {
+                nx: 6,
+                ny: 8,
+                nz: 8,
+                body_force: [1e-4, 0.0, 0.0],
+                bc: BoundaryConfig::tunnel(),
+                plan: KernelPlan::Fused,
+                sheet: SheetConfig {
+                    tether: TetherConfig::CenterRegion {
+                        radius: 1.0,
+                        stiffness: 0.05,
+                    },
+                    ..sheet([2.7, 4.0, 4.0])
+                },
+                ..base
+            },
+            displaced: false,
+            steps: 30,
+        },
+    ]
+}
+
+/// The start state of `case`: the configuration's fresh state, with the
+/// sheet's nodes pushed off its plane if the case asks for it.
+fn start_state(case: &Case) -> SimState {
+    let mut state = SimState::try_new(case.config).unwrap();
+    if case.displaced {
+        for (i, p) in state.sheet.pos.iter_mut().enumerate() {
+            p[0] += 0.01 * ((i * 7 % 11) as f64 - 5.0);
+        }
+    }
+    state
+}
+
+/// The checkpoint bytes of `case` run on `backend` with `threads` workers
+/// under `plan`.
+fn saved_bytes(case: &Case, backend: &str, plan: KernelPlan, threads: usize) -> Vec<u8> {
+    let mut state = start_state(case);
+    state.config.plan = plan;
+    let mut solver = build_solver(backend, state, threads).unwrap();
+    solver.run(case.steps).unwrap();
+    let mut bytes = Vec::new();
+    write_checkpoint(&solver.to_state(), &mut bytes).unwrap();
+    bytes
+}
+
+fn fixture(name: &str) -> Vec<u8> {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn fresh_runs_save_the_golden_bytes() {
+    for case in cases() {
+        let want = fixture(case.fixture);
+        assert_eq!(
+            u64::from_le_bytes(want[8..16].try_into().unwrap()),
+            3,
+            "{} is not v3",
+            case.fixture
+        );
+        let c = case.config;
+        let mut runs = vec![
+            ("seq", KernelPlan::Split, 1),
+            ("seq", KernelPlan::Fused, 1),
+            ("omp", c.plan, 3),
+        ];
+        if [c.nx, c.ny, c.nz].iter().all(|n| n % c.cube_k == 0) {
+            runs.push(("cube", c.plan, 2));
+        }
+        for (backend, plan, threads) in runs {
+            let got = saved_bytes(&case, backend, plan, threads);
+            let what = format!("{}: {backend} {plan:?} {threads} thread(s)", case.fixture);
+            assert_eq!(got.len(), want.len(), "{what}: length");
+            if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+                panic!("{what}: byte {i} of {} differs", got.len());
+            }
+        }
+    }
+}
