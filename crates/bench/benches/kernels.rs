@@ -8,7 +8,7 @@ use ib::delta::{CubeIndexer, DeltaKind};
 use ib::forces;
 use ib::sheet::FiberSheet;
 use lbm::boundary::{stream_push_bounded, BoundaryConfig};
-use lbm::collision::{bgk_collide_node, collide_grid, trt_collide_node, Relaxation};
+use lbm::collision::{bgk_collide_shifted, collide_shifted_slab};
 use lbm::grid::{Dims, FluidGrid};
 use lbm::lattice::Q;
 use lbm::macroscopic::{initialize_equilibrium, update_velocity_shifted};
@@ -53,29 +53,10 @@ fn node_kernels(c: &mut Criterion) {
     for (i, v) in f.iter_mut().enumerate() {
         *v = lbm::lattice::W[i];
     }
-    group.bench_function("bgk_collide_node", |b| {
+    group.bench_function("bgk_collide_shifted", |b| {
         b.iter(|| {
             let mut fl = f;
-            bgk_collide_node(
-                black_box(&mut fl),
-                1.0,
-                [0.01, 0.02, 0.0],
-                [1e-5, 0.0, 0.0],
-                0.8,
-            );
-            fl
-        })
-    });
-    group.bench_function("trt_collide_node", |b| {
-        b.iter(|| {
-            let mut fl = f;
-            trt_collide_node(
-                black_box(&mut fl),
-                1.0,
-                [0.01, 0.02, 0.0],
-                [1e-5, 0.0, 0.0],
-                0.8,
-            );
+            bgk_collide_shifted(black_box(&mut fl), 1.0, [0.01, 0.02, 0.0], 0.8);
             fl
         })
     });
@@ -92,7 +73,7 @@ fn fluid_kernels(c: &mut Criterion) {
         b.iter_batched(
             grid_32,
             |mut g| {
-                collide_grid(&mut g, Relaxation::new(0.8));
+                collide_shifted_slab(&mut g.slab_mut(), 0.8);
                 g
             },
             BatchSize::LargeInput,

@@ -222,7 +222,7 @@ pub fn flat_step_trace(dims: Dims, x_range: std::ops::Range<usize>, mut emit: im
 }
 
 /// One time step of the flat layout under the fused kernel plan: kernels
-/// 5+6 collapse into one sweep (see [`emit_fused`]); kernels 7 and 9 are
+/// 5+6 collapse into one sweep (see `emit_fused`); kernels 7 and 9 are
 /// unchanged.
 pub fn flat_fused_step_trace(
     dims: Dims,

@@ -71,19 +71,12 @@ impl SpinBarrier {
         self.poison.load(Ordering::Acquire) != 0
     }
 
-    /// Blocks (spinning) until all `n` threads have called `wait` for the
-    /// current generation. Returns `true` on exactly one thread per
-    /// generation (the "leader", the last arriver).
+    /// Blocks (spinning) until all `n` threads have called `wait_checked`
+    /// for the current generation. Returns `Ok(true)` on exactly one
+    /// thread per generation (the "leader", the last arriver).
     ///
-    /// Panics if the barrier is (or becomes) poisoned — use
-    /// [`SpinBarrier::wait_checked`] to handle that as a value.
-    pub fn wait(&self) -> bool {
-        self.wait_checked().expect("barrier poisoned")
-    }
-
-    /// [`SpinBarrier::wait`], but a poisoned barrier returns
-    /// `Err(BarrierPoisoned)` instead of panicking — on entry and from
-    /// inside the spin loop, so no thread is left spinning on a
+    /// A poisoned barrier returns `Err(BarrierPoisoned)` — on entry and
+    /// from inside the spin loop, so no thread is left spinning on a
     /// rendezvous a dead sibling can never join.
     pub fn wait_checked(&self) -> Result<bool, BarrierPoisoned> {
         if self.is_poisoned() {
@@ -205,7 +198,7 @@ pub enum BarrierKind {
     Std,
 }
 
-/// Either barrier behind one `wait()` interface.
+/// Either barrier behind one `wait_checked()` interface.
 pub enum PhaseBarrier {
     Spin(SpinBarrier),
     Std(ParkingBarrier),
@@ -229,13 +222,8 @@ impl PhaseBarrier {
         }
     }
 
-    /// Waits for all threads; returns `true` on one leader thread.
-    /// Panics if the barrier is poisoned.
-    pub fn wait(&self) -> bool {
-        self.wait_checked().expect("barrier poisoned")
-    }
-
-    /// Waits for all threads, surfacing poisoning as a value.
+    /// Waits for all threads; returns `Ok(true)` on one leader thread and
+    /// `Err(BarrierPoisoned)` if the barrier is poisoned.
     pub fn wait_checked(&self) -> Result<bool, BarrierPoisoned> {
         match self {
             PhaseBarrier::Spin(b) => b.wait_checked(),
@@ -253,11 +241,6 @@ impl PhaseBarrier {
         let leader = self.wait_checked()?;
         Ok((leader, t0.elapsed()))
     }
-
-    /// [`PhaseBarrier::wait_timed_checked`], panicking on poison.
-    pub fn wait_timed(&self) -> (bool, std::time::Duration) {
-        self.wait_timed_checked().expect("barrier poisoned")
-    }
 }
 
 #[cfg(test)]
@@ -269,7 +252,7 @@ mod tests {
     fn single_thread_is_always_leader() {
         let b = SpinBarrier::new(1);
         for _ in 0..5 {
-            assert!(b.wait());
+            assert_eq!(b.wait_checked(), Ok(true));
         }
     }
 
@@ -281,7 +264,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..100 {
-                        if b.wait() {
+                        if b.wait_checked().unwrap() {
                             leaders.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -309,12 +292,12 @@ mod tests {
                 s.spawn(move || {
                     for round in 1..=ROUNDS as u64 {
                         slots[t].store(round, Ordering::Relaxed);
-                        b.wait();
+                        b.wait_checked().unwrap();
                         for (i, slot) in slots.iter().enumerate() {
                             let v = slot.load(Ordering::Relaxed);
                             assert!(v >= round, "thread {t} saw stale slot {i}: {v} < {round}");
                         }
-                        b.wait(); // end-of-round barrier before next write
+                        b.wait_checked().unwrap(); // end-of-round barrier before next write
                     }
                 });
             }
@@ -329,7 +312,7 @@ mod tests {
             for _ in 0..3 {
                 s.spawn(|| {
                     for _ in 0..10 {
-                        if b.wait() {
+                        if b.wait_checked().unwrap() {
                             leaders.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -343,11 +326,11 @@ mod tests {
     fn wait_timed_reports_leader_and_duration() {
         let b = PhaseBarrier::new(BarrierKind::Spin, 2);
         std::thread::scope(|s| {
-            let waiter = s.spawn(|| b.wait_timed());
+            let waiter = s.spawn(|| b.wait_timed_checked());
             // Give the waiter a head start so it measurably blocks.
             std::thread::sleep(std::time::Duration::from_millis(20));
-            let (_, releaser_wait) = b.wait_timed();
-            let (_, waited) = waiter.join().unwrap();
+            let (_, releaser_wait) = b.wait_timed_checked().unwrap();
+            let (_, waited) = waiter.join().unwrap().unwrap();
             assert!(
                 waited >= std::time::Duration::from_millis(5),
                 "first arriver should have blocked, waited {waited:?}"

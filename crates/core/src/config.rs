@@ -5,7 +5,6 @@ use ib::delta::DeltaKind;
 use ib::sheet::FiberSheet;
 use ib::tether::TetherSet;
 use lbm::boundary::{AxisBoundary, BoundaryConfig};
-use lbm::collision::Relaxation;
 use lbm::grid::Dims;
 
 /// How (and whether) the sheet is anchored.
@@ -299,11 +298,6 @@ impl SimulationConfig {
     /// Grid dimensions as a [`Dims`].
     pub fn dims(&self) -> Dims {
         Dims::new(self.nx, self.ny, self.nz)
-    }
-
-    /// Relaxation parameters.
-    pub fn relaxation(&self) -> Relaxation {
-        Relaxation::new(self.tau)
     }
 
     /// Checks physical and geometric sanity. Returns the single problem

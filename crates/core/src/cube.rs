@@ -47,7 +47,7 @@
 //!
 //! A neighbour inside the grid lies, in the cube layout, at a fixed
 //! flat-index offset that depends only on the node's position within its
-//! cube and the direction ([`CubeStreamer`]). Every push whose neighbour
+//! cube and the direction (the `CubeStreamer` table). Every push whose neighbour
 //! is inside the grid takes that offset: all 18 of a node off the domain
 //! faces, and on a face node every direction that does not step across
 //! the face. Only the remaining pushes go through the routing tables

@@ -2,14 +2,14 @@
 //!
 //! Compiled out by default: without the `faultinject` feature every hook
 //! in this module is an empty `#[inline]` function the optimizer deletes,
-//! so the hot loops pay nothing. With the feature on, tests [`arm`] a
+//! so the hot loops pay nothing. With the feature on, tests `arm` a
 //! [`FaultPlan`] describing exactly where a failure fires — a worker
 //! panic at a (thread, step, phase) triple, a NaN poisoning the fluid
 //! state, a torn or bit-flipped checkpoint write, a dropped or delayed
 //! halo message — and the solvers trip over it reproducibly.
 //!
-//! Failpoints are process-global; [`arm`] holds a static lock for the
-//! lifetime of the returned [`Armed`] guard so concurrent chaos tests
+//! Failpoints are process-global; `arm` holds a static lock for the
+//! lifetime of the returned `Armed` guard so concurrent chaos tests
 //! serialize instead of interfering.
 
 use std::path::Path;

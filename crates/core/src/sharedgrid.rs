@@ -21,7 +21,7 @@
 //!
 //! Each accessor documents which rule makes it sound at its call site.
 //! With the `racecheck` feature enabled, every accessor additionally
-//! records its access into the [`crate::racecheck`] shadow log so the
+//! records its access into the `racecheck` module's shadow log so the
 //! discipline can be audited after a run.
 
 #[cfg(loom)]

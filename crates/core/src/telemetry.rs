@@ -35,8 +35,8 @@ pub struct ThreadTelemetry {
     /// Busy seconds per kernel, [`KernelId::ALL`] order.
     pub kernel_seconds: [f64; KernelId::COUNT],
     /// Seconds spent waiting at barriers (cube solver: the three
-    /// `SpinBarrier::wait`s per step; omp: the implicit region joins;
-    /// dist: blocking halo/reduce receives).
+    /// `PhaseBarrier::wait_timed_checked` crossings per step; omp: the
+    /// implicit region joins; dist: blocking halo/reduce receives).
     pub barrier_wait_seconds: f64,
     /// How many such waits were performed.
     pub barrier_waits: u64,

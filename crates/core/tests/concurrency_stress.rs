@@ -11,8 +11,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 fn spin_barrier_single_thread_reuse_many_generations() {
     let b = SpinBarrier::new(1);
     for generation in 0..100 {
-        assert!(
-            b.wait(),
+        assert_eq!(
+            b.wait_checked(),
+            Ok(true),
             "thread-count-1 barrier not leader in generation {generation}"
         );
     }
@@ -35,12 +36,12 @@ fn spin_barrier_leader_unique_per_generation_stress() {
             let (barrier, leaders) = (&barrier, &leaders);
             scope.spawn(move || {
                 for counter in leaders {
-                    if barrier.wait() {
+                    if barrier.wait_checked().unwrap() {
                         counter.fetch_add(1, Ordering::Relaxed);
                     }
                     // Second wait: leaders of generation g must not outrun
                     // slow waiters into generation g+1's election.
-                    barrier.wait();
+                    barrier.wait_checked().unwrap();
                 }
             });
         }

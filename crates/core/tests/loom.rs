@@ -17,7 +17,7 @@ use loom::sync::Arc;
 use loom::thread;
 
 /// The barrier must publish every pre-barrier write to every post-barrier
-/// reader. If `SpinBarrier::wait` lost its Release/Acquire pairing (e.g.
+/// reader. If `SpinBarrier::wait_checked` lost its Release/Acquire pairing (e.g.
 /// relaxed generation counter), loom would report the slot read as a data
 /// race — the test is falsifiable, not just a smoke check.
 #[test]
@@ -32,7 +32,7 @@ fn spin_barrier_publishes_writes_and_elects_one_leader() {
                 // SAFETY: slot `t` is written only by participant `t` before
                 // the barrier; nobody reads it until after the barrier.
                 unsafe { slots.set(t, (t + 1) as u64) };
-                if barrier.wait() {
+                if barrier.wait_checked().unwrap() {
                     leaders.fetch_add(1, Ordering::Relaxed);
                 }
                 for i in 0..2 {
@@ -77,7 +77,7 @@ fn spin_barrier_generations_reuse() {
                     // and the end-of-round barrier separates these writes from
                     // the previous round's reads.
                     unsafe { slots.set(t, round) };
-                    if barrier.wait() {
+                    if barrier.wait_checked().unwrap() {
                         leaders.fetch_add(1, Ordering::Relaxed);
                     }
                     for i in 0..2 {
@@ -86,7 +86,7 @@ fn spin_barrier_generations_reuse() {
                         let v = unsafe { slots.get(i) };
                         assert_eq!(v, round, "slot {i} stale in round {round}");
                     }
-                    barrier.wait(); // end-of-round barrier
+                    barrier.wait_checked().unwrap(); // end-of-round barrier
                 }
             };
 
@@ -114,7 +114,7 @@ fn spin_barrier_single_thread_reuse() {
     loom::model(|| {
         let b = SpinBarrier::new(1);
         for _ in 0..3 {
-            assert!(b.wait());
+            assert_eq!(b.wait_checked(), Ok(true));
         }
     });
 }
@@ -197,7 +197,7 @@ fn algorithm4_phase_sequence_two_cubes() {
                         assert_eq!(force.get(t), BODY, "step {step}: unmarked cube {t}");
                     }
                 }
-                barrier.wait();
+                barrier.wait_checked().unwrap();
                 // Loop 3: mark and spread every reaching fiber's
                 // contribution, in fiber order, into my own cube.
                 // SAFETY: as above — exclusive owner access.
@@ -226,7 +226,7 @@ fn algorithm4_phase_sequence_two_cubes() {
                         moment_force = BODY;
                     }
                 }
-                barrier.wait();
+                barrier.wait_checked().unwrap();
                 // Loop 4: read the velocities of the cubes the stencils
                 // reach (neighbour access), move my fiber.
                 for c in (0..2).filter(|&c| reaches(step, c)) {
@@ -239,7 +239,7 @@ fn algorithm4_phase_sequence_two_cubes() {
                 // SAFETY: pos[t] is my fiber's; nobody reads positions in
                 // this phase.
                 unsafe { pos.set(t, moved) };
-                barrier.wait();
+                barrier.wait_checked().unwrap();
             }
         };
 
@@ -293,7 +293,7 @@ fn fused_push_across_cube_face_is_race_free() {
                 // SAFETY: slot `1 - t` has this worker as its unique writer
                 // (push injectivity); no reads until after the barrier.
                 unsafe { f_new.set(1 - t, reg) };
-                barrier.wait();
+                barrier.wait_checked().unwrap();
                 // Kernel 7 reads everything after the barrier.
                 for c in 0..2 {
                     // SAFETY: writes stopped at the barrier.
@@ -348,13 +348,13 @@ fn buffer_swap_without_copy_is_race_free() {
                     };
                     assert!(v > 0.0);
                     // Barrier 1.
-                    barrier.wait();
+                    barrier.wait_checked().unwrap();
                     // Loop 3: kernel 7 reads my own cube's streamed slot.
                     // SAFETY: written by the other worker before barrier 1.
                     let got = unsafe { nxt.get(t) };
                     assert_eq!(got, seen[t], "step {}: cube {t} missed its push", step + 1);
                     // Barrier 3.
-                    barrier.wait();
+                    barrier.wait_checked().unwrap();
                 }
             };
 

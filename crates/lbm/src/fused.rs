@@ -212,7 +212,7 @@ pub fn fused_collide_stream_grid(grid: &mut FluidGrid, bc: &BoundaryConfig, tau:
 mod tests {
     use super::*;
     use crate::boundary::{stream_push_bounded, stream_push_routed_node, AxisBoundary};
-    use crate::collision::bgk_collide_node;
+    use crate::collision::tests::bgk_collide_reference;
     use crate::equilibrium::feq;
     use crate::macroscopic::update_velocity_shifted;
     use proptest::prelude::*;
@@ -261,7 +261,7 @@ mod tests {
             let rho = grid.rho[node];
             let ueq = [grid.ueqx[node], grid.ueqy[node], grid.ueqz[node]];
             let f = &mut grid.f[node * Q..node * Q + Q];
-            bgk_collide_node(f, rho, ueq, [0.0; 3], tau);
+            bgk_collide_reference(f, rho, ueq, tau);
         }
         routed_reference(grid, bc);
     }
@@ -328,7 +328,7 @@ mod tests {
         let ueq = [0.012, 0.018, -0.031];
         let regs = collide_to_registers(&f, rho, ueq, tau);
         let mut reference = f;
-        bgk_collide_node(&mut reference, rho, ueq, [0.0; 3], tau);
+        bgk_collide_reference(&mut reference, rho, ueq, tau);
         assert_eq!(regs, reference);
     }
 

@@ -1,9 +1,10 @@
 //! # lbm — D3Q19 lattice Boltzmann substrate
 //!
 //! The fluid half of the LBM-IB method (Nagar, Song, Zhu, Lin — ICPP 2015):
-//! a from-scratch D3Q19 lattice Boltzmann solver with BGK collision, Guo
-//! forcing (so the immersed boundary's elastic force enters consistently),
-//! half-way bounce-back walls, and two storage layouts —
+//! a from-scratch D3Q19 lattice Boltzmann kernel set with BGK collision,
+//! velocity-shift forcing (kernel 7 folds the immersed boundary's elastic
+//! force into the velocity the next collision relaxes toward), half-way
+//! bounce-back walls, and two storage layouts —
 //!
 //! * [`grid::FluidGrid`]: flat structure-of-arrays over the whole grid, the
 //!   layout of the paper's sequential and OpenMP implementations;
@@ -12,20 +13,31 @@
 //!
 //! The crate also hosts the paper's data-distribution functions
 //! ([`distribution::CubeDistribution`] implements `cube2thread`,
-//! [`distribution::FiberDistribution`] implements `fiber2thread`), analytic
-//! Navier–Stokes solutions for validation, and a plain sequential stepper.
+//! [`distribution::FiberDistribution`] implements `fiber2thread`) and
+//! analytic Navier–Stokes solutions for validation. The time loop lives
+//! in the solvers of the `lbm-ib` crate, which call these kernels.
 //!
 //! ## Quick example
 //!
-//! ```
-//! use lbm::{
-//!     boundary::BoundaryConfig, collision::Relaxation, grid::Dims, stepper::PlainLbm,
-//! };
+//! One fluid step of a force-driven periodic box, kernel by kernel:
 //!
-//! let mut solver = PlainLbm::new(Dims::new(16, 8, 8), Relaxation::new(0.8), BoundaryConfig::tunnel());
-//! solver.body_force = [1e-5, 0.0, 0.0]; // drive a channel flow
-//! solver.run(10);
-//! assert!(solver.grid.ux.iter().sum::<f64>() > 0.0);
+//! ```
+//! use lbm::boundary::{add_uniform_body_force, BoundaryConfig};
+//! use lbm::fused::fused_collide_stream_grid;
+//! use lbm::grid::{Dims, FluidGrid};
+//! use lbm::macroscopic::{initialize_equilibrium, update_velocity_shifted};
+//!
+//! let tau = 0.8;
+//! let mut grid = FluidGrid::new(Dims::new(8, 4, 4));
+//! initialize_equilibrium(&mut grid, |_, _, _| 1.0, |_, _, _| [0.0; 3]);
+//! for _ in 0..10 {
+//!     grid.clear_force();
+//!     add_uniform_body_force(&mut grid, [1e-5, 0.0, 0.0]);
+//!     fused_collide_stream_grid(&mut grid, &BoundaryConfig::periodic(), tau); // kernels 5+6
+//!     update_velocity_shifted(&mut grid, tau); // kernel 7
+//!     grid.swap_distributions(); // kernel 9
+//! }
+//! assert!(grid.ux.iter().all(|&u| u > 0.0));
 //! ```
 
 pub mod analytic;
@@ -38,10 +50,8 @@ pub mod fused;
 pub mod grid;
 pub mod lattice;
 pub mod macroscopic;
-pub mod stepper;
 
 pub use boundary::BoundaryConfig;
-pub use collision::Relaxation;
 pub use cube_grid::{CubeDims, CubeFluidGrid};
 pub use distribution::{CubeDistribution, FiberDistribution, Policy, ThreadMesh};
 pub use grid::{Dims, FluidGrid};

@@ -2,48 +2,12 @@
 //! density and velocity of every fluid node from the freshly streamed
 //! distributions and the elastic force spread by the fibers.
 //!
-//! With Guo forcing the physically consistent velocity carries a half-force
-//! correction: `ρ = Σ_i f_i`, `ρ u = Σ_i f_i e_i + F/2`.
+//! The forcing is the velocity shift: `ρ = Σ_i f_i`, the physical
+//! velocity is `ρ u = Σ_i f_i e_i + F/2`, and the next collision relaxes
+//! toward the equilibrium at `ρ u_eq = Σ_i f_i e_i + τF`.
 
 use crate::grid::{FluidGrid, Slab};
-use crate::lattice::{EF, Q};
-
-/// Density and force-corrected velocity of a single node's distributions.
-#[inline]
-pub fn node_moments(f: &[f64], force: [f64; 3]) -> (f64, [f64; 3]) {
-    debug_assert_eq!(f.len(), Q);
-    let mut rho = 0.0;
-    let mut m = [0.0; 3];
-    for i in 0..Q {
-        let fi = f[i];
-        rho += fi;
-        m[0] += fi * EF[i][0];
-        m[1] += fi * EF[i][1];
-        m[2] += fi * EF[i][2];
-    }
-    let inv = 1.0 / rho;
-    (
-        rho,
-        [
-            (m[0] + 0.5 * force[0]) * inv,
-            (m[1] + 0.5 * force[1]) * inv,
-            (m[2] + 0.5 * force[2]) * inv,
-        ],
-    )
-}
-
-/// Sequential whole-grid macroscopic update from the **new** (post-streaming)
-/// distribution buffer, exactly as the paper places kernel 7 after kernel 6.
-pub fn update_velocity(grid: &mut FluidGrid) {
-    for node in 0..grid.n() {
-        let force = [grid.fx[node], grid.fy[node], grid.fz[node]];
-        let (rho, u) = node_moments(&grid.f_new[node * Q..node * Q + Q], force);
-        grid.rho[node] = rho;
-        grid.ux[node] = u[0];
-        grid.uy[node] = u[1];
-        grid.uz[node] = u[2];
-    }
-}
+use crate::lattice::Q;
 
 /// Moments for the velocity-shift (Shan–Chen style) forcing used by the
 /// coupled LBM-IB solvers: returns `(ρ, u_phys, u_eq)` where
@@ -140,15 +104,12 @@ pub(crate) mod tests {
     use super::*;
     use crate::equilibrium::feq;
     use crate::grid::Dims;
+    use crate::lattice::EF;
     use proptest::prelude::*;
 
-    /// The generic moment loop `node_moments_shifted` replaced: every
+    /// The generic moment loop: `ρ` and the momentum `Σ f_i e_i`, every
     /// direction times every component of `e_i`, zeros included.
-    fn node_moments_shifted_reference(
-        f: &[f64],
-        force: [f64; 3],
-        tau: f64,
-    ) -> (f64, [f64; 3], [f64; 3]) {
+    fn plain_moments(f: &[f64]) -> (f64, [f64; 3]) {
         let mut rho = 0.0;
         let mut m = [0.0; 3];
         for i in 0..Q {
@@ -158,6 +119,16 @@ pub(crate) mod tests {
             m[1] += fi * EF[i][1];
             m[2] += fi * EF[i][2];
         }
+        (rho, m)
+    }
+
+    /// The generic loop `node_moments_shifted` replaced.
+    fn node_moments_shifted_reference(
+        f: &[f64],
+        force: [f64; 3],
+        tau: f64,
+    ) -> (f64, [f64; 3], [f64; 3]) {
+        let (rho, m) = plain_moments(f);
         let inv = 1.0 / rho;
         let u_phys: [f64; 3] = std::array::from_fn(|a| (m[a] + 0.5 * force[a]) * inv);
         let u_eq: [f64; 3] = std::array::from_fn(|a| (m[a] + tau * force[a]) * inv);
@@ -195,10 +166,11 @@ pub(crate) mod tests {
         for i in 0..Q {
             f[i] = feq(i, rho_in, u_in);
         }
-        let (rho, u) = node_moments(&f, [0.0; 3]);
+        let (rho, u, ueq) = node_moments_shifted(&f, [0.0; 3], 0.8);
         assert!((rho - rho_in).abs() < 1e-13);
         for a in 0..3 {
             assert!((u[a] - u_in[a]).abs() < 1e-13, "axis {a}");
+            assert_eq!(u[a], ueq[a], "axis {a}: no force, no shift");
         }
     }
 
@@ -210,7 +182,7 @@ pub(crate) mod tests {
             f[i] = feq(i, rho_in, [0.0; 3]);
         }
         let force = [2e-3, -4e-3, 6e-3];
-        let (_, u) = node_moments(&f, force);
+        let (_, u, _) = node_moments_shifted(&f, force, 0.8);
         for a in 0..3 {
             assert!((u[a] - 0.5 * force[a]).abs() < 1e-15, "axis {a}");
         }
@@ -229,7 +201,7 @@ pub(crate) mod tests {
                 g.f_new[node * Q + i] = feq(i, 1.0, u_in);
             }
         }
-        update_velocity(&mut g);
+        update_velocity_shifted(&mut g, 0.8);
         for node in 0..g.n() {
             assert!((g.rho[node] - 1.0).abs() < 1e-13);
             assert!((g.ux[node] - u_in[0]).abs() < 1e-13);
@@ -247,15 +219,17 @@ pub(crate) mod tests {
         }
         let force = [4e-3, 0.0, -2e-3];
         let (rho, u, ueq) = node_moments_shifted(&f, force, tau);
-        let (rho_plain, u_half) = node_moments(&f, force);
+        let (rho_plain, m) = plain_moments(&f);
         assert_eq!(rho, rho_plain);
         for a in 0..3 {
-            // u_phys matches the F/2-corrected Guo velocity definition.
-            assert!((u[a] - u_half[a]).abs() < 1e-15, "axis {a}");
-            // u_eq differs from the bare velocity by τF/ρ.
-            let (_, bare) = node_moments(&f, [0.0; 3]);
+            // u_phys carries half the force.
             assert!(
-                (ueq[a] - (bare[a] + tau * force[a] / rho)).abs() < 1e-15,
+                (u[a] - (m[a] + 0.5 * force[a]) / rho).abs() < 1e-15,
+                "axis {a}"
+            );
+            // u_eq differs from the bare velocity by τF/ρ.
+            assert!(
+                (ueq[a] - (m[a] / rho + tau * force[a] / rho)).abs() < 1e-15,
                 "axis {a}"
             );
         }
@@ -264,8 +238,7 @@ pub(crate) mod tests {
     #[test]
     fn shifted_collision_adds_exactly_f_momentum() {
         // Relaxing toward feq(rho, u_eq) must inject exactly F per step.
-        use crate::collision::bgk_collide_node;
-        use crate::lattice::EF;
+        use crate::collision::bgk_collide_shifted;
         let tau = 0.7;
         let force = [3e-4, -1e-4, 2e-4];
         let mut f = [0.0; Q];
@@ -275,7 +248,7 @@ pub(crate) mod tests {
         let mom = |f: &[f64; Q], a: usize| -> f64 { (0..Q).map(|i| f[i] * EF[i][a]).sum() };
         let p_before = [mom(&f, 0), mom(&f, 1), mom(&f, 2)];
         let (rho, _, ueq) = node_moments_shifted(&f, force, tau);
-        bgk_collide_node(&mut f, rho, ueq, [0.0; 3], tau);
+        bgk_collide_shifted(&mut f, rho, ueq, tau);
         for a in 0..3 {
             let dp = mom(&f, a) - p_before[a];
             assert!(
@@ -321,9 +294,9 @@ pub(crate) mod tests {
             // Present and new buffers start identical.
             assert_eq!(g.node_f(node), g.node_f_new(node));
             // Moments of the stored distributions agree with the fields.
-            let (rho, u) = node_moments(g.node_f(node), [0.0; 3]);
+            let (rho, m) = plain_moments(g.node_f(node));
             assert!((rho - g.rho[node]).abs() < 1e-13);
-            assert!((u[0] - g.ux[node]).abs() < 1e-13);
+            assert!((m[0] / rho - g.ux[node]).abs() < 1e-13);
             let _ = z;
         }
     }

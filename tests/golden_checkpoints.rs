@@ -10,7 +10,7 @@
 //! numerics on purpose regenerates the fixtures and says so in CHANGES.md.
 
 use ib::delta::DeltaKind;
-use lbm::boundary::BoundaryConfig;
+use lbm::boundary::{AxisBoundary, BoundaryConfig};
 use lbm_ib::checkpoint::write_checkpoint;
 use lbm_ib::{build_solver, KernelPlan, SheetConfig, SimState, SimulationConfig, TetherConfig};
 use std::path::PathBuf;
@@ -33,7 +33,7 @@ fn sheet(center: [f64; 3]) -> SheetConfig {
     }
 }
 
-fn cases() -> [Case; 3] {
+fn cases() -> [Case; 4] {
     let base = SimulationConfig {
         cube_k: 2,
         ..SimulationConfig::quick_test()
@@ -94,6 +94,30 @@ fn cases() -> [Case; 3] {
                 ..base
             },
             displaced: false,
+            steps: 30,
+        },
+        // A Couette channel: the y = ny − ½ wall moves along x and drags
+        // the fluid, with no body force, past a displaced sheet.
+        Case {
+            fixture: "golden_moving_lid.ckpt",
+            config: SimulationConfig {
+                nx: 8,
+                ny: 8,
+                nz: 6,
+                body_force: [0.0; 3],
+                bc: BoundaryConfig {
+                    x: AxisBoundary::Periodic,
+                    y: AxisBoundary::Walls {
+                        lo: [0.0; 3],
+                        hi: [0.04, 0.0, 0.0],
+                    },
+                    z: AxisBoundary::Periodic,
+                },
+                plan: KernelPlan::Fused,
+                sheet: sheet([3.6, 3.5, 3.0]),
+                ..base
+            },
+            displaced: true,
             steps: 30,
         },
     ]

@@ -1,6 +1,7 @@
 //! Integration tests with a moving-lid (Couette) boundary: the coupled
 //! solvers must agree and the fluid must develop the analytic linear
-//! profile, with the sheet dragged along by the shear.
+//! profile — exactly with an inert sheet, and with a live sheet dragged
+//! along by the shear.
 
 use lbm::analytic::Couette;
 use lbm::boundary::{AxisBoundary, BoundaryConfig};
@@ -25,6 +26,37 @@ fn couette_config(u_lid: f64) -> SimulationConfig {
         ..SheetConfig::square(5, 2.0, [8.0, 6.0, 8.0])
     };
     c
+}
+
+#[test]
+fn couette_profile_reached() {
+    // A 4x8x4 channel with an inert sheet (zero stiffness, so no force
+    // reaches the fluid) must settle on the Couette line within 2% of the
+    // lid speed.
+    let u_lid = 0.02;
+    let cfg = SimulationConfig {
+        nx: 4,
+        ny: 8,
+        nz: 4,
+        sheet: SheetConfig {
+            k_bend: 0.0,
+            k_stretch: 0.0,
+            ..SheetConfig::square(2, 1.0, [2.0, 3.5, 2.0])
+        },
+        ..couette_config(u_lid)
+    };
+    let mut s = SequentialSolver::new(cfg);
+    s.run(3000);
+    let dims = cfg.dims();
+    let couette = Couette { ny: cfg.ny, u_lid };
+    for y in 0..cfg.ny {
+        let got = s.state.fluid.ux[dims.idx(1, y, 1)];
+        let want = couette.ux(y);
+        assert!(
+            (got - want).abs() < 0.02 * u_lid,
+            "row {y}: measured {got} vs analytic {want}"
+        );
+    }
 }
 
 #[test]

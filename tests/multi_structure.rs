@@ -10,9 +10,8 @@ use ib::sheet::FiberSheet;
 use ib::spread;
 use ib::tether::TetherSet;
 use lbm::boundary::{add_uniform_body_force, stream_push_bounded, BoundaryConfig};
-use lbm::collision::bgk_collide_node;
+use lbm::collision::collide_shifted_slab;
 use lbm::grid::{Dims, FluidGrid};
-use lbm::lattice::Q;
 use lbm::macroscopic::{initialize_equilibrium, update_velocity_shifted};
 use lbm_ib::{SequentialSolver, SimulationConfig};
 
@@ -52,21 +51,7 @@ impl HandRolled {
         for (sheet, _) in &self.bodies {
             spread::spread_forces(sheet, self.delta, dims, &self.bc, &mut self.fluid);
         }
-        for node in 0..self.fluid.n() {
-            let ueq = [
-                self.fluid.ueqx[node],
-                self.fluid.ueqy[node],
-                self.fluid.ueqz[node],
-            ];
-            let rho = self.fluid.rho[node];
-            bgk_collide_node(
-                &mut self.fluid.f[node * Q..node * Q + Q],
-                rho,
-                ueq,
-                [0.0; 3],
-                self.tau,
-            );
-        }
+        collide_shifted_slab(&mut self.fluid.slab_mut(), self.tau);
         stream_push_bounded(&mut self.fluid, &self.bc);
         update_velocity_shifted(&mut self.fluid, self.tau);
         for (sheet, _) in self.bodies.iter_mut() {
