@@ -324,19 +324,31 @@ mod tests {
 
     #[test]
     fn wait_timed_reports_leader_and_duration() {
+        use std::time::Instant;
         let b = PhaseBarrier::new(BarrierKind::Spin, 2);
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| b.wait_timed_checked());
-            // Give the waiter a head start so it measurably blocks.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            let (_, releaser_wait) = b.wait_timed_checked().unwrap();
-            let (_, waited) = waiter.join().unwrap().unwrap();
-            assert!(
-                waited >= std::time::Duration::from_millis(5),
-                "first arriver should have blocked, waited {waited:?}"
-            );
-            assert!(releaser_wait < waited);
+        // Each thread records the instant it arrives and returns it with
+        // its leader flag and measured wait. Whichever thread arrives
+        // first, its wait covers the gap to the other's arrival.
+        let arrive = || {
+            let at = Instant::now();
+            let (leader, waited) = b.wait_timed_checked().unwrap();
+            (leader, waited, at)
+        };
+        let (a, c) = std::thread::scope(|s| {
+            let other = s.spawn(arrive);
+            // Usually makes the spawned thread the first arriver; the
+            // assertions hold for either order.
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            let mine = arrive();
+            (mine, other.join().unwrap())
         });
+        assert!(a.0 != c.0, "exactly one leader: {a:?}, {c:?}");
+        let ((_, waited, first_at), (_, _, leader_at)) = if a.0 { (c, a) } else { (a, c) };
+        let gap = leader_at.saturating_duration_since(first_at);
+        assert!(
+            waited >= gap,
+            "the first arriver waited {waited:?}, less than the {gap:?} between arrivals"
+        );
     }
 
     #[test]

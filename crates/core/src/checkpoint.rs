@@ -115,10 +115,29 @@ impl From<io::Error> for CheckpointError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial, table-driven, no external crates).
+// CRC-32 (IEEE 802.3 polynomial, reflected; no external crates).
 // ---------------------------------------------------------------------------
 
-/// Bytes folded per step of the sliced loop in [`crc32_update`].
+/// Folds `bytes` into the running (pre-inversion) CRC-32 `state`. The
+/// digest is the same as a byte-at-a-time loop over the same polynomial.
+///
+/// On x86_64 CPUs with PCLMULQDQ (checked at run time), a piece of at
+/// least 128 bytes goes through the carry-less-multiply fold
+/// ([`clmul::fold`]) in whole 64-byte blocks, and only its remainder of
+/// fewer than 64 bytes through the table loop ([`crc32_table_update`]),
+/// which takes shorter pieces and serves every other CPU.
+fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::MIN_LEN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: the CPU supports PCLMULQDQ (checked just above), and
+        // SSE2, the fold's other requirement, is part of x86_64 itself.
+        let (state, rest) = unsafe { clmul::fold(state, bytes) };
+        return crc32_table_update(state, rest);
+    }
+    crc32_table_update(state, bytes)
+}
+
+/// Bytes folded per step of the sliced loop in [`crc32_table_update`].
 const CRC_SLICE: usize = 16;
 
 /// Slicing-by-16 tables. `table[0]` is the classic bytewise table;
@@ -157,10 +176,9 @@ const fn crc32_tables() -> [[u32; 256]; CRC_SLICE] {
 
 static CRC_TABLES: [[u32; 256]; CRC_SLICE] = crc32_tables();
 
-/// Folds `bytes` into the running (pre-inversion) CRC-32 `state`. The
-/// digest is the same as a byte-at-a-time loop over the same polynomial;
-/// only the tail of fewer than 16 bytes takes that loop.
-fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
+/// [`crc32_update`] by table lookups alone: slicing-by-16, and a
+/// byte-at-a-time loop for a tail of fewer than 16 bytes.
+fn crc32_table_update(mut state: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let (blocks, rest) = bytes.as_chunks::<CRC_SLICE>();
     for b in blocks {
@@ -178,6 +196,105 @@ fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
         state = t[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
     state
+}
+
+/// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel, 2009), in the bit-reflected form the IEEE CRC uses.
+///
+/// Four 128-bit accumulators each take every fourth 16-byte lane. One
+/// fold step multiplies an accumulator's two 64-bit halves by
+/// `x^(512±32) mod P` and XORs the products into the lane 64 bytes on,
+/// which keeps the accumulator congruent to the message so far. At the
+/// end the four fold into one (constants for 128 bits), the 128 bits
+/// reduce to 64, and a Barrett reduction by `P` and `μ = x^64 / P` leaves
+/// the 32-bit remainder, the running CRC state.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// The fewest bytes worth folding: the four accumulators' first load
+    /// plus one fold step.
+    pub(super) const MIN_LEN: usize = 128;
+
+    /// Fold constants, each `x^e mod P` with its 32 bits reversed and
+    /// shifted up one (33 bits): `e` = 4·128+32 (`K1`) and 4·128−32
+    /// (`K2`) fold 64 bytes on, 128+32 (`K3`) and 128−32 (`K4`) 16 bytes
+    /// on, and 64 (`K5`) takes 128 bits to 64.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    /// The polynomial `P` and the Barrett constant `μ`, bit-reflected.
+    const P_X: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// Folds the longest prefix of `bytes` made of whole 64-byte blocks
+    /// into the running (pre-inversion) `state` and returns the new state
+    /// with the bytes left over (fewer than 64). `bytes` must hold at
+    /// least [`MIN_LEN`] bytes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support PCLMULQDQ (SSE2 is part of x86_64), which is
+    /// why a call from code compiled without it is `unsafe`.
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    pub(super) fn fold(state: u32, bytes: &[u8]) -> (u32, &[u8]) {
+        debug_assert!(bytes.len() >= MIN_LEN);
+        let (blocks, rest) = bytes.as_chunks::<64>();
+        let lane = |block: &[u8; 64], j: usize| {
+            let lane: &[u8; 16] = &block.as_chunks::<16>().0[j];
+            // SAFETY: `lane` is 16 readable bytes, and `_mm_loadu_si128`
+            // has no alignment requirement.
+            unsafe { _mm_loadu_si128(lane.as_ptr().cast::<__m128i>()) }
+        };
+        let mut x = [0, 1, 2, 3].map(|j| lane(&blocks[0], j));
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(state as i32));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for block in &blocks[1..] {
+            for (j, acc) in x.iter_mut().enumerate() {
+                *acc = fold_into(*acc, lane(block, j), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut acc = fold_into(x[0], x[1], k3k4);
+        acc = fold_into(acc, x[2], k3k4);
+        acc = fold_into(acc, x[3], k3k4);
+
+        // 128 bits to 64: fold the low half onto the high half, then the
+        // low 32 bits of that onto the rest.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(acc, k3k4),
+            _mm_srli_si128::<8>(acc),
+        );
+        acc = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(acc),
+        );
+
+        // Barrett reduction, 64 bits to 32: T1 = (R mod x^32)·μ,
+        // T2 = (T1 mod x^32)·P, and the CRC is bits 32..64 of R ⊕ T2.
+        let pmu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, low32), pmu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
+        let crc = _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(acc, t2))) as u32;
+        (crc, rest)
+    }
+
+    /// One fold step: `a`'s low half times `keys`' low half and its high
+    /// half times `keys`' high half, both XORed into `b`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    fn fold_into(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(a, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(a, keys);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
 }
 
 /// Writer that folds every byte it forwards into a running CRC-32.
@@ -801,7 +918,7 @@ mod tests {
     }
 
     /// Bit-at-a-time CRC-32 over the same polynomial, with no tables: the
-    /// reference the sliced [`crc32_update`] must reproduce.
+    /// reference every path of [`crc32_update`] must reproduce.
     fn reference_crc32(bytes: &[u8]) -> u32 {
         let mut state = 0xFFFF_FFFFu32;
         for &b in bytes {
@@ -821,16 +938,107 @@ mod tests {
         !crc32_update(0xFFFF_FFFF, bytes)
     }
 
+    /// The digest of `bytes` through each path, called directly: the
+    /// dispatching [`crc32_update`], the table loop alone, and, where the
+    /// CPU has PCLMULQDQ and `bytes` is long enough, the carry-less fold.
+    fn crc32_paths(bytes: &[u8]) -> Vec<(&'static str, u32)> {
+        let fold = fold_crc32(bytes).map(|d| ("fold", d));
+        [
+            ("dispatch", crc32(bytes)),
+            ("table", !crc32_table_update(0xFFFF_FFFF, bytes)),
+        ]
+        .into_iter()
+        .chain(fold)
+        .collect()
+    }
+
+    /// The carry-less fold's digest of `bytes`, with the table loop for
+    /// its tail; `None` where the fold does not apply.
+    #[cfg(target_arch = "x86_64")]
+    fn fold_crc32(bytes: &[u8]) -> Option<u32> {
+        if bytes.len() < clmul::MIN_LEN || !std::arch::is_x86_feature_detected!("pclmulqdq") {
+            return None;
+        }
+        // SAFETY: the CPU supports PCLMULQDQ (checked just above), and
+        // SSE2 is part of x86_64 itself.
+        let (state, rest) = unsafe { clmul::fold(0xFFFF_FFFF, bytes) };
+        Some(!crc32_table_update(state, rest))
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn fold_crc32(_: &[u8]) -> Option<u32> {
+        None
+    }
+
     #[test]
     fn crc32_known_answers() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(reference_crc32(b"123456789"), 0xCBF4_3926);
+        let zeros = [0u8; 4096];
+        for (path, got) in crc32_paths(&zeros) {
+            assert_eq!(got, 0xC71C_0011, "{path}: CRC-32 of 4096 zero bytes");
+        }
+    }
+
+    #[test]
+    fn every_crc_path_matches_reference_at_lengths_0_to_300() {
+        let mut rng = proptest::TestRng::new(0x0c2c_3200);
+        let bytes: Vec<u8> = (0..300).map(|_| rng.next_u64() as u8).collect();
+        for len in 0..=300 {
+            let want = reference_crc32(&bytes[..len]);
+            for (path, got) in crc32_paths(&bytes[..len]) {
+                assert_eq!(got, want, "{path} at length {len}");
+            }
+        }
+    }
+
+    /// The compact v3 file of a stepped 32³ run with a 20×20 sheet (what
+    /// `lbmib --nx 32 --ny 32 --nz 32 --sheet 20 --steps 1 --save` writes),
+    /// without its CRC trailer.
+    fn compact_32_cubed_payload() -> Vec<u8> {
+        let mut cfg = SimulationConfig::quick_test();
+        (cfg.nx, cfg.ny, cfg.nz) = (32, 32, 32);
+        cfg.sheet = SheetConfig::square(20, 32.0 / 3.0, [8.0, 16.0, 16.0]);
+        let mut s = SequentialSolver::new(cfg);
+        s.run(1);
+        let mut buf = Vec::new();
+        write_checkpoint(&s.state, &mut buf).unwrap();
+        assert_eq!(buf.len(), 5_805_992, "the compact form of a 32³ state");
+        buf.truncate(buf.len() - 8);
+        buf
+    }
+
+    #[test]
+    fn every_crc_path_matches_reference_on_a_compact_payload() {
+        let payload = compact_32_cubed_payload();
+        // Sizes a `CrcWriter` or `CrcReader` sees (single words, whole
+        // `F64_BLOCK` writes) and cuts that split blocks at odd points.
+        let block = 8 * F64_BLOCK;
+        let pieces = [8, block, block - 3, 131, block + 3, 8, 64];
+        for offset in [0, 1, 7] {
+            let bytes = &payload[offset..];
+            let want = reference_crc32(bytes);
+            for (path, got) in crc32_paths(bytes) {
+                assert_eq!(got, want, "{path} at offset {offset}");
+            }
+            let mut w = CrcWriter::new(io::sink());
+            let mut rest = bytes;
+            for &n in pieces.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(n.min(rest.len()));
+                w.write_all(head).unwrap();
+                rest = tail;
+            }
+            assert_eq!(w.digest(), want, "streamed at offset {offset}");
+        }
     }
 
     proptest! {
         /// Whole or split at 1–3 points (as `CrcWriter`/`CrcReader` see a
-        /// stream), the sliced CRC matches the reference.
+        /// stream), the CRC matches the reference.
         #[test]
         fn sliced_crc32_matches_reference(
             len in 0usize..=300,

@@ -22,8 +22,9 @@
 //!   the 19 per face node — and the receiver stores them before kernel 7;
 //! * **structure replication + all-reduce** — every rank holds the whole
 //!   (small) fiber sheet and computes its forces redundantly (Table I
-//!   shows fiber kernels are ~0.05% of the work). Each rank builds every
-//!   fiber node's stencil once per step; the spread
+//!   shows fiber kernels are ~0.05% of the work). Each rank builds, once
+//!   per step, the stencil of every fiber node whose support reaches its
+//!   planes (the others stay empty); the spread
 //!   ([`ib::spread::spread`]) applies the blocks on the rank's own planes,
 //!   and the velocity interpolation ([`ib::interp::interp`]) sums over the
 //!   same planes. The partial sums are reduced in rank order
@@ -202,12 +203,11 @@ impl DistributedSolver {
 
     /// Reassembles the global flat state into `out` (the gather behind
     /// [`crate::solver::Solver::to_state_into`]), reusing its buffers: the
-    /// rank slabs stacked along x.
+    /// rank slabs stacked along x. At a step boundary a rank's `f_new` is
+    /// what the swap left behind, so the state's `f_new` is filled from
+    /// the ranks' `f`, as after a kernel-9 copy, in the same pass.
     pub fn to_state_into(&self, out: &mut SimState) {
         out.fluid.concat_planes(&self.slabs);
-        // At a step boundary a rank's `f_new` is what the swap left behind;
-        // the state's `f_new` is a copy of `f`, as after a kernel-9 copy.
-        out.fluid.f_new.clone_from(&out.fluid.f);
         out.config = self.config;
         out.sheet.clone_from(&self.sheet);
         out.tethers.clone_from(&self.tethers);
@@ -416,10 +416,11 @@ fn rank_steps(
             tethers.apply(sheet);
         });
 
-        // Kernel 4: build every node's stencil, reset to body force, and
-        // spread the blocks on the owned planes.
+        // Kernel 4: build the stencils that reach the owned planes (the
+        // others stay empty), reset to body force, and spread the blocks
+        // on the owned planes.
         timed(&mut busy, SpreadForce, || {
-            indexer.build(&sheet.pos, delta, &bc, &mut stencils);
+            indexer.build_reaching(&sheet.pos, delta, &bc, rank.xs.clone(), &mut stencils);
             let FluidGrid { fx, fy, fz, .. } = grid;
             fx.fill(body[0]);
             fy.fill(body[1]);

@@ -221,6 +221,41 @@ impl CubeIndexer {
             *s = self.stencil(p, kind, bc);
         }
     }
+
+    /// Like [`CubeIndexer::build`], but builds only the stencils whose
+    /// x-support reaches the planes `xs`; every other entry of `out` is
+    /// left empty ([`CubeStencil::default`]). An empty stencil has no
+    /// block, so [`crate::spread::spread`] adds nothing for it and
+    /// [`crate::interp::interp`] returns +0.0, just as for a built one
+    /// whose blocks all lie off `xs`. A distributed rank builds only what
+    /// its spread and its partial interpolation read.
+    ///
+    /// The test is the stencil's candidate x coordinates, wrapped on a
+    /// periodic x axis, before the weights are evaluated.
+    pub fn build_reaching(
+        &self,
+        pos: &[[f64; 3]],
+        kind: DeltaKind,
+        bc: &BoundaryConfig,
+        xs: Range<usize>,
+        out: &mut [CubeStencil],
+    ) {
+        debug_assert_eq!(pos.len(), out.len());
+        let hs = kind.half_support();
+        let nx = self.dims.nx as i64;
+        let periodic = bc.x.is_periodic();
+        for (s, &p) in out.iter_mut().zip(pos) {
+            let reaches = ((p[0] - hs).ceil() as i64..=(p[0] + hs).floor() as i64).any(|j| {
+                let x = if periodic { j.rem_euclid(nx) } else { j };
+                x >= 0 && xs.contains(&(x as usize))
+            });
+            *s = if reaches {
+                self.stencil(p, kind, bc)
+            } else {
+                CubeStencil::default()
+            };
+        }
+    }
 }
 
 /// One fiber node's delta stencil in a brick layout ([`CubeIndexer`]), the
@@ -703,6 +738,44 @@ mod tests {
     }
 
     proptest! {
+        /// `build_reaching` builds a stencil exactly as `build` does, or
+        /// leaves it empty only where none of its points lies on `xs`: an
+        /// owner of `xs` sees the same points either way.
+        #[test]
+        fn build_reaching_keeps_every_point_on_its_planes(
+            nx in 1usize..10,
+            lo in 0usize..10,
+            len in 0usize..10,
+            px in -1.0f64..11.0,
+            periodic_x in 0u8..2,
+        ) {
+            let dims = Dims::new(nx, 6, 7);
+            let xs = lo.min(nx)..(lo + len).min(nx);
+            let mut bc = BoundaryConfig::periodic();
+            if periodic_x == 0 {
+                bc.x = AxisBoundary::Walls { lo: [0.0; 3], hi: [0.0; 3] };
+            }
+            let indexer = CubeIndexer::planes(dims);
+            let pos: Vec<[f64; 3]> = [px, px.floor(), px + 0.5, nx as f64 - px]
+                .into_iter()
+                .map(|x| [x, 2.6, 3.1])
+                .collect();
+            for kind in KINDS {
+                let mut all = vec![CubeStencil::default(); pos.len()];
+                let mut reaching = vec![indexer.stencil([0.5; 3], kind, &bc); pos.len()];
+                indexer.build(&pos, kind, &bc, &mut all);
+                indexer.build_reaching(&pos, kind, &bc, xs.clone(), &mut reaching);
+                for (a, r) in all.iter().zip(&reaching) {
+                    let (a, r) = (walk_points(a), walk_points(r));
+                    if r.is_empty() {
+                        prop_assert!(a.iter().all(|&(x, ..)| !xs.contains(&x)), "{kind:?}");
+                    } else {
+                        prop_assert_eq!(r, a);
+                    }
+                }
+            }
+        }
+
         /// The stencil reproduces the reference at interior positions.
         #[test]
         fn prop_stencil_matches_reference_in_interior(

@@ -205,39 +205,17 @@ impl CubeFluidGrid {
     }
 
     /// Reorders back into a node-major [`FluidGrid`], reusing `out`'s
-    /// buffers whatever it held before: every field is cleared and refilled
-    /// by appending z-runs in node order, so nothing is zero-filled first.
+    /// buffers whatever it held before.
     ///
     /// `f_new` is reported as a copy of `f` — the state a kernel-9 copy
     /// leaves — because the cube solver swaps buffer roles instead of
     /// copying, so its stored `f_new` may hold an older step.
     pub fn to_flat_into(&self, out: &mut FluidGrid) {
-        let cdims = self.cdims;
-        let (k, n) = (cdims.k, cdims.dims.n());
-        out.dims = cdims.dims;
-        out.f.clear();
-        out.f.reserve(n * Q);
-        cdims.for_each_z_run(|node, flat| {
-            debug_assert_eq!(out.f.len(), node * Q);
-            out.f.extend_from_slice(&self.f[flat * Q..][..k * Q]);
-        });
-        for (dst, src) in [
-            (&mut out.rho, &self.rho),
-            (&mut out.ux, &self.ux),
-            (&mut out.uy, &self.uy),
-            (&mut out.uz, &self.uz),
-            (&mut out.ueqx, &self.ueqx),
-            (&mut out.ueqy, &self.ueqy),
-            (&mut out.ueqz, &self.ueqz),
-            (&mut out.fx, &self.fx),
-            (&mut out.fy, &self.fy),
-            (&mut out.fz, &self.fz),
-        ] {
-            dst.clear();
-            dst.reserve(n);
-            cdims.for_each_z_run(|_, flat| dst.extend_from_slice(&src[flat..][..k]));
-        }
-        out.f_new.clone_from(&out.f);
+        let src = [
+            &self.rho, &self.ux, &self.uy, &self.uz, &self.ueqx, &self.ueqy, &self.ueqz, &self.fx,
+            &self.fy, &self.fz,
+        ];
+        self.gather_into(out, |slot, _| src.map(|s| s[slot]));
     }
 
     /// Like [`CubeFluidGrid::to_flat_into`], but derives ρ, u and u_eq
@@ -247,46 +225,74 @@ impl CubeFluidGrid {
     /// the gather stays one pass over the grid. Only `f` and the force
     /// field are read.
     pub fn to_flat_with_moments_into(&self, out: &mut FluidGrid, tau: f64) {
+        self.gather_into(out, |slot, f_node| {
+            let force = [self.fx[slot], self.fy[slot], self.fz[slot]];
+            let (rho, u, ueq) = node_moments_shifted(f_node, force, tau);
+            [
+                rho, u[0], u[1], u[2], ueq[0], ueq[1], ueq[2], force[0], force[1], force[2],
+            ]
+        });
+    }
+
+    /// The one pass behind both gathers. Every field of `out` is cleared
+    /// and written once, by index, in a single walk over the cube's z-runs
+    /// in node order: each run of `f` goes straight from the cube array
+    /// into both `f` and `f_new`, and `node_scalars(slot, f_node)` gives
+    /// the ten scalar fields of the node at cube slot `slot` with
+    /// populations `f_node`, in [`FluidGrid::fields`] order (`rho`,
+    /// `ux..uz`, `ueqx..ueqz`, `fx..fz`). Nothing is zero-filled first or
+    /// read back.
+    ///
+    /// Capacity is reserved in the order `f`, the scalar fields, `f_new`.
+    /// A caller that drops a gathered state and gathers a fresh one each
+    /// chunk relies on that order staying fixed: the new allocations then
+    /// land in the heap holes the old ones left instead of faulting in
+    /// fresh pages.
+    fn gather_into(
+        &self,
+        out: &mut FluidGrid,
+        mut node_scalars: impl FnMut(usize, &[f64]) -> [f64; 10],
+    ) {
         let cdims = self.cdims;
         let (k, n) = (cdims.k, cdims.dims.n());
         out.dims = cdims.dims;
-        out.f.clear();
-        out.f.reserve(n * Q);
-        for dst in [
-            &mut out.rho,
-            &mut out.ux,
-            &mut out.uy,
-            &mut out.uz,
-            &mut out.ueqx,
-            &mut out.ueqy,
-            &mut out.ueqz,
-            &mut out.fx,
-            &mut out.fy,
-            &mut out.fz,
-        ] {
-            dst.clear();
-            dst.reserve(n);
+        let [f, f_new, mut scalars @ ..] = out.fields_mut();
+        for (v, len) in [(&mut *f, n * Q)]
+            .into_iter()
+            .chain(scalars.iter_mut().map(|v| (&mut **v, n)))
+            .chain([(&mut *f_new, n * Q)])
+        {
+            v.clear();
+            v.reserve(len);
         }
-        cdims.for_each_z_run(|node, flat| {
-            debug_assert_eq!(out.f.len(), node * Q);
-            let run = &self.f[flat * Q..][..k * Q];
-            out.f.extend_from_slice(run);
-            for (j, f_node) in run.chunks_exact(Q).enumerate() {
-                let force = [self.fx[flat + j], self.fy[flat + j], self.fz[flat + j]];
-                let (rho, u, ueq) = node_moments_shifted(f_node, force, tau);
-                out.rho.push(rho);
-                out.ux.push(u[0]);
-                out.uy.push(u[1]);
-                out.uz.push(u[2]);
-                out.ueqx.push(ueq[0]);
-                out.ueqy.push(ueq[1]);
-                out.ueqz.push(ueq[2]);
-                out.fx.push(force[0]);
-                out.fy.push(force[1]);
-                out.fz.push(force[2]);
+        {
+            let f_dst = &mut f.spare_capacity_mut()[..n * Q];
+            let new_dst = &mut f_new.spare_capacity_mut()[..n * Q];
+            let mut dst = scalars.each_mut().map(|v| &mut v.spare_capacity_mut()[..n]);
+            cdims.for_each_z_run(|node, flat| {
+                let run = &self.f[flat * Q..][..k * Q];
+                f_dst[node * Q..][..k * Q].write_copy_of_slice(run);
+                new_dst[node * Q..][..k * Q].write_copy_of_slice(run);
+                for (j, f_node) in run.chunks_exact(Q).enumerate() {
+                    let values = node_scalars(flat + j, f_node);
+                    for (d, v) in dst.iter_mut().zip(values) {
+                        d[node + j].write(v);
+                    }
+                }
+            });
+        }
+        // SAFETY: each vector was cleared and then reserved for its new
+        // length (`n * Q` or `n`) above. The z-runs tile the grid's `n`
+        // nodes, and for every run the loop wrote the run's `k * Q` slots
+        // of `f` and `f_new` and its `k` slots of each scalar field; so
+        // every slot below each new length is initialised.
+        unsafe {
+            f.set_len(n * Q);
+            f_new.set_len(n * Q);
+            for v in scalars {
+                v.set_len(n);
             }
-        });
-        out.f_new.clone_from(&out.f);
+        }
     }
 
     /// Clears the per-node body force.
@@ -434,6 +440,109 @@ mod tests {
         ] {
             let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(got), bits(want));
+        }
+    }
+
+    /// The gather as it was written before the one-pass form: append `f`
+    /// run by run, push each node's scalars, then copy `f` into `f_new`.
+    /// `tau` picks the derived-moments form. The reference the one-pass
+    /// gather must reproduce bit for bit.
+    fn two_pass_gather(cube: &CubeFluidGrid, out: &mut FluidGrid, tau: Option<f64>) {
+        let cdims = cube.cdims;
+        let (k, n) = (cdims.k, cdims.dims.n());
+        out.dims = cdims.dims;
+        out.f.clear();
+        out.f.reserve(n * Q);
+        let [_, _, mut scalars @ ..] = out.fields_mut();
+        for v in &mut scalars {
+            v.clear();
+            v.reserve(n);
+        }
+        let src = [
+            &cube.rho, &cube.ux, &cube.uy, &cube.uz, &cube.ueqx, &cube.ueqy, &cube.ueqz, &cube.fx,
+            &cube.fy, &cube.fz,
+        ];
+        cdims.for_each_z_run(|node, flat| {
+            debug_assert_eq!(out.f.len(), node * Q);
+            let run = &cube.f[flat * Q..][..k * Q];
+            out.f.extend_from_slice(run);
+            for (j, f_node) in run.chunks_exact(Q).enumerate() {
+                let values = match tau {
+                    None => src.map(|s| s[flat + j]),
+                    Some(tau) => {
+                        let force = [cube.fx[flat + j], cube.fy[flat + j], cube.fz[flat + j]];
+                        let (rho, u, ueq) = node_moments_shifted(f_node, force, tau);
+                        [
+                            rho, u[0], u[1], u[2], ueq[0], ueq[1], ueq[2], force[0], force[1],
+                            force[2],
+                        ]
+                    }
+                };
+                let [_, _, scalars @ ..] = out.fields_mut();
+                for (d, v) in scalars.into_iter().zip(values) {
+                    d.push(v);
+                }
+            }
+        });
+        out.f_new.clone_from(&out.f);
+    }
+
+    fn bits(g: &FluidGrid) -> Vec<Vec<u64>> {
+        g.fields()
+            .iter()
+            .map(|v| v.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    proptest! {
+        /// The one-pass gather equals the two-pass one bit for bit, in both
+        /// forms, into an empty target, a stale target of other dimensions
+        /// and a kept target (the same one gathered into again).
+        #[test]
+        fn one_pass_gather_equals_two_pass_gather(
+            cx in 1usize..4,
+            cy in 1usize..4,
+            cz in 1usize..4,
+            k in 1usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let dims = Dims::new(cx * k, cy * k, cz * k);
+            let mut rng = proptest::TestRng::new(seed);
+            let mut cube = CubeFluidGrid::new(CubeDims::new(dims, k));
+            for v in cube.f.iter_mut() {
+                *v = 1.0 / 19.0 + 1e-3 * (rng.next_u64() % 1000) as f64;
+            }
+            for v in [&mut cube.rho, &mut cube.uy, &mut cube.ueqz, &mut cube.fx, &mut cube.fz] {
+                for x in v.iter_mut() {
+                    *x = 1e-5 * (rng.next_u64() % 1000) as f64 - 5e-3;
+                }
+            }
+            // The stored f_new is stale and must not show up in the output.
+            cube.f_new.fill(f64::NAN);
+            for tau in [None, Some(0.8)] {
+                let gather = |out: &mut FluidGrid| match tau {
+                    None => cube.to_flat_into(out),
+                    Some(tau) => cube.to_flat_with_moments_into(out, tau),
+                };
+                let mut want = FluidGrid::empty();
+                two_pass_gather(&cube, &mut want, tau);
+                prop_assert_eq!(want.dims, dims);
+
+                let mut empty = FluidGrid::empty();
+                gather(&mut empty);
+                prop_assert_eq!(empty.dims, dims);
+                prop_assert_eq!(bits(&empty), bits(&want));
+
+                let mut stale = FluidGrid::new(Dims::new(2, 3, 5));
+                stale.f.fill(-7.0);
+                gather(&mut stale);
+                prop_assert_eq!(stale.dims, dims);
+                prop_assert_eq!(bits(&stale), bits(&want));
+
+                // Kept: the target already holds a gather of this grid.
+                gather(&mut empty);
+                prop_assert_eq!(bits(&empty), bits(&want));
+            }
         }
     }
 

@@ -309,9 +309,13 @@ impl FluidGrid {
         )
     }
 
-    /// Refills this grid with `parts` stacked along x in order (the inverse
-    /// of [`FluidGrid::planes`] over ranges that tile the grid), reusing its
-    /// buffers. Every part must have the same `ny` and `nz`.
+    /// Refills this grid with `parts` stacked along x in order, reusing its
+    /// buffers, and settles it: `f_new` is filled from the parts' `f`, the
+    /// state a kernel-9 copy leaves, so a part's stale `f_new` (a swapped
+    /// buffer) is never read. Every field is written once, in
+    /// [`FluidGrid::fields`] order. Over ranges that tile the grid this is
+    /// the inverse of [`FluidGrid::planes`] for a grid whose `f_new` equals
+    /// `f`. Every part must have the same `ny` and `nz`.
     pub fn concat_planes(&mut self, parts: &[FluidGrid]) {
         let (ny, nz) = parts.first().map_or((0, 0), |p| (p.dims.ny, p.dims.nz));
         assert!(
@@ -324,9 +328,11 @@ impl FluidGrid {
             nz,
         };
         for (k, dst) in self.fields_mut().into_iter().enumerate() {
+            // Field 1 is `f_new`; it takes field 0, `f`.
+            let src = if k == 1 { 0 } else { k };
             dst.clear();
             for p in parts {
-                dst.extend_from_slice(p.fields()[k]);
+                dst.extend_from_slice(p.fields()[src]);
             }
         }
     }
@@ -553,10 +559,12 @@ mod tests {
         let parts = [g.planes(0..2), g.planes(2..3), g.planes(3..5)];
         assert_eq!(parts[1].dims, Dims::new(1, 2, 3));
         assert_eq!(parts[1].rho, g.rho[12..18]);
-        let mut back = FluidGrid::empty();
+        let mut back = FluidGrid::new(Dims::new(1, 1, 1));
         back.concat_planes(&parts);
         assert_eq!(back.dims, g.dims);
-        assert_eq!(back.fields(), g.fields());
+        assert_eq!(back.f_new, g.f, "settled: f_new is a copy of f");
+        let (got, want) = (back.fields(), g.fields());
+        assert_eq!((got[0], &got[2..]), (want[0], &want[2..]));
     }
 
     #[test]
