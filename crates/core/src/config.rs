@@ -392,6 +392,27 @@ impl SimulationConfig {
         }
     }
 
+    /// [`Self::quick_test`] on a 16³ box with a dense sheet: 24×24 fiber
+    /// nodes over 8 lattice units in the low x-half, on cubes of edge 2.
+    /// All the sheet's cubes lie in one x-half, yet at 2–5 threads the
+    /// cube solver's loop-3 owners and the OpenMP solver's spread slabs,
+    /// both cut by stencil points, are cut inside its stencils.
+    pub fn dense_sheet_test() -> Self {
+        let quick = Self::quick_test();
+        Self {
+            nx: 16,
+            ny: 16,
+            nz: 16,
+            cube_k: 2,
+            sheet: SheetConfig {
+                k_bend: quick.sheet.k_bend,
+                k_stretch: quick.sheet.k_stretch,
+                ..SheetConfig::square(24, 8.0, [4.3, 8.2, 7.9])
+            },
+            ..quick
+        }
+    }
+
     /// The Table I / Figure 5 input: 124×64×64 fluid nodes, a 20×20 sheet
     /// of 52×52 fiber nodes. (124 = 4·31, so the default cube edge is 4.)
     pub fn table1() -> Self {

@@ -20,10 +20,10 @@
 //!                  without locks)
 //! ───────────────── barrier 1 (streamed populations in place)
 //! loop 3  cubes:   kernel 4 (`ib::spread::spread`: each owner walks
-//!                  every stored stencil in global order, marks its own
-//!                  cubes the stencil reaches and adds the force into them)
-//!                  + kernel 7 on marked cubes only (u from `nxt` and the
-//!                  force, for kernel 8)
+//!                  every stored stencil in global order, marks the cubes
+//!                  of its run the stencil reaches and adds the force into
+//!                  them) + kernel 7 on marked cubes only (u from `nxt`
+//!                  and the force, for kernel 8)
 //! ───────────────── barrier 2 (velocities in place)
 //! loop 4  fibers:  kernel 8 (`ib::interp::interp` through the stored
 //!                  stencils; reads velocities anywhere, writes only its
@@ -36,6 +36,27 @@
 //! split schedule (kernel 5 writing the collided populations back, then
 //! kernel 6 re-reading them) survives only in the flat solvers. Both give
 //! the same bits, so the plan cannot change this solver's results.
+//!
+//! # Loop-3 owners
+//!
+//! Loops 2 and 3 have different owners. Loop 2 runs on `cube2thread`'s
+//! cubes, the paper's distribution, which balances the fluid sweep. Loop
+//! 3's work is the spread and kernel 7, which lie only where the stencils
+//! reach; under `cube2thread` a sheet in one thread's cubes would leave
+//! the others idle. So loop 3 has an owner table of its own: contiguous
+//! runs of cubes in storage order, one per thread, each holding an equal
+//! share of the stencil points ([`crate::openmp::cost_balanced_ranges`]).
+//! The points are counted at the start of every [`CubeSolver::try_run`]
+//! from the sheet's positions ([`CubeIndexer::count_points`], the
+//! candidates the builder walks, into a buffer the solver keeps); a sheet
+//! moves little within a call. A worker skips a stencil whose brick span
+//! ([`ib::delta::CubeStencil::brick_span`]) misses its run in O(1).
+//! `ThreadTelemetry::cubes_owned` counts loop 2's cubes.
+//!
+//! A cube's marks, force and u thus change hands between loop 2 and loop
+//! 3: loop 2's owner reads the marks and the force and reseeds the force,
+//! loop 3's owner rewrites all three. Barrier 1 orders the first against
+//! the second, barriers 2 and 3 the second against the next step's loop 2.
 //!
 //! # Streaming
 //!
@@ -89,10 +110,12 @@
 //! When the team has joined, everything moves back, on the failure path
 //! too. The stencil array is sized by the first call and keeps its storage
 //! from then on; loop 1 rewrites every entry before any thread reads it, so
-//! no contents cross a call. The marks do cross calls: the first loop 2 of
-//! a call reads the marks the last loop 3 of the previous call set. So does
-//! the stored-moments flag, which only the first step after `from_state`
-//! sees set.
+//! no contents cross a call. The per-cube point counts that cut loop 3
+//! are kept the same way: sized once, recounted at the start of each call.
+//! The marks do cross calls: the first loop 2 of a call reads the marks
+//! the last loop 3 of the previous call set, whoever owned that loop 3.
+//! So does the stored-moments flag, which only the first step after
+//! `from_state` sees set.
 //!
 //! # Determinism
 //!
@@ -100,16 +123,17 @@
 //! is the phase where that could happen (a stencil can reach into several
 //! threads' cubes), so it is split: the fiber owner builds each node's
 //! stencil in loop 1 ([`ib::delta::CubeIndexer`] with cube bricks), and in
-//! loop 3 every cube owner runs the one spread all solvers run
+//! loop 3 every owner of a run runs the one spread all solvers run
 //! ([`ib::spread::spread`]): it walks all fiber nodes in global order and
-//! applies only the blocks that land in its own cubes, one block of the
-//! stencil per cube. Each force slot therefore receives the same products
-//! in the same order as in the sequential solver's kernel 4, whatever the
-//! thread count, distribution policy or cube edge: a stencil adds at most
+//! applies only the points that land in its run. Each force slot
+//! therefore has one writer, which receives the same products in the same
+//! order as the sequential solver's kernel 4, whatever the thread count,
+//! distribution policy, cube edge or loop-3 cut: a stencil adds at most
 //! one product per slot, or, where it wraps more than once onto a periodic
 //! axis shorter than itself, adds them in the sequential order (see
-//! `CubeStencil::for_each_block`). Runs are bit-exactly reproducible, which
-//! the checkpoint/resume equivalence guarantee relies on.
+//! `CubeStencil::for_each_block`). No bit depends on the owner tables.
+//! Runs are bit-exactly reproducible, which the checkpoint/resume
+//! equivalence guarantee relies on.
 //!
 //! # Panic safety
 //!
@@ -119,6 +143,7 @@
 //! solver's arrays — without advancing the step counter — and returns
 //! [`SolverError::WorkerPanicked`] naming the thread and phase.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -139,6 +164,7 @@ use lbm::macroscopic::node_moments_shifted;
 
 use crate::barrier::{BarrierKind, BarrierPoisoned, PhaseBarrier};
 use crate::config::{ConfigError, KernelPlan, SimulationConfig};
+use crate::openmp::cost_balanced_ranges;
 use crate::profiling::KernelId;
 use crate::sharedgrid::{SharedCubeGrid, SharedSlice};
 use crate::solver::{Backend, RunReport, SolverError};
@@ -317,7 +343,11 @@ impl CubeStreamer {
 /// Per-step work description for one worker thread.
 struct WorkerPlan {
     tid: usize,
+    /// Loop 2's cubes (`cube2thread`).
     my_cubes: Vec<usize>,
+    /// Loop 3's cubes: a run in storage order (see "Loop-3 owners" in the
+    /// module docs).
+    my_run: Range<usize>,
     my_fibers: Vec<usize>,
     my_tethers: Vec<Tether>,
 }
@@ -345,6 +375,9 @@ pub struct CubeSolver {
     /// slots may differ from the body force (see "Moment force" in the
     /// module docs). Kept between calls.
     marks: Vec<bool>,
+    /// Per cube: the stencil points counted at the start of the last call,
+    /// which cut loop 3's owners. Only the storage is kept between calls.
+    costs: Vec<u64>,
     /// True from [`CubeSolver::from_state`] until the first step: that
     /// step collides at the state's stored ρ and u_eq, not at moments
     /// derived from `f` and the force field.
@@ -385,6 +418,7 @@ impl CubeSolver {
             telemetry_enabled: false,
             stencils: Vec::new(),
             marks: vec![true; cdims.num_cubes()],
+            costs: Vec::new(),
             stored_moments: true,
         }
     }
@@ -474,11 +508,23 @@ impl CubeSolver {
             n_threads,
             policy: Policy::Block,
         };
+        // Streaming tables (offsets, routing) and the stencil indexer,
+        // built once and shared read-only by the workers.
+        let streamer = CubeStreamer::new(cdims, &config.bc);
+        // Loop 3's owners: runs of cubes holding equal shares of the
+        // stencil points of the sheet as it stands now.
+        self.costs.resize(cdims.num_cubes(), 0);
+        let indexer = &streamer.indexer;
+        indexer.count_points(&self.sheet.pos, config.delta, &config.bc, &mut self.costs);
+        let runs = cost_balanced_ranges(&self.costs, n_threads);
 
-        let mut plans: Vec<WorkerPlan> = (0..n_threads)
-            .map(|tid| WorkerPlan {
+        let mut plans: Vec<WorkerPlan> = runs
+            .into_iter()
+            .enumerate()
+            .map(|(tid, my_run)| WorkerPlan {
                 tid,
                 my_cubes: Vec::new(),
+                my_run,
                 my_fibers: Vec::new(),
                 my_tethers: Vec::new(),
             })
@@ -518,9 +564,6 @@ impl CubeSolver {
         marks.name_for_racecheck("marks");
         let stored_moments = self.stored_moments;
 
-        // Streaming tables (offsets, routing), built once and shared
-        // read-only by the workers.
-        let streamer = CubeStreamer::new(cdims, &config.bc);
         let barrier = PhaseBarrier::new(self.barrier_kind, n_threads);
         // Panic bookkeeping: each worker publishes its current phase index;
         // a panicking worker's wrapper records (tid, phase) here (first one
@@ -549,7 +592,6 @@ impl CubeSolver {
                 let marks = &marks;
                 let streamer = &streamer;
                 let barrier = &barrier;
-                let owner = &owner;
                 let phase_flag = &phase_flags[tid];
                 let panic_note = &panic_note;
                 handles.push(scope.spawn(move || {
@@ -571,7 +613,6 @@ impl CubeSolver {
                             stored_moments,
                             streamer,
                             barrier,
-                            owner,
                             timed,
                             phase_flag,
                         )
@@ -655,15 +696,11 @@ fn take_grid(grid: &mut CubeFluidGrid) -> CubeFluidGrid {
         f: std::mem::take(&mut grid.f),
         f_new: std::mem::take(&mut grid.f_new),
         rho: std::mem::take(&mut grid.rho),
-        ux: std::mem::take(&mut grid.ux),
-        uy: std::mem::take(&mut grid.uy),
-        uz: std::mem::take(&mut grid.uz),
+        u: std::mem::take(&mut grid.u),
         ueqx: std::mem::take(&mut grid.ueqx),
         ueqy: std::mem::take(&mut grid.ueqy),
         ueqz: std::mem::take(&mut grid.ueqz),
-        fx: std::mem::take(&mut grid.fx),
-        fy: std::mem::take(&mut grid.fy),
-        fz: std::mem::take(&mut grid.fz),
+        force: std::mem::take(&mut grid.force),
     }
 }
 
@@ -709,7 +746,6 @@ fn worker(
     stored_moments: bool,
     streamer: &CubeStreamer,
     barrier: &PhaseBarrier,
-    owner: &[usize],
     timed: bool,
     phase_flag: &AtomicUsize,
 ) -> Result<ThreadTelemetry, BarrierPoisoned> {
@@ -847,10 +883,8 @@ fn worker(
             // its `nxt`.
             unsafe {
                 let take_force = |flat: usize| {
-                    let force = [grid.fx.get(flat), grid.fy.get(flat), grid.fz.get(flat)];
-                    grid.fx.set(flat, body[0]);
-                    grid.fy.set(flat, body[1]);
-                    grid.fz.set(flat, body[2]);
+                    let force = grid.force.get(flat);
+                    grid.force.set(flat, body);
                     force
                 };
                 if from_stored {
@@ -896,11 +930,11 @@ fn worker(
         phase_flag.store(2, Ordering::Relaxed);
         crate::faultinject::maybe_panic(plan.tid, abs_step, WORKER_PHASES[2]);
 
-        // Kernel 4 (apply): walk every fiber node in global order, mark my
-        // cubes its stencil reaches, and add the contributions that land
-        // in them. The force slots of my cubes thus receive the sequential
-        // solver's products in its order (see "Determinism" in the module
-        // docs).
+        // Kernel 4 (apply): walk every fiber node in global order, mark the
+        // cubes of my run its stencil reaches, and add the contributions
+        // that land in them. The force slots of my run thus receive the
+        // sequential solver's products in its order (see "Determinism" in
+        // the module docs).
         let t0 = Instant::now();
         {
             // SAFETY: stencils and elastic forces were written in loop 1,
@@ -912,57 +946,50 @@ fn worker(
                     sheet_elastic.as_slice_unchecked(),
                 )
             };
-            for &cube in &plan.my_cubes {
-                // SAFETY: my cube's mark; loop 2 read it before barrier 1.
+            for cube in plan.my_run.clone() {
+                // SAFETY: a cube of my run; its loop-2 owner read the mark
+                // before barrier 1, and no other thread touches it in loop 3.
                 unsafe { marks.set(cube, false) };
             }
-            // One ownership test per block. The mark comes with the test,
-            // before `spread` skips a zero force: kernel 8 reads u through
-            // every stencil.
-            let owns = |cube: usize| {
-                let mine = owner[cube] == plan.tid;
-                if mine {
-                    // SAFETY: a cube I own, so I am the only thread
-                    // touching its mark in this phase.
-                    unsafe { marks.set(cube, true) };
-                }
-                mine
-            };
-            spread(stencils, elastic, area, owns, |flat, df| {
-                // SAFETY: `flat` lies in a cube I own (`owns` accepted its
-                // block), so I am the only thread touching its force slots
-                // in this phase.
-                unsafe {
-                    grid.fx.add(flat, df[0]);
-                    grid.fy.add(flat, df[1]);
-                    grid.fz.add(flat, df[2]);
-                }
-            });
+            // The mark comes with every block of my run, before `spread`
+            // skips a zero force: kernel 8 reads u through every stencil.
+            // SAFETY: `spread` passes only cubes of my run, whose marks
+            // only I touch in this phase.
+            let reached = |cube: usize| unsafe { marks.set(cube, true) };
+            spread(
+                stencils,
+                elastic,
+                area,
+                plan.my_run.clone(),
+                reached,
+                |flat, df| {
+                    // SAFETY: `flat` lies in a cube of my run, so I am the only
+                    // thread touching its force slot in this phase.
+                    unsafe { grid.force.add(flat, df) };
+                },
+            );
         }
         busy[3] += t0.elapsed().as_secs_f64();
 
-        // Kernel 7: the velocity loop 4 interpolates, on my marked cubes
-        // only; no stencil reads u anywhere else. The force stays as
-        // spread: it is the next step's moment force, which my next loop 2
-        // reads and reseeds.
+        // Kernel 7: the velocity loop 4 interpolates, on the marked cubes
+        // of my run only; no stencil reads u anywhere else. The force
+        // stays as spread: it is the next step's moment force, which the
+        // cube's loop-2 owner reads and reseeds behind barrier 3.
         let t0 = Instant::now();
-        for &cube in &plan.my_cubes {
-            // SAFETY: my cube's mark, set above by me.
+        for cube in plan.my_run.clone() {
+            // SAFETY: a mark of my run, set above by me.
             if !unsafe { marks.get(cube) } {
                 continue;
             }
             for local in 0..npc {
                 let flat = cdims.flat(cube, local);
-                // SAFETY: my cube; `nxt` complete (barrier 1); force
-                // complete (applied above by me, the owner); sole reader
-                // of my force slots and sole writer of my velocities.
+                // SAFETY: a cube of my run; `nxt` complete (barrier 1);
+                // force complete (applied above by me); sole reader of its
+                // force slots and sole writer of its velocities.
                 unsafe {
                     let fvals: [f64; Q] = std::array::from_fn(|i| nxt.get(flat * Q + i));
-                    let force = [grid.fx.get(flat), grid.fy.get(flat), grid.fz.get(flat)];
-                    let (_, u, _) = node_moments_shifted(&fvals, force, tau);
-                    grid.ux.set(flat, u[0]);
-                    grid.uy.set(flat, u[1]);
-                    grid.uz.set(flat, u[2]);
+                    let (_, u, _) = node_moments_shifted(&fvals, grid.force.get(flat), tau);
+                    grid.u.set(flat, u);
                 }
             }
         }
@@ -986,8 +1013,7 @@ fn worker(
             let stencils = unsafe { stencils.as_slice_unchecked() };
             // SAFETY: velocities are read-only in this phase (written in
             // loop 3, before barrier 2).
-            let velocity =
-                |flat| unsafe { [grid.ux.get(flat), grid.uy.get(flat), grid.uz.get(flat)] };
+            let velocity = |flat| unsafe { grid.u.get(flat) };
             for &fiber in &plan.my_fibers {
                 for node in 0..nn {
                     let i = fiber * nn + node;
@@ -1484,16 +1510,22 @@ mod tests {
     fn gathered_state_equals_sequential_on_every_field() {
         // Every field, the force and u_eq included: a cube a stencil
         // reaches but the owner did not mark keeps a stale velocity and an
-        // unreseeded force, and the sheet or the force field shows it.
-        let start = displaced_state(wrapping_config());
-        let mut seq = SequentialSolver::from_state(start.clone());
-        seq.run(4);
-        for cube_k in [1, 2, 4] {
-            for threads in 1..=3 {
-                for chunks in [&[4][..], &[1, 3]] {
-                    let got = run_cube_in_chunks(start.clone(), cube_k, threads, chunks);
-                    let tag = format!("cube_k {cube_k}, {threads} threads, chunks {chunks:?}");
-                    assert_bitwise_equal(&got, &seq.state, &tag);
+        // unreseeded force, and the sheet or the force field shows it. The
+        // dense sheet's stencils are cut by loop 3's owners.
+        for cfg in [wrapping_config(), SimulationConfig::dense_sheet_test()] {
+            let start = displaced_state(cfg);
+            let mut seq = SequentialSolver::from_state(start.clone());
+            seq.run(4);
+            for cube_k in [1, 2, 4] {
+                for threads in 1..=3 {
+                    for chunks in [&[4][..], &[1, 3]] {
+                        let got = run_cube_in_chunks(start.clone(), cube_k, threads, chunks);
+                        let tag = format!(
+                            "{}² sheet, cube_k {cube_k}, {threads} threads, chunks {chunks:?}",
+                            cfg.sheet.num_fibers
+                        );
+                        assert_bitwise_equal(&got, &seq.state, &tag);
+                    }
                 }
             }
         }
@@ -1631,6 +1663,23 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The dense sheet the solver-equivalence and resume tests run: at
+    /// 2–5 threads, loop 3's cost cut falls inside its stencils, though at
+    /// 2 threads `cube2thread` gives all its cubes to thread 0.
+    #[test]
+    fn dense_sheet_is_cut_inside_by_loop_3_owners() {
+        for threads in 2..=5 {
+            let mut cube = CubeSolver::new(SimulationConfig::dense_sheet_test(), threads);
+            cube.try_run(1).unwrap();
+            let runs = cost_balanced_ranges(&cube.costs, threads);
+            let busy = runs
+                .iter()
+                .filter(|r| cube.costs[(*r).clone()].iter().any(|&c| c > 0))
+                .count();
+            assert!(busy >= 2, "{threads} threads: {runs:?}");
         }
     }
 

@@ -425,12 +425,19 @@ fn rank_steps(
             fx.fill(body[0]);
             fy.fill(body[1]);
             fz.fill(body[2]);
-            spread(&stencils, &sheet.elastic, area, owns, |node, df| {
-                let i = node - first;
-                fx[i] += df[0];
-                fy[i] += df[1];
-                fz[i] += df[2];
-            });
+            spread(
+                &stencils,
+                &sheet.elastic,
+                area,
+                rank.xs.clone(),
+                |_| (),
+                |node, df| {
+                    let i = node - first;
+                    fx[i] += df[0];
+                    fy[i] += df[1];
+                    fz[i] += df[2];
+                },
+            );
         });
 
         // Fused kernels 5+6: collide every owned node in registers and push

@@ -14,12 +14,14 @@
 //! region over fiber chunks builds each fiber node's delta stencil into a
 //! buffer the solver keeps ([`CubeIndexer::planes`]), the step's only
 //! kernel evaluation. A region over x-slabs then runs the one spread all
-//! solvers run ([`spread`]): each slab owner walks every stored stencil in
-//! global order and applies only the blocks on its own planes, so no force
-//! slot has two writers and each receives its contributions in the
-//! sequential order — bit-exact reruns, independent of thread count and
-//! schedule, with no lock, atomic or staging buffer. Kernel 8 interpolates
-//! through the same stencils, over fiber chunks.
+//! solvers run ([`spread`]), on slabs cut by the stencil points per plane
+//! ([`cost_balanced_ranges`]) rather than by plane count: each slab owner
+//! walks every stored stencil in global order and applies only the blocks
+//! on its own planes, so no force slot has two writers and each receives
+//! its contributions in the sequential order — bit-exact reruns,
+//! independent of thread count and schedule, with no lock, atomic or
+//! staging buffer. Kernel 8 interpolates through the same stencils, over
+//! fiber chunks.
 //!
 //! Every region records per-thread busy time and the time each thread then
 //! waits at the region's closing join (`max − busy_t`) into the run's
@@ -63,6 +65,37 @@ pub fn balanced_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
         out.push(start..start + len);
         start += len;
     }
+    out
+}
+
+/// Splits `0..costs.len()` into `chunks` contiguous ranges of about equal
+/// total cost, `costs[i]` being the work of element `i`. Range `t` ends at
+/// the first index where the running sum reaches `t + 1` equal shares of
+/// the total, so no range exceeds a share by the largest single cost or
+/// more. Empty ranges are returned where one element outweighs several
+/// shares, so range `t` stays chunk `t`'s. An all-zero cost vector gives
+/// [`balanced_ranges`]. The cube solver's loop-3 owners and the OpenMP
+/// solver's spread slabs are both cut here.
+pub fn cost_balanced_ranges(costs: &[u64], chunks: usize) -> Vec<Range<usize>> {
+    assert!(chunks > 0);
+    let total: u128 = costs.iter().map(|&c| u128::from(c)).sum();
+    if total == 0 {
+        return balanced_ranges(costs.len(), chunks);
+    }
+    let parts = chunks as u128;
+    let mut out = Vec::with_capacity(chunks);
+    let (mut start, mut end, mut sum) = (0, 0, 0u128);
+    for t in 1..chunks as u128 {
+        // `t < parts`, so the sum passes the target before `end` runs
+        // out: the whole vector sums to `total * parts` shares.
+        while sum * parts < total * t {
+            sum += u128::from(costs[end]);
+            end += 1;
+        }
+        out.push(start..end);
+        start = end;
+    }
+    out.push(start..costs.len());
     out
 }
 
@@ -309,13 +342,17 @@ impl OpenMpSolver {
     /// fiber node's stencil into the kept buffer: the step's only delta
     /// evaluation, which kernel 8 reuses. The second, over x-slabs, resets
     /// each slab's force to the body force and applies the stencil blocks
-    /// on its own planes ([`spread`]). Every slab walks the fiber nodes in
+    /// on its own planes ([`spread`]). Its slabs are not [`Self::planes`]
+    /// but cut by the stencil points per plane, counted as the cube solver
+    /// counts them ([`CubeIndexer::count_points`],
+    /// [`cost_balanced_ranges`]), so a sheet that lies in one slab's planes
+    /// is still spread by every thread. Every slab walks the fiber nodes in
     /// global order, so each force slot receives the sequential spread's
     /// products in the sequential order: bit-identical for every thread
-    /// count and schedule.
+    /// count, schedule and cut.
     fn spread_kernel(&mut self) {
         let (_, nodes) = self.fiber_chunks();
-        let planes = self.planes();
+        let n_chunks = self.n_chunks();
         let c = self.state.config;
         let kernel = KernelId::SpreadForce;
         let indexer = CubeIndexer::planes(c.dims());
@@ -333,6 +370,10 @@ impl OpenMpSolver {
             |(out, r)| indexer.build(&sheet.pos[r], c.delta, &c.bc, out),
         );
         let stencils = &self.stencils[..];
+        // Plane bricks: a point's brick is its plane.
+        let mut points = vec![0u64; c.nx];
+        indexer.count_points(&sheet.pos, c.delta, &c.bc, &mut points);
+        let planes = cost_balanced_ranges(&points, n_chunks);
         let area = sheet.area_element();
         let slabs = fluid
             .slabs_mut(&planes)
@@ -345,13 +386,19 @@ impl OpenMpSolver {
             fx.fill(c.body_force[0]);
             fy.fill(c.body_force[1]);
             fz.fill(c.body_force[2]);
-            let owns = |x: usize| xs.contains(&x);
-            spread(stencils, &sheet.elastic, area, owns, |node, df| {
-                let i = node - nodes.start;
-                fx[i] += df[0];
-                fy[i] += df[1];
-                fz[i] += df[2];
-            });
+            spread(
+                stencils,
+                &sheet.elastic,
+                area,
+                xs,
+                |_| (),
+                |node, df| {
+                    let i = node - nodes.start;
+                    fx[i] += df[0];
+                    fy[i] += df[1];
+                    fz[i] += df[2];
+                },
+            );
         });
     }
 
@@ -486,6 +533,82 @@ mod tests {
             let min = rs.iter().map(|r| r.len()).min().unwrap_or(0);
             assert!(max - min <= 1, "({n},{c}): {rs:?}");
         }
+    }
+
+    /// The cost cut tiles its range in order and keeps every range within
+    /// one share of the total plus the largest single cost, on skewed,
+    /// spiky and all-zero cost vectors (the last gives the equal cut).
+    #[test]
+    fn cost_balanced_ranges_tile_and_balance() {
+        let skewed: Vec<u64> = (0..64)
+            .map(|i| if (20..28).contains(&i) { 100 + i } else { 1 })
+            .collect();
+        let spike = {
+            let mut v = vec![0u64; 10];
+            v[3] = 1000;
+            v[7] = 1;
+            v
+        };
+        for costs in [skewed, spike, vec![0; 13], vec![5; 7], vec![], vec![3]] {
+            for chunks in 1..=6 {
+                let rs = cost_balanced_ranges(&costs, chunks);
+                assert_eq!(rs.len(), chunks);
+                assert_eq!(rs[0].start, 0);
+                assert_eq!(rs[chunks - 1].end, costs.len());
+                for w in rs.windows(2) {
+                    assert_eq!(w[0].end, w[1].start, "{costs:?} / {chunks}");
+                }
+                let total: u64 = costs.iter().sum();
+                if total == 0 {
+                    assert_eq!(rs, balanced_ranges(costs.len(), chunks));
+                    continue;
+                }
+                let biggest = costs.iter().copied().max().unwrap_or(0);
+                for r in &rs {
+                    let sum: u64 = costs[r.clone()].iter().sum();
+                    assert!(
+                        sum * chunks as u64 <= total + biggest * chunks as u64,
+                        "{costs:?} / {chunks}: {rs:?}"
+                    );
+                }
+            }
+        }
+        // A skewed vector is cut inside its heavy stretch.
+        let skewed: Vec<u64> = (0..64)
+            .map(|i| if (20..28).contains(&i) { 100 } else { 0 })
+            .collect();
+        assert_eq!(cost_balanced_ranges(&skewed, 2), vec![0..24, 24..64]);
+    }
+
+    /// A dense sheet in one x-half: every spread slab cut (one to five
+    /// threads, static and dynamic) gives the sequential bytes, and at two
+    /// threads the cut falls inside the sheet's planes.
+    #[test]
+    fn dense_sheet_spread_slabs_are_cut_by_stencil_points() {
+        let cfg = SimulationConfig::dense_sheet_test();
+        let mut seq = SequentialSolver::new(cfg);
+        seq.run(4);
+        for threads in 1..=5 {
+            for schedule in [Schedule::Static, Schedule::Dynamic { factor: 2 }] {
+                let mut omp = OpenMpSolver::new(cfg, threads);
+                omp.schedule = schedule;
+                omp.run(4);
+                assert_bitwise(
+                    &seq.state,
+                    &omp.state,
+                    &format!("{threads} threads, {schedule:?}"),
+                );
+            }
+        }
+        let mut points = vec![0u64; cfg.nx];
+        let indexer = CubeIndexer::planes(cfg.dims());
+        for p in &seq.state.sheet.pos {
+            indexer
+                .stencil(*p, cfg.delta, &cfg.bc)
+                .for_each(|x, _, _| points[x] += 1);
+        }
+        let cut = cost_balanced_ranges(&points, 2)[0].end;
+        assert!(points[..cut].iter().any(|&p| p > 0) && points[cut..].iter().any(|&p| p > 0));
     }
 
     /// Checkpoint bytes equal to the sequential solver's — what CI's `cmp`

@@ -228,6 +228,38 @@ impl SharedSlice<f64> {
     }
 }
 
+impl SharedSlice<[f64; 3]> {
+    /// Adds `v` to element `i` component by component (non-atomic
+    /// read-modify-write).
+    ///
+    /// # Safety
+    /// The caller must be the only thread able to touch element `i` in
+    /// this phase.
+    #[inline]
+    pub unsafe fn add(&self, i: usize, v: [f64; 3]) {
+        debug_assert!(i < self.cells.len());
+        #[cfg(feature = "racecheck")]
+        crate::racecheck::record(self.track, i, crate::racecheck::AccessKind::Write);
+        #[cfg(not(loom))]
+        // SAFETY: `i` is in bounds; the caller is the sole accessor this
+        // phase, so the read-modify-write is exclusive.
+        unsafe {
+            let p = &mut *self.cells.get_unchecked(i).get();
+            p[0] += v[0];
+            p[1] += v[1];
+            p[2] += v[2];
+        }
+        #[cfg(loom)]
+        // SAFETY: loom validates the exclusivity claim; the raw pointer is
+        // valid for the closure's duration.
+        self.cells[i].with_mut(|p| unsafe {
+            (*p)[0] += v[0];
+            (*p)[1] += v[1];
+            (*p)[2] += v[2];
+        })
+    }
+}
+
 /// The cube-blocked fluid state as shared slices, plus the cube geometry.
 /// Built from (and torn back down into) a [`lbm::cube_grid::CubeFluidGrid`].
 pub struct SharedCubeGrid {
@@ -235,15 +267,13 @@ pub struct SharedCubeGrid {
     pub f: SharedSlice<f64>,
     pub f_new: SharedSlice<f64>,
     pub rho: SharedSlice<f64>,
-    pub ux: SharedSlice<f64>,
-    pub uy: SharedSlice<f64>,
-    pub uz: SharedSlice<f64>,
+    /// Velocity `[ux, uy, uz]` per node.
+    pub u: SharedSlice<[f64; 3]>,
     pub ueqx: SharedSlice<f64>,
     pub ueqy: SharedSlice<f64>,
     pub ueqz: SharedSlice<f64>,
-    pub fx: SharedSlice<f64>,
-    pub fy: SharedSlice<f64>,
-    pub fz: SharedSlice<f64>,
+    /// Force `[fx, fy, fz]` per node.
+    pub force: SharedSlice<[f64; 3]>,
 }
 
 impl SharedCubeGrid {
@@ -254,30 +284,22 @@ impl SharedCubeGrid {
             f: SharedSlice::from_vec(grid.f),
             f_new: SharedSlice::from_vec(grid.f_new),
             rho: SharedSlice::from_vec(grid.rho),
-            ux: SharedSlice::from_vec(grid.ux),
-            uy: SharedSlice::from_vec(grid.uy),
-            uz: SharedSlice::from_vec(grid.uz),
+            u: SharedSlice::from_vec(grid.u),
             ueqx: SharedSlice::from_vec(grid.ueqx),
             ueqy: SharedSlice::from_vec(grid.ueqy),
             ueqz: SharedSlice::from_vec(grid.ueqz),
-            fx: SharedSlice::from_vec(grid.fx),
-            fy: SharedSlice::from_vec(grid.fy),
-            fz: SharedSlice::from_vec(grid.fz),
+            force: SharedSlice::from_vec(grid.force),
         };
         #[cfg(feature = "racecheck")]
         {
             s.f.name_for_racecheck("f");
             s.f_new.name_for_racecheck("f_new");
             s.rho.name_for_racecheck("rho");
-            s.ux.name_for_racecheck("ux");
-            s.uy.name_for_racecheck("uy");
-            s.uz.name_for_racecheck("uz");
+            s.u.name_for_racecheck("u");
             s.ueqx.name_for_racecheck("ueqx");
             s.ueqy.name_for_racecheck("ueqy");
             s.ueqz.name_for_racecheck("ueqz");
-            s.fx.name_for_racecheck("fx");
-            s.fy.name_for_racecheck("fy");
-            s.fz.name_for_racecheck("fz");
+            s.force.name_for_racecheck("force");
         }
         s
     }
@@ -289,15 +311,11 @@ impl SharedCubeGrid {
             f: self.f.into_vec(),
             f_new: self.f_new.into_vec(),
             rho: self.rho.into_vec(),
-            ux: self.ux.into_vec(),
-            uy: self.uy.into_vec(),
-            uz: self.uz.into_vec(),
+            u: self.u.into_vec(),
             ueqx: self.ueqx.into_vec(),
             ueqy: self.ueqy.into_vec(),
             ueqz: self.ueqz.into_vec(),
-            fx: self.fx.into_vec(),
-            fy: self.fy.into_vec(),
-            fz: self.fz.into_vec(),
+            force: self.force.into_vec(),
         }
     }
 }
@@ -354,11 +372,14 @@ mod tests {
         unsafe {
             assert_eq!(shared.rho.get(7), 3.25);
             assert_eq!(shared.f.get(10), 10.0);
-            shared.ux.set(0, -1.0);
+            shared.u.set(0, [-1.0, 0.0, 0.0]);
+            shared.force.add(2, [0.5, -0.25, 2.0]);
+            shared.force.add(2, [0.5, 0.0, 0.0]);
         }
         let back = shared.into_inner();
         assert_eq!(back.rho[7], 3.25);
-        assert_eq!(back.ux[0], -1.0);
+        assert_eq!(back.u[0], [-1.0, 0.0, 0.0]);
+        assert_eq!(back.force[2], [1.0, -0.25, 2.0]);
         assert_eq!(back.f[10], 10.0);
     }
 

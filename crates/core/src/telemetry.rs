@@ -40,7 +40,9 @@ pub struct ThreadTelemetry {
     pub barrier_wait_seconds: f64,
     /// How many such waits were performed.
     pub barrier_waits: u64,
-    /// Cubes owned (`cube2thread`; x-planes for dist, 0 for seq/omp).
+    /// Cubes owned (`cube2thread`, the cubes of loop 2; the cube solver's
+    /// loop-3 runs are cut by stencil points and not counted here;
+    /// x-planes for dist, 0 for seq/omp).
     pub cubes_owned: u64,
     /// Fibers owned (`fiber2thread`).
     pub fibers_owned: u64,

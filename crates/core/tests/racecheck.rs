@@ -63,6 +63,33 @@ fn cube_solver_run_is_discipline_clean() {
     report.assert_clean();
 }
 
+/// Loop 3 with owners cut by stencil points: a dense sheet in thread 0's
+/// `cube2thread` cubes is spread by all three threads, each into a run of
+/// cubes that starts or ends inside the sheet, while loop 2 keeps
+/// `cube2thread`. The marks, the force and u change owner between the two
+/// loops; the barriers must order every such hand-over.
+#[test]
+fn balanced_loop_3_is_discipline_clean() {
+    let _g = serial();
+    let mut solver = CubeSolver::new(SimulationConfig::dense_sheet_test(), 3);
+    // A first call, so the audited one starts from marks a loop 3 set.
+    solver.try_run(1).unwrap();
+    racecheck::begin();
+    solver.try_run(2).unwrap();
+    let report = racecheck::audit();
+    assert!(
+        report.dropped == 0,
+        "log overflow: {} dropped",
+        report.dropped
+    );
+    assert!(
+        report.records > 100_000,
+        "suspiciously few records: {}",
+        report.records
+    );
+    report.assert_clean();
+}
+
 /// The cube solver's collide–push pass is one lock-free per-cube sweep
 /// whose cross-face pushes rely on push-streaming injectivity — each
 /// `(destination node, direction)` slot of `f_new` has exactly one writer.

@@ -133,6 +133,43 @@ fn sticky_panic_quarantines_worker_via_mesh_remap() {
     assert_eq!(compare_states(&baseline, &sup.to_state()).worst(), 0.0);
 }
 
+/// The quarantine remap on a dense sheet whose stencils loop 3's owners
+/// cut: the 4-thread team panics in loop 3 (velocity-update) on thread 3,
+/// the 3-thread replay cuts loop 3 anew, and the healed state equals the
+/// sequential solver's bit for bit.
+#[test]
+fn quarantine_remap_on_a_dense_sheet_matches_sequential() {
+    let _serial = serial();
+    let dense = SimulationConfig::dense_sheet_test();
+    let baseline = fault_free("seq", dense, 1, 12);
+    let _armed = arm(FaultPlan {
+        panic_at: Some(PanicAt {
+            thread: 3,
+            step: 5,
+            phase: "velocity-update",
+        }),
+        sticky: true,
+        ..Default::default()
+    });
+    let policy = RecoveryPolicy {
+        retry_limit: 1,
+        ..policy()
+    };
+    let mut sup = Supervisor::new("cube", SimState::new(dense), 4, policy).unwrap();
+    let report = sup
+        .run_supervised(12)
+        .expect("mesh remap escapes the fault");
+    let rec = report.recovery.unwrap();
+    assert!(
+        rec.events
+            .iter()
+            .any(|e| e.action == RecoveryAction::RemapMesh { from: 4, to: 3 }),
+        "{:?}",
+        rec.events
+    );
+    assert_eq!(compare_states(&baseline, &sup.to_state()).worst(), 0.0);
+}
+
 /// A sticky panic on thread 0 cannot be quarantined away (the mesh
 /// bottoms out at one thread, which is thread 0) — the ladder must fall
 /// back to the OpenMP-style backend, whose workers carry no panic hooks.

@@ -4,7 +4,7 @@
 //! exactly the 4×4×4 "influential domain" of Section III-B. A 2-point hat
 //! and the 3-point Roma kernel are provided for the support-width ablation.
 
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 
 use lbm::boundary::BoundaryConfig;
 use lbm::grid::Dims;
@@ -16,6 +16,18 @@ pub enum DeltaKind {
     /// `δ(r) = ¼ (1 + cos(πr/2))` — the kernel of the LBM-IB paper's
     /// lineage (Zhu et al. 2011). Partition of unity is exact; the first
     /// moment vanishes only approximately (|Σ (r−j) δ| ≲ 0.0065).
+    ///
+    /// The weights are computed in closed form, one `sin`/`cos` pair per
+    /// position and axis instead of one `cos` per node: with
+    /// `j0 = floor(p) − 1` and `θ = π/2 · (p − floor(p))`, the nodes
+    /// `j0 ..= j0 + 3` weigh ¼(1 − sin θ), ¼(1 + cos θ), ¼(1 + sin θ) and
+    /// ¼(1 − cos θ). These are `δ(p − j)` rewritten with
+    /// `cos(x ± π/2) = ∓ sin x` and `cos(x − π) = − cos x`, so they differ
+    /// from `¼ (1 + cos(π(p − j)/2))` evaluated term by term only by
+    /// rounding (at most 2⁻⁵² absolute), and they sum to 1 within 2⁻⁵¹.
+    /// [`DeltaKind::eval`] and the stored stencils ([`CubeIndexer::stencil`])
+    /// share the one routine, so `eval(p − j)` equals the stored weight of
+    /// node `j` bit for bit wherever `p − j` is exact.
     #[default]
     Peskin4,
     /// Peskin's piecewise-polynomial 4-point kernel, support `|r| < 2`,
@@ -55,7 +67,9 @@ impl DeltaKind {
         match self {
             DeltaKind::Peskin4 => {
                 if a < 2.0 {
-                    0.25 * (1.0 + (std::f64::consts::FRAC_PI_2 * r).cos())
+                    // Node 0 seen from position `r`: entry `0 − j0`.
+                    let (j0, w) = cosine_weights(r);
+                    w[(-j0) as usize]
                 } else {
                     0.0
                 }
@@ -95,6 +109,24 @@ impl DeltaKind {
     }
 }
 
+/// The [`DeltaKind::Peskin4`] weights of position `p` on one axis:
+/// `(j0, w)`, where `w[i]` is the weight of node `j0 + i` and
+/// `j0 = floor(p) − 1`. Every other node weighs 0.
+#[inline]
+fn cosine_weights(p: f64) -> (i64, [f64; 4]) {
+    let floor = p.floor();
+    let (s, c) = (std::f64::consts::FRAC_PI_2 * (p - floor)).sin_cos();
+    (
+        (floor as i64).saturating_sub(1),
+        [
+            0.25 * (1.0 - s),
+            0.25 * (1.0 + c),
+            0.25 * (1.0 + s),
+            0.25 * (1.0 - c),
+        ],
+    )
+}
+
 /// Coordinate→index tables for a grid stored in bricks of `edge[a]` nodes
 /// along axis `a`, bricks and the nodes inside a brick both in x-major
 /// order (as [`Dims::idx`] orders nodes).
@@ -110,7 +142,6 @@ impl DeltaKind {
 ///   is [`Dims::idx`].
 #[derive(Clone, Debug)]
 pub struct CubeIndexer {
-    dims: Dims,
     brick_part: [Vec<usize>; 3],
     flat_part: [Vec<usize>; 3],
 }
@@ -139,7 +170,6 @@ impl CubeIndexer {
                 .unzip();
         }
         Self {
-            dims,
             brick_part,
             flat_part,
         }
@@ -159,51 +189,69 @@ impl CubeIndexer {
     /// The delta stencil of `pos` in this layout: the step's only
     /// evaluation of the kernel for that point.
     ///
-    /// Per axis, the candidates are the integer coordinates
-    /// `ceil(p - hs) ..= floor(p + hs)`; those where the kernel vanishes are
-    /// left out. Axes marked periodic in `bc` wrap; on wall axes, nodes
-    /// beyond the grid are skipped (the structure is expected to stay at
-    /// least the kernel half-support away from walls, as in the paper's
-    /// tunnel setup).
+    /// Per axis, the candidates are the integer coordinates within the
+    /// kernel's half support `hs`, `ceil(p − hs) ..= floor(p + hs)`;
+    /// those where the kernel vanishes are left out. (For
+    /// [`DeltaKind::Peskin4`] only `floor(p) − 1 ..= floor(p) + 2` are
+    /// walked: the others always weigh 0.) Axes marked periodic in `bc`
+    /// wrap; on wall axes, nodes beyond the grid are skipped (the
+    /// structure is expected to stay at least the kernel half-support away
+    /// from walls, as in the paper's tunnel setup). A stencil with no
+    /// point on some axis is empty ([`CubeStencil::default`]).
     pub fn stencil(&self, pos: [f64; 3], kind: DeltaKind, bc: &BoundaryConfig) -> CubeStencil {
-        let hs = kind.half_support();
-        let ext = [self.dims.nx, self.dims.ny, self.dims.nz];
         let periodic = [bc.x.is_periodic(), bc.y.is_periodic(), bc.z.is_periodic()];
         let mut s = CubeStencil::default();
+        // Sums of the axes' smallest and largest brick terms.
+        let mut span = [0; 2];
         for a in 0..3 {
             // The axis's coordinates and weights first, then their terms:
             // two tight loops run faster than one.
             let p = pos[a];
             let mut coord = [0; CubeStencil::MAX_WIDTH];
             let mut n = 0;
-            for j in (p - hs).ceil() as i64..=(p + hs).floor() as i64 {
-                let w = kind.eval(p - j as f64);
+            let mut keep = |j: i64, w: f64| {
                 if w == 0.0 {
-                    continue;
+                    return;
                 }
-                coord[n] = if periodic[a] {
-                    j.rem_euclid(ext[a] as i64) as usize
-                } else if j < 0 || j >= ext[a] as i64 {
-                    continue;
-                } else {
-                    j as usize
-                };
-                s.weight[a][n] = w;
-                n += 1;
+                if let Some(v) = self.coordinate(a, j, periodic[a]) {
+                    coord[n] = v;
+                    s.weight[a][n] = w;
+                    n += 1;
+                }
+            };
+            if kind == DeltaKind::Peskin4 {
+                let (j0, w) = cosine_weights(p);
+                (0..)
+                    .zip(w)
+                    .for_each(|(i, w)| keep(j0.saturating_add(i), w));
+            } else {
+                for j in Self::candidates(p, kind) {
+                    keep(j, kind.eval(p - j as f64));
+                }
+            }
+            if n == 0 {
+                // No point on this axis, so none at all.
+                return CubeStencil::default();
             }
             s.len[a] = n;
             let mut run = 0;
+            let (mut lo, mut hi) = (usize::MAX, 0);
             for (j, &v) in coord[..n].iter().enumerate() {
-                s.brick[a][j] = self.brick_part[a][v];
+                let brick = self.brick_part[a][v];
+                s.brick[a][j] = brick;
                 s.flat[a][j] = self.flat_part[a][v];
+                (lo, hi) = (lo.min(brick), hi.max(brick));
                 // A run ends where the brick changes, or before a node it
                 // already holds (a wrap onto a short periodic axis).
-                if j == 0 || s.brick[a][j] != s.brick[a][j - 1] || coord[run..j].contains(&v) {
+                if j == 0 || brick != s.brick[a][j - 1] || coord[run..j].contains(&v) {
                     s.runs[a] |= 1 << j;
                     run = j;
                 }
             }
+            span[0] += lo;
+            span[1] += hi;
         }
+        s.span = [span[0], span[1] + 1];
         s
     }
 
@@ -241,19 +289,93 @@ impl CubeIndexer {
         out: &mut [CubeStencil],
     ) {
         debug_assert_eq!(pos.len(), out.len());
-        let hs = kind.half_support();
-        let nx = self.dims.nx as i64;
         let periodic = bc.x.is_periodic();
         for (s, &p) in out.iter_mut().zip(pos) {
-            let reaches = ((p[0] - hs).ceil() as i64..=(p[0] + hs).floor() as i64).any(|j| {
-                let x = if periodic { j.rem_euclid(nx) } else { j };
-                x >= 0 && xs.contains(&(x as usize))
+            let reaches = Self::candidates(p[0], kind).any(|j| {
+                self.coordinate(0, j, periodic)
+                    .is_some_and(|x| xs.contains(&x))
             });
             *s = if reaches {
                 self.stencil(p, kind, bc)
             } else {
                 CubeStencil::default()
             };
+        }
+    }
+
+    /// The candidate nodes of position `p` on one axis: every integer `j`
+    /// within the kernel's half support `hs`, `ceil(p − hs) ..= floor(p +
+    /// hs)`. For [`DeltaKind::Peskin4`] the walk is `j0 ..= j0 + 3` with
+    /// `j0 = floor(p) − 1`, the nodes its closed-form weights cover: the
+    /// wider range adds only the two end points of a position on a lattice
+    /// plane (`|p − j| = 2`), whose weight is 0, so both give one point set.
+    #[inline]
+    fn candidates(p: f64, kind: DeltaKind) -> RangeInclusive<i64> {
+        if kind == DeltaKind::Peskin4 {
+            let j0 = (p.floor() as i64).saturating_sub(1);
+            j0..=j0.saturating_add(3)
+        } else {
+            let hs = kind.half_support();
+            (p - hs).ceil() as i64..=(p + hs).floor() as i64
+        }
+    }
+
+    /// The grid coordinate of candidate `j` on axis `a`: `j` itself on the
+    /// grid, wrapped onto it on a periodic axis, `None` beyond a wall.
+    #[inline]
+    fn coordinate(&self, a: usize, j: i64, periodic: bool) -> Option<usize> {
+        let ext = self.brick_part[a].len() as i64;
+        // Most candidates lie on the grid: no division for them.
+        if (0..ext).contains(&j) {
+            Some(j as usize)
+        } else {
+            periodic.then(|| j.rem_euclid(ext) as usize)
+        }
+    }
+
+    /// Counts, per brick, the candidate nodes of every position in `pos`
+    /// into `counts` (one entry per brick, overwritten): the work a spread
+    /// of their stencils does in each brick, estimated from the
+    /// candidates [`CubeIndexer::stencil`] walks, without evaluating the
+    /// kernel. It counts a stencil's points exactly, but for the
+    /// candidates of zero weight (the end points of a position on a
+    /// lattice plane).
+    pub fn count_points(
+        &self,
+        pos: &[[f64; 3]],
+        kind: DeltaKind,
+        bc: &BoundaryConfig,
+        counts: &mut [u64],
+    ) {
+        let periodic = [bc.x.is_periodic(), bc.y.is_periodic(), bc.z.is_periodic()];
+        counts.fill(0);
+        for p in pos {
+            // Per axis, the candidates' brick terms with their multiplicity
+            // (at most one more candidate than a stencil holds).
+            let mut terms = [[(0usize, 0u64); CubeStencil::MAX_WIDTH + 1]; 3];
+            let mut len = [0; 3];
+            for a in 0..3 {
+                for j in Self::candidates(p[a], kind) {
+                    let Some(v) = self.coordinate(a, j, periodic[a]) else {
+                        continue;
+                    };
+                    let t = self.brick_part[a][v];
+                    match terms[a][..len[a]].last_mut() {
+                        Some((last, n)) if *last == t => *n += 1,
+                        _ => {
+                            terms[a][len[a]] = (t, 1);
+                            len[a] += 1;
+                        }
+                    }
+                }
+            }
+            for &(bx, nx) in &terms[0][..len[0]] {
+                for &(by, ny) in &terms[1][..len[1]] {
+                    for &(bz, nz) in &terms[2][..len[2]] {
+                        counts[bx + by + bz] += nx * ny * nz;
+                    }
+                }
+            }
         }
     }
 }
@@ -267,7 +389,8 @@ impl CubeIndexer {
 /// term of the flat index and its 1D weight. Per axis, bit `j` of `runs`
 /// is set if entry `j` starts a run, a stretch of consecutive entries with
 /// one brick term and no coordinate twice. One run per axis makes a block,
-/// which lies in a single brick and holds each of its nodes once.
+/// which lies in a single brick and holds each of its nodes once. `span`
+/// is [`CubeStencil::brick_span`], summed up while the terms are stored.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CubeStencil {
     brick: [[usize; CubeStencil::MAX_WIDTH]; 3],
@@ -275,12 +398,24 @@ pub struct CubeStencil {
     weight: [[f64; CubeStencil::MAX_WIDTH]; 3],
     len: [usize; 3],
     runs: [u8; 3],
+    span: [usize; 2],
 }
 
 impl CubeStencil {
     /// Upper bound of [`DeltaKind::stencil_width`] over all kernels: the
     /// most nodes with non-zero weight along one axis.
     pub(crate) const MAX_WIDTH: usize = 4;
+
+    /// The bricks the stencil's blocks can lie in, as one range: from the
+    /// sum over axes of the smallest brick term to the sum of the largest.
+    /// A brick index is a sum of one term per axis, so every block's brick
+    /// lies in the range; an owner of a brick range the span misses can
+    /// skip the stencil without walking its blocks. Empty for a stencil
+    /// with no point.
+    #[inline]
+    pub fn brick_span(&self) -> Range<usize> {
+        self.span[0]..self.span[1]
+    }
 
     /// Calls `f(brick, flat, weight)` for every node of the tensor-product
     /// domain, x slowest and z fastest, with weight `(wx * wy) * wz`.
@@ -515,7 +650,14 @@ mod tests {
     }
 
     /// An independent enumeration of the influential domain: the
-    /// reference the stored stencil must reproduce bit for bit.
+    /// reference the stored stencil must reproduce bit for bit. Its
+    /// candidates are every integer within the half support, its order
+    /// and products are written out here; only the [`DeltaKind::Peskin4`]
+    /// weights of one axis are read off the closed form of `p`, as the
+    /// builder reads them. `eval(p − j)` would round `p − j` first where
+    /// it is inexact (`p = 0.3`, `j = −1`), and its last bit can then
+    /// differ; `closed_form_cosine_weights_match_the_term_by_term_kernel`
+    /// checks the closed form against the kernel.
     fn reference_influences(
         pos: [f64; 3],
         kind: DeltaKind,
@@ -536,7 +678,15 @@ mod tests {
             let lo = (p - hs).ceil() as i64;
             let hi = (p + hs).floor() as i64;
             for j in lo..=hi {
-                let w = kind.eval(p - j as f64);
+                let w = if kind == DeltaKind::Peskin4 {
+                    let (j0, w) = cosine_weights(p);
+                    usize::try_from(j - j0)
+                        .ok()
+                        .and_then(|i| w.get(i).copied())
+                        .unwrap_or(0.0)
+                } else {
+                    kind.eval(p - j as f64)
+                };
                 if w == 0.0 {
                     continue;
                 }
@@ -732,6 +882,198 @@ mod tests {
                         walk_points(&s),
                         "nx {nx}, {pos:?}, {kind:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// Positions on one axis: a spread of interior values, lattice planes,
+    /// values within 1e-12 of a plane on either side, and negative
+    /// coordinates a periodic axis wraps.
+    fn axis_positions() -> Vec<f64> {
+        let mut out = Vec::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+            let plane = (i % 40) as f64 - 8.0;
+            out.push(match i % 5 {
+                0 => plane,
+                1 => plane + 1e-12 * u,
+                2 => plane - 1e-12 * u,
+                3 => -3.0 * u,
+                _ => 40.0 * u - 8.0,
+            });
+        }
+        out
+    }
+
+    /// The cosine kernel as it was evaluated term by term.
+    fn cosine_term(r: f64) -> f64 {
+        if r.abs() < 2.0 {
+            0.25 * (1.0 + (std::f64::consts::FRAC_PI_2 * r).cos())
+        } else {
+            0.0
+        }
+    }
+
+    #[test]
+    fn closed_form_cosine_weights_match_the_term_by_term_kernel() {
+        for p in axis_positions() {
+            let (j0, w) = cosine_weights(p);
+            assert_eq!(j0, p.floor() as i64 - 1, "{p}");
+            for (i, &wi) in w.iter().enumerate() {
+                let old = cosine_term(p - (j0 + i as i64) as f64);
+                assert!(
+                    (wi - old).abs() <= f64::EPSILON,
+                    "{p}, node {i}: {wi} vs {old}"
+                );
+            }
+            let sum: f64 = w.iter().sum();
+            assert!((sum - 1.0).abs() <= 2.0 * f64::EPSILON, "{p}: sum {sum}");
+        }
+    }
+
+    /// The stored weights and `eval` come from one routine: `eval(p − j)`
+    /// is the stored weight of node `j` bit for bit (`p − j` is exact for
+    /// these positions), and a stencil keeps the nodes the term-by-term
+    /// candidate rule keeps, on lattice planes too.
+    #[test]
+    fn cosine_stencil_matches_eval_and_the_old_point_set() {
+        let dims = Dims::new(40, 6, 6);
+        let bc = BoundaryConfig::periodic();
+        let indexer = CubeIndexer::planes(dims);
+        for (i, p) in axis_positions().into_iter().enumerate().step_by(7) {
+            // A dyadic copy of `p`, so `p − j` is exact.
+            let q = (p * 1048576.0).round() / 1048576.0;
+            for x in [p, q] {
+                let s = indexer.stencil([x, 2.5, 3.0], DeltaKind::Peskin4, &bc);
+                let got: Vec<(usize, u64)> = (0..s.len[0])
+                    .map(|e| (s.flat[0][e] / 36, s.weight[0][e].to_bits()))
+                    .collect();
+                let hs = 2.0;
+                let old: Vec<usize> = ((x - hs).ceil() as i64..=(x + hs).floor() as i64)
+                    .filter(|&j| cosine_term(x - j as f64) != 0.0)
+                    .map(|j| j.rem_euclid(40) as usize)
+                    .collect();
+                let coords: Vec<usize> = got.iter().map(|g| g.0).collect();
+                assert_eq!(coords, old, "{x}");
+                if x == q {
+                    let floor = x.floor() as i64;
+                    let want: Vec<u64> = (floor - 1..=floor + 2)
+                        .map(|j| DeltaKind::Peskin4.eval(x - j as f64))
+                        .filter(|&w| w != 0.0)
+                        .map(f64::to_bits)
+                        .collect();
+                    let weights: Vec<u64> = got.iter().map(|g| g.1).collect();
+                    assert_eq!(weights, want, "{x} (sample {i})");
+                }
+            }
+        }
+    }
+
+    /// The reference at positions with every mantissa bit in use, around
+    /// the periodic wrap and next to walls too: there `p − j` rounds, so
+    /// only the closed form of `p` gives the stored bits.
+    #[test]
+    fn stencil_matches_reference_at_full_precision_positions() {
+        let axis = axis_positions();
+        for i in (0..axis.len() - 2).step_by(37) {
+            let pos = [axis[i], axis[i + 1] * 0.3 + 1.0, axis[i + 2] * 0.35 + 1.0];
+            check_stencil_against_reference(pos).unwrap();
+        }
+    }
+
+    /// Blown-up positions (a diverged run) build stencils and counts
+    /// without an arithmetic overflow.
+    #[test]
+    fn extreme_positions_do_not_overflow() {
+        let dims = Dims::new(8, 8, 8);
+        for indexer in [CubeIndexer::new(dims, [4; 3]), CubeIndexer::planes(dims)] {
+            for bc in [BoundaryConfig::periodic(), BoundaryConfig::tunnel()] {
+                for x in [f64::NAN, 1e300, -1e300, f64::INFINITY, f64::NEG_INFINITY] {
+                    for kind in KINDS {
+                        let s = indexer.stencil([x, 4.5, x], kind, &bc);
+                        s.for_each(|_, _, _| ());
+                        let _ = s.brick_span();
+                        let mut counts = vec![0; 8];
+                        indexer.count_points(&[[x, 4.5, x]], kind, &bc, &mut counts);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The span holds every block's brick and is tight: its ends are
+    /// the sums of the axes' smallest and largest brick terms.
+    #[test]
+    fn brick_span_holds_every_block() {
+        let bc = BoundaryConfig::periodic();
+        for (dims, k) in [
+            (Dims::new(12, 12, 12), 2),
+            (Dims::new(8, 4, 12), 4),
+            (Dims::new(3, 2, 1), 1),
+        ] {
+            for indexer in [CubeIndexer::new(dims, [k; 3]), CubeIndexer::planes(dims)] {
+                for pos in [
+                    [5.3, 6.6, 7.1],
+                    [0.4, 11.7, 6.0],
+                    [4.0, 4.0, 4.0],
+                    [-0.5, 0.2, 0.9],
+                ] {
+                    for kind in KINDS {
+                        let s = indexer.stencil(pos, kind, &bc);
+                        let span = s.brick_span();
+                        let mut bricks = Vec::new();
+                        s.for_each_block(|brick, _| bricks.push(brick));
+                        let tag = format!("{dims:?}, k {k}, {pos:?}, {kind:?}");
+                        assert!(bricks.iter().all(|b| span.contains(b)), "{tag}");
+                        let sum = |pick: fn(&[usize]) -> usize| -> usize {
+                            (0..3).map(|a| pick(&s.brick[a][..s.len[a]])).sum()
+                        };
+                        let lo = sum(|t| t.iter().copied().min().unwrap());
+                        let hi = sum(|t| t.iter().copied().max().unwrap());
+                        assert_eq!(span, lo..hi + 1, "{tag}");
+                    }
+                }
+            }
+        }
+        assert!(CubeStencil::default().brick_span().is_empty());
+    }
+
+    /// `count_points` counts each stencil's points in their bricks; off
+    /// the lattice planes exactly, on them it adds only the zero-weight
+    /// end points.
+    #[test]
+    fn count_points_matches_the_built_stencils() {
+        let dims = Dims::new(12, 8, 8);
+        for bc in [BoundaryConfig::periodic(), BoundaryConfig::tunnel()] {
+            for indexer in [CubeIndexer::new(dims, [4; 3]), CubeIndexer::planes(dims)] {
+                let n_bricks = indexer.brick_part[0][11]
+                    + indexer.brick_part[1][7]
+                    + indexer.brick_part[2][7]
+                    + 1;
+                for kind in KINDS {
+                    let interior = [[5.3, 3.6, 4.1], [0.4, 6.7, 3.2], [11.2, 1.6, 2.9]];
+                    let planes = [[5.0, 3.0, 4.0], [0.0, 6.0, 2.0]];
+                    for (pos, exact) in [(&interior[..], true), (&planes[..], false)] {
+                        let mut counts = vec![7; n_bricks];
+                        indexer.count_points(pos, kind, &bc, &mut counts);
+                        let mut want = vec![0; n_bricks];
+                        for &p in pos {
+                            indexer
+                                .stencil(p, kind, &bc)
+                                .for_each(|b, _, _| want[b] += 1);
+                        }
+                        let tag = format!("{kind:?}, {pos:?}, {bc:?}");
+                        if exact {
+                            assert_eq!(counts, want, "{tag}");
+                        } else {
+                            assert!(counts.iter().zip(&want).all(|(c, w)| c >= w), "{tag}");
+                        }
+                    }
                 }
             }
         }

@@ -197,7 +197,8 @@ mod tests {
                 &[*s],
                 &[[1.0, 0.0, 0.0]],
                 1.0,
-                |_| true,
+                0..usize::MAX,
+                |_| (),
                 |node, df| {
                     fx[node] += df[0];
                 },

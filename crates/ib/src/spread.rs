@@ -4,11 +4,13 @@
 //!
 //! [`spread`] is the one spread every solver runs. It reads stored
 //! stencils ([`CubeStencil`], built once per node and step) and applies
-//! only the blocks whose brick the caller owns: the sequential solver owns
-//! every plane, an OpenMP slab or a distributed rank its own planes, a
-//! cube worker its own cubes. Each owner walks the fiber nodes in global
-//! order, so each force slot receives the same products in the same order
-//! whoever owns it.
+//! only the blocks whose brick lies in the range the caller owns: the
+//! sequential solver owns every plane, an OpenMP slab or a distributed
+//! rank a run of planes, a cube worker a run of cubes in storage order.
+//! Each owner walks the fiber nodes in global order, so each force slot
+//! receives the same products in the same order whoever owns it.
+
+use std::ops::Range;
 
 use lbm::boundary::BoundaryConfig;
 use lbm::grid::{Dims, FluidGrid};
@@ -17,30 +19,39 @@ use crate::delta::{CubeIndexer, CubeStencil, DeltaKind};
 use crate::sheet::FiberSheet;
 
 /// Kernel 4 through stored stencils: `F(x) += Σ_l f_l δ³(x − X_l) Δs₁Δs₂`
-/// over the bricks the caller owns.
+/// over the bricks in `owned`.
 ///
 /// `stencils[l]` is fiber node `l`'s stencil and `forces[l]` its elastic
 /// force; `area` is the Lagrangian area element. For every block of every
-/// stencil, in global node order, `owns(brick)` says whether the caller
-/// owns the block's brick; for an owned block `add(flat, f_l · w)` is
-/// called at each of its nodes. `owns` sees every block, also those of a
-/// node whose force is zero, which adds nothing.
+/// stencil whose brick lies in `owned`, in global node order,
+/// `reached(brick)` is called, also for a node whose force is zero, which
+/// adds nothing; and `add(flat, f_l · w)` is called at each of the block's
+/// nodes. A stencil whose [`CubeStencil::brick_span`] misses `owned` is
+/// skipped in O(1), without walking its blocks.
 #[inline]
 pub fn spread(
     stencils: &[CubeStencil],
     forces: &[[f64; 3]],
     area: f64,
-    mut owns: impl FnMut(usize) -> bool,
+    owned: Range<usize>,
+    mut reached: impl FnMut(usize),
     mut add: impl FnMut(usize, [f64; 3]),
 ) {
     for (stencil, f) in stencils.iter().zip(forces) {
+        let span = stencil.brick_span();
+        if span.end <= owned.start || span.start >= owned.end {
+            continue;
+        }
         let f_l = [f[0] * area, f[1] * area, f[2] * area];
         let zero = f_l == [0.0; 3];
         stencil.for_each_block(|brick, block| {
-            if owns(brick) && !zero {
-                stencil.for_each_in(block, |flat, w| {
-                    add(flat, [f_l[0] * w, f_l[1] * w, f_l[2] * w]);
-                });
+            if owned.contains(&brick) {
+                reached(brick);
+                if !zero {
+                    stencil.for_each_in(block, |flat, w| {
+                        add(flat, [f_l[0] * w, f_l[1] * w, f_l[2] * w]);
+                    });
+                }
             }
         });
     }
@@ -70,7 +81,8 @@ pub fn spread_into_grid(stencils: &[CubeStencil], sheet: &FiberSheet, grid: &mut
         stencils,
         &sheet.elastic,
         area,
-        |_| true,
+        0..usize::MAX,
+        |_| (),
         |node, df| {
             fx[node] += df[0];
             fy[node] += df[1];
@@ -111,7 +123,8 @@ mod tests {
             &[stencil],
             &[f_l],
             1.0,
-            |_| true,
+            0..usize::MAX,
+            |_| (),
             |node, df| {
                 grid.fx[node] += df[0];
                 grid.fy[node] += df[1];
@@ -209,12 +222,18 @@ mod tests {
                     let mut part = FluidGrid::new(dims).planes(xs.clone());
                     let first = xs.start * dims.ny * dims.nz;
                     let area = sheet.area_element();
-                    let owns = |x: usize| xs.contains(&x);
-                    spread(&stencils, &sheet.elastic, area, owns, |node, df| {
-                        part.fx[node - first] += df[0];
-                        part.fy[node - first] += df[1];
-                        part.fz[node - first] += df[2];
-                    });
+                    spread(
+                        &stencils,
+                        &sheet.elastic,
+                        area,
+                        xs.clone(),
+                        |_| (),
+                        |node, df| {
+                            part.fx[node - first] += df[0];
+                            part.fy[node - first] += df[1];
+                            part.fz[node - first] += df[2];
+                        },
+                    );
                     part
                 })
                 .collect();

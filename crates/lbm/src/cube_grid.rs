@@ -132,22 +132,25 @@ impl CubeDims {
 /// the index mapping differs: scalar entry `flat(cube, local)`, distribution
 /// entry `flat(cube, local) * Q + dir`. All nodes of a cube — and all 19
 /// directions of all its nodes — are contiguous.
+///
+/// The velocity and the force are stored as one `[f64; 3]` per node
+/// (`FluidGrid`'s `ux..uz` and `fx..fz` side by side), so the spread and
+/// the interpolation touch one cache line per stencil point, not three.
+/// [`CubeFluidGrid::from_flat`] and the gathers convert at the boundary.
 #[derive(Clone, Debug)]
 pub struct CubeFluidGrid {
     pub cdims: CubeDims,
     pub f: Vec<f64>,
     pub f_new: Vec<f64>,
     pub rho: Vec<f64>,
-    pub ux: Vec<f64>,
-    pub uy: Vec<f64>,
-    pub uz: Vec<f64>,
+    /// Velocity `[ux, uy, uz]` per node.
+    pub u: Vec<[f64; 3]>,
     /// Equilibrium-shift velocity, see [`FluidGrid::ueqx`].
     pub ueqx: Vec<f64>,
     pub ueqy: Vec<f64>,
     pub ueqz: Vec<f64>,
-    pub fx: Vec<f64>,
-    pub fy: Vec<f64>,
-    pub fz: Vec<f64>,
+    /// Force `[fx, fy, fz]` per node.
+    pub force: Vec<[f64; 3]>,
 }
 
 impl CubeFluidGrid {
@@ -159,15 +162,11 @@ impl CubeFluidGrid {
             f: vec![0.0; n * Q],
             f_new: vec![0.0; n * Q],
             rho: vec![1.0; n],
-            ux: vec![0.0; n],
-            uy: vec![0.0; n],
-            uz: vec![0.0; n],
+            u: vec![[0.0; 3]; n],
             ueqx: vec![0.0; n],
             ueqy: vec![0.0; n],
             ueqz: vec![0.0; n],
-            fx: vec![0.0; n],
-            fy: vec![0.0; n],
-            fz: vec![0.0; n],
+            force: vec![[0.0; 3]; n],
         }
     }
 
@@ -189,17 +188,21 @@ impl CubeFluidGrid {
         }
         for (dst, src) in [
             (&mut out.rho, &grid.rho),
-            (&mut out.ux, &grid.ux),
-            (&mut out.uy, &grid.uy),
-            (&mut out.uz, &grid.uz),
             (&mut out.ueqx, &grid.ueqx),
             (&mut out.ueqy, &grid.ueqy),
             (&mut out.ueqz, &grid.ueqz),
-            (&mut out.fx, &grid.fx),
-            (&mut out.fy, &grid.fy),
-            (&mut out.fz, &grid.fz),
         ] {
             cdims.for_each_z_run(|node, flat| dst[flat..][..k].copy_from_slice(&src[node..][..k]));
+        }
+        for (dst, [x, y, z]) in [
+            (&mut out.u, [&grid.ux, &grid.uy, &grid.uz]),
+            (&mut out.force, [&grid.fx, &grid.fy, &grid.fz]),
+        ] {
+            cdims.for_each_z_run(|node, flat| {
+                for (j, d) in dst[flat..][..k].iter_mut().enumerate() {
+                    *d = [x[node + j], y[node + j], z[node + j]];
+                }
+            });
         }
         out
     }
@@ -211,11 +214,22 @@ impl CubeFluidGrid {
     /// leaves — because the cube solver swaps buffer roles instead of
     /// copying, so its stored `f_new` may hold an older step.
     pub fn to_flat_into(&self, out: &mut FluidGrid) {
-        let src = [
-            &self.rho, &self.ux, &self.uy, &self.uz, &self.ueqx, &self.ueqy, &self.ueqz, &self.fx,
-            &self.fy, &self.fz,
-        ];
-        self.gather_into(out, |slot, _| src.map(|s| s[slot]));
+        self.gather_into(out, |slot, _| {
+            let ([ux, uy, uz], [fx, fy, fz]) = (self.u[slot], self.force[slot]);
+            let ueq = [self.ueqx[slot], self.ueqy[slot], self.ueqz[slot]];
+            [
+                self.rho[slot],
+                ux,
+                uy,
+                uz,
+                ueq[0],
+                ueq[1],
+                ueq[2],
+                fx,
+                fy,
+                fz,
+            ]
+        });
     }
 
     /// Like [`CubeFluidGrid::to_flat_into`], but derives ρ, u and u_eq
@@ -226,7 +240,7 @@ impl CubeFluidGrid {
     /// field are read.
     pub fn to_flat_with_moments_into(&self, out: &mut FluidGrid, tau: f64) {
         self.gather_into(out, |slot, f_node| {
-            let force = [self.fx[slot], self.fy[slot], self.fz[slot]];
+            let force = self.force[slot];
             let (rho, u, ueq) = node_moments_shifted(f_node, force, tau);
             [
                 rho, u[0], u[1], u[2], ueq[0], ueq[1], ueq[2], force[0], force[1], force[2],
@@ -293,18 +307,6 @@ impl CubeFluidGrid {
                 v.set_len(n);
             }
         }
-    }
-
-    /// Clears the per-node body force.
-    pub fn clear_force(&mut self) {
-        self.fx.fill(0.0);
-        self.fy.fill(0.0);
-        self.fz.fill(0.0);
-    }
-
-    /// Total fluid mass.
-    pub fn total_mass(&self) -> f64 {
-        self.f.iter().sum()
     }
 }
 
@@ -416,7 +418,7 @@ mod tests {
         g.copy_distributions();
         let cube = CubeFluidGrid {
             rho: vec![f64::NAN; g.n()],
-            ux: vec![f64::NAN; g.n()],
+            u: vec![[f64::NAN; 3]; g.n()],
             ueqz: vec![f64::NAN; g.n()],
             ..CubeFluidGrid::from_flat(&g, 2)
         };
@@ -458,9 +460,15 @@ mod tests {
             v.clear();
             v.reserve(n);
         }
+        let field = |a: &Vec<[f64; 3]>, c: usize| a.iter().map(|v| v[c]).collect::<Vec<f64>>();
+        let (ux, uy, uz) = (field(&cube.u, 0), field(&cube.u, 1), field(&cube.u, 2));
+        let (fx, fy, fz) = (
+            field(&cube.force, 0),
+            field(&cube.force, 1),
+            field(&cube.force, 2),
+        );
         let src = [
-            &cube.rho, &cube.ux, &cube.uy, &cube.uz, &cube.ueqx, &cube.ueqy, &cube.ueqz, &cube.fx,
-            &cube.fy, &cube.fz,
+            &cube.rho, &ux, &uy, &uz, &cube.ueqx, &cube.ueqy, &cube.ueqz, &fx, &fy, &fz,
         ];
         cdims.for_each_z_run(|node, flat| {
             debug_assert_eq!(out.f.len(), node * Q);
@@ -470,7 +478,7 @@ mod tests {
                 let values = match tau {
                     None => src.map(|s| s[flat + j]),
                     Some(tau) => {
-                        let force = [cube.fx[flat + j], cube.fy[flat + j], cube.fz[flat + j]];
+                        let force = cube.force[flat + j];
                         let (rho, u, ueq) = node_moments_shifted(f_node, force, tau);
                         [
                             rho, u[0], u[1], u[2], ueq[0], ueq[1], ueq[2], force[0], force[1],
@@ -512,9 +520,15 @@ mod tests {
             for v in cube.f.iter_mut() {
                 *v = 1.0 / 19.0 + 1e-3 * (rng.next_u64() % 1000) as f64;
             }
-            for v in [&mut cube.rho, &mut cube.uy, &mut cube.ueqz, &mut cube.fx, &mut cube.fz] {
+            let mut draw = || 1e-5 * (rng.next_u64() % 1000) as f64 - 5e-3;
+            for v in [&mut cube.rho, &mut cube.ueqz] {
                 for x in v.iter_mut() {
-                    *x = 1e-5 * (rng.next_u64() % 1000) as f64 - 5e-3;
+                    *x = draw();
+                }
+            }
+            for v in [&mut cube.u, &mut cube.force] {
+                for x in v.iter_mut().flatten() {
+                    *x = draw();
                 }
             }
             // The stored f_new is stale and must not show up in the output.
@@ -559,7 +573,7 @@ mod tests {
         let cube = CubeFluidGrid::from_flat(&g, 2);
         for (x, y, z) in dims.iter_coords() {
             let (node, flat) = (dims.idx(x, y, z), cube.cdims.flat_of_global(x, y, z));
-            assert_eq!(cube.ux[flat], node as f64, "({x},{y},{z})");
+            assert_eq!(cube.u[flat][0], node as f64, "({x},{y},{z})");
             assert_eq!(
                 cube.f[flat * Q..][..Q],
                 g.f[node * Q..][..Q],

@@ -109,6 +109,38 @@ fn chunked_checkpoints_are_bit_exact_for_cube() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+fn saved_bytes(state: &SimState) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_checkpoint(state, &mut bytes).unwrap();
+    bytes
+}
+
+/// The cube solver on the dense sheet, whose stencils loop 3's owners
+/// cut, saves the sequential bytes at 2–5 threads over several calls, and
+/// across a save and a resume on another thread count (which cuts loop 3
+/// anew).
+#[test]
+fn dense_sheet_resume_across_loop3_cuts_is_bit_exact_for_cube() {
+    let dense = SimState::new(SimulationConfig::dense_sheet_test());
+    let mut seq = build_solver("seq", dense.clone(), 1).unwrap();
+    seq.run(7).unwrap();
+    let want = saved_bytes(&seq.to_state());
+    for threads in 2..=5 {
+        let mut first = build_solver("cube", dense.clone(), threads).unwrap();
+        first.run(2).unwrap();
+        first.run(1).unwrap();
+        let file = saved_bytes(&first.to_state());
+        let resumed = read_checkpoint(&file[..]).unwrap();
+        let other = threads % 4 + 2;
+        let mut second = build_solver("cube", resumed, other).unwrap();
+        second.run(4).unwrap();
+        assert!(
+            saved_bytes(&second.to_state()) == want,
+            "{threads} threads, resumed on {other}"
+        );
+    }
+}
+
 /// A small evolved state for the corruption properties; dims are drawn per
 /// case so layout-dependent bugs can't hide behind one fixed file size.
 fn small_state(nx: usize, ny: usize, nz: usize, steps: u64) -> SimState {
