@@ -1,6 +1,5 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
-//! copy-vs-swap (kernel 9), cube distribution policy, barrier flavour,
-//! delta-kernel support width, cube edge length, and cache-layout effects
+//! copy-vs-swap (kernel 9), cube distribution policy, delta-kernel support width, cube edge length, and cache-layout effects
 //! via the cachesim substrate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -10,7 +9,6 @@ use ib::delta::DeltaKind;
 use lbm::cube_grid::CubeDims;
 use lbm::distribution::Policy;
 use lbm::grid::Dims;
-use lbm_ib::barrier::BarrierKind;
 use lbm_ib::openmp::Schedule;
 use lbm_ib::{CubeSolver, OpenMpSolver, SimulationConfig};
 
@@ -48,20 +46,6 @@ fn distribution_policy_ablation(c: &mut Criterion) {
         group.bench_function(name, |b| {
             let mut solver = CubeSolver::new(config_with_k(4), 4);
             solver.policy = policy;
-            solver.try_run(1).unwrap();
-            b.iter(|| solver.try_run(2).unwrap());
-        });
-    }
-    group.finish();
-}
-
-fn barrier_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("barrier_kind");
-    group.sample_size(10);
-    for (name, kind) in [("spin", BarrierKind::Spin), ("std", BarrierKind::Std)] {
-        group.bench_function(name, |b| {
-            let mut solver = CubeSolver::new(config_with_k(4), 4);
-            solver.barrier_kind = kind;
             solver.try_run(1).unwrap();
             b.iter(|| solver.try_run(2).unwrap());
         });
@@ -129,7 +113,6 @@ criterion_group!(
     benches,
     cube_edge_ablation,
     distribution_policy_ablation,
-    barrier_ablation,
     delta_support_ablation,
     schedule_ablation,
     layout_cache_ablation

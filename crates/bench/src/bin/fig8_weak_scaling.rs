@@ -18,7 +18,6 @@ use cachesim::trace::{simulate_cube_marked, simulate_flat_fused};
 use ib::delta::CubeIndexer;
 use lbm::cube_grid::CubeDims;
 use lbm::distribution::CubeDistribution;
-use lbm_ib::barrier::BarrierKind;
 use lbm_ib::{CubeSolver, OpenMpSolver, SimState, SimulationConfig};
 use lbm_ib_bench::{span_and_imbalance, timed, Args, PAPER_FIG8_FINAL_GAP_PERCENT};
 
@@ -67,16 +66,17 @@ fn main() {
         config.validate().expect("config");
         let label = format!("{}x{}x{}", config.nx, config.ny, config.nz);
 
-        let mut omp = OpenMpSolver::new(config, n);
-        omp.telemetry_enabled = true;
-        let (report, omp_wall) = timed(|| omp.run(steps));
+        // One solver's team at a time: the omp team is joined before the
+        // cube team starts, so at most `n` workers are alive at once.
+        let (report, omp_wall) = {
+            let mut omp = OpenMpSolver::new(config, n);
+            omp.telemetry_enabled = true;
+            timed(|| omp.run(steps))
+        };
         let (omp_busy, omp_im) = span_and_imbalance(&report.telemetry.unwrap());
 
         let mut cube = CubeSolver::new(config, n);
         cube.telemetry_enabled = true;
-        if args.flag("std-barrier") {
-            cube.barrier_kind = BarrierKind::Std;
-        }
         let (report, cube_wall) = timed(|| cube.try_run(steps).unwrap());
         let (cube_busy, cube_im) = span_and_imbalance(&report.telemetry.unwrap());
 

@@ -2,8 +2,9 @@
 //!
 //! The fluid grid is stored cube-blocked ([`lbm::cube_grid::CubeFluidGrid`]),
 //! cubes are statically assigned to a 3D thread mesh by `cube2thread`
-//! (block distribution by default) and fibers by `fiber2thread`. `run()`
-//! launches one long-lived worker per thread; each time step every worker
+//! (block distribution by default) and fibers by `fiber2thread`. The
+//! solver keeps one worker per thread in a [`Team`] built with it, and a
+//! `run()` is one [`Team::run`]: each time step every worker
 //! executes the five loops of Algorithm 4 over *its own* cubes and fibers,
 //! with exactly three barriers:
 //!
@@ -137,9 +138,9 @@
 //!
 //! # Panic safety
 //!
-//! A panicking worker poisons the shared [`PhaseBarrier`] before
-//! unwinding; siblings blocked at (or arriving at) a barrier bail out
-//! instead of spinning forever. [`CubeSolver::try_run`] then restores the
+//! A panicking worker poisons the call's phase [`Barrier`] before
+//! unwinding; siblings spinning or parked at (or arriving at) a barrier
+//! bail out instead of waiting forever. [`CubeSolver::try_run`] then restores the
 //! solver's arrays — without advancing the step counter — and returns
 //! [`SolverError::WorkerPanicked`] naming the thread and phase.
 
@@ -162,13 +163,14 @@ use lbm::fused::{self, collide_to_registers, face_bits};
 use lbm::lattice::{E, Q};
 use lbm::macroscopic::node_moments_shifted;
 
-use crate::barrier::{BarrierKind, BarrierPoisoned, PhaseBarrier};
+use crate::barrier::{Barrier, BarrierPoisoned};
 use crate::config::{ConfigError, KernelPlan, SimulationConfig};
 use crate::openmp::cost_balanced_ranges;
 use crate::profiling::KernelId;
 use crate::sharedgrid::{SharedCubeGrid, SharedSlice};
 use crate::solver::{Backend, RunReport, SolverError};
 use crate::state::SimState;
+use crate::team::{Slots, Team};
 use crate::telemetry::{RunTelemetry, ThreadTelemetry};
 
 /// Worker phase names, in loop order, used for panic attribution
@@ -355,9 +357,8 @@ struct WorkerPlan {
 /// The cube-centric solver.
 pub struct CubeSolver {
     pub config: SimulationConfig,
-    n_threads: usize,
-    /// Barrier flavour (spin by default; `Std` for the ablation).
-    pub barrier_kind: BarrierKind,
+    /// The kept workers, one per thread of the mesh.
+    team: Team,
     /// Cube distribution policy (block by default, as in the paper).
     pub policy: Policy,
     cdims: CubeDims,
@@ -395,9 +396,14 @@ impl CubeSolver {
     }
 
     /// Builds the solver from an existing flat state (reordering the fluid
-    /// into cube-blocked storage).
+    /// into cube-blocked storage). Panics on a zero thread count or when
+    /// the OS refuses a worker thread.
     pub fn from_state(state: SimState, n_threads: usize) -> Self {
         assert!(n_threads > 0, "need at least one thread");
+        Self::with_team(state, Team::start(n_threads, "lbmib-cube"))
+    }
+
+    fn with_team(state: SimState, team: Team) -> Self {
         let config = state.config;
         let cdims = CubeDims::new(config.dims(), config.cube_k);
         // The state's ρ, u, u_eq and force field stay as they are until the
@@ -407,8 +413,7 @@ impl CubeSolver {
         let grid = CubeFluidGrid::from_flat(&state.fluid, config.cube_k);
         Self {
             config,
-            n_threads,
-            barrier_kind: BarrierKind::default(),
+            team,
             policy: Policy::Block,
             cdims,
             grid,
@@ -424,7 +429,8 @@ impl CubeSolver {
     }
 
     /// Like [`CubeSolver::from_state`] but returns an error instead of
-    /// panicking on a zero thread count, an invalid configuration or a
+    /// panicking on a zero thread count, a refused thread, an invalid
+    /// configuration or a
     /// cube edge that does not divide the grid
     /// ([`ConfigError::DimNotDivisibleByCube`]; the flat solvers build on
     /// any grid, so only this builder checks it).
@@ -443,17 +449,18 @@ impl CubeSolver {
             }
             .into());
         }
-        Ok(Self::from_state(state, n_threads))
+        let team = Team::try_start(n_threads, "lbmib-cube")?;
+        Ok(Self::with_team(state, team))
     }
 
     /// Number of worker threads.
     pub fn n_threads(&self) -> usize {
-        self.n_threads
+        self.team.n_workers()
     }
 
     /// The thread mesh used by `cube2thread`.
     pub fn thread_mesh(&self) -> ThreadMesh {
-        ThreadMesh::for_threads(self.n_threads)
+        ThreadMesh::for_threads(self.n_threads())
     }
 
     /// Converts the current cube-blocked state back into a flat
@@ -480,7 +487,7 @@ impl CubeSolver {
         out.step = self.step;
     }
 
-    /// Runs `n_steps` time steps with the full worker team (Algorithm 4),
+    /// Runs `n_steps` time steps with the kept worker team (Algorithm 4),
     /// reporting steps and wall time, and surfacing a panicking worker as
     /// [`SolverError::WorkerPanicked`] instead of a panic or a hang: the
     /// panicking thread poisons the phase barrier, the remaining workers
@@ -491,7 +498,7 @@ impl CubeSolver {
         if n_steps == 0 {
             return Ok(RunReport::default());
         }
-        let n_threads = self.n_threads;
+        let n_threads = self.n_threads();
         let cdims = self.cdims;
         let config = self.config;
         let topo = self.sheet.topology();
@@ -564,7 +571,7 @@ impl CubeSolver {
         marks.name_for_racecheck("marks");
         let stored_moments = self.stored_moments;
 
-        let barrier = PhaseBarrier::new(self.barrier_kind, n_threads);
+        let barrier = Barrier::new(n_threads);
         // Panic bookkeeping: each worker publishes its current phase index;
         // a panicking worker's wrapper records (tid, phase) here (first one
         // wins) and poisons the barrier.
@@ -578,71 +585,53 @@ impl CubeSolver {
             .collect();
         let timed = self.telemetry_enabled;
 
+        let plans = Slots::new(plans);
+        let done = Slots::empty(n_threads);
         let t0 = Instant::now();
-        let mut per_thread: Vec<ThreadTelemetry> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n_threads);
-            for plan in plans {
-                let tid = plan.tid;
-                let grid = &grid;
-                let sheet_pos = &sheet_pos;
-                let sheet_bend = &sheet_bend;
-                let sheet_stretch = &sheet_stretch;
-                let sheet_elastic = &sheet_elastic;
-                let stencils = &stencils;
-                let marks = &marks;
-                let streamer = &streamer;
-                let barrier = &barrier;
-                let phase_flag = &phase_flags[tid];
-                let panic_note = &panic_note;
-                handles.push(scope.spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        worker(
-                            plan,
-                            n_steps,
-                            step0,
-                            config,
-                            cdims,
-                            topo,
-                            grid,
-                            sheet_pos,
-                            sheet_bend,
-                            sheet_stretch,
-                            sheet_elastic,
-                            stencils,
-                            marks,
-                            stored_moments,
-                            streamer,
-                            barrier,
-                            timed,
-                            phase_flag,
-                        )
-                    }));
-                    match result {
-                        Ok(r) => r,
-                        Err(_payload) => {
-                            // Record which phase this thread died in, then
-                            // release every sibling blocked at the barrier.
-                            let phase = phase_flag.load(Ordering::Relaxed);
-                            panic_note
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .get_or_insert((tid, phase));
-                            barrier.poison();
-                            Err(BarrierPoisoned)
-                        }
-                    }
-                }));
+        self.team.run(|tid| {
+            let Some(plan) = plans.take(tid) else {
+                return;
+            };
+            let phase_flag = &phase_flags[tid];
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                worker(
+                    plan,
+                    n_steps,
+                    step0,
+                    config,
+                    cdims,
+                    topo,
+                    &grid,
+                    &sheet_pos,
+                    &sheet_bend,
+                    &sheet_stretch,
+                    &sheet_elastic,
+                    &stencils,
+                    &marks,
+                    stored_moments,
+                    &streamer,
+                    &barrier,
+                    timed,
+                    phase_flag,
+                )
+            }));
+            match result {
+                Ok(Ok(telemetry)) => done.put(tid, telemetry),
+                // A sibling poisoned the barrier: no record.
+                Ok(Err(BarrierPoisoned)) => {}
+                Err(_payload) => {
+                    // Record which phase this thread died in, then release
+                    // every sibling waiting at the barrier.
+                    let phase = phase_flag.load(Ordering::Relaxed);
+                    panic_note
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .get_or_insert((tid, phase));
+                    barrier.poison();
+                }
             }
-            handles
-                .into_iter()
-                .filter_map(|h| match h.join() {
-                    Ok(Ok(telemetry)) => Some(telemetry),
-                    // Worker bailed (own panic was caught above, or a
-                    // sibling poisoned the barrier): no record.
-                    Ok(Err(BarrierPoisoned)) | Err(_) => None,
-                })
-                .collect()
         });
+        let mut per_thread: Vec<ThreadTelemetry> = done.into_vec().into_iter().flatten().collect();
         let wall = t0.elapsed();
 
         // Move everything back — also on the failure path, so the solver
@@ -710,7 +699,7 @@ fn take_grid(grid: &mut CubeFluidGrid) -> CubeFluidGrid {
 /// must unwind.
 #[inline]
 fn sync_barrier(
-    barrier: &PhaseBarrier,
+    barrier: &Barrier,
     timed: bool,
     wait_s: &mut f64,
     waits: &mut u64,
@@ -745,7 +734,7 @@ fn worker(
     marks: &SharedSlice<bool>,
     stored_moments: bool,
     streamer: &CubeStreamer,
-    barrier: &PhaseBarrier,
+    barrier: &Barrier,
     timed: bool,
     phase_flag: &AtomicUsize,
 ) -> Result<ThreadTelemetry, BarrierPoisoned> {
@@ -754,8 +743,10 @@ fn worker(
     let mut barrier_waits = 0u64;
     #[cfg(feature = "racecheck")]
     crate::racecheck::set_thread(plan.tid);
+    // Three phases per step, numbered from the absolute step, so that one
+    // audit can span several calls.
     #[cfg(feature = "racecheck")]
-    let mut rc_phase: u64 = 0;
+    let mut rc_phase: u64 = 3 * step0;
     #[cfg(feature = "racecheck")]
     crate::racecheck::set_phase(rc_phase);
     let nn = topo.nodes_per_fiber;
@@ -1047,6 +1038,8 @@ fn worker(
         }
     }
 
+    #[cfg(feature = "racecheck")]
+    crate::racecheck::clear_thread();
     Ok(ThreadTelemetry {
         kernel_seconds: busy,
         barrier_wait_seconds: barrier_wait_s,
@@ -1154,18 +1147,6 @@ mod tests {
         assert_eq!(sa.fluid.f, sb.fluid.f);
         assert_eq!(sa.fluid.ux, sb.fluid.ux);
         assert_eq!(sa.sheet.pos, sb.sheet.pos);
-    }
-
-    #[test]
-    fn std_barrier_flavour_matches() {
-        let cfg = SimulationConfig::quick_test();
-        let mut a = CubeSolver::new(cfg, 3);
-        let mut b = CubeSolver::new(cfg, 3);
-        b.barrier_kind = BarrierKind::Std;
-        a.try_run(4).unwrap();
-        b.try_run(4).unwrap();
-        let err = max_abs_diff(&a.to_state().fluid.f, &b.to_state().fluid.f);
-        assert!(err < 1e-13, "barrier flavour changed results: {err}");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! LBM-IB solvers "from shared memory manycore systems to extreme-scale
 //! distributed memory manycore systems".
 //!
-//! This solver runs `n_ranks` workers that share **no** fluid state: each
+//! This solver runs `n_ranks` workers, the members of a [`Team`] built
+//! with the solver, that share **no** fluid state: each
 //! rank owns a contiguous slab of x-planes as a [`FluidGrid`] of its own,
 //! and all communication flows through bounded `std::sync::mpsc` messages
 //! — the in-process stand-in for MPI. Each rank runs the sequential
@@ -38,6 +39,7 @@
 //! survives only in the sequential and OpenMP solvers.
 
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender as Sender};
 use std::time::{Duration, Instant};
 
@@ -58,6 +60,7 @@ use crate::openmp::balanced_ranges;
 use crate::profiling::KernelId;
 use crate::solver::{Backend, RunReport, SolverError};
 use crate::state::SimState;
+use crate::team::{Slots, Team};
 use crate::telemetry::{RunTelemetry, ThreadTelemetry};
 
 /// A communication failure observed by one rank mid-step. Converted to a
@@ -72,8 +75,8 @@ enum RankFault {
     /// `peer` sent a message other than the `expected` one: it skipped a
     /// step of the exchange protocol.
     OutOfSequence { peer: usize, expected: &'static str },
-    /// The rank's thread panicked; the panic surfaces as
-    /// [`SolverError::WorkerPanicked`] instead of unwinding through `join`.
+    /// The rank's step loop panicked; the panic surfaces as
+    /// [`SolverError::WorkerPanicked`] instead of unwinding the team.
     Panicked,
 }
 
@@ -140,6 +143,8 @@ pub struct DistributedSolver {
     pub sheet: FiberSheet,
     tethers: TetherSet,
     pub step: u64,
+    /// The kept workers, one per rank.
+    team: Team,
     /// When true, [`DistributedSolver::try_run`] attaches per-rank telemetry
     /// (kernel section times plus blocking-receive wait) to its report.
     pub telemetry_enabled: bool,
@@ -151,7 +156,7 @@ impl DistributedSolver {
 
     /// Builds the solver, slicing the initial state into rank slabs.
     /// Panics unless the x axis is periodic and every rank gets at least
-    /// one plane.
+    /// one plane, or when the OS refuses a worker thread.
     pub fn new(config: SimulationConfig, n_ranks: usize) -> Self {
         Self::from_state(SimState::new(config), n_ranks)
     }
@@ -164,7 +169,12 @@ impl DistributedSolver {
             "the distributed decomposition slices the periodic x axis"
         );
         assert!(n_ranks >= 1 && n_ranks <= config.nx, "need 1..=nx ranks");
-        let slabs = balanced_ranges(config.nx, n_ranks)
+        Self::with_team(state, Team::start(n_ranks, "lbmib-rank"))
+    }
+
+    fn with_team(state: SimState, team: Team) -> Self {
+        let config = state.config;
+        let slabs = balanced_ranges(config.nx, team.n_workers())
             .into_iter()
             .map(|xs| state.fluid.planes(xs))
             .collect();
@@ -174,12 +184,14 @@ impl DistributedSolver {
             sheet: state.sheet,
             tethers: state.tethers,
             step: state.step,
+            team,
             telemetry_enabled: false,
         }
     }
 
     /// Like [`DistributedSolver::from_state`] but returns an error instead
-    /// of panicking on a non-periodic x axis or a bad rank count.
+    /// of panicking on a non-periodic x axis, a bad rank count or a
+    /// refused thread.
     pub fn try_from_state(state: SimState, n_ranks: usize) -> Result<Self, SolverError> {
         if !state.config.bc.x.is_periodic() {
             return Err(SolverError::NonPeriodicX);
@@ -193,7 +205,8 @@ impl DistributedSolver {
                 nx: state.config.nx,
             });
         }
-        Ok(Self::from_state(state, n_ranks))
+        let team = Team::try_start(n_ranks, "lbmib-rank")?;
+        Ok(Self::with_team(state, team))
     }
 
     /// Number of ranks.
@@ -238,40 +251,39 @@ impl DistributedSolver {
         let mut replicas: Vec<FiberSheet> = (1..n).map(|_| self.sheet.clone()).collect();
         let sheets = std::iter::once(&mut self.sheet).chain(&mut replicas);
         let tethers = &self.tethers;
-        let ranks = balanced_ranges(config.nx, n)
-            .into_iter()
-            .zip(self.slabs.iter_mut())
-            .zip(sheets)
-            .zip(tx)
-            .zip(rx)
-            .enumerate();
-        let results: Vec<Result<ThreadTelemetry, RankFault>> = std::thread::scope(|scope| {
-            // Each rank owns its senders, so a rank that returns early
+        // Each rank takes its own slab, sheet and channel ends by index.
+        let ranks = Slots::new(
+            balanced_ranges(config.nx, n)
+                .into_iter()
+                .zip(self.slabs.iter_mut())
+                .zip(sheets)
+                .zip(tx)
+                .zip(rx),
+        );
+        let results = Slots::empty(n);
+        self.team.run(|id| {
+            let Some(((((xs, grid), sheet), tx), rx)) = ranks.take(id) else {
+                return;
+            };
+            let inbox = Inbox {
+                rx,
+                timeout: config.halo_timeout,
+                wait_s: 0.0,
+                waits: 0,
+            };
+            let rank = Rank { id, n, xs };
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                rank_steps(&rank, grid, sheet, tethers, config, n_steps, &tx, inbox)
+            }));
+            results.put(id, result.unwrap_or(Err(RankFault::Panicked)));
+            // The rank's senders drop here, so a rank that returns early
             // (fault) disconnects its outgoing channels and its peers
             // observe `PeerGone` instead of waiting out their full timeout.
-            let handles: Vec<_> = ranks
-                .map(|(id, ((((xs, grid), sheet), tx), rx))| {
-                    let inbox = Inbox {
-                        rx,
-                        timeout: config.halo_timeout,
-                        wait_s: 0.0,
-                        waits: 0,
-                    };
-                    let rank = Rank { id, n, xs };
-                    scope.spawn(move || {
-                        rank_steps(&rank, grid, sheet, tethers, config, n_steps, &tx, inbox)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or(Err(RankFault::Panicked)))
-                .collect()
         });
 
         let mut fault: Option<(usize, RankFault)> = None;
         let mut per_thread = Vec::with_capacity(n);
-        for (id, res) in results.into_iter().enumerate() {
+        for (id, res) in results.into_vec().into_iter().flatten().enumerate() {
             match res {
                 // "Cubes" for a rank are its owned x-planes; the sheet is
                 // replicated, so every rank owns every fiber.

@@ -6,10 +6,11 @@
 //! physics:
 //!
 //! * [`sequential::SequentialSolver`] — Algorithm 1, the nine kernels.
-//! * [`openmp::OpenMpSolver`] — Section IV's loop-parallel design (rayon
-//!   standing in for OpenMP, static x-slab schedule).
+//! * [`openmp::OpenMpSolver`] — Section IV's loop-parallel design (one
+//!   [`team::Team`] run per parallel region standing in for OpenMP, static
+//!   x-slab schedule).
 //! * [`cube::CubeSolver`] — Section V's cube-centric data-centric design:
-//!   long-lived worker threads, cube-blocked storage, `cube2thread`
+//!   a kept worker team, cube-blocked storage, `cube2thread`
 //!   distribution, lock-free spreading (each cube owner applies every
 //!   fiber node's stencil to its own cubes) and three barriers per step
 //!   (Algorithm 4).
@@ -78,8 +79,8 @@ pub mod solver;
 pub mod state;
 pub mod supervisor;
 pub mod sync_shim;
+pub mod team;
 pub mod telemetry;
-pub mod threadpool;
 pub mod tuning;
 pub mod verify;
 

@@ -1,13 +1,14 @@
-//! The OpenMP-style parallel solver of Section IV, built on the local
-//! scoped [`ThreadPool`].
+//! The OpenMP-style parallel solver of Section IV, built on the solver's
+//! kept worker [`Team`].
 //!
 //! The kernels are the sequential solver's, cut into pieces the way the
 //! paper's OpenMP program cuts its loops. Fluid kernels mirror Algorithm
 //! 2: the grid is cut into contiguous x-slabs ([`FluidGrid::slabs_mut`];
-//! static schedule, one slab per thread), and each task runs the `lbm`
-//! slab kernel on its slab; the implicit join at the end of each parallel
-//! region is OpenMP's implicit barrier. Fiber kernels mirror Algorithm 3:
-//! each task runs the `ib` range kernel on a chunk of fibers. Two kernels
+//! static schedule, one slab per thread), and each chunk runs the `lbm`
+//! slab kernel on its slab. A parallel region is one [`Team::run`]: its
+//! workers pull chunk indices from one atomic counter, and the run's
+//! closing rendezvous is OpenMP's implicit barrier. Fiber kernels mirror
+//! Algorithm 3: each chunk runs the `ib` range kernel on a chunk of fibers. Two kernels
 //! have a parallel form of their own. Streaming (kernel 6, alone or fused
 //! with 5) pushes across slab faces, so the slabs write one shared `f_new`
 //! through [`SharedSlice`]. Force spreading (kernel 4) is two regions. A
@@ -29,6 +30,7 @@
 //! [`RunTelemetry::barrier_wait_share`].
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use ib::delta::{CubeIndexer, CubeStencil};
@@ -48,8 +50,8 @@ use crate::profiling::KernelId;
 use crate::sharedgrid::SharedSlice;
 use crate::solver::{timed_steps, Backend, RunReport, SolverError};
 use crate::state::SimState;
+use crate::team::{Slots, Team};
 use crate::telemetry::{RunTelemetry, ThreadTelemetry};
-use crate::threadpool::{current_thread_index, ThreadPool};
 
 /// Splits `0..n` into `chunks` balanced contiguous ranges (static schedule).
 /// The first `n % chunks` ranges get one extra element; empty ranges are
@@ -114,15 +116,10 @@ fn split_by_ranges<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> Ve
     out
 }
 
-/// Charges one parallel region to the per-thread telemetry. Each task of
-/// the region left one `(worker, busy seconds)` slot; worker `t`'s summed
-/// busy time `busy[t]` goes to `kernel`, and the time it then waits at the
-/// region's closing join, `max − busy[t]`, to its barrier wait.
-fn record_region(telemetry: &mut [ThreadTelemetry], kernel: KernelId, slots: &[(usize, f64)]) {
-    let mut busy = vec![0.0; telemetry.len()];
-    for &(worker, seconds) in slots {
-        busy[worker] += seconds;
-    }
+/// Charges one parallel region to the per-thread telemetry: worker `t`'s
+/// busy seconds `busy[t]` go to `kernel`, and the time it then waits at
+/// the region's closing join, `max − busy[t]`, to its barrier wait.
+fn record_region(telemetry: &mut [ThreadTelemetry], kernel: KernelId, busy: &[f64]) {
     let max = busy.iter().copied().fold(0.0, f64::max);
     for (t, b) in telemetry.iter_mut().zip(busy) {
         t.kernel_seconds[kernel.index()] += b;
@@ -139,12 +136,12 @@ pub enum Schedule {
     /// One contiguous chunk per thread (OpenMP `schedule(static)`).
     #[default]
     Static,
-    /// `factor` chunks per thread, work-stolen by idle workers
+    /// `factor` chunks per thread, each taken by the next idle worker
     /// (OpenMP `schedule(dynamic)` with a coarse chunk size).
     Dynamic { factor: usize },
 }
 
-/// The OpenMP-style solver: state + a dedicated thread pool.
+/// The OpenMP-style solver: state + a kept worker team.
 pub struct OpenMpSolver {
     pub state: SimState,
     /// Loop scheduling policy (static by default, as in the paper).
@@ -152,8 +149,7 @@ pub struct OpenMpSolver {
     /// When true, [`OpenMpSolver::run`] attaches per-thread telemetry to
     /// its report.
     pub telemetry_enabled: bool,
-    pool: ThreadPool,
-    n_threads: usize,
+    team: Team,
     /// Per-worker busy and region-wait seconds since the start of the
     /// current `run` call.
     telemetry: Vec<ThreadTelemetry>,
@@ -168,41 +164,47 @@ impl OpenMpSolver {
         Self::from_state(SimState::new(config), n_threads)
     }
 
-    /// Wraps an existing state.
+    /// Wraps an existing state. Panics on a zero thread count or when the
+    /// OS refuses a worker thread.
     pub fn from_state(state: SimState, n_threads: usize) -> Self {
         assert!(n_threads > 0, "need at least one thread");
-        let pool = ThreadPool::new(n_threads, "lbmib-omp");
-        Self {
-            state,
-            schedule: Schedule::default(),
-            telemetry_enabled: false,
-            pool,
-            n_threads,
-            telemetry: vec![ThreadTelemetry::default(); n_threads],
-            stencils: Vec::new(),
-        }
+        Self::with_team(state, Team::start(n_threads, "lbmib-omp"))
     }
 
     /// Like [`OpenMpSolver::from_state`] but returns an error instead of
-    /// panicking on a zero thread count.
+    /// panicking on a zero thread count or a refused thread.
     pub fn try_from_state(state: SimState, n_threads: usize) -> Result<Self, SolverError> {
         if n_threads == 0 {
             return Err(SolverError::ZeroThreads);
         }
-        Ok(Self::from_state(state, n_threads))
+        Ok(Self::with_team(
+            state,
+            Team::try_start(n_threads, "lbmib-omp")?,
+        ))
+    }
+
+    fn with_team(state: SimState, team: Team) -> Self {
+        Self {
+            state,
+            schedule: Schedule::default(),
+            telemetry_enabled: false,
+            telemetry: vec![ThreadTelemetry::default(); team.n_workers()],
+            team,
+            stencils: Vec::new(),
+        }
     }
 
     /// Number of worker threads.
     pub fn n_threads(&self) -> usize {
-        self.n_threads
+        self.team.n_workers()
     }
 
     /// Number of chunks each parallel loop is cut into under the current
     /// scheduling policy.
     fn n_chunks(&self) -> usize {
         match self.schedule {
-            Schedule::Static => self.n_threads,
-            Schedule::Dynamic { factor } => self.n_threads * factor.max(1),
+            Schedule::Static => self.n_threads(),
+            Schedule::Dynamic { factor } => self.n_threads() * factor.max(1),
         }
     }
 
@@ -227,7 +229,7 @@ impl OpenMpSolver {
 
     /// Runs `n` time steps and reports the wall time spent.
     pub fn run(&mut self, n: u64) -> RunReport {
-        let fibers = balanced_ranges(self.state.sheet.num_fibers, self.n_threads);
+        let fibers = balanced_ranges(self.state.sheet.num_fibers, self.n_threads());
         self.telemetry = fibers
             .iter()
             .map(|r| ThreadTelemetry {
@@ -264,7 +266,7 @@ impl OpenMpSolver {
     /// calling thread.
     fn fiber_force_kernels(&mut self) {
         let (fibers, nodes) = self.fiber_chunks();
-        let (pool, telemetry) = (&self.pool, &mut self.telemetry);
+        let (team, telemetry) = (&mut self.team, &mut self.telemetry);
         let topo = self.state.sheet.topology();
         let FiberSheet {
             pos,
@@ -277,16 +279,16 @@ impl OpenMpSolver {
         let chunks = split_by_ranges(bending, &nodes)
             .into_iter()
             .zip(fibers.clone());
-        Self::region_static(
-            pool,
+        Self::region(
+            &mut *team,
             telemetry,
             KernelId::BendingForce,
             chunks,
             |(out, fs)| bending_forces(&topo, pos, fs, out),
         );
         let chunks = split_by_ranges(stretching, &nodes).into_iter().zip(fibers);
-        Self::region_static(
-            pool,
+        Self::region(
+            &mut *team,
             telemetry,
             KernelId::StretchingForce,
             chunks,
@@ -296,8 +298,8 @@ impl OpenMpSolver {
         let chunks = split_by_ranges(elastic, &nodes)
             .into_iter()
             .zip(nodes.iter().cloned());
-        Self::region_static(
-            pool,
+        Self::region(
+            &mut *team,
             telemetry,
             KernelId::ElasticForce,
             chunks,
@@ -308,34 +310,42 @@ impl OpenMpSolver {
 
     /// Runs `work` over `items` as one parallel region charged to `kernel`
     /// (an associated function, so it can run while `self.state` is
-    /// partially borrowed). Each task records the worker that ran it and
-    /// its busy seconds in a slot of its own, so the accounting works for
-    /// both static (1 chunk/thread) and dynamic (many stolen chunks)
-    /// schedules.
-    fn region_static<I, F>(
-        pool: &ThreadPool,
+    /// partially borrowed): one [`Team::run`] whose workers take the items
+    /// by index from one atomic counter until none is left, each summing
+    /// its own busy seconds. One item per worker is the static schedule,
+    /// more is the dynamic one; the accounting is the same.
+    fn region<I, F>(
+        team: &mut Team,
         telemetry: &mut [ThreadTelemetry],
         kernel: KernelId,
-        items: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator>,
+        items: impl IntoIterator<Item = I>,
         work: F,
     ) where
         I: Send,
         F: Fn(I) + Sync,
     {
-        let items = items.into_iter();
-        let mut slots = vec![(0, 0.0); items.len()];
-        pool.scope(|scope| {
-            for (item, slot) in items.zip(&mut slots) {
-                let work = &work;
-                scope.spawn(move || {
-                    let b0 = Instant::now();
-                    work(item);
-                    let seconds = b0.elapsed().as_secs_f64();
-                    *slot = (current_thread_index().unwrap_or(0), seconds);
-                });
+        let items = Slots::new(items);
+        let next = AtomicUsize::new(0);
+        let busy = Slots::empty(team.n_workers());
+        team.run(|t| {
+            #[cfg(feature = "racecheck")]
+            crate::racecheck::set_thread(t);
+            let mut seconds = 0.0;
+            while let Some(item) = items.take(next.fetch_add(1, Ordering::Relaxed)) {
+                let b0 = Instant::now();
+                work(item);
+                seconds += b0.elapsed().as_secs_f64();
             }
+            busy.put(t, seconds);
+            #[cfg(feature = "racecheck")]
+            crate::racecheck::clear_thread();
         });
-        record_region(telemetry, kernel, &slots);
+        let busy: Vec<f64> = busy
+            .into_vec()
+            .into_iter()
+            .map(Option::unwrap_or_default)
+            .collect();
+        record_region(telemetry, kernel, &busy);
     }
 
     /// Kernel 4 as two regions. The first, over fiber chunks, builds each
@@ -362,8 +372,8 @@ impl OpenMpSolver {
         let chunks = split_by_ranges(&mut self.stencils, &nodes)
             .into_iter()
             .zip(nodes.iter().cloned());
-        Self::region_static(
-            &self.pool,
+        Self::region(
+            &mut self.team,
             &mut self.telemetry,
             kernel,
             chunks,
@@ -379,35 +389,41 @@ impl OpenMpSolver {
             .slabs_mut(&planes)
             .into_iter()
             .zip(planes.iter().cloned());
-        Self::region_static(&self.pool, &mut self.telemetry, kernel, slabs, |(s, xs)| {
-            let Slab {
-                nodes, fx, fy, fz, ..
-            } = s;
-            fx.fill(c.body_force[0]);
-            fy.fill(c.body_force[1]);
-            fz.fill(c.body_force[2]);
-            spread(
-                stencils,
-                &sheet.elastic,
-                area,
-                xs,
-                |_| (),
-                |node, df| {
-                    let i = node - nodes.start;
-                    fx[i] += df[0];
-                    fy[i] += df[1];
-                    fz[i] += df[2];
-                },
-            );
-        });
+        Self::region(
+            &mut self.team,
+            &mut self.telemetry,
+            kernel,
+            slabs,
+            |(s, xs)| {
+                let Slab {
+                    nodes, fx, fy, fz, ..
+                } = s;
+                fx.fill(c.body_force[0]);
+                fy.fill(c.body_force[1]);
+                fz.fill(c.body_force[2]);
+                spread(
+                    stencils,
+                    &sheet.elastic,
+                    area,
+                    xs,
+                    |_| (),
+                    |node, df| {
+                        let i = node - nodes.start;
+                        fx[i] += df[0];
+                        fy[i] += df[1];
+                        fz[i] += df[2];
+                    },
+                );
+            },
+        );
     }
 
     /// Kernel 5: collision, parallel over x-slabs (Algorithm 2).
     fn collision_kernel(&mut self) {
         let (planes, tau) = (self.planes(), self.state.config.tau);
         let slabs = self.state.fluid.slabs_mut(&planes);
-        Self::region_static(
-            &self.pool,
+        Self::region(
+            &mut self.team,
             &mut self.telemetry,
             KernelId::Collision,
             slabs,
@@ -442,8 +458,8 @@ impl OpenMpSolver {
     /// routes keep their direction and map origin nodes injectively, and a
     /// bounce-back writes the origin's own `(node, opposite)` slot, whose
     /// upwind route crossed a wall and therefore never produces a neighbour
-    /// write. No thread reads `f_new` during the region, and the pool's
-    /// implicit join publishes the writes before kernel 7 reads them.
+    /// write. No thread reads `f_new` during the region, and the team's
+    /// closing rendezvous publishes the writes before kernel 7 reads them.
     fn push_region<P>(&mut self, kernel: KernelId, post: P)
     where
         P: Fn(&FluidGrid, usize) -> [f64; Q] + Sync,
@@ -458,12 +474,9 @@ impl OpenMpSolver {
         #[cfg(feature = "racecheck")]
         f_new.name_for_racecheck("omp f_new");
         let (grid, router, shared) = (&*fluid, &router, &f_new);
-        Self::region_static(&self.pool, &mut self.telemetry, kernel, planes, |xs| {
+        Self::region(&mut self.team, &mut self.telemetry, kernel, planes, |xs| {
             #[cfg(feature = "racecheck")]
-            {
-                crate::racecheck::set_thread(current_thread_index().unwrap_or(0));
-                crate::racecheck::set_phase(phase);
-            }
+            crate::racecheck::set_phase(phase);
             // SAFETY: every slot this slab writes is written by no
             // other slab (push injectivity, above), and no thread
             // reads `f_new` before the region joins.
@@ -478,9 +491,13 @@ impl OpenMpSolver {
         let (planes, tau) = (self.planes(), self.state.config.tau);
         let slabs = self.state.fluid.slabs_mut(&planes);
         let kernel = KernelId::UpdateVelocity;
-        Self::region_static(&self.pool, &mut self.telemetry, kernel, slabs, |mut s| {
-            update_velocity_shifted_slab(&mut s, tau)
-        });
+        Self::region(
+            &mut self.team,
+            &mut self.telemetry,
+            kernel,
+            slabs,
+            |mut s| update_velocity_shifted_slab(&mut s, tau),
+        );
     }
 
     /// Kernel 8: move fibers, parallel over fiber chunks, through the
@@ -492,8 +509,8 @@ impl OpenMpSolver {
         let chunks = split_by_ranges(&mut sheet.pos, &nodes)
             .into_iter()
             .zip(nodes.iter().cloned());
-        Self::region_static(
-            &self.pool,
+        Self::region(
+            &mut self.team,
             &mut self.telemetry,
             KernelId::MoveFibers,
             chunks,
@@ -506,7 +523,7 @@ impl OpenMpSolver {
         let planes = self.planes();
         let slabs = self.state.fluid.slabs_mut(&planes);
         let kernel = KernelId::CopyDistributions;
-        Self::region_static(&self.pool, &mut self.telemetry, kernel, slabs, |s| {
+        Self::region(&mut self.team, &mut self.telemetry, kernel, slabs, |s| {
             s.f.copy_from_slice(s.f_new)
         });
     }
@@ -720,8 +737,7 @@ mod tests {
 
     /// Charges `busy` (seconds per thread) to `per_thread` as one region.
     fn charge(per_thread: &mut [ThreadTelemetry], kernel: KernelId, busy: &[f64]) {
-        let slots: Vec<(usize, f64)> = busy.iter().copied().enumerate().collect();
-        record_region(per_thread, kernel, &slots);
+        record_region(per_thread, kernel, busy);
     }
 
     /// The telemetry of a run made of the given regions.
@@ -851,6 +867,28 @@ mod tests {
         // against static.
         assert_eq!(stat.state.fluid.f, dynamic.state.fluid.f);
         assert_eq!(stat.state.sheet.pos, dynamic.state.sheet.pos);
+    }
+
+    /// A region with more chunks than workers (the dynamic schedule) runs
+    /// every chunk exactly once, whichever worker takes it, and charges
+    /// one closing join to every worker.
+    #[test]
+    fn region_runs_every_chunk_exactly_once() {
+        use std::sync::atomic::AtomicU64;
+        let mut team = Team::new(3, "omp-region").unwrap();
+        let mut telemetry = vec![ThreadTelemetry::default(); 3];
+        let runs: Vec<AtomicU64> = (0..40).map(|_| AtomicU64::new(0)).collect();
+        for _ in 0..5 {
+            OpenMpSolver::region(&mut team, &mut telemetry, KernelId::Collision, 0..40, |i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        for (i, r) in runs.iter().enumerate() {
+            assert_eq!(r.load(Ordering::Relaxed), 5, "chunk {i}");
+        }
+        for t in &telemetry {
+            assert_eq!(t.barrier_waits, 5);
+        }
     }
 
     #[test]

@@ -78,6 +78,13 @@ pub fn set_thread(tid: usize) {
     THREAD.with(|t| t.set(tid as u64));
 }
 
+/// Marks the calling thread untracked again: a team worker that is the
+/// caller's own thread calls this when its share of a run is done, so the
+/// caller's later accesses count as setup and teardown.
+pub fn clear_thread() {
+    THREAD.with(|t| t.set(UNTRACKED));
+}
+
 /// Sets the calling thread's current phase. Workers advance this after
 /// every barrier, so all threads agree on the phase number of each region.
 pub fn set_phase(phase: u64) {
@@ -107,15 +114,22 @@ struct Registry {
 
 static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
 
-fn registry() -> &'static Mutex<Registry> {
-    REGISTRY.get_or_init(|| Mutex::new(Registry { names: Vec::new() }))
+/// The name registry, locked. A holder that panicked (a failing test)
+/// cannot have torn it — every update is one push or one assignment — so
+/// the lock's poisoning is ignored rather than cascaded into every later
+/// test of the process.
+fn registry() -> std::sync::MutexGuard<'static, Registry> {
+    REGISTRY
+        .get_or_init(|| Mutex::new(Registry { names: Vec::new() }))
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl TrackId {
     /// Allocates a fresh id. Arrays beyond the id space are registered but
     /// not recorded (see `record`).
     pub fn register() -> TrackId {
-        let mut reg = registry().lock().expect("racecheck registry poisoned");
+        let mut reg = registry();
         let id = reg.names.len() as u32;
         reg.names.push(format!("array{id}"));
         TrackId(id)
@@ -123,7 +137,7 @@ impl TrackId {
 
     /// Attaches a human-readable name for audit reports.
     pub fn set_name(self, name: &str) {
-        let mut reg = registry().lock().expect("racecheck registry poisoned");
+        let mut reg = registry();
         if let Some(slot) = reg.names.get_mut(self.0 as usize) {
             *slot = name.to_string();
         }
@@ -131,7 +145,7 @@ impl TrackId {
 }
 
 fn array_name(id: u32) -> String {
-    let reg = registry().lock().expect("racecheck registry poisoned");
+    let reg = registry();
     reg.names
         .get(id as usize)
         .cloned()

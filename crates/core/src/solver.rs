@@ -17,8 +17,8 @@ use crate::state::SimState;
 use crate::telemetry::{RunTelemetry, Watchdog};
 
 /// What a completed [`Solver::run`] did: how many steps, how long the
-/// whole run took on the wall clock (including barriers and thread spawn
-/// for the parallel solvers), and — when enabled via
+/// whole run took on the wall clock (including barriers and the team's
+/// wake-up for the parallel solvers), and — when enabled via
 /// [`Solver::set_telemetry`] — the per-thread kernel/barrier breakdown.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
@@ -104,6 +104,9 @@ pub enum SolverError {
     /// A periodic checkpoint save failed (the run stops rather than keep
     /// computing steps that could never be recovered).
     Checkpoint { detail: String },
+    /// The OS refused a worker thread while a parallel solver started its
+    /// team of `threads` workers.
+    TeamStart { threads: usize, detail: String },
 }
 
 impl std::fmt::Display for SolverError {
@@ -146,6 +149,12 @@ impl std::fmt::Display for SolverError {
             ),
             SolverError::Checkpoint { detail } => {
                 write!(f, "checkpoint save failed: {detail}")
+            }
+            SolverError::TeamStart { threads, detail } => {
+                write!(
+                    f,
+                    "cannot start a team of {threads} worker threads: {detail}"
+                )
             }
         }
     }

@@ -189,6 +189,7 @@ pub fn error_kind(e: &SolverError) -> &'static str {
         SolverError::RankDisconnected { .. } => "rank_disconnected",
         SolverError::OutOfSequence { .. } => "out_of_sequence",
         SolverError::Checkpoint { .. } => "checkpoint",
+        SolverError::TeamStart { .. } => "team_start",
     }
 }
 

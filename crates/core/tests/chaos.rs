@@ -10,7 +10,6 @@
 
 use std::time::Duration;
 
-use lbm_ib::barrier::BarrierKind;
 use lbm_ib::checkpoint::{self, ResumeSource};
 use lbm_ib::faultinject::{arm, CheckpointFault, FaultPlan, HaloFault, PanicAt};
 use lbm_ib::{
@@ -30,79 +29,90 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Holds every injected panic back for `by` before it unwinds — so before
+/// the worker's wrapper poisons the barrier — with the hook that was
+/// installed before. Other panics pass straight through.
+fn hold_injected_panics(by: Duration) {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload().downcast_ref::<String>();
+        if msg.is_some_and(|m| m.starts_with("fault injected")) {
+            std::thread::sleep(by);
+        }
+        previous(info);
+    }));
+}
+
 /// A worker panic mid-step must poison the barriers and surface as a
-/// typed error — with either barrier implementation — instead of leaving
-/// the surviving workers spinning forever.
+/// typed error instead of leaving the surviving workers waiting forever.
+/// The panic is held back for 200 ms, far past the barrier's spin budget,
+/// so the siblings waiting for the dead worker at barrier 2 have parked
+/// by the time the poison arrives: the poison must wake parked waiters.
 #[test]
 fn cube_worker_panic_surfaces_typed_error_not_hang() {
-    for kind in [BarrierKind::Spin, BarrierKind::Std] {
-        let armed = arm(FaultPlan {
-            panic_at: Some(PanicAt {
-                thread: 1,
-                step: 2,
-                phase: "velocity-update",
-            }),
-            ..Default::default()
-        });
-        let mut solver = CubeSolver::new(cfg(), 4);
-        solver.barrier_kind = kind;
+    hold_injected_panics(Duration::from_millis(200));
+    let armed = arm(FaultPlan {
+        panic_at: Some(PanicAt {
+            thread: 1,
+            step: 2,
+            phase: "velocity-update",
+        }),
+        ..Default::default()
+    });
+    let mut solver = CubeSolver::new(cfg(), 4);
 
-        // Run on a watcher thread so a teardown hang fails the test in
-        // bounded time instead of wedging the whole suite.
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let r = solver.try_run(5);
-            tx.send((r, solver)).ok();
-        });
-        let (res, solver) = rx
-            .recv_timeout(Duration::from_secs(120))
-            .unwrap_or_else(|_| panic!("{kind:?}: cube teardown hung after a worker panic"));
+    // Run on a watcher thread so a teardown hang fails the test in
+    // bounded time instead of wedging the whole suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let r = solver.try_run(5);
+        tx.send((r, solver)).ok();
+    });
+    let (res, solver) = rx
+        .recv_timeout(Duration::from_secs(120))
+        .unwrap_or_else(|_| panic!("cube teardown hung after a worker panic"));
 
-        assert_eq!(
-            res.unwrap_err(),
-            SolverError::WorkerPanicked {
-                thread: 1,
-                phase: "velocity-update",
-            },
-            "{kind:?}"
-        );
-        let state = solver.to_state();
-        assert_eq!(
-            state.step, 0,
-            "{kind:?}: a failed run must not claim progress"
-        );
-        // The arrays `try_run` moved out to the team came back on the
-        // failure path: every fluid and sheet array is full-size again.
-        let n = cfg().dims().n();
-        let fluid = &state.fluid;
-        assert_eq!(fluid.f.len(), n * lbm::Q, "{kind:?}: f");
-        assert_eq!(fluid.f_new.len(), n * lbm::Q, "{kind:?}: f_new");
-        for (name, a) in [
-            ("rho", &fluid.rho),
-            ("ux", &fluid.ux),
-            ("uy", &fluid.uy),
-            ("uz", &fluid.uz),
-            ("ueqx", &fluid.ueqx),
-            ("ueqy", &fluid.ueqy),
-            ("ueqz", &fluid.ueqz),
-            ("fx", &fluid.fx),
-            ("fy", &fluid.fy),
-            ("fz", &fluid.fz),
-        ] {
-            assert_eq!(a.len(), n, "{kind:?}: {name}");
+    assert_eq!(
+        res.unwrap_err(),
+        SolverError::WorkerPanicked {
+            thread: 1,
+            phase: "velocity-update",
         }
-        let nodes = state.sheet.num_fibers * state.sheet.nodes_per_fiber;
-        assert_eq!(state.sheet.pos.len(), nodes, "{kind:?}: sheet pos");
-        assert_eq!(state.sheet.elastic.len(), nodes, "{kind:?}: sheet forces");
-
-        // Disarmed, the same solver recovers: try_run builds fresh
-        // barriers, and the state was restored on the failure path.
-        drop(armed);
-        let mut solver = solver;
-        let report = solver.try_run(3).expect("solver recovers once disarmed");
-        assert_eq!(report.steps, 3);
-        assert!(!solver.to_state().has_nan());
+    );
+    let state = solver.to_state();
+    assert_eq!(state.step, 0, "a failed run must not claim progress");
+    // The arrays `try_run` moved out to the team came back on the
+    // failure path: every fluid and sheet array is full-size again.
+    let n = cfg().dims().n();
+    let fluid = &state.fluid;
+    assert_eq!(fluid.f.len(), n * lbm::Q, "f");
+    assert_eq!(fluid.f_new.len(), n * lbm::Q, "f_new");
+    for (name, a) in [
+        ("rho", &fluid.rho),
+        ("ux", &fluid.ux),
+        ("uy", &fluid.uy),
+        ("uz", &fluid.uz),
+        ("ueqx", &fluid.ueqx),
+        ("ueqy", &fluid.ueqy),
+        ("ueqz", &fluid.ueqz),
+        ("fx", &fluid.fx),
+        ("fy", &fluid.fy),
+        ("fz", &fluid.fz),
+    ] {
+        assert_eq!(a.len(), n, "{name}");
     }
+    let nodes = state.sheet.num_fibers * state.sheet.nodes_per_fiber;
+    assert_eq!(state.sheet.pos.len(), nodes, "sheet pos");
+    assert_eq!(state.sheet.elastic.len(), nodes, "sheet forces");
+
+    // Disarmed, the same solver recovers: its team survived the panic,
+    // try_run builds a fresh phase barrier, and the state was restored on
+    // the failure path.
+    drop(armed);
+    let mut solver = solver;
+    let report = solver.try_run(3).expect("solver recovers once disarmed");
+    assert_eq!(report.steps, 3);
+    assert!(!solver.to_state().has_nan());
 }
 
 /// A save torn after its fsync (the temp file is damaged before the

@@ -1,5 +1,8 @@
-//! Exhaustive interleaving tests for the cube solver's concurrency
-//! primitives, model-checked with the in-tree loom stand-in.
+//! Exhaustive interleaving tests for the solvers' concurrency primitives
+//! (the barrier, including its park path, and the worker team),
+//! model-checked with the in-tree loom stand-in. Under the model the
+//! barrier spins once before it parks, so every wait below explores both
+//! paths.
 //!
 //! Build and run with:
 //!
@@ -10,25 +13,26 @@
 //! Under ordinary builds this file compiles to an empty test crate.
 #![cfg(loom)]
 
-use lbm_ib::barrier::SpinBarrier;
+use lbm_ib::barrier::{Barrier, BarrierPoisoned};
 use lbm_ib::sharedgrid::SharedSlice;
+use lbm_ib::team::Team;
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
 use loom::thread;
 
 /// The barrier must publish every pre-barrier write to every post-barrier
-/// reader. If `SpinBarrier::wait_checked` lost its Release/Acquire pairing (e.g.
+/// reader. If `Barrier::wait_checked` lost its Release/Acquire pairing (e.g.
 /// relaxed generation counter), loom would report the slot read as a data
 /// race — the test is falsifiable, not just a smoke check.
 #[test]
-fn spin_barrier_publishes_writes_and_elects_one_leader() {
+fn barrier_publishes_writes_and_elects_one_leader() {
     loom::model(|| {
-        let barrier = Arc::new(SpinBarrier::new(2));
+        let barrier = Arc::new(Barrier::new(2));
         let slots = Arc::new(SharedSlice::from_vec(vec![0u64; 2]));
         let leaders = Arc::new(AtomicUsize::new(0));
 
         let participate =
-            |t: usize, barrier: &SpinBarrier, slots: &SharedSlice<u64>, leaders: &AtomicUsize| {
+            |t: usize, barrier: &Barrier, slots: &SharedSlice<u64>, leaders: &AtomicUsize| {
                 // SAFETY: slot `t` is written only by participant `t` before
                 // the barrier; nobody reads it until after the barrier.
                 unsafe { slots.set(t, (t + 1) as u64) };
@@ -63,15 +67,15 @@ fn spin_barrier_publishes_writes_and_elects_one_leader() {
 /// consecutive generations, electing exactly one leader each time and
 /// publishing each round's writes before the next round reads them.
 #[test]
-fn spin_barrier_generations_reuse() {
+fn barrier_generations_reuse() {
     loom::model(|| {
         const ROUNDS: u64 = 2;
-        let barrier = Arc::new(SpinBarrier::new(2));
+        let barrier = Arc::new(Barrier::new(2));
         let slots = Arc::new(SharedSlice::from_vec(vec![0u64; 2]));
         let leaders = Arc::new(AtomicUsize::new(0));
 
         let participate =
-            |t: usize, barrier: &SpinBarrier, slots: &SharedSlice<u64>, leaders: &AtomicUsize| {
+            |t: usize, barrier: &Barrier, slots: &SharedSlice<u64>, leaders: &AtomicUsize| {
                 for round in 1..=ROUNDS {
                     // SAFETY: participant `t` is the only writer of slot `t`,
                     // and the end-of-round barrier separates these writes from
@@ -110,12 +114,73 @@ fn spin_barrier_generations_reuse() {
 /// A single-thread barrier is always its own leader and trivially
 /// reusable.
 #[test]
-fn spin_barrier_single_thread_reuse() {
+fn barrier_single_thread_reuse() {
     loom::model(|| {
-        let b = SpinBarrier::new(1);
+        let b = Barrier::new(1);
         for _ in 0..3 {
             assert_eq!(b.wait_checked(), Ok(true));
         }
+    });
+}
+
+/// The park race: the waiter spins once, then decides to park while the
+/// last arriver bumps the generation and reads the sleeper count. In every
+/// interleaving either the waiter's re-check under the lock sees the new
+/// generation or the releaser's notify reaches it; a lost wakeup would
+/// leave the waiter blocked, which the model reports as a deadlock.
+#[test]
+fn waiter_parking_while_the_last_arriver_releases() {
+    loom::model(|| {
+        let barrier = Arc::new(Barrier::new(2));
+        let b2 = Arc::clone(&barrier);
+        let h = thread::spawn(move || b2.wait_checked());
+        let mine = barrier.wait_checked().unwrap();
+        let theirs = h.join().unwrap().unwrap();
+        assert!(mine != theirs, "exactly one leader");
+    });
+}
+
+/// Poison while the waiter is parked (or still spinning, or not yet
+/// arrived): it returns the error in every interleaving, and nobody is
+/// left blocked.
+#[test]
+fn poison_releases_a_parked_waiter() {
+    loom::model(|| {
+        let barrier = Arc::new(Barrier::new(2));
+        let b2 = Arc::clone(&barrier);
+        let h = thread::spawn(move || b2.wait_checked());
+        barrier.poison();
+        assert_eq!(h.join().unwrap(), Err(BarrierPoisoned));
+        assert_eq!(barrier.wait_checked(), Err(BarrierPoisoned));
+    });
+}
+
+/// One team dispatched twice, then dropped: each run's closure runs once
+/// on each worker, its writes reach the caller when `run` returns, the
+/// second run sees the first run's writes, and the drop sends the parked
+/// helper home (a helper left waiting would be reported as a deadlock).
+#[test]
+fn team_dispatched_twice() {
+    loom::model(|| {
+        let mut team = Team::new(2, "loom-team").unwrap();
+        let slots = SharedSlice::from_vec(vec![0u64; 2]);
+        for round in 1..=2u64 {
+            team.run(|t| {
+                // SAFETY: worker `t` is the only accessor of slot `t`
+                // during the run; the previous run's write to it, and the
+                // caller's reads of it, are ordered by the team's start
+                // and end rendezvous.
+                unsafe {
+                    assert_eq!(slots.get(t), round - 1, "worker {t} missed round {round}");
+                    slots.set(t, round);
+                }
+            });
+            for t in 0..2 {
+                // SAFETY: the run has returned; no worker touches the slots.
+                assert_eq!(unsafe { slots.get(t) }, round);
+            }
+        }
+        drop(team);
     });
 }
 
@@ -159,7 +224,7 @@ fn algorithm4_phase_sequence_two_cubes() {
         let marks = Arc::new(SharedSlice::from_vec(vec![true; 2]));
         let vel = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
         let pos = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
-        let barrier = Arc::new(SpinBarrier::new(2));
+        let barrier = Arc::new(Barrier::new(2));
 
         let worker = move |t: usize,
                            stencil: &SharedSlice<f64>,
@@ -167,7 +232,7 @@ fn algorithm4_phase_sequence_two_cubes() {
                            marks: &SharedSlice<bool>,
                            vel: &SharedSlice<f64>,
                            pos: &SharedSlice<f64>,
-                           barrier: &SpinBarrier| {
+                           barrier: &Barrier| {
             // Where each fiber sits at the start of the step, and the
             // force the previous step's loop 3 left in my cube.
             let mut moved = 0.0;
@@ -281,10 +346,10 @@ fn fused_push_across_cube_face_is_race_free() {
         // that owns the *source* cube.
         let f = Arc::new(SharedSlice::from_vec(vec![1.0f64, 2.0]));
         let f_new = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
-        let barrier = Arc::new(SpinBarrier::new(2));
+        let barrier = Arc::new(Barrier::new(2));
 
         let worker =
-            |t: usize, f: &SharedSlice<f64>, f_new: &SharedSlice<f64>, barrier: &SpinBarrier| {
+            |t: usize, f: &SharedSlice<f64>, f_new: &SharedSlice<f64>, barrier: &Barrier| {
                 // Collide in registers: read own cube's pre-collision value
                 // (exclusive — nobody writes f during the fused sweep).
                 // SAFETY: f is read-only in this phase.
@@ -326,37 +391,36 @@ fn buffer_swap_without_copy_is_race_free() {
     loom::model(|| {
         let a = Arc::new(SharedSlice::from_vec(vec![1.0f64, 2.0]));
         let b = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
-        let barrier = Arc::new(SpinBarrier::new(2));
+        let barrier = Arc::new(Barrier::new(2));
 
-        let worker =
-            |t: usize, a: &SharedSlice<f64>, b: &SharedSlice<f64>, barrier: &SpinBarrier| {
-                // What kernel 7 sees per step: half the *other* cube's value.
-                let expect = [[1.0, 0.5], [0.25, 0.5]];
-                for (step, seen) in expect.iter().enumerate() {
-                    let (cur, nxt) = if step % 2 == 0 { (a, b) } else { (b, a) };
-                    // Loop 2: collide my cube in registers, push across the
-                    // face.
-                    // SAFETY: cur[t] is my cube's slot, read-only this
-                    // phase; nxt[1 - t] has me as its unique writer this
-                    // step (push injectivity). The other worker last read
-                    // nxt[1 - t] (as its `cur`) one step earlier, before
-                    // that step's barriers 1 and 3.
-                    let v = unsafe {
-                        let v = cur.get(t) * 0.5;
-                        nxt.set(1 - t, v);
-                        v
-                    };
-                    assert!(v > 0.0);
-                    // Barrier 1.
-                    barrier.wait_checked().unwrap();
-                    // Loop 3: kernel 7 reads my own cube's streamed slot.
-                    // SAFETY: written by the other worker before barrier 1.
-                    let got = unsafe { nxt.get(t) };
-                    assert_eq!(got, seen[t], "step {}: cube {t} missed its push", step + 1);
-                    // Barrier 3.
-                    barrier.wait_checked().unwrap();
-                }
-            };
+        let worker = |t: usize, a: &SharedSlice<f64>, b: &SharedSlice<f64>, barrier: &Barrier| {
+            // What kernel 7 sees per step: half the *other* cube's value.
+            let expect = [[1.0, 0.5], [0.25, 0.5]];
+            for (step, seen) in expect.iter().enumerate() {
+                let (cur, nxt) = if step % 2 == 0 { (a, b) } else { (b, a) };
+                // Loop 2: collide my cube in registers, push across the
+                // face.
+                // SAFETY: cur[t] is my cube's slot, read-only this
+                // phase; nxt[1 - t] has me as its unique writer this
+                // step (push injectivity). The other worker last read
+                // nxt[1 - t] (as its `cur`) one step earlier, before
+                // that step's barriers 1 and 3.
+                let v = unsafe {
+                    let v = cur.get(t) * 0.5;
+                    nxt.set(1 - t, v);
+                    v
+                };
+                assert!(v > 0.0);
+                // Barrier 1.
+                barrier.wait_checked().unwrap();
+                // Loop 3: kernel 7 reads my own cube's streamed slot.
+                // SAFETY: written by the other worker before barrier 1.
+                let got = unsafe { nxt.get(t) };
+                assert_eq!(got, seen[t], "step {}: cube {t} missed its push", step + 1);
+                // Barrier 3.
+                barrier.wait_checked().unwrap();
+            }
+        };
 
         let (a2, b2, bar2) = (Arc::clone(&a), Arc::clone(&b), Arc::clone(&barrier));
         let h = thread::spawn(move || worker(1, &a2, &b2, &bar2));

@@ -90,6 +90,32 @@ fn balanced_loop_3_is_discipline_clean() {
     report.assert_clean();
 }
 
+/// One audit over two calls of one solver: the same kept team runs both,
+/// its helpers parked between them. Phases are numbered from the absolute
+/// step, so the two calls' phases stay distinct even though loop 3's
+/// owner cut (counted on the dense sheet as it moved) can differ between
+/// them, and each access is checked against the others of its phase.
+#[test]
+fn cube_team_reused_across_two_calls_is_discipline_clean() {
+    let _g = serial();
+    let mut solver = CubeSolver::new(SimulationConfig::dense_sheet_test(), 3);
+    racecheck::begin();
+    solver.try_run(2).unwrap();
+    solver.try_run(2).unwrap();
+    let report = racecheck::audit();
+    assert!(
+        report.dropped == 0,
+        "log overflow: {} dropped",
+        report.dropped
+    );
+    assert!(
+        report.records > 200_000,
+        "suspiciously few records: {}",
+        report.records
+    );
+    report.assert_clean();
+}
+
 /// The cube solver's collide–push pass is one lock-free per-cube sweep
 /// whose cross-face pushes rely on push-streaming injectivity — each
 /// `(destination node, direction)` slot of `f_new` has exactly one writer.
@@ -145,7 +171,9 @@ fn omp_fused_run_is_discipline_clean() {
         };
         let mut solver = OpenMpSolver::new(cfg, 3);
         racecheck::begin();
-        solver.run(2);
+        // Two calls on one team: the regions of both are audited.
+        solver.run(1);
+        solver.run(1);
         let report = racecheck::audit();
         assert!(
             report.dropped == 0,

@@ -211,6 +211,10 @@ pub mod sync {
                         self.0.rmw(order, |p| p.wrapping_sub(v))
                     }
 
+                    pub fn fetch_or(&self, v: $ty, order: Ordering) -> $ty {
+                        self.0.rmw(order, |p| p | v)
+                    }
+
                     pub fn compare_exchange(
                         &self,
                         current: $ty,
@@ -292,19 +296,33 @@ pub mod sync {
             }
         }
 
-        #[allow(clippy::result_unit_err)]
-        pub fn lock(&self) -> Result<MutexGuard<'_, T>, ()> {
+        /// Locks the mutex, blocking while another thread holds it. Never
+        /// poisoned; the `LockResult` matches `std::sync::Mutex::lock`.
+        pub fn lock(&self) -> std::sync::LockResult<MutexGuard<'_, T>> {
             loop {
                 let op = Op::start();
                 // SAFETY: serialized by the scheduler token held via `op`.
                 let state = unsafe { &mut *self.state.get() };
-                let id = *state.id.get_or_insert_with(|| op.new_mutex_id());
+                let id = *state.id.get_or_insert_with(|| op.new_sync_id());
                 if !state.locked {
                     state.locked = true;
                     op.join_thread_clock(&state.clock);
                     return Ok(MutexGuard { mutex: self });
                 }
                 op.mutex_block(id);
+            }
+        }
+
+        /// The unlock half of a guard drop, run by the token holder `op`:
+        /// publishes the holder's clock to the next locker and wakes the
+        /// threads blocked on the mutex.
+        fn unlock(&self, op: &Op) {
+            // SAFETY: serialized by the scheduler token held via `op`.
+            let state = unsafe { &mut *self.state.get() };
+            state.locked = false;
+            state.clock = op.thread_clock();
+            if let Some(id) = state.id {
+                op.mutex_unblock(id);
             }
         }
     }
@@ -338,13 +356,70 @@ pub mod sync {
                 return;
             }
             let op = Op::start();
-            // SAFETY: serialized by the scheduler token held via `op`.
-            let state = unsafe { &mut *self.mutex.state.get() };
-            state.locked = false;
-            state.clock = op.thread_clock();
-            if let Some(id) = state.id {
-                op.mutex_unblock(id);
+            self.mutex.unlock(&op);
+        }
+    }
+
+    /// A model-checked condition variable. `wait` releases the mutex and
+    /// blocks in one step; only `notify_one`/`notify_all` make the waiter
+    /// runnable again (there are no spurious wakeups), so a notification
+    /// that lands before the wait is lost, and the scheduler reports the
+    /// stranded waiter as a deadlock.
+    pub struct Condvar {
+        id: std::cell::UnsafeCell<Option<usize>>,
+    }
+
+    // SAFETY: `id` is only touched while holding the scheduler token.
+    unsafe impl Sync for Condvar {}
+    // SAFETY: the condvar owns nothing but its id.
+    unsafe impl Send for Condvar {}
+
+    impl Default for Condvar {
+        fn default() -> Self {
+            Self::new()
+        }
+    }
+
+    impl Condvar {
+        pub fn new() -> Self {
+            Self {
+                id: std::cell::UnsafeCell::new(None),
             }
+        }
+
+        fn id(&self, op: &Op) -> usize {
+            // SAFETY: serialized by the scheduler token held via `op`.
+            let id = unsafe { &mut *self.id.get() };
+            *id.get_or_insert_with(|| op.new_sync_id())
+        }
+
+        /// Releases `guard`'s mutex, blocks until notified, then relocks.
+        pub fn wait<'a, T>(
+            &self,
+            guard: MutexGuard<'a, T>,
+        ) -> std::sync::LockResult<MutexGuard<'a, T>> {
+            let mutex = guard.mutex;
+            // The unlock happens below, in the same step as the block.
+            std::mem::forget(guard);
+            let op = Op::start();
+            let id = self.id(&op);
+            mutex.unlock(&op);
+            op.condvar_block(id);
+            mutex.lock()
+        }
+
+        /// Wakes one thread blocked in `wait`, if any.
+        pub fn notify_one(&self) {
+            let op = Op::start();
+            let id = self.id(&op);
+            op.condvar_notify(id, false);
+        }
+
+        /// Wakes every thread blocked in `wait`.
+        pub fn notify_all(&self) {
+            let op = Op::start();
+            let id = self.id(&op);
+            op.condvar_notify(id, true);
         }
     }
 }

@@ -76,6 +76,10 @@ enum Status {
     MutexBlocked {
         mutex: usize,
     },
+    /// Waiting on a condition variable; woken only by a notify.
+    CondvarBlocked {
+        cv: usize,
+    },
     /// Waiting for a thread to finish.
     JoinBlocked {
         target: usize,
@@ -117,8 +121,9 @@ struct Inner {
     /// Bumped on every write-like operation; spin-parked threads become
     /// eligible again when it advances past their snapshot.
     write_count: u64,
-    /// Monotonic ids for mutexes within this execution.
-    next_mutex_id: usize,
+    /// Monotonic ids for mutexes and condition variables within this
+    /// execution.
+    next_sync_id: usize,
     aborted: bool,
     failure: Option<Box<dyn Any + Send>>,
     os_handles: Vec<std::thread::JoinHandle<()>>,
@@ -173,7 +178,7 @@ impl Execution {
                 steps: 0,
                 max_steps,
                 write_count: 0,
-                next_mutex_id: 0,
+                next_sync_id: 0,
                 aborted: false,
                 failure: None,
                 os_handles: Vec::new(),
@@ -379,10 +384,36 @@ impl Op {
         self.exec.cv.notify_all();
     }
 
-    pub fn new_mutex_id(&self) -> usize {
+    /// Blocks on condition variable `cv` until a notify wakes it.
+    pub fn condvar_block(&self, cv: usize) {
+        {
+            let mut inner = self.exec.lock();
+            inner.threads[self.tid].status = Status::CondvarBlocked { cv };
+        }
+        self.exec.advance(self.tid);
+    }
+
+    /// Wakes the first (`all == false`) or every thread blocked on `cv`.
+    pub fn condvar_notify(&self, cv: usize, all: bool) {
         let mut inner = self.exec.lock();
-        inner.next_mutex_id += 1;
-        inner.next_mutex_id - 1
+        for t in inner.threads.iter_mut() {
+            if t.status == (Status::CondvarBlocked { cv }) {
+                t.status = Status::Runnable;
+                if !all {
+                    break;
+                }
+            }
+        }
+        inner.write_count += 1;
+        drop(inner);
+        self.exec.cv.notify_all();
+    }
+
+    /// A fresh id for a mutex or condition variable.
+    pub fn new_sync_id(&self) -> usize {
+        let mut inner = self.exec.lock();
+        inner.next_sync_id += 1;
+        inner.next_sync_id - 1
     }
 
     /// Blocks until `target` finishes, then joins its final clock.

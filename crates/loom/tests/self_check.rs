@@ -5,7 +5,7 @@
 
 use loom::cell::UnsafeCell;
 use loom::sync::atomic::{AtomicUsize, Ordering};
-use loom::sync::{Arc, Mutex};
+use loom::sync::{Arc, Condvar, Mutex};
 use loom::thread;
 
 #[test]
@@ -117,6 +117,49 @@ fn detects_self_deadlock() {
         let m = Mutex::new(());
         let _g1 = m.lock().unwrap();
         let _g2 = m.lock().unwrap(); // non-reentrant: blocks forever
+    });
+}
+
+/// A flag set under the lock and a notify, against a waiter that checks
+/// the flag under the lock before each wait: every schedule completes.
+#[test]
+fn condvar_handshake_under_the_lock_completes() {
+    loom::model(|| {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let pair2 = Arc::clone(&pair);
+        let h = thread::spawn(move || {
+            *pair2.0.lock().unwrap() = true;
+            pair2.1.notify_all();
+        });
+        let mut ready = pair.0.lock().unwrap();
+        while !*ready {
+            ready = pair.1.wait(ready).unwrap();
+        }
+        drop(ready);
+        h.join().unwrap();
+    });
+}
+
+/// The lost wakeup: the notifier sets the flag and notifies without the
+/// lock, so the notify can land between the waiter's check and its wait.
+/// The waiter is then blocked for good, which the scheduler reports.
+#[test]
+#[should_panic(expected = "deadlock")]
+fn detects_lost_wakeup() {
+    loom::model(|| {
+        let flag = Arc::new(AtomicUsize::new(0));
+        let pair = Arc::new((Mutex::new(()), Condvar::new()));
+        let (flag2, pair2) = (Arc::clone(&flag), Arc::clone(&pair));
+        let h = thread::spawn(move || {
+            flag2.store(1, Ordering::SeqCst);
+            pair2.1.notify_all();
+        });
+        let mut g = pair.0.lock().unwrap();
+        while flag.load(Ordering::SeqCst) == 0 {
+            g = pair.1.wait(g).unwrap();
+        }
+        drop(g);
+        h.join().unwrap();
     });
 }
 

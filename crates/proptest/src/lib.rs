@@ -97,19 +97,40 @@ macro_rules! int_range_strategy {
 
 int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
+/// Float ranges. `start + u·(end − start)`, with `u` on the grid of
+/// `next_f64`, puts every draw on a grid of spacing `(end − start)·2^−P`
+/// (`P` the type's precision), so the mantissa bits of a value that lie
+/// below that spacing would always be zero: every draw in `−2..2` is a
+/// multiple of 2⁻⁵¹. Those bits are filled with random ones, which moves
+/// the value by less than one grid step; a draw that lands outside the
+/// range is drawn again.
 macro_rules! float_range_strategy {
-    ($($t:ty),*) => {$(
+    ($($t:ty, $bits:ty, $mant:expr, $exp_mask:expr);*) => {$(
         impl Strategy for std::ops::Range<$t> {
             type Value = $t;
             fn sample(&self, rng: &mut TestRng) -> $t {
                 assert!(self.start < self.end, "empty strategy range");
-                self.start + (rng.next_f64() as $t) * (self.end - self.start)
+                // The biased exponent field, as for the smallest normal
+                // when the value is zero or subnormal (their ulp is its).
+                let exponent = |x: $t| (((x.to_bits() >> $mant) & $exp_mask) as i32).max(1);
+                let width = self.end - self.start;
+                loop {
+                    let v = self.start + (rng.next_f64() as $t) * width;
+                    // Bits of `v` below the grid spacing: its ulp is
+                    // 2^(e_v − mant), the spacing 2^(e_width − mant − 1).
+                    let k = (exponent(width) - exponent(v) - 1).clamp(0, $mant) as u32;
+                    let noise = (rng.next_u64() & ((1u64 << k) - 1)) as $bits;
+                    let v = <$t>::from_bits(v.to_bits() ^ noise);
+                    if self.contains(&v) {
+                        return v;
+                    }
+                }
             }
         }
     )*};
 }
 
-float_range_strategy!(f32, f64);
+float_range_strategy!(f32, u32, 23, 0xff; f64, u64, 52, 0x7ff);
 
 /// Everything a `proptest!`-based test module needs in scope.
 pub mod prelude {
@@ -218,6 +239,46 @@ mod tests {
             assert!((-2.0..3.5).contains(&f));
             let i = (-5i64..=5).sample(&mut rng);
             assert!((-5..=5).contains(&i));
+        }
+    }
+
+    /// Draws in `−2..2` fill the mantissa bits below the draw grid: the
+    /// lowest mantissa bit, always clear on a grid of 2⁻⁵¹, is set in
+    /// about half the draws, and values near zero carry low bytes of every
+    /// kind. The same holds for `f32`.
+    #[test]
+    fn float_draws_set_their_low_mantissa_bits() {
+        let mut rng = TestRng::new(11);
+        let draws: Vec<f64> = (0..10_000)
+            .map(|_| (-2.0f64..2.0).sample(&mut rng))
+            .collect();
+        assert!(draws.iter().all(|v| (-2.0..2.0).contains(v)));
+        let odd = draws.iter().filter(|v| v.to_bits() & 1 == 1).count();
+        assert!((4_000..6_000).contains(&odd), "{odd} of 10000 draws odd");
+        let small: Vec<u64> = draws
+            .iter()
+            .filter(|v| v.abs() < 0.01)
+            .map(|v| v.to_bits() & 0xff)
+            .collect();
+        assert!(small.len() > 20, "{} draws below 0.01", small.len());
+        assert!(small.iter().filter(|&&b| b != 0).count() > small.len() * 9 / 10);
+        let odd32 = (0..10_000)
+            .filter(|_| (-2.0f32..2.0).sample(&mut rng).to_bits() & 1 == 1)
+            .count();
+        assert!(
+            (4_000..6_000).contains(&odd32),
+            "{odd32} of 10000 f32 draws odd"
+        );
+    }
+
+    /// A range only a few ulps wide still yields values inside it.
+    #[test]
+    fn narrow_float_ranges_stay_in_bounds() {
+        let mut rng = TestRng::new(3);
+        let end = 1.0f64 + 4.0 * f64::EPSILON;
+        for _ in 0..1000 {
+            let v = (1.0f64..end).sample(&mut rng);
+            assert!((1.0..end).contains(&v), "{v}");
         }
     }
 

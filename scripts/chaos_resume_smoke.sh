@@ -3,7 +3,7 @@
 # protocol (CI's `chaos-smoke` job; also runnable locally).
 #
 # 1. Start a long `lbmib` run with periodic checkpointing and SIGKILL it
-#    the moment the first checkpoint appears — so the kill can land
+#    the moment a checkpoint file appears — so the kill can land
 #    anywhere, including mid-save, which the temp-file + atomic-rename +
 #    `.prev` rotation protocol must survive.
 # 2. Resume from whatever survived on disk and advance to a fixed target
@@ -45,12 +45,20 @@ trap '[ -n "$BG" ] && kill -9 "$BG" 2>/dev/null; rm -rf "$DIR"' EXIT
     >"$DIR/crash.log" 2>&1 &
 BG=$!
 
+# Each save after the first renames crash.ckpt to crash.ckpt.prev and
+# then the new file to crash.ckpt, so between the two renames only .prev
+# exists; --resume falls back to it. Wait for either file, and decide
+# once: a second look could land between the renames of a later save.
+found=0
 for _ in $(seq 1 600); do
-    [ -f "$DIR/crash.ckpt" ] && break
+    if [ -f "$DIR/crash.ckpt" ] || [ -f "$DIR/crash.ckpt.prev" ]; then
+        found=1
+        break
+    fi
     kill -0 "$BG" 2>/dev/null || { echo "FAIL: run died early:"; cat "$DIR/crash.log"; exit 1; }
     sleep 0.1
 done
-[ -f "$DIR/crash.ckpt" ] || { echo "FAIL: no checkpoint appeared within 60s"; exit 1; }
+[ "$found" = 1 ] || { echo "FAIL: no checkpoint appeared within 60s"; exit 1; }
 
 kill -9 "$BG"
 wait "$BG" 2>/dev/null || true
