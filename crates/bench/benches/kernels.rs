@@ -195,7 +195,7 @@ fn coupling_kernels(c: &mut Criterion) {
     group.bench_function("interp_one_node", |b| {
         b.iter(|| {
             let stencil = indexer.stencil(black_box([12.3, 15.7, 16.1]), DeltaKind::Peskin4, &bc);
-            ib::interp::interp(&stencil, |_| true, |node| g.velocity(node))
+            ib::interp::interp(&stencil, |_| true, |node| g.u[node])
         })
     });
     group.finish();

@@ -10,7 +10,11 @@
 //! accesses at the paper's sheet sizes.
 //!
 //! Address map: the fluid arrays are laid out back to back in one virtual
-//! allocation, elements of 8 bytes, matching the solver structs.
+//! allocation, elements of 8 bytes. The solvers store u, u_eq and the
+//! force as one `[x, y, z]` triple per node; this map replays each as
+//! three per-component arrays, which keeps the committed Table II and
+//! Fig. 8 figures reproducible until the replays are recorded from the
+//! engine itself.
 
 use lbm::cube_grid::CubeDims;
 use lbm::grid::Dims;
@@ -25,9 +29,9 @@ pub struct MemoryMap {
     base_f: u64,
     base_f_new: u64,
     base_rho: u64,
-    base_u: u64,     // ux, uy, uz consecutive arrays
-    base_ueq: u64,   // ueqx..z
-    base_force: u64, // fx..z
+    base_u: u64,     // x, y, z components as consecutive arrays
+    base_ueq: u64,   // u_eq's x, y, z components
+    base_force: u64, // the force's x, y, z components
 }
 
 impl MemoryMap {

@@ -49,10 +49,13 @@ const VERSION: u64 = 3;
 /// always with the full fluid section. Still read.
 const VERSION_V2: u64 = 2;
 
-/// Fluid-encoding tag of a v3 file: `f`, `fx`, `fy`, `fz` only.
+/// Fluid-encoding tag of a v3 file: `f` and the force's x, y and z
+/// components only.
 const FLUID_COMPACT: u64 = 0;
-/// Fluid-encoding tag of a v3 file: all twelve arrays, in v2's order,
-/// which is [`FluidGrid::fields`] order.
+/// Fluid-encoding tag of a v3 file: all twelve arrays, in v2's order: `f`,
+/// `f_new`, `rho`, then the x, y and z components of `u`, of `ueq` and of
+/// the force, one array each. This module is the only code that splits a
+/// [`FluidGrid`] triple into components.
 const FLUID_FULL: u64 = 1;
 
 /// Buffer size of the checkpoint writer and reader. At 8 KiB a 32³ save
@@ -376,19 +379,29 @@ impl<W: Write> Enc<W> {
     }
     fn f64s(&mut self, v: &[f64]) -> io::Result<()> {
         self.u64(v.len() as u64)?;
-        self.f64_blocks(v)
+        self.f64_blocks(v, |&x| x)
     }
     fn vec3s(&mut self, v: &[[f64; 3]]) -> io::Result<()> {
         self.u64(v.len() as u64)?;
-        self.f64_blocks(v.as_flattened())
+        self.f64_blocks(v.as_flattened(), |&x| x)
     }
-    /// Writes `v` with no length prefix, [`F64_BLOCK`] values per write, so
-    /// the CRC folds large blocks rather than single values.
-    fn f64_blocks(&mut self, v: &[f64]) -> io::Result<()> {
+    /// Writes the x, y and z components of `v` as three length-prefixed
+    /// arrays.
+    fn components(&mut self, v: &[[f64; 3]]) -> io::Result<()> {
+        for c in 0..3 {
+            self.u64(v.len() as u64)?;
+            self.f64_blocks(v, |t| t[c])?;
+        }
+        Ok(())
+    }
+    /// Writes `value` of every entry of `v` with no length prefix,
+    /// [`F64_BLOCK`] values per write, so the CRC folds large blocks rather
+    /// than single values.
+    fn f64_blocks<T>(&mut self, v: &[T], value: impl Fn(&T) -> f64) -> io::Result<()> {
         let mut buf = [0u8; 8 * F64_BLOCK];
         for chunk in v.chunks(F64_BLOCK) {
             for (dst, x) in buf.chunks_exact_mut(8).zip(chunk) {
-                dst.copy_from_slice(&x.to_le_bytes());
+                dst.copy_from_slice(&value(x).to_le_bytes());
             }
             self.0.write_all(&buf[..8 * chunk.len()])?;
         }
@@ -423,14 +436,27 @@ impl<R: Read> Dec<R> {
     }
     /// Fills `out` from a length-prefixed array of exactly its length.
     fn f64s(&mut self, out: &mut [f64]) -> Result<(), CheckpointError> {
+        self.length(out.len())?;
+        self.f64_blocks(out, |x, v| *x = v)
+    }
+    /// Fills the x, y and z components of `out` from three length-prefixed
+    /// arrays of exactly its length (the inverse of [`Enc::components`]).
+    fn components(&mut self, out: &mut [[f64; 3]]) -> Result<(), CheckpointError> {
+        for c in 0..3 {
+            self.length(out.len())?;
+            self.f64_blocks(out, |t, v| t[c] = v)?;
+        }
+        Ok(())
+    }
+    /// Reads an array's length prefix, which must be `expect`.
+    fn length(&mut self, expect: usize) -> Result<(), CheckpointError> {
         let n = self.u64()?;
-        if n != out.len() as u64 {
+        if n != expect as u64 {
             return Err(CheckpointError::Format(format!(
-                "array length {n}, expected {}",
-                out.len()
+                "array length {n}, expected {expect}"
             )));
         }
-        self.f64_blocks(out)
+        Ok(())
     }
     fn vec3s(&mut self, expect: usize) -> Result<Vec<[f64; 3]>, CheckpointError> {
         let n = self.u64()? as usize;
@@ -440,18 +466,22 @@ impl<R: Read> Dec<R> {
             )));
         }
         let mut out = vec![[0.0; 3]; n];
-        self.f64_blocks(out.as_flattened_mut())?;
+        self.f64_blocks(out.as_flattened_mut(), |x, v| *x = v)?;
         Ok(out)
     }
-    /// Fills `out` from [`F64_BLOCK`]-value reads (the inverse of
-    /// [`Enc::f64_blocks`]).
-    fn f64_blocks(&mut self, out: &mut [f64]) -> Result<(), CheckpointError> {
+    /// Hands every entry of `out` one value through `set`, from
+    /// [`F64_BLOCK`]-value reads (the inverse of [`Enc::f64_blocks`]).
+    fn f64_blocks<T>(
+        &mut self,
+        out: &mut [T],
+        set: impl Fn(&mut T, f64),
+    ) -> Result<(), CheckpointError> {
         let mut buf = [0u8; 8 * F64_BLOCK];
         for chunk in out.chunks_mut(F64_BLOCK) {
             let bytes = &mut buf[..8 * chunk.len()];
             self.0.read_exact(bytes)?;
             for (x, b) in chunk.iter_mut().zip(bytes.as_chunks::<8>().0) {
-                *x = f64::from_le_bytes(*b);
+                set(x, f64::from_le_bytes(*b));
             }
         }
         Ok(())
@@ -502,16 +532,12 @@ fn moments_derivable(g: &FluidGrid, tau: f64) -> bool {
         .zip(g.f_new.chunks_exact(Q))
         .enumerate()
         .all(|(node, (f, f_new))| {
-            let force = [g.fx[node], g.fy[node], g.fz[node]];
-            let (rho, u, ueq) = node_moments_shifted(f, force, tau);
+            let (rho, u, ueq) = node_moments_shifted(f, g.force[node], tau);
+            let same3 = |a: [f64; 3], b: [f64; 3]| (0..3).all(|c| same(a[c], b[c]));
             f.iter().zip(f_new).all(|(&a, &b)| same(a, b))
                 && same(rho, g.rho[node])
-                && same(u[0], g.ux[node])
-                && same(u[1], g.uy[node])
-                && same(u[2], g.uz[node])
-                && same(ueq[0], g.ueqx[node])
-                && same(ueq[1], g.ueqy[node])
-                && same(ueq[2], g.ueqz[node])
+                && same3(u, g.u[node])
+                && same3(ueq, g.ueq[node])
         })
 }
 
@@ -563,15 +589,16 @@ pub fn write_checkpoint<W: Write>(state: &SimState, w: W) -> io::Result<()> {
     let g = &state.fluid;
     if moments_derivable(g, c.tau) {
         e.u64(FLUID_COMPACT)?;
-        for a in [&g.f, &g.fx, &g.fy, &g.fz] {
-            e.f64s(a)?;
-        }
+        e.f64s(&g.f)?;
     } else {
         e.u64(FLUID_FULL)?;
-        for a in g.fields() {
+        for a in [&g.f, &g.f_new, &g.rho] {
             e.f64s(a)?;
         }
+        e.components(&g.u)?;
+        e.components(&g.ueq)?;
     }
+    e.components(&g.force)?;
 
     // Structure.
     let sh = &state.sheet;
@@ -705,14 +732,16 @@ pub fn read_checkpoint<R: Read>(r: R) -> Result<SimState, CheckpointError> {
     let mut fluid = FluidGrid::new(lbm::grid::Dims::new(nx, ny, nz));
     let g = &mut fluid;
     if compact {
-        for a in [&mut g.f, &mut g.fx, &mut g.fy, &mut g.fz] {
-            d.f64s(a)?;
-        }
+        d.f64s(&mut g.f)?;
+        d.components(&mut g.force)?;
         g.f_new.copy_from_slice(&g.f);
         update_velocity_shifted(g, tau);
     } else {
-        for a in g.fields_mut() {
+        for a in [&mut g.f, &mut g.f_new, &mut g.rho] {
             d.f64s(a)?;
+        }
+        for a in [&mut g.u, &mut g.ueq, &mut g.force] {
+            d.components(a)?;
         }
     }
 
@@ -1083,7 +1112,7 @@ mod tests {
         let loaded = read_checkpoint(&buf[..]).unwrap();
         assert_eq!(loaded.step, state.step);
         assert_eq!(loaded.fluid.f, state.fluid.f);
-        assert_eq!(loaded.fluid.ueqy, state.fluid.ueqy);
+        assert_eq!(loaded.fluid.ueq, state.fluid.ueq);
         assert_eq!(loaded.sheet.pos, state.sheet.pos);
         assert_eq!(loaded.tethers.tethers.len(), state.tethers.tethers.len());
         assert_eq!(compare_states(&state, &loaded).worst(), 0.0);
@@ -1350,17 +1379,11 @@ mod tests {
         for field in 0..8 {
             let mut state = tiny_state(1);
             let g = &mut state.fluid;
-            let derived = [
-                &mut g.f_new,
-                &mut g.rho,
-                &mut g.ux,
-                &mut g.uy,
-                &mut g.uz,
-                &mut g.ueqx,
-                &mut g.ueqy,
-                &mut g.ueqz,
-            ];
-            let v = derived[field].last_mut().unwrap();
+            let [ux, uy, uz] = g.u.last_mut().unwrap();
+            let [qx, qy, qz] = g.ueq.last_mut().unwrap();
+            let (f_new, rho) = (g.f_new.last_mut().unwrap(), g.rho.last_mut().unwrap());
+            let derived = [f_new, rho, ux, uy, uz, qx, qy, qz];
+            let v = derived.into_iter().nth(field).unwrap();
             *v = f64::from_bits(v.to_bits() + 1);
             let mut buf = Vec::new();
             write_checkpoint(&state, &mut buf).unwrap();

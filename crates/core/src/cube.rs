@@ -686,9 +686,7 @@ fn take_grid(grid: &mut CubeFluidGrid) -> CubeFluidGrid {
         f_new: std::mem::take(&mut grid.f_new),
         rho: std::mem::take(&mut grid.rho),
         u: std::mem::take(&mut grid.u),
-        ueqx: std::mem::take(&mut grid.ueqx),
-        ueqy: std::mem::take(&mut grid.ueqy),
-        ueqz: std::mem::take(&mut grid.ueqz),
+        ueq: std::mem::take(&mut grid.ueq),
         force: std::mem::take(&mut grid.force),
     }
 }
@@ -884,12 +882,7 @@ fn worker(
                     // force field may hold anything.
                     streamer.collide_push(cur, nxt, cube, tau, &mut moments_of_cube, |flat, _| {
                         take_force(flat);
-                        let ueq = [
-                            grid.ueqx.get(flat),
-                            grid.ueqy.get(flat),
-                            grid.ueqz.get(flat),
-                        ];
-                        (grid.rho.get(flat), ueq)
+                        (grid.rho.get(flat), grid.ueq.get(flat))
                     });
                 } else if marks.get(cube) {
                     streamer.collide_push(
@@ -1095,7 +1088,7 @@ mod tests {
             let mut cube = CubeSolver::new(cfg, threads);
             cube.try_run(6).unwrap();
             let cs = cube.to_state();
-            let err = max_abs_diff(&seq.state.fluid.ux, &cs.fluid.ux);
+            let err = max_abs_diff(seq.state.fluid.u.as_flattened(), cs.fluid.u.as_flattened());
             assert!(err < 1e-12, "{threads} threads: velocity mismatch {err}");
             let pos_err = seq
                 .state
@@ -1145,7 +1138,7 @@ mod tests {
         let sa = a.to_state();
         let sb = b.to_state();
         assert_eq!(sa.fluid.f, sb.fluid.f);
-        assert_eq!(sa.fluid.ux, sb.fluid.ux);
+        assert_eq!(sa.fluid.u, sb.fluid.u);
         assert_eq!(sa.sheet.pos, sb.sheet.pos);
     }
 
@@ -1159,7 +1152,7 @@ mod tests {
         b.try_run(5).unwrap();
         let sa = a.to_state();
         let sb = b.to_state();
-        let err = max_abs_diff(&sa.fluid.ux, &sb.fluid.ux);
+        let err = max_abs_diff(sa.fluid.u.as_flattened(), sb.fluid.u.as_flattened());
         assert!(err < 1e-12, "distribution policy changed physics: {err}");
     }
 
@@ -1342,7 +1335,7 @@ mod tests {
                 assert_eq!(whole.step, parts.step, "{tag}");
                 assert_eq!(whole.fluid.f, parts.fluid.f, "{tag}");
                 assert_eq!(whole.fluid.f_new, parts.fluid.f_new, "{tag}");
-                assert_eq!(whole.fluid.ux, parts.fluid.ux, "{tag}");
+                assert_eq!(whole.fluid.u, parts.fluid.u, "{tag}");
                 assert_eq!(whole.sheet.pos, parts.sheet.pos, "{tag}");
             }
         }
@@ -1403,19 +1396,13 @@ mod tests {
     /// every sheet array and the step counter.
     fn assert_bitwise_equal(got: &SimState, want: &SimState, tag: &str) {
         let (g, w) = (&got.fluid, &want.fluid);
-        let fields: [(&str, &[f64], &[f64]); 12] = [
+        let fields: [(&str, &[f64], &[f64]); 6] = [
             ("f", &g.f, &w.f),
             ("f_new", &g.f_new, &w.f_new),
             ("rho", &g.rho, &w.rho),
-            ("ux", &g.ux, &w.ux),
-            ("uy", &g.uy, &w.uy),
-            ("uz", &g.uz, &w.uz),
-            ("ueqx", &g.ueqx, &w.ueqx),
-            ("ueqy", &g.ueqy, &w.ueqy),
-            ("ueqz", &g.ueqz, &w.ueqz),
-            ("fx", &g.fx, &w.fx),
-            ("fy", &g.fy, &w.fy),
-            ("fz", &g.fz, &w.fz),
+            ("u", g.u.as_flattened(), w.u.as_flattened()),
+            ("ueq", g.ueq.as_flattened(), w.ueq.as_flattened()),
+            ("force", g.force.as_flattened(), w.force.as_flattened()),
         ];
         let (gs, ws) = (&got.sheet, &want.sheet);
         let flat = |v: &[[f64; 3]]| v.iter().flatten().copied().collect::<Vec<f64>>();
@@ -1556,14 +1543,11 @@ mod tests {
         let mut seq = SequentialSolver::from_state(displaced_state(wrapping_config()));
         seq.run(3);
         let mut body_force_file = seq.state.clone();
-        let g = &mut body_force_file.fluid;
-        for (field, b) in [&mut g.fx, &mut g.fy, &mut g.fz]
-            .into_iter()
-            .zip(seq.state.config.body_force)
-        {
-            field.fill(b);
-        }
-        assert_ne!(body_force_file.fluid.fx, seq.state.fluid.fx);
+        body_force_file
+            .fluid
+            .force
+            .fill(seq.state.config.body_force);
+        assert_ne!(body_force_file.fluid.force, seq.state.fluid.force);
         seq.run(4);
         for threads in 1..=3 {
             for chunks in [&[4][..], &[1, 3]] {

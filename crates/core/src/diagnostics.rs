@@ -65,7 +65,7 @@ pub fn diagnostics(state: &SimState) -> Diagnostics {
             momentum[1] += fi * e[1];
             momentum[2] += fi * e[2];
         }
-        let (rho, ux, uy, uz) = (g.rho[i], g.ux[i], g.uy[i], g.uz[i]);
+        let (rho, [ux, uy, uz]) = (g.rho[i], g.u[i]);
         let v2 = ux * ux + uy * uy + uz * uz;
         ke += 0.5 * rho * v2;
         max_v2 = max_v2.max(v2);
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn stability_check_flags_nan() {
         let mut s = crate::state::SimState::new(SimulationConfig::quick_test());
-        s.fluid.ux[0] = f64::NAN;
+        s.fluid.u[0][0] = f64::NAN;
         let d = diagnostics(&s);
         assert!(d.nan_detected);
         assert!(d.check_stability(d.mass.max(1.0)).is_err());
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn stability_check_flags_runaway_velocity() {
         let mut s = crate::state::SimState::new(SimulationConfig::quick_test());
-        s.fluid.ux[0] = 0.5;
+        s.fluid.u[0][0] = 0.5;
         let d = diagnostics(&s);
         let err = d.check_stability(d.mass).unwrap_err();
         assert!(err.contains("sound speed"), "{err}");

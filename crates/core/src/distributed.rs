@@ -47,7 +47,7 @@ use ib::delta::{CubeIndexer, CubeStencil};
 use ib::forces::{compute_bending_force, compute_elastic_force, compute_stretching_force};
 use ib::interp::interp;
 use ib::sheet::FiberSheet;
-use ib::spread::spread;
+use ib::spread::{add_force, spread};
 use ib::tether::TetherSet;
 use lbm::boundary::StreamRouter;
 use lbm::fused::{collided_block, push_planes};
@@ -433,22 +433,15 @@ fn rank_steps(
         // on the owned planes.
         timed(&mut busy, SpreadForce, || {
             indexer.build_reaching(&sheet.pos, delta, &bc, rank.xs.clone(), &mut stencils);
-            let FluidGrid { fx, fy, fz, .. } = grid;
-            fx.fill(body[0]);
-            fy.fill(body[1]);
-            fz.fill(body[2]);
+            let force = &mut grid.force;
+            force.fill(body);
             spread(
                 &stencils,
                 &sheet.elastic,
                 area,
                 rank.xs.clone(),
                 |_| (),
-                |node, df| {
-                    let i = node - first;
-                    fx[i] += df[0];
-                    fy[i] += df[1];
-                    fz[i] += df[2];
-                },
+                |node, df| add_force(&mut force[node - first], df),
             );
         });
 
@@ -497,7 +490,7 @@ fn rank_steps(
         // communication wait.
         let partial: Vec<[f64; 3]> = timed(&mut busy, MoveFibers, || {
             let grid = &*grid;
-            let velocity = |node: usize| grid.velocity(node - first);
+            let velocity = |node: usize| grid.u[node - first];
             stencils.iter().map(|s| interp(s, owns, velocity)).collect()
         });
         let reduced = if rank.n == 1 {
@@ -754,7 +747,7 @@ mod tests {
             let s = split.to_state();
             let f = fused.to_state();
             assert_eq!(s.fluid.f, f.fluid.f, "{ranks} ranks: f diverged");
-            assert_eq!(s.fluid.ux, f.fluid.ux, "{ranks} ranks: ux diverged");
+            assert_eq!(s.fluid.u, f.fluid.u, "{ranks} ranks: u diverged");
             assert_eq!(s.sheet.pos, f.sheet.pos, "{ranks} ranks: sheet diverged");
         }
     }

@@ -58,7 +58,7 @@ pub enum HaloFault {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     pub panic_at: Option<PanicAt>,
-    /// Overwrite `ux[0]` with NaN at the end of this sequential-solver
+    /// Overwrite `u[0][0]` with NaN at the end of this sequential-solver
     /// step (absolute step counter), so the watchdog path is exercised.
     pub nan_at_step: Option<u64>,
     /// One-shot: consumed by the first checkpoint save after arming.

@@ -124,10 +124,10 @@ mod tests {
         let mut s = state();
         // Pollute the force field; kernel 4 must reset it to the body force
         // plus the spread contribution (zero here: sheet at rest).
-        s.fluid.fx.fill(9.0);
+        s.fluid.force.fill([9.0; 3]);
         spread_force_from_fibers_to_fluid(&mut s);
-        let g = s.config.body_force[0];
-        assert!(s.fluid.fx.iter().all(|&v| (v - g).abs() < 1e-15));
+        let g = s.config.body_force;
+        assert!(s.fluid.force.iter().all(|&v| v == g));
     }
 
     #[test]
@@ -136,7 +136,7 @@ mod tests {
         s.sheet.elastic[10] = [1.0, 0.0, 0.0];
         spread_force_from_fibers_to_fluid(&mut s);
         let g = s.config.body_force[0];
-        let total: f64 = s.fluid.fx.iter().sum();
+        let total: f64 = s.fluid.force.iter().map(|f| f[0]).sum();
         let expected = g * s.fluid.n() as f64 + s.sheet.area_element();
         assert!((total - expected).abs() < 1e-9, "{total} vs {expected}");
     }

@@ -37,7 +37,7 @@ use ib::delta::{CubeIndexer, CubeStencil};
 use ib::forces::{bending_forces, elastic_forces, stretching_forces};
 use ib::interp::move_through;
 use ib::sheet::FiberSheet;
-use ib::spread::spread;
+use ib::spread::{add_force, spread};
 use lbm::boundary::StreamRouter;
 use lbm::collision::collide_shifted_slab;
 use lbm::fused::{collided_block, push_planes, stored_block};
@@ -395,24 +395,15 @@ impl OpenMpSolver {
             kernel,
             slabs,
             |(s, xs)| {
-                let Slab {
-                    nodes, fx, fy, fz, ..
-                } = s;
-                fx.fill(c.body_force[0]);
-                fy.fill(c.body_force[1]);
-                fz.fill(c.body_force[2]);
+                let Slab { nodes, force, .. } = s;
+                force.fill(c.body_force);
                 spread(
                     stencils,
                     &sheet.elastic,
                     area,
                     xs,
                     |_| (),
-                    |node, df| {
-                        let i = node - nodes.start;
-                        fx[i] += df[0];
-                        fy[i] += df[1];
-                        fz[i] += df[2];
-                    },
+                    |node, df| add_force(&mut force[node - nodes.start], df),
                 );
             },
         );
@@ -686,7 +677,7 @@ mod tests {
             // approximate.
             let plan = cfg.plan;
             assert_eq!(a.state.fluid.f, b.state.fluid.f, "{plan:?}");
-            assert_eq!(a.state.fluid.ux, b.state.fluid.ux, "{plan:?}");
+            assert_eq!(a.state.fluid.u, b.state.fluid.u, "{plan:?}");
             assert_eq!(a.state.sheet.pos, b.state.sheet.pos, "{plan:?}");
         }
     }
@@ -848,7 +839,7 @@ mod tests {
         split.run(8);
         let t = fused.run(8).telemetry.expect("telemetry on");
         assert_eq!(split.state.fluid.f, fused.state.fluid.f);
-        assert_eq!(split.state.fluid.ux, fused.state.fluid.ux);
+        assert_eq!(split.state.fluid.u, fused.state.fluid.u);
         assert_eq!(split.state.sheet.pos, fused.state.sheet.pos);
         assert!(t.kernel_seconds(KernelId::FusedCollideStream) > 0.0);
         assert_eq!(t.kernel_seconds(KernelId::Collision), 0.0);

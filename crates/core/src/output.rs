@@ -127,11 +127,9 @@ pub fn write_fluid_slice_csv<W: Write>(
     for y in 0..dims.ny {
         for z in 0..dims.nz {
             let n = dims.idx(x, y, z);
-            writeln!(
-                w,
-                "{y},{z},{:.9e},{:.9e},{:.9e},{:.9}",
-                state.fluid.ux[n], state.fluid.uy[n], state.fluid.uz[n], state.fluid.rho[n]
-            )?;
+            let [ux, uy, uz] = state.fluid.u[n];
+            let rho = state.fluid.rho[n];
+            writeln!(w, "{y},{z},{ux:.9e},{uy:.9e},{uz:.9e},{rho:.9}")?;
         }
     }
     Ok(())

@@ -74,7 +74,7 @@ impl SequentialSolver {
         // Chaos-test failpoint (empty unless the `faultinject` feature is
         // on): poison the state so the watchdog path is exercised.
         if crate::faultinject::take_nan_at(s.step) {
-            s.fluid.ux[0] = f64::NAN;
+            s.fluid.u[0][0] = f64::NAN;
         }
         s.step += 1;
     }
@@ -110,7 +110,8 @@ mod tests {
         assert_eq!(s.state.step, 10);
         assert!(!s.state.has_nan());
         // The body force must have started the channel moving.
-        let mean: f64 = s.state.fluid.ux.iter().sum::<f64>() / s.state.fluid.n() as f64;
+        let mean: f64 =
+            s.state.fluid.u.iter().map(|u| u[0]).sum::<f64>() / s.state.fluid.n() as f64;
         assert!(mean > 0.0, "flow should start: mean ux = {mean}");
     }
 

@@ -24,6 +24,7 @@
 //! records its access into the `racecheck` module's shadow log so the
 //! discipline can be audited after a run.
 
+use ib::spread::add_force;
 #[cfg(loom)]
 use loom::cell::UnsafeCell;
 #[cfg(not(loom))]
@@ -203,31 +204,6 @@ impl<T: Copy> SharedSlice<T> {
     }
 }
 
-impl SharedSlice<f64> {
-    /// Adds `v` to element `i` (non-atomic read-modify-write).
-    ///
-    /// # Safety
-    /// The caller must be the only thread able to touch element `i` in
-    /// this phase.
-    #[inline]
-    pub unsafe fn add(&self, i: usize, v: f64) {
-        debug_assert!(i < self.cells.len());
-        #[cfg(feature = "racecheck")]
-        crate::racecheck::record(self.track, i, crate::racecheck::AccessKind::Write);
-        #[cfg(not(loom))]
-        // SAFETY: `i` is in bounds; the caller is the sole accessor this
-        // phase, so the read-modify-write is exclusive.
-        unsafe {
-            let p = self.cells.get_unchecked(i).get();
-            *p += v;
-        }
-        #[cfg(loom)]
-        // SAFETY: loom validates the exclusivity claim; the raw pointer is
-        // valid for the closure's duration.
-        self.cells[i].with_mut(|p| unsafe { *p += v })
-    }
-}
-
 impl SharedSlice<[f64; 3]> {
     /// Adds `v` to element `i` component by component (non-atomic
     /// read-modify-write).
@@ -243,20 +219,11 @@ impl SharedSlice<[f64; 3]> {
         #[cfg(not(loom))]
         // SAFETY: `i` is in bounds; the caller is the sole accessor this
         // phase, so the read-modify-write is exclusive.
-        unsafe {
-            let p = &mut *self.cells.get_unchecked(i).get();
-            p[0] += v[0];
-            p[1] += v[1];
-            p[2] += v[2];
-        }
+        add_force(unsafe { &mut *self.cells.get_unchecked(i).get() }, v);
         #[cfg(loom)]
         // SAFETY: loom validates the exclusivity claim; the raw pointer is
         // valid for the closure's duration.
-        self.cells[i].with_mut(|p| unsafe {
-            (*p)[0] += v[0];
-            (*p)[1] += v[1];
-            (*p)[2] += v[2];
-        })
+        self.cells[i].with_mut(|p| add_force(unsafe { &mut *p }, v))
     }
 }
 
@@ -267,12 +234,8 @@ pub struct SharedCubeGrid {
     pub f: SharedSlice<f64>,
     pub f_new: SharedSlice<f64>,
     pub rho: SharedSlice<f64>,
-    /// Velocity `[ux, uy, uz]` per node.
     pub u: SharedSlice<[f64; 3]>,
-    pub ueqx: SharedSlice<f64>,
-    pub ueqy: SharedSlice<f64>,
-    pub ueqz: SharedSlice<f64>,
-    /// Force `[fx, fy, fz]` per node.
+    pub ueq: SharedSlice<[f64; 3]>,
     pub force: SharedSlice<[f64; 3]>,
 }
 
@@ -285,9 +248,7 @@ impl SharedCubeGrid {
             f_new: SharedSlice::from_vec(grid.f_new),
             rho: SharedSlice::from_vec(grid.rho),
             u: SharedSlice::from_vec(grid.u),
-            ueqx: SharedSlice::from_vec(grid.ueqx),
-            ueqy: SharedSlice::from_vec(grid.ueqy),
-            ueqz: SharedSlice::from_vec(grid.ueqz),
+            ueq: SharedSlice::from_vec(grid.ueq),
             force: SharedSlice::from_vec(grid.force),
         };
         #[cfg(feature = "racecheck")]
@@ -296,9 +257,7 @@ impl SharedCubeGrid {
             s.f_new.name_for_racecheck("f_new");
             s.rho.name_for_racecheck("rho");
             s.u.name_for_racecheck("u");
-            s.ueqx.name_for_racecheck("ueqx");
-            s.ueqy.name_for_racecheck("ueqy");
-            s.ueqz.name_for_racecheck("ueqz");
+            s.ueq.name_for_racecheck("ueq");
             s.force.name_for_racecheck("force");
         }
         s
@@ -312,9 +271,7 @@ impl SharedCubeGrid {
             f_new: self.f_new.into_vec(),
             rho: self.rho.into_vec(),
             u: self.u.into_vec(),
-            ueqx: self.ueqx.into_vec(),
-            ueqy: self.ueqy.into_vec(),
-            ueqz: self.ueqz.into_vec(),
+            ueq: self.ueq.into_vec(),
             force: self.force.into_vec(),
         }
     }
@@ -328,16 +285,19 @@ mod tests {
 
     #[test]
     fn from_into_vec_round_trip() {
-        let s = SharedSlice::from_vec(vec![1.0, 2.0, 3.0]);
+        let s = SharedSlice::from_vec(vec![[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
         // SAFETY: single-threaded test, no concurrent access.
         unsafe {
-            assert_eq!(s.get(1), 2.0);
-            s.set(1, 5.0);
-            s.add(2, 0.5);
+            assert_eq!(s.get(1), [2.0, 0.0, 0.0]);
+            s.set(1, [5.0, 0.0, 0.0]);
+            s.add(2, [0.5, -1.0, 0.0]);
         }
-        assert_eq!(s.into_vec(), vec![1.0, 5.0, 3.5]);
+        assert_eq!(
+            s.into_vec(),
+            vec![[1.0, 0.0, 0.0], [5.0, 0.0, 0.0], [3.5, -1.0, 0.0]]
+        );
     }
 
     #[test]

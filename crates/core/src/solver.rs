@@ -684,7 +684,7 @@ mod tests {
             let mut config = SimulationConfig::quick_test();
             config.watchdog = Some(WatchdogConfig { check_every: 1 });
             let mut state = SimState::new(config);
-            state.fluid.ux[3] = 0.9; // far beyond the velocity limit
+            state.fluid.u[3][0] = 0.9; // far beyond the velocity limit
             let mut s = build_solver(kind, state, 2).unwrap();
             match s.run(10) {
                 Err(SolverError::Unstable { reason, .. }) => {

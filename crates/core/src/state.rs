@@ -83,9 +83,7 @@ impl SimState {
     pub fn has_nan(&self) -> bool {
         self.sheet.has_nan()
             || self.fluid.rho.iter().any(|v| !v.is_finite())
-            || self.fluid.ux.iter().any(|v| !v.is_finite())
-            || self.fluid.uy.iter().any(|v| !v.is_finite())
-            || self.fluid.uz.iter().any(|v| !v.is_finite())
+            || self.fluid.u.as_flattened().iter().any(|v| !v.is_finite())
     }
 }
 
@@ -96,11 +94,19 @@ impl SimState {
     pub(crate) fn fingerprint(&self) -> (String, Vec<Vec<u64>>) {
         let (g, sh) = (&self.fluid, &self.sheet);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut arrays: Vec<Vec<u64>> = g.fields().into_iter().map(|v| bits(v)).collect();
+        let mut arrays: Vec<Vec<u64>> = [&g.f, &g.f_new, &g.rho].map(|v| bits(v)).into();
         arrays.extend(
-            [&sh.pos, &sh.bending, &sh.stretching, &sh.elastic]
-                .into_iter()
-                .map(|v| bits(v.as_flattened())),
+            [
+                &g.u,
+                &g.ueq,
+                &g.force,
+                &sh.pos,
+                &sh.bending,
+                &sh.stretching,
+                &sh.elastic,
+            ]
+            .into_iter()
+            .map(|v| bits(v.as_flattened())),
         );
         let header = format!(
             "{:?} {:?} step {} sheet {}x{} {:?} {:?}",
@@ -125,7 +131,7 @@ mod tests {
         let s = SimState::new(SimulationConfig::quick_test());
         assert_eq!(s.step, 0);
         assert!(!s.has_nan());
-        assert!(s.fluid.ux.iter().all(|&v| v == 0.0));
+        assert!(s.fluid.u.iter().all(|&v| v == [0.0; 3]));
         let n = s.fluid.n() as f64;
         assert!((s.fluid.total_mass() - n).abs() / n < 1e-11);
         assert_eq!(s.sheet.n(), 8 * 8);
@@ -162,11 +168,7 @@ mod tests {
         // uy/uz used to be skipped, so a NaN confined to them went unseen.
         for field in 0..3 {
             let mut s = SimState::new(SimulationConfig::quick_test());
-            match field {
-                0 => s.fluid.ux[2] = f64::NAN,
-                1 => s.fluid.uy[2] = f64::NAN,
-                _ => s.fluid.uz[2] = f64::INFINITY,
-            }
+            s.fluid.u[2][field] = [f64::NAN, f64::NAN, f64::INFINITY][field];
             assert!(s.has_nan(), "component {field} not detected");
         }
     }

@@ -554,7 +554,7 @@ mod tests {
         let mut config = cfg();
         config.watchdog = Some(WatchdogConfig { check_every: 1 });
         let mut state = SimState::new(config);
-        state.fluid.ux[3] = 0.9; // permanently unstable: every replay trips
+        state.fluid.u[3][0] = 0.9; // permanently unstable: every replay trips
         let mut sup = Supervisor::new(
             "seq",
             state,
@@ -585,7 +585,7 @@ mod tests {
         let mut config = cfg();
         config.watchdog = Some(WatchdogConfig { check_every: 1 });
         let mut state = SimState::new(config);
-        state.fluid.ux[3] = 0.9;
+        state.fluid.u[3][0] = 0.9;
         let mut sup = Supervisor::new(
             "omp",
             state,
@@ -622,7 +622,7 @@ mod tests {
         let mut config = cfg();
         config.watchdog = Some(WatchdogConfig { check_every: 1 });
         let mut state = SimState::new(config);
-        state.fluid.ux[3] = 0.9;
+        state.fluid.u[3][0] = 0.9;
         let mut sup = Supervisor::new(
             "seq",
             state,

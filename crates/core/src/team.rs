@@ -81,10 +81,16 @@ pub struct Team {
 }
 
 impl Team {
-    /// Spawns the `n − 1` helpers, named `{name}-{t}`. Fails only when the
-    /// OS refuses a thread; the helpers already started are then joined.
-    /// `n` must be at least 1.
+    /// Spawns the `n − 1` helpers, named `{name}-{t}`. Fails with
+    /// `InvalidInput` when `n` is 0, and when the OS refuses a thread; the
+    /// helpers already started are then joined.
     pub fn new(n: usize, name: &str) -> std::io::Result<Self> {
+        if n == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a team needs at least one worker",
+            ));
+        }
         let shared = Arc::new(Shared {
             barrier: Barrier::new(n),
             job: Mutex::new(None),
@@ -104,9 +110,13 @@ impl Team {
         Ok(team)
     }
 
-    /// [`Team::new`] for the solvers' `try_*` builders: a refused thread
-    /// is [`SolverError::TeamStart`].
+    /// [`Team::new`] for the solvers' `try_*` builders: zero workers is
+    /// [`SolverError::ZeroThreads`], a refused thread
+    /// [`SolverError::TeamStart`].
     pub fn try_start(n: usize, name: &str) -> Result<Self, SolverError> {
+        if n == 0 {
+            return Err(SolverError::ZeroThreads);
+        }
         Self::new(n, name).map_err(|e| SolverError::TeamStart {
             threads: n,
             detail: e.to_string(),
@@ -290,6 +300,18 @@ mod tests {
         assert_eq!(Arc::strong_count(&shared), 5);
         drop(team);
         assert_eq!(Arc::strong_count(&shared), 1);
+    }
+
+    #[test]
+    fn zero_workers_is_an_invalid_input_error() {
+        let err = Team::new(0, "team-zero").err().expect("must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn try_start_reports_zero_workers_as_zero_threads() {
+        let err = Team::try_start(0, "team-zero").err().expect("must fail");
+        assert_eq!(err, SolverError::ZeroThreads);
     }
 
     #[test]

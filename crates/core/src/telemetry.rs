@@ -452,7 +452,7 @@ mod tests {
         let mut dog = Watchdog::new();
         dog.observe(&state).unwrap();
         let mut bad = state.clone();
-        bad.fluid.ux[7] = f64::NAN;
+        bad.fluid.u[7][0] = f64::NAN;
         match dog.observe(&bad) {
             Err(SolverError::Unstable { reason, .. }) => {
                 assert!(reason.contains("NaN"), "{reason}")

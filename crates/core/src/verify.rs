@@ -78,19 +78,13 @@ pub fn compare_states(a: &SimState, b: &SimState) -> StateDiff {
             .map(|(p, q)| (p - q).abs())
             .fold(0.0, f64::max)
     };
-    let linf3 = |x: [&[f64]; 3], y: [&[f64]; 3]| -> f64 {
-        (0..3).map(|a| linf(x[a], y[a])).fold(0.0, f64::max)
-    };
+    let linf_vec3 = |x: &[[f64; 3]], y: &[[f64; 3]]| linf(x.as_flattened(), y.as_flattened());
     let (fa, fb) = (&a.fluid, &b.fluid);
     let mut u_l2 = 0.0;
-    let n = a.fluid.n();
-    for i in 0..n {
-        let dx = a.fluid.ux[i] - b.fluid.ux[i];
-        let dy = a.fluid.uy[i] - b.fluid.uy[i];
-        let dz = a.fluid.uz[i] - b.fluid.uz[i];
+    for (p, q) in fa.u.iter().zip(&fb.u) {
+        let (dx, dy, dz) = (p[0] - q[0], p[1] - q[1], p[2] - q[2]);
         u_l2 += dx * dx + dy * dy + dz * dz;
     }
-    let linf_vec3 = |x: &[[f64; 3]], y: &[[f64; 3]]| linf(x.as_flattened(), y.as_flattened());
     let (sa, sb) = (&a.sheet, &b.sheet);
     let fiber_force_linf = linf_vec3(&sa.bending, &sb.bending)
         .max(linf_vec3(&sa.stretching, &sb.stretching))
@@ -106,14 +100,11 @@ pub fn compare_states(a: &SimState, b: &SimState) -> StateDiff {
     };
     StateDiff {
         f_linf: linf(&a.fluid.f, &b.fluid.f),
-        u_linf: linf3([&fa.ux, &fa.uy, &fa.uz], [&fb.ux, &fb.uy, &fb.uz]),
-        u_l2: (u_l2 / n as f64).sqrt(),
+        u_linf: linf_vec3(&fa.u, &fb.u),
+        u_l2: (u_l2 / fa.n() as f64).sqrt(),
         rho_linf: linf(&fa.rho, &fb.rho),
-        force_linf: linf3([&fa.fx, &fa.fy, &fa.fz], [&fb.fx, &fb.fy, &fb.fz]),
-        ueq_linf: linf3(
-            [&fa.ueqx, &fa.ueqy, &fa.ueqz],
-            [&fb.ueqx, &fb.ueqy, &fb.ueqz],
-        ),
+        force_linf: linf_vec3(&fa.force, &fb.force),
+        ueq_linf: linf_vec3(&fa.ueq, &fb.ueq),
         pos_linf: linf_vec3(&sa.pos, &sb.pos),
         fiber_force_linf,
         tether_linf,
@@ -226,7 +217,7 @@ pub(crate) mod tests {
         assert!(compare_states(&base, &s).f_linf > 0.0);
 
         let mut s = base.clone();
-        s.fluid.ux[3] += 1e-6;
+        s.fluid.u[3][0] += 1e-6;
         let d = compare_states(&base, &s);
         assert!(d.u_linf > 0.0 && d.u_l2 > 0.0);
 
@@ -240,14 +231,7 @@ pub(crate) mod tests {
         {
             let mut s = base.clone();
             let g = &mut s.fluid;
-            [
-                &mut g.fx,
-                &mut g.fy,
-                &mut g.fz,
-                &mut g.ueqx,
-                &mut g.ueqy,
-                &mut g.ueqz,
-            ][i][3] += 1e-6;
+            [&mut g.force, &mut g.ueq][i / 3][3][i % 3] += 1e-6;
             let d = compare_states(&base, &s);
             let got = if i < 3 { d.force_linf } else { d.ueq_linf };
             assert!((got - 1e-6).abs() < 1e-12, "{field}: {got}");

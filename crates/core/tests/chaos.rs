@@ -87,17 +87,11 @@ fn cube_worker_panic_surfaces_typed_error_not_hang() {
     let fluid = &state.fluid;
     assert_eq!(fluid.f.len(), n * lbm::Q, "f");
     assert_eq!(fluid.f_new.len(), n * lbm::Q, "f_new");
+    assert_eq!(fluid.rho.len(), n, "rho");
     for (name, a) in [
-        ("rho", &fluid.rho),
-        ("ux", &fluid.ux),
-        ("uy", &fluid.uy),
-        ("uz", &fluid.uz),
-        ("ueqx", &fluid.ueqx),
-        ("ueqy", &fluid.ueqy),
-        ("ueqz", &fluid.ueqz),
-        ("fx", &fluid.fx),
-        ("fy", &fluid.fy),
-        ("fz", &fluid.fz),
+        ("u", &fluid.u),
+        ("ueq", &fluid.ueq),
+        ("force", &fluid.force),
     ] {
         assert_eq!(a.len(), n, "{name}");
     }

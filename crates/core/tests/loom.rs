@@ -220,7 +220,7 @@ fn algorithm4_phase_sequence_two_cubes() {
     let reaches = |step: usize, cube: usize| step == 1 || cube == 0;
     loom::model(move || {
         let stencil = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
-        let force = Arc::new(SharedSlice::from_vec(vec![LOADED; 2]));
+        let force = Arc::new(SharedSlice::from_vec(vec![[LOADED; 3]; 2]));
         let marks = Arc::new(SharedSlice::from_vec(vec![true; 2]));
         let vel = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
         let pos = Arc::new(SharedSlice::from_vec(vec![0.0f64; 2]));
@@ -228,7 +228,7 @@ fn algorithm4_phase_sequence_two_cubes() {
 
         let worker = move |t: usize,
                            stencil: &SharedSlice<f64>,
-                           force: &SharedSlice<f64>,
+                           force: &SharedSlice<[f64; 3]>,
                            marks: &SharedSlice<bool>,
                            vel: &SharedSlice<f64>,
                            pos: &SharedSlice<f64>,
@@ -236,7 +236,7 @@ fn algorithm4_phase_sequence_two_cubes() {
             // Where each fiber sits at the start of the step, and the
             // force the previous step's loop 3 left in my cube.
             let mut moved = 0.0;
-            let mut moment_force = LOADED;
+            let mut moment_force = [LOADED; 3];
             for step in 1..=2 {
                 let s = step as f64;
                 // Loop 1: read both positions, write my stencil slot.
@@ -257,9 +257,9 @@ fn algorithm4_phase_sequence_two_cubes() {
                 unsafe {
                     if marks.get(t) {
                         assert_eq!(force.get(t), moment_force, "step {step}: cube {t}");
-                        force.set(t, BODY);
+                        force.set(t, [BODY; 3]);
                     } else {
-                        assert_eq!(force.get(t), BODY, "step {step}: unmarked cube {t}");
+                        assert_eq!(force.get(t), [BODY; 3], "step {step}: unmarked cube {t}");
                     }
                 }
                 barrier.wait_checked().unwrap();
@@ -275,7 +275,7 @@ fn algorithm4_phase_sequence_two_cubes() {
                         // SAFETY: cube t's mark and force; sole writer.
                         unsafe {
                             marks.set(t, true);
-                            force.add(t, c);
+                            force.add(t, [c; 3]);
                         }
                     }
                 }
@@ -285,10 +285,10 @@ fn algorithm4_phase_sequence_two_cubes() {
                 unsafe {
                     if marks.get(t) {
                         moment_force = force.get(t);
-                        assert_eq!(moment_force, BODY + 3.0 * s, "step {step}: cube {t}");
-                        vel.set(t, 0.5 * moment_force);
+                        assert_eq!(moment_force, [BODY + 3.0 * s; 3], "step {step}: cube {t}");
+                        vel.set(t, 0.5 * moment_force[0]);
                     } else {
-                        moment_force = BODY;
+                        moment_force = [BODY; 3];
                     }
                 }
                 barrier.wait_checked().unwrap();
@@ -323,7 +323,7 @@ fn algorithm4_phase_sequence_two_cubes() {
         // the reseeded body force on the other.
         // SAFETY: the team has joined; this thread is the only accessor.
         unsafe {
-            assert_eq!([force.get(0), force.get(1)], [BODY + 6.0, BODY]);
+            assert_eq!([force.get(0), force.get(1)], [[BODY + 6.0; 3], [BODY; 3]]);
             assert_eq!([marks.get(0), marks.get(1)], [true, false]);
         }
     });

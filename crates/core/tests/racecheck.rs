@@ -227,7 +227,7 @@ fn seeded_unlocked_double_write_is_reported() {
 #[test]
 fn locked_double_write_is_clean() {
     let _g = serial();
-    let s = SharedSlice::from_vec(vec![0.0f64; 4]);
+    let s = SharedSlice::from_vec(vec![[0.0f64; 3]; 4]);
     let lock = Mutex::new(());
     racecheck::begin();
     std::thread::scope(|scope| {
@@ -239,7 +239,7 @@ fn locked_double_write_is_clean() {
                 let _guard = lock.lock().unwrap();
                 let _rc = racecheck::lock_scope();
                 // SAFETY: serialised by the lock.
-                unsafe { s.add(2, 1.0) };
+                unsafe { s.add(2, [1.0, 0.0, 0.0]) };
             });
         }
     });

@@ -44,7 +44,7 @@ pub fn interp(
 pub fn move_through(pos: &mut [[f64; 3]], stencils: &[CubeStencil], grid: &FluidGrid, dt: f64) {
     debug_assert_eq!(pos.len(), stencils.len());
     for (p, stencil) in pos.iter_mut().zip(stencils) {
-        let u = interp(stencil, |_| true, |node| grid.velocity(node));
+        let u = interp(stencil, |_| true, |node| grid.u[node]);
         p[0] += u[0] * dt;
         p[1] += u[1] * dt;
         p[2] += u[2] * dt;
@@ -93,9 +93,7 @@ mod tests {
     /// A grid whose every node moves at `u`.
     fn uniform_grid(dims: Dims, u: [f64; 3]) -> FluidGrid {
         let mut grid = FluidGrid::new(dims);
-        grid.ux.fill(u[0]);
-        grid.uy.fill(u[1]);
-        grid.uz.fill(u[2]);
+        grid.u.fill(u);
         grid
     }
 
@@ -192,7 +190,7 @@ mod tests {
         let (x_pt, y_pt) = (stencil([7.3, 8.1, 6.9]), stencil([8.2, 7.4, 7.7]));
         // The spread force, read back as a velocity field.
         let field_from = |s: &CubeStencil| {
-            let mut fx = vec![0.0; dims.n()];
+            let mut field = vec![0.0; dims.n()];
             spread(
                 &[*s],
                 &[[1.0, 0.0, 0.0]],
@@ -200,10 +198,10 @@ mod tests {
                 0..usize::MAX,
                 |_| (),
                 |node, df| {
-                    fx[node] += df[0];
+                    field[node] += df[0];
                 },
             );
-            fx
+            field
         };
         let (gx, gy) = (field_from(&x_pt), field_from(&y_pt));
         let a = interp(&x_pt, |_| true, |node| [gy[node], 0.0, 0.0])[0];

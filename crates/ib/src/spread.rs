@@ -75,30 +75,30 @@ pub fn spread_forces(
 /// [`spread`] into every plane of `grid`, whose flat index is the plane
 /// bricks' ([`CubeIndexer::planes`]).
 pub fn spread_into_grid(stencils: &[CubeStencil], sheet: &FiberSheet, grid: &mut FluidGrid) {
-    let FluidGrid { fx, fy, fz, .. } = grid;
     let area = sheet.area_element();
+    let force = &mut grid.force;
     spread(
         stencils,
         &sheet.elastic,
         area,
         0..usize::MAX,
         |_| (),
-        |node, df| {
-            fx[node] += df[0];
-            fy[node] += df[1];
-            fz[node] += df[2];
-        },
+        |node, df| add_force(&mut force[node], df),
     );
+}
+
+/// Adds `df` into the force triple `f`, component by component.
+#[inline(always)]
+pub fn add_force(f: &mut [f64; 3], df: [f64; 3]) {
+    f[0] += df[0];
+    f[1] += df[1];
+    f[2] += df[2];
 }
 
 /// Total Eulerian force over the grid (diagnostic: spreading is
 /// conservative, so this equals the total Lagrangian force × area element).
 pub fn total_grid_force(grid: &FluidGrid) -> [f64; 3] {
-    [
-        grid.fx.iter().sum(),
-        grid.fy.iter().sum(),
-        grid.fz.iter().sum(),
-    ]
+    std::array::from_fn(|c| grid.force.iter().map(|f| f[c]).sum())
 }
 
 #[cfg(test)]
@@ -125,11 +125,7 @@ mod tests {
             1.0,
             0..usize::MAX,
             |_| (),
-            |node, df| {
-                grid.fx[node] += df[0];
-                grid.fy[node] += df[1];
-                grid.fz[node] += df[2];
-            },
+            |node, df| add_force(&mut grid.force[node], df),
         );
     }
 
@@ -158,7 +154,7 @@ mod tests {
         spread_one(p, [1.0, 0.0, 0.0], DeltaKind::Peskin4, &bc, &mut grid);
         for (x, y, z) in dims.iter_coords() {
             let node = dims.idx(x, y, z);
-            if grid.fx[node] != 0.0 {
+            if grid.force[node][0] != 0.0 {
                 assert!(
                     (x as f64 - p[0]).abs() < 2.0
                         && (y as f64 - p[1]).abs() < 2.0
@@ -228,22 +224,19 @@ mod tests {
                         area,
                         xs.clone(),
                         |_| (),
-                        |node, df| {
-                            part.fx[node - first] += df[0];
-                            part.fy[node - first] += df[1];
-                            part.fz[node - first] += df[2];
-                        },
+                        |node, df| add_force(&mut part.force[node - first], df),
                     );
                     part
                 })
                 .collect();
             let mut joined = FluidGrid::empty();
             joined.concat_planes(&parts);
-            assert_eq!(joined.fx, whole.fx, "{tiling:?}");
-            assert_eq!(joined.fy, whole.fy, "{tiling:?}");
-            assert_eq!(joined.fz, whole.fz, "{tiling:?}");
+            assert_eq!(joined.force, whole.force, "{tiling:?}");
         }
-        assert!(whole.fx[dims.idx(dims.nx - 1, 12, 12)] != 0.0, "no wrap");
+        assert!(
+            whole.force[dims.idx(dims.nx - 1, 12, 12)][0] != 0.0,
+            "no wrap"
+        );
     }
 
     #[test]
@@ -260,7 +253,7 @@ mod tests {
             );
         }
         let node = dims.idx(10, 10, 10);
-        assert!((grid.fx[node] - 2.0).abs() < 1e-12);
+        assert!((grid.force[node][0] - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -278,7 +271,7 @@ mod tests {
         // Some force must land on the wrapped x = 7 plane.
         let wrapped: f64 = (0..8)
             .flat_map(|y| (0..8).map(move |z| (y, z)))
-            .map(|(y, z)| grid.fx[dims.idx(7, y, z)])
+            .map(|(y, z)| grid.force[dims.idx(7, y, z)][0])
             .sum();
         assert!(wrapped > 0.0, "no force wrapped to x = 7");
         let t = total_grid_force(&grid);

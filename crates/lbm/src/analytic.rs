@@ -108,10 +108,8 @@ where
     let mut acc = 0.0;
     for (x, y, z) in dims.iter_coords() {
         let node = dims.idx(x, y, z);
-        let want = reference(x, y, z);
-        let dx = grid.ux[node] - want[0];
-        let dy = grid.uy[node] - want[1];
-        let dz = grid.uz[node] - want[2];
+        let (u, want) = (grid.u[node], reference(x, y, z));
+        let (dx, dy, dz) = (u[0] - want[0], u[1] - want[1], u[2] - want[2]);
         acc += dx * dx + dy * dy + dz * dz;
     }
     (acc / dims.n() as f64).sqrt()
@@ -120,11 +118,9 @@ where
 /// Total kinetic energy of the grid, `½ Σ ρ |u|²`.
 pub fn kinetic_energy(grid: &FluidGrid) -> f64 {
     let mut e = 0.0;
-    for node in 0..grid.n() {
-        let u2 = grid.ux[node] * grid.ux[node]
-            + grid.uy[node] * grid.uy[node]
-            + grid.uz[node] * grid.uz[node];
-        e += 0.5 * grid.rho[node] * u2;
+    for (&rho, u) in grid.rho.iter().zip(&grid.u) {
+        let u2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
+        e += 0.5 * rho * u2;
     }
     e
 }
@@ -139,9 +135,7 @@ mod tests {
         let mut g = FluidGrid::new(dims);
         for (x, y, z) in dims.iter_coords() {
             let node = dims.idx(x, y, z);
-            g.ux[node] = x as f64;
-            g.uy[node] = y as f64;
-            g.uz[node] = z as f64;
+            g.u[node] = [x as f64, y as f64, z as f64];
         }
         let l2 = velocity_l2_error(&g, |x, y, z| [x as f64, y as f64, z as f64]);
         assert_eq!(l2, 0.0);
@@ -151,7 +145,7 @@ mod tests {
     fn kinetic_energy_of_uniform_flow() {
         let dims = Dims::new(2, 2, 2);
         let mut g = FluidGrid::new(dims);
-        g.ux.fill(0.1);
+        g.u.fill([0.1, 0.0, 0.0]);
         let e = kinetic_energy(&g);
         assert!((e - 0.5 * 8.0 * 0.01).abs() < 1e-14);
     }

@@ -272,14 +272,8 @@ pub fn stream_push_routed_node(
 /// Adds a uniform body force (e.g. the pressure-gradient surrogate that
 /// drives the tunnel flow) to the grid's force field.
 pub fn add_uniform_body_force(grid: &mut FluidGrid, g: [f64; 3]) {
-    for v in grid.fx.iter_mut() {
-        *v += g[0];
-    }
-    for v in grid.fy.iter_mut() {
-        *v += g[1];
-    }
-    for v in grid.fz.iter_mut() {
-        *v += g[2];
+    for v in grid.force.iter_mut() {
+        *v = [v[0] + g[0], v[1] + g[1], v[2] + g[2]];
     }
 }
 
@@ -493,8 +487,10 @@ mod tests {
         let mut g = FluidGrid::new(Dims::new(2, 2, 2));
         add_uniform_body_force(&mut g, [1e-3, 0.0, -2e-3]);
         add_uniform_body_force(&mut g, [1e-3, 0.0, 0.0]);
-        assert!(g.fx.iter().all(|&v| (v - 2e-3).abs() < 1e-18));
-        assert!(g.fy.iter().all(|&v| v == 0.0));
-        assert!(g.fz.iter().all(|&v| (v + 2e-3).abs() < 1e-18));
+        for v in &g.force {
+            assert!((v[0] - 2e-3).abs() < 1e-18);
+            assert_eq!(v[1], 0.0);
+            assert!((v[2] + 2e-3).abs() < 1e-18);
+        }
     }
 }

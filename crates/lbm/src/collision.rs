@@ -59,8 +59,7 @@ pub fn bgk_collide_shifted(f: &mut [f64], rho: f64, u: [f64; 3], tau: f64) {
 /// `grid.slab_mut()`; slabs of one grid can collide in parallel.
 pub fn collide_shifted_slab(s: &mut Slab, tau: f64) {
     for i in 0..s.rho.len() {
-        let ueq = [s.ueqx[i], s.ueqy[i], s.ueqz[i]];
-        bgk_collide_shifted(&mut s.f[i * Q..i * Q + Q], s.rho[i], ueq, tau);
+        bgk_collide_shifted(&mut s.f[i * Q..i * Q + Q], s.rho[i], s.ueq[i], tau);
     }
 }
 
@@ -155,7 +154,7 @@ pub(crate) mod tests {
             let f = node_at_equilibrium(1.0, [0.0; 3]);
             g.node_f_mut(node).copy_from_slice(&f);
             g.rho[node] = 1.0;
-            g.ueqx[node] = 1e-3; // uniform shift: every node must change
+            g.ueq[node][0] = 1e-3; // uniform shift: every node must change
         }
         let before = g.f.clone();
         collide_shifted_slab(&mut g.slab_mut(), 0.8);

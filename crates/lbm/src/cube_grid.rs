@@ -2,7 +2,9 @@
 //! divided into `(Nx/k) × (Ny/k) × (Nz/k)` cubes of `k³` nodes each, and
 //! every cube is stored in one contiguous memory block. This is the layout
 //! the cube-centric solver owns and the working-set argument of the paper
-//! rests on.
+//! rests on. It holds the flat grid's six fields in the same per-node form
+//! (populations, ρ, and u, u_eq and the force as triples); the two differ
+//! only in node order.
 
 use crate::grid::{Dims, FluidGrid};
 use crate::lattice::Q;
@@ -128,28 +130,23 @@ impl CubeDims {
     }
 }
 
-/// Fluid state stored cube-blocked. Field meanings match [`FluidGrid`]; only
-/// the index mapping differs: scalar entry `flat(cube, local)`, distribution
-/// entry `flat(cube, local) * Q + dir`. All nodes of a cube — and all 19
-/// directions of all its nodes — are contiguous.
-///
-/// The velocity and the force are stored as one `[f64; 3]` per node
-/// (`FluidGrid`'s `ux..uz` and `fx..fz` side by side), so the spread and
-/// the interpolation touch one cache line per stencil point, not three.
-/// [`CubeFluidGrid::from_flat`] and the gathers convert at the boundary.
+/// Fluid state stored cube-blocked. Fields and their per-node form match
+/// [`FluidGrid`]'s; only the node order differs: node entry
+/// `flat(cube, local)`, distribution entry `flat(cube, local) * Q + dir`.
+/// All nodes of a cube — and all 19 directions of all its nodes — are
+/// contiguous. A flat grid is the case of one brick per x-plane, so
+/// [`CubeFluidGrid::from_flat`] and the gathers only reorder z-runs.
 #[derive(Clone, Debug)]
 pub struct CubeFluidGrid {
     pub cdims: CubeDims,
     pub f: Vec<f64>,
     pub f_new: Vec<f64>,
     pub rho: Vec<f64>,
-    /// Velocity `[ux, uy, uz]` per node.
+    /// Velocity per node.
     pub u: Vec<[f64; 3]>,
-    /// Equilibrium-shift velocity, see [`FluidGrid::ueqx`].
-    pub ueqx: Vec<f64>,
-    pub ueqy: Vec<f64>,
-    pub ueqz: Vec<f64>,
-    /// Force `[fx, fy, fz]` per node.
+    /// Equilibrium-shift velocity per node, see [`FluidGrid::ueq`].
+    pub ueq: Vec<[f64; 3]>,
+    /// Force per node.
     pub force: Vec<[f64; 3]>,
 }
 
@@ -163,9 +160,7 @@ impl CubeFluidGrid {
             f_new: vec![0.0; n * Q],
             rho: vec![1.0; n],
             u: vec![[0.0; 3]; n],
-            ueqx: vec![0.0; n],
-            ueqy: vec![0.0; n],
-            ueqz: vec![0.0; n],
+            ueq: vec![[0.0; 3]; n],
             force: vec![[0.0; 3]; n],
         }
     }
@@ -178,32 +173,22 @@ impl CubeFluidGrid {
 
     /// Reorders a node-major [`FluidGrid`] into cube-blocked storage.
     pub fn from_flat(grid: &FluidGrid, k: usize) -> Self {
+        /// Copies every z-run of the node-major `src` to its cube-blocked
+        /// place in `dst`; both hold `w` entries per node.
+        fn runs<T: Copy>(cdims: CubeDims, dst: &mut [T], src: &[T], w: usize) {
+            let len = cdims.k * w;
+            cdims.for_each_z_run(|node, flat| {
+                dst[flat * w..][..len].copy_from_slice(&src[node * w..][..len]);
+            });
+        }
         let cdims = CubeDims::new(grid.dims, k);
         let mut out = Self::new(cdims);
-        let n = k * Q;
-        for (dst, src) in [(&mut out.f, &grid.f), (&mut out.f_new, &grid.f_new)] {
-            cdims.for_each_z_run(|node, flat| {
-                dst[flat * Q..][..n].copy_from_slice(&src[node * Q..][..n]);
-            });
-        }
-        for (dst, src) in [
-            (&mut out.rho, &grid.rho),
-            (&mut out.ueqx, &grid.ueqx),
-            (&mut out.ueqy, &grid.ueqy),
-            (&mut out.ueqz, &grid.ueqz),
-        ] {
-            cdims.for_each_z_run(|node, flat| dst[flat..][..k].copy_from_slice(&src[node..][..k]));
-        }
-        for (dst, [x, y, z]) in [
-            (&mut out.u, [&grid.ux, &grid.uy, &grid.uz]),
-            (&mut out.force, [&grid.fx, &grid.fy, &grid.fz]),
-        ] {
-            cdims.for_each_z_run(|node, flat| {
-                for (j, d) in dst[flat..][..k].iter_mut().enumerate() {
-                    *d = [x[node + j], y[node + j], z[node + j]];
-                }
-            });
-        }
+        runs(cdims, &mut out.f, &grid.f, Q);
+        runs(cdims, &mut out.f_new, &grid.f_new, Q);
+        runs(cdims, &mut out.rho, &grid.rho, 1);
+        runs(cdims, &mut out.u, &grid.u, 1);
+        runs(cdims, &mut out.ueq, &grid.ueq, 1);
+        runs(cdims, &mut out.force, &grid.force, 1);
         out
     }
 
@@ -215,20 +200,10 @@ impl CubeFluidGrid {
     /// copying, so its stored `f_new` may hold an older step.
     pub fn to_flat_into(&self, out: &mut FluidGrid) {
         self.gather_into(out, |slot, _| {
-            let ([ux, uy, uz], [fx, fy, fz]) = (self.u[slot], self.force[slot]);
-            let ueq = [self.ueqx[slot], self.ueqy[slot], self.ueqz[slot]];
-            [
+            (
                 self.rho[slot],
-                ux,
-                uy,
-                uz,
-                ueq[0],
-                ueq[1],
-                ueq[2],
-                fx,
-                fy,
-                fz,
-            ]
+                [self.u[slot], self.ueq[slot], self.force[slot]],
+            )
         });
     }
 
@@ -242,55 +217,64 @@ impl CubeFluidGrid {
         self.gather_into(out, |slot, f_node| {
             let force = self.force[slot];
             let (rho, u, ueq) = node_moments_shifted(f_node, force, tau);
-            [
-                rho, u[0], u[1], u[2], ueq[0], ueq[1], ueq[2], force[0], force[1], force[2],
-            ]
+            (rho, [u, ueq, force])
         });
     }
 
     /// The one pass behind both gathers. Every field of `out` is cleared
     /// and written once, by index, in a single walk over the cube's z-runs
     /// in node order: each run of `f` goes straight from the cube array
-    /// into both `f` and `f_new`, and `node_scalars(slot, f_node)` gives
-    /// the ten scalar fields of the node at cube slot `slot` with
-    /// populations `f_node`, in [`FluidGrid::fields`] order (`rho`,
-    /// `ux..uz`, `ueqx..ueqz`, `fx..fz`). Nothing is zero-filled first or
-    /// read back.
+    /// into both `f` and `f_new`, and `node(slot, f_node)` gives ρ and the
+    /// triples `[u, ueq, force]` of the node at cube slot `slot` with
+    /// populations `f_node`. Nothing is zero-filled first or read back.
     ///
-    /// Capacity is reserved in the order `f`, the scalar fields, `f_new`.
-    /// A caller that drops a gathered state and gathers a fresh one each
-    /// chunk relies on that order staying fixed: the new allocations then
-    /// land in the heap holes the old ones left instead of faulting in
-    /// fresh pages.
+    /// Capacity is reserved in the order `f`, `rho`, `u`, `ueq`, `force`,
+    /// `f_new`. A caller that drops a gathered state and gathers a fresh
+    /// one each chunk relies on that order staying fixed: the new
+    /// allocations then land in the heap holes the old ones left instead
+    /// of faulting in fresh pages.
     fn gather_into(
         &self,
         out: &mut FluidGrid,
-        mut node_scalars: impl FnMut(usize, &[f64]) -> [f64; 10],
+        mut node: impl FnMut(usize, &[f64]) -> (f64, [[f64; 3]; 3]),
     ) {
         let cdims = self.cdims;
         let (k, n) = (cdims.k, cdims.dims.n());
         out.dims = cdims.dims;
-        let [f, f_new, mut scalars @ ..] = out.fields_mut();
-        for (v, len) in [(&mut *f, n * Q)]
-            .into_iter()
-            .chain(scalars.iter_mut().map(|v| (&mut **v, n)))
-            .chain([(&mut *f_new, n * Q)])
-        {
+        let FluidGrid {
+            f,
+            f_new,
+            rho,
+            u,
+            ueq,
+            force,
+            ..
+        } = out;
+        let mut triples = [u, ueq, force];
+        f.clear();
+        f.reserve(n * Q);
+        rho.clear();
+        rho.reserve(n);
+        for v in &mut triples {
             v.clear();
-            v.reserve(len);
+            v.reserve(n);
         }
+        f_new.clear();
+        f_new.reserve(n * Q);
         {
             let f_dst = &mut f.spare_capacity_mut()[..n * Q];
             let new_dst = &mut f_new.spare_capacity_mut()[..n * Q];
-            let mut dst = scalars.each_mut().map(|v| &mut v.spare_capacity_mut()[..n]);
-            cdims.for_each_z_run(|node, flat| {
+            let rho_dst = &mut rho.spare_capacity_mut()[..n];
+            let mut dst = triples.each_mut().map(|v| &mut v.spare_capacity_mut()[..n]);
+            cdims.for_each_z_run(|at, flat| {
                 let run = &self.f[flat * Q..][..k * Q];
-                f_dst[node * Q..][..k * Q].write_copy_of_slice(run);
-                new_dst[node * Q..][..k * Q].write_copy_of_slice(run);
+                f_dst[at * Q..][..k * Q].write_copy_of_slice(run);
+                new_dst[at * Q..][..k * Q].write_copy_of_slice(run);
                 for (j, f_node) in run.chunks_exact(Q).enumerate() {
-                    let values = node_scalars(flat + j, f_node);
+                    let (r, values) = node(flat + j, f_node);
+                    rho_dst[at + j].write(r);
                     for (d, v) in dst.iter_mut().zip(values) {
-                        d[node + j].write(v);
+                        d[at + j].write(v);
                     }
                 }
             });
@@ -298,12 +282,13 @@ impl CubeFluidGrid {
         // SAFETY: each vector was cleared and then reserved for its new
         // length (`n * Q` or `n`) above. The z-runs tile the grid's `n`
         // nodes, and for every run the loop wrote the run's `k * Q` slots
-        // of `f` and `f_new` and its `k` slots of each scalar field; so
+        // of `f` and `f_new` and its `k` slots of every other field; so
         // every slot below each new length is initialised.
         unsafe {
             f.set_len(n * Q);
             f_new.set_len(n * Q);
-            for v in scalars {
+            rho.set_len(n);
+            for v in triples {
                 v.set_len(n);
             }
         }
@@ -387,8 +372,11 @@ mod tests {
         for (i, v) in g.rho.iter_mut().enumerate() {
             *v = 1.0 + i as f64 * 0.01;
         }
-        for (i, v) in g.fy.iter_mut().enumerate() {
-            *v = -(i as f64);
+        for (i, v) in g.force.iter_mut().enumerate() {
+            v[1] = -(i as f64);
+        }
+        for (i, v) in g.ueq.iter_mut().enumerate() {
+            v[2] = 1e-3 * i as f64;
         }
         let cube = CubeFluidGrid::from_flat(&g, 2);
         let mut back = FluidGrid::empty();
@@ -396,7 +384,8 @@ mod tests {
         assert_eq!(back.f, g.f);
         assert_eq!(back.f_new, g.f);
         assert_eq!(back.rho, g.rho);
-        assert_eq!(back.fy, g.fy);
+        assert_eq!(back.ueq, g.ueq);
+        assert_eq!(back.force, g.force);
     }
 
     #[test]
@@ -411,38 +400,21 @@ mod tests {
             for i in 0..Q {
                 g.f_new[node * Q + i] = feq(i, 1.0 + 1e-3 * node as f64, u);
             }
-            g.fx[node] = 1e-5 * node as f64;
-            g.fz[node] = -3e-6;
+            g.force[node] = [1e-5 * node as f64, 0.0, -3e-6];
         }
         update_velocity_shifted(&mut g, tau);
         g.copy_distributions();
         let cube = CubeFluidGrid {
             rho: vec![f64::NAN; g.n()],
             u: vec![[f64::NAN; 3]; g.n()],
-            ueqz: vec![f64::NAN; g.n()],
+            ueq: vec![[f64::NAN; 3]; g.n()],
             ..CubeFluidGrid::from_flat(&g, 2)
         };
         // A reused target with other contents and sizes.
         let mut back = FluidGrid::new(Dims::new(2, 2, 2));
         cube.to_flat_with_moments_into(&mut back, tau);
         assert_eq!(back.dims, g.dims);
-        for (got, want) in [
-            (&back.f, &g.f),
-            (&back.f_new, &g.f),
-            (&back.rho, &g.rho),
-            (&back.ux, &g.ux),
-            (&back.uy, &g.uy),
-            (&back.uz, &g.uz),
-            (&back.ueqx, &g.ueqx),
-            (&back.ueqy, &g.ueqy),
-            (&back.ueqz, &g.ueqz),
-            (&back.fx, &g.fx),
-            (&back.fy, &g.fy),
-            (&back.fz, &g.fz),
-        ] {
-            let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(got), bits(want));
-        }
+        assert_eq!(bits(&back), bits(&g));
     }
 
     /// The gather as it was written before the one-pass form: append `f`
@@ -451,55 +423,39 @@ mod tests {
     /// gather must reproduce bit for bit.
     fn two_pass_gather(cube: &CubeFluidGrid, out: &mut FluidGrid, tau: Option<f64>) {
         let cdims = cube.cdims;
-        let (k, n) = (cdims.k, cdims.dims.n());
+        let k = cdims.k;
+        *out = FluidGrid::empty();
         out.dims = cdims.dims;
-        out.f.clear();
-        out.f.reserve(n * Q);
-        let [_, _, mut scalars @ ..] = out.fields_mut();
-        for v in &mut scalars {
-            v.clear();
-            v.reserve(n);
-        }
-        let field = |a: &Vec<[f64; 3]>, c: usize| a.iter().map(|v| v[c]).collect::<Vec<f64>>();
-        let (ux, uy, uz) = (field(&cube.u, 0), field(&cube.u, 1), field(&cube.u, 2));
-        let (fx, fy, fz) = (
-            field(&cube.force, 0),
-            field(&cube.force, 1),
-            field(&cube.force, 2),
-        );
-        let src = [
-            &cube.rho, &ux, &uy, &uz, &cube.ueqx, &cube.ueqy, &cube.ueqz, &fx, &fy, &fz,
-        ];
         cdims.for_each_z_run(|node, flat| {
             debug_assert_eq!(out.f.len(), node * Q);
             let run = &cube.f[flat * Q..][..k * Q];
             out.f.extend_from_slice(run);
             for (j, f_node) in run.chunks_exact(Q).enumerate() {
-                let values = match tau {
-                    None => src.map(|s| s[flat + j]),
-                    Some(tau) => {
-                        let force = cube.force[flat + j];
-                        let (rho, u, ueq) = node_moments_shifted(f_node, force, tau);
-                        [
-                            rho, u[0], u[1], u[2], ueq[0], ueq[1], ueq[2], force[0], force[1],
-                            force[2],
-                        ]
-                    }
+                let (slot, force) = (flat + j, cube.force[flat + j]);
+                let (rho, u, ueq) = match tau {
+                    None => (cube.rho[slot], cube.u[slot], cube.ueq[slot]),
+                    Some(tau) => node_moments_shifted(f_node, force, tau),
                 };
-                let [_, _, scalars @ ..] = out.fields_mut();
-                for (d, v) in scalars.into_iter().zip(values) {
-                    d.push(v);
-                }
+                out.rho.push(rho);
+                out.u.push(u);
+                out.ueq.push(ueq);
+                out.force.push(force);
             }
         });
         out.f_new.clone_from(&out.f);
     }
 
-    fn bits(g: &FluidGrid) -> Vec<Vec<u64>> {
-        g.fields()
-            .iter()
-            .map(|v| v.iter().map(|x| x.to_bits()).collect())
-            .collect()
+    /// Every field's entries as bits, triples flattened.
+    fn bits(g: &FluidGrid) -> [Vec<u64>; 6] {
+        let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        [
+            b(&g.f),
+            b(&g.f_new),
+            b(&g.rho),
+            b(g.u.as_flattened()),
+            b(g.ueq.as_flattened()),
+            b(g.force.as_flattened()),
+        ]
     }
 
     proptest! {
@@ -521,12 +477,10 @@ mod tests {
                 *v = 1.0 / 19.0 + 1e-3 * (rng.next_u64() % 1000) as f64;
             }
             let mut draw = || 1e-5 * (rng.next_u64() % 1000) as f64 - 5e-3;
-            for v in [&mut cube.rho, &mut cube.ueqz] {
-                for x in v.iter_mut() {
-                    *x = draw();
-                }
+            for x in cube.rho.iter_mut() {
+                *x = draw();
             }
-            for v in [&mut cube.u, &mut cube.force] {
+            for v in [&mut cube.u, &mut cube.ueq, &mut cube.force] {
                 for x in v.iter_mut().flatten() {
                     *x = draw();
                 }
@@ -567,8 +521,8 @@ mod tests {
         for (i, v) in g.f.iter_mut().enumerate() {
             *v = i as f64;
         }
-        for (i, v) in g.ux.iter_mut().enumerate() {
-            *v = i as f64;
+        for (i, v) in g.u.iter_mut().enumerate() {
+            v[0] = i as f64;
         }
         let cube = CubeFluidGrid::from_flat(&g, 2);
         for (x, y, z) in dims.iter_coords() {

@@ -178,12 +178,12 @@ pub fn push_planes(
 }
 
 /// The fused plan's block for [`push_planes`]: node `node` collided in
-/// registers from the grid's stored fields (`rho`, `ueqx..z`), exactly as
+/// registers from the grid's stored fields (`rho`, `ueq`), exactly as
 /// kernel 5 would collide it in place. `grid.f` is only read.
 #[inline(always)]
 pub fn collided_block(grid: &FluidGrid, node: usize, tau: f64) -> [f64; Q] {
-    let ueq = [grid.ueqx[node], grid.ueqy[node], grid.ueqz[node]];
-    collide_to_registers(&grid.f[node * Q..node * Q + Q], grid.rho[node], ueq, tau)
+    let f_node = &grid.f[node * Q..node * Q + Q];
+    collide_to_registers(f_node, grid.rho[node], grid.ueq[node], tau)
 }
 
 /// Split kernel 6's block for [`push_planes`]: node `node`'s populations
@@ -232,9 +232,7 @@ mod tests {
             for i in 0..Q {
                 g.f[node * Q + i] = feq(i, 1.0, [0.02, -0.01, 0.015]) * (1.0 + 0.05 * next());
             }
-            g.fx[node] = 1e-4 * (next() - 0.5);
-            g.fy[node] = 1e-4 * (next() - 0.5);
-            g.fz[node] = 1e-4 * (next() - 0.5);
+            g.force[node] = std::array::from_fn(|_| 1e-4 * (next() - 0.5));
         }
         // Derive consistent rho / ueq fields from the perturbed state.
         let f = g.f.clone();
@@ -258,8 +256,7 @@ mod tests {
     /// kernel 6, so the fused sweep is not compared with its own push rule.
     fn split_reference(grid: &mut FluidGrid, bc: &BoundaryConfig, tau: f64) {
         for node in 0..grid.n() {
-            let rho = grid.rho[node];
-            let ueq = [grid.ueqx[node], grid.ueqy[node], grid.ueqz[node]];
+            let (rho, ueq) = (grid.rho[node], grid.ueq[node]);
             let f = &mut grid.f[node * Q..node * Q + Q];
             bgk_collide_reference(f, rho, ueq, tau);
         }

@@ -1,11 +1,13 @@
-//! Flat structure-of-arrays storage for the Eulerian fluid grid.
+//! Flat storage for the Eulerian fluid grid.
 //!
 //! This is the layout used by the sequential and OpenMP-style solvers in the
 //! paper: one contiguous allocation per field over the whole
 //! `Nx × Ny × Nz` grid, with the 19 distribution values of a node stored
 //! next to each other (node-major interleaving) so the collision kernel —
 //! 73% of the sequential run time in Table I — touches one small contiguous
-//! span per node.
+//! span per node. The velocity, the shift velocity and the force are one
+//! `[f64; 3]` per node, as in the cube-blocked grid: the flat grid is that
+//! layout's case of one brick per x-plane, for every field.
 
 use std::ops::Range;
 
@@ -89,12 +91,16 @@ pub fn wrap_axis(v: usize, d: i32, n: usize) -> usize {
     (((s % n) + n) % n) as usize
 }
 
-/// Structure-of-arrays fluid state over a [`Dims`] grid.
+/// Fluid state over a [`Dims`] grid: one contiguous array per field, each
+/// holding one entry per node in node order.
 ///
 /// `f` is the *present* distribution buffer and `f_new` the buffer streamed
 /// into; kernel 9 of the paper (`copy_fluid_velocity_distribution`) copies
 /// `f_new` back into `f` at the end of every step. Both buffers interleave
-/// the 19 directions per node: entry `node * Q + dir`.
+/// the 19 directions per node: entry `node * Q + dir`. The velocity, the
+/// shift velocity and the force are one `[x, y, z]` triple per node, as in
+/// [`crate::cube_grid::CubeFluidGrid`], so a stencil point's three
+/// components share a cache line.
 ///
 /// `clone_from` copies field by field into the existing buffers, so a
 /// grid that is refilled every chunk keeps its allocations.
@@ -107,21 +113,15 @@ pub struct FluidGrid {
     pub f_new: Vec<f64>,
     /// Macroscopic density per node.
     pub rho: Vec<f64>,
-    /// Macroscopic velocity components per node.
-    pub ux: Vec<f64>,
-    pub uy: Vec<f64>,
-    pub uz: Vec<f64>,
+    /// Macroscopic velocity per node.
+    pub u: Vec<[f64; 3]>,
     /// Equilibrium-shift velocity (`u + τF/ρ`) used by the coupled solvers'
     /// velocity-shift forcing, where the collision kernel must not read the
     /// force directly (that is what makes the paper's three-barrier
     /// Algorithm 4 race-free).
-    pub ueqx: Vec<f64>,
-    pub ueqy: Vec<f64>,
-    pub ueqz: Vec<f64>,
+    pub ueq: Vec<[f64; 3]>,
     /// External/elastic body force per node (what the fibers spread into).
-    pub fx: Vec<f64>,
-    pub fy: Vec<f64>,
-    pub fz: Vec<f64>,
+    pub force: Vec<[f64; 3]>,
 }
 
 impl Clone for FluidGrid {
@@ -131,20 +131,17 @@ impl Clone for FluidGrid {
         out
     }
 
+    /// Copies every field in declaration order.
     fn clone_from(&mut self, src: &Self) {
         self.dims = src.dims;
-        for (dst, src) in self.fields_mut().into_iter().zip(src.fields()) {
-            dst.clone_from(src);
-        }
+        self.f.clone_from(&src.f);
+        self.f_new.clone_from(&src.f_new);
+        self.rho.clone_from(&src.rho);
+        self.u.clone_from(&src.u);
+        self.ueq.clone_from(&src.ueq);
+        self.force.clone_from(&src.force);
     }
 }
-
-/// Number of per-node fields of a [`FluidGrid`].
-pub const FIELDS: usize = 12;
-
-/// Entries per node of each field, in [`FluidGrid::fields`] order: `Q`
-/// for the two distribution buffers, one for every moment and force.
-pub const FIELD_WIDTHS: [usize; FIELDS] = [Q, Q, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1];
 
 /// A mutable view of every per-node field over a contiguous range of
 /// x-planes of a [`FluidGrid`] (see [`FluidGrid::slabs_mut`]). The fields
@@ -156,94 +153,41 @@ pub struct Slab<'a> {
     pub f: &'a mut [f64],
     pub f_new: &'a mut [f64],
     pub rho: &'a mut [f64],
-    pub ux: &'a mut [f64],
-    pub uy: &'a mut [f64],
-    pub uz: &'a mut [f64],
-    pub ueqx: &'a mut [f64],
-    pub ueqy: &'a mut [f64],
-    pub ueqz: &'a mut [f64],
-    pub fx: &'a mut [f64],
-    pub fy: &'a mut [f64],
-    pub fz: &'a mut [f64],
+    pub u: &'a mut [[f64; 3]],
+    pub ueq: &'a mut [[f64; 3]],
+    pub force: &'a mut [[f64; 3]],
+}
+
+/// Splits the next `take` entries after `skip` off the front of `rest`.
+fn split_front<'a, T>(rest: &mut &'a mut [T], skip: usize, take: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(skip + take);
+    *rest = tail;
+    &mut head[skip..]
 }
 
 impl FluidGrid {
     /// Allocates a grid with all distributions zero and unit density.
     pub fn new(dims: Dims) -> Self {
         let n = dims.n();
-        let mut grid = Self::from_fields(dims, FIELD_WIDTHS.map(|w| vec![0.0; n * w]));
-        grid.rho.fill(1.0);
-        grid
+        Self {
+            dims,
+            f: vec![0.0; n * Q],
+            f_new: vec![0.0; n * Q],
+            rho: vec![1.0; n],
+            u: vec![[0.0; 3]; n],
+            ueq: vec![[0.0; 3]; n],
+            force: vec![[0.0; 3]; n],
+        }
     }
 
     /// A grid with no nodes: all extents zero and every field empty. It
     /// holds no allocation until something is gathered or cloned into it.
     pub fn empty() -> Self {
-        let dims = Dims {
+        Self::new(Dims {
             nx: 0,
             ny: 0,
             nz: 0,
-        };
-        Self::from_fields(dims, Default::default())
-    }
-
-    /// Assembles a grid from its fields in [`FluidGrid::fields`] order.
-    fn from_fields(dims: Dims, fields: [Vec<f64>; FIELDS]) -> Self {
-        let [f, f_new, rho, ux, uy, uz, ueqx, ueqy, ueqz, fx, fy, fz] = fields;
-        Self {
-            dims,
-            f,
-            f_new,
-            rho,
-            ux,
-            uy,
-            uz,
-            ueqx,
-            ueqy,
-            ueqz,
-            fx,
-            fy,
-            fz,
-        }
-    }
-
-    /// Every per-node field, in the one order all whole-grid copies use
-    /// (clone, checkpoint, plane slicing): `f`, `f_new`, `rho`, `ux..uz`,
-    /// `ueqx..ueqz`, `fx..fz`. [`FIELD_WIDTHS`] gives each one's entries
-    /// per node.
-    pub fn fields(&self) -> [&Vec<f64>; FIELDS] {
-        [
-            &self.f,
-            &self.f_new,
-            &self.rho,
-            &self.ux,
-            &self.uy,
-            &self.uz,
-            &self.ueqx,
-            &self.ueqy,
-            &self.ueqz,
-            &self.fx,
-            &self.fy,
-            &self.fz,
-        ]
-    }
-
-    /// Mutable [`FluidGrid::fields`], in the same order.
-    pub fn fields_mut(&mut self) -> [&mut Vec<f64>; FIELDS] {
-        [
-            &mut self.f,
-            &mut self.f_new,
-            &mut self.rho,
-            &mut self.ux,
-            &mut self.uy,
-            &mut self.uz,
-            &mut self.ueqx,
-            &mut self.ueqy,
-            &mut self.ueqz,
-            &mut self.fx,
-            &mut self.fy,
-            &mut self.fz,
-        ]
+        })
     }
 
     /// One [`Slab`] per x-plane range of `planes`, which must be ascending,
@@ -252,7 +196,17 @@ impl FluidGrid {
     /// handed to different threads.
     pub fn slabs_mut(&mut self, planes: &[Range<usize>]) -> Vec<Slab<'_>> {
         let (nx, plane) = (self.dims.nx, self.dims.ny * self.dims.nz);
-        let mut rest = self.fields_mut().map(|v| v.as_mut_slice());
+        let Self {
+            f,
+            f_new,
+            rho,
+            u,
+            ueq,
+            force,
+            ..
+        } = self;
+        let (mut f, mut f_new, mut rho) = (&mut f[..], &mut f_new[..], &mut rho[..]);
+        let (mut u, mut ueq, mut force) = (&mut u[..], &mut ueq[..], &mut force[..]);
         let mut consumed = 0;
         planes
             .iter()
@@ -261,29 +215,16 @@ impl FluidGrid {
                     consumed <= xs.start && xs.start <= xs.end && xs.end <= nx,
                     "plane ranges must ascend within 0..{nx}: {planes:?}"
                 );
-                let parts: [&mut [f64]; FIELDS] = std::array::from_fn(|k| {
-                    let per_plane = plane * FIELD_WIDTHS[k];
-                    let (head, tail) =
-                        std::mem::take(&mut rest[k]).split_at_mut((xs.end - consumed) * per_plane);
-                    rest[k] = tail;
-                    &mut head[(xs.start - consumed) * per_plane..]
-                });
+                let (skip, take) = ((xs.start - consumed) * plane, xs.len() * plane);
                 consumed = xs.end;
-                let [f, f_new, rho, ux, uy, uz, ueqx, ueqy, ueqz, fx, fy, fz] = parts;
                 Slab {
                     nodes: xs.start * plane..xs.end * plane,
-                    f,
-                    f_new,
-                    rho,
-                    ux,
-                    uy,
-                    uz,
-                    ueqx,
-                    ueqy,
-                    ueqz,
-                    fx,
-                    fy,
-                    fz,
+                    f: split_front(&mut f, skip * Q, take * Q),
+                    f_new: split_front(&mut f_new, skip * Q, take * Q),
+                    rho: split_front(&mut rho, skip, take),
+                    u: split_front(&mut u, skip, take),
+                    ueq: split_front(&mut ueq, skip, take),
+                    force: split_front(&mut force, skip, take),
                 }
             })
             .collect()
@@ -298,25 +239,33 @@ impl FluidGrid {
     /// A new grid holding copies of the x-planes `xs` of every field.
     pub fn planes(&self, xs: Range<usize>) -> Self {
         let plane = self.dims.ny * self.dims.nz;
-        let dims = Dims::new(xs.len(), self.dims.ny, self.dims.nz);
-        let fields = self.fields();
-        Self::from_fields(
-            dims,
-            std::array::from_fn(|k| {
-                let per_plane = plane * FIELD_WIDTHS[k];
-                fields[k][xs.start * per_plane..xs.end * per_plane].to_vec()
-            }),
-        )
+        let nodes = xs.start * plane..xs.end * plane;
+        let pops = nodes.start * Q..nodes.end * Q;
+        Self {
+            dims: Dims::new(xs.len(), self.dims.ny, self.dims.nz),
+            f: self.f[pops.clone()].to_vec(),
+            f_new: self.f_new[pops].to_vec(),
+            rho: self.rho[nodes.clone()].to_vec(),
+            u: self.u[nodes.clone()].to_vec(),
+            ueq: self.ueq[nodes.clone()].to_vec(),
+            force: self.force[nodes].to_vec(),
+        }
     }
 
     /// Refills this grid with `parts` stacked along x in order, reusing its
     /// buffers, and settles it: `f_new` is filled from the parts' `f`, the
     /// state a kernel-9 copy leaves, so a part's stale `f_new` (a swapped
-    /// buffer) is never read. Every field is written once, in
-    /// [`FluidGrid::fields`] order. Over ranges that tile the grid this is
-    /// the inverse of [`FluidGrid::planes`] for a grid whose `f_new` equals
-    /// `f`. Every part must have the same `ny` and `nz`.
+    /// buffer) is never read. Every field is written once, in declaration
+    /// order. Over ranges that tile the grid this is the inverse of
+    /// [`FluidGrid::planes`] for a grid whose `f_new` equals `f`. Every
+    /// part must have the same `ny` and `nz`.
     pub fn concat_planes(&mut self, parts: &[FluidGrid]) {
+        fn stack<T: Copy>(dst: &mut Vec<T>, parts: &[FluidGrid], field: fn(&FluidGrid) -> &[T]) {
+            dst.clear();
+            for p in parts {
+                dst.extend_from_slice(field(p));
+            }
+        }
         let (ny, nz) = parts.first().map_or((0, 0), |p| (p.dims.ny, p.dims.nz));
         assert!(
             parts.iter().all(|p| (p.dims.ny, p.dims.nz) == (ny, nz)),
@@ -327,14 +276,12 @@ impl FluidGrid {
             ny,
             nz,
         };
-        for (k, dst) in self.fields_mut().into_iter().enumerate() {
-            // Field 1 is `f_new`; it takes field 0, `f`.
-            let src = if k == 1 { 0 } else { k };
-            dst.clear();
-            for p in parts {
-                dst.extend_from_slice(p.fields()[src]);
-            }
-        }
+        stack(&mut self.f, parts, |p| &p.f);
+        stack(&mut self.f_new, parts, |p| &p.f);
+        stack(&mut self.rho, parts, |p| &p.rho);
+        stack(&mut self.u, parts, |p| &p.u);
+        stack(&mut self.ueq, parts, |p| &p.ueq);
+        stack(&mut self.force, parts, |p| &p.force);
     }
 
     /// Number of fluid nodes.
@@ -361,23 +308,9 @@ impl FluidGrid {
         &self.f_new[node * Q..node * Q + Q]
     }
 
-    /// Velocity vector at a node.
-    #[inline]
-    pub fn velocity(&self, node: usize) -> [f64; 3] {
-        [self.ux[node], self.uy[node], self.uz[node]]
-    }
-
-    /// Body-force vector at a node.
-    #[inline]
-    pub fn force(&self, node: usize) -> [f64; 3] {
-        [self.fx[node], self.fy[node], self.fz[node]]
-    }
-
     /// Clears the per-node body force. Run before each spreading pass.
     pub fn clear_force(&mut self) {
-        self.fx.fill(0.0);
-        self.fy.fill(0.0);
-        self.fz.fill(0.0);
+        self.force.fill([0.0; 3]);
     }
 
     /// Kernel 9 of the paper: copy the new-distribution buffer into the
@@ -483,18 +416,21 @@ mod tests {
     #[test]
     fn clear_force_zeroes_all_components() {
         let mut g = FluidGrid::new(Dims::new(2, 2, 2));
-        g.fx.fill(1.0);
-        g.fy.fill(2.0);
-        g.fz.fill(3.0);
+        g.force.fill([1.0, 2.0, 3.0]);
         g.clear_force();
-        assert!(g.fx.iter().chain(&g.fy).chain(&g.fz).all(|&v| v == 0.0));
+        assert!(g.force.iter().all(|&v| v == [0.0; 3]));
     }
 
-    /// A 5×2×3 grid whose every entry is distinct: field `k`'s entry `i`
-    /// holds `1000 k + i`.
+    /// A 5×2×3 grid whose every entry is distinct: entry `i` of the `k`-th
+    /// field (declaration order, triples flattened) holds `1000 k + i`.
     fn numbered_grid() -> FluidGrid {
         let mut g = FluidGrid::new(Dims::new(5, 2, 3));
-        for (k, v) in g.fields_mut().into_iter().enumerate() {
+        let (u, ueq, force) = (&mut g.u, &mut g.ueq, &mut g.force);
+        let fields = [&mut g.f, &mut g.f_new, &mut g.rho]
+            .map(|v| &mut v[..])
+            .into_iter()
+            .chain([u, ueq, force].map(|v| v.as_flattened_mut()));
+        for (k, v) in fields.enumerate() {
             for (i, x) in v.iter_mut().enumerate() {
                 *x = (1000 * k + i) as f64;
             }
@@ -502,19 +438,27 @@ mod tests {
         g
     }
 
+    /// Every field's entries as bits, triples flattened.
+    fn bits(g: &FluidGrid) -> [Vec<u64>; 6] {
+        let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        [
+            b(&g.f),
+            b(&g.f_new),
+            b(&g.rho),
+            b(g.u.as_flattened()),
+            b(g.ueq.as_flattened()),
+            b(g.force.as_flattened()),
+        ]
+    }
+
     #[test]
-    fn fields_follow_the_declared_order_and_widths() {
-        let mut g = numbered_grid();
-        assert_eq!(g.fields()[0], &g.f);
-        assert_eq!(g.fields()[1], &g.f_new);
-        assert_eq!(g.fields()[2], &g.rho);
-        assert_eq!(g.fields()[8], &g.ueqz);
-        assert_eq!(g.fields()[11], &g.fz);
-        for (v, w) in g.fields().into_iter().zip(FIELD_WIDTHS) {
-            assert_eq!(v.len(), g.n() * w);
-        }
-        g.fields_mut()[4][7] = -1.0;
-        assert_eq!(g.uy[7], -1.0);
+    fn clone_copies_every_field() {
+        let g = numbered_grid();
+        let mut into = FluidGrid::new(Dims::new(1, 1, 1));
+        into.clone_from(&g);
+        assert_eq!(into.dims, g.dims);
+        assert_eq!(bits(&into), bits(&g));
+        assert_eq!(bits(&g.clone()), bits(&g));
     }
 
     #[test]
@@ -531,16 +475,17 @@ mod tests {
             assert_eq!(s.f, &want.f[n.start * Q..n.end * Q]);
             assert_eq!(s.f_new, &want.f_new[n.start * Q..n.end * Q]);
             assert_eq!(s.rho, &want.rho[n.clone()]);
-            assert_eq!(s.ueqy, &want.ueqy[n.clone()]);
-            assert_eq!(s.fz, &want.fz[n]);
+            assert_eq!(s.u, &want.u[n.clone()]);
+            assert_eq!(s.ueq, &want.ueq[n.clone()]);
+            assert_eq!(s.force, &want.force[n]);
         }
         // Writes through a slab land in its planes only.
         for s in g.slabs_mut(&ranges) {
-            s.ux.fill(-2.0);
+            s.u.fill([-2.0; 3]);
         }
         let written = |i: usize| ranges.iter().any(|xs| xs.contains(&(i / plane)));
-        for (i, &u) in g.ux.iter().enumerate() {
-            assert_eq!(u == -2.0, written(i), "node {i}");
+        for (i, &u) in g.u.iter().enumerate() {
+            assert_eq!(u == [-2.0; 3], written(i), "node {i}");
         }
         let whole = g.slab_mut();
         assert_eq!(whole.nodes, 0..30);
@@ -559,12 +504,13 @@ mod tests {
         let parts = [g.planes(0..2), g.planes(2..3), g.planes(3..5)];
         assert_eq!(parts[1].dims, Dims::new(1, 2, 3));
         assert_eq!(parts[1].rho, g.rho[12..18]);
+        assert_eq!(parts[1].force, g.force[12..18]);
         let mut back = FluidGrid::new(Dims::new(1, 1, 1));
         back.concat_planes(&parts);
         assert_eq!(back.dims, g.dims);
         assert_eq!(back.f_new, g.f, "settled: f_new is a copy of f");
-        let (got, want) = (back.fields(), g.fields());
-        assert_eq!((got[0], &got[2..]), (want[0], &want[2..]));
+        let (got, want) = (bits(&back), bits(&g));
+        assert_eq!((&got[0], &got[2..]), (&want[0], &want[2..]));
     }
 
     #[test]

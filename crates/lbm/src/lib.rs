@@ -37,7 +37,7 @@
 //!     update_velocity_shifted(&mut grid, tau); // kernel 7
 //!     grid.swap_distributions(); // kernel 9
 //! }
-//! assert!(grid.ux.iter().all(|&u| u > 0.0));
+//! assert!(grid.u.iter().all(|u| u[0] > 0.0));
 //! ```
 
 pub mod analytic;

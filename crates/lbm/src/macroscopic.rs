@@ -49,7 +49,7 @@ pub fn node_moments_shifted(f: &[f64], force: [f64; 3], tau: f64) -> (f64, [f64;
 
 /// Kernel 7 for the coupled solvers: whole-grid shifted macroscopic update
 /// from the new (post-streaming) buffer. Fills `rho`, the physical
-/// velocity (`ux..uz`) and the equilibrium-shift velocity (`ueqx..ueqz`).
+/// velocity `u` and the equilibrium-shift velocity `ueq`.
 pub fn update_velocity_shifted(grid: &mut FluidGrid, tau: f64) {
     update_velocity_shifted_slab(&mut grid.slab_mut(), tau);
 }
@@ -59,15 +59,10 @@ pub fn update_velocity_shifted(grid: &mut FluidGrid, tau: f64) {
 /// grid can be updated in parallel.
 pub fn update_velocity_shifted_slab(s: &mut Slab, tau: f64) {
     for i in 0..s.rho.len() {
-        let force = [s.fx[i], s.fy[i], s.fz[i]];
-        let (rho, u, ueq) = node_moments_shifted(&s.f_new[i * Q..i * Q + Q], force, tau);
+        let (rho, u, ueq) = node_moments_shifted(&s.f_new[i * Q..i * Q + Q], s.force[i], tau);
         s.rho[i] = rho;
-        s.ux[i] = u[0];
-        s.uy[i] = u[1];
-        s.uz[i] = u[2];
-        s.ueqx[i] = ueq[0];
-        s.ueqy[i] = ueq[1];
-        s.ueqz[i] = ueq[2];
+        s.u[i] = u;
+        s.ueq[i] = ueq;
     }
 }
 
@@ -90,12 +85,8 @@ where
         grid.f[node * Q..node * Q + Q].copy_from_slice(&eq);
         grid.f_new[node * Q..node * Q + Q].copy_from_slice(&eq);
         grid.rho[node] = rho;
-        grid.ux[node] = u[0];
-        grid.uy[node] = u[1];
-        grid.uz[node] = u[2];
-        grid.ueqx[node] = u[0];
-        grid.ueqy[node] = u[1];
-        grid.ueqz[node] = u[2];
+        grid.u[node] = u;
+        grid.ueq[node] = u;
     }
 }
 
@@ -204,9 +195,9 @@ pub(crate) mod tests {
         update_velocity_shifted(&mut g, 0.8);
         for node in 0..g.n() {
             assert!((g.rho[node] - 1.0).abs() < 1e-13);
-            assert!((g.ux[node] - u_in[0]).abs() < 1e-13);
-            assert!((g.uy[node] - u_in[1]).abs() < 1e-13);
-            assert!((g.uz[node] - u_in[2]).abs() < 1e-13);
+            for a in 0..3 {
+                assert!((g.u[node][a] - u_in[a]).abs() < 1e-13);
+            }
         }
     }
 
@@ -267,14 +258,14 @@ pub(crate) mod tests {
             for i in 0..Q {
                 g.f_new[node * Q + i] = feq(i, 1.0, [0.0; 3]);
             }
-            g.fx[node] = 1e-3;
+            g.force[node][0] = 1e-3;
         }
         update_velocity_shifted(&mut g, 0.9);
         for node in 0..g.n() {
-            assert!((g.ux[node] - 0.5e-3).abs() < 1e-15);
-            assert!((g.ueqx[node] - 0.9e-3).abs() < 1e-15);
-            assert_eq!(g.uy[node], 0.0);
-            assert_eq!(g.ueqz[node], 0.0);
+            assert!((g.u[node][0] - 0.5e-3).abs() < 1e-15);
+            assert!((g.ueq[node][0] - 0.9e-3).abs() < 1e-15);
+            assert_eq!(g.u[node][1], 0.0);
+            assert_eq!(g.ueq[node][2], 0.0);
         }
     }
 
@@ -290,13 +281,13 @@ pub(crate) mod tests {
         for (x, y, z) in dims.iter_coords() {
             let node = dims.idx(x, y, z);
             assert!((g.rho[node] - (1.0 + 0.01 * x as f64)).abs() < 1e-15);
-            assert!((g.ux[node] - 0.01 * y as f64).abs() < 1e-15);
+            assert!((g.u[node][0] - 0.01 * y as f64).abs() < 1e-15);
             // Present and new buffers start identical.
             assert_eq!(g.node_f(node), g.node_f_new(node));
             // Moments of the stored distributions agree with the fields.
             let (rho, m) = plain_moments(g.node_f(node));
             assert!((rho - g.rho[node]).abs() < 1e-13);
-            assert!((m[0] / rho - g.ux[node]).abs() < 1e-13);
+            assert!((m[0] / rho - g.u[node][0]).abs() < 1e-13);
             let _ = z;
         }
     }

@@ -48,7 +48,7 @@ fn resume_is_bit_exact_for_every_solver() {
         let (a, b) = (full.to_state(), resumed.to_state());
         assert_eq!(a.step, b.step, "{name}");
         assert_eq!(a.fluid.f, b.fluid.f, "{name}: f must resume bit-exactly");
-        assert_eq!(a.fluid.ux, b.fluid.ux, "{name}: ux must resume bit-exactly");
+        assert_eq!(a.fluid.u, b.fluid.u, "{name}: u must resume bit-exactly");
         assert_eq!(
             a.sheet.pos, b.sheet.pos,
             "{name}: sheet must resume bit-exactly"
@@ -171,7 +171,7 @@ proptest! {
         let loaded = read_checkpoint(&buf[..]).unwrap();
         prop_assert_eq!(loaded.step, state.step);
         prop_assert_eq!(&loaded.fluid.f, &state.fluid.f);
-        prop_assert_eq!(&loaded.fluid.ux, &state.fluid.ux);
+        prop_assert_eq!(&loaded.fluid.u, &state.fluid.u);
         prop_assert_eq!(&loaded.sheet.pos, &state.sheet.pos);
         prop_assert_eq!(loaded.config.nx, nx);
     }
@@ -275,11 +275,11 @@ fn assert_same_state(a: &SimState, b: &SimState, what: &str) {
     );
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let fluid = |g: &lbm::grid::FluidGrid| {
-        [
-            &g.f, &g.f_new, &g.rho, &g.ux, &g.uy, &g.uz, &g.ueqx, &g.ueqy, &g.ueqz, &g.fx, &g.fy,
-            &g.fz,
-        ]
-        .map(|v| bits(v))
+        [&g.f, &g.f_new, &g.rho]
+            .map(|v| bits(v))
+            .into_iter()
+            .chain([&g.u, &g.ueq, &g.force].map(|v| bits(v.as_flattened())))
+            .collect::<Vec<_>>()
     };
     assert_eq!(fluid(&a.fluid), fluid(&b.fluid), "{what}: fluid arrays");
     let sheet = |s: &ib::sheet::FiberSheet| {

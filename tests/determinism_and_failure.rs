@@ -151,6 +151,6 @@ fn zero_body_force_stays_exactly_quiescent() {
     let mut s = SequentialSolver::new(c);
     s.run(20);
     // Flat sheet at rest exerts no force; no driving force → no motion.
-    assert!(s.state.fluid.ux.iter().all(|&v| v.abs() < 1e-15));
+    assert!(s.state.fluid.u.iter().all(|v| v[0].abs() < 1e-15));
     assert_eq!(s.state.sheet.pos, lbm_ib::SimState::new(c).sheet.pos);
 }

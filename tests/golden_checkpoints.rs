@@ -8,10 +8,16 @@
 //! from one commit to the next: a change that moves any bit of the fluid,
 //! the force field or the sheet fails here. A change that alters the
 //! numerics on purpose regenerates the fixtures and says so in CHANGES.md.
+//!
+//! Those runs end at a step boundary, so they save the compact fluid
+//! section. `golden_fresh_full.ckpt` pins the full section instead: a
+//! fresh state with a distinct value in every component of u, u_eq and
+//! the force, which must save to the fixture's bytes and load back to
+//! the same state.
 
 use ib::delta::DeltaKind;
 use lbm::boundary::{AxisBoundary, BoundaryConfig};
-use lbm_ib::checkpoint::write_checkpoint;
+use lbm_ib::checkpoint::{read_checkpoint, write_checkpoint};
 use lbm_ib::{build_solver, KernelPlan, SheetConfig, SimState, SimulationConfig, TetherConfig};
 use std::path::PathBuf;
 
@@ -182,4 +188,87 @@ fn fresh_runs_save_the_golden_bytes() {
             }
         }
     }
+}
+
+/// The full-section fixture's configuration: a channel whose `y = ny − ½`
+/// wall moves along x, with a tethered sheet.
+fn fresh_full_config() -> SimulationConfig {
+    SimulationConfig {
+        nx: 4,
+        ny: 8,
+        nz: 4,
+        cube_k: 2,
+        body_force: [1e-5, 0.0, 0.0],
+        bc: BoundaryConfig {
+            x: AxisBoundary::Periodic,
+            y: AxisBoundary::Walls {
+                lo: [0.0; 3],
+                hi: [0.03, 0.0, 0.0],
+            },
+            z: AxisBoundary::Periodic,
+        },
+        sheet: SheetConfig {
+            tether: TetherConfig::CenterRegion {
+                radius: 1.0,
+                stiffness: 0.05,
+            },
+            ..SheetConfig::square(2, 1.0, [2.0, 4.0, 2.0])
+        },
+        ..SimulationConfig::quick_test()
+    }
+}
+
+/// The fresh state of [`fresh_full_config`] with a distinct value in every
+/// component of u, u_eq and the force at every node. A fresh state holds
+/// zeros there, which would leave nine of the full section's twelve arrays
+/// interchangeable.
+fn fresh_full_state() -> SimState {
+    let mut state = SimState::try_new(fresh_full_config()).unwrap();
+    let g = &mut state.fluid;
+    let mark = |k: usize, c: usize, i: usize| 1e-3 * (1 + 3 * k + c) as f64 + 1e-7 * i as f64;
+    for (k, v) in [&mut g.u, &mut g.ueq, &mut g.force].into_iter().enumerate() {
+        for (i, x) in v.iter_mut().enumerate() {
+            *x = std::array::from_fn(|c| mark(k, c, i));
+        }
+    }
+    state
+}
+
+/// Every field of `s` as exact bits (config, tethers and step as their
+/// `Debug` text, which round-trips `f64`).
+fn state_bits(s: &SimState) -> (String, Vec<Vec<u64>>) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (g, sh) = (&s.fluid, &s.sheet);
+    let fluid = [&g.f, &g.f_new, &g.rho]
+        .map(|v| bits(v))
+        .into_iter()
+        .chain([&g.u, &g.ueq, &g.force].map(|v| bits(v.as_flattened())));
+    let sheet = [&sh.pos, &sh.bending, &sh.stretching, &sh.elastic].map(|v| bits(v.as_flattened()));
+    let scalars = [sh.ds_node, sh.ds_fiber, sh.k_bend, sh.k_stretch];
+    let header = format!(
+        "{:?} {:?} step {} {:?}",
+        s.config,
+        s.tethers,
+        s.step,
+        bits(&scalars)
+    );
+    (header, fluid.chain(sheet).collect())
+}
+
+/// The full fluid section, its twelve arrays in the file's order: the
+/// marked fresh state saves exactly the fixture's bytes, and the fixture
+/// loads back as that state on every field.
+#[test]
+fn fresh_state_saves_and_loads_the_full_section_fixture() {
+    let want = fixture("golden_fresh_full.ckpt");
+    let state = fresh_full_state();
+    assert!(!state.tethers.tethers.is_empty(), "no tethers");
+    let mut got = Vec::new();
+    write_checkpoint(&state, &mut got).unwrap();
+    assert_eq!(got.len(), want.len(), "length");
+    if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+        panic!("byte {i} of {} differs", got.len());
+    }
+    let back = read_checkpoint(&want[..]).unwrap();
+    assert_eq!(state_bits(&back), state_bits(&state));
 }

@@ -50,7 +50,7 @@ fn couette_profile_reached() {
     let dims = cfg.dims();
     let couette = Couette { ny: cfg.ny, u_lid };
     for y in 0..cfg.ny {
-        let got = s.state.fluid.ux[dims.idx(1, y, 1)];
+        let got = s.state.fluid.u[dims.idx(1, y, 1)][0];
         let want = couette.ux(y);
         assert!(
             (got - want).abs() < 0.02 * u_lid,
@@ -80,7 +80,7 @@ fn lid_drives_linear_profile_and_drags_sheet() {
     for y in [2, 8, 13] {
         let node = dims.idx(20, y, 2);
         let want = couette.ux(y);
-        let got = s.state.fluid.ux[node];
+        let got = s.state.fluid.u[node][0];
         assert!(
             (got - want).abs() < 0.15 * u_lid,
             "row {y}: {got} vs analytic {want}"

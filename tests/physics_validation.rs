@@ -59,7 +59,7 @@ fn run_inert(s: &mut SequentialSolver, steps: u64) {
     s.run(steps);
     let f = &s.state.fluid;
     assert!(
-        f.fx.iter().chain(&f.fy).chain(&f.fz).all(|&v| v == 0.0),
+        f.force.iter().all(|&v| v == [0.0; 3]),
         "the inert sheet spread a force"
     );
 }
@@ -140,7 +140,7 @@ fn poiseuille_profile_reached() {
     };
     let dims = cfg.dims();
     for y in 0..cfg.ny {
-        let got = s.state.fluid.ux[dims.idx(2, y, 2)];
+        let got = s.state.fluid.u[dims.idx(2, y, 2)][0];
         let want = profile.ux(y);
         assert!(
             (got - want).abs() < 0.02 * profile.u_max(),
@@ -215,7 +215,7 @@ fn coupled_solver_reaches_poiseuille_without_structure_influence() {
     let dims = cfg.dims();
     let mid_z = cfg.nz / 2;
     let mid_y = cfg.ny / 2;
-    let center = s.state.fluid.ux[dims.idx(8, mid_y, mid_z)];
+    let center = s.state.fluid.u[dims.idx(8, mid_y, mid_z)][0];
     assert!(
         center > 0.5 * profile.u_max(),
         "duct centre too slow: {center}"
@@ -223,12 +223,12 @@ fn coupled_solver_reaches_poiseuille_without_structure_influence() {
     // Monotone decrease from the centre row toward the wall.
     let mut prev = center;
     for y in (0..mid_y).rev() {
-        let v = s.state.fluid.ux[dims.idx(8, y, mid_z)];
+        let v = s.state.fluid.u[dims.idx(8, y, mid_z)][0];
         assert!(v <= prev + 1e-12, "profile not monotone at y={y}");
         prev = v;
     }
     // No-slip wall rows are much slower than the centre.
-    let wall = s.state.fluid.ux[dims.idx(8, 0, mid_z)];
+    let wall = s.state.fluid.u[dims.idx(8, 0, mid_z)][0];
     assert!(wall < 0.35 * center, "wall row {wall} vs centre {center}");
 }
 
@@ -260,7 +260,7 @@ fn stiff_sheet_obstructs_the_flow() {
     let mut blocked = SequentialSolver::new(blocked_cfg);
     blocked.run(250);
 
-    let flux = |s: &SequentialSolver| -> f64 { s.state.fluid.ux.iter().sum() };
+    let flux = |s: &SequentialSolver| -> f64 { s.state.fluid.u.iter().map(|u| u[0]).sum() };
     let f_free = flux(&free);
     let f_blocked = flux(&blocked);
     assert!(
